@@ -4,15 +4,21 @@ Runs the same fixed workloads as ``scripts/bench_wallclock.py`` (ping-pong,
 timeout churn, parallel bandwidth channel), saves the numbers under
 ``benchmarks/results/BENCH_kernel.json`` and asserts only a generous floor
 — absolute throughput is hardware-dependent; the trajectory is tracked in
-``BENCH_wallclock.json`` at the repository root.
+``BENCH_wallclock.json`` at the repository root.  The real-byte kernels of
+functional mode (CRC-32C, single-shard RS decode) get the same kind of
+floor; their trajectory is the ``*_mb_s`` rows of ``bench/run.py --trace``.
 """
 
 import json
 import pathlib
+import time
 
+import numpy as np
 import pytest
 
+from repro.ec.rs import ReedSolomon
 from repro.sim.benchkit import KERNEL_WORKLOADS, run_workload
+from repro.storage.integrity import crc32c
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -39,3 +45,43 @@ def test_kernel_events_per_second(name):
         f"{name} fell below the catastrophic-regression floor: "
         f"{events_per_s:,.0f} < {FLOORS[name]:,} events/s"
     )
+
+
+#: MB/s floors of the byte kernels: a third to a fifth of what the numpy
+#: kernels measure on a slow shared runner, and well above what a
+#: byte-at-a-time Python loop (9 MB/s CRC, 60 MB/s full-stripe decode) can do
+BYTE_FLOORS_MB_S = {"crc32c_4k": 30.0, "rs_decode_one_5x32k": 150.0}
+
+
+def _best_mb_s(fn, nbytes: int, calls: int = 20, repeats: int = 5) -> float:
+    fn()
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - started) / calls)
+    return nbytes / best / 1e6
+
+
+def test_byte_kernel_floors():
+    rng = np.random.default_rng(12)
+    block = rng.integers(0, 256, 4096, dtype=np.uint8)
+    rs = ReedSolomon(5, 3)
+    data = [rng.integers(0, 256, 32 * 1024, dtype=np.uint8) for _ in range(5)]
+    shards = dict(enumerate(data + rs.encode(data)))
+    survivors = {i: s for i, s in shards.items() if i not in (0, 2, 4)}
+    assert np.array_equal(rs.decode_one(2, survivors, 32 * 1024), data[2])
+    measured = {
+        "crc32c_4k": _best_mb_s(lambda: crc32c(block), len(block)),
+        # MB/s of the five source shards one lost shard is rebuilt from
+        "rs_decode_one_5x32k": _best_mb_s(
+            lambda: rs.decode_one(2, survivors, 32 * 1024), 5 * 32 * 1024
+        ),
+    }
+    for name, mb_s in measured.items():
+        print(f"{name}: {mb_s:,.0f} MB/s")
+        assert mb_s > BYTE_FLOORS_MB_S[name], (
+            f"{name} fell below the catastrophic-regression floor: "
+            f"{mb_s:,.1f} < {BYTE_FLOORS_MB_S[name]} MB/s"
+        )

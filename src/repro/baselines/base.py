@@ -613,11 +613,9 @@ class HostCentricRaid:
                     check = set(self._stripe_members(ext.stripe))
                 else:
                     check = seg_drives
-                bad = []
-                for d in sorted(check - failed):
-                    self.integrity_stats.chunks_verified += 1
-                    if not store.chunk_ok(drives[d], ext.stripe):
-                        bad.append(d)
+                members = sorted(check - failed)
+                self.integrity_stats.chunks_verified += len(members)
+                bad = store.verify_members(drives, ext.stripe, members)
                 if not bad:
                     break
                 self.integrity_stats.read_repairs += 1
@@ -648,13 +646,9 @@ class HostCentricRaid:
         drives = self.cluster.drives()
         for _ in range(3):
             failed = self.failed_in_stripe(ext.stripe)
-            bad = []
-            for d in self._stripe_members(ext.stripe):
-                if d in failed:
-                    continue
-                self.integrity_stats.chunks_verified += 1
-                if not store.chunk_ok(drives[d], ext.stripe):
-                    bad.append(d)
+            members = [d for d in self._stripe_members(ext.stripe) if d not in failed]
+            self.integrity_stats.chunks_verified += len(members)
+            bad = store.verify_members(drives, ext.stripe, members)
             if not bad:
                 return
             self.integrity_stats.write_repairs += 1
@@ -709,11 +703,10 @@ class HostCentricRaid:
             # and widen to the whole stripe: repair sources must be clean,
             # so any bad chunk the caller didn't check is repaired too.
             failed = self.failed_in_stripe(stripe)
-            bad = sorted(
-                d
-                for d in self._stripe_members(stripe)
-                if d not in failed and not store.chunk_ok(drives[d], stripe)
-            )
+            bad = sorted(store.verify_members(
+                drives, stripe,
+                (d for d in self._stripe_members(stripe) if d not in failed),
+            ))
             if not bad:
                 return True
             kinds_of = {d: store.bad_kinds(drives[d], stripe) for d in bad}
@@ -770,12 +763,10 @@ class HostCentricRaid:
                     continue
                 # re-verify: an armed corruption may have eaten the repair
                 # write itself — if so, go around again
-                still_bad = []
+                still_bad = store.verify_members(drives, stripe, bad)
                 for d in bad:
-                    if store.chunk_ok(drives[d], stripe):
+                    if d not in still_bad:
                         self.integrity_stats.record_repaired(kinds_of[d])
-                    else:
-                        still_bad.append(d)
                 if not still_bad:
                     return True
                 bad = still_bad
@@ -797,21 +788,15 @@ class HostCentricRaid:
         if g.level is None and code is not None:
             # generic Reed-Solomon geometry: global shard index space is
             # data 0..k-1 then parity k..k+m-1
-            shards = {}
-            for drive, blk in present.items():
+            def shard_of(drive: int) -> int:
                 if drive in parity:
-                    shards[g.data_per_stripe + parity.index(drive)] = blk
-                else:
-                    shards[g.data_index_of_drive(stripe, drive)] = blk
-            data_shards = code.decode(shards, g.chunk_bytes)
-            parity_shards = code.encode(data_shards)
-            out = {}
-            for d in bad:
-                if d in parity:
-                    out[d] = parity_shards[parity.index(d)]
-                else:
-                    out[d] = data_shards[g.data_index_of_drive(stripe, d)]
-            return out
+                    return g.data_per_stripe + parity.index(drive)
+                return g.data_index_of_drive(stripe, drive)
+
+            shards = {shard_of(drive): blk for drive, blk in present.items()}
+            return {
+                d: code.decode_one(shard_of(d), shards, g.chunk_bytes) for d in bad
+            }
         data_blocks: Dict[int, np.ndarray] = {}
         p_block = q_block = None
         for drive, blk in present.items():

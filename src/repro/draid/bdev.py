@@ -686,20 +686,14 @@ class DraidBdevServer:
             if cmd.code_km[0] == "lrc":
                 # local-reconstruction code: single in-group losses repair
                 # with the group's XOR, anything wider runs the GF decode
-                _, k_data, l_local, g_global = cmd.code_km
-                code = _lrc_code_cache_get(k_data, l_local, g_global)
-                shards = dict(data_blocks)
-                for j, block in parity_blocks.items():
-                    shards[k_data + j] = block
-                return code.decode_one(index, shards, length=cmd.region_length)
-            # generic Reed-Solomon decode (§7)
-            k_data, m_parity = cmd.code_km
-            code = _rs_code_cache_get(k_data, m_parity)
+                code = _lrc_code_cache_get(*cmd.code_km[1:])
+            else:
+                # generic Reed-Solomon decode (§7)
+                code = _rs_code_cache_get(*cmd.code_km)
             shards = dict(data_blocks)
             for j, block in parity_blocks.items():
-                shards[k_data + j] = block
-            recovered = code.decode(shards, length=cmd.region_length)
-            return recovered[index]
+                shards[code.k + j] = block
+            return code.decode_one(index, shards, length=cmd.region_length)
         if (
             kind == "data"
             and set(parity_blocks) == {0}

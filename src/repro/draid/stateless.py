@@ -142,9 +142,7 @@ class StatelessTargetMixin:
             shards = dict(data_blocks)
             for j, b in parity_blocks.items():
                 shards[code.k + j] = b
-            if hasattr(code, "decode_one"):
-                return code.decode_one(lost_index, shards, length=region_len)
-            return code.decode(shards, length=region_len)[lost_index]
+            return code.decode_one(lost_index, shards, length=region_len)
         if set(parity_blocks) == {0} and len(data_blocks) == self.geometry.data_per_stripe - 1:
             return xor_blocks(list(data_blocks.values()) + [parity_blocks[0]])
         recovered = raid6_reconstruct(

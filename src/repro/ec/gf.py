@@ -5,9 +5,10 @@ The field is constructed over the primitive polynomial
 field Linux software RAID and ISA-L use, so Q parities computed here match
 those systems byte-for-byte.
 
-Scalar operations use log/exp tables; bulk (block) operations use a
-precomputed 256x256 multiplication table and numpy fancy indexing, which is
-the closest a pure-Python stack gets to ISA-L's SIMD kernels.
+Scalar operations use log/exp tables; bulk (block) operations gather one
+256-byte row of a precomputed 256x256 multiplication table with
+``ndarray.take`` — the same table-lookup multiply ISA-L's ``gf_vect_mul``
+does with byte shuffles, at numpy rather than SIMD speed.
 """
 
 from __future__ import annotations
@@ -121,18 +122,17 @@ class GF256:
             return np.zeros_like(data)
         if coefficient == 1:
             return data.copy()
-        return self.mul_table[coefficient][data]
+        return self.mul_table[coefficient].take(data)
 
     def mul_bytes_inplace_xor(
         self, accumulator: np.ndarray, coefficient: int, data: np.ndarray
     ) -> None:
-        """``accumulator ^= coefficient * data`` without extra allocation."""
+        """``accumulator ^= coefficient * data``, in place."""
         if coefficient == 0:
             return
-        if coefficient == 1:
-            np.bitwise_xor(accumulator, data, out=accumulator)
-        else:
-            np.bitwise_xor(accumulator, self.mul_table[coefficient][data], out=accumulator)
+        if coefficient != 1:
+            data = self.mul_table[coefficient].take(data)
+        np.bitwise_xor(accumulator, data, out=accumulator)
 
     # -- matrices over the field -------------------------------------------
 
@@ -143,11 +143,9 @@ class GF256:
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
         out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-        for k in range(a.shape[1]):
-            col = a[:, k]
-            row = b[k, :]
-            # outer product over the field, accumulated with XOR
-            out ^= self.mul_table[np.ix_(col, row)]
+        for acc, coefficients in zip(out, a.tolist()):
+            for coefficient, row in zip(coefficients, b):
+                self.mul_bytes_inplace_xor(acc, coefficient, row)
         return out
 
     def mat_inv(self, matrix: np.ndarray) -> np.ndarray:

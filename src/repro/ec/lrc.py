@@ -23,8 +23,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.ec.gf import GF
-from repro.ec.rs import ReedSolomon, UnrecoverableErasureError
+from repro.ec.parity import _as_block
+from repro.ec.rs import LinearCode, ReedSolomon
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class DecodePlan:
         return len({s for step in self.steps for s in step.sources})
 
 
-class LocalReconstructionCode:
+class LocalReconstructionCode(LinearCode):
     """A systematic (k + l + g, k) local-reconstruction code.
 
     ``k`` data shards in ``l`` local groups (sizes differing by at most
@@ -79,10 +79,8 @@ class LocalReconstructionCode:
             raise ValueError(f"more local groups ({l}) than data shards ({k})")
         if k + l + g > 255:
             raise ValueError(f"k+l+g={k + l + g} exceeds GF(2^8) limit of 255 shards")
-        self.k = k
         self.l = l
         self.g = g
-        self.m = l + g  #: total parity shards, ReedSolomon-compatible
         #: guaranteed arbitrary-erasure tolerance (conservative: the
         #: global-parity reach; some wider in-group patterns also decode)
         self.fault_tolerance = g
@@ -95,15 +93,13 @@ class LocalReconstructionCode:
             groups.append(tuple(range(start, start + size)))
             start += size
         self.groups: Tuple[Tuple[int, ...], ...] = tuple(groups)
-        self._rs = ReedSolomon(k, g)
-        parity = np.zeros((self.m, k), dtype=np.uint8)
+        parity = np.zeros((l + g, k), dtype=np.uint8)
         for j, group in enumerate(self.groups):
-            for i in group:
-                parity[j, i] = 1
-        parity[l:, :] = self._rs.parity_matrix
-        #: (l + g) x k parity-generation coefficients: local rows first
-        self.parity_matrix = parity
-        self.encode_matrix = np.vstack([np.eye(k, dtype=np.uint8), parity])
+            parity[j, list(group)] = 1
+        parity[l:, :] = ReedSolomon(k, g).parity_matrix
+        # (l + g) x k parity-generation coefficients: local rows first;
+        # ``m = l + g`` total parity shards, ReedSolomon-compatible
+        super().__init__(k, parity)
 
     def __repr__(self) -> str:
         return f"<LRC k={self.k} l={self.l} g={self.g}>"
@@ -116,55 +112,6 @@ class LocalReconstructionCode:
             if data_index in group:
                 return j
         raise AssertionError("unreachable")
-
-    # -- encoding -----------------------------------------------------------
-
-    def encode(self, data_shards: Sequence) -> List[np.ndarray]:
-        """Compute the l local + g global parity shards, in that order."""
-        shards = [
-            np.asarray(
-                np.frombuffer(s, dtype=np.uint8)
-                if isinstance(s, (bytes, bytearray))
-                else s,
-                dtype=np.uint8,
-            )
-            for s in data_shards
-        ]
-        if len(shards) != self.k:
-            raise ValueError(f"expected {self.k} data shards, got {len(shards)}")
-        length = len(shards[0])
-        for s in shards:
-            if len(s) != length:
-                raise ValueError("data shards must have equal length")
-        parities = []
-        for row in range(self.m):
-            acc = np.zeros(length, dtype=np.uint8)
-            for col in range(self.k):
-                GF.mul_bytes_inplace_xor(
-                    acc, int(self.parity_matrix[row, col]), shards[col]
-                )
-            parities.append(acc)
-        return parities
-
-    def partial_parity(self, shard_index: int, block) -> List[np.ndarray]:
-        """Per-device partial contribution of one data shard to every parity.
-
-        Out-of-group local parities receive an all-zero partial (their
-        coefficient is zero), keeping the dRAID reduce phase
-        order-independent and code-agnostic.
-        """
-        if not 0 <= shard_index < self.k:
-            raise ValueError(f"shard index {shard_index} out of range")
-        arr = np.asarray(
-            np.frombuffer(block, dtype=np.uint8)
-            if isinstance(block, (bytes, bytearray))
-            else block,
-            dtype=np.uint8,
-        )
-        return [
-            GF.mul_bytes(int(self.parity_matrix[row, shard_index]), arr)
-            for row in range(self.m)
-        ]
 
     # -- decode planning ----------------------------------------------------
 
@@ -215,65 +162,19 @@ class LocalReconstructionCode:
             return None
         return set(self.groups[j]) | {self.k + j}
 
-    def _independent_rows(self, available: Sequence[int]) -> List[int]:
-        """Pick k available shard indices whose encode rows are linearly
-        independent; raises :class:`UnrecoverableErasureError` when the
-        available rows do not span the data space."""
-        basis: List[Tuple[int, np.ndarray]] = []  # (pivot column, reduced row)
-        chosen: List[int] = []
-        for i in available:
-            row = self.encode_matrix[i].copy()
-            for pivot, brow in basis:
-                coeff = int(row[pivot])
-                if coeff:
-                    row ^= GF.mul_bytes(coeff, brow)
-            nonzero = np.nonzero(row)[0]
-            if len(nonzero) == 0:
-                continue
-            pivot = int(nonzero[0])
-            row = GF.mul_bytes(GF.inv(int(row[pivot])), row)
-            basis.append((pivot, row))
-            chosen.append(i)
-            if len(chosen) == self.k:
-                return chosen
-        raise UnrecoverableErasureError(
-            f"erasure pattern beyond reach: {len(available)} surviving shards "
-            f"span rank {len(chosen)} < {self.k}"
-        )
-
     # -- decoding -----------------------------------------------------------
 
-    def decode(self, shards: Dict[int, np.ndarray], length: int) -> List[np.ndarray]:
-        """Recover the k data shards from any decodable surviving subset.
-
-        ``shards`` maps global shard index (local parities at ``k``,
-        global parities at ``k+l``) to the surviving block.  Raises
-        :class:`~repro.ec.rs.UnrecoverableErasureError` when the pattern
-        is beyond reach.
-        """
-        if len(shards) < self.k:
-            raise UnrecoverableErasureError(
-                f"need at least {self.k} shards, got {len(shards)}"
-            )
-        chosen = self._independent_rows(sorted(shards))
-        sub = self.encode_matrix[chosen, :]
-        inv = GF.mat_inv(sub)
-        stacked = np.stack([np.asarray(shards[i], dtype=np.uint8) for i in chosen])
-        recovered = GF.mat_mul(inv, stacked)
-        return [recovered[i, :length].copy() for i in range(self.k)]
-
-    def decode_one(self, data_index: int, shards: Dict[int, np.ndarray], length: int) -> np.ndarray:
-        """Recover a single lost data shard, preferring local XOR repair.
+    def decode_one(self, index: int, shards: Dict[int, np.ndarray], length: int) -> np.ndarray:
+        """Recover a single lost shard, preferring local XOR repair.
 
         When the shard's whole group scope survives in ``shards``, the
-        repair is the XOR of ``len(group)`` blocks; otherwise a full
-        :meth:`decode` runs and the shard is extracted.
+        repair is the XOR of ``len(group)`` blocks; otherwise (and for a
+        global parity) the Gaussian row of :class:`LinearCode` applies.
         """
-        scope = self._group_scope(data_index)
-        sources = sorted(scope - {data_index})
-        if all(s in shards for s in sources):
+        scope = self._group_scope(index)
+        if scope is not None and all(s in shards for s in scope if s != index):
             acc = np.zeros(length, dtype=np.uint8)
-            for s in sources:
-                acc ^= np.asarray(shards[s], dtype=np.uint8)[:length]
+            for s in scope - {index}:
+                acc ^= _as_block(shards[s])[:length]
             return acc
-        return self.decode(shards, length)[data_index]
+        return super().decode_one(index, shards, length)

@@ -10,11 +10,12 @@ identity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.ec.gf import GF
+from repro.ec.parity import _as_block
 
 
 class UnrecoverableErasureError(ValueError):
@@ -28,7 +29,123 @@ class UnrecoverableErasureError(ValueError):
     """
 
 
-class ReedSolomon:
+class LinearCode:
+    """A systematic linear erasure code: ``k`` data shards, then ``m``
+    parities that are each a GF(2^8)-weighted sum of the data shards.
+
+    Subclasses supply the ``m x k`` ``parity_matrix``; encoding, the dRAID
+    partial-parity split and Gaussian decoding are the same for every such
+    code and live here.
+    """
+
+    def __init__(self, k: int, parity_matrix: np.ndarray) -> None:
+        self.k = k
+        self.m = len(parity_matrix)
+        #: m x k parity-generation coefficients
+        self.parity_matrix = parity_matrix
+        self.encode_matrix = np.vstack([np.eye(k, dtype=np.uint8), parity_matrix])
+        #: surviving shard indices -> (the k shards read, one coefficient
+        #: row over them per shard of the code); one entry per erasure
+        #: pattern met, so elimination runs once per pattern
+        self._decode_plans: Dict[Tuple[int, ...], Tuple[List[int], List[List[int]]]] = {}
+
+    # -- encoding -----------------------------------------------------------
+
+    def encode(self, data_shards: Sequence) -> List[np.ndarray]:
+        """Compute the m parity shards for k equal-length data shards."""
+        shards = [_as_block(s) for s in data_shards]
+        if len(shards) != self.k:
+            raise ValueError(f"expected {self.k} data shards, got {len(shards)}")
+        length = len(shards[0])
+        for s in shards:
+            if len(s) != length:
+                raise ValueError("data shards must have equal length")
+        parities = []
+        for coefficients in self.parity_matrix.tolist():
+            acc = np.zeros(length, dtype=np.uint8)
+            for coefficient, shard in zip(coefficients, shards):
+                GF.mul_bytes_inplace_xor(acc, coefficient, shard)
+            parities.append(acc)
+        return parities
+
+    def partial_parity(self, shard_index: int, block) -> List[np.ndarray]:
+        """Per-device partial contribution of one data shard to every parity.
+
+        XOR-ing the partial parities of all k data shards yields the full
+        parity set — the dRAID reduce-phase generalized to m parities.  A
+        parity that does not cover the shard (coefficient zero) receives an
+        all-zero partial, keeping the reduce order-independent.
+        """
+        if not 0 <= shard_index < self.k:
+            raise ValueError(f"shard index {shard_index} out of range")
+        arr = _as_block(block)
+        return [
+            GF.mul_bytes(int(self.parity_matrix[row, shard_index]), arr)
+            for row in range(self.m)
+        ]
+
+    # -- decoding -----------------------------------------------------------
+
+    def _independent_rows(self, available: Sequence[int]) -> List[int]:
+        """Pick k available shard indices whose encode rows are linearly
+        independent; raises :class:`UnrecoverableErasureError` when the
+        available rows do not span the data space."""
+        basis: List[Tuple[int, np.ndarray]] = []  # (pivot column, reduced row)
+        chosen: List[int] = []
+        for i in available:
+            row = self.encode_matrix[i].copy()
+            for pivot, brow in basis:
+                coeff = int(row[pivot])
+                if coeff:
+                    row ^= GF.mul_bytes(coeff, brow)
+            nonzero = np.nonzero(row)[0]
+            if len(nonzero) == 0:
+                continue
+            pivot = int(nonzero[0])
+            row = GF.mul_bytes(GF.inv(int(row[pivot])), row)
+            basis.append((pivot, row))
+            chosen.append(i)
+            if len(chosen) == self.k:
+                return chosen
+        raise UnrecoverableErasureError(
+            f"erasure pattern beyond reach: {len(available)} surviving shards "
+            f"span rank {len(chosen)} < {self.k}"
+        )
+
+    def _decode_plan(self, shards) -> Tuple[List[int], List[List[int]]]:
+        if len(shards) < self.k:
+            raise UnrecoverableErasureError(
+                f"need at least {self.k} shards, got {len(shards)}"
+            )
+        survivors = tuple(sorted(shards))
+        plan = self._decode_plans.get(survivors)
+        if plan is None:
+            sources = self._independent_rows(survivors)
+            inverse = GF.mat_inv(self.encode_matrix[sources, :])
+            plan = sources, GF.mat_mul(self.encode_matrix, inverse).tolist()
+            self._decode_plans[survivors] = plan
+        return plan
+
+    def decode_one(self, index: int, shards: Dict[int, np.ndarray], length: int) -> np.ndarray:
+        """Recover shard ``index`` (data or parity) alone from any decodable
+        surviving subset: one cached coefficient row times the survivors."""
+        sources, rows = self._decode_plan(shards)
+        acc = np.zeros(length, dtype=np.uint8)
+        for coefficient, source in zip(rows[index], sources):
+            GF.mul_bytes_inplace_xor(acc, coefficient, _as_block(shards[source])[:length])
+        return acc
+
+    def decode(self, shards: Dict[int, np.ndarray], length: int) -> List[np.ndarray]:
+        """Recover the k data shards from any decodable surviving subset.
+
+        ``shards`` maps global shard index (0..k+m-1; parities start at k)
+        to the surviving block.  Returns the k data shards in order; raises
+        :class:`UnrecoverableErasureError` when the pattern is beyond reach.
+        """
+        return [self.decode_one(i, shards, length) for i in range(self.k)]
+
+
+class ReedSolomon(LinearCode):
     """A systematic (k+m, k) Reed-Solomon erasure code.
 
     ``k`` data shards, ``m`` parity shards; any ``k`` of the ``k+m`` shards
@@ -40,11 +157,8 @@ class ReedSolomon:
             raise ValueError(f"invalid code parameters k={k}, m={m}")
         if k + m > 255:
             raise ValueError(f"k+m={k + m} exceeds GF(2^8) limit of 255 shards")
-        self.k = k
-        self.m = m
-        self.encode_matrix = self._systematic_matrix(k, m)
         # rows k..k+m-1 are the parity-generation coefficients
-        self.parity_matrix = self.encode_matrix[k:, :]
+        super().__init__(k, self._systematic_matrix(k, m)[k:, :])
 
     @staticmethod
     def _systematic_matrix(k: int, m: int) -> np.ndarray:
@@ -56,55 +170,3 @@ class ReedSolomon:
         v = GF.vandermonde(k + m, k)
         top_inv = GF.mat_inv(v[:k, :])
         return GF.mat_mul(v, top_inv)
-
-    # -- encoding -----------------------------------------------------------
-
-    def encode(self, data_shards: Sequence) -> List[np.ndarray]:
-        """Compute the m parity shards for k equal-length data shards."""
-        shards = [np.asarray(np.frombuffer(s, dtype=np.uint8) if isinstance(s, (bytes, bytearray)) else s, dtype=np.uint8) for s in data_shards]
-        if len(shards) != self.k:
-            raise ValueError(f"expected {self.k} data shards, got {len(shards)}")
-        length = len(shards[0])
-        for s in shards:
-            if len(s) != length:
-                raise ValueError("data shards must have equal length")
-        parities = []
-        for row in range(self.m):
-            acc = np.zeros(length, dtype=np.uint8)
-            for col in range(self.k):
-                GF.mul_bytes_inplace_xor(acc, int(self.parity_matrix[row, col]), shards[col])
-            parities.append(acc)
-        return parities
-
-    def partial_parity(self, shard_index: int, block) -> List[np.ndarray]:
-        """Per-device partial contribution of one data shard to every parity.
-
-        XOR-ing the partial parities of all k data shards yields the full
-        parity set — the dRAID reduce-phase generalized to m parities.
-        """
-        if not 0 <= shard_index < self.k:
-            raise ValueError(f"shard index {shard_index} out of range")
-        arr = np.asarray(np.frombuffer(block, dtype=np.uint8) if isinstance(block, (bytes, bytearray)) else block, dtype=np.uint8)
-        return [
-            GF.mul_bytes(int(self.parity_matrix[row, shard_index]), arr)
-            for row in range(self.m)
-        ]
-
-    # -- decoding -----------------------------------------------------------
-
-    def decode(self, shards: Dict[int, np.ndarray], length: int) -> List[np.ndarray]:
-        """Recover the k data shards from any k surviving shards.
-
-        ``shards`` maps global shard index (0..k+m-1; parities start at k)
-        to the surviving block.  Returns the k data shards in order.
-        """
-        if len(shards) < self.k:
-            raise UnrecoverableErasureError(
-                f"need at least {self.k} shards, got {len(shards)}"
-            )
-        indices = sorted(shards)[: self.k]
-        sub = self.encode_matrix[indices, :]
-        inv = GF.mat_inv(sub)
-        stacked = np.stack([np.asarray(shards[i], dtype=np.uint8) for i in indices])
-        recovered = GF.mat_mul(inv, stacked)
-        return [recovered[i, :length].copy() for i in range(self.k)]

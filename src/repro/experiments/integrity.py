@@ -127,11 +127,10 @@ def integrity_point(system: str, pace_label: str, fast: bool) -> Row:
 
     stats = array.integrity_stats
     store = array.integrity
+    drives = cluster.drives()
     residual = sum(
-        1
-        for drive in cluster.drives()
+        len(store.verify_members(drives, c, range(len(drives))))
         for c in range(NUM_STRIPES)
-        if not store.chunk_ok(drive, c)
     )
     mean_ns = stats.mean_detection_latency_ns()
     return Row(

@@ -410,12 +410,11 @@ def run_chaos_schedule(
     )
     istats = array.integrity_stats
     store = array.integrity
+    drives = cluster.drives()
     residual_bad = (
         sum(
-            1
-            for drv in cluster.drives()
+            len(store.verify_members(drives, c, range(len(drives))))
             for c in range(stripes)
-            if not store.chunk_ok(drv, c)
         )
         if store is not None
         else 0

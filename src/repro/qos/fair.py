@@ -89,6 +89,13 @@ class WeightedFairQueue:
         self._flows[name] = flow
         return flow
 
+    def unregister(self, name: str) -> None:
+        """Remove a flow that has nothing queued (e.g. the destination lane
+        of a migration that was abandoned before cutover)."""
+        if self._flows[name].queue:
+            raise RuntimeError(f"flow {name!r} still has queued requests")
+        del self._flows[name]
+
     def flow(self, name: str) -> FairFlow:
         """Look up a registered flow by name."""
         return self._flows[name]

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
+from repro.nvmeof.messages import IoError
 from repro.qos.admission import PRIORITY_BACKGROUND
 from repro.qos.errors import Busy
 from repro.qos.tokens import TokenBucket
@@ -44,6 +45,9 @@ if TYPE_CHECKING:  # annotation only
     from repro.rack.topology import Rack, RackArray
 
 MB = 1_000_000
+#: how long a migration copy stream backs off when an overload-armed array
+#: sheds its background I/O (the scrub daemon's default pressure pause)
+PRESSURE_PAUSE_NS = 500_000
 
 
 @dataclass
@@ -367,17 +371,31 @@ class VolumeManager:
             )
         volume._migrating_to = (dst, dst_base)
         copied = 0
-        while copied < volume.size_bytes:
-            nbytes = min(extent_bytes, volume.size_bytes - copied)
-            data = yield src.array.read(
-                volume.base + copied, nbytes, priority=PRIORITY_BACKGROUND
-            )
-            yield dst.array.write(
-                dst_base + copied, nbytes, data, priority=PRIORITY_BACKGROUND
-            )
-            copied += nbytes
-            if pace_ns:
-                yield env.timeout(pace_ns)
+        try:
+            while copied < volume.size_bytes:
+                nbytes = min(extent_bytes, volume.size_bytes - copied)
+                try:
+                    data = yield src.array.read(
+                        volume.base + copied, nbytes, priority=PRIORITY_BACKGROUND
+                    )
+                    yield dst.array.write(
+                        dst_base + copied, nbytes, data, priority=PRIORITY_BACKGROUND
+                    )
+                except Busy:
+                    # shed at a pressed array's admission gate: give the
+                    # tenants room, then copy the same extent again
+                    yield env.timeout(max(pace_ns, PRESSURE_PAUSE_NS))
+                    continue
+                copied += nbytes
+                if pace_ns:
+                    yield env.timeout(pace_ns)
+        except IoError:
+            # terminal: the volume stays on its source, nothing is leaked
+            volume._migrating_to = None
+            dst.deallocate(volume.size_bytes)
+            if dst.wfq is not None:
+                dst.wfq.unregister(volume.name)
+            raise
         # cutover: atomic within one event — no tenant I/O observes a half-move
         volume.home = dst
         volume.base = dst_base

@@ -137,12 +137,9 @@ class ScrubDaemon:
                 if outcome is None:
                     continue  # members erroring/stalling out; retry next pass
                 blocks = {d: outcome[e] for d, e in zip(members, reads)}
-                bad = []
-                for d in members:
-                    stats.chunks_verified += 1
-                    verified += 1
-                    if not store.chunk_ok(drives[d], stripe, data=blocks[d]):
-                        bad.append(d)
+                stats.chunks_verified += len(members)
+                verified += len(members)
+                bad = store.verify_members(drives, stripe, members, blocks)
                 if bad:
                     bad_total += len(bad)
                     stats.scrub_repairs += 1

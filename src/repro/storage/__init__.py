@@ -12,6 +12,7 @@ from repro.storage.integrity import (
     IntegrityStore,
     PoisonedExtent,
     crc32c,
+    crc32c_many,
 )
 from repro.storage.profiles import (
     DELL_AGN_MU,
@@ -29,4 +30,5 @@ __all__ = [
     "NvmeDrive",
     "PoisonedExtent",
     "crc32c",
+    "crc32c_many",
 ]

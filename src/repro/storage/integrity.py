@@ -5,8 +5,11 @@ because parity alone cannot *detect* silent corruption — bit rot, lost,
 torn and misdirected writes leave every drive answering happily with the
 wrong bytes.  This module provides the detection layer:
 
-* :func:`crc32c` — the Castagnoli CRC used by T10-DIF and iSCSI, as a
-  pure-Python slice-by-8 implementation (tables built with numpy).
+* :func:`crc32c` / :func:`crc32c_many` — the Castagnoli CRC used by
+  T10-DIF and iSCSI, as a block-parallel numpy kernel: a CRC without its
+  init/final XOR is linear over GF(2), so one table gather gives the CRC
+  of every 64-byte block and further gathers fold neighbouring blocks
+  together (the byte-serial reference lives in ``tests/crc32c_oracle.py``).
 * :class:`PoisonedExtent` — a record of silently corrupted bytes kept by
   :class:`~repro.storage.drive.NvmeDrive`.  In timing-only mode it *is*
   the detection mechanism (there are no bytes to checksum); in functional
@@ -38,54 +41,143 @@ import numpy as np
 
 #: Reflected Castagnoli polynomial (CRC-32C, as used by T10-DIF / iSCSI).
 _CRC32C_POLY = 0x82F63B78
+#: Bytes folded per gather.  A per-position table holds 256 uint32
+#: entries per byte position, so 64 positions keep it at 64 KiB.
+_WIDTH = 64
+_OFFSETS = np.arange(_WIDTH, dtype=np.uint16) * 256
 
 
-def _build_crc32c_tables() -> List[List[int]]:
-    t0 = np.zeros(256, dtype=np.uint32)
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ (_CRC32C_POLY if crc & 1 else 0)
-        t0[i] = crc
-    tables = [t0]
-    for _ in range(7):
-        prev = tables[-1]
-        tables.append((prev >> 8) ^ t0[prev & 0xFF])
-    # plain Python lists index faster than numpy scalars in the hot loop
-    return [t.tolist() for t in tables]
+def _fold(table: np.ndarray, msg: np.ndarray) -> np.ndarray:
+    """XOR the per-position ``table`` entries of every group of bytes.
+
+    ``msg`` is ``(n, length)`` uint8 and ``table`` a flat ``(width * 256,)``
+    array whose entry ``[p * 256 + b]`` is the contribution of byte ``b`` at
+    position ``p`` of a ``width``-byte group.  Groups are right-aligned: a
+    short leading group is zero-padded in front, which contributes nothing
+    because every table maps byte 0 to 0.  Returns ``(n, groups)`` words.
+    """
+    width = len(table) >> 8
+    n, length = msg.shape
+    groups = -(-length // width)
+    pad = groups * width - length
+    if pad:
+        msg = np.concatenate([np.zeros((n, pad), dtype=np.uint8), msg], axis=1)
+    index = (msg.reshape(n, groups, width) + _OFFSETS[:width]).astype(np.intp)
+    out = np.empty((n, groups), dtype="<u4")
+    np.bitwise_xor.reduce(table.take(index, mode="wrap"), axis=2, out=out)
+    return out
 
 
-_T = _build_crc32c_tables()
+def _bytes_of(words: np.ndarray) -> np.ndarray:
+    """Little-endian byte view ``(n, 4 * count)`` of ``(n, count)`` words."""
+    return words.view(np.uint8).reshape(len(words), -1)
+
+
+def _build_byte_table() -> np.ndarray:
+    table = np.arange(256, dtype="<u4")
+    for _ in range(8):
+        table = (table >> 1) ^ ((table & 1) * np.uint32(_CRC32C_POLY))
+    return table
+
+
+#: the classic 256-entry table: register after one byte from state zero
+_BYTE = _build_byte_table()
+#: the four bytes of a register as words: the identity operator's table
+_IDENTITY = (
+    np.arange(256, dtype="<u4") << (8 * np.arange(4, dtype="<u4"))[:, None]
+).ravel()
+#: GF(2) operators "advance the register over 2**j zero bytes", as
+#: 4-position tables; grown by squaring, so O(log n) for any distance
+_ADVANCE = [(_IDENTITY >> 8) ^ _BYTE[_IDENTITY & 0xFF]]
+#: _TABLES[0] is the per-position table of raw bytes, _TABLES[level] folds
+#: 16 words that each cover ``64 * 16**(level - 1)`` bytes; built on demand
+#: by :func:`_table`, one per level, so the cache grows with log(length)
+_TABLES: List[np.ndarray] = []
+
+
+def _advance_table(exponent: int) -> np.ndarray:
+    while len(_ADVANCE) <= exponent:
+        last = _ADVANCE[-1]
+        _ADVANCE.append(_fold(last, _bytes_of(last[:, None])).ravel())
+    return _ADVANCE[exponent]
+
+
+def _table(level: int) -> np.ndarray:
+    while len(_TABLES) <= level:
+        built = len(_TABLES)
+        if built == 0:
+            row, step, rows = _BYTE, _ADVANCE[0], _WIDTH
+        else:
+            # words of this level sit 64 * 16**(built-1) = 2**(4*built+2)
+            # bytes apart
+            row, step, rows = _IDENTITY, _advance_table(4 * built + 2), _WIDTH // 4
+        stack = [row]
+        for _ in range(rows - 1):
+            stack.append(_fold(step, _bytes_of(stack[-1][:, None])).ravel())
+        _TABLES.append(np.concatenate(stack[::-1]))
+    return _TABLES[level]
+
+
+_table(0)
+
+
+def _advance(register: int, nbytes: int) -> int:
+    """The register after ``nbytes`` zero bytes (the affine part of a CRC)."""
+    exponent = 0
+    while nbytes:
+        if nbytes & 1:
+            table = _advance_table(exponent)
+            register = int(
+                table[register & 0xFF]
+                ^ table[256 | (register >> 8) & 0xFF]
+                ^ table[512 | (register >> 16) & 0xFF]
+                ^ table[768 | register >> 24]
+            )
+        nbytes >>= 1
+        exponent += 1
+    return register
+
+
+def _raw_crcs(msg: np.ndarray) -> np.ndarray:
+    """Zero-init, no-final-XOR CRC of every row of ``(n, length > 0)`` bytes.
+
+    That raw CRC is linear over GF(2), so one gather gives it for every
+    64-byte block and each further gather folds 16 neighbours into one.
+    """
+    words = _fold(_table(0), msg)
+    level = 1
+    while words.shape[1] > 1:
+        words = _fold(_table(level), _bytes_of(words))
+        level += 1
+    return words[:, 0]
+
+
+def _as_bytes(data) -> np.ndarray:
+    if isinstance(data, np.ndarray):
+        return np.ascontiguousarray(data).reshape(-1).view(np.uint8)
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        data = bytes(data)
+    return np.frombuffer(data, dtype=np.uint8)
 
 
 def crc32c(data, crc: int = 0) -> int:
-    """CRC-32C (Castagnoli) of ``data`` (bytes or uint8 ndarray)."""
-    if isinstance(data, np.ndarray):
-        buf = data.tobytes()
-    elif isinstance(data, (bytes, bytearray, memoryview)):
-        buf = bytes(data)
-    else:
-        buf = bytes(data)
-    t0, t1, t2, t3, t4, t5, t6, t7 = _T
-    crc ^= 0xFFFFFFFF
-    n8 = len(buf) & ~7
-    idx = 0
-    while idx < n8:
-        q = int.from_bytes(buf[idx : idx + 8], "little") ^ crc
-        crc = (
-            t7[q & 0xFF]
-            ^ t6[(q >> 8) & 0xFF]
-            ^ t5[(q >> 16) & 0xFF]
-            ^ t4[(q >> 24) & 0xFF]
-            ^ t3[(q >> 32) & 0xFF]
-            ^ t2[(q >> 40) & 0xFF]
-            ^ t1[(q >> 48) & 0xFF]
-            ^ t0[(q >> 56) & 0xFF]
-        )
-        idx += 8
-    for byte in buf[idx:]:
-        crc = (crc >> 8) ^ t0[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+    """CRC-32C (Castagnoli) of ``data`` (bytes-like or ndarray), continuing
+    from ``crc``: ``crc32c(b, crc32c(a)) == crc32c(a + b)``."""
+    buf = _as_bytes(data)
+    if not len(buf):
+        return crc
+    raw = int(_raw_crcs(buf[None, :])[0])
+    return _advance(crc ^ 0xFFFFFFFF, len(buf)) ^ raw ^ 0xFFFFFFFF
+
+
+def crc32c_many(blocks) -> np.ndarray:
+    """CRC-32C of each row of ``blocks`` (``(n, length)`` uint8), one pass."""
+    blocks = np.asarray(blocks, dtype=np.uint8)
+    n, length = blocks.shape
+    if not length:
+        return np.zeros(n, dtype=np.uint32)
+    affine = _advance(0xFFFFFFFF, length) ^ 0xFFFFFFFF
+    return _raw_crcs(blocks) ^ np.uint32(affine)
 
 
 class ChecksumError(RuntimeError):
@@ -161,15 +253,24 @@ class IntegrityStore:
     def record_write(self, drive, offset: int, nbytes: int) -> None:
         """A write landed: the chunk content is (again) what the array
         intended, superseding any previous expectation."""
-        for chunk in self._chunks(offset, nbytes):
-            key = (drive._integrity_index, chunk)
-            self.known_bad.discard(key)
-            if self.eager and drive._data is not None:
-                self._crc[key] = crc32c(self._chunk_bytes_of(drive, chunk))
-                self._dirty.discard(key)
-            else:
+        chunks = self._chunks(offset, nbytes)
+        keys = [(drive._integrity_index, chunk) for chunk in chunks]
+        self.known_bad.difference_update(keys)
+        if self.eager and drive._data is not None:
+            # one pass over the whole written range; only a chunk cut short
+            # by the end of the drive has a different length
+            size = self.chunk_bytes
+            region = drive._data[chunks.start * size : chunks.stop * size]
+            whole = len(region) // size
+            crcs = crc32c_many(region[: whole * size].reshape(whole, size)).tolist()
+            if whole < len(keys):
+                crcs.append(crc32c(region[whole * size :]))
+            self._crc.update(zip(keys, crcs))
+            self._dirty.difference_update(keys)
+        else:
+            for key in keys:
                 self._crc.pop(key, None)
-                self._dirty.add(key)
+            self._dirty.update(keys)
 
     def finalize(self, drive, offset: int, nbytes: int) -> None:
         """Pin CRC expectations for chunks about to be silently mutated.
@@ -204,6 +305,38 @@ class IntegrityStore:
             return True
         block = data if data is not None else self._chunk_bytes_of(drive, chunk)
         return crc32c(block) == expected
+
+    def verify_members(self, drives, stripe: int, members, blocks=None) -> List[int]:
+        """The ``members`` (indices into ``drives``) whose chunk ``stripe``
+        fails :meth:`chunk_ok`, in the order given.
+
+        Poison is checked per member; the members that carry a CRC
+        expectation are then checksummed in one :func:`crc32c_many` pass.
+        ``blocks`` optionally maps member -> already-read chunk bytes.
+        """
+        lo = stripe * self.chunk_bytes
+        members = list(members)
+        bad = set()
+        pending = []
+        for d in members:
+            drive = drives[d]
+            if drive.poison_overlapping(lo, self.chunk_bytes):
+                bad.add(d)
+                continue
+            expected = self._crc.get((drive._integrity_index, stripe))
+            if expected is None or drive._data is None:
+                continue
+            block = blocks.get(d) if blocks is not None else None
+            if block is None:
+                block = self._chunk_bytes_of(drive, stripe)
+            pending.append((d, expected, block))
+        if pending:
+            crcs = crc32c_many(np.stack([block for _, _, block in pending]))
+            bad.update(
+                d for (d, expected, _), crc in zip(pending, crcs.tolist())
+                if crc != expected
+            )
+        return [d for d in members if d in bad]
 
     def require_chunk(self, drive, chunk: int, data=None) -> None:
         """Raise :class:`ChecksumError` unless ``chunk`` verifies clean."""

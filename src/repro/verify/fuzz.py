@@ -391,8 +391,9 @@ def run_schedule(schedule: FuzzSchedule, verify: bool = True) -> FuzzOutcome:
             # bug: adopt those stripes like torn ones (the resync below
             # rewrites them from the surviving bytes, clearing the poison)
             store = cluster.integrity
+            drives = cluster.drives()
             for stripe in range(schedule.stripes):
-                if any(not store.chunk_ok(d, stripe) for d in cluster.drives()):
+                if store.verify_members(drives, stripe, range(len(drives))):
                     torn.add(stripe)
         for stripe in sorted(torn):
             try:

@@ -165,3 +165,46 @@ class TestEcFailures:
             recovered = array.code.decode(keep, length=CHUNK)
             for d in range(g.data_per_stripe):
                 assert np.array_equal(recovered[d], shards[d]), f"stripe {stripe} shard {d}"
+
+
+class TestEcChecksumRepair:
+    """Checksum read-repair on coded arrays asks the code for exactly the
+    bad shards (``decode_one``), data and parity alike."""
+
+    @pytest.mark.parametrize("lrc", [False, True], ids=["rs", "lrc"])
+    def test_scrub_restores_rotted_data_and_parity_chunks(self, lrc):
+        from repro.draid.ec_array import LrcDraidArray
+        from repro.raid.scrubber import ScrubDaemon
+        from repro.storage.integrity import IntegrityStore
+
+        env = Environment()
+        stripes = 4
+        cluster = build_cluster(
+            env, ClusterConfig(num_servers=8, functional_capacity=stripes * CHUNK)
+        )
+        IntegrityStore(CHUNK).attach(cluster)
+        geometry = EcGeometry(8, CHUNK, num_parity=3)
+        array = (LrcDraidArray(cluster, geometry, local_groups=2) if lrc
+                 else EcDraidArray(cluster, geometry))
+        rng = np.random.default_rng(21)
+        cap = stripes * geometry.stripe_data_bytes
+        payload = rng.integers(0, 256, cap, dtype=np.uint8)
+        env.run(until=array.write(0, cap, payload))
+        drives = cluster.drives()
+        pristine = [d.peek(0, stripes * CHUNK) for d in drives]
+        # two erasures per stripe (within RS reach 3 and LRC reach 1 + local):
+        # a data chunk everywhere, plus a parity chunk on the RS array
+        for stripe in range(stripes):
+            victims = [geometry.data_drive(stripe, stripe % geometry.data_per_stripe)]
+            if not lrc:
+                victims.append(geometry.parity_drives(stripe)[stripe % 3])
+            for victim in victims:
+                drives[victim].corrupt(
+                    "bitrot", offset=stripe * CHUNK + 100, length=999, seed=stripe
+                )
+        env.run(until=ScrubDaemon(array, stripes, pace_ns=0).process)
+        for drive, before in zip(drives, pristine):
+            assert np.array_equal(drive.peek(0, stripes * CHUNK), before)
+        assert array.integrity_stats.unrecoverable == 0
+        got = env.run(until=array.read(0, cap))
+        assert np.array_equal(got, payload)

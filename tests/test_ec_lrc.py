@@ -11,15 +11,21 @@ Hypothesis drives LRC(k, l, g) across parameters and payloads and pins:
   same shortcut), and the plan says so introspectably;
 * **typed failure** — patterns beyond reach raise the same
   :class:`~repro.ec.rs.UnrecoverableErasureError` Reed-Solomon raises,
-  so callers handle both codes with one except clause.
+  so callers handle both codes with one except clause;
+* **single-shard decode** — ``decode_one`` (RS and LRC, data and parity
+  shards, local and global paths) is byte-equal to a full Gaussian decode
+  on every erasure pattern, and its plan is cached per survivor set.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ec.gf import GF
 from repro.ec.lrc import LocalReconstructionCode
 from repro.ec.rs import ReedSolomon, UnrecoverableErasureError
 
@@ -157,3 +163,103 @@ def test_decode_one_prefers_local_sources():
     survivors[code.k] = parities[0]
     assert set(survivors) == scope - {lost}
     assert np.array_equal(code.decode_one(lost, survivors, 32), data[lost])
+
+
+# -- single-shard decode (``decode_one``) against a full Gaussian decode ------
+
+
+def _reference_decode(code, shards, length):
+    """Every data shard by one k x k inversion and a full matrix product —
+    the decode the codes ran before ``decode_one`` took one cached row."""
+    chosen = code._independent_rows(sorted(shards))
+    inverse = GF.mat_inv(code.encode_matrix[chosen, :])
+    recovered = np.zeros((code.k, length), dtype=np.uint8)
+    for col, source in enumerate(chosen):
+        block = np.asarray(shards[source], dtype=np.uint8)[:length]
+        recovered ^= GF.mul_table[inverse[:, col][:, None], block[None, :]]
+    return list(recovered)
+
+
+def _all_shards(code, length, seed):
+    rng = np.random.default_rng(seed)
+    data = [rng.integers(0, 256, size=length, dtype=np.uint8) for _ in range(code.k)]
+    return data + code.encode(data)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [ReedSolomon(5, 3), ReedSolomon(3, 2), LocalReconstructionCode(5, 2, 1),
+     LocalReconstructionCode(6, 2, 2), LocalReconstructionCode(4, 1, 2)],
+    ids=["rs5+3", "rs3+2", "lrc5.2.1", "lrc6.2.2", "lrc4.1.2"],
+)
+def test_decode_one_equals_full_decode_on_every_pattern(code):
+    """Exhaustive over erasure patterns: wherever the full decode succeeds,
+    ``decode_one`` returns the same bytes for every shard of the code (data
+    through the inverse row, parity through encode-row x inverse, LRC
+    shards locally when their group survives); wherever it cannot, both
+    raise the typed error."""
+    length = 48
+    everything = _all_shards(code, length, seed=code.k * 31 + code.m)
+    total = code.k + code.m
+    decodable = beyond = 0
+    for lost in range(1, code.m + 2):
+        for erased in itertools.combinations(range(total), lost):
+            survivors = {i: everything[i] for i in range(total) if i not in erased}
+            try:
+                expected = _reference_decode(code, survivors, length)
+            except UnrecoverableErasureError:
+                beyond += 1
+                with pytest.raises(UnrecoverableErasureError):
+                    code.decode(survivors, length)
+                for index in erased:
+                    scope = getattr(code, "_group_scope", lambda _i: None)(index)
+                    if scope is None or scope & set(erased) != {index}:
+                        with pytest.raises(UnrecoverableErasureError):
+                            code.decode_one(index, survivors, length)
+                continue
+            decodable += 1
+            decoded = code.decode(survivors, length)
+            for index in range(code.k):
+                assert np.array_equal(expected[index], everything[index])
+                assert np.array_equal(decoded[index], expected[index])
+            for index in range(total):
+                one = code.decode_one(index, survivors, length)
+                assert np.array_equal(one, everything[index]), (erased, index)
+    assert decodable and beyond
+
+
+def test_lrc_decode_one_takes_local_and_global_paths():
+    code = LocalReconstructionCode(6, 2, 2)
+    length = 40
+    everything = _all_shards(code, length, seed=11)
+    full = dict(enumerate(everything))
+    # sole loss in its group scope: local XOR, and no Gaussian plan is made
+    survivors = {i: s for i, s in full.items() if i != 1}
+    assert np.array_equal(code.decode_one(1, survivors, length), everything[1])
+    assert not code._decode_plans
+    # two losses in one group: the same call now needs the global row
+    survivors = {i: s for i, s in full.items() if i not in (1, 2)}
+    assert np.array_equal(code.decode_one(1, survivors, length), everything[1])
+    assert list(code._decode_plans) == [tuple(sorted(survivors))]
+    # a global parity has no local scope at all
+    survivors = {i: s for i, s in full.items() if i != code.k + code.l}
+    rebuilt = code.decode_one(code.k + code.l, survivors, length)
+    assert np.array_equal(rebuilt, everything[code.k + code.l])
+
+
+@pytest.mark.parametrize(
+    "code", [ReedSolomon(5, 3), LocalReconstructionCode(6, 2, 2)], ids=["rs", "lrc"]
+)
+@given(order_seed=st.integers(0, 1 << 32))
+@settings(max_examples=30, deadline=None)
+def test_decode_plan_is_cached_per_survivor_set_not_dict_order(code, order_seed):
+    length = 16
+    everything = _all_shards(code, length, seed=3)
+    survivors = {i: everything[i] for i in range(code.k + code.m) if i not in (0, 1)}
+    first = code._decode_plan(survivors)
+    keys = list(survivors)
+    np.random.default_rng(order_seed).shuffle(keys)
+    shuffled = {i: survivors[i] for i in keys}
+    assert code._decode_plan(shuffled) is first  # one elimination per pattern
+    assert np.array_equal(code.decode_one(0, shuffled, length), everything[0])
+    assert np.array_equal(code.decode_one(1, shuffled, length), everything[1])

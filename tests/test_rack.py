@@ -8,7 +8,8 @@ import pytest
 from repro.cluster import ClusterConfig, build_cluster
 from repro.experiments.runner import SweepPoint, run_points
 from repro.experiments.tenancy import hotspot_point, noisy_point
-from repro.qos import WeightedFairQueue
+from repro.nvmeof.messages import IoError
+from repro.qos import OverloadConfig, WeightedFairQueue
 from repro.qos.errors import Busy
 from repro.qos.tokens import TokenBucket
 from repro.rack import (
@@ -313,6 +314,64 @@ class TestMigration:
         volume = rack.volumes.create(VolumeSpec("v", 256 * KB), on="a0")
         with pytest.raises(ValueError):
             rack.volumes.migrate(volume, rack.array("a0"))
+
+    def _overloaded_source_rack(self):
+        """a0 sheds background I/O as soon as one foreground I/O is in flight."""
+        pressed = ClusterConfig(
+            functional_capacity=4 * MB,
+            overload=OverloadConfig(admission_depth=8, background_depth=1),
+        )
+        arrays = [
+            ArraySpec(system="dRAID", servers=4, chunk_bytes=16 * KB, name=name,
+                      export_bytes=4 * MB, cluster=cluster)
+            for name, cluster in (("a0", pressed),
+                                  ("a1", ClusterConfig(functional_capacity=4 * MB)))
+        ]
+        return build_rack(None, RackConfig(arrays=arrays, qos=RackQosConfig()))
+
+    def test_migration_rides_out_a_shed_copy_read(self):
+        rack = self._overloaded_source_rack()
+        env = rack.env
+        volume = rack.volumes.create(VolumeSpec("v", 256 * KB), on="a0")
+        payload = np.random.default_rng(9).integers(0, 256, 256 * KB, dtype=np.uint8)
+        _drain(env, volume.write(0, 256 * KB, payload))
+
+        def tenant():
+            for _ in range(40):
+                yield volume.read(0, 64 * KB)
+
+        tenant_done = env.process(tenant())
+        env.run(until=env.now + 20_000)  # a tenant read now holds a0's bg slot
+        done = rack.volumes.migrate(volume, rack.array("a1"), extent_bytes=64 * KB)
+        env.run(until=done)  # used to raise Busy out of the simulation
+        assert rack.array("a0").cluster.qos.stats.shed_background >= 1
+        env.run(until=tenant_done)
+        assert volume.home.name == "a1" and volume._migrating_to is None
+        readback = _drain(env, volume.read(0, 256 * KB))
+        assert np.array_equal(np.asarray(readback, dtype=np.uint8), payload)
+
+    def test_failed_migration_unwinds(self):
+        rack = self._overloaded_source_rack()
+        env = rack.env
+        volume = rack.volumes.create(VolumeSpec("v", 256 * KB), on="a0")
+        src, dst = rack.array("a0"), rack.array("a1")
+
+        def broken_write(*args, **kwargs):
+            failed = env.event()
+            failed.fail(IoError("a1: member gone"))
+            return failed
+
+        dst.array.write = broken_write
+        with pytest.raises(IoError):
+            env.run(until=rack.volumes.migrate(volume, dst, extent_bytes=64 * KB))
+        assert volume.home is src and volume._migrating_to is None
+        assert dst.allocated_bytes == 0 and src.allocated_bytes == 256 * KB
+        with pytest.raises(KeyError):
+            dst.wfq.flow("v")
+        # the volume is movable again once the destination recovers
+        del dst.array.write
+        env.run(until=rack.volumes.migrate(volume, dst, extent_bytes=64 * KB))
+        assert volume.home is dst
 
     def test_migration_is_reproducible(self):
         def records():
