@@ -67,7 +67,7 @@ def late_parity_latency(blocking_reduce: bool, delay_ns: int = 800_000) -> float
                 PartialWriteCmd(
                     cid, subtype=Subtype.RW_READ, drive_offset=0, length=0,
                     chunk_offset=0, data_index=d - 1, fwd_offset=0,
-                    fwd_length=chunk, next_dest=0, chunk_drive_offset=0,
+                    fwd_length=chunk, dests=((0, None),), chunk_drive_offset=0,
                     parity_key=cid,
                 )
             )

@@ -1,12 +1,12 @@
 """Kernel microbenchmark: events/sec on the canonical benchkit workloads.
 
-Runs the same fixed workloads as ``scripts/bench_wallclock.py`` (ping-pong,
-timeout churn, parallel bandwidth channel), saves the numbers under
+Runs the fixed :mod:`repro.sim.benchkit` workloads (ping-pong, timeout
+churn, parallel bandwidth channel), saves the numbers under
 ``benchmarks/results/BENCH_kernel.json`` and asserts only a generous floor
-— absolute throughput is hardware-dependent; the trajectory is tracked in
-``BENCH_wallclock.json`` at the repository root.  The real-byte kernels of
+— absolute throughput is hardware-dependent.  The real-byte kernels of
 functional mode (CRC-32C, single-shard RS decode) get the same kind of
-floor; their trajectory is the ``*_mb_s`` rows of ``bench/run.py --trace``.
+floor.  The trajectory of both is the per-layer ledger of ``bench/run.py
+--trace`` (``sim.core.*_ev_per_s`` and ``*_mb_s`` rows; ``bench/README.md``).
 """
 
 import json

@@ -15,7 +15,7 @@ Run:  python examples/trace_replay_qos.py
 """
 
 from repro.cluster import ClusterConfig, build_cluster
-from repro.cluster.qos import RateLimitedDevice, TokenBucket
+from repro.qos import RateLimitedDevice, TokenBucket
 from repro.draid import DraidArray
 from repro.raid.geometry import RaidGeometry, RaidLevel
 from repro.sim import Environment

@@ -26,8 +26,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.builder import Cluster
-from repro.ec import raid5_reconstruct, raid6_reconstruct, xor_blocks
-from repro.ec.gf import GF
 from repro.faults.backoff import BackoffPolicy
 from repro.metrics.faults import FaultStats
 from repro.metrics.integrity import IntegrityStats
@@ -37,7 +35,7 @@ from repro.nvmeof.target import NvmeOfTarget
 from repro.qos.admission import PRIORITY_BACKGROUND, PRIORITY_FOREGROUND
 from repro.qos.errors import Busy, DeadlineExceeded
 from repro.raid.bitmap import WriteIntentBitmap
-from repro.raid.geometry import ChunkSegment, RaidGeometry, RaidLevel, StripeExtent
+from repro.raid.geometry import ChunkSegment, RaidGeometry, StripeExtent
 from repro.raid.locks import StripeLockManager
 from repro.raid.modes import WriteMode, classify_write
 from repro.storage.integrity import ChecksumError
@@ -100,11 +98,10 @@ class HostCentricRaid:
         self.env: Environment = cluster.env
         self.cluster = cluster
         self.geometry = geometry
-        #: guaranteed simultaneous-failure tolerance used by every fencing
-        #: and tolerance guard.  Defaults to the geometry's parity count
-        #: (MDS codes); non-MDS arrays (LRC) narrow it to their global-
-        #: parity reach.
-        self.fault_tolerance = geometry.num_parity
+        #: the erasure code every parity computation, partial-parity forward,
+        #: decode and CPU charge goes through (P+Q for RAID-5/6 geometries;
+        #: the dRAID controllers accept any :class:`~repro.ec.LinearCode`)
+        self.code = geometry.default_code()
         self.name = name
         self.locks = StripeLockManager(self.env)
         #: §5.4 host-failure recovery: stripes with in-flight writes
@@ -206,6 +203,13 @@ class HostCentricRaid:
         self.cluster.servers[index].drive.repair()
         if self.failslow_detector is not None:
             self.failslow_detector.forget(index)
+
+    @property
+    def fault_tolerance(self) -> int:
+        """Guaranteed simultaneous-failure tolerance used by every fencing
+        and tolerance guard: the code's (non-MDS codes such as LRC guarantee
+        less than their parity count)."""
+        return self.code.fault_tolerance
 
     @property
     def degraded(self) -> bool:
@@ -739,7 +743,7 @@ class HostCentricRaid:
                     continue
                 blocks = [outcome[e] for e in reads]
                 yield self._charge_xor(len(sources) + 1, chunk)
-                if g.level is RaidLevel.RAID6:
+                if self.code.gf_pass:
                     yield self._charge_gf(len(sources), chunk)
                 repaired = None
                 if self.functional:
@@ -777,63 +781,31 @@ class HostCentricRaid:
             if not locked:
                 self.locks.release(stripe)
 
+    def _shard_drives(self, stripe: int) -> List[int]:
+        """Member drive of every shard of ``stripe`` in the code's order:
+        data chunks ``0..k-1``, then the parity rows."""
+        g = self.geometry
+        return [
+            g.data_drive(stripe, d) for d in range(g.data_per_stripe)
+        ] + list(g.parity_drives(stripe))
+
+    def _repair_members(self, stripe: int, lost_index: int) -> List[Tuple[int, int]]:
+        """``(member drive, shard index)`` of every chunk the code reads to
+        rebuild data chunk ``lost_index``, given ``stripe``'s failed members."""
+        drives = self._shard_drives(stripe)
+        failed = self.failed_in_stripe(stripe)
+        erased = [i for i, drive in enumerate(drives) if drive in failed]
+        return [(drives[s], s) for s in self.code.repair_sources(erased, lost_index)]
+
     def _repair_stripe_blocks(
         self, stripe: int, present: Dict[int, np.ndarray], bad
     ) -> Dict[int, np.ndarray]:
         """Decode replacement blocks for ``bad`` drives from ``present``
         (drive -> chunk bytes of every other member).  Functional mode."""
-        g = self.geometry
-        parity = list(g.parity_drives(stripe))
-        code = getattr(self, "code", None)
-        if g.level is None and code is not None:
-            # generic Reed-Solomon geometry: global shard index space is
-            # data 0..k-1 then parity k..k+m-1
-            def shard_of(drive: int) -> int:
-                if drive in parity:
-                    return g.data_per_stripe + parity.index(drive)
-                return g.data_index_of_drive(stripe, drive)
-
-            shards = {shard_of(drive): blk for drive, blk in present.items()}
-            return {
-                d: code.decode_one(shard_of(d), shards, g.chunk_bytes) for d in bad
-            }
-        data_blocks: Dict[int, np.ndarray] = {}
-        p_block = q_block = None
-        for drive, blk in present.items():
-            if drive == parity[0]:
-                p_block = blk
-            elif len(parity) > 1 and drive == parity[1]:
-                q_block = blk
-            else:
-                data_blocks[g.data_index_of_drive(stripe, drive)] = blk
-        bad_data = [d for d in bad if d not in parity]
-        missing = [i for i in range(g.data_per_stripe) if i not in data_blocks]
-        if missing:
-            if len(missing) == 1 and p_block is not None:
-                data_blocks[missing[0]] = raid5_reconstruct(
-                    list(data_blocks.values()) + [p_block]
-                )
-            else:
-                data_blocks.update(
-                    raid6_reconstruct(
-                        dict(data_blocks), g.data_per_stripe, p_block, q_block
-                    )
-                )
-        full = [data_blocks[i] for i in range(g.data_per_stripe)]
-        out = {}
-        for d in bad_data:
-            out[d] = data_blocks[g.data_index_of_drive(stripe, d)]
-        for d in bad:
-            if d not in parity:
-                continue
-            if parity.index(d) == 0:
-                out[d] = xor_blocks(full)
-            else:
-                q = np.zeros(g.chunk_bytes, dtype=np.uint8)
-                for i, blk in enumerate(full):
-                    GF.mul_bytes_inplace_xor(q, GF.gen_pow(i), blk)
-                out[d] = q
-        return out
+        shard_of = {drive: i for i, drive in enumerate(self._shard_drives(stripe))}
+        shards = {shard_of[drive]: blk for drive, blk in present.items()}
+        chunk = self.geometry.chunk_bytes
+        return {d: self.code.decode_one(shard_of[d], shards, chunk) for d in bad}
 
     def _bdev_read(self, drive: int, offset: int, length: int, ctx=None,
                    deadline_ns=None):
@@ -1078,63 +1050,28 @@ class HostCentricRaid:
 
     def _reconstruct_segment(self, ext: StripeExtent, seg: ChunkSegment, ctx=None,
                              deadline_ns=None):
-        """Rebuild one lost data segment on the host from all survivors."""
+        """Rebuild one lost data segment on the host from the survivors the
+        code asks for."""
         self.stats.degraded_reads += 1
-        g = self.geometry
-        region = (seg.chunk_offset, seg.length)
-        sources: List[Tuple[int, int]] = []  # (drive, kind) kind: data index or -1/-2
-        failed = self.failed_in_stripe(ext.stripe)
-        for d in range(g.data_per_stripe):
-            drive = g.data_drive(ext.stripe, d)
-            if drive == seg.drive or drive in failed:
-                continue
-            sources.append((drive, d))
-        parities = [p for p in ext.parity_drives if p not in failed]
-        lost_data = [
-            d for d in range(g.data_per_stripe)
-            if g.data_drive(ext.stripe, d) in failed
+        sources = self._repair_members(ext.stripe, seg.data_index)
+        offset = ext.stripe * self.geometry.chunk_bytes + seg.chunk_offset
+        events = [
+            self._bdev_read(drive, offset, seg.length, ctx=ctx,
+                            deadline_ns=deadline_ns)
+            for drive, _ in sources
         ]
-        needed_parities = parities[: len(lost_data)]
-        events = []
-        for drive, _ in sources:
-            events.append(
-                self._bdev_read(
-                    drive, ext.stripe * g.chunk_bytes + region[0], region[1],
-                    ctx=ctx, deadline_ns=deadline_ns,
-                )
-            )
-        for p in needed_parities:
-            events.append(
-                self._bdev_read(
-                    p, ext.stripe * g.chunk_bytes + region[0], region[1],
-                    ctx=ctx, deadline_ns=deadline_ns,
-                )
-            )
         blocks = yield from self._gather(events)
-        total_source_bytes = region[1] * len(events)
         yield from self._span_wait(
-            self._charge_reconstruct_staging(total_source_bytes, ext), ctx, "staging"
+            self._charge_reconstruct_staging(seg.length * len(events), ext),
+            ctx, "staging",
         )
         yield from self._span_wait(
-            self._charge_xor(len(events), region[1]), ctx, "xor"
+            self._charge_xor(len(events), seg.length), ctx, "xor"
         )
         if not self.functional:
             return None
-        if len(lost_data) == 1 and ext.parity_drives[0] not in failed:
-            return raid5_reconstruct(blocks)
-        # RAID-6 double failure or P lost: full decode
-        present = {d: blk for (_, d), blk in zip(sources, blocks)}
-        p_block = None
-        q_block = None
-        parity_blocks = blocks[len(sources):]
-        for parity_drive, blk in zip(needed_parities, parity_blocks):
-            if parity_drive == ext.parity_drives[0]:
-                p_block = blk
-            else:
-                q_block = blk
-        recovered = raid6_reconstruct(present, g.data_per_stripe, p_block, q_block)
-        lost_index = g.data_index_of_drive(ext.stripe, seg.drive)
-        return recovered[lost_index]
+        shards = {shard: block for (_, shard), block in zip(sources, blocks)}
+        return self.code.decode_one(seg.data_index, shards, seg.length)
 
     # -- write paths -----------------------------------------------------------
 
@@ -1314,23 +1251,10 @@ class HostCentricRaid:
                       deadline_ns=None):
         """Write the stripe from the pinned image: touched segments from
         the user data, full parity recomputed from image + user data."""
-        g = self.geometry
-        chunk = g.chunk_bytes
-        yield from self._span_wait(
-            self._charge_xor(g.data_per_stripe, chunk), ctx, "xor"
+        chunk = self.geometry.chunk_bytes
+        parity_blocks = yield from self._encode_parities(
+            self._assemble_stripe(ext, io_data, gaps, gap_blocks), ctx
         )
-        p_block = q_block = None
-        if self.functional:
-            stripe_img = self._assemble_stripe(ext, io_data, gaps, gap_blocks)
-            p_block = xor_blocks(stripe_img)
-            if g.level is RaidLevel.RAID6:
-                q_block = np.zeros(chunk, dtype=np.uint8)
-                for i, blk in enumerate(stripe_img):
-                    GF.mul_bytes_inplace_xor(q_block, GF.gen_pow(i), blk)
-        if g.level is RaidLevel.RAID6:
-            yield from self._span_wait(
-                self._charge_gf(g.data_per_stripe, chunk), ctx, "gf"
-            )
         staged = ext.touched_bytes + len(ext.parity_drives) * chunk
         yield from self._span_wait(
             self._charge_write_staging(staged, ext), ctx, "staging"
@@ -1344,14 +1268,7 @@ class HostCentricRaid:
             for s in ext.segments
             if s.drive not in failed
         ]
-        for p in ext.parity_drives:
-            if p in failed:
-                continue
-            block = p_block if self._parity_index(ext, p) == 0 else q_block
-            events.append(
-                self._bdev_write(p, ext.parity_offset, chunk, block, ctx=ctx,
-                                 deadline_ns=deadline_ns)
-            )
+        events += self._parity_writes(ext, parity_blocks, ctx, deadline_ns)
         if events:
             yield AllOf(self.env, events)
 
@@ -1367,29 +1284,41 @@ class HostCentricRaid:
         return [p for p in ext.parity_drives if p not in failed]
 
     def _parity_index(self, ext: StripeExtent, drive: int) -> int:
-        """0 for P, 1 for Q."""
+        """The code's parity row ``drive`` holds (0 for P, 1 for Q)."""
         return ext.parity_drives.index(drive)
+
+    def _encode_parities(self, image, ctx=None):
+        """The parity stage every full-image write shares: pay the code's
+        encode price list on the host CPU, then encode.
+
+        ``image`` is the stripe's ``k`` data chunks; returns the ``m``
+        parity chunks (``None`` each in timing mode).
+        """
+        chunk = self.geometry.chunk_bytes
+        for kind, sources in self.code.encode_charges:
+            charge = self._charge_xor if kind == "xor" else self._charge_gf
+            yield from self._span_wait(charge(sources, chunk), ctx, kind)
+        if not self.functional:
+            return [None] * self.code.m
+        return self.code.encode(image)
+
+    def _parity_writes(self, ext: StripeExtent, parity_blocks, ctx, deadline_ns):
+        """Whole-chunk writes of ``parity_blocks`` to the surviving parities."""
+        return [
+            self._bdev_write(
+                p, ext.parity_offset, self.geometry.chunk_bytes,
+                parity_blocks[self._parity_index(ext, p)],
+                ctx=ctx, deadline_ns=deadline_ns,
+            )
+            for p in self._alive_parities(ext)
+        ]
 
     def _write_full(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None):
         """Full-stripe write: host computes parity, writes every member."""
-        g = self.geometry
-        chunk = g.chunk_bytes
-        new_chunks = [self._seg_data(io_data, s) for s in ext.segments]
-        yield from self._span_wait(
-            self._charge_xor(g.data_per_stripe, chunk), ctx, "xor"
+        parity_blocks = yield from self._encode_parities(
+            [self._seg_data(io_data, s) for s in ext.segments], ctx
         )
-        p_block = q_block = None
-        if self.functional:
-            p_block = xor_blocks(new_chunks)
-        if g.level is RaidLevel.RAID6:
-            yield from self._span_wait(
-                self._charge_gf(g.data_per_stripe, chunk), ctx, "gf"
-            )
-            if self.functional:
-                q_block = np.zeros(chunk, dtype=np.uint8)
-                for i, blk in enumerate(new_chunks):
-                    GF.mul_bytes_inplace_xor(q_block, GF.gen_pow(i), blk)
-        staged = ext.touched_bytes + len(ext.parity_drives) * chunk
+        staged = ext.touched_bytes + len(ext.parity_drives) * self.geometry.chunk_bytes
         yield from self._span_wait(
             self._charge_write_staging(staged, ext), ctx, "staging"
         )
@@ -1402,19 +1331,12 @@ class HostCentricRaid:
             for s in ext.segments
             if s.drive not in failed
         ]
-        for parity_drive, block in zip(ext.parity_drives, (p_block, q_block)):
-            if parity_drive in failed:
-                continue
-            events.append(
-                self._bdev_write(parity_drive, ext.parity_offset, chunk, block,
-                                 ctx=ctx, deadline_ns=deadline_ns)
-            )
+        events += self._parity_writes(ext, parity_blocks, ctx, deadline_ns)
         yield AllOf(self.env, events)
 
     def _write_rmw(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None):
         """Read-modify-write: 2 reads + 2 writes of the touched extent
         through the host NIC (3 + 3 for RAID-6)."""
-        g = self.geometry
         span_off, span_len = ext.parity_span()
         parities = self._alive_parities(ext)
         # phase 1: read old data segments and old parity spans
@@ -1435,25 +1357,23 @@ class HostCentricRaid:
         yield from self._span_wait(
             self._charge_xor(2 * len(ext.segments), span_len), ctx, "xor"
         )
-        new_parities: Dict[int, Optional[np.ndarray]] = {}
+        new_parities: Dict[int, Optional[np.ndarray]] = {p: None for p in parities}
         if self.functional:
+            # each segment's delta, weighted for every parity row
+            partials = [
+                self.code.partial_parity(
+                    seg.data_index, old ^ self._seg_data(io_data, seg)
+                )
+                for seg, old in zip(ext.segments, old_data)
+            ]
             for order, p in enumerate(parities):
+                row = self._parity_index(ext, p)
                 block = old_parity[order].copy()
-                for seg, old in zip(ext.segments, old_data):
-                    delta = old ^ self._seg_data(io_data, seg)
+                for seg, partial in zip(ext.segments, partials):
                     rel = seg.chunk_offset - span_off
-                    if self._parity_index(ext, p) == 0:
-                        block[rel : rel + seg.length] ^= delta
-                    else:
-                        GF.mul_bytes_inplace_xor(
-                            block[rel : rel + seg.length],
-                            GF.gen_pow(seg.data_index),
-                            delta,
-                        )
+                    block[rel : rel + seg.length] ^= partial[row]
                 new_parities[p] = block
-        else:
-            new_parities = {p: None for p in parities}
-        if g.level is RaidLevel.RAID6 and len(parities) > 1:
+        if self.code.gf_pass and len(parities) > 1:
             yield from self._span_wait(
                 self._charge_gf(len(ext.segments), span_len), ctx, "gf"
             )
@@ -1493,21 +1413,9 @@ class HostCentricRaid:
             for d, off, length in gaps
         ]
         gap_blocks = yield from self._gather(read_events)
-        yield from self._span_wait(
-            self._charge_xor(g.data_per_stripe, chunk), ctx, "xor"
+        parity_blocks = yield from self._encode_parities(
+            self._assemble_stripe(ext, io_data, gaps, gap_blocks), ctx
         )
-        p_block = q_block = None
-        if self.functional:
-            stripe_img = self._assemble_stripe(ext, io_data, gaps, gap_blocks)
-            p_block = xor_blocks(stripe_img)
-            if g.level is RaidLevel.RAID6:
-                q_block = np.zeros(chunk, dtype=np.uint8)
-                for i, blk in enumerate(stripe_img):
-                    GF.mul_bytes_inplace_xor(q_block, GF.gen_pow(i), blk)
-        if g.level is RaidLevel.RAID6:
-            yield from self._span_wait(
-                self._charge_gf(g.data_per_stripe, chunk), ctx, "gf"
-            )
         gap_bytes = sum(length for _, _, length in gaps)
         staged = ext.touched_bytes + gap_bytes + len(self._alive_parities(ext)) * chunk
         yield from self._span_wait(
@@ -1520,12 +1428,7 @@ class HostCentricRaid:
             )
             for s in ext.segments
         ]
-        for p in self._alive_parities(ext):
-            block = p_block if self._parity_index(ext, p) == 0 else q_block
-            write_events.append(
-                self._bdev_write(p, ext.parity_offset, chunk, block, ctx=ctx,
-                                 deadline_ns=deadline_ns)
-            )
+        write_events += self._parity_writes(ext, parity_blocks, ctx, deadline_ns)
         yield AllOf(self.env, write_events)
 
     def _write_degraded_region(
@@ -1566,28 +1469,24 @@ class HostCentricRaid:
         yield from self._span_wait(
             self._charge_xor(len(blocks) + 1, region_len), ctx, "xor"
         )
-        new_data = self._seg_data(io_data, seg)
-        write_events = []
-        for parity_drive in self._alive_parities(ext):
-            block = None
-            if self.functional:
-                block = np.zeros(region_len, dtype=np.uint8)
-                if self._parity_index(ext, parity_drive) == 0:
-                    for blk in blocks:
-                        block ^= blk
-                    block ^= new_data
-                else:
-                    for d, blk in zip(survivors, blocks):
-                        GF.mul_bytes_inplace_xor(block, GF.gen_pow(d), blk)
-                    GF.mul_bytes_inplace_xor(block, GF.gen_pow(failed_index), new_data)
-            write_events.append(
-                self._bdev_write(
-                    parity_drive, ext.parity_offset + region_offset, region_len,
-                    block, ctx=ctx, deadline_ns=deadline_ns,
-                )
+        parity_blocks = [None] * self.code.m
+        if self.functional:
+            # the region's full data image: survivors plus the new data
+            image = dict(zip(survivors, blocks))
+            image[failed_index] = self._seg_data(io_data, seg)
+            parity_blocks = self.code.encode(
+                [image[d] for d in range(g.data_per_stripe)]
             )
+        write_events = [
+            self._bdev_write(
+                p, ext.parity_offset + region_offset, region_len,
+                parity_blocks[self._parity_index(ext, p)],
+                ctx=ctx, deadline_ns=deadline_ns,
+            )
+            for p in self._alive_parities(ext)
+        ]
         finish = self._subscribe_early(write_events)
-        if self.geometry.level is RaidLevel.RAID6 and len(write_events) > 1:
+        if self.code.gf_pass and len(write_events) > 1:
             yield from self._span_wait(
                 self._charge_gf(len(survivors) + 1, region_len), ctx, "gf"
             )
@@ -1647,20 +1546,11 @@ class HostCentricRaid:
         if self.functional:
             present = dict(zip(survivors, survivor_blocks))
             if partial_failed:
-                p_blk = parity_blocks.get(ext.parity_drives[0])
-                q_blk = (
-                    parity_blocks.get(ext.parity_drives[1])
-                    if len(ext.parity_drives) > 1
-                    else None
-                )
-                recovered = raid6_reconstruct(
-                    dict(present), g.data_per_stripe, p_blk, q_blk
-                ) if g.level is RaidLevel.RAID6 else {
-                    next(iter(failed_indices)): raid5_reconstruct(
-                        survivor_blocks + [parity_blocks[ext.parity_drives[0]]]
-                    )
-                }
-                present.update(recovered)
+                shards = dict(present)
+                for p, blk in parity_blocks.items():
+                    shards[g.data_per_stripe + self._parity_index(ext, p)] = blk
+                for i in failed_indices:
+                    present[i] = self.code.decode_one(i, shards, chunk)
             else:
                 for i in failed_indices:
                     present[i] = np.zeros(chunk, dtype=np.uint8)
@@ -1675,20 +1565,7 @@ class HostCentricRaid:
                 if seg is not None:
                     base[seg.chunk_offset : seg.chunk_end] = self._seg_data(io_data, seg)
                 stripe_img.append(base)
-        yield from self._span_wait(
-            self._charge_xor(g.data_per_stripe, chunk), ctx, "xor"
-        )
-        p_block = q_block = None
-        if self.functional:
-            p_block = xor_blocks(stripe_img)
-            if g.level is RaidLevel.RAID6:
-                q_block = np.zeros(chunk, dtype=np.uint8)
-                for i, blk in enumerate(stripe_img):
-                    GF.mul_bytes_inplace_xor(q_block, GF.gen_pow(i), blk)
-        if g.level is RaidLevel.RAID6:
-            yield from self._span_wait(
-                self._charge_gf(g.data_per_stripe, chunk), ctx, "gf"
-            )
+        new_parity = yield from self._encode_parities(stripe_img, ctx)
         staged = chunk * (len(survivors) + len(self._alive_parities(ext)))
         yield from self._span_wait(
             self._charge_write_staging(staged, ext), ctx, "staging"
@@ -1701,12 +1578,7 @@ class HostCentricRaid:
             for s in ext.segments
             if s.drive not in self.failed
         ]
-        for p in self._alive_parities(ext):
-            block = p_block if self._parity_index(ext, p) == 0 else q_block
-            write_events.append(
-                self._bdev_write(p, ext.parity_offset, chunk, block, ctx=ctx,
-                                 deadline_ns=deadline_ns)
-            )
+        write_events += self._parity_writes(ext, new_parity, ctx, deadline_ns)
         yield AllOf(self.env, write_events)
 
     # stripe assembly helpers -----------------------------------------------
@@ -1731,9 +1603,12 @@ class HostCentricRaid:
 
     def _assemble_stripe(
         self, ext: StripeExtent, io_data, gaps, gap_blocks
-    ) -> List[np.ndarray]:
-        """Full new data image of the stripe (functional mode only)."""
+    ) -> List[Optional[np.ndarray]]:
+        """Full new data image of the stripe: its ``k`` data chunks (``None``
+        each in timing mode)."""
         g = self.geometry
+        if not self.functional:
+            return [None] * g.data_per_stripe
         image = [np.zeros(g.chunk_bytes, dtype=np.uint8) for _ in range(g.data_per_stripe)]
         for (d, off, length), block in zip(gaps, gap_blocks):
             image[d][off : off + length] = block

@@ -7,7 +7,8 @@ I/O pipeline, Algorithm 2 (reduce-phase handling with late-Parity
 tolerance), and the §6.1 reconstruction participant/reducer roles.
 
 A bdev is unaware of RAID configuration: every command carries all the
-information needed (next-dest, wait-num, fwd-offset/length, ...).
+information needed (parity destinations and their coefficients, wait-num,
+fwd-offset/length, the code a reducer decodes with, ...).
 
 Overload control (armed via ``queue_depth``): intake on the *host*
 connection is bounded — a host command arriving while ``queue_depth``
@@ -35,7 +36,7 @@ from repro.draid.protocol import (
     ReconstructionCmd,
     Subtype,
 )
-from repro.ec import raid6_reconstruct, xor_blocks
+from repro.ec import LinearCode, code_for
 from repro.ec.gf import GF
 from repro.nvmeof.messages import RESPONSE_BYTES, NvmeOfCommand, Opcode
 from repro.sim.core import Environment
@@ -44,32 +45,17 @@ from repro.storage.drive import DriveFailedError
 #: PeerMsg.key value marking a reconstruction partial (keyed by cid instead).
 RECON_KEY = -1
 
-_RS_CODES = {}
 
+def decode_lost(code: LinearCode, lost: Tuple[str, int], blocks, length: int):
+    """Rebuild the ``lost`` region from survivor regions labeled with their
+    ``('data', index)`` / ``('parity', row)`` role in the stripe."""
 
-def _rs_code_cache_get(k: int, m: int):
-    """Memoized Reed-Solomon codes (building the matrix is O(k^3))."""
-    code = _RS_CODES.get((k, m))
-    if code is None:
-        from repro.ec.rs import ReedSolomon
+    def shard(source: Tuple[str, int]) -> int:
+        kind, index = source
+        return index if kind == "data" else code.k + index
 
-        code = ReedSolomon(k, m)
-        _RS_CODES[(k, m)] = code
-    return code
-
-
-_LRC_CODES = {}
-
-
-def _lrc_code_cache_get(k: int, l: int, g: int):
-    """Memoized local-reconstruction codes (same reason as RS)."""
-    code = _LRC_CODES.get((k, l, g))
-    if code is None:
-        from repro.ec.lrc import LocalReconstructionCode
-
-        code = LocalReconstructionCode(k, l, g)
-        _LRC_CODES[(k, l, g)] = code
-    return code
+    shards = {shard(source): block for source, block in blocks.items()}
+    return code.decode_one(shard(lost), shards, length)
 
 
 @dataclass
@@ -441,23 +427,7 @@ class DraidBdevServer:
             cpu.execute(profile.xor_ns(cmd.fwd_length)), ctx, "draid.partial-xor"
         )
         partial = self._build_partial(cmd, old_blocks)
-        if cmd.dests is not None:
-            # generic erasure code (§7): explicit per-parity coefficients
-            destinations = [
-                (dest, None if coefficient == 1 else coefficient)
-                for dest, coefficient in cmd.dests
-            ]
-        else:
-            # RAID-5/6: role 0 forwards the raw delta (P); role 1 weights
-            # it by g^data_index (Q, §4 "other command data")
-            destinations = [(cmd.next_dest, None if cmd.next_dest_parity == 0
-                             else GF.gen_pow(cmd.data_index))]
-            if cmd.next_dest2 is not None:
-                destinations.append(
-                    (cmd.next_dest2, None if cmd.next_dest2_parity == 0
-                     else GF.gen_pow(cmd.data_index))
-                )
-        for dest, coefficient in destinations:
+        for dest, coefficient in cmd.dests:
             block = partial
             if coefficient is not None:
                 yield from self._span(
@@ -668,7 +638,9 @@ class DraidBdevServer:
         )
         result = None
         if self.functional:
-            result = self._decode_lost(cmd, state)
+            result = decode_lost(
+                code_for(cmd.code), cmd.lost, state.blocks, cmd.region_length
+            )
         yield from self._span(
             self.server.cpu.execute(profile.completion_ns), ctx, "draid.complete"
         )
@@ -676,35 +648,3 @@ class DraidBdevServer:
         self._complete(origin, cmd.cid, "recon", data=result,
                        io_offset=cmd.lost_io_offset, payload=cmd.region_length,
                        ctx=ctx)
-
-    def _decode_lost(self, cmd: ReconstructionCmd, state: _ReconReduceState):
-        """Rebuild the lost region from the labeled partials."""
-        kind, index = cmd.lost
-        parity_blocks = {i: b for (k, i), b in state.blocks.items() if k == "parity"}
-        data_blocks = {i: b for (k, i), b in state.blocks.items() if k == "data"}
-        if cmd.code_km is not None:
-            if cmd.code_km[0] == "lrc":
-                # local-reconstruction code: single in-group losses repair
-                # with the group's XOR, anything wider runs the GF decode
-                code = _lrc_code_cache_get(*cmd.code_km[1:])
-            else:
-                # generic Reed-Solomon decode (§7)
-                code = _rs_code_cache_get(*cmd.code_km)
-            shards = dict(data_blocks)
-            for j, block in parity_blocks.items():
-                shards[code.k + j] = block
-            return code.decode_one(index, shards, length=cmd.region_length)
-        if (
-            kind == "data"
-            and set(parity_blocks) == {0}
-            and len(data_blocks) == cmd.num_data - 1
-        ):
-            # plain XOR path (RAID-5, or RAID-6 single failure through P)
-            return xor_blocks(list(data_blocks.values()) + [parity_blocks[0]])
-        recovered = raid6_reconstruct(
-            dict(data_blocks),
-            cmd.num_data,
-            parity_blocks.get(0),
-            parity_blocks.get(1),
-        )
-        return recovered[index]

@@ -1,32 +1,27 @@
-"""dRAID generalized to arbitrary Reed-Solomon codes (§7).
+"""dRAID generalized to arbitrary linear erasure codes (§7).
 
 "Most erasure codes can also be generated in parallel, so I/O
-disaggregation still applies."  This module proves it: the same
-broadcast/reduce protocol runs a systematic (k+m) Reed-Solomon layout —
+disaggregation still applies."  The dRAID controller is code-agnostic —
 each data bdev forwards, for parity row j, ``C[j,i] * partial`` (where C is
 the code's parity matrix and i its data index), and each of the m parity
-bdevs reduces with plain XOR, exactly as RAID-5/6.
+bdevs reduces with plain XOR, exactly as RAID-5/6 — so a coded array is
+:class:`~repro.draid.host.DraidArray` over an :class:`EcGeometry` with a
+``code=`` of the right shape.
 
 :class:`EcGeometry` rotates all m parity chunks across members (balancing
-load, as RAID-6 does for P and Q), and :class:`EcDraidArray` reuses the
-dRAID host controller wholesale, overriding only the places where parity
-math is computed or destinations chosen.
+load, as RAID-6 does for P and Q); :class:`EcDraidArray` and
+:class:`LrcDraidArray` are the named constructors for the Reed-Solomon and
+local-reconstruction arrays.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.cluster.builder import Cluster
 from repro.draid.host import DraidArray
-from repro.draid.protocol import ParityCmd, PartialWriteCmd, ReconstructionCmd, Subtype
-from repro.ec.gf import GF
-from repro.ec.lrc import LocalReconstructionCode
-from repro.ec.rs import ReedSolomon, UnrecoverableErasureError
-from repro.nvmeof.messages import NvmeOfCommand, Opcode, next_cid
-from repro.raid.geometry import RaidGeometry, StripeExtent
+from repro.ec import LinearCode, code_for
+from repro.raid.geometry import RaidGeometry
 from repro.raid.layout import Layout, RotatingLayout
 
 
@@ -76,18 +71,18 @@ class EcGeometry(RaidGeometry):
             f"drives={self.num_drives} chunk={self.chunk_bytes // 1024}KiB>"
         )
 
+    def default_code(self) -> LinearCode:
+        """Systematic Reed-Solomon over the stripe's k data + m parity."""
+        return code_for(("rs", self.data_per_stripe, self.num_parity))
+
 
 class EcDraidArray(DraidArray):
     """A disaggregated erasure-coded array: dRAID over RS(k+m).
 
-    Tolerates up to ``m`` simultaneous member failures.  The host-side
-    orchestration (stripe queue, broadcast, reduce callbacks, §5.4
-    retries) is inherited from :class:`DraidArray`; only the parity
-    arithmetic and destination wiring differ.
+    Tolerates up to ``m`` simultaneous member failures.  Everything but
+    the code — stripe queue, broadcast, reduce callbacks, §5.4 retries —
+    is :class:`DraidArray`.
     """
-
-    #: code family name used in failure messages (subclasses override)
-    code_name = "RS"
 
     def __init__(
         self,
@@ -97,300 +92,8 @@ class EcDraidArray(DraidArray):
         **kwargs,
     ) -> None:
         if not isinstance(geometry, EcGeometry):
-            raise TypeError("EcDraidArray requires an EcGeometry")
-        if getattr(self, "code", None) is None:
-            self.code = ReedSolomon(geometry.data_per_stripe, geometry.num_parity)
+            raise TypeError(f"{type(self).__name__} requires an EcGeometry")
         super().__init__(cluster, geometry, name=name, **kwargs)
-        # non-MDS codes (LRC) tolerate fewer than num_parity arbitrary losses
-        self.fault_tolerance = getattr(
-            self.code, "fault_tolerance", geometry.num_parity
-        )
-
-    # -- failure tolerance -------------------------------------------------
-
-    def fail_drive(self, index: int) -> None:
-        self.failed.add(index)
-        self.cluster.servers[index].drive.fail()
-        if len(self.failed) > self.fault_tolerance:
-            from repro.baselines.base import ArrayFailureError
-
-            raise ArrayFailureError(
-                f"{self.name}: {len(self.failed)} failures exceed "
-                f"{self.code_name} tolerance of {self.fault_tolerance}"
-            )
-
-    # -- parity computation overrides ------------------------------------------
-
-    def _encode_parities(self, chunks: List[Optional[np.ndarray]]):
-        """All m parity blocks for a full stripe image (functional mode)."""
-        if not self.functional:
-            return [None] * self.geometry.num_parity
-        return self.code.encode(chunks)
-
-    def _write_full(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None):
-        g = self.geometry
-        chunk = g.chunk_bytes
-        yield from self._span_wait(
-            self._charge_gf(g.data_per_stripe * g.num_parity, chunk), ctx, "gf"
-        )
-        blocks = self._encode_parities(
-            [self._seg_data(io_data, s) for s in ext.segments]
-        )
-        failed = self.failed_in_stripe(ext.stripe)
-        cid = next_cid()
-        writes = 0
-        ectx = self._derive(ctx)
-        sent_ns = self.env.now
-        for seg in ext.segments:
-            if seg.drive in failed:
-                continue
-            cmd = NvmeOfCommand(cid, Opcode.WRITE, seg.drive_offset, seg.length,
-                                data=self._seg_data(io_data, seg),
-                                deadline_ns=deadline_ns)
-            if ectx is not None:
-                cmd.trace = ectx
-            self.host_ends[seg.drive].send(cmd)
-            writes += 1
-        for j, p in enumerate(ext.parity_drives):
-            if p in failed:
-                continue
-            cmd = NvmeOfCommand(cid, Opcode.WRITE, ext.parity_offset, chunk,
-                                data=blocks[j], deadline_ns=deadline_ns)
-            if ectx is not None:
-                cmd.trace = ectx
-            self.host_ends[p].send(cmd)
-            writes += 1
-        waiter = self._register(cid, {"write": writes})
-        expired = yield from self._await_op(cid, waiter, deadline_ns=deadline_ns)
-        self._record_envelope(ectx, "draid.write-full", sent_ns)
-        if waiter.errors:
-            self._mark_prolonged_failures(waiter)
-        return not (waiter.errors or expired)
-
-    def _write_distributed(self, ext: StripeExtent, io_data, rcw: bool, ctx=None,
-                           deadline_ns=None):
-        g = self.geometry
-        chunk = g.chunk_bytes
-        failed = self.failed_in_stripe(ext.stripe)
-        alive_parities = [
-            (j, p) for j, p in enumerate(ext.parity_drives) if p not in failed
-        ]
-        if not alive_parities:
-            return (yield from self._plain_segment_writes(
-                ext, io_data, ctx, deadline_ns=deadline_ns
-            ))
-        if rcw:
-            fwd_off, fwd_len = 0, chunk
-            subtype_parity = Subtype.RW_READ
-        else:
-            fwd_off, fwd_len = ext.parity_span()
-            subtype_parity = Subtype.RMW
-        cid = next_cid()
-        touched = {s.data_index: s for s in ext.segments}
-        contributors = list(range(g.data_per_stripe)) if rcw else sorted(touched)
-        matrix = self.code.parity_matrix
-        writers = 0
-        ectx = self._derive(ctx)
-        sent_ns = self.env.now
-        for d in contributors:
-            seg = touched.get(d)
-            drive = g.data_drive(ext.stripe, d)
-            if rcw:
-                subtype = Subtype.RW_WRITE if seg is not None else Subtype.RW_READ
-                cmd_fwd = (0, chunk)
-            else:
-                subtype = Subtype.RMW
-                cmd_fwd = (seg.chunk_offset, seg.length)
-            dests = tuple((self._server_of(p), int(matrix[j, d])) for j, p in alive_parities)
-            self.host_ends[drive].send(
-                PartialWriteCmd(
-                    cid,
-                    subtype=subtype,
-                    drive_offset=seg.drive_offset if seg else 0,
-                    length=seg.length if seg else 0,
-                    chunk_offset=seg.chunk_offset if seg else 0,
-                    data_index=d,
-                    fwd_offset=cmd_fwd[0],
-                    fwd_length=cmd_fwd[1],
-                    next_dest=self._server_of(alive_parities[0][1]),
-                    chunk_drive_offset=ext.stripe * chunk,
-                    parity_key=cid,
-                    dests=dests,
-                    data=self._seg_data(io_data, seg) if seg is not None else None,
-                    trace=ectx,
-                    deadline_ns=deadline_ns,
-                )
-            )
-            if seg is not None:
-                writers += 1
-        for j, p in alive_parities:
-            self.host_ends[p].send(
-                ParityCmd(cid, subtype=subtype_parity,
-                          parity_drive_offset=ext.parity_offset,
-                          fwd_offset=fwd_off, fwd_length=fwd_len,
-                          wait_num=len(contributors), parity_index=j, key=cid,
-                          trace=ectx, deadline_ns=deadline_ns)
-            )
-        waiter = self._register(cid, {"data": writers, "parity": len(alive_parities)})
-        expired = yield from self._await_op(cid, waiter, deadline_ns=deadline_ns)
-        self._record_envelope(ectx, "draid.partial-write", sent_ns)
-        if waiter.errors:
-            self._mark_prolonged_failures(waiter)
-        return not (waiter.errors or expired)
-
-    # -- reconstruction overrides -------------------------------------------------
-
-    def _recon_participants(self, ext: StripeExtent, lost_index=None):
-        g = self.geometry
-        failed = self.failed_in_stripe(ext.stripe)
-        participants = []
-        lost_data = 0
-        for d in range(g.data_per_stripe):
-            drive = g.data_drive(ext.stripe, d)
-            if drive in failed:
-                lost_data += 1
-            else:
-                participants.append((drive, ("data", d)))
-        alive_parities = [
-            (p, ("parity", j))
-            for j, p in enumerate(ext.parity_drives)
-            if p not in failed
-        ]
-        participants.extend(alive_parities[:lost_data])
-        return participants
-
-    def _recon_cmd(self, *args, **kwargs):
-        # stamp the RS code so reducers run the generic decode (§7)
-        kwargs["code_km"] = (self.geometry.data_per_stripe, self.geometry.num_parity)
-        return ReconstructionCmd(*args, **kwargs)
-
-    # -- degraded / fallback writes -------------------------------------------------
-
-    def _write_degraded(self, ext: StripeExtent, io_data, failed_touched, ctx=None,
-                        deadline_ns=None):
-        g = self.geometry
-        chunk = g.chunk_bytes
-        failed = self.failed_in_stripe(ext.stripe)
-        alive_parities = [
-            (j, p) for j, p in enumerate(ext.parity_drives) if p not in failed
-        ]
-        if not alive_parities:
-            return (yield from self._plain_segment_writes(
-                ext, io_data, ctx, deadline_ns=deadline_ns
-            ))
-        only_failed_chunk = (
-            len(failed_touched) == len(ext.segments) == 1
-            and len(failed - set(ext.parity_drives)) == 1
-        )
-        if not only_failed_chunk:
-            return (yield from self._write_host_fallback(
-                ext, io_data, ctx=ctx, deadline_ns=deadline_ns
-            ))
-        seg = failed_touched[0]
-        failed_index = g.data_index_of_drive(ext.stripe, seg.drive)
-        region_offset, region_len = seg.chunk_offset, seg.length
-        matrix = self.code.parity_matrix
-        cid = next_cid()
-        contributors = 0
-        ectx = self._derive(ctx)
-        sent_ns = self.env.now
-        for d in range(g.data_per_stripe):
-            drive = g.data_drive(ext.stripe, d)
-            if drive in failed:
-                continue
-            dests = tuple((self._server_of(p), int(matrix[j, d])) for j, p in alive_parities)
-            self.host_ends[drive].send(
-                PartialWriteCmd(
-                    cid, subtype=Subtype.RW_READ, drive_offset=0, length=0,
-                    chunk_offset=0, data_index=d, fwd_offset=region_offset,
-                    fwd_length=region_len, next_dest=self._server_of(alive_parities[0][1]),
-                    chunk_drive_offset=ext.stripe * chunk, parity_key=cid,
-                    dests=dests, trace=ectx, deadline_ns=deadline_ns,
-                )
-            )
-            contributors += 1
-        new_data = self._seg_data(io_data, seg)
-        from repro.draid.protocol import PeerMsg
-
-        for j, p in alive_parities:
-            block = None
-            if self.functional:
-                block = GF.mul_bytes(int(matrix[j, failed_index]), new_data)
-            yield from self._span_wait(self._charge_gf(1, region_len), ctx, "gf")
-            self.host_ends[p].send(
-                PeerMsg(cid, key=cid, fwd_offset=region_offset, fwd_length=region_len,
-                        source=("data", failed_index), data=block, trace=ectx)
-            )
-            self.host_ends[p].send(
-                ParityCmd(cid, subtype=Subtype.RW_READ,
-                          parity_drive_offset=ext.parity_offset,
-                          fwd_offset=region_offset, fwd_length=region_len,
-                          wait_num=contributors + 1, parity_index=j, key=cid,
-                          trace=ectx, deadline_ns=deadline_ns)
-            )
-        waiter = self._register(cid, {"parity": len(alive_parities)})
-        expired = yield from self._await_op(cid, waiter, deadline_ns=deadline_ns)
-        self._record_envelope(ectx, "draid.degraded-write", sent_ns)
-        if waiter.errors:
-            self._mark_prolonged_failures(waiter)
-        return not (waiter.errors or expired)
-
-    def _write_host_fallback(self, ext: StripeExtent, io_data, attempt: int = 0,
-                             ctx=None, deadline_ns=None):
-        g = self.geometry
-        chunk = g.chunk_bytes
-        gaps = self._stripe_gaps(ext)
-        stripe_base = ext.stripe * g.stripe_data_bytes
-        gap_buffers = []
-        for d, off, length in gaps:
-            user_offset = stripe_base + d * chunk + off
-            gap_ext, = g.map_extent(user_offset, length)
-            buffer = np.zeros(length, dtype=np.uint8) if self.functional else None
-            yield from self._read_extent(
-                gap_ext, buffer, user_offset, ctx=ctx, deadline_ns=deadline_ns
-            )
-            gap_buffers.append(buffer)
-        yield from self._span_wait(
-            self._charge_gf(g.data_per_stripe * g.num_parity, chunk), ctx, "gf"
-        )
-        stripe_img = None
-        blocks = [None] * g.num_parity
-        if self.functional:
-            stripe_img = self._assemble_stripe(ext, io_data, gaps, gap_buffers)
-            blocks = self.code.encode(stripe_img)
-        failed = self.failed_in_stripe(ext.stripe)
-        cid = next_cid()
-        writes = 0
-        ectx = self._derive(ctx)
-        sent_ns = self.env.now
-        for d in range(g.data_per_stripe):
-            drive = g.data_drive(ext.stripe, d)
-            if drive in failed:
-                continue
-            block = stripe_img[d] if stripe_img is not None else None
-            cmd = NvmeOfCommand(cid, Opcode.WRITE, ext.stripe * chunk, chunk,
-                                data=block, deadline_ns=deadline_ns)
-            if ectx is not None:
-                cmd.trace = ectx
-            self.host_ends[drive].send(cmd)
-            writes += 1
-        for j, p in enumerate(ext.parity_drives):
-            if p in failed:
-                continue
-            cmd = NvmeOfCommand(cid, Opcode.WRITE, ext.parity_offset, chunk,
-                                data=blocks[j], deadline_ns=deadline_ns)
-            if ectx is not None:
-                cmd.trace = ectx
-            self.host_ends[p].send(cmd)
-            writes += 1
-        waiter = self._register(cid, {"write": writes})
-        expired = yield from self._await_op(
-            cid, waiter, attempt=attempt, deadline_ns=deadline_ns
-        )
-        self._record_envelope(ectx, "draid.write-fallback", sent_ns)
-        if waiter.errors:
-            self._mark_prolonged_failures(waiter)
-        return not (waiter.errors or expired)
 
 
 class LrcDraidArray(EcDraidArray):
@@ -398,18 +101,16 @@ class LrcDraidArray(EcDraidArray):
 
     The geometry's ``num_parity`` chunks are split into ``local_groups``
     local XOR parities plus ``num_parity - local_groups`` global RS
-    parities.  Full-stripe writes and partial-parity forwarding reuse the
-    generic §7 machinery unchanged (out-of-group local parities receive
-    zero-coefficient partials, which fold to no-ops); degraded reads
-    narrow the reconstruction broadcast to the lost chunk's *local group*
-    whenever the decode planner picks local repair, so single-failure
-    rebuild reads touch ``k/l + 1`` members instead of ``k``.
+    parities.  Writes reuse the generic §7 machinery unchanged
+    (out-of-group local parities receive zero-coefficient partials, which
+    fold to no-ops); degraded reads narrow the reconstruction broadcast to
+    the lost chunk's *local group* whenever the code's planner picks local
+    repair, so single-failure rebuild reads touch ``k/l + 1`` members
+    instead of ``k``.
 
     Tolerance is the code's: ``g`` arbitrary failures (non-MDS — fewer
     than the ``l + g`` parities the stripe carries).
     """
-
-    code_name = "LRC"
 
     def __init__(
         self,
@@ -419,63 +120,13 @@ class LrcDraidArray(EcDraidArray):
         name: str = "lrc-draid",
         **kwargs,
     ) -> None:
-        if not isinstance(geometry, EcGeometry):
-            raise TypeError("LrcDraidArray requires an EcGeometry")
         global_parities = geometry.num_parity - local_groups
         if local_groups < 1 or global_parities < 1:
             raise ValueError(
                 f"{geometry.num_parity} parities cannot split into "
                 f"{local_groups} local groups + >=1 global parity"
             )
-        self.code = LocalReconstructionCode(
-            geometry.data_per_stripe, local_groups, global_parities
+        code = code_for(
+            ("lrc", geometry.data_per_stripe, local_groups, global_parities)
         )
-        super().__init__(cluster, geometry, name=name, **kwargs)
-
-    def _recon_cmd(self, *args, **kwargs):
-        # stamp the LRC descriptor so reducers prefer local repair
-        code = self.code
-        kwargs["code_km"] = ("lrc", code.k, code.l, code.g)
-        return ReconstructionCmd(*args, **kwargs)
-
-    def _recon_participants(self, ext: StripeExtent, lost_index=None):
-        g = self.geometry
-        code = self.code
-        failed = self.failed_in_stripe(ext.stripe)
-        erased = [
-            d for d in range(g.data_per_stripe)
-            if g.data_drive(ext.stripe, d) in failed
-        ] + [
-            code.k + j for j, p in enumerate(ext.parity_drives) if p in failed
-        ]
-        if lost_index is None or not erased:
-            return super()._recon_participants(ext, lost_index)
-        try:
-            plan = self.code.plan_decode(erased)
-        except UnrecoverableErasureError:
-            return super()._recon_participants(ext, lost_index)
-        target_step = next(
-            (s for s in plan.steps if s.target == lost_index), None
-        )
-        if target_step is not None and target_step.method == "local":
-            sources = sorted(target_step.sources)
-        else:
-            # global repair: the planner's independent row set decodes
-            # every erased shard, so ship exactly those sources
-            sources = sorted(
-                {s for step in plan.steps if step.method == "global"
-                 for s in step.sources}
-            )
-        if not sources:
-            return super()._recon_participants(ext, lost_index)
-        participants = []
-        for shard in sources:
-            if shard < code.k:
-                participants.append(
-                    (g.data_drive(ext.stripe, shard), ("data", shard))
-                )
-            else:
-                participants.append(
-                    (ext.parity_drives[shard - code.k], ("parity", shard - code.k))
-                )
-        return participants
+        super().__init__(cluster, geometry, name=name, code=code, **kwargs)

@@ -35,10 +35,9 @@ from repro.draid.protocol import (
     Subtype,
 )
 from repro.draid.reconstruction import RandomReducerSelector
-from repro.ec import xor_blocks
-from repro.ec.gf import GF
+from repro.ec import LinearCode
 from repro.nvmeof.messages import IoError, NvmeOfCommand, Opcode, next_cid
-from repro.raid.geometry import RaidGeometry, RaidLevel, StripeExtent
+from repro.raid.geometry import RaidGeometry, StripeExtent
 from repro.raid.modes import WriteMode, classify_write
 from repro.sim.core import AnyOf, Event
 
@@ -82,7 +81,12 @@ class _OpWaiter:
 
 
 class DraidArray(HostCentricRaid):
-    """The dRAID virtual block device."""
+    """The dRAID virtual block device.
+
+    ``code`` selects the erasure code (§7: the broadcast/reduce protocol is
+    code-agnostic); the default is the geometry's own — P+Q parity for a
+    RAID-5/6 :class:`~repro.raid.geometry.RaidGeometry`.
+    """
 
     submit_ns = 2_000
     #: dRAID normal reads are lock-free (§8 implementation choice (ii)).
@@ -102,6 +106,7 @@ class DraidArray(HostCentricRaid):
         blocking_reduce: bool = False,
         timeout_ns: Optional[int] = None,
         failslow_detector=None,
+        code: Optional[LinearCode] = None,
     ) -> None:
         self.pipeline = pipeline
         self.blocking_reduce = blocking_reduce
@@ -109,6 +114,13 @@ class DraidArray(HostCentricRaid):
         super().__init__(cluster, geometry, name=name, timeout_ns=timeout_ns)
         if failslow_detector is not None:
             self.failslow_detector = failslow_detector
+        if code is not None:
+            if (code.k, code.m) != (geometry.data_per_stripe, geometry.num_parity):
+                raise ValueError(
+                    f"{name}: a ({code.k} data + {code.m} parity) code does not "
+                    f"fit {geometry!r}"
+                )
+            self.code = code
 
     # -- transport --------------------------------------------------------
 
@@ -390,57 +402,14 @@ class DraidArray(HostCentricRaid):
     def _degraded_read(self, ext: StripeExtent, healthy, lost, buffer, ctx=None,
                        deadline_ns=None):
         """§6.1: merge normal reads into the reconstruction broadcast."""
-        g = self.geometry
         remaining_healthy = {s.drive: s for s in healthy}
         for order, seg in enumerate(lost):
             self.stats.degraded_reads += 1
             self.stats.remote_reconstructions += 1
-            lost_index = g.data_index_of_drive(ext.stripe, seg.drive)
-            participants = self._recon_participants(ext, lost_index)
-            region = (seg.chunk_offset, seg.length)
-            reducer_member = self.selector.pick(
-                [d for d, _ in participants], seg.length
+            # healthy segments ride along with the first broadcast only
+            waiter, expired, folded = yield from self._recon_broadcast(
+                ext, seg, remaining_healthy if order == 0 else {}, ctx, deadline_ns
             )
-            reducer = self._server_of(reducer_member)
-            cid = next_cid()
-            also_read = 0
-            folded = []
-            responders = {reducer_member}
-            ectx = self._derive(ctx)
-            sent_ns = self.env.now
-            for drive, source in participants:
-                read_segment = None
-                if order == 0 and drive in remaining_healthy:
-                    h = remaining_healthy.pop(drive)
-                    read_segment = (h.chunk_offset, h.length, h.io_offset)
-                    folded.append(h)
-                    also_read += 1
-                    responders.add(drive)
-                cmd = self._recon_cmd(
-                    cid,
-                    subtype=Subtype.ALSO_READ if read_segment else Subtype.NO_READ,
-                    chunk_drive_offset=ext.stripe * g.chunk_bytes,
-                    region_offset=region[0],
-                    region_length=region[1],
-                    source=source,
-                    reducer=reducer,
-                    wait_num=len(participants) - 1,
-                    lost=("data", lost_index),
-                    num_data=g.data_per_stripe,
-                    read_segment=read_segment,
-                    lost_io_offset=seg.io_offset,
-                    deadline_ns=deadline_ns,
-                )
-                if ectx is not None:
-                    cmd.trace = ectx
-                self.host_ends[drive].send(cmd)
-            waiter = self._register(
-                cid, {"recon": 1, "read": also_read}, participants=responders
-            )
-            expired = yield from self._await_op(
-                cid, waiter, drain=False, deadline_ns=deadline_ns
-            )
-            self._record_envelope(ectx, "draid.recon", sent_ns)
             if waiter.errors or expired:
                 # reconstruction reads are idempotent too: retry once with
                 # a fresh broadcast before giving up
@@ -464,39 +433,9 @@ class DraidArray(HostCentricRaid):
                 self._charge_retry("read", ext.stripe)
                 if self.resilient:
                     self.fault_stats.retries += 1
-                cid2 = next_cid()
-                participants = self._recon_participants(ext, lost_index)
-                reducer_member = self.selector.pick(
-                    [d for d, _ in participants], seg.length
+                waiter, expired, _ = yield from self._recon_broadcast(
+                    ext, seg, {}, ctx, deadline_ns, attempt=1
                 )
-                reducer = self._server_of(reducer_member)
-                ectx2 = self._derive(ctx)
-                sent2_ns = self.env.now
-                for drive, source in participants:
-                    cmd2 = self._recon_cmd(
-                        cid2,
-                        subtype=Subtype.NO_READ,
-                        chunk_drive_offset=ext.stripe * g.chunk_bytes,
-                        region_offset=region[0],
-                        region_length=region[1],
-                        source=source,
-                        reducer=reducer,
-                        wait_num=len(participants) - 1,
-                        lost=("data", lost_index),
-                        num_data=g.data_per_stripe,
-                        lost_io_offset=seg.io_offset,
-                        deadline_ns=deadline_ns,
-                    )
-                    if ectx2 is not None:
-                        cmd2.trace = ectx2
-                    self.host_ends[drive].send(cmd2)
-                waiter = self._register(
-                    cid2, {"recon": 1}, participants={reducer_member}
-                )
-                expired = yield from self._await_op(
-                    cid2, waiter, attempt=1, drain=False, deadline_ns=deadline_ns
-                )
-                self._record_envelope(ectx2, "draid.recon", sent2_ns)
                 if waiter.errors or expired:
                     if self.resilient:
                         self.fault_stats.io_errors += 1
@@ -514,35 +453,68 @@ class DraidArray(HostCentricRaid):
                 ext, leftovers, buffer, ctx, deadline_ns=deadline_ns
             )
 
-    def _recon_participants(
-        self, ext: StripeExtent, lost_index: Optional[int] = None
-    ) -> List[Tuple[int, Tuple[str, int]]]:
-        """(server, source-role) pairs contributing to a reconstruction.
+    def _recon_broadcast(self, ext: StripeExtent, seg, foldable, ctx, deadline_ns,
+                         attempt: int = 0):
+        """One reconstruction broadcast for the lost segment ``seg``.
 
-        ``lost_index`` (the data index being rebuilt) lets locality-aware
-        codes narrow the read set; the RAID-5/6 path ignores it.
+        Participants holding a segment in ``foldable`` (drive -> healthy
+        segment) serve it in the same command (ALSO_READ) and are popped
+        from the map.  Returns ``(waiter, expired, folded segments)``.
         """
         g = self.geometry
-        participants: List[Tuple[int, Tuple[str, int]]] = []
-        failed = self.failed_in_stripe(ext.stripe)
-        lost_data = 0
-        for d in range(g.data_per_stripe):
-            drive = g.data_drive(ext.stripe, d)
-            if drive in failed:
-                lost_data += 1
-            else:
-                participants.append((drive, ("data", d)))
-        alive_parities = [
-            (p, ("parity", idx))
-            for idx, p in enumerate(ext.parity_drives)
-            if p not in failed
-        ]
-        participants.extend(alive_parities[:lost_data])
-        return participants
+        participants = self._recon_participants(ext, seg.data_index)
+        reducer_member = self.selector.pick(
+            [d for d, _ in participants], seg.length
+        )
+        cid = next_cid()
+        folded = []
+        responders = {reducer_member}
+        ectx = self._derive(ctx)
+        sent_ns = self.env.now
+        for drive, source in participants:
+            read_segment = None
+            h = foldable.pop(drive, None)
+            if h is not None:
+                read_segment = (h.chunk_offset, h.length, h.io_offset)
+                folded.append(h)
+                responders.add(drive)
+            self.host_ends[drive].send(
+                ReconstructionCmd(
+                    cid,
+                    subtype=Subtype.ALSO_READ if read_segment else Subtype.NO_READ,
+                    chunk_drive_offset=ext.stripe * g.chunk_bytes,
+                    region_offset=seg.chunk_offset,
+                    region_length=seg.length,
+                    source=source,
+                    reducer=self._server_of(reducer_member),
+                    wait_num=len(participants) - 1,
+                    lost=("data", seg.data_index),
+                    code=self.code.spec,
+                    read_segment=read_segment,
+                    lost_io_offset=seg.io_offset,
+                    trace=ectx,
+                    deadline_ns=deadline_ns,
+                )
+            )
+        waiter = self._register(
+            cid, {"recon": 1, "read": len(folded)}, participants=responders
+        )
+        expired = yield from self._await_op(
+            cid, waiter, attempt=attempt, drain=False, deadline_ns=deadline_ns
+        )
+        self._record_envelope(ectx, "draid.recon", sent_ns)
+        return waiter, expired, folded
 
-    def _recon_cmd(self, *args, **kwargs) -> ReconstructionCmd:
-        """ReconstructionCmd factory (EcDraidArray stamps its RS code on)."""
-        return ReconstructionCmd(*args, **kwargs)
+    def _recon_participants(
+        self, ext: StripeExtent, lost_index: int
+    ) -> List[Tuple[int, Tuple[str, int]]]:
+        """(member, source-role) pairs contributing to the reconstruction of
+        data chunk ``lost_index``: the shards the code asks for."""
+        k = self.code.k
+        return [
+            (drive, ("data", s) if s < k else ("parity", s - k))
+            for drive, s in self._repair_members(ext.stripe, lost_index)
+        ]
 
     # -- observability (repro.obs) ---------------------------------------------
 
@@ -662,30 +634,89 @@ class DraidArray(HostCentricRaid):
             ext, io_data, rcw=False, ctx=ctx, deadline_ns=deadline_ns
         ))
 
-    # .. full-stripe (host-side parity, §3) ....................................
+    # .. host-side parity: full-stripe writes (§3), §5.4 retries ................
 
     def _write_full(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None):
+        """§3: disaggregation gains nothing on a full stripe — the host
+        computes the parity itself."""
+        return (yield from self._write_stripe_image(
+            ext, [self._seg_data(io_data, s) for s in ext.segments], ctx,
+            "draid.write-full", deadline_ns=deadline_ns,
+        ))
+
+    def _write_host_fallback(self, ext: StripeExtent, io_data, attempt: int = 0,
+                             ctx=None, deadline_ns=None):
+        """Degraded-aware full-stripe write executed by the host.
+
+        Reads every stripe region the write does not cover (through the
+        normal degraded-aware read path), computes parity locally, and
+        rewrites the whole stripe.  Used for §5.4 retries and for writes
+        spanning several failed chunks.
+        """
         g = self.geometry
-        chunk = g.chunk_bytes
-        yield from self._span_wait(
-            self._charge_xor(g.data_per_stripe, chunk), ctx, "xor"
-        )
-        p_block = q_block = None
-        if self.functional:
-            chunks = [self._seg_data(io_data, s) for s in ext.segments]
-            p_block = xor_blocks(chunks)
-            if g.level is RaidLevel.RAID6:
-                q_block = np.zeros(chunk, dtype=np.uint8)
-                for i, blk in enumerate(chunks):
-                    GF.mul_bytes_inplace_xor(q_block, GF.gen_pow(i), blk)
-        if g.level is RaidLevel.RAID6:
-            yield from self._span_wait(
-                self._charge_gf(g.data_per_stripe, chunk), ctx, "gf"
+        gaps = self._stripe_gaps(ext)
+        stripe_base = ext.stripe * g.stripe_data_bytes
+        gap_buffers: List[Optional[np.ndarray]] = []
+        for d, off, length in gaps:
+            user_offset = stripe_base + d * g.chunk_bytes + off
+            gap_ext, = g.map_extent(user_offset, length)
+            buffer = np.zeros(length, dtype=np.uint8) if self.functional else None
+            yield from self._read_extent(
+                gap_ext, buffer, user_offset, ctx=ctx, deadline_ns=deadline_ns
             )
+            gap_buffers.append(buffer)
+        return (yield from self._write_stripe_image(
+            ext, self._assemble_stripe(ext, io_data, gaps, gap_buffers), ctx,
+            "draid.write-fallback", attempt=attempt, deadline_ns=deadline_ns,
+        ))
+
+    def _write_stripe_image(self, ext: StripeExtent, image, ctx, span: str,
+                            attempt: int = 0, deadline_ns=None):
+        """Encode the stripe's full data ``image`` on the host and write
+        every surviving member's chunk with a plain NVMe-oF WRITE."""
+        chunk = self.geometry.chunk_bytes
+        parity_blocks = yield from self._encode_parities(image, ctx)
         failed = self.failed_in_stripe(ext.stripe)
         cid = next_cid()
-        writes = 0
         writers = set()
+        ectx = self._derive(ctx)
+        sent_ns = self.env.now
+        blocks = image + parity_blocks
+        for drive, block in zip(self._shard_drives(ext.stripe), blocks):
+            if drive in failed:
+                continue
+            cmd = NvmeOfCommand(cid, Opcode.WRITE, ext.stripe * chunk, chunk,
+                                data=block, deadline_ns=deadline_ns)
+            if ectx is not None:
+                cmd.trace = ectx
+            self.host_ends[drive].send(cmd)
+            writers.add(drive)
+        return (yield from self._finish_write(
+            cid, {"write": len(writers)}, writers, ectx, span, sent_ns,
+            attempt=attempt, deadline_ns=deadline_ns,
+        ))
+
+    def _finish_write(self, cid: int, expected: Dict[str, int], participants,
+                      ectx, span: str, sent_ns: int, attempt: int = 0,
+                      deadline_ns=None):
+        """The tail every write broadcast shares: register the expected
+        completions, await them (§5.4 deadline, drain, fencing), close the
+        trace envelope and note prolonged failures.  True on clean success."""
+        waiter = self._register(cid, expected, participants=participants)
+        expired = yield from self._await_op(
+            cid, waiter, attempt=attempt, deadline_ns=deadline_ns
+        )
+        self._record_envelope(ectx, span, sent_ns)
+        if waiter.errors:
+            self._mark_prolonged_failures(waiter)
+        return not (waiter.errors or expired)
+
+    def _plain_segment_writes(self, ext: StripeExtent, io_data, ctx=None,
+                              deadline_ns=None):
+        """No parity left to maintain (e.g. RAID-5 with P failed)."""
+        cid = next_cid()
+        writers = set()
+        failed = self.failed_in_stripe(ext.stripe)
         ectx = self._derive(ctx)
         sent_ns = self.env.now
         for seg in ext.segments:
@@ -697,38 +728,32 @@ class DraidArray(HostCentricRaid):
             if ectx is not None:
                 cmd.trace = ectx
             self.host_ends[seg.drive].send(cmd)
-            writes += 1
             writers.add(seg.drive)
-        for idx, p in enumerate(ext.parity_drives):
-            if p in failed:
-                continue
-            block = p_block if idx == 0 else q_block
-            cmd = NvmeOfCommand(cid, Opcode.WRITE, ext.parity_offset, chunk,
-                                data=block, deadline_ns=deadline_ns)
-            if ectx is not None:
-                cmd.trace = ectx
-            self.host_ends[p].send(cmd)
-            writes += 1
-            writers.add(p)
-        waiter = self._register(cid, {"write": writes}, participants=writers)
-        expired = yield from self._await_op(cid, waiter, deadline_ns=deadline_ns)
-        self._record_envelope(ectx, "draid.write-full", sent_ns)
-        if waiter.errors:
-            self._mark_prolonged_failures(waiter)
-        return not (waiter.errors or expired)
+        return (yield from self._finish_write(
+            cid, {"write": len(writers)}, writers, ectx, "draid.write", sent_ns,
+            deadline_ns=deadline_ns,
+        ))
 
     # .. the disaggregated partial-stripe write (§5) ...........................
+
+    def _dests(self, alive_parities, data_index: int):
+        """Where the data bdev of chunk ``data_index`` forwards its partial:
+        one ``(server, coefficient)`` per surviving ``(row, member)`` parity,
+        the coefficient (and so the bdev's GF charge) being the code's call."""
+        return tuple(
+            (self._server_of(p), self.code.forward_coefficient(row, data_index))
+            for row, p in alive_parities
+        )
 
     def _write_distributed(self, ext: StripeExtent, io_data, rcw: bool, ctx=None,
                            deadline_ns=None):
         g = self.geometry
         chunk = g.chunk_bytes
+        failed = self.failed_in_stripe(ext.stripe)
         alive_parities = [
-            (idx, p) for idx, p in enumerate(ext.parity_drives)
-            if not self.drive_failed(p, ext.stripe)
+            (row, p) for row, p in enumerate(ext.parity_drives) if p not in failed
         ]
         if not alive_parities:
-            # no parity to maintain (e.g. RAID-5 with P failed): plain writes
             return (yield from self._plain_segment_writes(
                 ext, io_data, ctx, deadline_ns=deadline_ns
             ))
@@ -741,17 +766,7 @@ class DraidArray(HostCentricRaid):
         cid = next_cid()
         touched = {s.data_index: s for s in ext.segments}
         # every data bdev participates in RCW; only touched ones in RMW
-        if rcw:
-            contributors = list(range(g.data_per_stripe))
-        else:
-            contributors = sorted(touched)
-        next_dest = self._server_of(alive_parities[0][1])
-        next_dest_parity = alive_parities[0][0]
-        next_dest2 = next_dest2_parity = None
-        if len(alive_parities) > 1:
-            next_dest2 = self._server_of(alive_parities[1][1])
-            next_dest2_parity = alive_parities[1][0]
-        writers = 0
+        contributors = range(g.data_per_stripe) if rcw else sorted(touched)
         responders = set()
         ectx = self._derive(ctx)
         sent_ns = self.env.now
@@ -764,80 +779,40 @@ class DraidArray(HostCentricRaid):
             else:
                 subtype = Subtype.RMW
                 cmd_fwd_off, cmd_fwd_len = seg.chunk_offset, seg.length
-            cmd = PartialWriteCmd(
-                cid,
-                subtype=subtype,
-                drive_offset=seg.drive_offset if seg else 0,
-                length=seg.length if seg else 0,
-                chunk_offset=seg.chunk_offset if seg else 0,
-                data_index=d,
-                fwd_offset=cmd_fwd_off,
-                fwd_length=cmd_fwd_len,
-                next_dest=next_dest,
-                next_dest2=next_dest2,
-                next_dest_parity=next_dest_parity,
-                next_dest2_parity=next_dest2_parity if next_dest2 is not None else 1,
-                chunk_drive_offset=ext.stripe * chunk,
-                parity_key=cid,
-                data=self._seg_data(io_data, seg) if seg is not None else None,
-                trace=ectx,
-                deadline_ns=deadline_ns,
-            )
-            self.host_ends[drive].send(cmd)
-            if seg is not None:
-                writers += 1
-                responders.add(drive)
-        for idx, p in alive_parities:
-            self.host_ends[p].send(
-                ParityCmd(
+            self.host_ends[drive].send(
+                PartialWriteCmd(
                     cid,
-                    subtype=subtype_parity,
-                    parity_drive_offset=ext.parity_offset,
-                    fwd_offset=fwd_off,
-                    fwd_length=fwd_len,
-                    wait_num=len(contributors),
-                    parity_index=idx,
-                    key=cid,
+                    subtype=subtype,
+                    drive_offset=seg.drive_offset if seg else 0,
+                    length=seg.length if seg else 0,
+                    chunk_offset=seg.chunk_offset if seg else 0,
+                    data_index=d,
+                    fwd_offset=cmd_fwd_off,
+                    fwd_length=cmd_fwd_len,
+                    dests=self._dests(alive_parities, d),
+                    chunk_drive_offset=ext.stripe * chunk,
+                    parity_key=cid,
+                    data=self._seg_data(io_data, seg) if seg is not None else None,
                     trace=ectx,
                     deadline_ns=deadline_ns,
                 )
             )
+            if seg is not None:
+                responders.add(drive)
+        writers = len(responders)
+        for row, p in alive_parities:
+            self.host_ends[p].send(
+                ParityCmd(cid, subtype=subtype_parity,
+                          parity_drive_offset=ext.parity_offset,
+                          fwd_offset=fwd_off, fwd_length=fwd_len,
+                          wait_num=len(contributors), parity_index=row, key=cid,
+                          trace=ectx, deadline_ns=deadline_ns)
+            )
             responders.add(p)
-        waiter = self._register(
-            cid, {"data": writers, "parity": len(alive_parities)},
-            participants=responders,
-        )
-        expired = yield from self._await_op(cid, waiter, deadline_ns=deadline_ns)
-        self._record_envelope(ectx, "draid.partial-write", sent_ns)
-        if waiter.errors:
-            self._mark_prolonged_failures(waiter)
-        return not (waiter.errors or expired)
-
-    def _plain_segment_writes(self, ext: StripeExtent, io_data, ctx=None,
-                              deadline_ns=None):
-        cid = next_cid()
-        writes = 0
-        writers = set()
-        failed = self.failed_in_stripe(ext.stripe)
-        ectx = self._derive(ctx)
-        sent_ns = self.env.now
-        for seg in ext.segments:
-            if seg.drive in failed:
-                continue
-            cmd = NvmeOfCommand(cid, Opcode.WRITE, seg.drive_offset, seg.length,
-                                data=self._seg_data(io_data, seg),
-                                deadline_ns=deadline_ns)
-            if ectx is not None:
-                cmd.trace = ectx
-            self.host_ends[seg.drive].send(cmd)
-            writes += 1
-            writers.add(seg.drive)
-        waiter = self._register(cid, {"write": writes}, participants=writers)
-        expired = yield from self._await_op(cid, waiter, deadline_ns=deadline_ns)
-        self._record_envelope(ectx, "draid.write", sent_ns)
-        if waiter.errors:
-            self._mark_prolonged_failures(waiter)
-        return not (waiter.errors or expired)
+        return (yield from self._finish_write(
+            cid, {"data": writers, "parity": len(alive_parities)}, responders,
+            ectx, "draid.partial-write", sent_ns, deadline_ns=deadline_ns,
+        ))
 
     # .. degraded write touching failed chunks (§3 host participation) .........
 
@@ -858,10 +833,9 @@ class DraidArray(HostCentricRaid):
         through the §5.4 host-side full-stripe path.
         """
         g = self.geometry
-        chunk = g.chunk_bytes
         failed = self.failed_in_stripe(ext.stripe)
         alive_parities = [
-            (idx, p) for idx, p in enumerate(ext.parity_drives) if p not in failed
+            (row, p) for row, p in enumerate(ext.parity_drives) if p not in failed
         ]
         if not alive_parities:
             return (yield from self._plain_segment_writes(
@@ -876,15 +850,8 @@ class DraidArray(HostCentricRaid):
                 ext, io_data, ctx=ctx, deadline_ns=deadline_ns
             ))
         seg = failed_touched[0]
-        failed_index = g.data_index_of_drive(ext.stripe, seg.drive)
         region_offset, region_len = seg.chunk_offset, seg.length
         cid = next_cid()
-        next_dest = self._server_of(alive_parities[0][1])
-        next_dest_parity = alive_parities[0][0]
-        next_dest2 = next_dest2_parity = None
-        if len(alive_parities) > 1:
-            next_dest2 = self._server_of(alive_parities[1][1])
-            next_dest2_parity = alive_parities[1][0]
         contributors = 0
         ectx = self._derive(ctx)
         sent_ns = self.env.now
@@ -902,11 +869,8 @@ class DraidArray(HostCentricRaid):
                     data_index=d,
                     fwd_offset=region_offset,
                     fwd_length=region_len,
-                    next_dest=next_dest,
-                    next_dest2=next_dest2,
-                    next_dest_parity=next_dest_parity,
-                    next_dest2_parity=next_dest2_parity if next_dest2 is not None else 1,
-                    chunk_drive_offset=ext.stripe * chunk,
+                    dests=self._dests(alive_parities, d),
+                    chunk_drive_offset=ext.stripe * g.chunk_bytes,
                     parity_key=cid,
                     trace=ectx,
                     deadline_ns=deadline_ns,
@@ -914,114 +878,29 @@ class DraidArray(HostCentricRaid):
             )
             contributors += 1
         # the host's own partial: the failed chunk's new data for the region
-        new_data = self._seg_data(io_data, seg)
-        for idx, p in alive_parities:
-            block = None
-            if self.functional:
-                block = (
-                    new_data.copy()
-                    if idx == 0
-                    else GF.mul_bytes(GF.gen_pow(failed_index), new_data)
-                )
-            if idx == 1:
+        partials = [None] * self.code.m
+        if self.functional:
+            partials = self.code.partial_parity(
+                seg.data_index, self._seg_data(io_data, seg)
+            )
+        for row, p in alive_parities:
+            if self.code.partial_charged(row):
                 yield from self._span_wait(
                     self._charge_gf(1, region_len), ctx, "gf"
                 )
             self.host_ends[p].send(
                 PeerMsg(cid, key=cid, fwd_offset=region_offset, fwd_length=region_len,
-                        source=("data", failed_index), data=block, trace=ectx)
+                        source=("data", seg.data_index), data=partials[row],
+                        trace=ectx)
             )
             self.host_ends[p].send(
                 ParityCmd(cid, subtype=Subtype.RW_READ,
                           parity_drive_offset=ext.parity_offset,
                           fwd_offset=region_offset, fwd_length=region_len,
-                          wait_num=contributors + 1, parity_index=idx, key=cid,
+                          wait_num=contributors + 1, parity_index=row, key=cid,
                           trace=ectx, deadline_ns=deadline_ns)
             )
-        waiter = self._register(
-            cid, {"parity": len(alive_parities)},
-            participants={p for _, p in alive_parities},
-        )
-        expired = yield from self._await_op(cid, waiter, deadline_ns=deadline_ns)
-        self._record_envelope(ectx, "draid.degraded-write", sent_ns)
-        if waiter.errors:
-            self._mark_prolonged_failures(waiter)
-        return not (waiter.errors or expired)
-
-    # .. §5.4 full-stripe retry / host fallback ...............................
-
-    def _write_host_fallback(self, ext: StripeExtent, io_data, attempt: int = 0,
-                             ctx=None, deadline_ns=None):
-        """Degraded-aware full-stripe write executed by the host.
-
-        Reads every stripe region the write does not cover (through the
-        normal degraded-aware read path), computes parity locally, and
-        rewrites the whole stripe.  Used for §5.4 retries and for RAID-6
-        double-data-failure writes.
-        """
-        g = self.geometry
-        chunk = g.chunk_bytes
-        gaps = self._stripe_gaps(ext)
-        stripe_base = ext.stripe * g.stripe_data_bytes
-        gap_buffers: List[Optional[np.ndarray]] = []
-        for d, off, length in gaps:
-            user_offset = stripe_base + d * chunk + off
-            gap_ext, = g.map_extent(user_offset, length)
-            buffer = np.zeros(length, dtype=np.uint8) if self.functional else None
-            yield from self._read_extent(
-                gap_ext, buffer, user_offset, ctx=ctx, deadline_ns=deadline_ns
-            )
-            gap_buffers.append(buffer)
-        yield from self._span_wait(
-            self._charge_xor(g.data_per_stripe, chunk), ctx, "xor"
-        )
-        p_block = q_block = None
-        stripe_img = None
-        if self.functional:
-            stripe_img = self._assemble_stripe(ext, io_data, gaps, gap_buffers)
-            p_block = xor_blocks(stripe_img)
-            if g.level is RaidLevel.RAID6:
-                q_block = np.zeros(chunk, dtype=np.uint8)
-                for i, blk in enumerate(stripe_img):
-                    GF.mul_bytes_inplace_xor(q_block, GF.gen_pow(i), blk)
-        if g.level is RaidLevel.RAID6:
-            yield from self._span_wait(
-                self._charge_gf(g.data_per_stripe, chunk), ctx, "gf"
-            )
-        cid = next_cid()
-        writes = 0
-        writers = set()
-        failed = self.failed_in_stripe(ext.stripe)
-        ectx = self._derive(ctx)
-        sent_ns = self.env.now
-        for d in range(g.data_per_stripe):
-            drive = g.data_drive(ext.stripe, d)
-            if drive in failed:
-                continue
-            block = stripe_img[d] if stripe_img is not None else None
-            cmd = NvmeOfCommand(cid, Opcode.WRITE, ext.stripe * chunk, chunk,
-                                data=block, deadline_ns=deadline_ns)
-            if ectx is not None:
-                cmd.trace = ectx
-            self.host_ends[drive].send(cmd)
-            writes += 1
-            writers.add(drive)
-        for idx, p in enumerate(ext.parity_drives):
-            if p in failed:
-                continue
-            block = p_block if idx == 0 else q_block
-            cmd = NvmeOfCommand(cid, Opcode.WRITE, ext.parity_offset, chunk,
-                                data=block, deadline_ns=deadline_ns)
-            if ectx is not None:
-                cmd.trace = ectx
-            self.host_ends[p].send(cmd)
-            writes += 1
-            writers.add(p)
-        waiter = self._register(cid, {"write": writes}, participants=writers)
-        expired = yield from self._await_op(
-            cid, waiter, attempt=attempt, deadline_ns=deadline_ns
-        )
-        self._record_envelope(ectx, "draid.write-fallback", sent_ns)
-        if waiter.errors:
-            self._mark_prolonged_failures(waiter)
-        return not (waiter.errors or expired)
+        return (yield from self._finish_write(
+            cid, {"parity": len(alive_parities)}, {p for _, p in alive_parities},
+            ectx, "draid.degraded-write", sent_ns, deadline_ns=deadline_ns,
+        ))

@@ -17,11 +17,15 @@ chunk complement, forward the full new chunk image), ``RW_READ``
 (reconstruct-write for an untouched chunk: read and forward it),
 ``ALSO_READ`` / ``NO_READ`` for reconstruction participants.
 
-The dataclasses below carry exactly the fields Figure 5 lists (offset,
-length, fwd-offset, fwd-length, subtype, next-dest, wait-num, plus the
-RAID-6 extras next-dest2 / data-idx); payload arrays are a functional-mode
-convenience and are not charged to the network (payload bytes are moved by
-explicit one-sided reads/writes).
+The dataclasses below carry the fields Figure 5 lists (offset, length,
+fwd-offset, fwd-length, subtype, next-dest, wait-num, data-idx).  Parity
+destinations travel as one ``dests`` tuple of ``(server, coefficient)``
+pairs, one per surviving parity: ``dests[0]`` and ``dests[1]`` are Figure
+5's next-dest and next-dest2, and a wider code (§7) simply carries more.
+A bdev stays unaware of the RAID configuration — which partials to weight
+and which code a reducer decodes with are spelled out in the command.
+Payload arrays are a functional-mode convenience and are not charged to the
+network (payload bytes are moved by explicit one-sided reads/writes).
 """
 
 from __future__ import annotations
@@ -57,27 +61,21 @@ class PartialWriteCmd:
     length: int
     #: offset of the segment within its chunk
     chunk_offset: int
-    #: logical data-chunk index (RAID-6 Q coefficient = g^data_index)
+    #: logical data-chunk index (labels the forwarded partial's source)
     data_index: int
     #: region of the chunk the forwarded partial covers
     fwd_offset: int
     fwd_length: int
-    #: server index of the first parity reducer
-    next_dest: int
-    #: server index of the second parity reducer (RAID-6 only)
-    next_dest2: Optional[int] = None
-    #: parity role of next_dest (0 = P: raw delta; 1 = Q: g^i-weighted)
-    next_dest_parity: int = 0
-    #: parity role of next_dest2
-    next_dest2_parity: int = 1
+    #: one (server index, GF coefficient) pair per parity reducer, chosen by
+    #: the array's code: coefficient ``None`` forwards the partial raw and
+    #: uncharged (RAID-5/6 P), anything else costs the bdev one GF pass
+    #: (RAID-6 Q = g^data_index, §4 "other command data")
+    dests: Tuple[Tuple[int, Optional[int]], ...]
     #: stripe-relative drive offset of the chunk start
     chunk_drive_offset: int = 0
     #: reduction key echoed in Peer messages (= parity chunk drive offset;
     #: unique per in-flight write because stripes admit one write at a time)
     parity_key: int = 0
-    #: generic erasure codes (§7): explicit (server, GF coefficient) pairs
-    #: for every parity destination; overrides next_dest/next_dest2
-    dests: Optional[Tuple[Tuple[int, int], ...]] = None
     #: new data (functional mode)
     data: Optional[Any] = None
     #: observability: trace context of the host request (None untraced)
@@ -100,7 +98,7 @@ class ParityCmd:
     fwd_length: int
     #: how many partial parities to expect
     wait_num: int
-    #: 0 = P, 1 = Q
+    #: parity row of the array's code (0 = P, 1 = Q for RAID-5/6)
     parity_index: int = 0
     #: reduction key matching PartialWriteCmd.parity_key / PeerMsg.key
     key: int = 0
@@ -150,15 +148,13 @@ class ReconstructionCmd:
     wait_num: int = 0
     #: reducer only: identity of the lost chunk ('data', idx) / ('parity', i)
     lost: Optional[Tuple[str, int]] = None
-    #: reducer only: how many data chunks the stripe has (for decode)
-    num_data: int = 0
+    #: reducer only: ``spec`` of the erasure code to decode with
+    #: (``repro.ec.code_for``), e.g. ``("pq", k, 2)`` for RAID-6
+    code: Optional[Tuple] = None
     #: ALSO_READ only: normal-read segment (chunk_offset, length, io_offset)
     read_segment: Optional[Tuple[int, int, int]] = None
     #: reducer only: where the rebuilt region lands in the user I/O buffer
     lost_io_offset: int = 0
-    #: generic erasure codes (§7): (k, m) of the Reed-Solomon code the
-    #: reducer must decode with (None = RAID-5/6 parity math)
-    code_km: Optional[Tuple[int, int]] = None
     #: observability: trace context of the host request (None untraced)
     trace: Optional[Any] = None
     #: overload control: absolute sim-time deadline in ns (None = none)

@@ -26,9 +26,8 @@ cost and degraded reads pull ``k`` regions through the host NIC.  The
 from __future__ import annotations
 
 from repro.cluster.builder import Cluster
-from repro.draid.ec_array import EcDraidArray, EcGeometry, LrcDraidArray
+from repro.draid.bdev import decode_lost
 from repro.draid.host import DraidArray
-from repro.ec import raid6_reconstruct, xor_blocks
 from repro.nvmeof.messages import IoError, NvmeOfCommand, Opcode, next_cid
 from repro.raid.geometry import RaidGeometry, StripeExtent
 
@@ -38,9 +37,8 @@ class StatelessTargetMixin:
 
     Mixed in *before* a dRAID controller class so its methods win the
     MRO; the underlying controller supplies transport, retry and parity
-    math (``_write_host_fallback`` already computes parity with the
-    array's own code, so the RAID-5/6, RS and LRC variants all reuse
-    this one mixin).
+    math (``_write_host_fallback`` and the host-side decode go through the
+    array's own ``code``, so RAID-5/6, RS and LRC all run this one class).
     """
 
     # -- writes: everything partial or degraded becomes a host-side
@@ -66,14 +64,12 @@ class StatelessTargetMixin:
             yield from self._plain_reads(
                 ext, healthy, buffer, ctx, deadline_ns=deadline_ns
             )
-        g = self.geometry
         for seg in lost:
             self.stats.degraded_reads += 1
-            lost_index = g.data_index_of_drive(ext.stripe, seg.drive)
             region_offset, region_len = seg.chunk_offset, seg.length
             block = None
             for attempt in range(self.max_retries + 1):
-                sources = self._recon_participants(ext, lost_index)
+                sources = self._recon_participants(ext, seg.data_index)
                 blocks, errors = yield from self._gather_regions(
                     ext, sources, region_offset, region_len, attempt,
                     ctx, deadline_ns,
@@ -84,7 +80,9 @@ class StatelessTargetMixin:
                         ctx, "xor",
                     )
                     if self.functional:
-                        block = self._host_decode(lost_index, blocks, region_len)
+                        block = decode_lost(
+                            self.code, ("data", seg.data_index), blocks, region_len
+                        )
                     break
                 self._charge_retry("read", ext.stripe)
                 if self.resilient:
@@ -133,48 +131,11 @@ class StatelessTargetMixin:
             blocks[source] = comp.data
         return blocks, errors
 
-    def _host_decode(self, lost_index: int, blocks, region_len: int):
-        """Decode one lost data region from labeled survivor regions."""
-        data_blocks = {i: b for (k, i), b in blocks.items() if k == "data"}
-        parity_blocks = {i: b for (k, i), b in blocks.items() if k == "parity"}
-        code = getattr(self, "code", None)
-        if code is not None:
-            shards = dict(data_blocks)
-            for j, b in parity_blocks.items():
-                shards[code.k + j] = b
-            return code.decode_one(lost_index, shards, length=region_len)
-        if set(parity_blocks) == {0} and len(data_blocks) == self.geometry.data_per_stripe - 1:
-            return xor_blocks(list(data_blocks.values()) + [parity_blocks[0]])
-        recovered = raid6_reconstruct(
-            dict(data_blocks),
-            self.geometry.data_per_stripe,
-            parity_blocks.get(0),
-            parity_blocks.get(1),
-        )
-        return recovered[lost_index]
-
 
 class StatelessTargetDraid(StatelessTargetMixin, DraidArray):
-    """Stateless-target controller over the RAID-5/6 dRAID geometry."""
+    """Stateless-target controller; like :class:`DraidArray` it runs any
+    ``code=`` that fits the geometry (RAID-5/6 P+Q by default)."""
 
     def __init__(self, cluster: Cluster, geometry: RaidGeometry,
                  name: str = "draid-st", **kwargs) -> None:
         super().__init__(cluster, geometry, name=name, **kwargs)
-
-
-class StatelessTargetEcDraid(StatelessTargetMixin, EcDraidArray):
-    """Stateless-target controller over RS(k+m)."""
-
-    def __init__(self, cluster: Cluster, geometry: EcGeometry,
-                 name: str = "ec-draid-st", **kwargs) -> None:
-        super().__init__(cluster, geometry, name=name, **kwargs)
-
-
-class StatelessTargetLrcDraid(StatelessTargetMixin, LrcDraidArray):
-    """Stateless-target controller over LRC(k, l, g)."""
-
-    def __init__(self, cluster: Cluster, geometry: EcGeometry,
-                 local_groups: int = 2, name: str = "lrc-draid-st",
-                 **kwargs) -> None:
-        super().__init__(cluster, geometry, local_groups=local_groups,
-                         name=name, **kwargs)

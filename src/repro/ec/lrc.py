@@ -19,12 +19,12 @@ coefficient zero for a local parity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ec.parity import _as_block
-from repro.ec.rs import LinearCode, ReedSolomon
+from repro.ec.rs import LinearCode, ReedSolomon, UnrecoverableErasureError
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,6 @@ class LocalReconstructionCode(LinearCode):
             raise ValueError(f"k+l+g={k + l + g} exceeds GF(2^8) limit of 255 shards")
         self.l = l
         self.g = g
-        #: guaranteed arbitrary-erasure tolerance (conservative: the
-        #: global-parity reach; some wider in-group patterns also decode)
-        self.fault_tolerance = g
         base = k // l
         extra = k % l
         sizes = [base + (1 if j < extra else 0) for j in range(l)]
@@ -99,7 +96,10 @@ class LocalReconstructionCode(LinearCode):
         parity[l:, :] = ReedSolomon(k, g).parity_matrix
         # (l + g) x k parity-generation coefficients: local rows first;
         # ``m = l + g`` total parity shards, ReedSolomon-compatible
-        super().__init__(k, parity)
+        super().__init__(k, parity, ("lrc", k, l, g))
+        #: non-MDS: only the global-parity reach is guaranteed (conservative
+        #: — some wider in-group patterns also decode)
+        self.fault_tolerance = g
 
     def __repr__(self) -> str:
         return f"<LRC k={self.k} l={self.l} g={self.g}>"
@@ -161,6 +161,30 @@ class LocalReconstructionCode(LinearCode):
         else:
             return None
         return set(self.groups[j]) | {self.k + j}
+
+    def repair_sources(
+        self, erased: Iterable[int], target: Optional[int] = None
+    ) -> List[int]:
+        """The planner's read set for ``target``: its local group when the
+        plan repairs it locally (``k/l`` shards instead of ``k``), else the
+        independent row set the global step decodes every erasure from.
+        Beyond-reach patterns fall back to the generic rule so the caller
+        fails on the decode, not here."""
+        erased = list(erased)
+        if target is not None and erased:
+            try:
+                steps = self.plan_decode(erased).steps
+            except UnrecoverableErasureError:
+                steps = ()
+            local = next(
+                (s for s in steps if s.target == target and s.method == "local"), None
+            )
+            sources = local.sources if local is not None else sorted(
+                {s for step in steps if step.method == "global" for s in step.sources}
+            )
+            if sources:
+                return list(sources)
+        return super().repair_sources(erased, target)
 
     # -- decoding -----------------------------------------------------------
 

@@ -1,16 +1,19 @@
-"""Systematic Reed-Solomon erasure codes over GF(2^8).
+"""Systematic linear erasure codes over GF(2^8): P+Q and Reed-Solomon.
 
 The paper (§7) argues that dRAID generalizes beyond RAID-5/6 to arbitrary
 erasure codes because most codes are linear and thus their parities can be
 generated as an order-independent sum of per-device partial results.  This
-module provides that generalization: a systematic (k+m, k) Reed-Solomon
-code built from a Vandermonde matrix reduced so the first k rows form the
+module provides that generalization: :class:`LinearCode` is the value every
+array owns (``array.code``) and routes its parity math, partial-parity
+forwards, decodes and CPU pricing through; :class:`PQCode` is RAID-5/6
+(Anvin's P and Q rows) and :class:`ReedSolomon` a systematic (k+m, k) code
+built from a Vandermonde matrix reduced so the first k rows form the
 identity.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,12 +38,24 @@ class LinearCode:
 
     Subclasses supply the ``m x k`` ``parity_matrix``; encoding, the dRAID
     partial-parity split and Gaussian decoding are the same for every such
-    code and live here.
+    code and live here, as does the CPU price list the controllers charge
+    for them (DESIGN.md §15) — a controller never branches on code family.
     """
 
-    def __init__(self, k: int, parity_matrix: np.ndarray) -> None:
+    def __init__(self, k: int, parity_matrix: np.ndarray, spec: Tuple) -> None:
         self.k = k
         self.m = len(parity_matrix)
+        #: hashable wire descriptor; ``repro.ec.code_for(spec)`` is this code
+        self.spec = spec
+        #: guaranteed arbitrary-erasure tolerance (MDS: every parity counts)
+        self.fault_tolerance = self.m
+        #: CPU charges of one full-image encode, in order: ``(kind,
+        #: sources)`` priced per chunk as ``xor`` or ``gf``.  A generic code
+        #: is one GF pass over all ``k * m`` coefficients.
+        self.encode_charges: Tuple[Tuple[str, int], ...] = (("gf", k * self.m),)
+        #: whether XOR-priced delta / degraded-region / read-repair work on
+        #: the host is followed by a separate GF pass over the same sources
+        self.gf_pass = False
         #: m x k parity-generation coefficients
         self.parity_matrix = parity_matrix
         self.encode_matrix = np.vstack([np.eye(k, dtype=np.uint8), parity_matrix])
@@ -84,7 +99,33 @@ class LinearCode:
             for row in range(self.m)
         ]
 
+    # -- pricing of per-row partials (DESIGN.md §15) --------------------------
+
+    def forward_coefficient(self, row: int, data_index: int) -> Optional[int]:
+        """Weight a data bdev applies to the partial it forwards to parity
+        ``row``: ``None`` ships it raw and uncharged, anything else costs
+        one GF pass (a zero coefficient is charged and ships zeros)."""
+        coefficient = int(self.parity_matrix[row, data_index])
+        return None if coefficient == 1 else coefficient
+
+    def partial_charged(self, row: int) -> bool:
+        """Whether the host pays ``gf(1)`` to weight the partial it
+        contributes to parity ``row`` in a degraded write."""
+        return True
+
     # -- decoding -----------------------------------------------------------
+
+    def repair_sources(
+        self, erased: Iterable[int], target: Optional[int] = None
+    ) -> List[int]:
+        """Shards to read to repair shard ``target`` when ``erased`` are
+        gone: every surviving data shard plus one surviving parity per lost
+        data shard, first parities first.  ``target`` lets locality-aware
+        codes narrow the read set."""
+        erased = set(erased)
+        data = [d for d in range(self.k) if d not in erased]
+        parities = [p for p in range(self.k, self.k + self.m) if p not in erased]
+        return data + parities[: self.k - len(data)]
 
     def _independent_rows(self, available: Sequence[int]) -> List[int]:
         """Pick k available shard indices whose encode rows are linearly
@@ -145,6 +186,37 @@ class LinearCode:
         return [self.decode_one(i, shards, length) for i in range(self.k)]
 
 
+class PQCode(LinearCode):
+    """RAID-5 (``m = 1``) and RAID-6 (``m = 2``) as a linear code.
+
+    H. P. Anvin's construction: ``P`` is the all-ones row and ``Q`` the
+    ``g^i`` row — *not* ``ReedSolomon(k, m)``, whose reduced-Vandermonde
+    rows differ — so encode and decode are byte-equal to
+    :mod:`repro.ec.parity`, Linux MD and ISA-L.  P is priced as XOR and Q
+    as a separate GF pass, the way the RAID-5/6 controllers always have.
+    """
+
+    def __init__(self, k: int, m: int) -> None:
+        if k < 1 or m not in (1, 2):
+            raise ValueError(f"invalid P+Q parameters k={k}, m={m}")
+        if k + m > 255:
+            raise ValueError(f"k+m={k + m} exceeds GF(2^8) limit of 255 shards")
+        matrix = np.ones((m, k), dtype=np.uint8)
+        if m == 2:
+            matrix[1] = [GF.gen_pow(i) for i in range(k)]
+        super().__init__(k, matrix, ("pq", k, m))
+        self.encode_charges = (("xor", k),) + (("gf", k),) * (m - 1)
+        self.gf_pass = m == 2
+
+    def forward_coefficient(self, row: int, data_index: int) -> Optional[int]:
+        """P takes the raw delta; Q is always GF-weighted, ``g^0`` included."""
+        return None if row == 0 else int(self.parity_matrix[row, data_index])
+
+    def partial_charged(self, row: int) -> bool:
+        """P takes the host's block as is; weighting it for Q costs ``gf(1)``."""
+        return row != 0
+
+
 class ReedSolomon(LinearCode):
     """A systematic (k+m, k) Reed-Solomon erasure code.
 
@@ -158,7 +230,7 @@ class ReedSolomon(LinearCode):
         if k + m > 255:
             raise ValueError(f"k+m={k + m} exceeds GF(2^8) limit of 255 shards")
         # rows k..k+m-1 are the parity-generation coefficients
-        super().__init__(k, self._systematic_matrix(k, m)[k:, :])
+        super().__init__(k, self._systematic_matrix(k, m)[k:, :], ("rs", k, m))
 
     @staticmethod
     def _systematic_matrix(k: int, m: int) -> np.ndarray:

@@ -44,51 +44,34 @@ def _make_controller(system: str, cluster, geometry, code: Optional[str] = None,
                      local_groups: int = 1):
     """Lazy controller factory (keeps repro.faults free of heavy imports).
 
-    ``code`` selects the erasure-code axis: ``None`` is the historic
-    RAID-5/6 path, ``"rs"``/``"lrc"`` run the §7 generalized arrays over
-    an :class:`~repro.draid.ec_array.EcGeometry` (dRAID controllers
-    only).  ``system`` additionally accepts ``"draid-st"``, the
-    stateless-target controller variant.
+    ``system`` picks the controller class (``"draid-st"`` is the
+    stateless-target variant); ``code`` picks the erasure code the dRAID
+    controllers run: ``None`` is the geometry's default (RAID-5/6 P+Q),
+    ``"rs"``/``"lrc"`` the §7 codes over an
+    :class:`~repro.draid.ec_array.EcGeometry`.
     """
-    if code is not None:
-        if code == "rs":
-            if system == "draid":
-                from repro.draid.ec_array import EcDraidArray
-
-                return EcDraidArray(cluster, geometry)
-            if system == "draid-st":
-                from repro.draid.stateless import StatelessTargetEcDraid
-
-                return StatelessTargetEcDraid(cluster, geometry)
-        elif code == "lrc":
-            if system == "draid":
-                from repro.draid.ec_array import LrcDraidArray
-
-                return LrcDraidArray(cluster, geometry, local_groups=local_groups)
-            if system == "draid-st":
-                from repro.draid.stateless import StatelessTargetLrcDraid
-
-                return StatelessTargetLrcDraid(
-                    cluster, geometry, local_groups=local_groups
-                )
-        raise ValueError(f"code {code!r} does not run on system {system!r}")
     if system == "md":
-        from repro.baselines.mdraid import MdRaid
+        from repro.baselines.mdraid import MdRaid as cls
+    elif system == "spdk":
+        from repro.baselines.spdkraid import SpdkRaid as cls
+    elif system == "draid":
+        from repro.draid.host import DraidArray as cls
+    elif system == "draid-st":
+        from repro.draid.stateless import StatelessTargetDraid as cls
+    else:
+        raise ValueError(f"unknown chaos system {system!r}")
+    if code is None:
+        return cls(cluster, geometry)
+    if code not in ("rs", "lrc") or not system.startswith("draid"):
+        raise ValueError(f"code {code!r} does not run on system {system!r}")
+    from repro.ec import code_for
 
-        return MdRaid(cluster, geometry)
-    if system == "spdk":
-        from repro.baselines.spdkraid import SpdkRaid
-
-        return SpdkRaid(cluster, geometry)
-    if system == "draid":
-        from repro.draid.host import DraidArray
-
-        return DraidArray(cluster, geometry)
-    if system == "draid-st":
-        from repro.draid.stateless import StatelessTargetDraid
-
-        return StatelessTargetDraid(cluster, geometry)
-    raise ValueError(f"unknown chaos system {system!r}")
+    k, m = geometry.data_per_stripe, geometry.num_parity
+    spec = ("rs", k, m) if code == "rs" else ("lrc", k, local_groups, m - local_groups)
+    # the array name seeds the retry-backoff RNG: keep the historic names so
+    # every (system, seed, code) schedule replays bit-identically
+    name = f"{'ec' if code == 'rs' else 'lrc'}-{system}"
+    return cls(cluster, geometry, name=name, code=code_for(spec))
 
 
 CHAOS_SYSTEMS = ("md", "spdk", "draid")
@@ -405,9 +388,7 @@ def run_chaos_schedule(
         final = env.run(until=array.read(0, capacity))
         cluster.integrity = saved
         verified = False
-    report = scrub_array(
-        cluster.drives(), geometry, stripes, code=getattr(array, "code", None)
-    )
+    report = scrub_array(cluster.drives(), geometry, stripes, code=array.code)
     istats = array.integrity_stats
     store = array.integrity
     drives = cluster.drives()

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
+from repro.ec import LinearCode, code_for
 from repro.raid.layout import Layout, RotatingLayout
 
 
@@ -122,6 +123,11 @@ class RaidGeometry:
             f"<RaidGeometry {self.level.name} drives={self.num_drives} "
             f"chunk={self.chunk_bytes // 1024}KiB>"
         )
+
+    def default_code(self) -> LinearCode:
+        """The erasure code of an array over this geometry unless its
+        controller is told otherwise: RAID-5/6 P+Q parity."""
+        return code_for(("pq", self.data_per_stripe, self.num_parity))
 
     # -- parity / data placement -------------------------------------------
 

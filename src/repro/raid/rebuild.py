@@ -23,8 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ec import raid6_pq, xor_blocks
-from repro.raid.geometry import RaidLevel
 from repro.sim.core import Environment, Event
 
 
@@ -267,11 +265,5 @@ def _rebuild_parity_chunk(array, stripe: int, parity_index: int, drive):
     block: Optional[np.ndarray] = None
     if data is not None:
         chunks = [data[d * chunk : (d + 1) * chunk] for d in range(geometry.data_per_stripe)]
-        code = getattr(array, "code", None)
-        if geometry.level is None and code is not None:
-            block = code.encode(chunks)[parity_index]
-        elif geometry.level is RaidLevel.RAID5 or parity_index == 0:
-            block = xor_blocks(chunks)
-        else:
-            _, block = raid6_pq(chunks)
+        block = array.code.encode(chunks)[parity_index]
     yield drive.write(stripe * chunk, chunk, block)

@@ -20,9 +20,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.ec import raid6_pq, xor_blocks
+from repro.ec import PQCode
 from repro.ec.gf import GF
-from repro.raid.geometry import RaidGeometry, RaidLevel
+from repro.raid.geometry import RaidGeometry
 from repro.storage.drive import NvmeDrive
 
 
@@ -46,33 +46,20 @@ def scrub_stripe(
 ) -> bool:
     """True iff ``stripe``'s parity is consistent with its data.
 
-    ``code`` supplies the erasure code (``encode(data) -> parities``) for
-    generic geometries (``level is None``); RAID-5/6 stripes verify with
-    the dedicated XOR/P+Q math as before.
+    ``code`` is the array's erasure code (``array.code``); left out, the
+    geometry's default applies (P+Q for RAID-5/6).
     """
+    code = code or geometry.default_code()
     chunk = geometry.chunk_bytes
     offset = stripe * chunk
     data = [
         drives[geometry.data_drive(stripe, d)].peek(offset, chunk)
         for d in range(geometry.data_per_stripe)
     ]
-    parity_drives = geometry.parity_drives(stripe)
-    if geometry.level is None:
-        if code is None:
-            raise ValueError("generic geometry needs an erasure code to scrub")
-        expected = code.encode(data)
-        return all(
-            bool(np.array_equal(exp, drives[p].peek(offset, chunk)))
-            for exp, p in zip(expected, parity_drives)
-        )
-    if geometry.level is RaidLevel.RAID5:
-        expected = xor_blocks(data)
-        actual = drives[parity_drives[0]].peek(offset, chunk)
-        return bool(np.array_equal(expected, actual))
-    p, q = raid6_pq(data)
-    actual_p = drives[parity_drives[0]].peek(offset, chunk)
-    actual_q = drives[parity_drives[1]].peek(offset, chunk)
-    return bool(np.array_equal(p, actual_p) and np.array_equal(q, actual_q))
+    return all(
+        bool(np.array_equal(expected, drives[p].peek(offset, chunk)))
+        for expected, p in zip(code.encode(data), geometry.parity_drives(stripe))
+    )
 
 
 def scrub_array(
@@ -88,7 +75,10 @@ def scrub_array(
     Stripes are streamed in batches of ``batch_stripes``: each batch peeks
     one contiguous region per member and verifies all its stripes with
     vectorized parity math.  ``progress(stripes_done, num_stripes)`` is
-    invoked after every batch.
+    invoked after every batch.  The batched math applies to what it is
+    written for — a P+Q ``code`` on a layout where every drive holds a chunk
+    of every stripe; any other code or a declustered layout is verified
+    stripe by stripe through ``code.encode``.
 
     * RAID-5: the XOR across *all* members (data + P) of a consistent
       stripe is zero, independent of where P rotates to.
@@ -99,14 +89,13 @@ def scrub_array(
       the whole batch).
     """
     g = geometry
-    if g.level not in (RaidLevel.RAID5, RaidLevel.RAID6) and code is None:
-        raise ValueError(f"scrub_array supports RAID5/RAID6, not {g.level!r}")
+    code = code or g.default_code()
     if batch_stripes <= 0:
         raise ValueError(f"batch_stripes must be positive, got {batch_stripes}")
-    if g.level is None or not getattr(g, "full_width", True):
+    if not (isinstance(code, PQCode) and g.full_width):
         # generic code or declustered members: the whole-row XOR trick
-        # below assumes every drive holds a chunk of every stripe, so
-        # fall back to per-stripe verification
+        # below assumes P+Q rows and that every drive holds a chunk of
+        # every stripe, so fall back to per-stripe verification
         bad_list: List[int] = []
         done = 0
         for stripe in range(num_stripes):
@@ -128,7 +117,7 @@ def scrub_array(
         total = rows[0].copy()
         for i in range(1, n):
             np.bitwise_xor(total, rows[i], out=total)
-        if g.level is RaidLevel.RAID5:
+        if code.m == 1:
             bad_mask = total.any(axis=1)
         else:
             bad_mask = np.zeros(nb, dtype=bool)
@@ -145,7 +134,7 @@ def scrub_array(
                     drive = g.data_drive(s0, d)
                     np.bitwise_xor(
                         q_calc,
-                        GF.mul_table[GF.gen_pow(d)][rows[drive][sel]],
+                        GF.mul_table[code.parity_matrix[1, d]][rows[drive][sel]],
                         out=q_calc,
                     )
                 bad_mask[sel] |= (q_calc ^ rows[q_drive][sel]).any(axis=1)

@@ -16,7 +16,7 @@ walker for any armed array:
   read-repair (the same path foreground reads use), honoring degraded /
   rebuilding members;
 * in functional mode, clean-looking stripes additionally get a parity
-  audit (recompute P/Q from the data read-back) — defense in depth
+  audit (re-encode the parities from the data read-back) — defense in depth
   against corruption that slipped past the checksum layer;
 * pacing: ``pace_ns`` of idle time per stripe bounds the daemon's
   bandwidth draw (pace 0 = as fast as the array allows).
@@ -31,9 +31,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.ec import xor_blocks
-from repro.ec.gf import GF
-from repro.raid.geometry import RaidLevel
 from repro.sim.core import AllOf, _defuse_on_failure
 
 
@@ -148,11 +145,7 @@ class ScrubDaemon:
                         repaired += len(bad)
                     else:
                         unrecoverable += len(bad)
-                elif (
-                    array.functional
-                    and not failed
-                    and g.level in (RaidLevel.RAID5, RaidLevel.RAID6)
-                ):
+                elif array.functional and not failed:
                     yield from self._parity_audit(stripe, blocks)
             finally:
                 array.locks.release(stripe)
@@ -180,8 +173,8 @@ class ScrubDaemon:
         )
 
     def _parity_audit(self, stripe: int, blocks):
-        """Functional-mode defense in depth: recompute P/Q from the data
-        read-back and rewrite any parity chunk that drifted (corruption
+        """Functional-mode defense in depth: re-encode the parities from the
+        data read-back and rewrite any parity chunk that drifted (corruption
         laundered into parity before detection could see it)."""
         array = self.array
         g = array.geometry
@@ -190,16 +183,11 @@ class ScrubDaemon:
         data = [blocks[g.data_drive(stripe, d)] for d in range(g.data_per_stripe)]
         if data[0] is None:
             return  # timing-only read-back: nothing to audit
-        rewrites = []
-        p_calc = xor_blocks(data)
-        if not np.array_equal(p_calc, blocks[parity[0]]):
-            rewrites.append((parity[0], p_calc))
-        if g.level is RaidLevel.RAID6:
-            q_calc = np.zeros(chunk, dtype=np.uint8)
-            for i, blk in enumerate(data):
-                GF.mul_bytes_inplace_xor(q_calc, GF.gen_pow(i), blk)
-            if not np.array_equal(q_calc, blocks[parity[1]]):
-                rewrites.append((parity[1], q_calc))
+        rewrites = [
+            (drive, expected)
+            for drive, expected in zip(parity, array.code.encode(data))
+            if not np.array_equal(expected, blocks[drive])
+        ]
         if not rewrites:
             return
         yield array._charge_xor(g.data_per_stripe, chunk)

@@ -1,7 +1,7 @@
 """Canonical kernel microbenchmark workloads.
 
-These are the fixed workloads behind ``scripts/bench_wallclock.py`` and
-``benchmarks/test_perf_kernel.py``: a process ping-pong over stores, a
+These are the fixed workloads behind ``benchmarks/test_perf_kernel.py`` and
+the kernel rows of the repo benchmark's ledger (``bench/``): a process ping-pong over stores, a
 timeout churn that stresses the event calendar, and a bandwidth-channel
 sweep that stresses :meth:`BandwidthChannel.reserve` under internal
 parallelism.  Each returns the number of simulated operations executed so

@@ -429,7 +429,7 @@ def run_schedule(schedule: FuzzSchedule, verify: bool = True) -> FuzzOutcome:
 
     report = scrub_array(
         cluster.drives(), geometry, schedule.stripes,
-        code=getattr(array, "code", None),
+        code=array.code,
     )
     failure = ""
     detail = ""

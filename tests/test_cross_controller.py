@@ -2,9 +2,10 @@
 repository must expose byte-identical block-device semantics.
 
 Property: for any randomized operation sequence, all controllers (Linux-MD
-model, SPDK-POC model, dRAID, log-structured, RS-generalized dRAID,
-offloaded dRAID) end with the same user-visible data — each checked
-against the same shadow model, including after a drive failure.
+model, SPDK-POC model, dRAID, log-structured, offloaded dRAID, and the
+dRAID / stateless-target controllers over RAID-6, RS and LRC codes) end
+with the same user-visible data — each checked against the same shadow
+model, including after a drive failure.
 """
 
 import numpy as np
@@ -15,7 +16,10 @@ from hypothesis import strategies as st
 from repro.baselines import LogStructuredRaid, MdRaid, SpdkRaid
 from repro.cluster import ClusterConfig, build_cluster
 from repro.draid import DraidArray, EcDraidArray, EcGeometry
+from repro.draid.ec_array import LrcDraidArray
 from repro.draid.offload import OffloadedDraidArray
+from repro.draid.stateless import StatelessTargetDraid
+from repro.ec import code_for
 from repro.raid.geometry import RaidGeometry, RaidLevel
 from repro.sim import Environment
 
@@ -37,20 +41,39 @@ def build_controller(kind: str):
     cluster = build_cluster(
         env, ClusterConfig(num_servers=DRIVES, functional_capacity=STRIPES * CHUNK)
     )
-    if kind == "ec":
+    if kind in CODED:
         geometry = EcGeometry(DRIVES, CHUNK, num_parity=2)
-        return env, EcDraidArray(cluster, geometry), geometry
-    geometry = RaidGeometry(RaidLevel.RAID5, DRIVES, CHUNK)
+        return env, CODED[kind](cluster, geometry), geometry
+    level = RaidLevel.RAID6 if kind.endswith("6") else RaidLevel.RAID5
+    geometry = RaidGeometry(level, DRIVES, CHUNK)
     cls = {
         "md": MdRaid,
         "spdk": SpdkRaid,
+        "spdk6": SpdkRaid,
         "draid": DraidArray,
+        "draid6": DraidArray,
+        "draid-st": StatelessTargetDraid,
+        "draid-st6": StatelessTargetDraid,
         "log": LogStructuredRaid,
     }[kind]
     return env, cls(cluster, geometry), geometry
 
 
-CONTROLLERS = ["md", "spdk", "draid", "log", "ec", "offloaded"]
+#: two-parity cells over an EcGeometry: RS(3,2) and LRC(3,1,1), on the
+#: stateful and the stateless-target controller
+CODED = {
+    "ec": EcDraidArray,
+    "lrc": lambda cluster, g: LrcDraidArray(cluster, g, local_groups=1),
+    "ec-st": lambda cluster, g: StatelessTargetDraid(
+        cluster, g, code=code_for(("rs", g.data_per_stripe, 2))),
+    "lrc-st": lambda cluster, g: StatelessTargetDraid(
+        cluster, g, code=code_for(("lrc", g.data_per_stripe, 1, 1))),
+}
+
+CONTROLLERS = [
+    "md", "spdk", "spdk6", "draid", "draid6", "draid-st", "draid-st6", "log",
+    "offloaded", *CODED,
+]
 
 
 def apply_ops(kind: str, ops, fail_at: int):
@@ -99,10 +122,11 @@ def test_all_controllers_agree_on_one_sequence():
         data, model = apply_ops(kind, ops, fail_at=3)
         assert np.array_equal(data, model), kind
         images[kind] = data
-    reference = images["draid"]
-    for kind, image in images.items():
-        if kind == "ec":
-            # EcGeometry has 2 parities => different capacity, so offsets
-            # resolve differently; its model check above is the guarantee
-            continue
-        assert np.array_equal(image, reference), f"{kind} diverged"
+    # two-parity cells have a smaller capacity, so the fractional offsets
+    # resolve differently: compare within each parity count
+    for reference, kinds in (
+        ("draid", ("md", "spdk", "draid-st", "log", "offloaded")),
+        ("draid6", ("spdk6", "draid-st6", *CODED)),
+    ):
+        for kind in kinds:
+            assert np.array_equal(images[kind], images[reference]), f"{kind} diverged"

@@ -83,7 +83,7 @@ class TestPartialWriteReduce:
             PartialWriteCmd(
                 cid, subtype=Subtype.RMW, drive_offset=0, length=len(new_data),
                 chunk_offset=0, data_index=0, fwd_offset=0, fwd_length=len(new_data),
-                next_dest=1, chunk_drive_offset=0, parity_key=cid, data=new_data,
+                dests=((1, None),), chunk_drive_offset=0, parity_key=cid, data=new_data,
             )
         )
 
@@ -176,7 +176,7 @@ class TestPartialWriteReduce:
             PartialWriteCmd(
                 cid, subtype=Subtype.RW_WRITE, drive_offset=1024, length=4096,
                 chunk_offset=1024, data_index=0, fwd_offset=0, fwd_length=CHUNK,
-                next_dest=3, chunk_drive_offset=0, parity_key=cid, data=new_seg,
+                dests=((3, None),), chunk_drive_offset=0, parity_key=cid, data=new_seg,
             )
         )
         ends[3].send(
@@ -200,8 +200,7 @@ class TestPartialWriteReduce:
             PartialWriteCmd(
                 cid, subtype=Subtype.RW_READ, drive_offset=0, length=0,
                 chunk_offset=0, data_index=0, fwd_offset=0, fwd_length=2048,
-                next_dest=2, chunk_drive_offset=0, parity_key=cid,
-                dests=((2, coefficient),),
+                dests=((2, coefficient),), chunk_drive_offset=0, parity_key=cid,
             )
         )
         ends[2].send(
@@ -229,7 +228,7 @@ class TestReconstructionProtocol:
             ReconstructionCmd(
                 cid, subtype=Subtype.ALSO_READ, chunk_drive_offset=0,
                 region_offset=8 * KB, region_length=KB, source=("data", 1),
-                reducer=0, wait_num=1, lost=("data", 0), num_data=3,
+                reducer=0, wait_num=1, lost=("data", 0), code=("pq", 3, 1),
                 read_segment=(0, KB, 0),
             )
         )
@@ -260,7 +259,7 @@ class TestReconstructionProtocol:
                 ReconstructionCmd(
                     cid, subtype=Subtype.NO_READ, chunk_drive_offset=0,
                     region_offset=0, region_length=2048, source=source,
-                    reducer=3, wait_num=2, lost=("data", 0), num_data=3,
+                    reducer=3, wait_num=2, lost=("data", 0), code=("pq", 3, 1),
                 )
             )
         comps = run_collect(env, ends[3], 1)

@@ -208,3 +208,117 @@ class TestEcChecksumRepair:
         assert array.integrity_stats.unrecoverable == 0
         got = env.run(until=array.read(0, cap))
         assert np.array_equal(got, payload)
+
+
+def make_array(kind, chunk=CHUNK, stripes=4, **config):
+    """An 8-drive dRAID array of one (level | code) cell."""
+    from repro.draid import DraidArray
+    from repro.draid.ec_array import LrcDraidArray
+    from repro.raid.geometry import RaidGeometry, RaidLevel
+
+    env = Environment()
+    cluster = build_cluster(
+        env, ClusterConfig(num_servers=8, functional_capacity=stripes * chunk, **config)
+    )
+    if kind == "raid5":
+        array = DraidArray(cluster, RaidGeometry(RaidLevel.RAID5, 8, chunk))
+    elif kind == "raid6":
+        array = DraidArray(cluster, RaidGeometry(RaidLevel.RAID6, 8, chunk))
+    elif kind == "rs":
+        array = EcDraidArray(cluster, EcGeometry(8, chunk, num_parity=2))
+    else:
+        array = LrcDraidArray(cluster, EcGeometry(8, chunk, num_parity=3), local_groups=2)
+    return env, array
+
+
+class TestCodedArraysFailLikeRaid:
+    """The failure machinery is the one controller's, whatever the code:
+    regression tests for two behaviours the per-code copies had lost."""
+
+    @staticmethod
+    def _silent_member_write(kind):
+        """One chunk-sized write with the bdev of its data chunk silent."""
+        from repro.faults import FaultInjector, FaultPlan
+        from repro.nvmeof.messages import IoError
+
+        chunk = 4 * KB
+        env, array = make_array(kind, chunk=chunk, stripes=8, io_timeout_ns=1_000_000)
+        FaultInjector(array, FaultPlan([]), num_stripes=8)  # arm the resilient path
+        g = array.geometry
+        # Fencing walks the unresponsive members in index order and stops at
+        # the tolerance, and the parity bdevs starved of the victim's partial
+        # are as silent as the victim: compare the arrays on the first stripe
+        # where chunk 0's member sorts before every parity member.
+        stripe = next(
+            s for s in range(8) if g.data_drive(s, 0) < min(g.parity_drives(s))
+        )
+        victim = g.data_drive(stripe, 0)
+        array.bdev_servers[victim].crash(10_000_000_000)
+        try:
+            env.run(until=array.write(
+                stripe * g.stripe_data_bytes, chunk, np.full(chunk, 7, dtype=np.uint8)
+            ))
+            outcome = "ok"
+        except IoError:
+            outcome = "io-error"
+        assert victim in array.failed
+        assert len(array.failed) <= array.fault_tolerance
+        stats = array.fault_stats
+        return outcome, array.failed, stats.prolonged_failures, stats.retries
+
+    @pytest.mark.parametrize("coded, raid", [("rs", "raid6"), ("lrc", "raid5")])
+    def test_silent_member_is_fenced_like_the_raid_array(self, coded, raid):
+        """RS(k,2) ends like RAID-6 and LRC(k,2,1) like RAID-5 (same
+        tolerance): the straggler is fenced and the retry completes, instead
+        of nobody being fenced and the retry budget burning down."""
+        outcome = self._silent_member_write(coded)
+        assert outcome == self._silent_member_write(raid)
+        assert outcome[0] == "ok" and outcome[2] >= 1
+
+    @pytest.mark.parametrize("kind", ["raid6", "rs", "lrc"])
+    def test_refail_mid_rebuild_forgets_progress(self, kind):
+        """A member that dies again mid-rebuild is failed for every stripe:
+        reads must not go to a replacement that never received them."""
+        _, array = make_array(kind)
+        array.fail_drive(3)
+        array.rebuild_watermark[3] = 10
+        array.rebuilt_stripes[3] = {12}
+        array.fail_drive(3)
+        assert 3 not in array.rebuild_watermark
+        assert 3 not in array.rebuilt_stripes
+        assert array.drive_failed(3, 5) and array.drive_failed(3, 12)
+
+
+@pytest.mark.parametrize("kind", ["raid5", "raid6", "rs", "lrc"])
+def test_charge_sequence_independent_of_carrying_bytes(kind):
+    """Timing mode and functional mode schedule the same events at the same
+    instants: what the code charges must not depend on whether bytes are
+    carried.  One RMW, one RCW, one full-stripe write, then one degraded
+    read and one degraded write."""
+    trails = []
+    for functional in (True, False):
+        env, array = make_array(kind, stripes=4 if functional else 0)
+        g = array.geometry
+        sb = g.stripe_data_bytes
+
+        def payload(n):
+            return np.full(n, 5, dtype=np.uint8) if functional else None
+
+        trail = []
+        for offset, nbytes in (
+            (4 * KB, 4 * KB),                   # RMW
+            (sb + CHUNK, sb - 2 * CHUNK),       # RCW
+            (2 * sb, sb),                       # full stripe
+        ):
+            env.run(until=array.write(offset, nbytes, payload(nbytes)))
+            trail.append((env.now, env._eid))
+        array.fail_drive(g.data_drive(0, 0))
+        env.run(until=array.read(0, 8 * KB))    # degraded read
+        trail.append((env.now, env._eid))
+        env.run(until=array.write(KB, 2 * KB, payload(2 * KB)))  # degraded write
+        trail.append((env.now, env._eid))
+        stats = array.stats
+        assert (stats.rmw_writes, stats.rcw_writes, stats.full_stripe_writes,
+                stats.degraded_reads, stats.degraded_writes) == (1, 1, 1, 1, 1)
+        trails.append(trail)
+    assert trails[0] == trails[1]

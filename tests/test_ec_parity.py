@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ec import (
+    PQCode,
     ReedSolomon,
+    code_for,
     raid5_parity,
     raid5_reconstruct,
     raid6_pq,
@@ -158,6 +160,79 @@ class TestRaid6:
         data[idx] = new_block
         _, q_new = raid6_pq(data)
         assert np.array_equal(q_old ^ delta, q_new)
+
+
+class TestPQCodeMatchesParityOracle:
+    """RAID-5/6 as a :class:`LinearCode` is byte-equal to the free functions
+    of ``repro.ec.parity`` (the oracle): the controllers' only parity math
+    must not move a byte on any drive."""
+
+    @given(st.integers(2, 12), st.integers(0, 2**31), st.integers(0, 150))
+    @settings(max_examples=40, deadline=None)
+    def test_encode_and_every_erasure_pattern(self, k, seed, half):
+        import itertools
+
+        length = 2 * half + 1  # odd lengths: no word-size assumption survives
+        data = _stripe(seed, k, length)
+        p, q = raid6_pq(data)
+        for m, parities in ((1, [xor_blocks(data)]), (2, [p, q])):
+            code = PQCode(k, m)
+            for ours, oracle in zip(code.encode(data), parities):
+                assert np.array_equal(ours, oracle)
+            shards = dict(enumerate(data + parities))
+            patterns = [
+                e for r in range(1, m + 1)
+                for e in itertools.combinations(range(k + m), r)
+            ]
+            for erased in patterns:
+                survivors = {i: b for i, b in shards.items() if i not in erased}
+                present = {i: b.copy() for i, b in survivors.items() if i < k}
+                if m == 1:
+                    oracle = {erased[0]: raid5_reconstruct(list(survivors.values()))}
+                else:
+                    oracle = raid6_reconstruct(
+                        present, k, survivors.get(k), survivors.get(k + 1)
+                    )
+                    # the oracle recovers data only; parity follows from it
+                    full = [present.get(i, oracle.get(i)) for i in range(k)]
+                    oracle[k], oracle[k + 1] = raid6_pq(full)
+                for target in erased:  # data and parity targets alike
+                    got = code.decode_one(target, survivors, length)
+                    assert np.array_equal(got, oracle[target]), (k, m, erased, target)
+
+    def test_not_reed_solomon_rows(self):
+        """Anvin's rows, not the reduced Vandermonde's: RS(k,1) would put
+        different parity bytes on the drives."""
+        assert PQCode(6, 2).parity_matrix.tolist() == [
+            [1] * 6, [1, 2, 4, 8, 16, 32]
+        ]
+        assert ReedSolomon(6, 1).parity_matrix.tolist() != [[1] * 6]
+
+    def test_pricing_is_the_raid_rule(self):
+        r5, r6, rs = PQCode(4, 1), PQCode(4, 2), ReedSolomon(4, 2)
+        assert r5.encode_charges == (("xor", 4),) and not r5.gf_pass
+        assert r6.encode_charges == (("xor", 4), ("gf", 4)) and r6.gf_pass
+        assert rs.encode_charges == (("gf", 8),) and not rs.gf_pass
+        # P forwards raw; Q is GF-weighted even where g^0 == 1
+        assert [r6.forward_coefficient(0, d) for d in range(4)] == [None] * 4
+        assert [r6.forward_coefficient(1, d) for d in range(4)] == [1, 2, 4, 8]
+        assert (r6.partial_charged(0), r6.partial_charged(1)) == (False, True)
+        # a generic row is raw exactly where its coefficient is 1
+        assert [rs.forward_coefficient(0, d) is None for d in range(4)] == [
+            c == 1 for c in rs.parity_matrix[0].tolist()
+        ]
+        assert rs.partial_charged(0)
+
+    def test_invalid_parameters(self):
+        for k, m in ((0, 1), (4, 0), (4, 3), (254, 2)):
+            with pytest.raises(ValueError):
+                PQCode(k, m)
+
+    def test_code_for_shares_one_instance_per_spec(self):
+        assert code_for(("pq", 5, 2)) is code_for(("pq", 5, 2))
+        assert code_for(("pq", 5, 2)).spec == ("pq", 5, 2)
+        assert isinstance(code_for(("rs", 5, 2)), ReedSolomon)
+        assert code_for(("lrc", 6, 2, 1)).spec == ("lrc", 6, 2, 1)
 
 
 class TestReedSolomon:
