@@ -23,6 +23,7 @@ historic unbounded behavior is preserved exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -95,7 +96,12 @@ class _ReconReduceState:
 
 
 class DraidBdevServer:
-    """Server-side dRAID controller for one storage server."""
+    """Server-side dRAID controller for one storage server.
+
+    :meth:`_serve` is the consumer callback of the host end's inbox and of
+    each of the n-1 peer ends'; it starts one handler process per admitted
+    message.
+    """
 
     def __init__(
         self,
@@ -140,9 +146,8 @@ class DraidBdevServer:
         #: is set; a :class:`repro.verify.protocol.ProtocolChecker` that
         #: audits every completion/fold this bdev produces.
         self.verifier = None
-        self.env.process(self._serve(self.host_end), name=f"{self.server.name}.draid")
-        for end in self.peer_ends.values():
-            self.env.process(self._serve(end), name=f"{self.server.name}.peer")
+        for end in (self.host_end, *self.peer_ends.values()):
+            end.inbox.consume(partial(self._serve, end))
 
     # -- fault injection -----------------------------------------------------
 
@@ -168,32 +173,29 @@ class DraidBdevServer:
 
     # -- dispatch ---------------------------------------------------------
 
-    def _serve(self, end):
-        host = end is self.host_end
-        while True:
-            message = yield end.recv()
-            if self.env.now < self.down_until:
-                continue  # crashed: message lost, no completion ever sent
-            self.commands_served += 1
-            bounded = host and not isinstance(message, PeerMsg)
-            if bounded and self._fast_reject(message, end):
-                continue
-            if isinstance(message, NvmeOfCommand):
-                handler = self._handle_plain(message, end)
-            elif isinstance(message, PartialWriteCmd):
-                handler = self._handle_partial_write(message, end)
-            elif isinstance(message, ParityCmd):
-                handler = self._handle_parity(message, end)
-            elif isinstance(message, ReconstructionCmd):
-                handler = self._handle_reconstruction(message, end)
-            elif isinstance(message, PeerMsg):
-                handler = self._handle_peer(message, end)
-            else:
-                raise TypeError(f"unknown dRAID message {message!r}")
-            if bounded and self.queue_depth is not None:
-                self.inflight += 1
-                handler = self._run_bounded(handler)
-            self.env.process(handler, name=f"{self.server.name}.op")
+    def _serve(self, end, message) -> None:
+        if self.env.now < self.down_until:
+            return  # crashed: message lost, no completion ever sent
+        self.commands_served += 1
+        bounded = end is self.host_end and not isinstance(message, PeerMsg)
+        if bounded and self._fast_reject(message, end):
+            return
+        if isinstance(message, NvmeOfCommand):
+            handler = self._handle_plain(message, end)
+        elif isinstance(message, PartialWriteCmd):
+            handler = self._handle_partial_write(message, end)
+        elif isinstance(message, ParityCmd):
+            handler = self._handle_parity(message, end)
+        elif isinstance(message, ReconstructionCmd):
+            handler = self._handle_reconstruction(message, end)
+        elif isinstance(message, PeerMsg):
+            handler = self._handle_peer(message, end)
+        else:
+            raise TypeError(f"unknown dRAID message {message!r}")
+        if bounded and self.queue_depth is not None:
+            self.inflight += 1
+            handler = self._run_bounded(handler)
+        self.env.process(handler, name=f"{self.server.name}.op", tail=True)
 
     def _run_bounded(self, handler):
         """Wrap a host-command handler with in-service accounting."""

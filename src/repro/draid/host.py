@@ -19,6 +19,7 @@ prolonged-failed drives faulty and retries the whole stripe as a
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -65,11 +66,13 @@ class _OpWaiter:
             self.event.succeed(self)
 
     def on_completion(self, comp: DraidCompletion) -> None:
+        """Count ``comp`` in; the last statement of a completion-queue
+        consumer, so the release is a tail-position succeed."""
         if self.event.triggered:
             return
         if not comp.ok:
             self.errors.append(comp)
-            self.event.succeed(self)
+            self.event.succeed(self, tail=True)
             return
         self.completions.append(comp)
         if comp.kind in self.remaining:
@@ -77,7 +80,7 @@ class _OpWaiter:
             if self.remaining[comp.kind] <= 0:
                 del self.remaining[comp.kind]
         if not self.remaining:
-            self.event.succeed(self)
+            self.event.succeed(self, tail=True)
 
 
 class DraidArray(HostCentricRaid):
@@ -145,25 +148,23 @@ class DraidArray(HostCentricRaid):
         ]
         self._waiters: Dict[int, _OpWaiter] = {}
         for member, end in enumerate(self.host_ends):
-            self.env.process(self._receive(end, member), name=f"{self.name}.cq")
+            end.inbox.consume(partial(self._receive, member))
 
-    def _receive(self, end, member: int):
-        while True:
-            comp: DraidCompletion = yield end.recv()
-            if self._protocol_verifier is not None:
-                self._protocol_verifier.on_host_completion(member, comp)
-            waiter = self._waiters.get(comp.cid)
-            if waiter is None:
-                continue
-            waiter.responded.add(member)
-            if comp.ok and self.failslow_detector is not None:
-                self.failslow_detector.observe(
-                    member, self.env.now - waiter.start_ns
-                )
-                self._maybe_eject_failslow(member)
-            if self.qos is not None and self.qos.breaker is not None:
-                self._breaker_observe(member, comp.ok)
-            waiter.on_completion(comp)
+    def _receive(self, member: int, comp: DraidCompletion) -> None:
+        if self._protocol_verifier is not None:
+            self._protocol_verifier.on_host_completion(member, comp)
+        waiter = self._waiters.get(comp.cid)
+        if waiter is None:
+            return
+        waiter.responded.add(member)
+        if comp.ok and self.failslow_detector is not None:
+            self.failslow_detector.observe(
+                member, self.env.now - waiter.start_ns
+            )
+            self._maybe_eject_failslow(member)
+        if self.qos is not None and self.qos.breaker is not None:
+            self._breaker_observe(member, comp.ok)
+        waiter.on_completion(comp)
 
     def _maybe_eject_failslow(self, member: int) -> None:
         """EWMA fail-slow detection (§5.4): a member whose completion

@@ -25,10 +25,12 @@ remaining ``n - 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Optional
 
 from repro.cluster.builder import Cluster
 from repro.draid.host import DraidArray
+from repro.draid.protocol import DraidCompletion
 from repro.nvmeof.messages import IoError, RESPONSE_BYTES, next_cid
 from repro.raid.geometry import RaidGeometry
 from repro.sim.core import Environment, Event
@@ -105,24 +107,18 @@ class OffloadedController(DraidArray):
         self._waiters: Dict[int, Any] = {}
         # NOTE: peer queue-pair traffic from bdevs back to the controller is
         # consumed here; bdev-to-bdev partials never touch these ends
-        # because PeerMsg handling lives in the bdev servers' own loops.
+        # because PeerMsg handling lives in the bdev servers' own consumers.
         for member, end in enumerate(self.host_ends):
-            self.env.process(
-                self._receive_controller(end, member), name=f"{self.name}.cq"
-            )
+            end.inbox.consume(partial(self._receive_controller, member))
 
-    def _receive_controller(self, end, member: int):
-        from repro.draid.protocol import DraidCompletion
-
-        while True:
-            message = yield end.recv()
-            if isinstance(message, DraidCompletion):
-                waiter = self._waiters.get(message.cid)
-                if waiter is not None:
-                    waiter.responded.add(member)
-                    waiter.on_completion(message)
-            # any other message type on these ends belongs to the bdev
-            # servers' loops; they hold the other end of each pair.
+    def _receive_controller(self, member: int, message) -> None:
+        # any other message type on these ends belongs to the bdev
+        # servers' consumers; they hold the other end of each pair.
+        if isinstance(message, DraidCompletion):
+            waiter = self._waiters.get(message.cid)
+            if waiter is not None:
+                waiter.responded.add(member)
+                waiter.on_completion(message)
 
     # -- failure management in drive-index space --------------------------------
 
@@ -198,16 +194,14 @@ class OffloadedDraidArray:
         self._host_end = cluster.host_end(controller_server)
         self._controller_end = cluster.server_end(controller_server)
         self._pending: Dict[int, Event] = {}
-        self.env.process(self._serve_controller(), name=f"{name}.svc")
-        self.env.process(self._receive_host(), name=f"{name}.cq")
+        self._controller_end.inbox.consume(self._serve_controller)
+        self._host_end.inbox.consume(self._receive_host)
 
-    # -- controller-server service loop -------------------------------------
+    # -- controller-server command service ----------------------------------
 
-    def _serve_controller(self):
-        while True:
-            cmd = yield self._controller_end.recv()
-            if isinstance(cmd, ProxyCmd):
-                self.env.process(self._execute(cmd), name=f"{self.name}.op")
+    def _serve_controller(self, cmd) -> None:
+        if isinstance(cmd, ProxyCmd):
+            self.env.process(self._execute(cmd), name=f"{self.name}.op", tail=True)
 
     def _execute(self, cmd: ProxyCmd):
         server = self.cluster.servers[self.controller.controller_server]
@@ -236,18 +230,16 @@ class OffloadedDraidArray:
 
     # -- host-side interface -----------------------------------------------------
 
-    def _receive_host(self):
-        while True:
-            completion = yield self._host_end.recv()
-            if not isinstance(completion, ProxyCompletion):
-                continue
-            event = self._pending.pop(completion.cid, None)
-            if event is None or event.triggered:
-                continue
-            if completion.ok:
-                event.succeed(completion.data)
-            else:
-                event.fail(IoError(completion.error))
+    def _receive_host(self, completion) -> None:
+        if not isinstance(completion, ProxyCompletion):
+            return
+        event = self._pending.pop(completion.cid, None)
+        if event is None or event.triggered:
+            return
+        if completion.ok:
+            event.succeed(completion.data, tail=True)
+        else:
+            event.fail(IoError(completion.error))
 
     def _submit(self, op: str, offset: int, length: int, data=None) -> Event:
         cmd = ProxyCmd(next_cid(), op, offset, length, data=data)

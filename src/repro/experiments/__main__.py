@@ -23,7 +23,7 @@ import sys
 import time
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.experiments.runner import JOBS_ENV_VAR
+from repro.experiments.runner import JOBS_ENV_VAR, resolve_jobs
 from repro.metrics.report import rows_to_csv
 
 
@@ -86,6 +86,12 @@ def main(argv=None) -> int:
             return 2
         # the figure runners read REPRO_JOBS at sweep time
         os.environ[JOBS_ENV_VAR] = str(args.jobs)
+    else:
+        try:
+            resolve_jobs()  # a bad REPRO_JOBS fails here, not mid-sweep
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
 
     if args.list:
         for exp_id in EXPERIMENTS:

@@ -72,6 +72,10 @@ def resolve_jobs(jobs: Optional[int] = None, num_points: Optional[int] = None) -
                 jobs = int(raw)
             except ValueError:
                 raise ValueError(f"{JOBS_ENV_VAR}={raw!r} is not an integer") from None
+            if jobs < 0:
+                raise ValueError(
+                    f"{JOBS_ENV_VAR} must be >= 1 (or 0 for all cores), got {jobs}"
+                )
         if not jobs:  # unset, empty or explicit 0: use every core
             jobs = os.cpu_count() or 1
     if jobs < 1:

@@ -27,7 +27,13 @@ CAPSULE_BYTES = 192
 
 
 class ConnectionEnd:
-    """One endpoint of an RDMA RC connection."""
+    """One endpoint of an RDMA RC connection.
+
+    Messages sent by the peer land in ``inbox``.  A server or completion
+    queue reads it through one callback, ``end.inbox.consume(fn)``; a
+    consumer that really is a process yields :meth:`recv` instead.  One
+    end takes one reader.
+    """
 
     def __init__(self, connection: "RdmaConnection", nic: Nic, label: str) -> None:
         self.connection = connection
@@ -45,7 +51,9 @@ class ConnectionEnd:
         """Send a command capsule (+ optional inline payload) to the peer.
 
         The message object is placed into the peer's inbox when the last
-        byte arrives.  Returns the delivery event.
+        byte arrives.  Returns the delivery event; with a second listener
+        on it the delivery is no longer the timer's last callback, so the
+        consumer is woken through the calendar (no handoff).
         """
         return self.connection._transfer(
             src=self.nic,
@@ -162,7 +170,9 @@ class RdmaConnection:
             )
         event = self.env.timeout(done - now, value=nbytes)
         if deliver_to is not None:
-            event.callbacks.append(lambda _ev: deliver_to.put(message))
+            # the put is this callback's last statement; whether the callback
+            # is the timer's last (nobody else listens) the kernel knows
+            event.callbacks.append(lambda _ev: deliver_to.put(message, True))
         return event
 
 

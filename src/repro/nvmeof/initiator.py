@@ -62,37 +62,35 @@ class RemoteBdev:
         self.on_result = None
         #: cid -> (reserved envelope context, submit time ns, op name)
         self._inflight_spans: Dict[int, Any] = {}
-        self._receiver = self.env.process(self._receive(), name=f"{name}.cq")
+        end.inbox.consume(self._receive)
 
     @property
     def outstanding(self) -> int:
         return len(self._pending)
 
-    def _receive(self):
-        while True:
-            completion: NvmeOfCompletion = yield self.end.recv()
-            self.last_completion_ns = self.env.now
-            if self.verifier is not None:
-                self.verifier.on_nvmeof_completion(
-                    self.name, completion.cid, completion.ok
+    def _receive(self, completion: NvmeOfCompletion) -> None:
+        self.last_completion_ns = self.env.now
+        if self.verifier is not None:
+            self.verifier.on_nvmeof_completion(
+                self.name, completion.cid, completion.ok
+            )
+        if self._inflight_spans:
+            entry = self._inflight_spans.pop(completion.cid, None)
+            if entry is not None:
+                ectx, start_ns, op = entry
+                self.tracer.record_at(
+                    ectx, f"{self.name}.{op}", "rpc",
+                    f"host.{self.name}", start_ns, self.env.now,
                 )
-            if self._inflight_spans:
-                entry = self._inflight_spans.pop(completion.cid, None)
-                if entry is not None:
-                    ectx, start_ns, op = entry
-                    self.tracer.record_at(
-                        ectx, f"{self.name}.{op}", "rpc",
-                        f"host.{self.name}", start_ns, self.env.now,
-                    )
-            if self.on_result is not None:
-                self.on_result(completion.ok)
-            event = self._pending.pop(completion.cid, None)
-            if event is None or event.triggered:
-                continue  # late completion for a timed-out command
-            if completion.ok:
-                event.succeed(completion.data)
-            else:
-                event.fail(completion_error(self.name, completion))
+        if self.on_result is not None:
+            self.on_result(completion.ok)
+        event = self._pending.pop(completion.cid, None)
+        if event is None or event.triggered:
+            return  # late completion for a timed-out command
+        if completion.ok:
+            event.succeed(completion.data, tail=True)
+        else:
+            event.fail(completion_error(self.name, completion))
 
     def _submit(
         self, opcode: Opcode, offset: int, length: int, data: Any = None,

@@ -1,16 +1,15 @@
-"""The NVMe-oF target: server-side command service loop.
+"""The NVMe-oF target: server-side command service.
 
-One target runs per storage server.  It polls the host-facing connection
-end for command capsules and services each in its own process so that
-drive-internal parallelism is exploitable.  Per the paper's constraint
-(§7), all command parsing and completion work serializes on the server's
-single poll-mode core.
+One target runs per storage server.  It consumes command capsules from
+the host-facing connection end and services each in its own process so
+that drive-internal parallelism is exploitable.  Per the paper's
+constraint (§7), all command parsing and completion work serializes on
+the server's single poll-mode core.
 
-Fault injection knobs (used by the failure-handling tests):
-
-* ``stall_ns`` — freeze command intake for a period (network jitter /
-  transient outage); commands arriving meanwhile sit in the inbox.
-* failed drives produce error completions rather than silent hangs.
+Fault injection (used by the failure-handling tests): :meth:`crash`
+loses queued and arriving capsules; failed drives produce error
+completions rather than silent hangs; a transient network outage is the
+connection's :meth:`~repro.net.fabric.RdmaConnection.stall`.
 
 Overload control (armed via ``queue_depth``): the per-connection
 submission queue is bounded — a command arriving while ``queue_depth``
@@ -38,7 +37,11 @@ from repro.storage.drive import DriveFailedError
 
 
 class NvmeOfTarget:
-    """Serves standard NVMe-oF reads/writes for one storage server."""
+    """Serves standard NVMe-oF reads/writes for one storage server.
+
+    :meth:`_serve` is the consumer callback of ``host_end.inbox``; it starts
+    one handler process per admitted command.
+    """
 
     def __init__(
         self,
@@ -51,7 +54,6 @@ class NvmeOfTarget:
         self.env: Environment = server.env
         self.server = server
         self.host_end = host_end
-        self.stall_ns = 0
         self.down_until = 0
         self.crashes = 0
         self.commands_served = 0
@@ -62,7 +64,7 @@ class NvmeOfTarget:
         self.deadline_rejections = 0
         #: Observability: armed by the controller when ``cluster.obs`` is set.
         self.tracer = None
-        self._service = self.env.process(self._serve(), name=f"{server.name}.nvmf")
+        host_end.inbox.consume(self._serve)
 
     def crash(self, down_ns: int) -> None:
         """Fault injection: crash the server process for ``down_ns``.
@@ -77,36 +79,32 @@ class NvmeOfTarget:
         self.crashes += 1
         self.host_end.inbox.clear()
 
-    def _serve(self):
-        while True:
-            command = yield self.host_end.recv()
-            if self.env.now < self.down_until:
-                continue  # crashed: capsule lost, no completion ever sent
-            if self.stall_ns:
-                # transient outage: the target freezes, capsules queue up
-                yield self.env.timeout(self.stall_ns)
-                self.stall_ns = 0
-            if self.queue_depth is None:
-                self.env.process(self._handle(command), name=f"{self.server.name}.cmd")
-                continue
-            if self.inflight >= self.queue_depth:
-                # bounded submission queue: typed fast-reject, no datapath
-                # work and no CPU charge (the reject path must stay cheap)
-                self.busy_rejections += 1
-                self.host_end.send(
-                    NvmeOfCompletion(
-                        command.cid, ok=False,
-                        error=f"{self.server.name}: submission queue full",
-                        trace=command.trace, status="busy",
-                    ),
-                    payload_bytes=0,
-                    header_bytes=RESPONSE_BYTES,
-                )
-                continue
-            self.inflight += 1
+    def _serve(self, command: NvmeOfCommand) -> None:
+        if self.env.now < self.down_until:
+            return  # crashed: capsule lost, no completion ever sent
+        if self.queue_depth is None:
             self.env.process(
-                self._handle_bounded(command), name=f"{self.server.name}.cmd"
+                self._handle(command), name=f"{self.server.name}.cmd", tail=True
             )
+            return
+        if self.inflight >= self.queue_depth:
+            # bounded submission queue: typed fast-reject, no datapath
+            # work and no CPU charge (the reject path must stay cheap)
+            self.busy_rejections += 1
+            self.host_end.send(
+                NvmeOfCompletion(
+                    command.cid, ok=False,
+                    error=f"{self.server.name}: submission queue full",
+                    trace=command.trace, status="busy",
+                ),
+                payload_bytes=0,
+                header_bytes=RESPONSE_BYTES,
+            )
+            return
+        self.inflight += 1
+        self.env.process(
+            self._handle_bounded(command), name=f"{self.server.name}.cmd", tail=True
+        )
 
     def _handle_bounded(self, command: NvmeOfCommand):
         """Wrap :meth:`_handle` with in-service accounting (armed only)."""

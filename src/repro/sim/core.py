@@ -32,6 +32,22 @@ changing a single event's outcome or ordering:
   returned to the arena only when the kernel holds the *only* reference,
   so user code that keeps an event alive can never observe it aliased.
 
+Handoff (PR 18)
+---------------
+
+The producer-side mirror of batch-advance.  A zero-delay event may be
+dispatched inline only from *tail position*: its creation is the last
+statement of the last callback of the event being dispatched.  The first
+half is the caller's promise — a plain callback (never a process step: its
+own end follows) passes ``tail=True`` to :meth:`Event.succeed`,
+:meth:`Environment.process` or :meth:`~repro.sim.resources.Store.put` —
+and the second half the kernel tracks itself (``env._more``).  When the
+calendar is also quiescent (:meth:`Environment._quiescent`: the event the
+call would schedule is the very next thing pure-heap order dispatches) its
+callbacks run at once instead: no calendar entry, no ``_eid`` tick, same
+order.  In every other case ``tail=True`` changes nothing.  A process that
+ends with no listener is retired the same way.
+
 Arming a :class:`repro.verify.kernel.KernelSanitizer` sets
 ``env._fast = False`` and migrates the now-queue into the heap: the kernel
 degrades to the fully-checked pure-heap path and the sanitizer's rebound
@@ -135,8 +151,13 @@ class Event:
         resource attached, so this is a no-op.
         """
 
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
+    def succeed(self, value: Any = None, tail: bool = False) -> "Event":
+        """Trigger the event successfully with ``value``.
+
+        ``tail=True`` is the caller's promise that this call is the last
+        statement of its callback (see *Handoff* in the module docstring):
+        on a quiescent calendar the callbacks run here, not from the calendar.
+        """
         if self._ok is not None:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
@@ -145,6 +166,13 @@ class Event:
         if not self._scheduled:
             self._scheduled = True
             env = self.env
+            if tail and env._quiescent():
+                callbacks, self.callbacks = self.callbacks, None
+                if len(callbacks) == 1:
+                    callbacks[0](self)
+                else:
+                    env._run_callbacks(callbacks, self)
+                return self
             env._eid += 1
             if env._fast:
                 env._nowq.append((env._eid, self))
@@ -235,12 +263,17 @@ class Process(Event):
         env: "Environment",
         generator: ProcessGenerator,
         name: Optional[str] = None,
+        tail: bool = False,
     ) -> None:
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        Initialize(env, self)
+        if tail and env._quiescent():
+            # Handoff: the Initialize event would dispatch next anyway.
+            self._resume(None)
+        else:
+            Initialize(env, self)
 
     def __repr__(self) -> str:
         return f"<Process {self.name} at t={self.env.now}>"
@@ -297,7 +330,17 @@ class Process(Event):
             except StopIteration as stop:
                 self._target = None
                 env._active_process = None
-                self.succeed(stop.value)
+                if not self.callbacks and env._quiescent():
+                    # Handoff: nothing listens and nothing can start to
+                    # before the end event would dispatch — retire it here.
+                    # (A failing process always goes through the calendar,
+                    # so an unhandled error still surfaces from ``run``.)
+                    self._ok = True
+                    self._value = stop.value
+                    self._scheduled = True
+                    self.callbacks = None
+                else:
+                    self.succeed(stop.value)
                 deferred = env._deferred
                 if deferred is not None:
                     env._deferred = None
@@ -340,9 +383,12 @@ class Process(Event):
                 env._fast
                 and not target.callbacks
                 and not env._nowq
+                and not env._more
             ):
                 # Batch-advance: the yielded event is scheduled, nothing
-                # waits at the current timestamp, and nobody else listens.
+                # waits at the current timestamp — not even a sibling
+                # callback of the event that resumed us — and nobody else
+                # listens.
                 # If it is also the next calendar entry and inside the run
                 # horizon, the run loop's next action would be to pop it
                 # and resume this process — do that here without the round
@@ -473,6 +519,10 @@ class Environment:
         #: :meth:`timeout`).  Flushed by every kernel entry point that
         #: reads the calendar; at most one exists at a time.
         self._deferred: Optional[Timeout] = None
+        #: True while the callback now running is not in tail position: a
+        #: sibling callback of the same event, or a later item of the same
+        #: inbox burst, runs after it.  No fast path may run ahead of those.
+        self._more = False
         # Arena free lists (see module docstring).  Recycled objects are
         # fully re-initialized on reuse; the refcount guard at the recycle
         # sites makes aliasing with live events impossible.
@@ -511,10 +561,16 @@ class Environment:
             time = self.now + delay
             t._time = time
             queue = self._queue
-            if self._fast and (not queue or time < queue[0][0]):
-                # Earliest known event: defer the heap insertion — odds are
-                # the creator yields it next and batch-advance consumes it
-                # without the calendar ever seeing it.
+            if (
+                self._fast
+                and (not queue or time < queue[0][0])
+                and self._active_process is not None
+            ):
+                # Earliest known event, created by a process step: defer
+                # the heap insertion — odds are the creator yields it next
+                # and batch-advance consumes it without the calendar ever
+                # seeing it.  (Only ``_resume`` flushes on every exit, so a
+                # plain callback's timer goes straight to the heap.)
                 t._teid = self._eid
                 self._deferred = t
                 return t
@@ -522,9 +578,18 @@ class Environment:
             return t
         return Timeout(self, delay, value)
 
-    def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
-        """Start a new process from ``generator``."""
-        return Process(self, generator, name=name)
+    def process(
+        self, generator: ProcessGenerator, name: Optional[str] = None,
+        tail: bool = False,
+    ) -> Process:
+        """Start a new process from ``generator``.
+
+        ``tail=True`` is the caller's promise that this call is the last
+        statement of its callback (see *Handoff* in the module docstring):
+        on a quiescent calendar the first step runs here, with no
+        ``Initialize`` event.
+        """
+        return Process(self, generator, name, tail)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -607,6 +672,39 @@ class Environment:
 
     # -- scheduling -----------------------------------------------------
 
+    def _quiescent(self) -> bool:
+        """The handoff guard: would pure-heap order dispatch a zero-delay
+        event created right now *next*, with nothing in between?
+
+        True only on the fast path, with the running callback the last of
+        its event (``_more``), the now-queue empty, no deferred timer due
+        at ``now`` and the heap head strictly later than ``now`` — each of
+        those would hold an earlier event id at this timestamp.  That the
+        *call* is the callback's last statement is the caller's
+        ``tail=True`` promise.
+        """
+        if self._nowq or self._more or not self._fast:
+            return False
+        deferred = self._deferred
+        if deferred is not None and deferred._time <= self.now:
+            return False
+        queue = self._queue
+        return not queue or queue[0][0] > self.now
+
+    def _run_callbacks(self, callbacks: List[Callable[[Event], None]], event: Event) -> None:
+        """Dispatch an event that has no callback or several (the loops
+        inline the one-callback case): all but the last are flagged as not
+        in tail position."""
+        if not callbacks:
+            return
+        self._more = True
+        try:
+            for callback in callbacks[:-1]:
+                callback(event)
+        finally:
+            self._more = False
+        callbacks[-1](event)
+
     def _schedule(self, event: Event, delay: int = 0) -> None:
         if event._scheduled:
             return
@@ -647,8 +745,7 @@ class Environment:
         time, _, event = item
         self.now = time
         callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
+        self._run_callbacks(callbacks, event)
         if event._ok is False and not event._defused:
             raise event._value
 
@@ -707,8 +804,10 @@ class Environment:
                 else:
                     break
                 callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                else:
+                    self._run_callbacks(callbacks, event)
                 if event._ok is False and not event._defused:
                     raise event._value
                 if event._poolable and getrefcount(event) == 2:
@@ -752,8 +851,10 @@ class Environment:
                 else:
                     break
                 callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                else:
+                    self._run_callbacks(callbacks, event)
                 if event._ok is False and not event._defused:
                     raise event._value
                 if event._poolable and getrefcount(event) == 2:
@@ -787,8 +888,10 @@ class Environment:
             else:
                 break
             callbacks, event.callbacks = event.callbacks, None
-            for callback in callbacks:
-                callback(event)
+            if len(callbacks) == 1:
+                callbacks[0](event)
+            else:
+                self._run_callbacks(callbacks, event)
             if event._ok is False and not event._defused:
                 raise event._value
             if event._poolable and getrefcount(event) == 2:

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, List, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from repro.sim.core import Environment, Event, _PENDING
+from repro.sim.core import Environment, Event, SimulationError, _PENDING
 
 #: Nanoseconds per second; all rates are converted to bytes/ns internally.
 NS_PER_S = 1_000_000_000
@@ -122,19 +122,62 @@ class _CapacityRequest(Event):
 
 
 class Store:
-    """Unbounded FIFO store of items with event-based ``get``."""
+    """Unbounded FIFO store of items, drained by event-based ``get`` calls
+    or by one registered consumer callback.
+
+    A store is consumed *either* by processes yielding :meth:`get` *or* by
+    the callback given to :meth:`consume` — never both (typed error).  The
+    callback form behaves exactly like a process looping
+    ``fn((yield store.get()))`` without the parked process: one wake event
+    per burst takes the calendar slot the getter's wake would take,
+    same-instant arrivals queue behind it and that one wake drains them in
+    order.  A ``put(item, tail=True)`` on a quiescent calendar skips even
+    that wake (handoff, see :mod:`repro.sim.core`).
+    """
 
     def __init__(self, env: Environment, name: str = "store") -> None:
         self.env = env
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
+        self._consumer: Optional[Callable[[Any], None]] = None
+        #: a consumer wake is on the calendar (or draining): arrivals queue
+        #: behind it in ``_items`` instead of scheduling their own
+        self._waking = False
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def put(self, item: Any) -> None:
-        """Add ``item``; wakes the oldest waiting getter if any."""
+    def consume(self, consumer: Callable[[Any], None]) -> None:
+        """Register ``consumer(item)`` as this store's only reader.
+
+        The consumer must not block: anything that waits belongs in a
+        handler process it starts.  Its last statement may use
+        ``tail=True``; the kernel lets only the last item of a burst hand
+        off.
+        """
+        if self._consumer is not None or self._getters:
+            raise SimulationError(f"{self.name}: already has a reader")
+        self._consumer = consumer
+        if self._items:
+            self._wake(self._items.popleft())
+
+    def put(self, item: Any, tail: bool = False) -> None:
+        """Add ``item``; wakes the consumer or the oldest waiting getter.
+
+        ``tail=True`` is the caller's promise that this call is the last
+        statement of its callback (see *Handoff* in :mod:`repro.sim.core`):
+        an idle consumer on a quiescent calendar is then called at once.
+        """
+        consumer = self._consumer
+        if consumer is not None:
+            if self._waking:
+                self._items.append(item)
+            elif tail and self.env._quiescent():
+                consumer(item)
+            else:
+                self._wake(item)
+            return
         getters = self._getters
         while getters:
             getter = getters.popleft()
@@ -154,6 +197,35 @@ class Store:
             return
         self._items.append(item)
 
+    def _wake(self, item: Any) -> None:
+        """Schedule the consumer's wake carrying ``item`` — like a parked
+        getter's, it holds its item outside ``_items``."""
+        self._waking = True
+        wake = Event(self.env)
+        wake.callbacks.append(self._drain)
+        wake.succeed(item)
+
+    def _drain(self, wake: Event) -> None:
+        """The wake's only callback: feed the consumer the burst in order.
+
+        The consumer counts as idle again from its last call on (arrivals
+        during it wake it afresh), so only that call is in tail position.
+        """
+        consumer = self._consumer
+        item = wake._value
+        items = self._items
+        if items:
+            env = self.env
+            env._more = True
+            try:
+                while items:
+                    consumer(item)
+                    item = items.popleft()
+            finally:
+                env._more = False
+        self._waking = False
+        consumer(item)
+
     def clear(self) -> int:
         """Drop every queued item (fault injection: a crashed server loses
         its inbox).  Waiting getters are left pending.  Returns the number
@@ -170,6 +242,8 @@ class Store:
         a trip through the event calendar.  Getters that must wait are woken
         through the calendar as before, preserving FIFO fairness.
         """
+        if self._consumer is not None:
+            raise SimulationError(f"{self.name}: get() on a store with a consumer")
         env = self.env
         items = self._items
         if items:

@@ -15,7 +15,7 @@ Checked invariants:
 * **deadlock** — when the calendar drains (or ``run(until=event)`` starves)
   while some process still waits on a *held* stripe lock or a saturated
   capacity resource, the sanitizer raises with the full wait graph.
-  Processes parked on idle mailboxes (server loops on ``Store.get``) are
+  Processes parked on idle mailboxes (a consumer loop on ``Store.get``) are
   not deadlocked — nothing holds what they wait for — and are ignored.
 * **lock-order inversion** — a global stripe-acquisition order graph per
   lock manager; requesting stripe B while holding stripe A when B→…→A is

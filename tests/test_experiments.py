@@ -124,6 +124,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "dRAID" in out
 
+    @pytest.mark.parametrize("value", ["x", "-1"])
+    def test_bad_repro_jobs_exits_2_with_one_line(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        assert cli_main(["fig11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "REPRO_JOBS" in captured.err
+
 
 class TestCsvExport:
     def test_rows_to_csv(self):

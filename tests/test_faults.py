@@ -255,10 +255,11 @@ class TestFaultInjector:
         env = Environment()
         config = ClusterConfig(num_servers=5, functional_capacity=64 * 1024,
                                io_timeout_ns=7 * MS)
-        cluster = build_cluster(env, config)
         from repro.raid.geometry import RaidGeometry, RaidLevel
 
         geometry = RaidGeometry(RaidLevel.RAID5, 5, 16 * 1024)
         for cls in (MdRaid, SpdkRaid, DraidArray):
+            # one array per cluster: a connection end takes one reader
+            cluster = build_cluster(env, config)
             assert cls(cluster, geometry).timeout_ns == 7 * MS
         assert ClusterConfig().io_timeout_ns == 50 * MS  # seed default

@@ -124,8 +124,9 @@ class TestRemoteIo:
         assert max(done) < 4 * min(done)
 
     def test_stall_injection_delays_service(self):
-        env, cluster, bdevs, targets = make_stack()
-        targets[1].stall_ns = 5_000_000
+        env, cluster, bdevs, _targets = make_stack()
+        # the mechanism the fault layer's LinkStall uses
+        cluster.host_connection(1).stall(5_000_000)
 
         def proc():
             yield bdevs[1].read(0, 4096)
