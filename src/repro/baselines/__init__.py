@@ -11,9 +11,14 @@ bottleneck the paper identifies (§2.3).
 * :class:`MdRaid` models Linux software RAID (the MD driver): the same
   data path plus a single kernel RAID thread that stages every write and
   every reconstruction through a 4 KiB-page stripe cache.
+
+They are datapaths on :class:`RaidArray`, the array frame (member table,
+fence rule, admission, integrity, block interface) that dRAID's own
+datapath sits on as well — siblings on one substrate.
 """
 
-from repro.baselines.base import HostCentricRaid, RaidIoStats
+from repro.baselines.array import RaidArray, RaidIoStats
+from repro.baselines.base import HostCentricRaid
 from repro.baselines.logstructured import LogStructuredRaid
 from repro.baselines.mdraid import MdRaid
 from repro.baselines.spdkraid import SpdkRaid
@@ -22,6 +27,7 @@ __all__ = [
     "HostCentricRaid",
     "LogStructuredRaid",
     "MdRaid",
+    "RaidArray",
     "RaidIoStats",
     "SpdkRaid",
 ]

@@ -102,18 +102,10 @@ class LogStructuredRaid(HostCentricRaid):
 
     def write(self, offset: int, nbytes: int, data=None, ctx=None) -> Event:
         # ctx accepted for interface parity; the staged path is untraced
-        if self.functional and data is None:
-            raise ValueError("functional mode requires write data")
-        if data is not None:
-            data = (
-                np.frombuffer(data, dtype=np.uint8)
-                if isinstance(data, (bytes, bytearray))
-                else np.asarray(data, dtype=np.uint8)
-            )
-            if len(data) != nbytes:
-                raise ValueError(f"data length {len(data)} != nbytes {nbytes}")
-        return self.env.process(self._staged_write(offset, nbytes, data),
-                                name=f"{self.name}.write")
+        return self.env.process(
+            self._staged_write(offset, nbytes, self._payload(data, nbytes)),
+            name=f"{self.name}.write",
+        )
 
     def read(self, offset: int, nbytes: int, ctx=None) -> Event:
         return self.env.process(self._remapped_read(offset, nbytes),

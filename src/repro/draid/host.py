@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.base import HostCentricRaid
+from repro.baselines.array import RaidArray
 from repro.cluster.builder import Cluster
 from repro.draid.bdev import DraidBdevServer
 from repro.draid.protocol import (
@@ -83,21 +83,13 @@ class _OpWaiter:
             self.event.succeed(self, tail=True)
 
 
-class DraidArray(HostCentricRaid):
+class DraidArray(RaidArray):
     """The dRAID virtual block device.
 
     ``code`` selects the erasure code (§7: the broadcast/reduce protocol is
     code-agnostic); the default is the geometry's own — P+Q parity for a
     RAID-5/6 :class:`~repro.raid.geometry.RaidGeometry`.
     """
-
-    submit_ns = 2_000
-    #: dRAID normal reads are lock-free (§8 implementation choice (ii)).
-    lock_reads = False
-    #: §5.4 per-operation execution time upper bound.
-    timeout_ns = 50_000_000
-    #: give up after this many full-stripe retries of one extent.
-    max_retries = 3
 
     def __init__(
         self,
@@ -115,8 +107,7 @@ class DraidArray(HostCentricRaid):
         self.blocking_reduce = blocking_reduce
         self.selector = selector or RandomReducerSelector(seed=17)
         super().__init__(cluster, geometry, name=name, timeout_ns=timeout_ns)
-        if failslow_detector is not None:
-            self.failslow_detector = failslow_detector
+        self.failslow_detector = failslow_detector
         if code is not None:
             if (code.k, code.m) != (geometry.data_per_stripe, geometry.num_parity):
                 raise ValueError(
@@ -131,24 +122,29 @@ class DraidArray(HostCentricRaid):
         target_depth = (
             None if self.qos is None else self.qos.config.target_queue_depth
         )
-        self.bdev_servers = [
+        members = range(self.geometry.num_drives)
+        self.bdev_servers = self.server_sides = [
             DraidBdevServer(
-                self.cluster, i,
+                self.cluster, self._server_of(member),
                 pipeline=self.pipeline,
                 blocking_reduce=self.blocking_reduce,
                 queue_depth=target_depth,
             )
-            for i in range(self.cluster.num_servers)
+            for member in members
         ]
         for bdev_server in self.bdev_servers:
             bdev_server.tracer = self._tracer
             bdev_server.verifier = self._protocol_verifier
-        self.host_ends = [
-            self.cluster.host_end(i) for i in range(self.cluster.num_servers)
-        ]
+        #: the controller's command channel to each member's bdev server;
+        #: completions come back on the same end
+        self.host_ends = [self._command_end(member) for member in members]
         self._waiters: Dict[int, _OpWaiter] = {}
         for member, end in enumerate(self.host_ends):
             end.inbox.consume(partial(self._receive, member))
+
+    def _command_end(self, member: int):
+        """The controller's end of its queue pair to ``member``'s server."""
+        return self.cluster.host_end(self._server_of(member))
 
     def _receive(self, member: int, comp: DraidCompletion) -> None:
         if self._protocol_verifier is not None:
@@ -170,17 +166,11 @@ class DraidArray(HostCentricRaid):
         """EWMA fail-slow detection (§5.4): a member whose completion
         latency dwarfs its peers' is proactively transitioned to degraded
         so reads reconstruct around it instead of waiting on it."""
-        if member in self.failed or len(self.failed) >= self.fault_tolerance:
-            return
         if self.failslow_detector.suspect(
             member, exclude=self.failed, now_ns=self.env.now
-        ):
-            self.failed.add(member)
+        ) and self._fence(member):
             self.failslow_detector.note_eject(member, self.env.now)
             self.fault_stats.fail_slow_ejections += 1
-            self.fault_stats.degraded_transitions += 1
-            if self._verifier is not None:
-                self._verifier.check_fence(self)
 
     def _register(
         self, cid: int, expected: Dict[str, int], participants=()
@@ -239,31 +229,20 @@ class DraidArray(HostCentricRaid):
         return expired
 
     def _fence_unresponsive(self, waiter: _OpWaiter) -> None:
-        fenced = 0
         for member in sorted(waiter.participants - waiter.responded):
             if member in self.failed:
                 continue
-            if len(self.failed) >= self.fault_tolerance:
-                # never fence past redundancy: that converts a stall into
-                # data loss; the retry budget bounds the op instead
+            if not self._fence(member, prolonged=True):
+                # at tolerance: leave the member in (see :meth:`_fence`)
                 break
-            self.failed.add(member)
-            self.cluster.servers[self._server_of(member)].drive.fail()
-            self.fault_stats.prolonged_failures += 1
-            self.fault_stats.degraded_transitions += 1
-            fenced += 1
-        if fenced and self._verifier is not None:
-            # real (injected) failures may legitimately exceed parity; a
-            # *fencing decision* must never be what crosses the line
-            self._verifier.check_fence(self)
 
     def _mark_prolonged_failures(self, waiter: _OpWaiter) -> None:
         """§5.4 prolonged failure: faulty drives detected via error status."""
         if not waiter.errors:
             return
-        for i, server in enumerate(self.cluster.servers):
-            if server.drive.failed and i not in self.failed:
-                self.failed.add(i)
+        for member, drive in enumerate(self.drives):
+            if drive.failed and member not in self.failed:
+                self.failed.add(member)
                 self.fault_stats.degraded_transitions += 1
 
     # -- integrity member I/O (read-repair / scrub path) -----------------------
@@ -278,11 +257,27 @@ class DraidArray(HostCentricRaid):
             return None
         return outcome
 
+    def _submit_plain(self, member: int, opcode: Opcode, offset: int, length: int,
+                      data=None, ctx=None, deadline_ns=None):
+        """Submit one plain NVMe-oF command to ``member`` under its own
+        command id (so its payload maps back unambiguously).
+
+        Returns ``(cid, waiter, envelope context)``; the context is None
+        when untraced.
+        """
+        cid = next_cid()
+        kind = "read" if opcode is Opcode.READ else "write"
+        waiter = self._register(cid, {kind: 1}, participants={member})
+        ectx = self._derive(ctx)
+        self.host_ends[member].send(
+            NvmeOfCommand(cid, opcode, offset, length, data=data, trace=ectx,
+                          deadline_ns=deadline_ns)
+        )
+        return cid, waiter, ectx
+
     def _member_read(self, drive: int, offset: int, nbytes: int):
         """Raw chunk-region read over the dRAID transport."""
-        cid = next_cid()
-        waiter = self._register(cid, {"read": 1}, participants={drive})
-        self.host_ends[drive].send(NvmeOfCommand(cid, Opcode.READ, offset, nbytes))
+        cid, waiter, _ = self._submit_plain(drive, Opcode.READ, offset, nbytes)
         expired = yield from self._await_op(cid, waiter, drain=False)
         if waiter.errors or expired:
             raise IoError(f"{self.name}: integrity read on member {drive} failed")
@@ -291,10 +286,8 @@ class DraidArray(HostCentricRaid):
 
     def _member_write(self, drive: int, offset: int, nbytes: int, data):
         """Raw chunk-region write over the dRAID transport."""
-        cid = next_cid()
-        waiter = self._register(cid, {"write": 1}, participants={drive})
-        self.host_ends[drive].send(
-            NvmeOfCommand(cid, Opcode.WRITE, offset, nbytes, data=data)
+        cid, waiter, _ = self._submit_plain(
+            drive, Opcode.WRITE, offset, nbytes, data=data
         )
         expired = yield from self._await_op(cid, waiter)
         if waiter.errors or expired:
@@ -327,17 +320,12 @@ class DraidArray(HostCentricRaid):
         pending = list(segments)
         attempts = 0
         while pending:
-            # one command id per segment so payloads map back unambiguously
             submitted = []
             for seg in pending:
-                cid = next_cid()
-                waiter = self._register(cid, {"read": 1}, participants={seg.drive})
-                cmd = NvmeOfCommand(cid, Opcode.READ, seg.drive_offset, seg.length,
-                                    deadline_ns=deadline_ns)
-                ectx = self._derive(ctx)
-                if ectx is not None:
-                    cmd.trace = ectx
-                self.host_ends[seg.drive].send(cmd)
+                cid, waiter, ectx = self._submit_plain(
+                    seg.drive, Opcode.READ, seg.drive_offset, seg.length,
+                    ctx=ctx, deadline_ns=deadline_ns,
+                )
                 submitted.append((cid, seg, waiter, ectx, self.env.now))
             retry = []
             for cid, seg, waiter, ectx, sent_ns in submitted:
@@ -356,16 +344,11 @@ class DraidArray(HostCentricRaid):
                         and expired
                         and not waiter.errors
                         and attempts >= 2
-                        and seg.drive not in self.failed
-                        and len(self.failed) < self.fault_tolerance
                     ):
                         # silent across escalating deadlines: prolonged
                         # failure — fence the member so the degraded path
                         # serves the read instead of burning the budget
-                        self.failed.add(seg.drive)
-                        self.cluster.servers[self._server_of(seg.drive)].drive.fail()
-                        self.fault_stats.prolonged_failures += 1
-                        self.fault_stats.degraded_transitions += 1
+                        self._fence(seg.drive, prolonged=True)
                     retry.append(seg)
                     continue
                 if buffer is not None:
@@ -377,17 +360,10 @@ class DraidArray(HostCentricRaid):
                     if self.resilient:
                         self.fault_stats.io_errors += 1
                     raise IoError(f"{self.name}: read failed on stripe {ext.stripe}")
-                remaining = self._deadline_remaining(deadline_ns)
-                if remaining is not None and remaining <= 0:
-                    self._deadline_spent("read", ext.stripe)
-                self._charge_retry("read", ext.stripe)
+                remaining = self._admit_retry("read", ext.stripe, deadline_ns)
                 if self.resilient:
                     self.fault_stats.retries += 1
-                    pause = self.backoff.backoff_ns(attempts, self._retry_rng)
-                    if remaining is not None:
-                        pause = min(pause, remaining)
-                    if pause:
-                        yield from self._backoff_pause(pause, ctx)
+                    yield from self._backoff_pause(attempts, remaining, ctx)
                 failed = self.failed_in_stripe(ext.stripe)
                 still_healthy = [s for s in retry if s.drive not in failed]
                 lost = [s for s in retry if s.drive in failed]
@@ -428,10 +404,7 @@ class DraidArray(HostCentricRaid):
                     yield from self._plain_reads(
                         ext, missing, buffer, ctx, deadline_ns=deadline_ns
                     )
-                remaining = self._deadline_remaining(deadline_ns)
-                if remaining is not None and remaining <= 0:
-                    self._deadline_spent("read", ext.stripe)
-                self._charge_retry("read", ext.stripe)
+                self._admit_retry("read", ext.stripe, deadline_ns)
                 if self.resilient:
                     self.fault_stats.retries += 1
                 waiter, expired, _ = yield from self._recon_broadcast(
@@ -536,69 +509,33 @@ class DraidArray(HostCentricRaid):
                 ectx, name, "rpc", f"host.{self.name}", start_ns, self.env.now
             )
 
-    def _server_of(self, drive: int) -> int:
-        """Server index hosting member ``drive``.
-
-        Identity for the normal topology; the offloaded-controller variant
-        (§7) skips the controller's own server slot.
-        """
-        return drive
-
     # -- writes ----------------------------------------------------------------
 
-    def _write_extent(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None):
-        # §3: the host-side controller admits one write per stripe.
-        self.bitmap.mark(ext.stripe)
-        yield from self._lock_wait(ext.stripe, ctx)
-        try:
-            if self.integrity is not None:
-                yield from self._verify_stripe_before_write(ext)
-            if self.resilient:
-                self._check_tolerance(ext.stripe)
-            ok = yield from self._write_extent_once(
-                ext, io_data, ctx, deadline_ns=deadline_ns
-            )
-            attempts = 0
-            while not ok:
-                # §5.4: explicit full-stripe retry after timeout/failure.
-                attempts += 1
-                if attempts > self.max_retries:
-                    if self.resilient:
-                        self.fault_stats.io_errors += 1
-                    raise IoError(f"{self.name}: write failed on stripe {ext.stripe}")
-                remaining = self._deadline_remaining(deadline_ns)
-                if remaining is not None and remaining <= 0:
-                    self._deadline_spent("write", ext.stripe)
-                self._charge_retry("write", ext.stripe)
-                self.stats.retries += 1
+    def _write_stripe(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None):
+        if self.resilient:
+            self._check_tolerance(ext.stripe)
+        ok = yield from self._write_extent_once(
+            ext, io_data, ctx, deadline_ns=deadline_ns
+        )
+        attempts = 0
+        while not ok:
+            # §5.4: explicit full-stripe retry after timeout/failure.
+            attempts += 1
+            if attempts > self.max_retries:
                 if self.resilient:
-                    self.fault_stats.retries += 1
-                    self._check_tolerance(ext.stripe)
-                    pause = self.backoff.backoff_ns(attempts, self._retry_rng)
-                    if remaining is not None:
-                        pause = min(pause, remaining)
-                    if pause:
-                        yield from self._backoff_pause(pause, ctx)
-                failed = self.failed_in_stripe(ext.stripe)
-                gaps = self._stripe_gaps(ext)
-                g = self.geometry
-                if any(g.data_drive(ext.stripe, d) in failed for d, _, _ in gaps):
-                    # Write hole (same guard as the host-centric resilient
-                    # path): the failed attempt may have torn parity, and a
-                    # gap chunk now lives on a failed member — reconstructing
-                    # it from that parity would launder garbage into the new
-                    # parity.  Surface a terminal error; resync repairs the
-                    # stripe once the member returns.
-                    if self.resilient:
-                        self.fault_stats.io_errors += 1
-                    raise IoError(f"{self.name}: write hole on stripe {ext.stripe}")
-                ok = yield from self._write_host_fallback(
-                    ext, io_data, attempt=attempts, ctx=ctx, deadline_ns=deadline_ns
-                )
-            self._note_success()
-        finally:
-            self.locks.release(ext.stripe)
-            self.bitmap.clear(ext.stripe)
+                    self.fault_stats.io_errors += 1
+                raise IoError(f"{self.name}: write failed on stripe {ext.stripe}")
+            remaining = self._admit_retry("write", ext.stripe, deadline_ns)
+            self.stats.retries += 1
+            if self.resilient:
+                self.fault_stats.retries += 1
+                self._check_tolerance(ext.stripe)
+                yield from self._backoff_pause(attempts, remaining, ctx)
+            self._check_write_hole(ext)
+            ok = yield from self._write_host_fallback(
+                ext, io_data, attempt=attempts, ctx=ctx, deadline_ns=deadline_ns
+            )
+        self._note_success()
 
     def _write_extent_once(self, ext: StripeExtent, io_data, ctx=None,
                            deadline_ns=None):
@@ -619,9 +556,12 @@ class DraidArray(HostCentricRaid):
                 ext, io_data, failed_touched, ctx, deadline_ns=deadline_ns
             ))
         if mode is WriteMode.FULL_STRIPE:
+            # §3: disaggregation gains nothing on a full stripe — the host
+            # computes the parity itself
             self.stats.full_stripe_writes += 1
-            return (yield from self._write_full(
-                ext, io_data, ctx, deadline_ns=deadline_ns
+            return (yield from self._write_stripe_image(
+                ext, [self._seg_data(io_data, s) for s in ext.segments], ctx,
+                "draid.write-full", deadline_ns=deadline_ns,
             ))
         if mode is WriteMode.RECONSTRUCT_WRITE and not failed_untouched_data:
             self.stats.rcw_writes += 1
@@ -636,14 +576,6 @@ class DraidArray(HostCentricRaid):
         ))
 
     # .. host-side parity: full-stripe writes (§3), §5.4 retries ................
-
-    def _write_full(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None):
-        """§3: disaggregation gains nothing on a full stripe — the host
-        computes the parity itself."""
-        return (yield from self._write_stripe_image(
-            ext, [self._seg_data(io_data, s) for s in ext.segments], ctx,
-            "draid.write-full", deadline_ns=deadline_ns,
-        ))
 
     def _write_host_fallback(self, ext: StripeExtent, io_data, attempt: int = 0,
                              ctx=None, deadline_ns=None):
@@ -677,20 +609,34 @@ class DraidArray(HostCentricRaid):
         every surviving member's chunk with a plain NVMe-oF WRITE."""
         chunk = self.geometry.chunk_bytes
         parity_blocks = yield from self._encode_parities(image, ctx)
+        return (yield from self._plain_writes(
+            ext,
+            [
+                (drive, ext.stripe * chunk, chunk, block)
+                for drive, block in zip(
+                    self._shard_drives(ext.stripe), image + parity_blocks
+                )
+            ],
+            ctx, span, attempt=attempt, deadline_ns=deadline_ns,
+        ))
+
+    def _plain_writes(self, ext: StripeExtent, writes, ctx, span: str,
+                      attempt: int = 0, deadline_ns=None):
+        """One batch of plain NVMe-oF WRITEs under one command id: a
+        ``(member, drive offset, length, block)`` per write, skipping the
+        stripe's failed members.  True on clean success."""
         failed = self.failed_in_stripe(ext.stripe)
         cid = next_cid()
         writers = set()
         ectx = self._derive(ctx)
         sent_ns = self.env.now
-        blocks = image + parity_blocks
-        for drive, block in zip(self._shard_drives(ext.stripe), blocks):
+        for drive, offset, length, block in writes:
             if drive in failed:
                 continue
-            cmd = NvmeOfCommand(cid, Opcode.WRITE, ext.stripe * chunk, chunk,
-                                data=block, deadline_ns=deadline_ns)
-            if ectx is not None:
-                cmd.trace = ectx
-            self.host_ends[drive].send(cmd)
+            self.host_ends[drive].send(
+                NvmeOfCommand(cid, Opcode.WRITE, offset, length, data=block,
+                              trace=ectx, deadline_ns=deadline_ns)
+            )
             writers.add(drive)
         return (yield from self._finish_write(
             cid, {"write": len(writers)}, writers, ectx, span, sent_ns,
@@ -715,24 +661,13 @@ class DraidArray(HostCentricRaid):
     def _plain_segment_writes(self, ext: StripeExtent, io_data, ctx=None,
                               deadline_ns=None):
         """No parity left to maintain (e.g. RAID-5 with P failed)."""
-        cid = next_cid()
-        writers = set()
-        failed = self.failed_in_stripe(ext.stripe)
-        ectx = self._derive(ctx)
-        sent_ns = self.env.now
-        for seg in ext.segments:
-            if seg.drive in failed:
-                continue
-            cmd = NvmeOfCommand(cid, Opcode.WRITE, seg.drive_offset, seg.length,
-                                data=self._seg_data(io_data, seg),
-                                deadline_ns=deadline_ns)
-            if ectx is not None:
-                cmd.trace = ectx
-            self.host_ends[seg.drive].send(cmd)
-            writers.add(seg.drive)
-        return (yield from self._finish_write(
-            cid, {"write": len(writers)}, writers, ectx, "draid.write", sent_ns,
-            deadline_ns=deadline_ns,
+        return (yield from self._plain_writes(
+            ext,
+            [
+                (s.drive, s.drive_offset, s.length, self._seg_data(io_data, s))
+                for s in ext.segments
+            ],
+            ctx, "draid.write", deadline_ns=deadline_ns,
         ))
 
     # .. the disaggregated partial-stripe write (§5) ...........................

@@ -25,12 +25,10 @@ remaining ``n - 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Dict, Optional
 
 from repro.cluster.builder import Cluster
 from repro.draid.host import DraidArray
-from repro.draid.protocol import DraidCompletion
 from repro.nvmeof.messages import IoError, RESPONSE_BYTES, next_cid
 from repro.raid.geometry import RaidGeometry
 from repro.sim.core import Environment, Event
@@ -58,8 +56,6 @@ class ProxyCompletion:
 class OffloadedController(DraidArray):
     """The dRAID host-side controller, relocated onto a storage server."""
 
-    _require_full_cluster = False
-
     def __init__(
         self,
         cluster: Cluster,
@@ -68,16 +64,15 @@ class OffloadedController(DraidArray):
         name: str = "draid-offloaded",
         **kwargs,
     ) -> None:
-        if geometry.num_drives != cluster.num_servers - 1:
-            raise ValueError(
-                f"offloaded geometry spans {geometry.num_drives} members but the "
-                f"cluster provides {cluster.num_servers - 1} (one server is the "
-                f"controller)"
-            )
         if not 0 <= controller_server < cluster.num_servers:
             raise ValueError(f"bad controller index {controller_server}")
         self.controller_server = controller_server
+        # the frame checks the geometry against the n - 1 servers that
+        # :meth:`_server_of` leaves for members
         super().__init__(cluster, geometry, name=name, **kwargs)
+        # every orchestration CPU cycle is charged to the controller
+        # server's single poll-mode core
+        self.machine = cluster.servers[controller_server]
 
     # -- topology ---------------------------------------------------------
 
@@ -90,79 +85,11 @@ class OffloadedController(DraidArray):
             raise ValueError("the controller server hosts no member drive")
         return server if server < self.controller_server else server - 1
 
-    def _attach_transport(self) -> None:
-        from repro.draid.bdev import DraidBdevServer
-
-        c = self.controller_server
-        self.bdev_servers = [
-            DraidBdevServer(self.cluster, self._server_of(d), pipeline=self.pipeline,
-                            blocking_reduce=self.blocking_reduce)
-            for d in range(self.geometry.num_drives)
-        ]
-        # command channels: the controller's ends of its peer queue pairs
-        self.host_ends = [
-            self.cluster.peer_end(c, self._server_of(d))
-            for d in range(self.geometry.num_drives)
-        ]
-        self._waiters: Dict[int, Any] = {}
-        # NOTE: peer queue-pair traffic from bdevs back to the controller is
-        # consumed here; bdev-to-bdev partials never touch these ends
-        # because PeerMsg handling lives in the bdev servers' own consumers.
-        for member, end in enumerate(self.host_ends):
-            end.inbox.consume(partial(self._receive_controller, member))
-
-    def _receive_controller(self, member: int, message) -> None:
-        # any other message type on these ends belongs to the bdev
-        # servers' consumers; they hold the other end of each pair.
-        if isinstance(message, DraidCompletion):
-            waiter = self._waiters.get(message.cid)
-            if waiter is not None:
-                waiter.responded.add(member)
-                waiter.on_completion(message)
-
-    # -- failure management in drive-index space --------------------------------
-
-    def fail_drive(self, index: int) -> None:
-        self.failed.add(index)
-        # a re-failing member restarts any rebuild from scratch (see
-        # HostCentricRaid.fail_drive)
-        self.rebuild_watermark.pop(index, None)
-        self.rebuilt_stripes.pop(index, None)
-        self.cluster.servers[self._server_of(index)].drive.fail()
-        if len(self.failed) > self.geometry.num_parity:
-            from repro.baselines.base import ArrayFailureError
-
-            raise ArrayFailureError(f"{self.name}: too many failures")
-
-    def repair_drive(self, index: int) -> None:
-        self.failed.discard(index)
-        self.rebuild_watermark.pop(index, None)
-        self.rebuilt_stripes.pop(index, None)
-        self.cluster.servers[self._server_of(index)].drive.repair()
-
-    def _mark_prolonged_failures(self, waiter) -> None:
-        for drive in range(self.geometry.num_drives):
-            if self.cluster.servers[self._server_of(drive)].drive.failed:
-                self.failed.add(drive)
-
-    # -- CPU accounting on the controller's core --------------------------------
-
-    @property
-    def _controller_cpu(self):
-        return self.cluster.servers[self.controller_server].cpu
-
-    def _charge_submit(self):
-        return self._controller_cpu.execute(self.submit_ns)
-
-    def _charge_xor(self, num_sources: int, nbytes: int):
-        profile = self.cluster.servers[self.controller_server].cpu_profile
-        work = profile.xor_ns(nbytes) * max(0, num_sources - 1)
-        return self._controller_cpu.execute(work)
-
-    def _charge_gf(self, num_sources: int, nbytes: int):
-        profile = self.cluster.servers[self.controller_server].cpu_profile
-        work = profile.gf_ns(nbytes) * num_sources
-        return self._controller_cpu.execute(work)
+    def _command_end(self, member: int):
+        """Command channels are the controller's ends of its peer queue
+        pairs; bdev-to-bdev partials never touch them (``PeerMsg`` handling
+        lives in the bdev servers' own consumers)."""
+        return self.cluster.peer_end(self.controller_server, self._server_of(member))
 
 
 class OffloadedDraidArray:
@@ -204,7 +131,7 @@ class OffloadedDraidArray:
             self.env.process(self._execute(cmd), name=f"{self.name}.op", tail=True)
 
     def _execute(self, cmd: ProxyCmd):
-        server = self.cluster.servers[self.controller.controller_server]
+        server = self.controller.machine
         yield server.cpu.execute(server.cpu_profile.cmd_handle_ns)
         try:
             if cmd.op == "write":
@@ -254,14 +181,7 @@ class OffloadedDraidArray:
         return self._submit("read", offset, nbytes)
 
     def write(self, offset: int, nbytes: int, data=None, ctx=None) -> Event:
-        if data is not None:
-            import numpy as np
-
-            data = (
-                np.frombuffer(data, dtype=np.uint8)
-                if isinstance(data, (bytes, bytearray))
-                else np.asarray(data, dtype=np.uint8)
-            )
+        # the payload is validated and normalised by the controller's write
         return self._submit("write", offset, nbytes, data=data)
 
     def fail_drive(self, index: int) -> None:

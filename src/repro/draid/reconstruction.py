@@ -108,6 +108,9 @@ class BandwidthAwareSelector:
         if not 0 < alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.cluster = cluster
+        #: candidate (member) index -> server; the identity topology — an
+        #: array on another topology assigns its own member table
+        self.servers = cluster.servers
         self.alpha = alpha
         self.window_ns = window_ns
         self._rng = random.Random(seed)
@@ -130,7 +133,7 @@ class BandwidthAwareSelector:
 
     def probabilities(self, candidates: Sequence[int]) -> List[float]:
         bandwidths = [
-            self.cluster.servers[i].nic.available_bandwidth(self.window_ns)
+            self.servers[i].nic.available_bandwidth(self.window_ns)
             for i in candidates
         ]
         return solve_reducer_probabilities(

@@ -28,18 +28,23 @@ from __future__ import annotations
 from repro.cluster.builder import Cluster
 from repro.draid.bdev import decode_lost
 from repro.draid.host import DraidArray
-from repro.nvmeof.messages import IoError, NvmeOfCommand, Opcode, next_cid
+from repro.nvmeof.messages import IoError, Opcode
 from repro.raid.geometry import RaidGeometry, StripeExtent
 
 
-class StatelessTargetMixin:
-    """Overrides routing every stateful protocol onto host-side paths.
+class StatelessTargetDraid(DraidArray):
+    """Stateless-target controller: every stateful protocol is routed onto
+    host-side paths.
 
-    Mixed in *before* a dRAID controller class so its methods win the
-    MRO; the underlying controller supplies transport, retry and parity
-    math (``_write_host_fallback`` and the host-side decode go through the
-    array's own ``code``, so RAID-5/6, RS and LRC all run this one class).
+    :class:`DraidArray` supplies transport, retry and parity math
+    (``_write_host_fallback`` and the host-side decode go through the
+    array's own ``code``, so like the stock controller it runs any
+    ``code=`` that fits the geometry — RAID-5/6 P+Q by default, RS, LRC).
     """
+
+    def __init__(self, cluster: Cluster, geometry: RaidGeometry,
+                 name: str = "draid-st", **kwargs) -> None:
+        super().__init__(cluster, geometry, name=name, **kwargs)
 
     # -- writes: everything partial or degraded becomes a host-side
     # full-stripe write (plain NVMe-oF WRITEs, no target reduce state) --
@@ -107,14 +112,10 @@ class StatelessTargetMixin:
         base = ext.stripe * chunk + region_offset
         submitted = []
         for drive, source in sources:
-            cid = next_cid()
-            waiter = self._register(cid, {"read": 1}, participants={drive})
-            cmd = NvmeOfCommand(cid, Opcode.READ, base, region_len,
-                                deadline_ns=deadline_ns)
-            ectx = self._derive(ctx)
-            if ectx is not None:
-                cmd.trace = ectx
-            self.host_ends[drive].send(cmd)
+            cid, waiter, ectx = self._submit_plain(
+                drive, Opcode.READ, base, region_len,
+                ctx=ctx, deadline_ns=deadline_ns,
+            )
             submitted.append((cid, source, waiter, ectx, self.env.now))
         blocks = {}
         errors = False
@@ -130,12 +131,3 @@ class StatelessTargetMixin:
             comp = next(c for c in waiter.completions if c.kind == "read")
             blocks[source] = comp.data
         return blocks, errors
-
-
-class StatelessTargetDraid(StatelessTargetMixin, DraidArray):
-    """Stateless-target controller; like :class:`DraidArray` it runs any
-    ``code=`` that fits the geometry (RAID-5/6 P+Q by default)."""
-
-    def __init__(self, cluster: Cluster, geometry: RaidGeometry,
-                 name: str = "draid-st", **kwargs) -> None:
-        super().__init__(cluster, geometry, name=name, **kwargs)

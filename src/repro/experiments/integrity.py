@@ -127,7 +127,7 @@ def integrity_point(system: str, pace_label: str, fast: bool) -> Row:
 
     stats = array.integrity_stats
     store = array.integrity
-    drives = cluster.drives()
+    drives = array.drives
     residual = sum(
         len(store.verify_members(drives, c, range(len(drives))))
         for c in range(NUM_STRIPES)

@@ -331,7 +331,7 @@ def run_chaos_schedule(
         array.integrity is not None or len(still_failed) > tolerance
     ):
         member = still_failed.pop()
-        cluster.servers[member].drive.heal()
+        array.drives[member].heal()
         array.repair_drive(member)
         torn |= set(range(stripes))  # conservative: trust nothing unverified
     rebuilds = injector.rebuilds
@@ -388,10 +388,10 @@ def run_chaos_schedule(
         final = env.run(until=array.read(0, capacity))
         cluster.integrity = saved
         verified = False
-    report = scrub_array(cluster.drives(), geometry, stripes, code=array.code)
+    report = scrub_array(array.drives, geometry, stripes, code=array.code)
     istats = array.integrity_stats
     store = array.integrity
-    drives = cluster.drives()
+    drives = array.drives
     residual_bad = (
         sum(
             len(store.verify_members(drives, c, range(len(drives))))

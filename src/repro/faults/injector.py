@@ -121,10 +121,10 @@ class FaultInjector:
                 self._jitter_clear(fn, event.duration_ns), f"{array.name}.jitter-clear"
             )
         elif isinstance(event, ServerCrash):
-            self._server_side(event.server).crash(event.down_ns)
+            array.server_sides[event.server].crash(event.down_ns)
         elif isinstance(event, DomainOutage):
             for server in self.topology.members(event.kind_name, event.domain_id):
-                self._server_side(server).crash(event.down_ns)
+                array.server_sides[server].crash(event.down_ns)
         elif isinstance(event, BatchFailureStorm):
             self._spawn(
                 self._batch_storm(event), f"{array.name}.batch-storm{event.batch_id}"
@@ -160,7 +160,7 @@ class FaultInjector:
         array = self.array
         if server in array.failed:
             return
-        from repro.baselines.base import ArrayFailureError
+        from repro.baselines.array import ArrayFailureError
 
         try:
             array.fail_drive(server)
@@ -182,16 +182,6 @@ class FaultInjector:
 
     def _drive(self, server: int):
         return self.cluster.servers[server].drive
-
-    def _server_side(self, server: int):
-        """The crashable server-side controller for member ``server``
-        (dRAID bdev server or NVMe-oF target)."""
-        sides = getattr(self.array, "bdev_servers", None)
-        if sides is None:
-            sides = getattr(self.array, "targets", None)
-        if sides is None:
-            raise TypeError(f"{self.array.name}: no crashable server side")
-        return sides[server]
 
     # -- helpers -----------------------------------------------------------
 

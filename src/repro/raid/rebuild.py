@@ -91,7 +91,7 @@ class RebuildJob:
         # failed beyond the (initially zero) watermark.  heal() (not just
         # repair()) so the replacement carries no queued-channel, GC or
         # fail-slow residue from its previous life.
-        replacement = array.cluster.servers[self.drive].drive
+        replacement = array.drives[self.drive]
         replacement.heal()
         array.rebuild_watermark[self.drive] = 0
         self.stats.started_ns = self.env.now
@@ -99,7 +99,9 @@ class RebuildJob:
             for stripe in range(self.num_stripes):
                 yield array.locks.acquire(stripe)
                 try:
-                    yield from self._rebuild_stripe(stripe)
+                    yield from rebuild_member_stripe(
+                        array, self.drive, stripe, replacement, self.stats
+                    )
                     array.rebuild_watermark[self.drive] = stripe + 1
                 finally:
                     array.locks.release(stripe)
@@ -119,12 +121,6 @@ class RebuildJob:
         self.stats.finished_ns = self.env.now
         return self.stats
 
-    def _rebuild_stripe(self, stripe: int):
-        drive = self.array.cluster.servers[self.drive].drive
-        yield from rebuild_member_stripe(
-            self.array, self.drive, stripe, drive, self.stats
-        )
-
 
 def rebuild_member_stripe(array, member: int, stripe: int, drive, stats=None):
     """Reconstruct ``member``'s chunk of ``stripe`` onto replacement
@@ -138,10 +134,7 @@ def rebuild_member_stripe(array, member: int, stripe: int, drive, stats=None):
     """
     geometry = array.geometry
     chunk = geometry.chunk_bytes
-    if (
-        not getattr(geometry, "full_width", True)
-        and member not in geometry.stripe_drives(stripe)
-    ):
+    if not geometry.full_width and member not in geometry.stripe_drives(stripe):
         # declustered layout: this stripe holds no chunk of the member
         return
     parity_drives = geometry.parity_drives(stripe)
@@ -214,7 +207,7 @@ class SpareRebuildJob:
         geometry = array.geometry
         layout = geometry.layout
         chunk = geometry.chunk_bytes
-        drives = array.cluster.drives()
+        drives = array.drives
         self.stats.started_ns = self.env.now
         for stripe in range(self.num_stripes):
             if self.drive not in geometry.stripe_drives(stripe):

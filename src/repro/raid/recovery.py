@@ -282,7 +282,7 @@ class RecoveryOrchestrator:
             return
         # install the replacement; heal() (not repair()) so it carries no
         # queued-channel, GC or fail-slow residue from its previous life
-        self._member_drive(member).heal()
+        array.drives[member].heal()
         self._started_at[member] = self.env.now
         self._remaining[member] = self.num_stripes
         for stripe in range(self.num_stripes):
@@ -342,7 +342,7 @@ class RecoveryOrchestrator:
                     pending = self._stripe_pending.get(stripe)
                     if pending is None or member not in pending:
                         continue
-                    drive = self._member_drive(member)
+                    drive = array.drives[member]
                     try:
                         yield from rebuild_member_stripe(
                             array, member, stripe, drive, self.rebuild_stats
@@ -435,7 +435,7 @@ class RecoveryOrchestrator:
             if self._since_probe >= self.probe_every:
                 self._since_probe = 0
                 yield from self._probe_slo()
-        qos = getattr(self.array, "qos", None)
+        qos = self.array.qos
         if qos is not None and qos.under_pressure:
             # the admission queue is at/above its background watermark:
             # rebuild I/O yields a full pressure pause so foreground drains
@@ -492,7 +492,7 @@ class RecoveryOrchestrator:
             for member in sorted(array.failed):
                 if member in self._done or member in self._remaining:
                     continue
-                if self._member_drive(member).failed:
+                if array.drives[member].failed:
                     self._enqueue(member)
         if self.exposure is not None:
             self._sample_exposure()
@@ -502,8 +502,7 @@ class RecoveryOrchestrator:
         detector's peer medians come from one uniform sample stream —
         including ejected-but-alive (gray) members, whose fresh samples
         feed :meth:`FailSlowDetector.recovered`."""
-        for member in range(self.array.geometry.num_drives):
-            drive = self._member_drive(member)
+        for member, drive in enumerate(self.array.drives):
             if drive.failed:
                 continue
             start = self.env.now
@@ -516,25 +515,24 @@ class RecoveryOrchestrator:
     def _escalate_gray(self) -> None:
         array = self.array
         for member in range(array.geometry.num_drives):
-            if member in array.failed:
+            if member in array.failed or not self.detector.suspect(
+                member, exclude=array.failed, now_ns=self.env.now
+            ):
                 continue
-            if len(array.failed) >= array.geometry.num_parity:
-                # never eject past parity: a slow answer beats data loss
+            if not array._fence(member):
+                # never eject past tolerance: a slow answer beats data loss
                 break
-            if self.detector.suspect(member, exclude=array.failed, now_ns=self.env.now):
-                array.failed.add(member)
-                self.detector.note_eject(member, self.env.now)
-                array.fault_stats.fail_slow_ejections += 1
-                array.fault_stats.degraded_transitions += 1
-                self._gray.add(member)
-                self.stats.gray_ejections += 1
+            self.detector.note_eject(member, self.env.now)
+            array.fault_stats.fail_slow_ejections += 1
+            self._gray.add(member)
+            self.stats.gray_ejections += 1
 
     def _readmit_gray(self) -> None:
         array = self.array
         for member in sorted(array.failed):
             if member in self._done or member in self._remaining:
                 continue
-            if self._member_drive(member).failed:
+            if array.drives[member].failed:
                 continue  # hard failure — auto_rebuild's business
             if self.detector.recovered(
                 member, self.env.now, exclude=array.failed - {member}
@@ -555,10 +553,3 @@ class RecoveryOrchestrator:
         self.exposure.sample(
             self.env.now, worst, len(array.failed), array.geometry.num_parity
         )
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _member_drive(self, member: int):
-        server_of = getattr(self.array, "_server_of", None)
-        server = server_of(member) if server_of is not None else member
-        return self.array.cluster.servers[server].drive

@@ -31,8 +31,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.sim.core import AllOf, _defuse_on_failure
-
 
 @dataclass(frozen=True)
 class ScrubPassReport:
@@ -113,7 +111,7 @@ class ScrubDaemon:
         chunk = g.chunk_bytes
         store = array.integrity
         stats = array.integrity_stats
-        drives = array.cluster.drives()
+        drives = array.drives
         started = self.env.now
         scanned = verified = bad_total = repaired = unrecoverable = 0
         rewrites_before = stats.parity_rewrites
@@ -124,16 +122,12 @@ class ScrubDaemon:
             try:
                 failed = array.failed_in_stripe(stripe)
                 members = [d for d in array._stripe_members(stripe) if d not in failed]
-                reads = [
-                    self.env.process(array._member_read(d, stripe * chunk, chunk))
-                    for d in members
-                ]
-                gathered = AllOf(self.env, reads)
-                gathered.callbacks.append(_defuse_on_failure)
-                outcome = yield from array._await_repair_io(gathered)
-                if outcome is None:
+                read_back = yield from array._repair_io(
+                    array._member_read(d, stripe * chunk, chunk) for d in members
+                )
+                if read_back is None:
                     continue  # members erroring/stalling out; retry next pass
-                blocks = {d: outcome[e] for d, e in zip(members, reads)}
+                blocks = dict(zip(members, read_back))
                 stats.chunks_verified += len(members)
                 verified += len(members)
                 bad = store.verify_members(drives, stripe, members, blocks)
@@ -151,7 +145,7 @@ class ScrubDaemon:
                 array.locks.release(stripe)
             scanned += 1
             self.stripes_scanned_total += 1
-            qos = getattr(array, "qos", None)
+            qos = array.qos
             if qos is not None and qos.under_pressure:
                 # foreground is pressing against the admission bound: the
                 # scrub walker backs off a full pressure pause instead of
@@ -191,12 +185,9 @@ class ScrubDaemon:
         if not rewrites:
             return
         yield array._charge_xor(g.data_per_stripe, chunk)
-        writes = [
-            self.env.process(array._member_write(d, stripe * chunk, chunk, blk))
-            for d, blk in rewrites
-        ]
-        gathered = AllOf(self.env, writes)
-        gathered.callbacks.append(_defuse_on_failure)
-        if (yield from array._await_repair_io(gathered)) is None:
+        written = yield from array._repair_io(
+            array._member_write(d, stripe * chunk, chunk, blk) for d, blk in rewrites
+        )
+        if written is None:
             return  # parity drive erroring/stalling out; retry next pass
         array.integrity_stats.parity_rewrites += len(rewrites)

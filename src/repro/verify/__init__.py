@@ -134,13 +134,13 @@ class Verifier:
     def watch_array(self, array) -> None:
         """Wire a RAID controller's lock manager into the kernel sanitizer.
 
-        Called from ``HostCentricRaid.__init__`` on verify-armed clusters.
+        Called from ``RaidArray.__init__`` on verify-armed clusters.
         """
         if self.kernel is not None:
             self.kernel.watch_locks(array.locks)
 
     def check_fence(self, array) -> None:
-        """Invariant: fencing never exceeds the geometry's parity count."""
+        """Invariant: fencing never exceeds the code's fault tolerance."""
         if self.protocol is not None:
             self.protocol.check_fence(array)
 

@@ -353,7 +353,7 @@ def run_schedule(schedule: FuzzSchedule, verify: bool = True) -> FuzzOutcome:
                         job = RebuildJob(array, op.drive, schedule.stripes)
                         env.run(until=job.start())
                 elif op.kind == "rot":
-                    cluster.servers[op.drive].drive.corrupt(
+                    array.drives[op.drive].corrupt(
                         "bitrot",
                         offset=op.offset,
                         length=op.nbytes,
@@ -391,7 +391,7 @@ def run_schedule(schedule: FuzzSchedule, verify: bool = True) -> FuzzOutcome:
             # bug: adopt those stripes like torn ones (the resync below
             # rewrites them from the surviving bytes, clearing the poison)
             store = cluster.integrity
-            drives = cluster.drives()
+            drives = array.drives
             for stripe in range(schedule.stripes):
                 if store.verify_members(drives, stripe, range(len(drives))):
                     torn.add(stripe)
@@ -428,7 +428,7 @@ def run_schedule(schedule: FuzzSchedule, verify: bool = True) -> FuzzOutcome:
         return fault_failure(exc)
 
     report = scrub_array(
-        cluster.drives(), geometry, schedule.stripes,
+        array.drives, geometry, schedule.stripes,
         code=array.code,
     )
     failure = ""

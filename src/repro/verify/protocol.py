@@ -240,12 +240,13 @@ class ProtocolChecker:
     # -- array-level checks -------------------------------------------------
 
     def check_fence(self, array) -> None:
-        """§5.4: fencing/ejection must never exceed parity tolerance."""
+        """§5.4: fencing/ejection must never exceed the code's guaranteed
+        tolerance (fewer than its parity count for non-MDS codes)."""
         failed = len(array.failed)
-        parity = array.geometry.num_parity
-        if failed > parity:
+        tolerance = array.fault_tolerance
+        if failed > tolerance:
             self._violate(
                 "fencing-beyond-parity",
-                f"{array.name}: {failed} members failed/fenced, geometry "
-                f"tolerates {parity}",
+                f"{array.name}: {failed} members failed/fenced, the code "
+                f"tolerates {tolerance}",
             )

@@ -21,6 +21,8 @@ from repro.draid.offload import OffloadedDraidArray
 from repro.draid.stateless import StatelessTargetDraid
 from repro.ec import code_for
 from repro.raid.geometry import RaidGeometry, RaidLevel
+from repro.raid.rebuild import RebuildJob
+from repro.raid.scrub import scrub_array
 from repro.sim import Environment
 
 KB = 1024
@@ -130,3 +132,72 @@ def test_all_controllers_agree_on_one_sequence():
     ):
         for kind in kinds:
             assert np.array_equal(images[kind], images[reference]), f"{kind} diverged"
+
+
+@pytest.mark.parametrize(
+    # the log-structured array places blocks through its remap table, not
+    # the geometry, so a member-chunk rebuild sweep does not describe it
+    "kind", [kind for kind in CONTROLLERS if kind != "log"]
+)
+def test_rebuild_after_degraded_overwrite(kind):
+    """Fail a member, overwrite while degraded, rebuild: the read-back
+    equals the model and the rebuilt member's parity is consistent."""
+    env, array, geometry = build_controller(kind)
+    # the offloaded proxy forwards block I/O; its controller is the array
+    core = getattr(array, "controller", array)
+    capacity = STRIPES * geometry.stripe_data_bytes
+    rng = np.random.default_rng(7)
+    model = rng.integers(0, 256, capacity, dtype=np.uint8)
+    env.run(until=array.write(0, capacity, model.copy()))
+    array.fail_drive(0)
+    patch = rng.integers(0, 256, capacity // 2, dtype=np.uint8)
+    env.run(until=array.write(1234, len(patch), patch))
+    model[1234 : 1234 + len(patch)] = patch
+    env.run(until=RebuildJob(core, 0, STRIPES).start())
+    assert not core.failed
+    data = env.run(until=array.read(0, capacity))
+    assert np.array_equal(np.asarray(data), model)
+    assert scrub_array(core.drives, geometry, STRIPES, code=core.code).clean
+
+
+#: the NVMe-oF datapath: methods only a host-centric array runs
+HOST_CENTRIC_ONLY = (
+    "_guarded", "_gather", "_subscribe_early", "_run_attempt", "_fence_stragglers",
+    "_retry_loop", "_bdev_read", "_bdev_write", "_charge_write_staging",
+    "_charge_reconstruct_staging", "_charge_degraded_read_staging",
+    "_read_extent_once", "_reconstruct_segment", "_write_stripe_once",
+    "_data_drives_in", "_write_resilient", "_pin_with_retries", "_pin_stripe_image",
+    "_write_pinned", "_alive_parities", "_parity_index", "_parity_writes",
+    "_write_rmw", "_write_rcw", "_write_degraded_region", "_write_degraded_data",
+)
+DATAPATH_HOOKS = (
+    "_attach_transport", "_read_extent", "_write_stripe", "_member_read",
+    "_member_write", "_await_repair_io",
+)
+
+
+def test_frame_and_datapaths_are_siblings():
+    """``RaidArray`` is the frame; the host-centric and the dRAID datapath
+    both sit on it and neither inherits the other."""
+    from repro.baselines.array import RaidArray
+    from repro.baselines.base import HostCentricRaid
+    from repro.draid.offload import OffloadedController
+
+    assert issubclass(HostCentricRaid, RaidArray) and issubclass(DraidArray, RaidArray)
+    assert HostCentricRaid not in DraidArray.__mro__
+    assert DraidArray not in HostCentricRaid.__mro__
+    env, array, geometry = build_controller("draid")
+    assert len(HOST_CENTRIC_ONLY) == 26
+    for name in (*HOST_CENTRIC_ONLY, "bdevs", "targets"):
+        assert not hasattr(array, name), f"DraidArray still carries {name}"
+    # a frame without a datapath is a typed error up front, naming the
+    # hooks, not an AttributeError mid-I/O
+    with pytest.raises(TypeError) as raised:
+        RaidArray(array.cluster, geometry)
+    for hook in DATAPATH_HOOKS:
+        assert hook in str(raised.value)
+    # the offloaded controller is topology + command ends, nothing copied
+    for name in ("fail_drive", "repair_drive", "_mark_prolonged_failures",
+                 "_charge_submit", "_charge_xor", "_charge_gf",
+                 "_attach_transport", "_receive_controller"):
+        assert name not in vars(OffloadedController), name

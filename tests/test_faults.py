@@ -263,3 +263,146 @@ class TestFaultInjector:
             cluster = build_cluster(env, config)
             assert cls(cluster, geometry).timeout_ns == 7 * MS
         assert ClusterConfig().io_timeout_ns == 50 * MS  # seed default
+
+
+# -- the fence rule: one table over the six decision paths -------------------
+
+class _SuspectsEveryone:
+    """A fail-slow detector for which every member is a straggler."""
+
+    def suspect(self, member, exclude=(), now_ns=None):
+        return True
+
+    def note_eject(self, member, now_ns):
+        pass
+
+
+def _trip_breakers(array, members):
+    for member in members:
+        for _ in range(3):
+            array._breaker_observe(member, False)
+
+
+def _drain_stragglers(array, members):
+    # commands outstanding on each member, no completion for a full timeout
+    for member in members:
+        array.bdevs[member]._pending[-1 - member] = array.env.event()
+    array.env.run(until=array.env.now + array.timeout_ns)
+    array._fence_stragglers(array.timeout_ns)
+
+
+def _eject_failslow(array, members):
+    array.failslow_detector = _SuspectsEveryone()
+    for member in members:
+        array._maybe_eject_failslow(member)
+
+
+def _fence_unresponsive(array, members):
+    from repro.draid.host import _OpWaiter
+
+    array._fence_unresponsive(
+        _OpWaiter(array.env, {"write": len(members)}, participants=members)
+    )
+
+
+def _read_silent_members(array, members):
+    from repro.nvmeof.messages import IoError
+
+    array._force_resilient = True
+    for member in members:
+        array.bdev_servers[member].crash(10_000 * MS)
+    g = array.geometry
+    for member in sorted(members):
+        # a 4 KiB read of the first data chunk the member holds
+        stripe = next(s for s in range(6) if member not in g.parity_drives(s))
+        offset = (
+            stripe * g.stripe_data_bytes
+            + g.data_index_of_drive(stripe, member) * g.chunk_bytes
+        )
+        try:
+            array.env.run(until=array.read(offset, 4096))
+        except IoError:
+            pass  # at tolerance the silent member stays in and the read fails
+
+
+def _escalate_gray(array, members):
+    from repro.raid.recovery import RecoveryOrchestrator
+
+    orch = RecoveryOrchestrator(array, num_stripes=4, detector=_SuspectsEveryone())
+    orch._escalate_gray()
+    assert orch.stats.gray_ejections == len(array.failed)
+
+
+#: path -> (controller, driver, declares the drive dead, counter bumped per fence)
+FENCE_PATHS = {
+    "breaker-trip": (SpdkRaid, _trip_breakers, False, "breaker_trips"),
+    "straggler-drain": (SpdkRaid, _drain_stragglers, True, "prolonged_failures"),
+    "fail-slow-eject": (DraidArray, _eject_failslow, False, "fail_slow_ejections"),
+    "unresponsive-participant": (DraidArray, _fence_unresponsive, True, "prolonged_failures"),
+    "silent-read": (DraidArray, _read_silent_members, True, "prolonged_failures"),
+    "gray-escalation": (DraidArray, _escalate_gray, False, "fail_slow_ejections"),
+}
+
+
+class TestFenceRule:
+    @pytest.mark.parametrize("level_name", ["RAID5", "RAID6"])
+    @pytest.mark.parametrize("path", FENCE_PATHS)
+    def test_every_decision_path_obeys_it(self, path, level_name):
+        """Each path offers one member more than the array tolerates: the
+        first ``fault_tolerance`` are fenced — same counters and drive
+        state whichever path decided — the sanitizer sees every
+        transition, and none crosses tolerance."""
+        from repro.qos import OverloadConfig
+        from repro.raid.geometry import RaidGeometry, RaidLevel
+        from repro.verify import VerifyConfig
+
+        controller_cls, drive_path, dead, counter = FENCE_PATHS[path]
+        env = Environment()
+        cluster = build_cluster(env, ClusterConfig(
+            num_servers=6, io_timeout_ns=100_000, verify=VerifyConfig(),
+            overload=OverloadConfig(
+                breaker_threshold=0.3, breaker_min_samples=2, breaker_cooldown_ns=0
+            ) if path == "breaker-trip" else None,
+        ))
+        array = controller_cls(
+            cluster, RaidGeometry(RaidLevel[level_name], 6, 16384)
+        )
+        tolerance = array.fault_tolerance
+        checked = []
+        check_fence = cluster.verify.check_fence
+        cluster.verify.check_fence = lambda a: (checked.append(len(a.failed)),
+                                                check_fence(a))
+        drive_path(array, set(range(tolerance + 1)))
+        assert array.failed == set(range(tolerance))
+        assert [drive.failed for drive in array.drives] == [
+            dead and member < tolerance for member in range(6)
+        ]
+        stats = array.fault_stats
+        counters = {
+            "prolonged_failures": stats.prolonged_failures,
+            "fail_slow_ejections": stats.fail_slow_ejections,
+            "breaker_trips": 0 if cluster.qos is None else cluster.qos.stats.breaker_trips,
+        }
+        assert stats.degraded_transitions == tolerance
+        assert counters == {
+            name: tolerance if name == counter else 0 for name in counters
+        }
+        # one sanitizer check per transition, none past tolerance
+        assert checked == list(range(1, tolerance + 1))
+        assert not cluster.verify.violations
+
+    def test_offloaded_repair_forgets_the_member(self):
+        from repro.draid.offload import OffloadedController
+        from repro.raid.geometry import RaidGeometry, RaidLevel
+
+        cluster = build_cluster(Environment(), ClusterConfig(num_servers=6))
+        detector = FailSlowDetector(min_samples=1)
+        controller = OffloadedController(
+            cluster, RaidGeometry(RaidLevel.RAID5, 5, 16384), 0,
+            failslow_detector=detector,
+        )
+        detector.observe(2, 5 * MS)
+        controller.fail_drive(2)
+        controller.repair_drive(2)
+        assert 2 not in detector.ewma_ns
+        assert not controller.drives[2].failed

@@ -133,3 +133,57 @@ class TestTradeoffs:
         # again (controller->data bdev): the §7 "additional I/O overlay"
         assert controller_nic.rx_bytes >= size
         assert controller_nic.tx_bytes >= size
+
+
+class TestMemberTable:
+    """The controller sits on server 0, so member *i* lives on server
+    *i + 1*: everything member-indexed must go through ``controller.drives``,
+    never ``cluster.servers[i]``."""
+
+    def test_rebuild_lands_on_the_members_own_server(self):
+        from repro.raid.rebuild import RebuildJob
+
+        env, cluster, array, geometry = make_offloaded(stripes=4, controller=0)
+        controller = array.controller
+        assert controller.drives[0] is cluster.servers[1].drive
+        size = 4 * geometry.stripe_data_bytes
+        rng = np.random.default_rng(4)
+        first = rng.integers(0, 256, size, dtype=np.uint8)
+        second = rng.integers(0, 256, size, dtype=np.uint8)
+        env.run(until=array.write(0, size, first))
+        array.fail_drive(0)
+        env.run(until=array.write(0, size, second))
+        env.run(until=RebuildJob(controller, 0, 4).start())
+        assert not controller.failed
+        data = env.run(until=array.read(0, size))
+        assert np.array_equal(data, second)
+        # the rebuilt chunks sit on member 0's drive (server 1) — a data
+        # chunk in each of these four stripes ...
+        for stripe in range(4):
+            index = geometry.data_index_of_drive(stripe, 0)
+            base = stripe * geometry.stripe_data_bytes + index * CHUNK
+            assert np.array_equal(
+                controller.drives[0].peek(stripe * CHUNK, CHUNK),
+                second[base : base + CHUNK],
+            )
+        # ... and the controller server's own drive was never touched
+        assert cluster.servers[0].drive.stats.write_ops == 0
+        assert not cluster.servers[0].drive.peek(0, 4 * CHUNK).any()
+
+    def test_read_verifies_and_repairs_the_members_own_drive(self):
+        from repro.storage.integrity import IntegrityStore
+
+        env, cluster, array, geometry = make_offloaded(stripes=4, controller=0)
+        controller = array.controller
+        IntegrityStore(CHUNK, eager=True).attach(cluster)
+        size = 4 * geometry.stripe_data_bytes
+        blob = np.random.default_rng(5).integers(0, 256, size, dtype=np.uint8)
+        env.run(until=array.write(0, size, blob))
+        # rot a data chunk of member 0 (stripe 1: member 0 holds data there)
+        assert 0 not in geometry.parity_drives(1)
+        controller.drives[0].corrupt("bitrot", offset=CHUNK + 100, length=64, seed=3)
+        data = env.run(until=array.read(0, size))
+        assert np.array_equal(data, blob)
+        stats = controller.integrity_stats
+        assert stats.total_detected == 1
+        assert stats.total_repaired == 1

@@ -16,13 +16,14 @@ import pytest
 
 from repro.baselines import SpdkRaid
 from repro.cluster import ClusterConfig, build_cluster
-from repro.draid import DraidArray
+from repro.draid import DraidArray, EcGeometry
+from repro.draid.ec_array import LrcDraidArray
 from repro.faults import DriveFail, DriveHeal, FailSlowDetector, FaultInjector, FaultPlan
 from repro.raid.geometry import RaidGeometry, RaidLevel
 from repro.raid.rebuild import RebuildJob
 from repro.raid.recovery import RecoveryOrchestrator, SparePool
 from repro.sim import Environment
-from repro.verify import VerifyConfig
+from repro.verify import InvariantViolation, VerifyConfig
 from tests.raid_harness import ArrayHarness, TEST_CHUNK
 
 MS = 1_000_000
@@ -317,6 +318,36 @@ class TestRecoveryOrchestrator:
         assert 2 not in h.array.failed
         h.scrub()
         h.check_read(0, h.capacity)
+
+    def test_gray_escalation_stops_at_the_codes_tolerance(self):
+        """LRC(6,2,1) carries three parities but guarantees one failure:
+        escalation (and the sanitizer) hold to the code's tolerance, not
+        the parity count."""
+
+        class SuspectsEveryone:
+            def suspect(self, member, exclude=(), now_ns=None):
+                return True
+
+            def note_eject(self, member, now_ns):
+                pass
+
+        env = Environment()
+        cluster = build_cluster(
+            env, ClusterConfig(num_servers=9, verify=VerifyConfig())
+        )
+        geometry = EcGeometry(9, TEST_CHUNK, num_parity=3)
+        array = LrcDraidArray(cluster, geometry, local_groups=2)
+        assert array.fault_tolerance == 1 < geometry.num_parity
+        orch = RecoveryOrchestrator(array, num_stripes=4, detector=SuspectsEveryone())
+        orch._escalate_gray()
+        assert array.failed == {0}
+        assert orch.stats.gray_ejections == 1
+        assert array.fault_stats.fail_slow_ejections == 1
+        assert not cluster.verify.violations
+        # two members out is beyond what the code guarantees
+        array.failed.add(1)
+        with pytest.raises(InvariantViolation, match="fencing-beyond-parity"):
+            cluster.verify.check_fence(array)
 
     def test_injector_routes_heal_through_orchestrator(self):
         h = ArrayHarness(SpdkRaid)
