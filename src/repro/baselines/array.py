@@ -751,15 +751,12 @@ class RaidArray(ABC):
         yield from self._span_wait(self._charge_submit(), ctx, "submit")
         extents = self.geometry.map_extent(offset, nbytes)
         buffer = np.zeros(nbytes, dtype=np.uint8) if self.functional else None
-        done = [
-            self.env.process(
-                self._read_extent(
-                    ext, buffer, offset, take_locks, ctx, deadline_ns=deadline_ns
-                )
+        yield self.env.gather(
+            self._read_extent(
+                ext, buffer, offset, take_locks, ctx, deadline_ns=deadline_ns
             )
             for ext in extents
-        ]
-        yield AllOf(self.env, done)
+        )
         if self.integrity is not None:
             yield from self._verify_read(extents, buffer, offset, take_locks)
         self.stats.reads += 1
@@ -768,13 +765,10 @@ class RaidArray(ABC):
     def _write(self, offset: int, nbytes: int, data, ctx=None, deadline_ns=None):
         yield from self._span_wait(self._charge_submit(), ctx, "submit")
         extents = self.geometry.map_extent(offset, nbytes)
-        done = [
-            self.env.process(
-                self._write_extent(ext, data, ctx, deadline_ns=deadline_ns)
-            )
+        yield self.env.gather(
+            self._write_extent(ext, data, ctx, deadline_ns=deadline_ns)
             for ext in extents
-        ]
-        yield AllOf(self.env, done)
+        )
         self.stats.writes += 1
 
     def _write_extent(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None):

@@ -171,6 +171,7 @@ class RaidGeometry:
             stripe_start = stripe * self.stripe_data_bytes
             local = pos - stripe_start
             local_end = min(end - stripe_start, self.stripe_data_bytes)
+            data_drives = self.layout.data_drives(stripe)
             segments: List[ChunkSegment] = []
             while local < local_end:
                 data_index = local // self.chunk_bytes
@@ -179,7 +180,7 @@ class RaidGeometry:
                 segments.append(
                     ChunkSegment(
                         data_index=data_index,
-                        drive=self.data_drive(stripe, data_index),
+                        drive=data_drives[data_index],
                         drive_offset=stripe * self.chunk_bytes + chunk_offset,
                         chunk_offset=chunk_offset,
                         length=seg_len,

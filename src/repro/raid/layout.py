@@ -70,6 +70,12 @@ class Layout:
         """Physical drive of logical data chunk ``data_index``."""
         raise NotImplementedError
 
+    def data_drives(self, stripe: int) -> Tuple[int, ...]:
+        """Physical drive of every data chunk, in logical chunk order."""
+        return tuple(
+            self.data_drive(stripe, d) for d in range(self.data_per_stripe)
+        )
+
     def data_index_of_drive(self, stripe: int, drive: int) -> int:
         """Inverse of :meth:`data_drive`; raises if ``drive`` holds parity
         (or is not a member of the stripe at all)."""
@@ -78,10 +84,7 @@ class Layout:
     def stripe_drives(self, stripe: int) -> Tuple[int, ...]:
         """All member drives of ``stripe``: parity first, then data in
         logical chunk order."""
-        parity = self.parity_drives(stripe)
-        return parity + tuple(
-            self.data_drive(stripe, d) for d in range(self.data_per_stripe)
-        )
+        return self.parity_drives(stripe) + self.data_drives(stripe)
 
     def spare_drives(self, stripe: int) -> Tuple[int, ...]:
         """Drives holding distributed spare capacity for ``stripe``
@@ -107,32 +110,41 @@ class RotatingLayout(Layout):
 
     name = "rotating"
 
+    def __init__(self, num_drives: int, num_parity: int) -> None:
+        super().__init__(num_drives, num_parity)
+        # The rotation is periodic in ``stripe mod n``: one row per residue,
+        # built once, is every placement query the datapath makes per I/O.
+        n = num_drives
+        self._parity = tuple(
+            tuple((n - 1 - r + j) % n for j in range(num_parity)) for r in range(n)
+        )
+        self._data = tuple(
+            tuple((parity[-1] + 1 + d) % n for d in range(n - num_parity))
+            for parity in self._parity
+        )
+        self._members = tuple(p + d for p, d in zip(self._parity, self._data))
+
     @property
     def stripe_width(self) -> int:
         return self.num_drives
 
     def parity_drives(self, stripe: int) -> Tuple[int, ...]:
-        n = self.num_drives
-        first = (n - 1) - (stripe % n)
-        return tuple((first + j) % n for j in range(self.num_parity))
+        return self._parity[stripe % self.num_drives]
 
     def data_drive(self, stripe: int, data_index: int) -> int:
-        anchor = self.parity_drives(stripe)[-1]
-        return (anchor + 1 + data_index) % self.num_drives
+        return self._data[stripe % self.num_drives][data_index]
+
+    def data_drives(self, stripe: int) -> Tuple[int, ...]:
+        return self._data[stripe % self.num_drives]
 
     def data_index_of_drive(self, stripe: int, drive: int) -> int:
-        parity = self.parity_drives(stripe)
+        parity = self._parity[stripe % self.num_drives]
         if drive in parity:
             raise ValueError(f"drive {drive} holds parity for stripe {stripe}")
         return (drive - parity[-1] - 1) % self.num_drives
 
     def stripe_drives(self, stripe: int) -> Tuple[int, ...]:
-        parity = self.parity_drives(stripe)
-        anchor = parity[-1]
-        return parity + tuple(
-            (anchor + 1 + d) % self.num_drives
-            for d in range(self.data_per_stripe)
-        )
+        return self._members[stripe % self.num_drives]
 
 
 class DeclusteredLayout(Layout):
@@ -181,7 +193,16 @@ class DeclusteredLayout(Layout):
         self.perm: Tuple[int, ...] = tuple(perm)
         coprimes = [c for c in range(1, num_drives) if math.gcd(c, num_drives) == 1]
         self.stride = coprimes[rng.randrange(len(coprimes))]
-        #: (stripe, original member drive) -> spare drive substitution
+        # The walk is periodic in ``stripe mod n`` (the stride only ever
+        # enters mod n): one window per residue, built once.
+        n = num_drives
+        self._windows = tuple(
+            tuple(self.perm[(r * self.stride + j) % n] for j in range(n))
+            for r in range(n)
+        )
+        self._members = tuple(window[:stripe_width] for window in self._windows)
+        #: (stripe, original member drive) -> spare drive substitution:
+        #: per-stripe exceptions applied on top of the tables
         self._remaps: Dict[Tuple[int, int], int] = {}
 
     @property
@@ -189,22 +210,23 @@ class DeclusteredLayout(Layout):
         return self._stripe_width
 
     def _window(self, stripe: int) -> Tuple[int, ...]:
-        n = self.num_drives
-        base = (stripe * self.stride) % n
-        return tuple(self.perm[(base + j) % n] for j in range(n))
+        return self._windows[stripe % self.num_drives]
 
     def stripe_drives(self, stripe: int) -> Tuple[int, ...]:
-        members = list(self._window(stripe)[: self._stripe_width])
-        if self._remaps:
-            for slot, drive in enumerate(members):
-                members[slot] = self._remaps.get((stripe, drive), drive)
-        return tuple(members)
+        members = self._members[stripe % self.num_drives]
+        remaps = self._remaps
+        if remaps:
+            members = tuple(remaps.get((stripe, d), d) for d in members)
+        return members
 
     def parity_drives(self, stripe: int) -> Tuple[int, ...]:
         return self.stripe_drives(stripe)[: self.num_parity]
 
     def data_drive(self, stripe: int, data_index: int) -> int:
         return self.stripe_drives(stripe)[self.num_parity + data_index]
+
+    def data_drives(self, stripe: int) -> Tuple[int, ...]:
+        return self.stripe_drives(stripe)[self.num_parity :]
 
     def data_index_of_drive(self, stripe: int, drive: int) -> int:
         members = self.stripe_drives(stripe)

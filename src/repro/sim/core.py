@@ -32,21 +32,38 @@ changing a single event's outcome or ordering:
   returned to the arena only when the kernel holds the *only* reference,
   so user code that keeps an event alive can never observe it aliased.
 
-Handoff (PR 18)
----------------
+Handoff (PR 18, PR 20)
+----------------------
 
 The producer-side mirror of batch-advance.  A zero-delay event may be
 dispatched inline only from *tail position*: its creation is the last
-statement of the last callback of the event being dispatched.  The first
-half is the caller's promise — a plain callback (never a process step: its
-own end follows) passes ``tail=True`` to :meth:`Event.succeed`,
-:meth:`Environment.process` or :meth:`~repro.sim.resources.Store.put` —
-and the second half the kernel tracks itself (``env._more``).  When the
-calendar is also quiescent (:meth:`Environment._quiescent`: the event the
-call would schedule is the very next thing pure-heap order dispatches) its
-callbacks run at once instead: no calendar entry, no ``_eid`` tick, same
-order.  In every other case ``tail=True`` changes nothing.  A process that
-ends with no listener is retired the same way.
+statement of the last callback of the event being dispatched.  The second
+half the kernel tracks itself (``env._more``).  When the calendar is also
+quiescent (:meth:`Environment._quiescent`: the event the call would
+schedule is the very next thing pure-heap order dispatches) its callbacks
+run at once instead: no calendar entry, no ``_eid`` tick, same order.  In
+every other case nothing changes.  Who vouches for the first half:
+
+* a *plain callback* passes ``tail=True`` to :meth:`Event.succeed`,
+  :meth:`Environment.process` or :meth:`~repro.sim.resources.Store.put` —
+  the caller's promise.  A process step never does: its own code follows.
+* the kernel itself, at the two process-step positions it can prove are
+  tail positions.  A **process end**: the generator has returned, so
+  ``_resume`` marks the process processed and runs its listeners (a
+  failing process always goes through the calendar).  A **condition
+  release**: :class:`AllOf`/:class:`AnyOf` ``_check``, run as a child's
+  dispatched callback, succeeds the condition as its last statement (the
+  synchronous ``_check`` calls the constructor makes for already-processed
+  children are not callbacks and schedule as before).
+
+Two helpers let a process step *start* something the same way, on the
+promise that it yields the result as its next action — then its park is
+what follows, and parking first is exactly what the calendar order would
+have done.  :meth:`Environment.gather` fans out over child generators and
+runs their first steps in place of the ``Initialize`` queue;
+:meth:`Environment.grant_now` gives a resource whose free grant is an event
+(:class:`~repro.raid.locks.StripeLockManager`) that grant already
+processed.
 
 Arming a :class:`repro.verify.kernel.KernelSanitizer` sets
 ``env._fast = False`` and migrates the now-queue into the heap: the kernel
@@ -69,6 +86,10 @@ _NO_HORIZON = float("inf")
 
 #: Per-class cap on arena free lists (bounds memory if a workload bursts).
 _POOL_CAP = 512
+
+#: The ``tail`` value :meth:`Environment.gather` starts its children with: it
+#: has tested quiescence once for all of them and sets ``env._more`` per child.
+_INLINE = object()
 
 ProcessGenerator = Generator["Event", Any, Any]
 
@@ -269,7 +290,7 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        if tail and env._quiescent():
+        if tail and (tail is _INLINE or env._quiescent()):
             # Handoff: the Initialize event would dispatch next anyway.
             self._resume(None)
         else:
@@ -328,26 +349,8 @@ class Process(Event):
                         SimulationError(f"process yielded a non-event: {target!r}")
                     )
             except StopIteration as stop:
-                self._target = None
-                env._active_process = None
-                if not self.callbacks and env._quiescent():
-                    # Handoff: nothing listens and nothing can start to
-                    # before the end event would dispatch — retire it here.
-                    # (A failing process always goes through the calendar,
-                    # so an unhandled error still surfaces from ``run``.)
-                    self._ok = True
-                    self._value = stop.value
-                    self._scheduled = True
-                    self.callbacks = None
-                else:
-                    self.succeed(stop.value)
-                deferred = env._deferred
-                if deferred is not None:
-                    env._deferred = None
-                    heapq.heappush(
-                        env._queue, (deferred._time, deferred._teid, deferred)
-                    )
-                return
+                result = stop.value
+                break
             except BaseException as exc:
                 self._target = None
                 env._active_process = None
@@ -431,6 +434,29 @@ class Process(Event):
             env._active_process = None
             return
 
+        # The generator returned.
+        self._target = None
+        env._active_process = None
+        deferred = env._deferred
+        if deferred is not None:
+            env._deferred = None
+            heapq.heappush(env._queue, (deferred._time, deferred._teid, deferred))
+        if env._quiescent():
+            # Handoff: a step's end is its last action, so on a quiescent
+            # calendar the end event would dispatch next — run the listeners
+            # here.  (A failing process always goes through the calendar, so
+            # an unhandled error still surfaces from ``run``.)
+            self._ok = True
+            self._value = result
+            self._scheduled = True
+            callbacks, self.callbacks = self.callbacks, None
+            if len(callbacks) == 1:
+                callbacks[0](self)
+            else:
+                env._run_callbacks(callbacks, self)
+        else:
+            self.succeed(result)
+
 
 class Condition(Event):
     """Base for :class:`AllOf` / :class:`AnyOf`."""
@@ -446,7 +472,7 @@ class Condition(Event):
             return
         for event in self.events:
             if event.processed:
-                self._check(event)
+                self._check(event, tail=False)
             else:
                 event.callbacks.append(self._check)
             if self.triggered:
@@ -455,7 +481,11 @@ class Condition(Event):
     def _outcome(self) -> Any:
         return {e: e._value for e in self.events if e.triggered and e._ok}
 
-    def _check(self, event: Event) -> None:
+    def _check(self, event: Event, tail: bool = True) -> None:
+        """A child's outcome is in.  As a child's dispatched callback the
+        release it may cause is this callback's last statement (handoff);
+        ``tail`` is False only for the synchronous calls the constructor
+        makes for already-processed children, whose caller goes on."""
         raise NotImplementedError
 
 
@@ -464,7 +494,7 @@ class AllOf(Condition):
 
     __slots__ = ()
 
-    def _check(self, event: Event) -> None:
+    def _check(self, event: Event, tail: bool = True) -> None:
         if self.triggered:
             if not event._ok:
                 event._defused = True
@@ -475,7 +505,7 @@ class AllOf(Condition):
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed(self._outcome())
+            self.succeed(self._outcome(), tail)
 
 
 class AnyOf(Condition):
@@ -483,16 +513,24 @@ class AnyOf(Condition):
 
     __slots__ = ()
 
-    def _check(self, event: Event) -> None:
+    def _check(self, event: Event, tail: bool = True) -> None:
         if self.triggered:
             if not event._ok:
                 event._defused = True
             return
+        # The race is over: let go of every timer that lost it.  A pending
+        # timer would otherwise keep this condition, the winner and its
+        # value alive until it expires; it cannot fail, so no defuse duty
+        # is lost, and it stays in the calendar to dispatch with no listener.
+        check = self._check
+        for child in self.events:
+            if child.__class__ is Timeout and child.callbacks and check in child.callbacks:
+                child.callbacks.remove(check)
         if not event._ok:
             event._defused = True
             self.fail(event._value)
             return
-        self.succeed(self._outcome())
+        self.succeed(self._outcome(), tail)
 
 
 class Environment:
@@ -591,6 +629,35 @@ class Environment:
         """
         return Process(self, generator, name, tail)
 
+    def gather(self, generators: Iterable[ProcessGenerator]) -> AllOf:
+        """Fan out: ``AllOf(env, [env.process(g) for g in generators])``,
+        for a process step that yields the result as its next action.
+
+        On a quiescent calendar the children's ``Initialize`` events would
+        dispatch next, in order, with the caller already parked — so their
+        first steps run here instead, in that order.  Every child but the
+        last runs under ``env._more``: whatever it creates is scheduled, so
+        nothing can overtake a later sibling's first step (see *Handoff* in
+        the module docstring).  Anywhere else — calendar not quiescent, not
+        called from a process step — it is literally that expression.  (The
+        caller is not parked yet while the first steps run: a child may not
+        interrupt it from there.)
+        """
+        generators = list(generators)
+        parent = self._active_process
+        if parent is None or not generators or not self._quiescent():
+            return AllOf(self, [Process(self, g) for g in generators])
+        children = []
+        self._more = True
+        try:
+            for generator in generators[:-1]:
+                children.append(Process(self, generator, tail=_INLINE))
+        finally:
+            self._more = False
+        children.append(Process(self, generators[-1], tail=_INLINE))
+        self._active_process = parent
+        return AllOf(self, children)
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
@@ -615,6 +682,16 @@ class Environment:
             event.callbacks = None
             event._scheduled = True
         return event
+
+    def grant_now(self, value: Any) -> Optional[Event]:
+        """For a resource whose free grant is an *event*: the grant as a
+        pre-processed event when a process step asks on a quiescent
+        calendar — the grant event would dispatch next and resume that very
+        step, provided it yields the result at once — else None (schedule
+        the grant as usual)."""
+        if self._active_process is None or not self._quiescent():
+            return None
+        return self.grant_event(value)
 
     def waiter_event(self, cls, *args) -> Event:
         """A fresh (or recycled) resource-wait event of ``cls``.

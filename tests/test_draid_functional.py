@@ -6,10 +6,14 @@ the §5.3 pipeline ablation, §5.4 timeout/retry and degraded writes with
 host-supplied partials.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.draid import DraidArray
+from repro.draid.host import _OpWaiter
 from repro.raid.geometry import RaidLevel
 from tests.raid_harness import ArrayHarness, TEST_CHUNK
 
@@ -221,6 +225,31 @@ class TestFailureHandling:
         assert h.array.stats.retries >= 1
         h.check_read(0, h.geometry.stripe_data_bytes)
         h.scrub()
+
+    def test_finished_op_is_released_before_its_deadline_expires(self, monkeypatch):
+        """The §5.4 deadline timer outlives the op it guarded (it is never
+        cancelled) but must not keep the op's waiter and payload alive for
+        the 50 ms it has left: the ``AnyOf`` it lost lets go of it."""
+        h = ArrayHarness(DraidArray)
+        h.write(0, bytes(range(256)) * 16)
+        h.env.run()  # idle: no timer of the write is left
+        refs = []
+        on_completion = _OpWaiter.on_completion
+
+        def spy(waiter, comp):
+            refs.extend((weakref.ref(waiter), weakref.ref(comp.data)))
+            on_completion(waiter, comp)
+
+        monkeypatch.setattr(_OpWaiter, "on_completion", spy)
+        issued = h.env.now
+        h.check_read(0, 4096)
+        gc.collect()  # a waiter and its event refer to each other
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+        ((expiry, _, deadline),) = h.env._queue
+        assert deadline.callbacks == []
+        assert issued < expiry - h.array.timeout_ns < h.env.now
+        h.env.run()
+        assert h.env.now == expiry
 
     def test_selector_is_used_for_reconstruction(self):
         picks = []

@@ -3,9 +3,12 @@
 The numbers are DESIGN.md §7's hop table: what a 4 KiB read and a 4 KiB
 RMW write cost in ``env._eid`` ticks on an idle 8-target RAID-5 array, the
 caller waiting on the op.  They are exact and deterministic; a relay event
-that comes back (a per-capsule mailbox wake, a handler ``Initialize``, an
-unobserved process end) moves them, and so does a new timed step — either
-way the table and this test change together.
+that comes back (a per-capsule mailbox wake, a handler ``Initialize``, a
+process end, a condition release, a free-lock grant) moves them, and so
+does a new timed step — either way the table and this test change
+together.  Each tick is also classified: a *timer* advances the clock (the
+model), anything else is a relay — the op's own start, and dRAID's forward
+fork on an RMW write, are the only ones left.
 """
 
 import pytest
@@ -22,29 +25,47 @@ CHUNK = 512 * KB
 
 
 def events_of(env, make_op):
-    """``env._eid`` ticks from issuing ``make_op()`` to resuming on it."""
+    """``(env._eid ticks, timers among them)`` from issuing ``make_op()`` to
+    resuming on it."""
+    timers = 0
+    make_timeout = env.timeout
+
+    def counting_timeout(delay, value=None):
+        nonlocal timers
+        timers += 1
+        return make_timeout(delay, value)
 
     def caller():
         before = env._eid
         yield make_op()
         return env._eid - before
 
-    return env.run(until=env.process(caller()))
+    env.timeout = counting_timeout  # every timer of the model is made here
+    try:
+        return env.run(until=env.process(caller())), timers
+    finally:
+        del env.timeout
 
 
 @pytest.mark.parametrize(
-    "controller_cls, read_events, rmw_write_events",
-    [(MdRaid, 11, 32), (SpdkRaid, 12, 32), (DraidArray, 13, 29)],
-    ids=lambda value: getattr(value, "__name__", None),
+    "controller_cls, read_events, rmw_write_events, write_relays",
+    [(MdRaid, 7, 26, 1), (SpdkRaid, 7, 26, 1), (DraidArray, 8, 23, 2)],
+    ids=["MdRaid", "SpdkRaid", "DraidArray"],  # not the pins: they move
 )
-def test_events_of_one_idle_4k_op(controller_cls, read_events, rmw_write_events):
+def test_events_of_one_idle_4k_op(
+    controller_cls, read_events, rmw_write_events, write_relays
+):
     env = Environment()
     cluster = build_cluster(env, ClusterConfig(num_servers=8))
     array = controller_cls(cluster, RaidGeometry(RaidLevel.RAID5, 8, CHUNK))
     offset = 8 * CHUNK + 4 * KB  # inside one chunk of the second stripe
-    assert events_of(env, lambda: array.read(offset, 4 * KB)) == read_events
+    events, timers = events_of(env, lambda: array.read(offset, 4 * KB))
+    assert events == read_events
+    assert events - timers == 1  # the op's own start
     env.run()  # idle again (drains dRAID's deadline timer)
-    assert events_of(env, lambda: array.write(offset, 4 * KB)) == rmw_write_events
+    events, timers = events_of(env, lambda: array.write(offset, 4 * KB))
+    assert events == rmw_write_events
+    assert events - timers == write_relays  # ... and dRAID's forward fork
     assert array.stats.rmw_writes == 1
 
 
@@ -55,4 +76,4 @@ def test_events_of_one_nvmeof_read():
     cluster = build_cluster(env, ClusterConfig(num_servers=2))
     NvmeOfTarget(cluster.servers[1], cluster.server_end(1))
     bdev = RemoteBdev(cluster.host, cluster.host_end(1))
-    assert events_of(env, lambda: bdev.read(0, 4 * KB)) == 5
+    assert events_of(env, lambda: bdev.read(0, 4 * KB)) == (5, 5)

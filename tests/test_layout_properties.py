@@ -16,7 +16,10 @@ relies on:
   placement is perfectly even;
 * **role-preserving spare remap** — after ``remap_to_spare`` the spare
   answers exactly the failed member's placement queries and the stripe
-  is still duplicate-free.
+  is still duplicate-free;
+* **tables equal the closed forms** — the per-residue placement tables
+  both layouts index answer every query exactly as the formulas they were
+  built from, at any stripe, remapped stripes included.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.draid.ec_array import EcGeometry
 from repro.raid.layout import (
     LAYOUTS,
     DeclusteredLayout,
+    Layout,
     RotatingLayout,
     make_layout,
 )
@@ -210,6 +214,40 @@ def test_remap_to_spare_preserves_roles(
     assert failed in layout.stripe_drives(other) or failed not in (
         layout._window(other)[:w]
     )
+
+
+@given(
+    case=layout_cases(),
+    stripes=st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=8),
+    remap_slots=st.lists(st.integers(min_value=0, max_value=63), max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_table_lookups_equal_the_closed_forms(case, stripes, remap_slots):
+    layout, n, p = case
+    w = layout.stripe_width
+    remapped = {}  # (stripe, slot) -> spare, applied on top of the formula
+    if layout.name == "declustered":
+        for stripe, slot in zip(stripes, remap_slots):
+            if layout.spare_drives(stripe):
+                failed = layout.stripe_drives(stripe)[slot % w]
+                remapped[stripe, slot % w] = layout.remap_to_spare(stripe, failed)
+    for s in stripes + [s + n for s in stripes]:
+        if layout.name == "rotating":
+            first = (n - 1) - (s % n)
+            parity = tuple((first + j) % n for j in range(p))
+            expect = parity + tuple((parity[-1] + 1 + i) % n for i in range(n - p))
+        else:
+            base = (s * layout.stride) % n
+            window = tuple(layout.perm[(base + j) % n] for j in range(n))
+            assert layout._window(s) == window
+            expect = tuple(
+                remapped.get((s, slot), drive) for slot, drive in enumerate(window[:w])
+            )
+        assert layout.stripe_drives(s) == expect
+        assert layout.parity_drives(s) == expect[:p]
+        assert layout.data_drives(s) == expect[p:]
+        assert [layout.data_drive(s, i) for i in range(w - p)] == list(expect[p:])
+        assert Layout.data_drives(layout, s) == expect[p:]  # the generic default
 
 
 def test_stride_is_coprime_and_perm_is_permutation():

@@ -17,6 +17,7 @@ where the guard must fall back to the evented path) are the norm, not the
 exception.
 """
 
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional, Tuple
@@ -27,7 +28,16 @@ from hypothesis import strategies as st
 
 from repro.net.fabric import Fabric
 from repro.net.nic import Nic
-from repro.sim import Environment, SimulationError, Store
+from repro.raid.locks import StripeLockManager
+from repro.sim import AllOf, AnyOf, Environment, Interrupt, SimulationError, Store
+
+# CI's perf-smoke job re-runs this file with HYPOTHESIS_PROFILE=handoff-ci:
+# same examples every time, and a budget tier-1 could not afford.
+settings.register_profile(
+    "handoff-ci", max_examples=3000, derandomize=True, deadline=None
+)
+if os.environ.get("HYPOTHESIS_PROFILE") == "handoff-ci":
+    settings.load_profile("handoff-ci")
 
 DELAYS = (0, 0, 1, 2, 5)
 INBOXES = 3
@@ -371,3 +381,373 @@ class TestOneReaderPerStore:
         store.put("late")
         env.run()
         assert seen == ["early", "also early", "late"]
+
+
+# -- process-step handoff (PR 20): ends, condition releases, fan-out, locks ----
+#
+# A process that returns, an ``AllOf``/``AnyOf`` whose last child comes in,
+# the first steps of ``env.gather`` children and the grant of a free stripe
+# lock all skip the calendar when it is quiescent.  Same claim, same oracle:
+# equal ``(now, label)`` traces on the fast and on the pure-heap kernel.
+
+STEP_DELAYS = (0, 1, 2, 5)
+
+timer_step = st.tuples(st.just("timer"), st.sampled_from(STEP_DELAYS))
+lock_step = st.tuples(
+    st.just("lock"),
+    st.integers(0, 1),
+    st.lists(st.sampled_from(STEP_DELAYS), max_size=2).map(tuple),
+)
+leaf_steps = st.one_of(timer_step, lock_step)
+
+
+def _branching(programs):
+    """Programs whose steps may start the child ``programs``."""
+    racers = st.lists(
+        st.one_of(st.sampled_from(STEP_DELAYS), programs), min_size=1, max_size=3
+    )
+    return st.lists(
+        st.one_of(
+            leaf_steps,
+            st.tuples(st.just("gather"), st.lists(programs, min_size=1, max_size=3)),
+            st.tuples(st.sampled_from(("all", "any")), racers),
+            st.tuples(st.just("spawn"), programs),
+        ),
+        max_size=4,
+    )
+
+
+programs = st.recursive(st.lists(leaf_steps, max_size=3), _branching, max_leaves=10)
+
+
+def interpret(net, locks, label, program):
+    """Run ``program`` as a process body, logging every step and the end."""
+    env = net.env
+
+    def child(tag, body):
+        return interpret(net, locks, f"{label}.{tag}", body)
+
+    for i, step in enumerate(program):
+        kind = step[0]
+        net.log(f"{label}[{i}]{kind}")
+        if kind == "timer":
+            yield env.timeout(step[1])
+        elif kind == "lock":
+            yield locks.acquire(step[1])
+            net.log(f"{label}[{i}]held")
+            try:
+                for delay in step[2]:
+                    yield env.timeout(delay)
+            finally:
+                locks.release(step[1])
+        elif kind == "gather":
+            yield env.gather(
+                child(f"{i}g{j}", body) for j, body in enumerate(step[1])
+            )
+        elif kind == "spawn":
+            env.process(child(f"{i}s", step[1]))
+        else:
+            racers = [
+                env.timeout(r) if isinstance(r, int)
+                else env.process(child(f"{i}c{j}", r))
+                for j, r in enumerate(step[1])
+            ]
+            yield (AllOf if kind == "all" else AnyOf)(env, racers)
+    net.log(f"{label}:end")
+
+
+@given(roots=st.lists(programs, min_size=1, max_size=4))
+@settings(max_examples=max(250, settings.default.max_examples), deadline=None)
+def test_process_step_handoff_matches_pure_heap_order(roots):
+    def build(net):
+        locks = StripeLockManager(net.env)
+        for r, program in enumerate(roots):  # all start in nanosecond 0
+            net.env.process(interpret(net, locks, f"r{r}", program))
+
+    run_both(build)
+
+
+def labels(net, count=None):
+    return [label for _, label in net.trace[:count]]
+
+
+def test_idle_fan_out_hands_off_start_grant_end_and_release():
+    """One child on an idle calendar: its Initialize, the free-lock grant,
+    its end, the AllOf release and the parent's end all disappear; the
+    parent's own start and the timers are what is left.  (The bystander
+    timer makes the child park instead of batch-advancing to its end.)"""
+    def build(net):
+        net.env.timeout(1)
+        net.env.process(interpret(
+            net, StripeLockManager(net.env), "p", [("gather", [[("lock", 0, (3,))]])]
+        ))
+
+    fast, pure = run_both(build)
+    assert fast.env._eid == 3 and pure.env._eid == 8
+    assert fast.trace[-1] == (3, "p:end")
+
+
+def test_child_ending_beside_an_unrelated_zero_delay_event():
+    """The unrelated event holds the earlier id: its listener runs before
+    the parent resumes, so the child's end goes through the calendar."""
+    def build(net):
+        env = net.env
+        flag = env.event()
+
+        def setter():
+            yield env.timeout(5)
+            flag.succeed()
+
+        def listener():
+            yield flag
+            net.log("listener")
+
+        def kid():
+            yield env.timeout(5)
+            net.log("kid:end")
+
+        def parent():
+            yield env.process(kid())
+            net.log("parent:resumed")
+
+        env.process(setter())
+        env.process(listener())
+        env.process(parent())
+
+    fast, _ = run_both(build)
+    assert labels(fast) == ["kid:end", "listener", "parent:resumed"]
+
+
+def test_process_with_two_listeners():
+    """The first listener runs under ``_more``: it may not batch-advance its
+    next timer past the second listener's wake-up."""
+    def build(net):
+        env = net.env
+
+        def kid():
+            yield env.timeout(5)
+
+        def waiter(name, proc):
+            yield proc
+            net.log(f"{name}:woke")
+            yield env.timeout(0)
+            net.log(f"{name}:done")
+
+        proc = env.process(kid())
+        env.process(waiter("a", proc))
+        env.process(waiter("b", proc))
+
+    fast, _ = run_both(build)
+    assert labels(fast) == ["a:woke", "b:woke", "a:done", "b:done"]
+
+
+def test_all_of_over_already_processed_children():
+    """The constructor's own ``_check`` calls are not dispatched callbacks:
+    the release is scheduled, and what the builder does next precedes it."""
+    def build(net):
+        env = net.env
+
+        def kid():
+            yield env.timeout(1)
+
+        def parent():
+            kids = [env.process(kid()), env.process(kid())]
+            yield env.timeout(3)
+            gathered = AllOf(env, kids)
+            gathered.callbacks.append(lambda _ev: net.log("released"))
+            net.log("built")
+            yield gathered
+            net.log("resumed")
+
+        env.process(parent())
+
+    fast, _ = run_both(build)
+    assert fast.trace == [(3, "built"), (3, "released"), (3, "resumed")]
+
+
+def test_non_last_fan_out_child_taking_a_free_lock():
+    """Its grant is scheduled behind the later sibling's first step, exactly
+    where the Initialize queue puts it (and the sibling's grant behind it)."""
+    def build(net):
+        locks = StripeLockManager(net.env)
+        net.env.process(interpret(net, locks, "p", [
+            ("gather", [[("lock", 0, ())], [("lock", 1, ())]]),
+        ]))
+
+    fast, pure = run_both(build)
+    assert labels(fast, 5) == [
+        "p[0]gather", "p.0g0[0]lock", "p.0g1[0]lock", "p.0g0[0]held", "p.0g0:end",
+    ]
+    assert fast.env._eid < pure.env._eid
+
+
+def test_non_last_fan_out_child_may_not_run_ahead():
+    def build(net):
+        net.env.process(interpret(net, StripeLockManager(net.env), "p", [
+            ("gather", [[("timer", 0)], [("timer", 0)]]),
+        ]))
+
+    fast, _ = run_both(build)
+    assert labels(fast, 5) == [
+        "p[0]gather", "p.0g0[0]timer", "p.0g1[0]timer", "p.0g0:end", "p.0g1:end",
+    ]
+
+
+def test_fan_out_when_not_quiescent():
+    """Another process starts in the same nanosecond: the children get their
+    Initialize events behind it."""
+    def build(net):
+        locks = StripeLockManager(net.env)
+        net.env.process(interpret(net, locks, "p", [("gather", [[], []])]))
+        net.env.process(interpret(net, locks, "q", [("timer", 1)]))
+
+    fast, _ = run_both(build)
+    assert labels(fast, 3) == ["p[0]gather", "q[0]timer", "p.0g0:end"]
+
+
+def test_fan_out_from_a_plain_callback():
+    """Nobody yields the result next, so it is the plain expression."""
+    def build(net):
+        env = net.env
+
+        def kid(name):
+            net.log(f"{name}:start")
+            yield env.timeout(1)
+
+        def fan_out(_event):
+            gathered = env.gather(kid(name) for name in "ab")
+            gathered.callbacks.append(lambda _ev: net.log("released"))
+            net.log("callback:done")
+
+        env.timeout(5).callbacks.append(fan_out)
+
+    fast, pure = run_both(build)
+    assert labels(fast) == ["callback:done", "a:start", "b:start", "released"]
+    assert fast.env._eid == pure.env._eid - 1  # only the release hands off
+
+
+def test_last_child_batch_advancing_to_its_end_inside_the_fan_out():
+    """The child is processed before the AllOf exists; the parent still
+    resumes at the child's end time, after the sibling."""
+    def build(net):
+        net.env.process(interpret(net, StripeLockManager(net.env), "p", [
+            ("gather", [[("timer", 5)], [("timer", 1), ("timer", 2)]]),
+        ]))
+
+    fast, _ = run_both(build)
+    assert fast.trace[-3:] == [(3, "p.0g1:end"), (5, "p.0g0:end"), (5, "p:end")]
+
+
+def test_lone_child_batch_advancing_to_its_end_inside_the_fan_out():
+    def build(net):
+        net.env.process(interpret(net, StripeLockManager(net.env), "p", [
+            ("gather", [[("timer", 1), ("timer", 2)]]), ("timer", 1),
+        ]))
+
+    fast, _ = run_both(build)
+    assert fast.trace[-3:] == [(3, "p.0g0:end"), (3, "p[1]timer"), (4, "p:end")]
+
+
+class Boom(Exception):
+    pass
+
+
+def failing_family(net, fail_after, position):
+    """A parent fanning out over two healthy children and one that raises
+    ``fail_after`` timers in (``position`` among the three)."""
+    env = net.env
+
+    def healthy(name):
+        yield env.timeout(2)
+        net.log(f"{name}:end")
+
+    def doomed():
+        for _ in range(fail_after):
+            yield env.timeout(1)
+        net.log("doomed:raising")
+        raise Boom("boom")
+
+    def parent():
+        kids = [healthy("a"), healthy("b")]
+        kids.insert(position, doomed())
+        try:
+            yield env.gather(kids)
+        except Boom:
+            net.log("parent:caught")
+        yield env.timeout(10)
+        net.log("parent:end")
+
+    env.process(parent())
+
+
+@pytest.mark.parametrize("position", [0, 2], ids=["first", "last"])
+def test_child_raising_on_its_first_step(position):
+    fast, _ = run_both(lambda net: failing_family(net, 0, position))
+    assert labels(fast) == [
+        "doomed:raising", "parent:caught", "a:end", "b:end", "parent:end",
+    ]
+
+
+@pytest.mark.parametrize("position", [0, 2], ids=["first", "last"])
+def test_failing_child_under_all_of_fails_fast_and_is_defused(position):
+    """The AllOf fails as soon as the child does; the children that end
+    later are checked in and nothing surfaces from ``run``."""
+    fast, _ = run_both(lambda net: failing_family(net, 1, position))
+    assert fast.trace[:2] == [(1, "doomed:raising"), (1, "parent:caught")]
+    assert fast.trace[-1] == (11, "parent:end")
+
+
+def test_run_until_horizon_with_an_end_release_resume_chain_at_the_horizon():
+    def build(net):
+        net.env.process(interpret(net, StripeLockManager(net.env), "p", [
+            ("gather", [[("timer", 5)]]), ("lock", 0, (2,)),
+        ]))
+
+    fast, _ = run_both(build, until=5)
+    assert fast.trace[-3:] == [(5, "p.0g0:end"), (5, "p[1]lock"), (5, "p[1]held")]
+    assert fast.env.now == 5
+    fast.env.run()
+    assert fast.trace[-1] == (7, "p:end")
+
+
+def test_interrupt_of_a_parent_parked_on_a_fan_out():
+    """The children run on; the parent is gone from the release's listeners."""
+    def build(net):
+        env = net.env
+
+        def kid(name, delay):
+            yield env.timeout(delay)
+            net.log(f"{name}:end")
+
+        def parent():
+            try:
+                yield env.gather([kid("a", 4), kid("b", 6)])
+            except Interrupt as interrupt:
+                net.log(f"parent:interrupted:{interrupt.cause}")
+            yield env.timeout(1)
+            net.log("parent:end")
+
+        def interrupter(victim):
+            yield env.timeout(5)
+            victim.interrupt("stop")
+
+        env.process(interrupter(env.process(parent())))
+
+    fast, _ = run_both(build)
+    assert fast.trace == [
+        (4, "a:end"), (5, "parent:interrupted:stop"), (6, "b:end"), (6, "parent:end"),
+    ]
+
+
+def test_any_of_lets_go_of_the_timer_that_lost():
+    """The winner's value is not kept alive by the pending deadline, which
+    still dispatches (with no listener) where it always did."""
+    env = Environment()
+    winner = env.event()
+    deadline = env.timeout(50)
+    race = AnyOf(env, [winner, deadline])
+    env.timeout(1).callbacks.append(lambda _ev: winner.succeed("won"))
+    env.run(until=race)
+    assert deadline.callbacks == [] and env.now == 1
+    env.run()
+    assert env.now == 50
