@@ -1,24 +1,16 @@
 """Quick calibration harness used during development (not a deliverable)."""
 
-import sys
 import time
 
-from repro.baselines import MdRaid, SpdkRaid
-from repro.cluster import ClusterConfig, build_cluster
-from repro.draid import DraidArray
-from repro.raid.geometry import RaidGeometry, RaidLevel
-from repro.sim import Environment
+from repro import RaidLevel, build_testbed
 from repro.workloads import FioWorkload
 
 KB = 1024
-SYSTEMS = {"linux": MdRaid, "spdk": SpdkRaid, "draid": DraidArray}
 
 
 def run_point(system, servers, io_size, read_fraction, qd=32, level=RaidLevel.RAID5,
               chunk=512 * KB, failed=0, measure_ns=30_000_000):
-    env = Environment()
-    cluster = build_cluster(env, ClusterConfig(num_servers=servers))
-    array = SYSTEMS[system](cluster, RaidGeometry(level, servers, chunk))
+    _, _, array = build_testbed(system, servers, level, chunk)
     for i in range(failed):
         array.fail_drive(i)
     fio = FioWorkload(array, io_size, read_fraction=read_fraction, queue_depth=qd)

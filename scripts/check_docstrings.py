@@ -95,7 +95,7 @@ def module_map_failures() -> list:
     failures = []
     for line in (ROOT / "docs" / "ARCHITECTURE.md").read_text().splitlines():
         cells = [cell.strip() for cell in line.split("|")]
-        if len(cells) != 5 or not re.fullmatch(r"`repro(\.\w+)+`", cells[1]):
+        if len(cells) != 5 or not re.fullmatch(r"`repro(\.\w+)*`", cells[1]):
             continue  # not a "| `repro.pkg` | owns | entry points |" row
         package = importlib.import_module(cells[1].strip("`"))
         modules = [package] + [

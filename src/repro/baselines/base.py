@@ -760,7 +760,7 @@ class HostCentricRaid(RaidArray):
             self._charge_write_staging(staged, ext), ctx, "staging"
         )
         write_events = self._segment_writes(
-            ext, io_data, ctx, deadline_ns, skip=self.failed
+            ext, io_data, ctx, deadline_ns, skip=failed
         )
         write_events += self._parity_writes(ext, new_parity, ctx, deadline_ns)
         yield AllOf(self.env, write_events)

@@ -8,6 +8,7 @@ Usage::
     python -m repro.experiments --list           # what is available
     python -m repro.experiments --all            # everything (takes minutes)
     python -m repro.experiments --trace t.json   # export one traced I/O run
+    python -m repro.experiments smoke chaos --check   # a smoke grid vs its golden
 
 Sweep points fan out over worker processes (``-j``/``REPRO_JOBS``, default:
 all cores); results are byte-identical to ``-j 1`` because every point owns
@@ -48,7 +49,11 @@ def main(argv=None) -> int:
         prog="python -m repro.experiments",
         description="Regenerate dRAID paper tables and figures in simulation.",
     )
-    parser.add_argument("experiments", nargs="*", help="experiment ids (e.g. fig10)")
+    parser.add_argument(
+        "experiments", nargs="*",
+        help="experiment ids (e.g. fig10); or `smoke NAME...` to run smoke "
+             "grids (seeded mini sweeps pinned to tests/golden/*_smoke.golden)",
+    )
     parser.add_argument("--list", action="store_true", help="list experiment ids")
     parser.add_argument("--all", action="store_true", help="run every experiment")
     parser.add_argument(
@@ -63,6 +68,15 @@ def main(argv=None) -> int:
         "-j", "--jobs", type=int, default=None, metavar="N",
         help="worker processes for sweep points (default: REPRO_JOBS or all "
              "cores; 1 = serial in-process)",
+    )
+    parser.add_argument(
+        "--check", action="store_true",
+        help="smoke: diff each report against its committed golden instead "
+             "of printing it (exit 1 on a mismatch)",
+    )
+    parser.add_argument(
+        "--write-golden", action="store_true",
+        help="smoke: regenerate the committed golden(s) instead of printing",
     )
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
@@ -93,6 +107,14 @@ def main(argv=None) -> int:
             print(exc, file=sys.stderr)
             return 2
 
+    smoke = args.experiments[:1] == ["smoke"]
+    if (args.check or args.write_golden) and not smoke:
+        parser.error("--check and --write-golden belong to `smoke`")
+    if smoke:
+        from repro.experiments.smoke import SMOKES, smoke_cli
+
+        names = list(SMOKES) if args.all else args.experiments[1:]
+        return smoke_cli(names, check=args.check, write_golden=args.write_golden)
     if args.list:
         for exp_id in EXPERIMENTS:
             print(exp_id)

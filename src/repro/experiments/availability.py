@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
+from repro import ClusterConfig, RaidLevel, build_testbed
 from repro.experiments.runner import SweepPoint, run_points
 from repro.metrics.availability import ExposureTracker, loss_rate_per_hour
 from repro.metrics.report import Row
@@ -77,25 +78,20 @@ def _fault_plan(process: str, seed: int, horizon_ns: int):
 
 def availability_point(system: str, process: str, seed: int, fast: bool = True) -> Dict:
     """One seeded durability run; returns plain (picklable) metrics."""
-    from repro.cluster import ClusterConfig, build_cluster
-    from repro.experiments.common import SYSTEMS
     from repro.faults.domains import default_topology
     from repro.faults.injector import FaultInjector
-    from repro.raid.geometry import RaidGeometry, RaidLevel
     from repro.raid.recovery import RecoveryOrchestrator, SparePool
-    from repro.sim import Environment
     from repro.workloads import FioWorkload
 
     horizon_ns = 60 * MS if fast else 90 * MS
-    env = Environment()
     config = ClusterConfig(
         num_servers=AVAIL_DRIVES,
         io_timeout_ns=2 * MS,
         domains=default_topology(AVAIL_DRIVES),
     )
-    cluster = build_cluster(env, config)
-    geometry = RaidGeometry(RaidLevel.RAID6, AVAIL_DRIVES, AVAIL_CHUNK)
-    array = SYSTEMS[system](cluster, geometry)
+    env, _, array = build_testbed(
+        system, level=RaidLevel.RAID6, chunk_bytes=AVAIL_CHUNK, config=config
+    )
     plan = _fault_plan(process, seed, horizon_ns)
     injector = FaultInjector(array, plan, num_stripes=AVAIL_STRIPES)
     tracker = ExposureTracker()

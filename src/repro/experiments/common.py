@@ -1,36 +1,27 @@
-"""Shared experiment plumbing: system registry, cluster/array builders and
+"""Shared experiment plumbing: the figures' array builder (a thin front
+of :func:`repro.build_testbed`, which owns the system registry) and
 single-point FIO runs (§9.1 methodology).
 
 Defaults mirror the paper: 128 KiB I/O, 512 KiB chunk, 8 remote targets,
 RAID-5, 100 Gbps NICs.  ``fast=True`` shortens measurement windows so the
-full benchmark suite completes in minutes; set ``REPRO_FULL=1`` for longer
-windows.
+full benchmark suite completes in minutes; ``fast=False`` (``--full`` on
+the command line) takes the longer ones.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.baselines import MdRaid, SpdkRaid
-from repro.cluster import ClusterConfig, build_cluster
-from repro.draid import DraidArray
+from repro import SYSTEMS, build_testbed
+from repro.cluster import ClusterConfig
 from repro.obs import ObservabilityConfig
 from repro.net.nic import GOODPUT_100G
-from repro.raid.geometry import RaidGeometry, RaidLevel
-from repro.sim import Environment
+from repro.raid.geometry import RaidLevel
 from repro.workloads import FioWorkload
 from repro.workloads.fio import FioResult
 
 KB = 1024
 MB = 1_000_000
-
-#: Comparison systems, named as in the paper's figures.
-SYSTEMS: Dict[str, type] = {
-    "Linux": MdRaid,
-    "SPDK": SpdkRaid,
-    "dRAID": DraidArray,
-}
 
 DEFAULT_SERVERS = 8
 DEFAULT_CHUNK = 512 * KB
@@ -38,12 +29,8 @@ DEFAULT_IO = 128 * KB
 DEFAULT_QD = 64
 
 
-def full_mode() -> bool:
-    return os.environ.get("REPRO_FULL", "") not in ("", "0")
-
-
 def measure_window_ns(fast: bool = True) -> int:
-    return 60_000_000 if (full_mode() or not fast) else 15_000_000
+    return 15_000_000 if fast else 60_000_000
 
 
 def nic_goodput_mb_s() -> float:
@@ -66,22 +53,28 @@ def build_array(
     Pass ``observability=ObservabilityConfig()`` to arm per-I/O tracing and
     the utilization sampler on the new cluster (``array.cluster.obs``).
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; pick from {sorted(SYSTEMS)}")
-    env = Environment()
-    cluster = build_cluster(
-        env,
-        ClusterConfig(
-            num_servers=servers,
-            server_nic_rates=server_nic_rates,
-            observability=observability,
-        ),
+    config = ClusterConfig(
+        num_servers=servers,
+        server_nic_rates=server_nic_rates,
+        observability=observability,
     )
-    geometry = RaidGeometry(level, servers, chunk)
-    array = SYSTEMS[system](cluster, geometry, **array_kwargs)
+    _, _, array = build_testbed(
+        system, level=level, chunk_bytes=chunk, config=config, **array_kwargs
+    )
     for drive in failed_drives:
         array.fail_drive(drive)
     return array
+
+
+def _measure(array, io_size, read_fraction, queue_depth, fast, seed) -> FioResult:
+    fio = FioWorkload(
+        array,
+        io_size,
+        read_fraction=read_fraction,
+        queue_depth=queue_depth,
+        seed=seed,
+    )
+    return fio.run(measure_ns=measure_window_ns(fast))
 
 
 def fio_point(
@@ -108,56 +101,32 @@ def fio_point(
         failed_drives=failed_drives,
         **array_kwargs,
     )
-    fio = FioWorkload(
-        array,
-        io_size,
-        read_fraction=read_fraction,
-        queue_depth=queue_depth,
-        seed=seed,
-    )
-    return fio.run(measure_ns=measure_window_ns(fast))
+    return _measure(array, io_size, read_fraction, queue_depth, fast, seed)
 
 
 def traced_fio_point(
     system: str,
     io_size: int = DEFAULT_IO,
     read_fraction: float = 0.0,
-    servers: int = DEFAULT_SERVERS,
-    level: RaidLevel = RaidLevel.RAID5,
-    chunk: int = DEFAULT_CHUNK,
     queue_depth: int = DEFAULT_QD,
-    failed_drives: Sequence[int] = (),
-    server_nic_rates: Optional[Sequence[float]] = None,
     fast: bool = True,
     seed: int = 1234,
     observability: Optional[ObservabilityConfig] = None,
-    **array_kwargs,
+    **build_kwargs,
 ):
     """Run one observability-armed FIO point; returns ``(FioResult, Observability)``.
 
-    Identical methodology to :func:`fio_point` but the cluster is built with
-    tracing armed: every measured I/O records a root span plus its
-    host/NIC/fabric/target/drive child spans, and the utilization sampler
-    covers exactly the measurement window.  Inspect ``obs.tracer`` with
-    :func:`repro.obs.request_breakdowns` / :func:`repro.obs.chrome_trace_json`
-    and ``obs.sampler.report()`` for the bottleneck attribution.
+    Identical methodology to :func:`fio_point` (``build_kwargs`` are
+    :func:`build_array`'s: ``servers``, ``level``, ``chunk``, ...) but the
+    cluster is built with tracing armed: every measured I/O records a root
+    span plus its host/NIC/fabric/target/drive child spans, and the
+    utilization sampler covers exactly the measurement window.  Inspect
+    ``obs.tracer`` with :func:`repro.obs.request_breakdowns` /
+    :func:`repro.obs.chrome_trace_json` and ``obs.sampler.report()`` for the
+    bottleneck attribution.
     """
     array = build_array(
-        system,
-        servers=servers,
-        level=level,
-        chunk=chunk,
-        server_nic_rates=server_nic_rates,
-        failed_drives=failed_drives,
-        observability=observability or ObservabilityConfig(),
-        **array_kwargs,
+        system, observability=observability or ObservabilityConfig(), **build_kwargs
     )
-    fio = FioWorkload(
-        array,
-        io_size,
-        read_fraction=read_fraction,
-        queue_depth=queue_depth,
-        seed=seed,
-    )
-    result = fio.run(measure_ns=measure_window_ns(fast))
+    result = _measure(array, io_size, read_fraction, queue_depth, fast, seed)
     return result, array.cluster.obs

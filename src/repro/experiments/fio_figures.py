@@ -48,6 +48,18 @@ def _fio_row(x, system, **kwargs) -> Row:
     return _row(x, system, fio_point(system, **kwargs))
 
 
+def _sweep(xs, systems, jobs, point, row=_fio_row) -> List[Row]:
+    """One ``row`` per (x, system), x varying slowest; ``point(x)`` gives
+    the row's label and its other arguments (:func:`fio_point`'s for the
+    default row function)."""
+    points = [
+        SweepPoint(row, dict(system=system, **point(x)))
+        for x in xs
+        for system in systems
+    ]
+    return run_points(points, jobs=jobs)
+
+
 def sweep_io_size(
     level: RaidLevel,
     read_fraction: float,
@@ -59,24 +71,15 @@ def sweep_io_size(
     jobs: Optional[int] = None,
 ) -> List[Row]:
     """Figures 9/10/15/18 (RAID-5) and 22/23/28/30 (RAID-6)."""
-    points = [
-        SweepPoint(
-            _fio_row,
-            dict(
-                x=f"{size_kb}KB",
-                system=system,
-                io_size=size_kb * KB,
-                read_fraction=read_fraction,
-                servers=servers,
-                level=level,
-                failed_drives=tuple(failed_drives),
-                fast=fast,
-            ),
-        )
-        for size_kb in sizes_kb
-        for system in systems
-    ]
-    return run_points(points, jobs=jobs)
+    return _sweep(sizes_kb, systems, jobs, lambda size_kb: dict(
+        x=f"{size_kb}KB",
+        io_size=size_kb * KB,
+        read_fraction=read_fraction,
+        servers=servers,
+        level=level,
+        failed_drives=tuple(failed_drives),
+        fast=fast,
+    ))
 
 
 def sweep_chunk_size(
@@ -87,23 +90,14 @@ def sweep_chunk_size(
     jobs: Optional[int] = None,
 ) -> List[Row]:
     """Figures 11 / 24: 128 KiB writes across chunk sizes."""
-    points = [
-        SweepPoint(
-            _fio_row,
-            dict(
-                x=f"{chunk_kb}KB",
-                system=system,
-                io_size=DEFAULT_IO,
-                read_fraction=0.0,
-                chunk=chunk_kb * KB,
-                level=level,
-                fast=fast,
-            ),
-        )
-        for chunk_kb in chunks_kb
-        for system in systems
-    ]
-    return run_points(points, jobs=jobs)
+    return _sweep(chunks_kb, systems, jobs, lambda chunk_kb: dict(
+        x=f"{chunk_kb}KB",
+        io_size=DEFAULT_IO,
+        read_fraction=0.0,
+        chunk=chunk_kb * KB,
+        level=level,
+        fast=fast,
+    ))
 
 
 def sweep_stripe_width(
@@ -116,23 +110,14 @@ def sweep_stripe_width(
     jobs: Optional[int] = None,
 ) -> List[Row]:
     """Figures 12/16 (RAID-5) and 25/29 (RAID-6)."""
-    points = [
-        SweepPoint(
-            _fio_row,
-            dict(
-                x=width,
-                system=system,
-                read_fraction=read_fraction,
-                servers=width,
-                level=level,
-                failed_drives=(0,) if failed else (),
-                fast=fast,
-            ),
-        )
-        for width in widths
-        for system in systems
-    ]
-    return run_points(points, jobs=jobs)
+    return _sweep(widths, systems, jobs, lambda width: dict(
+        x=width,
+        read_fraction=read_fraction,
+        servers=width,
+        level=level,
+        failed_drives=(0,) if failed else (),
+        fast=fast,
+    ))
 
 
 def sweep_read_ratio(
@@ -143,21 +128,9 @@ def sweep_read_ratio(
     jobs: Optional[int] = None,
 ) -> List[Row]:
     """Figures 13 / 26: mixed read/write ratios."""
-    points = [
-        SweepPoint(
-            _fio_row,
-            dict(
-                x=f"{int(ratio * 100)}%",
-                system=system,
-                read_fraction=ratio,
-                level=level,
-                fast=fast,
-            ),
-        )
-        for ratio in ratios
-        for system in systems
-    ]
-    return run_points(points, jobs=jobs)
+    return _sweep(ratios, systems, jobs, lambda ratio: dict(
+        x=f"{int(ratio * 100)}%", read_fraction=ratio, level=level, fast=fast
+    ))
 
 
 def latency_curve(
@@ -170,23 +143,14 @@ def latency_curve(
     jobs: Optional[int] = None,
 ) -> List[Row]:
     """Figures 14 / 27: latency vs bandwidth under increasing load."""
-    points = [
-        SweepPoint(
-            _fio_row,
-            dict(
-                x=qd,
-                system=system,
-                read_fraction=read_fraction,
-                servers=servers,
-                level=level,
-                queue_depth=qd,
-                fast=fast,
-            ),
-        )
-        for qd in queue_depths
-        for system in systems
-    ]
-    return run_points(points, jobs=jobs)
+    return _sweep(queue_depths, systems, jobs, lambda qd: dict(
+        x=qd,
+        read_fraction=read_fraction,
+        servers=servers,
+        level=level,
+        queue_depth=qd,
+        fast=fast,
+    ))
 
 
 def reconstruction_scalability(
@@ -202,15 +166,9 @@ def reconstruction_scalability(
     target the failed drive's chunks (remapped via RebuildView below), so
     every I/O pays the reconstruction path.
     """
-    points = [
-        SweepPoint(
-            _rebuild_row,
-            dict(x=width, system=system, width=width, level=level, fast=fast),
-        )
-        for width in widths
-        for system in systems
-    ]
-    return run_points(points, jobs=jobs)
+    return _sweep(widths, systems, jobs, row=_rebuild_row, point=lambda width: dict(
+        x=width, width=width, level=level, fast=fast
+    ))
 
 
 def _rebuild_row(x, system, width, level, fast) -> Row:
@@ -251,18 +209,13 @@ def bandwidth_aware_comparison(
     exactly the load the §6.2 algorithm avoids.  The x axis ramps load via
     queue depth (the paper plots latency vs bandwidth).
     """
-    points = [
-        SweepPoint(
-            _bw_aware_row,
-            dict(x=qd, name=name, qd=qd, width=width, fast=fast),
-        )
-        for qd in load_points
-        for name in ("Random", "BW-Aware")
-    ]
-    return run_points(points, jobs=jobs)
+    selectors = ("Random", "BW-Aware")
+    return _sweep(load_points, selectors, jobs, row=_bw_aware_row, point=lambda qd: dict(
+        x=qd, qd=qd, width=width, fast=fast
+    ))
 
 
-def _bw_aware_row(x, name, qd, width, fast) -> Row:
+def _bw_aware_row(x, system, qd, width, fast) -> Row:
     from repro.draid.reconstruction import BandwidthAwareSelector, RandomReducerSelector
     from repro.experiments.common import build_array, measure_window_ns
     from repro.workloads import FioWorkload
@@ -274,7 +227,7 @@ def _bw_aware_row(x, name, qd, width, fast) -> Row:
         server_nic_rates=rates,
         failed_drives=(0,),
     )
-    if name == "BW-Aware":
+    if system == "BW-Aware":
         array.selector = BandwidthAwareSelector(array.cluster, seed=3)
     else:
         array.selector = RandomReducerSelector(seed=3)
@@ -287,7 +240,7 @@ def _bw_aware_row(x, name, qd, width, fast) -> Row:
         capacity=array.geometry.chunk_bytes * 2048,
     )
     result = fio.run(measure_ns=measure_window_ns(fast))
-    return _row(x, name, result)
+    return _row(x, system, result)
 
 
 class _FailedChunkView:

@@ -41,10 +41,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.cluster import ClusterConfig, build_cluster
+from repro import ALIASES, ClusterConfig, build_testbed
 from repro.experiments.runner import SweepPoint, run_points
 from repro.metrics.report import Row
-from repro.sim import Environment
 
 KB = 1024
 MS = 1_000_000
@@ -68,37 +67,9 @@ GEOM_FIO_SEED = 42
 #: seed of the chaos-harness verification storm run per cell
 GEOM_CHAOS_SEED = 11
 
-CONTROLLER_LABELS = {"draid": "dRAID", "draid-st": "dRAID-ST"}
-
 
 def geom_stripes(fast: bool = True) -> int:
     return 24 if fast else 64
-
-
-def _build_variant(layout: str, code: str, controller: str, stripes: int):
-    """Fresh env + functional cluster + geometry + controller for one cell."""
-    from repro.draid.ec_array import EcGeometry
-    from repro.faults.chaos import _make_controller
-    from repro.raid.layout import make_layout
-
-    env = Environment()
-    cluster = build_cluster(
-        env,
-        ClusterConfig(
-            num_servers=GEOM_SERVERS, functional_capacity=stripes * GEOM_CHUNK
-        ),
-    )
-    layout_obj = None
-    if layout != "rotating":
-        layout_obj = make_layout(
-            layout, GEOM_SERVERS, GEOM_PARITY, seed=GEOM_LAYOUT_SEED
-        )
-    geometry = EcGeometry(GEOM_SERVERS, GEOM_CHUNK, GEOM_PARITY, layout=layout_obj)
-    local_groups = GEOM_LOCAL_GROUPS if code == "lrc" else 1
-    array = _make_controller(
-        controller, cluster, geometry, code=code, local_groups=local_groups
-    )
-    return array
 
 
 def _prefill(array, stripes: int) -> None:
@@ -129,8 +100,20 @@ def geometry_point(
     from repro.workloads import FioWorkload
 
     stripes = geom_stripes(fast)
-    array = _build_variant(layout, code, controller, stripes)
-    env = array.env
+    local_groups = GEOM_LOCAL_GROUPS if code == "lrc" else 1
+    config = ClusterConfig(
+        num_servers=GEOM_SERVERS, functional_capacity=stripes * GEOM_CHUNK
+    )
+    env, _, array = build_testbed(
+        controller,
+        chunk_bytes=GEOM_CHUNK,
+        config=config,
+        layout=layout,
+        layout_seed=GEOM_LAYOUT_SEED,
+        code=code,
+        parity=GEOM_PARITY,
+        local_groups=local_groups,
+    )
     g = array.geometry
     _prefill(array, stripes)
 
@@ -160,16 +143,16 @@ def geometry_point(
         drives=GEOM_SERVERS,
         stripes=12,
         ops=14,
-        layout=None if layout == "rotating" else layout,
+        layout=layout,
         layout_seed=GEOM_LAYOUT_SEED,
         code=code,
         ec_parity=GEOM_PARITY,
-        local_groups=GEOM_LOCAL_GROUPS if code == "lrc" else 1,
+        local_groups=local_groups,
     )
 
     return Row(
         x=f"{layout}/{code}",
-        system=CONTROLLER_LABELS[controller],
+        system=ALIASES[controller],
         metrics={
             "rebuild_ms": job.stats.elapsed_ns / 1e6,
             "degraded_mb_s": degraded.bandwidth_mb_s,

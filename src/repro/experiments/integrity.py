@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro import ClusterConfig, build_testbed
 from repro.experiments.runner import SweepPoint, run_points
 from repro.metrics.report import Row
-from repro.raid.geometry import RaidLevel
 
 KB = 1024
 US = 1_000
@@ -80,12 +80,8 @@ def _corruption_plan(system: str, warmup_ns: int, measure_ns: int):
 
 def integrity_point(system: str, pace_label: str, fast: bool) -> Row:
     """One (system, scrub pace) cell of the integrity figure."""
-    from repro.cluster import ClusterConfig, build_cluster
-    from repro.experiments.common import SYSTEMS
     from repro.faults.injector import FaultInjector
-    from repro.raid.geometry import RaidGeometry
     from repro.raid.scrubber import ScrubDaemon
-    from repro.sim import Environment
     from repro.storage.integrity import IntegrityStore
     from repro.workloads import FioWorkload
 
@@ -96,13 +92,9 @@ def integrity_point(system: str, pace_label: str, fast: bool) -> Row:
     #: detection before the residual count is taken
     drain_ns = 20 * MS
 
-    env = Environment()
-    cluster = build_cluster(
-        env, ClusterConfig(num_servers=NUM_SERVERS, io_timeout_ns=2 * MS)
-    )
+    config = ClusterConfig(num_servers=NUM_SERVERS, io_timeout_ns=2 * MS)
+    env, cluster, array = build_testbed(system, chunk_bytes=CHUNK, config=config)
     IntegrityStore(CHUNK).attach(cluster)
-    geometry = RaidGeometry(RaidLevel.RAID5, NUM_SERVERS, CHUNK)
-    array = SYSTEMS[system](cluster, geometry)
     FaultInjector(array, _corruption_plan(system, warmup_ns, measure_ns))
     pace_ns = SCRUB_PACES[pace_label]
     daemon = (
@@ -119,7 +111,7 @@ def integrity_point(system: str, pace_label: str, fast: bool) -> Row:
         CHUNK,
         read_fraction=1.0,
         queue_depth=8,
-        capacity=NUM_STRIPES * geometry.stripe_data_bytes,
+        capacity=NUM_STRIPES * array.geometry.stripe_data_bytes,
         seed=4321,
     )
     result = fio.run(warmup_ns=warmup_ns, measure_ns=measure_ns)

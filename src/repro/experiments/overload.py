@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro import ClusterConfig, build_testbed
 from repro.experiments.runner import SweepPoint, run_points
 from repro.metrics.report import Row
 
@@ -51,35 +52,22 @@ OVERLOAD_ADMISSION_DEPTH = 64
 OVERLOAD_TARGET_DEPTH = 96
 
 
-def _overload_config():
+def _testbed(system: str, protected: bool, **cluster_kwargs):
+    """The figure's array; ``protected`` arms the overload-control hub."""
     from repro.qos import OverloadConfig
 
-    return OverloadConfig(
-        admission_depth=OVERLOAD_ADMISSION_DEPTH,
-        target_queue_depth=OVERLOAD_TARGET_DEPTH,
-        default_deadline_ns=OVERLOAD_DEADLINE_NS,
-        retry_deposit_ratio=0.1,
-    )
-
-
-def _build(system: str, protected: bool, io_timeout_ns: Optional[int] = None):
-    from repro.cluster import ClusterConfig, build_cluster
-    from repro.experiments.common import SYSTEMS
-    from repro.raid.geometry import RaidGeometry, RaidLevel
-    from repro.sim import Environment
-
-    env = Environment()
-    kwargs = {}
-    if io_timeout_ns is not None:
-        kwargs["io_timeout_ns"] = io_timeout_ns
+    overload = None
+    if protected:
+        overload = OverloadConfig(
+            admission_depth=OVERLOAD_ADMISSION_DEPTH,
+            target_queue_depth=OVERLOAD_TARGET_DEPTH,
+            default_deadline_ns=OVERLOAD_DEADLINE_NS,
+            retry_deposit_ratio=0.1,
+        )
     config = ClusterConfig(
-        num_servers=OVERLOAD_SERVERS,
-        overload=_overload_config() if protected else None,
-        **kwargs,
+        num_servers=OVERLOAD_SERVERS, overload=overload, **cluster_kwargs
     )
-    cluster = build_cluster(env, config)
-    geometry = RaidGeometry(RaidLevel.RAID5, OVERLOAD_SERVERS, OVERLOAD_CHUNK)
-    return SYSTEMS[system](cluster, geometry)
+    return build_testbed(system, chunk_bytes=OVERLOAD_CHUNK, config=config)[2]
 
 
 def overload_point(
@@ -88,7 +76,7 @@ def overload_point(
     """One offered-load point; returns plain (picklable) metrics."""
     from repro.workloads import OpenLoopWorkload
 
-    array = _build(system, protected)
+    array = _testbed(system, protected)
     measure_ns = 10 * MS if fast else 30 * MS
     workload = OpenLoopWorkload(
         array,
@@ -119,7 +107,7 @@ def metastable_point(system: str, protected: bool, fast: bool = True) -> Dict:
     from repro.faults.injector import FaultInjector
     from repro.workloads import OpenLoopWorkload
 
-    array = _build(system, protected, io_timeout_ns=1 * MS)
+    array = _testbed(system, protected, io_timeout_ns=1 * MS)
     env = array.env
     # empty plan: arms the resilient (timeout/retry) datapath, injects nothing
     FaultInjector(array, FaultPlan([]), num_stripes=256)

@@ -1,13 +1,19 @@
 """Registry: paper table/figure id -> experiment runner.
 
 Each runner takes ``fast`` (short measurement windows, slightly sparser
-sweeps) and returns ``(title, rows)``.  ``run_experiment`` executes one and
-renders its table.  Benchmarks in ``benchmarks/`` wrap these one-to-one.
+sweeps) and returns ``(title, rows)``.  The FIO figures (9-18 and their
+RAID-6 twins 22-30) are rows of one table, :data:`FIO_FIGURES`, run by
+:func:`run_fio_figure`; the rest are small functions.  ``run_experiment``
+executes one and renders its table.  Benchmarks in ``benchmarks/`` wrap
+these one-to-one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from importlib import import_module
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.analysis.table1 import architecture_table
 from repro.experiments import app_figures, fio_figures
@@ -47,73 +53,96 @@ def run_table1(fast: bool = True) -> Tuple[str, List[Row]]:
     return "Table 1: remote RAID architectures\n" + table, rows
 
 
-def run_fig09(fast: bool = True):
-    rows = fio_figures.sweep_io_size(R5, 1.0, _thin(IO_SIZES_READ, fast), servers=6, fast=fast)
-    return "Figure 9: RAID-5 normal-state read vs I/O size (6 targets)", rows
+@dataclass(frozen=True)
+class Sweep:
+    """One sweep of a FIO figure: ``fn(level, <axis>=values, **kwargs)``."""
+
+    fn: Callable[..., List[Row]]
+    axis: str  #: the keyword of ``fn`` the x values go to
+    values: Sequence  #: the full-mode x axis
+    kwargs: Dict[str, Any] = field(default_factory=dict)
+    prefix: str = ""  #: prepended to every row's x (figures made of two sweeps)
+    thin: bool = True  #: fast mode drops every other interior x value
 
 
-def run_fig10(fast: bool = True):
-    rows = fio_figures.sweep_io_size(R5, 0.0, _thin(IO_SIZES_WRITE_R5, fast), fast=fast)
-    return "Figure 10: RAID-5 write vs I/O size", rows
+def _bandwidth_aware(level, **kwargs):
+    # Figure 17b is a RAID-5 experiment in the paper; the sweep takes no level
+    return fio_figures.bandwidth_aware_comparison(**kwargs)
 
 
-def run_fig11(fast: bool = True):
-    rows = fio_figures.sweep_chunk_size(R5, _thin(CHUNK_SIZES, fast), fast=fast)
-    return "Figure 11: RAID-5 write vs chunk size", rows
+NORMAL_READ = Sweep(
+    fio_figures.sweep_io_size, "sizes_kb", IO_SIZES_READ,
+    dict(read_fraction=1.0, servers=6),
+)
+WRITE_R5 = Sweep(
+    fio_figures.sweep_io_size, "sizes_kb", IO_SIZES_WRITE_R5, dict(read_fraction=0.0)
+)
+WRITE_R6 = Sweep(
+    fio_figures.sweep_io_size, "sizes_kb", IO_SIZES_WRITE_R6, dict(read_fraction=0.0)
+)
+CHUNK_SIZE = Sweep(fio_figures.sweep_chunk_size, "chunks_kb", CHUNK_SIZES)
+WIDTH = Sweep(fio_figures.sweep_stripe_width, "widths", WIDTHS)
+READ_RATIO = Sweep(fio_figures.sweep_read_ratio, "ratios", RATIOS, thin=False)
+LATENCY = (
+    Sweep(fio_figures.latency_curve, "queue_depths", QUEUE_DEPTHS,
+          dict(read_fraction=0.0), prefix="wo-qd"),
+    Sweep(fio_figures.latency_curve, "queue_depths", QUEUE_DEPTHS,
+          dict(read_fraction=0.5), prefix="rw-qd"),
+)
+DEGRADED_READ = Sweep(
+    fio_figures.sweep_io_size, "sizes_kb", IO_SIZES_READ,
+    dict(read_fraction=1.0, failed_drives=(0,)),
+)
+DEGRADED_WIDTH = Sweep(
+    fio_figures.sweep_stripe_width, "widths", WIDTHS,
+    dict(read_fraction=1.0, failed=True),
+)
+RECONSTRUCTION = (
+    Sweep(fio_figures.reconstruction_scalability, "widths", WIDTHS, prefix="width-"),
+    Sweep(_bandwidth_aware, "load_points", [4, 8, 16, 32, 64], prefix="qd-"),
+)
+DEGRADED_WRITE = Sweep(
+    fio_figures.sweep_io_size, "sizes_kb", IO_SIZES_READ,
+    dict(read_fraction=0.0, failed_drives=(0,)),
+)
+
+#: The FIO figures, one row each: id -> (level, sweeps, title).  Figures
+#: 22-30 (Appendix A) are the RAID-6 twins of 9-18; Figure 17 has none.
+FIO_FIGURES: Dict[str, Tuple[RaidLevel, Tuple[Sweep, ...], str]] = {
+    "fig09": (R5, (NORMAL_READ,), "Figure 9: RAID-5 normal-state read vs I/O size (6 targets)"),
+    "fig10": (R5, (WRITE_R5,), "Figure 10: RAID-5 write vs I/O size"),
+    "fig11": (R5, (CHUNK_SIZE,), "Figure 11: RAID-5 write vs chunk size"),
+    "fig12": (R5, (WIDTH,), "Figure 12: RAID-5 write vs stripe width"),
+    "fig13": (R5, (READ_RATIO,), "Figure 13: RAID-5 write vs read/write ratio"),
+    "fig14": (R5, LATENCY, "Figure 14: RAID-5 latency vs bandwidth (write-only and 50/50)"),
+    "fig15": (R5, (DEGRADED_READ,), "Figure 15: RAID-5 degraded read vs I/O size"),
+    "fig16": (R5, (DEGRADED_WIDTH,), "Figure 16: RAID-5 degraded read vs stripe width"),
+    "fig17": (R5, RECONSTRUCTION, "Figure 17: reconstruction scalability and BW-aware reducer"),
+    "fig18": (R5, (DEGRADED_WRITE,), "Figure 18: RAID-5 degraded write vs I/O size"),
+    "fig22": (R6, (NORMAL_READ,), "Figure 22: RAID-6 normal-state read vs I/O size"),
+    "fig23": (R6, (WRITE_R6,), "Figure 23: RAID-6 write vs I/O size"),
+    "fig24": (R6, (CHUNK_SIZE,), "Figure 24: RAID-6 write vs chunk size"),
+    "fig25": (R6, (WIDTH,), "Figure 25: RAID-6 write vs stripe width"),
+    "fig26": (R6, (READ_RATIO,), "Figure 26: RAID-6 write vs read/write ratio"),
+    "fig27": (R6, LATENCY, "Figure 27: RAID-6 latency vs bandwidth"),
+    "fig28": (R6, (DEGRADED_READ,), "Figure 28: RAID-6 degraded read vs I/O size"),
+    "fig29": (R6, (DEGRADED_WIDTH,), "Figure 29: RAID-6 degraded read vs stripe width"),
+    "fig30": (R6, (DEGRADED_WRITE,), "Figure 30: RAID-6 degraded write vs I/O size"),
+}
 
 
-def run_fig12(fast: bool = True):
-    rows = fio_figures.sweep_stripe_width(R5, _thin(WIDTHS, fast), fast=fast)
-    return "Figure 12: RAID-5 write vs stripe width", rows
-
-
-def run_fig13(fast: bool = True):
-    rows = fio_figures.sweep_read_ratio(R5, RATIOS, fast=fast)
-    return "Figure 13: RAID-5 write vs read/write ratio", rows
-
-
-def run_fig14(fast: bool = True):
-    qds = _thin(QUEUE_DEPTHS, fast)
-    rows = fio_figures.latency_curve(R5, 0.0, qds, fast=fast)
-    for row in rows:
-        row.x = f"wo-qd{row.x}"
-    mixed = fio_figures.latency_curve(R5, 0.5, qds, fast=fast)
-    for row in mixed:
-        row.x = f"rw-qd{row.x}"
-    return "Figure 14: RAID-5 latency vs bandwidth (write-only and 50/50)", rows + mixed
-
-
-def run_fig15(fast: bool = True):
-    rows = fio_figures.sweep_io_size(
-        R5, 1.0, _thin(IO_SIZES_READ, fast), failed_drives=(0,), fast=fast
-    )
-    return "Figure 15: RAID-5 degraded read vs I/O size", rows
-
-
-def run_fig16(fast: bool = True):
-    rows = fio_figures.sweep_stripe_width(
-        R5, _thin(WIDTHS, fast), read_fraction=1.0, failed=True, fast=fast
-    )
-    return "Figure 16: RAID-5 degraded read vs stripe width", rows
-
-
-def run_fig17(fast: bool = True):
-    rows = fio_figures.reconstruction_scalability(R5, _thin(WIDTHS, fast), fast=fast)
-    for row in rows:
-        row.x = f"width-{row.x}"
-    aware = fio_figures.bandwidth_aware_comparison(
-        load_points=_thin([4, 8, 16, 32, 64], fast), fast=fast
-    )
-    for row in aware:
-        row.x = f"qd-{row.x}"
-    return "Figure 17: reconstruction scalability and BW-aware reducer", rows + aware
-
-
-def run_fig18(fast: bool = True):
-    rows = fio_figures.sweep_io_size(
-        R5, 0.0, _thin(IO_SIZES_READ, fast), failed_drives=(0,), fast=fast
-    )
-    return "Figure 18: RAID-5 degraded write vs I/O size", rows
+def run_fio_figure(exp_id: str, fast: bool = True) -> Tuple[str, List[Row]]:
+    """Run one row of :data:`FIO_FIGURES`."""
+    level, sweeps, title = FIO_FIGURES[exp_id]
+    rows: List[Row] = []
+    for sweep in sweeps:
+        values = _thin(sweep.values, fast) if sweep.thin else sweep.values
+        part = sweep.fn(level, **{sweep.axis: values}, **sweep.kwargs, fast=fast)
+        if sweep.prefix:
+            for row in part:
+                row.x = f"{sweep.prefix}{row.x}"
+        rows += part
+    return title, rows
 
 
 def run_fig19(fast: bool = True):
@@ -136,173 +165,67 @@ def run_fig21(fast: bool = True):
     return "Figure 21: object store on degraded-state RAID-5", rows
 
 
-# -- Appendix A: RAID-6 -------------------------------------------------------
-
-
-def run_fig22(fast: bool = True):
-    rows = fio_figures.sweep_io_size(R6, 1.0, _thin(IO_SIZES_READ, fast), servers=6, fast=fast)
-    return "Figure 22: RAID-6 normal-state read vs I/O size", rows
-
-
-def run_fig23(fast: bool = True):
-    rows = fio_figures.sweep_io_size(R6, 0.0, _thin(IO_SIZES_WRITE_R6, fast), fast=fast)
-    return "Figure 23: RAID-6 write vs I/O size", rows
-
-
-def run_fig24(fast: bool = True):
-    rows = fio_figures.sweep_chunk_size(R6, _thin(CHUNK_SIZES, fast), fast=fast)
-    return "Figure 24: RAID-6 write vs chunk size", rows
-
-
-def run_fig25(fast: bool = True):
-    rows = fio_figures.sweep_stripe_width(R6, _thin(WIDTHS, fast), fast=fast)
-    return "Figure 25: RAID-6 write vs stripe width", rows
-
-
-def run_fig26(fast: bool = True):
-    rows = fio_figures.sweep_read_ratio(R6, RATIOS, fast=fast)
-    return "Figure 26: RAID-6 write vs read/write ratio", rows
-
-
-def run_fig27(fast: bool = True):
-    qds = _thin(QUEUE_DEPTHS, fast)
-    rows = fio_figures.latency_curve(R6, 0.0, qds, fast=fast)
-    for row in rows:
-        row.x = f"wo-qd{row.x}"
-    mixed = fio_figures.latency_curve(R6, 0.5, qds, fast=fast)
-    for row in mixed:
-        row.x = f"rw-qd{row.x}"
-    return "Figure 27: RAID-6 latency vs bandwidth", rows + mixed
-
-
-def run_fig28(fast: bool = True):
-    rows = fio_figures.sweep_io_size(
-        R6, 1.0, _thin(IO_SIZES_READ, fast), failed_drives=(0,), fast=fast
-    )
-    return "Figure 28: RAID-6 degraded read vs I/O size", rows
-
-
-def run_fig29(fast: bool = True):
-    rows = fio_figures.sweep_stripe_width(
-        R6, _thin(WIDTHS, fast), read_fraction=1.0, failed=True, fast=fast
-    )
-    return "Figure 29: RAID-6 degraded read vs stripe width", rows
-
-
-def run_fig30(fast: bool = True):
-    rows = fio_figures.sweep_io_size(
-        R6, 0.0, _thin(IO_SIZES_READ, fast), failed_drives=(0,), fast=fast
-    )
-    return "Figure 30: RAID-6 degraded write vs I/O size", rows
-
-
-def run_reliability(fast: bool = True):
-    from repro.experiments.reliability import reliability_rows
-
-    rows = reliability_rows(fast=fast)
-    return (
-        "Reliability: fault-storm phases and fail-slow detection (§5.4)",
-        rows,
-    )
-
-
-def run_integrity(fast: bool = True):
-    from repro.experiments.integrity import integrity_rows
-
-    rows = integrity_rows(fast=fast)
-    return (
-        "Integrity: silent-corruption detection latency and foreground "
-        "bandwidth vs scrub pace",
-        rows,
-    )
-
-
-def run_availability(fast: bool = True):
-    from repro.experiments.availability import availability_rows
-
-    rows = availability_rows(fast=fast)
-    return (
+#: The figures this repository adds to the paper's: id -> (module holding
+#: ``<id>_rows(fast=...)``, title).  Imported on first run — they pull in the
+#: fault, QoS and rack layers the paper's figures never touch.
+ADDED_FIGURES: Dict[str, Tuple[str, str]] = {
+    "availability": (
+        "availability",
         "Availability: Monte Carlo data-loss rate and rebuild exposure, "
         "independent vs correlated (batch-storm) fault processes",
-        rows,
-    )
-
-
-def run_overload(fast: bool = True):
-    from repro.experiments.overload import overload_rows
-
-    rows = overload_rows(fast=fast)
-    return (
-        "Overload: open-loop goodput collapse vs offered load, raw datapath "
-        "vs admission control + deadlines + retry budget",
-        rows,
-    )
-
-
-def run_tenancy(fast: bool = True):
-    from repro.experiments.tenancy import tenancy_rows
-
-    rows = tenancy_rows(fast=fast)
-    return (
-        "Tenancy: noisy-neighbor isolation (rack QoS off vs on) and "
-        "hot-spot recovery by live volume migration",
-        rows,
-    )
-
-
-def run_geometries(fast: bool = True):
-    from repro.experiments.geometries import geometries_rows
-
-    rows = geometries_rows(fast=fast)
-    return (
-        "Geometries: design-space grid of stripe layout x erasure code x "
-        "controller — rebuild time, degraded throughput/p99, chaos verify",
-        rows,
-    )
-
-
-def run_obs(fast: bool = True):
-    from repro.experiments.obs_figures import obs_rows
-
-    rows = obs_rows(fast=fast)
-    return (
+    ),
+    "reliability": (
+        "reliability",
+        "Reliability: fault-storm phases and fail-slow detection (§5.4)",
+    ),
+    "integrity": (
+        "integrity",
+        "Integrity: silent-corruption detection latency and foreground "
+        "bandwidth vs scrub pace",
+    ),
+    "obs": (
+        "obs_figures",
         "Observability: per-request critical path and bottleneck attribution "
         "(x label carries the sampler's verdict)",
-        rows,
-    )
+    ),
+    "overload": (
+        "overload",
+        "Overload: open-loop goodput collapse vs offered load, raw datapath "
+        "vs admission control + deadlines + retry budget",
+    ),
+    "tenancy": (
+        "tenancy",
+        "Tenancy: noisy-neighbor isolation (rack QoS off vs on) and "
+        "hot-spot recovery by live volume migration",
+    ),
+    "geometries": (
+        "geometries",
+        "Geometries: design-space grid of stripe layout x erasure code x "
+        "controller — rebuild time, degraded throughput/p99, chaos verify",
+    ),
+}
+
+
+def run_added_figure(exp_id: str, fast: bool = True) -> Tuple[str, List[Row]]:
+    """Run one row of :data:`ADDED_FIGURES`."""
+    module, title = ADDED_FIGURES[exp_id]
+    rows_fn = getattr(import_module(f"repro.experiments.{module}"), f"{exp_id}_rows")
+    return title, rows_fn(fast=fast)
+
+
+def _fio_figures(first: int, last: int) -> Dict[str, Callable]:
+    ids = [f"fig{n:02d}" for n in range(first, last + 1)]
+    return {exp_id: partial(run_fio_figure, exp_id) for exp_id in ids}
 
 
 EXPERIMENTS: Dict[str, Callable[[bool], Tuple[str, List[Row]]]] = {
     "table1": run_table1,
-    "fig09": run_fig09,
-    "fig10": run_fig10,
-    "fig11": run_fig11,
-    "fig12": run_fig12,
-    "fig13": run_fig13,
-    "fig14": run_fig14,
-    "fig15": run_fig15,
-    "fig16": run_fig16,
-    "fig17": run_fig17,
-    "fig18": run_fig18,
+    **_fio_figures(9, 18),
     "fig19": run_fig19,
     "fig20": run_fig20,
     "fig21": run_fig21,
-    "fig22": run_fig22,
-    "fig23": run_fig23,
-    "fig24": run_fig24,
-    "fig25": run_fig25,
-    "fig26": run_fig26,
-    "fig27": run_fig27,
-    "fig28": run_fig28,
-    "fig29": run_fig29,
-    "fig30": run_fig30,
-    "availability": run_availability,
-    "reliability": run_reliability,
-    "integrity": run_integrity,
-    "obs": run_obs,
-    "overload": run_overload,
-    "tenancy": run_tenancy,
-    "geometries": run_geometries,
+    **_fio_figures(22, 30),
+    **{exp_id: partial(run_added_figure, exp_id) for exp_id in ADDED_FIGURES},
 }
 
 

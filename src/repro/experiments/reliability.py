@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro import ClusterConfig, build_testbed
 from repro.metrics.report import Row
 from repro.experiments.runner import SweepPoint, run_points
-from repro.raid.geometry import RaidLevel
 
 KB = 1024
 MS = 1_000_000
@@ -45,21 +45,9 @@ STORM_PHASES = {
 FAILSLOW_MODES = ("baseline", "failslow", "detected")
 FAILSLOW_VICTIM = 2
 FAILSLOW_FACTOR = 10.0
-
-
-def _armed_array(system: str, timeout_ns: int = 2 * MS, **array_kwargs):
-    """A perf-mode testbed with the §5.4 resilient datapath armed."""
-    from repro.cluster import ClusterConfig, build_cluster
-    from repro.experiments.common import SYSTEMS
-    from repro.raid.geometry import RaidGeometry
-    from repro.sim import Environment
-
-    env = Environment()
-    cluster = build_cluster(
-        env, ClusterConfig(num_servers=8, io_timeout_ns=timeout_ns)
-    )
-    geometry = RaidGeometry(RaidLevel.RAID5, 8, 64 * KB)
-    return SYSTEMS[system](cluster, geometry, **array_kwargs)
+#: the attempt timeout that lets the §5.4 resilient datapath notice a fault
+#: inside one phase window (the production default is 50 ms)
+ARMED_TIMEOUT_NS = 2 * MS
 
 
 def storm_point(system: str, phase: str) -> Row:
@@ -69,7 +57,8 @@ def storm_point(system: str, phase: str) -> Row:
     from repro.faults.plan import FaultPlan
     from repro.workloads import FioWorkload
 
-    array = _armed_array(system)
+    config = ClusterConfig(io_timeout_ns=ARMED_TIMEOUT_NS)
+    _, _, array = build_testbed(system, chunk_bytes=64 * KB, config=config)
     plan = FaultPlan(
         [
             DriveFail(STORM_FAIL_AT, server=STORM_VICTIM),
@@ -107,7 +96,8 @@ def failslow_point(mode: str) -> Row:
     kwargs = {}
     if mode == "detected":
         kwargs["failslow_detector"] = FailSlowDetector()
-    array = _armed_array("dRAID", **kwargs)
+    config = ClusterConfig(io_timeout_ns=ARMED_TIMEOUT_NS)
+    _, _, array = build_testbed("dRAID", chunk_bytes=64 * KB, config=config, **kwargs)
     events = []
     if mode != "baseline":
         events.append(

@@ -54,10 +54,20 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A named, declarative collection of sweep points."""
+    """A named, declarative collection of sweep points.
+
+    A *smoke* (one row of :data:`repro.experiments.smoke.SMOKES`) is a spec
+    that also says what its results print and what they must prove:
+    ``lines`` maps the result list (in point order) to the report's lines,
+    and ``checks`` are named invariants — ``(name, fn)`` pairs where
+    ``fn(results)`` returns ``None`` when the invariant holds and the
+    reason when it does not.
+    """
 
     name: str
     points: Tuple[SweepPoint, ...]
+    lines: Optional[Callable[[List[Any]], List[str]]] = None
+    checks: Tuple[Tuple[str, Callable[[List[Any]], Optional[str]]], ...] = ()
 
     def run(self, jobs: Optional[int] = None) -> List[Any]:
         return run_points(self.points, jobs=jobs)

@@ -68,14 +68,8 @@ BALANCER_LOW_BACKLOG = 8
 BALANCER_EXTENT_BYTES = 512 * KB
 
 
-def _qos_config():
-    from repro.rack import RackQosConfig
-
-    return RackQosConfig()
-
-
 def _build_rack(system: str, num_arrays: int, qos: bool):
-    from repro.rack import ArraySpec, RackConfig, build_rack
+    from repro.rack import ArraySpec, RackConfig, RackQosConfig, build_rack
 
     arrays = [
         ArraySpec(
@@ -86,7 +80,7 @@ def _build_rack(system: str, num_arrays: int, qos: bool):
         )
         for i in range(num_arrays)
     ]
-    config = RackConfig(arrays=arrays, qos=_qos_config() if qos else None)
+    config = RackConfig(arrays=arrays, qos=RackQosConfig() if qos else None)
     return build_rack(None, config)
 
 

@@ -18,8 +18,9 @@ processes.  The CI golden file and the determinism-guard test rely on
 exactly that.
 
 The module lives under ``src`` (not ``tests``) so the experiments
-runner and the CI smoke script can import it; it is deliberately *not*
-re-exported from :mod:`repro.faults` to keep controller imports lazy.
+runner and the smoke table (:mod:`repro.experiments.smoke`) can import
+it; it is deliberately *not* re-exported from :mod:`repro.faults` to keep
+controller imports lazy.
 """
 
 from __future__ import annotations
@@ -38,41 +39,6 @@ MS = 1_000_000
 
 #: Chaos runs want fast failure detection; production default is 50 ms.
 CHAOS_TIMEOUT_NS = 2 * MS
-
-
-def _make_controller(system: str, cluster, geometry, code: Optional[str] = None,
-                     local_groups: int = 1):
-    """Lazy controller factory (keeps repro.faults free of heavy imports).
-
-    ``system`` picks the controller class (``"draid-st"`` is the
-    stateless-target variant); ``code`` picks the erasure code the dRAID
-    controllers run: ``None`` is the geometry's default (RAID-5/6 P+Q),
-    ``"rs"``/``"lrc"`` the §7 codes over an
-    :class:`~repro.draid.ec_array.EcGeometry`.
-    """
-    if system == "md":
-        from repro.baselines.mdraid import MdRaid as cls
-    elif system == "spdk":
-        from repro.baselines.spdkraid import SpdkRaid as cls
-    elif system == "draid":
-        from repro.draid.host import DraidArray as cls
-    elif system == "draid-st":
-        from repro.draid.stateless import StatelessTargetDraid as cls
-    else:
-        raise ValueError(f"unknown chaos system {system!r}")
-    if code is None:
-        return cls(cluster, geometry)
-    if code not in ("rs", "lrc") or not system.startswith("draid"):
-        raise ValueError(f"code {code!r} does not run on system {system!r}")
-    from repro.ec import code_for
-
-    k, m = geometry.data_per_stripe, geometry.num_parity
-    spec = ("rs", k, m) if code == "rs" else ("lrc", k, local_groups, m - local_groups)
-    # the array name seeds the retry-backoff RNG: keep the historic names so
-    # every (system, seed, code) schedule replays bit-identically
-    name = f"{'ec' if code == 'rs' else 'lrc'}-{system}"
-    return cls(cluster, geometry, name=name, code=code_for(spec))
-
 
 CHAOS_SYSTEMS = ("md", "spdk", "draid")
 
@@ -132,6 +98,57 @@ class ChaosOutcome:
         )
 
 
+def resync_and_adopt(array, torn: Set[int], model: np.ndarray) -> None:
+    """Recovery for stripes torn by a terminal write error (the §5.4 write
+    hole), shared with the differential fuzzer: resync each one — a
+    full-stripe rewrite regenerates parity — then adopt its (now
+    self-consistent) surviving bytes into the shadow ``model``."""
+    from repro.raid.resync import resync_stripes
+    from repro.storage.integrity import ChecksumError
+
+    env, cluster = array.env, array.cluster
+    stripe_bytes = array.geometry.stripe_data_bytes
+    for stripe in sorted(torn):
+        try:
+            env.run(until=resync_stripes(array, [stripe]))
+        except ChecksumError:
+            # corruption beyond parity on a torn stripe: nothing is
+            # reconstructable (the scrub pass before this already recorded
+            # the unrecoverable episode), so — as with stale in-place
+            # rejoins — the surviving bytes become the stripe's truth.  Read
+            # them unarmed and regenerate parity with a full-stripe
+            # rewrite; the drives still record the write, so the store
+            # re-trusts the adopted content and clears its poison.
+            offset = stripe * stripe_bytes
+            saved, cluster.integrity = cluster.integrity, None
+            try:
+                data = env.run(until=array.read(offset, stripe_bytes))
+                env.run(until=array.write(offset, stripe_bytes, data))
+            finally:
+                cluster.integrity = saved
+    for stripe in sorted(torn):
+        offset = stripe * stripe_bytes
+        data = env.run(until=array.read(offset, stripe_bytes))
+        model[offset : offset + stripe_bytes] = data
+
+
+def read_final_image(array, model: np.ndarray):
+    """Read the whole device back; returns ``(image, image == model)``."""
+    from repro.storage.integrity import ChecksumError
+
+    env, cluster = array.env, array.cluster
+    try:
+        final = env.run(until=array.read(0, len(model)))
+        return final, bool(np.array_equal(final, model))
+    except ChecksumError:
+        # corruption beyond repair: grab the raw (corrupt) image unarmed
+        # so the digest still reflects the end state
+        saved, cluster.integrity = cluster.integrity, None
+        final = env.run(until=array.read(0, len(model)))
+        cluster.integrity = saved
+        return final, False
+
+
 def run_chaos_schedule(
     system: str,
     seed: int,
@@ -187,18 +204,16 @@ def run_chaos_schedule(
     """
     import random
 
-    from repro.cluster import ClusterConfig, build_cluster
+    from repro import ClusterConfig, RaidLevel, build_testbed
     from repro.faults.events import BitRot, LostWrite, MisdirectedWrite, TornWrite
     from repro.nvmeof.messages import IoError
-    from repro.raid.geometry import RaidGeometry, RaidLevel
     from repro.raid.rebuild import RebuildJob
-    from repro.raid.resync import resync_stripes
     from repro.raid.scrub import scrub_array
     from repro.raid.scrubber import ScrubDaemon
-    from repro.sim import Environment
     from repro.storage.integrity import ChecksumError, IntegrityStore
 
-    env = Environment()
+    if code is not None and raid6:
+        raise ValueError("raid6 and an explicit erasure code are exclusive")
     config = ClusterConfig(
         num_servers=drives,
         functional_capacity=stripes * chunk,
@@ -208,26 +223,20 @@ def run_chaos_schedule(
         from repro.faults.domains import default_topology
 
         config.domains = default_topology(drives)
-    cluster = build_cluster(env, config)
-    level = RaidLevel.RAID6 if raid6 else RaidLevel.RAID5
-    if code is not None and raid6:
-        raise ValueError("raid6 and an explicit erasure code are exclusive")
-    parity_count = ec_parity if code is not None else level.num_parity
-    layout_obj = None
-    if layout is not None and layout != "rotating":
-        from repro.raid.layout import make_layout
-
-        layout_obj = make_layout(layout, drives, parity_count, seed=layout_seed)
-    if code is not None:
-        from repro.draid.ec_array import EcGeometry
-
-        geometry = EcGeometry(drives, chunk, parity_count, layout=layout_obj)
-    else:
-        geometry = RaidGeometry(level, drives, chunk, layout=layout_obj)
-    # the hard-fault budget follows the code's tolerance, not parity count
-    tolerance = (
-        parity_count - local_groups if code == "lrc" else geometry.num_parity
+    env, cluster, array = build_testbed(
+        system,
+        level=RaidLevel.RAID6 if raid6 else RaidLevel.RAID5,
+        chunk_bytes=chunk,
+        config=config,
+        layout=layout,
+        layout_seed=layout_seed,
+        code=code,
+        parity=ec_parity,
+        local_groups=local_groups,
     )
+    geometry = array.geometry
+    # the hard-fault budget follows the code's tolerance, not parity count
+    tolerance = array.fault_tolerance
     if plan is None:
         plan = chaos_plan(
             seed,
@@ -248,9 +257,6 @@ def run_chaos_schedule(
     )
     if n_corrupt or scrub_pace_ns is not None:
         IntegrityStore(chunk, eager=integrity_eager).attach(cluster)
-    array = _make_controller(
-        system, cluster, geometry, code=code, local_groups=local_groups
-    )
     injector = FaultInjector(array, plan, num_stripes=stripes)
     daemon = (
         ScrubDaemon(array, stripes, pace_ns=scrub_pace_ns, repeat=True)
@@ -346,31 +352,8 @@ def run_chaos_schedule(
     if array.integrity is not None:
         scrub_repair_pass()
 
-    # 3. resync torn stripes: full-stripe rewrite regenerates parity
-    for stripe in sorted(torn):
-        try:
-            env.run(until=resync_stripes(array, [stripe]))
-        except ChecksumError:
-            # corruption beyond parity on a torn stripe: nothing is
-            # reconstructable (the scrub pass above already recorded the
-            # unrecoverable episode), so — as with stale rejoins in step
-            # 2 — the surviving bytes become the stripe's truth.  Read
-            # them unarmed and regenerate parity with a full-stripe
-            # rewrite; the drives still record the write, so the store
-            # re-trusts the adopted content and clears its poison.
-            offset = stripe * stripe_bytes
-            saved, cluster.integrity = cluster.integrity, None
-            try:
-                data = env.run(until=array.read(offset, stripe_bytes))
-                env.run(until=array.write(offset, stripe_bytes, data))
-            finally:
-                cluster.integrity = saved
-
-    # 4. adopt the (self-consistent) surviving bytes of torn stripes
-    for stripe in sorted(torn):
-        offset = stripe * stripe_bytes
-        data = env.run(until=array.read(offset, stripe_bytes))
-        model[offset : offset + stripe_bytes] = data
+    # 3-4. resync torn stripes and adopt their surviving bytes
+    resync_and_adopt(array, torn, model)
 
     # 4.5 a final scrub-repair pass: recovery writes may themselves have
     #     tripped still-armed corruption events
@@ -378,16 +361,7 @@ def run_chaos_schedule(
         scrub_repair_pass()
 
     # -- verification ------------------------------------------------------
-    try:
-        final = env.run(until=array.read(0, capacity))
-        verified = bool(np.array_equal(final, model))
-    except ChecksumError:
-        # corruption beyond repair: grab the raw (corrupt) image unarmed
-        # so the digest still reflects the end state
-        saved, cluster.integrity = cluster.integrity, None
-        final = env.run(until=array.read(0, capacity))
-        cluster.integrity = saved
-        verified = False
+    final, verified = read_final_image(array, model)
     report = scrub_array(array.drives, geometry, stripes, code=array.code)
     istats = array.integrity_stats
     store = array.integrity

@@ -20,24 +20,16 @@ each array's front door, which is where the rack-level QoS
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.baselines import MdRaid, SpdkRaid
-from repro.cluster import Cluster, ClusterConfig, build_cluster
-from repro.draid import DraidArray
+from repro import build_testbed
+from repro.cluster import Cluster, ClusterConfig
 from repro.qos.fair import WeightedFairQueue
-from repro.raid.geometry import RaidGeometry, RaidLevel
+from repro.raid.geometry import RaidLevel
 from repro.sim.core import Environment
 
 KB = 1024
 MB = 1_000_000
-
-#: Controller registry, named as in the paper's figures.
-RACK_SYSTEMS: Dict[str, type] = {
-    "Linux": MdRaid,
-    "SPDK": SpdkRaid,
-    "dRAID": DraidArray,
-}
 
 
 @dataclass
@@ -166,17 +158,12 @@ def build_rack(env: Optional[Environment], config: Optional[RackConfig] = None) 
     A single-array rack with no explicit ``name`` builds the historic
     unprefixed testbed byte-for-byte.
     """
-    env = env or Environment()
     config = config or RackConfig()
     if not config.arrays:
         raise ValueError("a rack needs at least one array")
     arrays: List[RackArray] = []
     seen = set()
     for i, spec in enumerate(config.arrays):
-        if spec.system not in RACK_SYSTEMS:
-            raise ValueError(
-                f"unknown system {spec.system!r}; pick from {sorted(RACK_SYSTEMS)}"
-            )
         name = spec.name
         if name is None:
             name = "" if len(config.arrays) == 1 else f"a{i}"
@@ -184,11 +171,15 @@ def build_rack(env: Optional[Environment], config: Optional[RackConfig] = None) 
             raise ValueError(f"duplicate array name {name!r}")
         seen.add(name)
         base = spec.cluster if spec.cluster is not None else ClusterConfig()
-        cluster_config = replace(base, num_servers=spec.servers, name=name)
-        cluster = build_cluster(env, cluster_config)
-        geometry = RaidGeometry(spec.level, spec.servers, spec.chunk_bytes)
-        controller_name = f"{name}.raid" if name else "raid"
-        array = RACK_SYSTEMS[spec.system](cluster, geometry, name=controller_name)
+        # the first array creates the environment the rest are built into
+        env, cluster, array = build_testbed(
+            spec.system,
+            level=spec.level,
+            chunk_bytes=spec.chunk_bytes,
+            config=replace(base, num_servers=spec.servers, name=name),
+            env=env,
+            name=f"{name}.raid" if name else "raid",
+        )
         wfq = None
         if config.qos is not None:
             wfq = WeightedFairQueue(env, slots=config.qos.slots)

@@ -240,51 +240,34 @@ def run_schedule(schedule: FuzzSchedule, verify: bool = True) -> FuzzOutcome:
     arms the kernel sanitizer and protocol checker, so an invariant
     violation fails the schedule even when the bytes happen to survive.
     """
-    from repro.cluster import ClusterConfig, build_cluster
-    from repro.faults.chaos import _make_controller
+    from repro import ClusterConfig, build_testbed
+    from repro.faults.chaos import read_final_image, resync_and_adopt
     from repro.nvmeof.messages import IoError
-    from repro.raid.geometry import RaidGeometry, RaidLevel
     from repro.raid.rebuild import RebuildJob
-    from repro.raid.resync import resync_stripes
     from repro.raid.scrub import scrub_array
     from repro.raid.scrubber import ScrubDaemon
-    from repro.sim import Environment
     from repro.storage.integrity import ChecksumError, IntegrityStore
 
-    env = Environment()
     config = ClusterConfig(
         num_servers=schedule.drives,
         functional_capacity=schedule.stripes * schedule.chunk,
         io_timeout_ns=FUZZ_TIMEOUT_NS,
         verify=VerifyConfig() if verify else None,
     )
-    cluster = build_cluster(env, config)
-    parity_count = schedule.ec_parity if schedule.code else 1
-    layout_obj = None
-    if schedule.layout and schedule.layout != "rotating":
-        from repro.raid.layout import make_layout
-
-        layout_obj = make_layout(
-            schedule.layout, schedule.drives, parity_count,
-            seed=schedule.layout_seed,
-        )
-    if schedule.code:
-        from repro.draid.ec_array import EcGeometry
-
-        geometry = EcGeometry(
-            schedule.drives, schedule.chunk, parity_count, layout=layout_obj
-        )
-    else:
-        geometry = RaidGeometry(
-            RaidLevel.RAID5, schedule.drives, schedule.chunk, layout=layout_obj
-        )
+    env, cluster, array = build_testbed(
+        schedule.system,
+        chunk_bytes=schedule.chunk,
+        config=config,
+        layout=schedule.layout or None,
+        layout_seed=schedule.layout_seed,
+        code=schedule.code or None,
+        parity=schedule.ec_parity,
+        local_groups=schedule.local_groups,
+    )
+    geometry = array.geometry
     has_rot = any(op.kind == "rot" for op in schedule.ops)
     if has_rot:
         IntegrityStore(schedule.chunk).attach(cluster)
-    array = _make_controller(
-        schedule.system, cluster, geometry,
-        code=schedule.code or None, local_groups=schedule.local_groups,
-    )
     # arm the timeout/retry datapath without a FaultInjector: the fuzzer
     # drives faults itself, op by op
     array._force_resilient = True
@@ -395,33 +378,10 @@ def run_schedule(schedule: FuzzSchedule, verify: bool = True) -> FuzzOutcome:
             for stripe in range(schedule.stripes):
                 if store.verify_members(drives, stripe, range(len(drives))):
                     torn.add(stripe)
-        for stripe in sorted(torn):
-            try:
-                env.run(until=resync_stripes(array, [stripe]))
-            except ChecksumError:
-                offset = stripe * stripe_bytes
-                saved, cluster.integrity = cluster.integrity, None
-                try:
-                    data = env.run(until=array.read(offset, stripe_bytes))
-                    env.run(until=array.write(offset, stripe_bytes, data))
-                finally:
-                    cluster.integrity = saved
-        for stripe in sorted(torn):
-            offset = stripe * stripe_bytes
-            data = env.run(until=array.read(offset, stripe_bytes))
-            shadow[offset : offset + stripe_bytes] = data
+        resync_and_adopt(array, torn, shadow)
 
         # -- differential verification -------------------------------------
-        try:
-            final = env.run(until=array.read(0, capacity))
-            verified = bool(np.array_equal(final, shadow))
-        except ChecksumError:
-            # should be impossible after adoption above; grab the raw
-            # image so the digest still reflects the end state
-            saved, cluster.integrity = cluster.integrity, None
-            final = env.run(until=array.read(0, capacity))
-            cluster.integrity = saved
-            verified = False
+        final, verified = read_final_image(array, shadow)
         if verify and cluster.verify is not None:
             cluster.verify.check_quiescent()
     except Exception as exc:  # noqa: BLE001 — any escape fails the schedule

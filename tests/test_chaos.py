@@ -53,26 +53,6 @@ class TestDeterminismGuard:
         ]
 
 
-def _load_smoke_module(script_name):
-    import importlib.util
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location(
-        script_name, root / "scripts" / f"{script_name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module, root / "tests" / "golden" / f"{script_name}.golden"
-
-
-def test_smoke_grid_matches_committed_golden():
-    """The CI golden must track the datapath: regenerate it with
-    ``python scripts/chaos_smoke.py --write-golden`` on deliberate change."""
-    module, golden = _load_smoke_module("chaos_smoke")
-    assert module.smoke_report() == golden.read_text()
-
-
 class TestCorruptionStorms:
     """Chaos schedules with silent-corruption events mixed in: the full
     recovery playbook must end with zero residual corruption, a clean
@@ -118,14 +98,6 @@ class TestCorruptionStorms:
         assert [o.integrity_row() for o in serial] == [
             o.integrity_row() for o in parallel
         ]
-
-
-def test_integrity_smoke_matches_committed_golden():
-    """Armed-path golden: regenerate with
-    ``python scripts/integrity_smoke.py --write-golden`` on deliberate
-    change."""
-    module, golden = _load_smoke_module("integrity_smoke")
-    assert module.smoke_report() == golden.read_text()
 
 
 class TestFailSlowRecovery:

@@ -19,15 +19,13 @@ import random
 
 import pytest
 
-from repro.cluster import ClusterConfig, build_cluster
-from repro.faults.chaos import CHAOS_SYSTEMS, _make_controller
+from repro import ClusterConfig, build_testbed
+from repro.faults.chaos import CHAOS_SYSTEMS
 from repro.faults.events import DriveErrorBurst, DriveFailSlow, ServerCrash
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.nvmeof.messages import IoError
 from repro.qos import Busy, DeadlineExceeded, OverloadConfig
-from repro.raid.geometry import RaidGeometry, RaidLevel
-from repro.sim import Environment
 from repro.verify import VerifyConfig
 
 KB = 1024
@@ -49,7 +47,6 @@ FAULT_PLANS = {
 
 
 def build_faulted_array(system, fault, overload):
-    env = Environment()
     config = ClusterConfig(
         num_servers=DRIVES,
         functional_capacity=STRIPES * CHUNK,
@@ -57,9 +54,7 @@ def build_faulted_array(system, fault, overload):
         overload=overload,
         verify=VerifyConfig(),
     )
-    cluster = build_cluster(env, config)
-    geometry = RaidGeometry(RaidLevel.RAID5, DRIVES, CHUNK)
-    array = _make_controller(system, cluster, geometry)
+    env, _, array = build_testbed(system, chunk_bytes=CHUNK, config=config)
     plan = FaultPlan(FAULT_PLANS[fault](200 * MS))
     FaultInjector(array, plan, num_stripes=STRIPES)
     return env, array

@@ -577,26 +577,3 @@ class TestBackgroundDaemonShedding:
         assert orch.stats.pressure_sheds > 0
         assert array.qos.stats.shed_background >= orch.stats.pressure_sheds
         assert not array.failed
-
-
-def _load_smoke_module():
-    import importlib.util
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "overload_smoke", root / "scripts" / "overload_smoke.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module, root / "tests" / "golden" / "overload_smoke.golden"
-
-
-def test_overload_smoke_matches_committed_golden():
-    """The CI golden must track the datapath: regenerate it with
-    ``python scripts/overload_smoke.py --write-golden`` on deliberate
-    change.  ``smoke_report`` itself enforces the collapse / retention /
-    metastability invariants, so a passing match re-proves the figure's
-    headline claims."""
-    module, golden = _load_smoke_module()
-    assert module.smoke_report() == golden.read_text()

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.baselines import SpdkRaid
+from repro.baselines import MdRaid, SpdkRaid
 from repro.draid import DraidArray
 from repro.raid.geometry import RaidLevel
-from repro.raid.rebuild import RebuildJob
+from repro.raid.rebuild import RebuildJob, rebuild_member_stripe
 from tests.raid_harness import ArrayHarness, TEST_CHUNK
 
 CONTROLLERS = [SpdkRaid, DraidArray]
@@ -111,3 +111,41 @@ class TestRebuild:
         stats = h.env.run(until=job.start())
         assert job.progress == 1.0
         assert stats.rate_mb_s() > 0
+
+
+class TestDegradedWriteOverRebuiltMember:
+    """A degraded write must reach a failed member whose chunk of *this*
+    stripe is already rebuilt: the replacement is live for that stripe, so
+    skipping it leaves the old chunk behind a parity that encodes the new
+    one."""
+
+    @pytest.mark.parametrize("progress", ["watermark", "rebuilt_stripes"])
+    @pytest.mark.parametrize("cls", [MdRaid, SpdkRaid], ids=lambda c: c.__name__)
+    def test_write_lands_on_the_rebuilt_replacement(self, cls, progress):
+        h = ArrayHarness(cls, level=RaidLevel.RAID6, drives=6, stripes=4)
+        g = h.geometry
+        rng = np.random.default_rng(5)
+        h.write(0, rng.integers(0, 256, h.capacity, dtype=np.uint8))
+        rebuilt, dead = g.data_drive(0, 0), g.data_drive(0, 1)
+        h.array.fail_drive(rebuilt)
+        h.array.fail_drive(dead)
+        replacement = h.array.drives[rebuilt]
+        replacement.heal()
+        replacement._data[:] = 0
+
+        def rebuild_stripe_0():
+            yield h.array.locks.acquire(0)
+            yield from rebuild_member_stripe(h.array, rebuilt, 0, replacement)
+            h.array.locks.release(0)
+
+        h.env.run(until=h.env.process(rebuild_stripe_0()))
+        if progress == "watermark":
+            h.array.rebuild_watermark[rebuilt] = 1
+        else:
+            h.array.rebuilt_stripes[rebuilt] = {0}
+        assert h.array.failed_in_stripe(0) == {dead}
+
+        payload = rng.integers(0, 256, 2 * TEST_CHUNK, dtype=np.uint8)
+        h.write(0, payload)
+        h.check_read(0, g.stripe_data_bytes)
+        assert np.array_equal(replacement.peek(0, TEST_CHUNK), payload[:TEST_CHUNK])

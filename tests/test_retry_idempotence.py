@@ -15,8 +15,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, build_cluster
-from repro.faults.chaos import CHAOS_SYSTEMS, _make_controller
+from repro import ClusterConfig, build_testbed
+from repro.faults.chaos import CHAOS_SYSTEMS
 from repro.faults.events import (
     BitRot,
     DriveErrorBurst,
@@ -34,11 +34,9 @@ from repro.faults.events import (
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.nvmeof.messages import IoError
-from repro.raid.geometry import RaidGeometry, RaidLevel
 from repro.raid.rebuild import RebuildJob
 from repro.raid.resync import resync_stripes
 from repro.raid.scrubber import ScrubDaemon
-from repro.sim import Environment
 from repro.storage.integrity import ChecksumError, IntegrityStore
 from repro.verify import VerifyConfig
 
@@ -90,18 +88,16 @@ def run_retry_scenario(system, events, corruption):
     Returns the cluster's :class:`~repro.verify.Verifier` after asserting
     shadow-model equality (the exactly-once property).
     """
-    env = Environment()
     config = ClusterConfig(
         num_servers=DRIVES,
         functional_capacity=STRIPES * CHUNK,
         io_timeout_ns=TIMEOUT_NS,
         verify=VerifyConfig(),
     )
-    cluster = build_cluster(env, config)
-    geometry = RaidGeometry(RaidLevel.RAID5, DRIVES, CHUNK)
+    env, cluster, array = build_testbed(system, chunk_bytes=CHUNK, config=config)
+    geometry = array.geometry
     if corruption:
         IntegrityStore(CHUNK).attach(cluster)
-    array = _make_controller(system, cluster, geometry)
     injector = FaultInjector(array, FaultPlan(events), num_stripes=STRIPES)
 
     stripe_bytes = geometry.stripe_data_bytes

@@ -344,19 +344,16 @@ class TestZeroInterference:
 
     @pytest.mark.parametrize("system", ["md", "spdk", "draid"])
     def test_armed_fio_result_equals_unarmed(self, system):
-        from repro.faults.chaos import _make_controller
+        from repro import build_testbed
         from repro.workloads.fio import FioWorkload
 
         def run(verify: bool):
-            env = Environment()
             # timing mode: FioWorkload issues payload-less I/O
             config = ClusterConfig(
                 num_servers=4,
                 verify=VerifyConfig() if verify else None,
             )
-            cluster = build_cluster(env, config)
-            geometry = RaidGeometry(RaidLevel.RAID5, 4, 4 * KB)
-            array = _make_controller(system, cluster, geometry)
+            _, _, array = build_testbed(system, chunk_bytes=4 * KB, config=config)
             workload = FioWorkload(
                 array, io_size=4 * KB, read_fraction=0.5, queue_depth=4,
                 capacity=16 * 3 * 4 * KB, seed=77,
