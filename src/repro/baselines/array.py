@@ -112,6 +112,10 @@ class RaidArray(ABC):
         #: the dRAID controllers accept any :class:`~repro.ec.LinearCode`)
         self.code = geometry.default_code()
         self.name = name
+        #: process names, built once (a name is read only by ``repr``, error
+        #: messages and the sanitizer's reports)
+        self._read_name = f"{name}.read"
+        self._write_name = f"{name}.write"
         self.locks = StripeLockManager(self.env)
         #: §5.4 host-failure recovery: stripes with in-flight writes
         self.bitmap = WriteIntentBitmap()
@@ -686,7 +690,7 @@ class RaidArray(ABC):
         )
         if self.qos is not None:
             body = self._admitted(body, priority)
-        return self.env.process(body, name=f"{self.name}.read")
+        return self.env.process(body, name=self._read_name)
 
     def read_unlocked(self, offset: int, nbytes: int) -> Event:
         """Read without taking stripe locks.
@@ -695,7 +699,7 @@ class RaidArray(ABC):
         rebuild job, which reads under the lock to serialize with writers).
         """
         return self.env.process(
-            self._read(offset, nbytes, take_locks=False), name=f"{self.name}.read"
+            self._read(offset, nbytes, take_locks=False), name=self._read_name
         )
 
     def write(
@@ -714,7 +718,7 @@ class RaidArray(ABC):
         )
         if self.qos is not None:
             body = self._admitted(body, priority)
-        return self.env.process(body, name=f"{self.name}.write")
+        return self.env.process(body, name=self._write_name)
 
     def _payload(self, data, nbytes: int):
         """A write's ``data`` as a ``uint8`` array of ``nbytes`` (None in

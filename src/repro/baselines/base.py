@@ -42,6 +42,7 @@ class HostCentricRaid(RaidArray):
         qos = self.qos
         target_depth = None if qos is None else qos.config.target_queue_depth
         breaker_on = qos is not None and qos.breaker is not None
+        self._attempt_name = f"{self.name}.attempt"
         self.targets: List[NvmeOfTarget] = []
         self.server_sides = self.targets
         self.bdevs: List[RemoteBdev] = []
@@ -121,7 +122,7 @@ class HostCentricRaid(RaidArray):
         the attempt it replaces — after which unresponsive members are
         fenced as prolonged failures and the attempt is abandoned.
         """
-        attempt = self.env.process(body, name=f"{self.name}.attempt")
+        attempt = self.env.process(body, name=self._attempt_name)
         deadline = self.env.timeout(timeout_ns)
         try:
             yield AnyOf(self.env, [attempt, deadline])

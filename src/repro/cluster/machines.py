@@ -7,7 +7,6 @@ from typing import List
 from repro.cluster.profiles import DEFAULT_CPU, CpuProfile
 from repro.net.nic import Nic
 from repro.sim.core import Environment, Event
-from repro.sim.resources import NS_PER_S, BandwidthChannel
 from repro.storage.drive import NvmeDrive
 
 
@@ -15,31 +14,36 @@ class CpuCore:
     """A poll-mode CPU core modeled as a FIFO work queue.
 
     Work is expressed directly in nanoseconds; the core serves it in FIFO
-    order at real-time rate (one nanosecond of work per nanosecond).
+    order at real-time rate (one nanosecond of work per nanosecond): a
+    one-server 1 byte/ns :class:`~repro.sim.resources.BandwidthChannel`
+    with no arithmetic left, in place because every command charges one.
     """
 
     def __init__(self, env: Environment, name: str = "core") -> None:
         self.env = env
         self.name = name
-        self._channel = BandwidthChannel(env, NS_PER_S, name=name)
+        self._free_at = 0
+        self.busy_ns = 0
 
     def execute(self, work_ns: int) -> Event:
         """Event that fires when ``work_ns`` of queued work completes."""
         if work_ns < 0:
             raise ValueError(f"negative work {work_ns}")
+        env = self.env
         if work_ns == 0:
-            return self.env.timeout(0)
-        return self._channel.transfer(int(work_ns))
-
-    @property
-    def busy_ns(self) -> int:
-        return self._channel.busy_ns
+            return env.timeout(0)
+        work_ns = int(work_ns)
+        now = env.now
+        free = self._free_at
+        self._free_at = done = (free if free > now else now) + work_ns
+        self.busy_ns += work_ns
+        return env.timeout(done - now, work_ns)
 
     def utilization(self, elapsed_ns: int) -> float:
-        return self._channel.utilization(elapsed_ns)
+        return self.busy_ns / elapsed_ns if elapsed_ns > 0 else 0.0
 
     def reset_accounting(self) -> None:
-        self._channel.reset_accounting()
+        self.busy_ns = 0
 
 
 class Machine:

@@ -40,6 +40,7 @@ from repro.draid.protocol import (
 from repro.ec import LinearCode, code_for
 from repro.ec.gf import GF
 from repro.nvmeof.messages import RESPONSE_BYTES, NvmeOfCommand, Opcode
+from repro.nvmeof.target import serve_plain
 from repro.sim.core import Environment
 from repro.storage.drive import DriveFailedError
 
@@ -100,7 +101,9 @@ class DraidBdevServer:
 
     :meth:`_serve` is the consumer callback of the host end's inbox and of
     each of the n-1 peer ends'; it starts one handler process per admitted
-    message.
+    message of the extended opcodes, and the callback chain it shares with
+    :class:`~repro.nvmeof.target.NvmeOfTarget`
+    (:func:`~repro.nvmeof.target.serve_plain`) per plain READ/WRITE.
     """
 
     def __init__(
@@ -146,6 +149,7 @@ class DraidBdevServer:
         #: is set; a :class:`repro.verify.protocol.ProtocolChecker` that
         #: audits every completion/fold this bdev produces.
         self.verifier = None
+        self._op_name = f"{self.server.name}.op"
         for end in (self.host_end, *self.peer_ends.values()):
             end.inbox.consume(partial(self._serve, end))
 
@@ -181,8 +185,17 @@ class DraidBdevServer:
         if bounded and self._fast_reject(message, end):
             return
         if isinstance(message, NvmeOfCommand):
-            handler = self._handle_plain(message, end)
-        elif isinstance(message, PartialWriteCmd):
+            if bounded and self.queue_depth is not None:
+                self.inflight += 1
+            # handoff, as NvmeOfTarget._serve: at once if the calendar is quiescent
+            begin = self.env.event()
+            begin.callbacks.append(lambda _event: serve_plain(
+                self, message, end, ("draid.parse", "draid.complete"),
+                self._reply_plain,
+            ))
+            begin.succeed(tail=True)
+            return
+        if isinstance(message, PartialWriteCmd):
             handler = self._handle_partial_write(message, end)
         elif isinstance(message, ParityCmd):
             handler = self._handle_parity(message, end)
@@ -195,7 +208,7 @@ class DraidBdevServer:
         if bounded and self.queue_depth is not None:
             self.inflight += 1
             handler = self._run_bounded(handler)
-        self.env.process(handler, name=f"{self.server.name}.op", tail=True)
+        self.env.process(handler, name=self._op_name, tail=True)
 
     def _run_bounded(self, handler):
         """Wrap a host-command handler with in-service accounting."""
@@ -276,30 +289,14 @@ class DraidBdevServer:
 
     # -- plain NVMe-oF ------------------------------------------------------
 
-    def _handle_plain(self, cmd: NvmeOfCommand, origin):
-        cpu = self.server.cpu
-        profile = self.server.cpu_profile
-        ctx = self._ctx(cmd)
-        yield from self._span(cpu.execute(profile.cmd_handle_ns), ctx, "draid.parse")
-        try:
-            if cmd.opcode is Opcode.READ:
-                data = yield self.server.drive.read(cmd.offset, cmd.length, ctx=ctx)
-                yield from self._span(
-                    cpu.execute(profile.completion_ns), ctx, "draid.complete"
-                )
-                self._complete(origin, cmd.cid, "read", data=data,
-                               payload=cmd.length, ctx=ctx)
-            else:
-                yield origin.rdma_read(cmd.length, ctx=ctx)
-                yield self.server.drive.write(cmd.offset, cmd.length, cmd.data, ctx=ctx)
-                yield from self._span(
-                    cpu.execute(profile.completion_ns), ctx, "draid.complete"
-                )
-                self._complete(origin, cmd.cid, "write", ctx=ctx)
-        except (DriveFailedError, ValueError) as exc:
-            self._complete(origin, cmd.cid,
-                           "read" if cmd.opcode is Opcode.READ else "write",
-                           ok=False, error=str(exc), ctx=ctx)
+    def _reply_plain(self, origin, cmd: NvmeOfCommand, ctx, data, error) -> None:
+        """The :func:`~repro.nvmeof.target.serve_plain` chain's last call."""
+        read = cmd.opcode is Opcode.READ
+        self._complete(origin, cmd.cid, "read" if read else "write",
+                       ok=error is None, data=data, error=error,
+                       payload=cmd.length if read and error is None else 0, ctx=ctx)
+        if origin is self.host_end and self.queue_depth is not None:
+            self.inflight -= 1
 
     # -- PartialWrite: Algorithm 1 + §5.3 pipeline ---------------------------
 

@@ -1,10 +1,11 @@
 """The NVMe-oF target: server-side command service.
 
 One target runs per storage server.  It consumes command capsules from
-the host-facing connection end and services each in its own process so
-that drive-internal parallelism is exploitable.  Per the paper's
-constraint (§7), all command parsing and completion work serializes on
-the server's single poll-mode core.
+the host-facing connection end and services each as its own callback chain
+(:func:`serve_plain`, which the dRAID bdev shares for its plain
+READ/WRITE) so that drive-internal parallelism is exploitable.  Per the
+paper's constraint (§7), all command parsing and completion work
+serializes on the server's single poll-mode core.
 
 Fault injection (used by the failure-handling tests): :meth:`crash`
 loses queued and arriving capsules; failed drives produce error
@@ -22,7 +23,7 @@ knob unset the historic unbounded behavior is preserved exactly.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.cluster.machines import StorageServer
 from repro.net.fabric import ConnectionEnd
@@ -36,11 +37,68 @@ from repro.sim.core import Environment
 from repro.storage.drive import DriveFailedError
 
 
+def serve_plain(
+    owner: Any, command: NvmeOfCommand, end: ConnectionEnd,
+    spans: Tuple[str, str], reply: Callable[..., None],
+) -> None:
+    """Serve one plain READ/WRITE on ``owner.server`` as a callback chain:
+    CPU parse → [one-sided pull of a write's payload] → drive I/O → CPU
+    complete → reply.  A drive error is answered with an error completion.
+
+    ``owner`` is the server-side controller (``env``, ``server``, the
+    ``tracer`` it is armed with), ``spans`` names its parse and completion
+    charges, ``reply(end, command, ctx, data, error)`` sends its kind of
+    completion, always last.  Each step is the only callback of a timer:
+    nothing here is a process, so no ``Initialize`` and no process end.
+    """
+    env = owner.env
+    server = owner.server
+    tracer = owner.tracer
+    ctx = command.trace if tracer is not None else None
+
+    def charge(work_ns: int, span: str, then: Callable[[], None]) -> None:
+        """A CPU charge, recorded as a compute span when traced."""
+        t0 = env.now
+
+        def charged(_event) -> None:
+            if ctx is not None:
+                tracer.record(ctx, span, "compute", f"{server.name}.cpu", t0, env.now)
+            then()
+
+        server.cpu.execute(work_ns).callbacks.append(charged)
+
+    def parsed() -> None:
+        try:
+            if command.opcode is Opcode.READ:
+                io = server.drive.read(command.offset, command.length, ctx=ctx)
+                io.callbacks.append(io_done)
+            else:
+                # target pulls the payload from host memory (one-sided READ)
+                end.rdma_read(command.length, ctx=ctx).callbacks.append(pulled)
+        except (DriveFailedError, ValueError) as exc:
+            reply(end, command, ctx, None, str(exc))
+
+    def pulled(_event) -> None:
+        try:
+            io = server.drive.write(command.offset, command.length, command.data, ctx=ctx)
+        except (DriveFailedError, ValueError) as exc:
+            reply(end, command, ctx, None, str(exc))
+            return
+        io.callbacks.append(io_done)
+
+    def io_done(io) -> None:
+        data = io._value  # a read's payload (functional mode), else None
+        charge(server.cpu_profile.completion_ns, spans[1],
+               lambda: reply(end, command, ctx, data, None))
+
+    charge(server.cpu_profile.cmd_handle_ns, spans[0], parsed)
+
+
 class NvmeOfTarget:
     """Serves standard NVMe-oF reads/writes for one storage server.
 
     :meth:`_serve` is the consumer callback of ``host_end.inbox``; it starts
-    one handler process per admitted command.
+    one :func:`serve_plain` chain per admitted command.
     """
 
     def __init__(
@@ -82,95 +140,51 @@ class NvmeOfTarget:
     def _serve(self, command: NvmeOfCommand) -> None:
         if self.env.now < self.down_until:
             return  # crashed: capsule lost, no completion ever sent
-        if self.queue_depth is None:
-            self.env.process(
-                self._handle(command), name=f"{self.server.name}.cmd", tail=True
-            )
-            return
-        if self.inflight >= self.queue_depth:
-            # bounded submission queue: typed fast-reject, no datapath
-            # work and no CPU charge (the reject path must stay cheap)
-            self.busy_rejections += 1
-            self.host_end.send(
-                NvmeOfCompletion(
-                    command.cid, ok=False,
-                    error=f"{self.server.name}: submission queue full",
-                    trace=command.trace, status="busy",
-                ),
-                payload_bytes=0,
-                header_bytes=RESPONSE_BYTES,
-            )
-            return
-        self.inflight += 1
-        self.env.process(
-            self._handle_bounded(command), name=f"{self.server.name}.cmd", tail=True
+        if self.queue_depth is not None:
+            if self.inflight >= self.queue_depth:
+                # bounded submission queue: typed fast-reject, no datapath
+                # work and no CPU charge (the reject path must stay cheap)
+                self.busy_rejections += 1
+                self._reject(command, "submission queue full", "busy")
+                return
+            self.inflight += 1
+        # handoff: at once on a quiescent calendar, else one zero-delay
+        # event in the slot a handler process's ``Initialize`` took
+        begin = self.env.event()
+        begin.callbacks.append(lambda _event: self._begin(command))
+        begin.succeed(tail=True)
+
+    def _reject(self, command: NvmeOfCommand, why: str, status: str) -> None:
+        self.host_end.send(
+            NvmeOfCompletion(
+                command.cid, ok=False, error=f"{self.server.name}: {why}",
+                trace=command.trace, status=status,
+            ),
+            payload_bytes=0,
+            header_bytes=RESPONSE_BYTES,
         )
 
-    def _handle_bounded(self, command: NvmeOfCommand):
-        """Wrap :meth:`_handle` with in-service accounting (armed only)."""
-        try:
-            yield from self._handle(command)
-        finally:
-            self.inflight -= 1
-
-    def _handle(self, command: NvmeOfCommand):
-        if command.deadline_ns is not None and self.env.now >= command.deadline_ns:
-            # stale command: the initiator's budget is already spent, so
-            # answer immediately instead of burning drive/CPU time on it
-            self.deadline_rejections += 1
-            self.host_end.send(
-                NvmeOfCompletion(
-                    command.cid, ok=False,
-                    error=f"{self.server.name}: deadline exceeded at target",
-                    trace=command.trace, status="deadline",
-                ),
-                payload_bytes=0,
-                header_bytes=RESPONSE_BYTES,
+    def _begin(self, command: NvmeOfCommand) -> None:
+        if command.deadline_ns is None or self.env.now < command.deadline_ns:
+            serve_plain(
+                self, command, self.host_end, ("nvmf.parse", "nvmf.complete"),
+                self._reply,
             )
             return
-        cpu = self.server.cpu
-        profile = self.server.cpu_profile
-        tracer = self.tracer
-        ctx = command.trace if tracer is not None else None
-        track = f"{self.server.name}.cpu"
-        t0 = self.env.now
-        yield cpu.execute(profile.cmd_handle_ns)
-        if ctx is not None:
-            tracer.record(ctx, "nvmf.parse", "compute", track, t0, self.env.now)
-        try:
-            if command.opcode is Opcode.READ:
-                data = yield self.server.drive.read(
-                    command.offset, command.length, ctx=ctx
-                )
-                t0 = self.env.now
-                yield cpu.execute(profile.completion_ns)
-                if ctx is not None:
-                    tracer.record(ctx, "nvmf.complete", "compute", track, t0, self.env.now)
-                # read payload rides back with the response
-                self.host_end.send(
-                    NvmeOfCompletion(command.cid, ok=True, data=data, trace=ctx),
-                    payload_bytes=command.length,
-                    header_bytes=RESPONSE_BYTES,
-                )
-            else:
-                # target pulls the payload from host memory (one-sided READ)
-                yield self.host_end.rdma_read(command.length, ctx=ctx)
-                yield self.server.drive.write(
-                    command.offset, command.length, command.data, ctx=ctx
-                )
-                t0 = self.env.now
-                yield cpu.execute(profile.completion_ns)
-                if ctx is not None:
-                    tracer.record(ctx, "nvmf.complete", "compute", track, t0, self.env.now)
-                self.host_end.send(
-                    NvmeOfCompletion(command.cid, ok=True, trace=ctx),
-                    payload_bytes=0,
-                    header_bytes=RESPONSE_BYTES,
-                )
-        except (DriveFailedError, ValueError) as exc:
-            self.host_end.send(
-                NvmeOfCompletion(command.cid, ok=False, error=str(exc), trace=ctx),
-                payload_bytes=0,
-                header_bytes=RESPONSE_BYTES,
-            )
+        # stale command: the initiator's budget is already spent, so
+        # answer immediately instead of burning drive/CPU time on it
+        self.deadline_rejections += 1
+        self._reject(command, "deadline exceeded at target", "deadline")
+        if self.queue_depth is not None:
+            self.inflight -= 1
+
+    def _reply(self, end, command: NvmeOfCommand, ctx, data, error) -> None:
+        ok = error is None
+        end.send(
+            NvmeOfCompletion(command.cid, ok=ok, data=data, error=error, trace=ctx),
+            payload_bytes=command.length if ok and command.opcode is Opcode.READ else 0,
+            header_bytes=RESPONSE_BYTES,
+        )
         self.commands_served += 1
+        if self.queue_depth is not None:
+            self.inflight -= 1

@@ -86,23 +86,12 @@ class StripeLockManager:
     def acquire(self, stripe: int, ctx: Optional[Any] = None) -> Event:
         """Event that succeeds once the stripe lock is held by the caller.
 
-        Yield it at once, as every caller does: a free lock asked for by a
-        process step on a quiescent calendar (no sanitizer armed) is granted
-        as an already-processed event (:meth:`Environment.grant_now`), which
-        is the scheduled grant's order only if nothing happens in between.
-
         ``ctx`` is an optional :class:`repro.obs.TraceContext`: it is only
         consulted by an armed sanitizer, which attaches it to any
         :class:`~repro.verify.InvariantViolation` blaming this acquire.
         """
-        free = not self._held.get(stripe, False)
-        if free and self.sanitizer is None:
-            grant = self.env.grant_now(stripe)
-            if grant is not None:
-                self._held[stripe] = True
-                return grant
         event = _LockAcquire(self, stripe)
-        if free:
+        if not self._held.get(stripe, False):
             self._held[stripe] = True
             if self.sanitizer is not None:
                 self.sanitizer.on_lock_acquire(self, stripe, event, ctx, granted=True)

@@ -32,8 +32,8 @@ changing a single event's outcome or ordering:
   returned to the arena only when the kernel holds the *only* reference,
   so user code that keeps an event alive can never observe it aliased.
 
-Handoff (PR 18, PR 20)
-----------------------
+Handoff (PR 18, PR 20, PR 22)
+-----------------------------
 
 The producer-side mirror of batch-advance.  A zero-delay event may be
 dispatched inline only from *tail position*: its creation is the last
@@ -44,26 +44,40 @@ schedule is the very next thing pure-heap order dispatches) its callbacks
 run at once instead: no calendar entry, no ``_eid`` tick, same order.  In
 every other case nothing changes.  Who vouches for the first half:
 
-* a *plain callback* passes ``tail=True`` to :meth:`Event.succeed`,
-  :meth:`Environment.process` or :meth:`~repro.sim.resources.Store.put` —
-  the caller's promise.  A process step never does: its own code follows.
-* the kernel itself, at the two process-step positions it can prove are
-  tail positions.  A **process end**: the generator has returned, so
-  ``_resume`` marks the process processed and runs its listeners (a
-  failing process always goes through the calendar).  A **condition
-  release**: :class:`AllOf`/:class:`AnyOf` ``_check``, run as a child's
-  dispatched callback, succeeds the condition as its last statement (the
-  synchronous ``_check`` calls the constructor makes for already-processed
-  children are not callbacks and schedule as before).
+* **promised** by the caller: a *plain callback* passes ``tail=True`` to
+  :meth:`Event.succeed`, :meth:`Environment.process` or
+  :meth:`~repro.sim.resources.Store.put` (a process step never does: its
+  own code follows), and a *process step* that yields the result as its
+  next action may fan out through :meth:`Environment.gather`, whose
+  children's first steps then run in place of the ``Initialize`` queue.
+* **proved** by the kernel, at three process-step positions.  A **process
+  end**: the generator has returned, so ``_resume`` marks the process
+  processed and runs its listeners (a failing process always goes through
+  the calendar).  A **condition release**: :class:`AllOf`/:class:`AnyOf`
+  ``_check``, run as a child's dispatched callback, succeeds the condition
+  as its last statement (the constructor's synchronous ``_check`` calls
+  for already-processed children are not callbacks).  An **observed
+  yield**: a step creates a zero-delay event nobody listens to yet — a new
+  :class:`Process`, or an event it succeeds without ``tail`` (a free
+  stripe lock, an ``AllOf`` over processed children) — and the kernel
+  *holds* it in ``env._held`` instead of scheduling it, under the event
+  id it takes there and then (``env._held_eid``, as a deferred timer keeps
+  its ``_teid``).  If the step's next yield is that very event, no id has
+  been handed out since (``env._eid == env._held_eid``) and the calendar
+  is quiescent, the step has parked on exactly what dispatches next: the
+  id goes back and the child's first step runs in place
+  (``_MAX_INLINE_DEPTH`` deep at most; its parent has parked, so it may
+  interrupt it), or the wake is consumed like a batch-advanced timer.
 
-Two helpers let a process step *start* something the same way, on the
-promise that it yields the result as its next action — then its park is
-what follows, and parking first is exactly what the calendar order would
-have done.  :meth:`Environment.gather` fans out over child generators and
-runs their first steps in place of the ``Initialize`` queue;
-:meth:`Environment.grant_now` gives a resource whose free grant is an event
-(:class:`~repro.raid.locks.StripeLockManager`) that grant already
-processed.
+The flush rule: in every other case the held event is pushed onto the heap
+at ``(now, its own id)`` *before the calendar is read* — a ``_quiescent()``
+ask, the step yielding (anything), returning or raising, ``run``/``peek``,
+a second hold — which is the slot an immediate schedule would have taken:
+the run loops interleave the heap with the now-queue by id, and a step
+cannot advance the clock before it yields.  Sites that only hand out an id
+(``succeed``, timers, ``_schedule``, the resource wakes) need not know a
+hold exists.  ``env._eid`` counts calendar entries, exactly;
+:mod:`repro.sim.census` says which.
 
 Arming a :class:`repro.verify.kernel.KernelSanitizer` sets
 ``env._fast = False`` and migrates the now-queue into the heap: the kernel
@@ -90,6 +104,10 @@ _POOL_CAP = 512
 #: The ``tail`` value :meth:`Environment.gather` starts its children with: it
 #: has tested quiescence once for all of them and sets ``env._more`` per child.
 _INLINE = object()
+
+#: How many observed process starts may nest (each a Python call inside its
+#: parent's ``_resume``); the next takes a calendar entry: the stack unwinds.
+_MAX_INLINE_DEPTH = 16
 
 ProcessGenerator = Generator["Event", Any, Any]
 
@@ -195,10 +213,16 @@ class Event:
                     env._run_callbacks(callbacks, self)
                 return self
             env._eid += 1
-            if env._fast:
-                env._nowq.append((env._eid, self))
-            else:
+            if not env._fast:
                 heapq.heappush(env._queue, (env.now, env._eid, self))
+            elif env._active_process is not None and not self.callbacks:
+                # Observed yield: odds are the step yields its wake next.
+                if env._held is not None:
+                    env._flush_held()
+                env._held = self
+                env._held_eid = env._eid
+            else:
+                env._nowq.append((env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -251,7 +275,8 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Internal event that starts a freshly created process."""
+    """Internal event that starts a freshly created process (its maker
+    schedules it)."""
 
     __slots__ = ()
 
@@ -260,7 +285,6 @@ class Initialize(Event):
         self._ok = True
         self._value = None
         self.callbacks.append(process._resume)
-        env._schedule(self)
 
 
 def _defuse_on_failure(event: "Event") -> None:
@@ -277,7 +301,7 @@ class Process(Event):
     fails the exception is thrown into the generator.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "_name")
 
     def __init__(
         self,
@@ -289,12 +313,25 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = None
-        self.name = name or getattr(generator, "__name__", "process")
+        self._name = name
         if tail and (tail is _INLINE or env._quiescent()):
             # Handoff: the Initialize event would dispatch next anyway.
             self._resume(None)
+        elif env._active_process is not None and env._fast:
+            # Observed yield: odds are the step yields its child next, and
+            # the Initialize event is never made.
+            if env._held is not None:
+                env._flush_held()
+            env._eid += 1
+            env._held = self
+            env._held_eid = env._eid
         else:
-            Initialize(env, self)
+            env._schedule(Initialize(env, self))
+
+    @property
+    def name(self) -> str:
+        """Given at creation, else the generator's; built when read."""
+        return self._name or getattr(self._generator, "__name__", "process")
 
     def __repr__(self) -> str:
         return f"<Process {self.name} at t={self.env.now}>"
@@ -355,12 +392,7 @@ class Process(Event):
                 self._target = None
                 env._active_process = None
                 self.fail(exc)
-                deferred = env._deferred
-                if deferred is not None:
-                    env._deferred = None
-                    heapq.heappush(
-                        env._queue, (deferred._time, deferred._teid, deferred)
-                    )
+                env._flush()  # (a child this step holds keeps its earlier id)
                 return
 
             # The consumed event is dead unless someone else still holds a
@@ -378,6 +410,16 @@ class Process(Event):
                     if len(pool) < _POOL_CAP and getrefcount(event) == 2:
                         pool.append(event)
 
+            child = None
+            if env._held is not None and env._observe(target):
+                # Observed yield: the child or the wake this step has just
+                # made is what it yields and what dispatches next.
+                if target._ok is not None:  # a wake, ours alone: consume it
+                    target._scheduled = True
+                    target.callbacks = None
+                    event = target
+                    continue
+                child = target  # park below, then run its first step
             if target.callbacks is None:
                 # Already processed: resume immediately with its outcome.
                 event = target
@@ -432,15 +474,20 @@ class Process(Event):
                     env._queue, (deferred._time, deferred._teid, deferred)
                 )
             env._active_process = None
+            if child is not None:
+                # in place of the Initialize event it never got
+                env._depth += 1
+                try:
+                    child._resume(None)
+                finally:
+                    env._depth -= 1
             return
 
         # The generator returned.
         self._target = None
         env._active_process = None
-        deferred = env._deferred
-        if deferred is not None:
-            env._deferred = None
-            heapq.heappush(env._queue, (deferred._time, deferred._teid, deferred))
+        if env._held is not None or env._deferred is not None:
+            env._flush()
         if env._quiescent():
             # Handoff: a step's end is its last action, so on a quiescent
             # calendar the end event would dispatch next — run the listeners
@@ -561,6 +608,14 @@ class Environment:
         #: sibling callback of the same event, or a later item of the same
         #: inbox burst, runs after it.  No fast path may run ahead of those.
         self._more = False
+        #: Observed yield: the listener-less zero-delay event a process step
+        #: has just made — a new :class:`Process` (``_ok`` None: it has no
+        #: ``Initialize``) or a succeeded event — and the event id it took.
+        #: The zero-delay sibling of ``_deferred``: not in the calendar until
+        #: something reads it, in its creation-time slot when it does.
+        self._held: Optional[Event] = None
+        self._held_eid = 0
+        self._depth = 0  #: observed starts now nested (``_MAX_INLINE_DEPTH``)
         # Arena free lists (see module docstring).  Recycled objects are
         # fully re-initialized on reuse; the refcount guard at the recycle
         # sites makes aliasing with live events impossible.
@@ -625,7 +680,8 @@ class Environment:
         ``tail=True`` is the caller's promise that this call is the last
         statement of its callback (see *Handoff* in the module docstring):
         on a quiescent calendar the first step runs here, with no
-        ``Initialize`` event.
+        ``Initialize`` event.  A process step's child is held instead, and
+        started in place if the step yields it next (*observed yield*).
         """
         return Process(self, generator, name, tail)
 
@@ -666,51 +722,11 @@ class Environment:
 
     # -- arena ----------------------------------------------------------
 
-    def grant_event(self, value: Any) -> Event:
-        """A pre-processed successful event (the uncontended-grant fast
-        path of ``Store.get`` / ``CapacityResource.request``), drawn from
-        the arena when possible."""
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event._value = value
-            event._defused = False
-        else:
-            event = Event(self)
-            event._ok = True
-            event._value = value
-            event.callbacks = None
-            event._scheduled = True
-        return event
-
-    def grant_now(self, value: Any) -> Optional[Event]:
-        """For a resource whose free grant is an *event*: the grant as a
-        pre-processed event when a process step asks on a quiescent
-        calendar — the grant event would dispatch next and resume that very
-        step, provided it yields the result at once — else None (schedule
-        the grant as usual)."""
-        if self._active_process is None or not self._quiescent():
-            return None
-        return self.grant_event(value)
-
-    def waiter_event(self, cls, *args) -> Event:
-        """A fresh (or recycled) resource-wait event of ``cls``.
-
-        ``cls.__init__`` must accept ``(*args)`` and a recycled instance
-        must be reusable after ``cls._reinit(*args)``.
-        """
-        pool = self._waiter_pool.get(cls)
-        if pool:
-            event = pool.pop()
-            event._reinit(*args)
-            return event
-        return cls(*args)
-
     def _recycle_waiter(self, event: Event) -> None:
         """Return a dead resource-wait event to its per-class free list.
 
         Callers must have verified via refcount that the kernel holds the
-        only reference; see the dispatch-loop recycle site.
+        only reference; see the dispatch-loop recycle sites in ``run``.
         """
         pool = self._waiter_pool.setdefault(event.__class__, [])
         if len(pool) < _POOL_CAP:
@@ -737,16 +753,6 @@ class Environment:
             event.callbacks = None
             self._recycle_waiter(event)
 
-    def _recycle_dispatched(self, event: Event) -> None:
-        """Dispatch-loop recycle site: ``event`` just ran its callbacks and
-        nothing else references it (caller verified via refcount)."""
-        if event.__class__ is Timeout:
-            pool = self._timeout_pool
-            if len(pool) < _POOL_CAP:
-                pool.append(event)
-        else:
-            self._recycle_waiter(event)
-
     # -- scheduling -----------------------------------------------------
 
     def _quiescent(self) -> bool:
@@ -760,6 +766,8 @@ class Environment:
         *call* is the callback's last statement is the caller's
         ``tail=True`` promise.
         """
+        if self._held is not None:
+            self._flush_held()
         if self._nowq or self._more or not self._fast:
             return False
         deferred = self._deferred
@@ -782,6 +790,46 @@ class Environment:
             self._more = False
         callbacks[-1](event)
 
+    def _flush_held(self) -> None:
+        """Put the held event into the calendar under the id it took when it
+        was made (the heap orders it against the now-queue by id, as the run
+        loops do): called by whatever reads the calendar, or holds the next."""
+        held = self._held
+        self._held = None
+        if held._ok is None:  # a process: the start event it has not needed
+            held = Initialize(self, held)
+            held._scheduled = True
+        heapq.heappush(self._queue, (self.now, self._held_eid, held))
+
+    def _flush(self) -> None:
+        """Held event and deferred timer: a step's end, ``run``, ``peek``."""
+        if self._held is not None:
+            self._flush_held()
+        deferred = self._deferred
+        if deferred is not None:
+            self._deferred = None
+            heapq.heappush(self._queue, (deferred._time, deferred._teid, deferred))
+
+    def _observe(self, target: Event) -> bool:
+        """A process step yields ``target`` while an event is held: True
+        when ``target`` is that event, no id was handed out since its own and
+        it is what the calendar would dispatch next — the caller does so in
+        place and the id goes back; else the event is flushed."""
+        held = self._held
+        if (
+            held is target
+            and self._eid == self._held_eid
+            and self._depth < _MAX_INLINE_DEPTH
+            and (held._ok is None or not held.callbacks)
+        ):
+            self._held = None  # quiescent apart from the held event itself?
+            if self._quiescent():
+                self._eid -= 1
+                return True
+            self._held = held
+        self._flush_held()
+        return False
+
     def _schedule(self, event: Event, delay: int = 0) -> None:
         if event._scheduled:
             return
@@ -791,40 +839,6 @@ class Environment:
             self._nowq.append((self._eid, event))
         else:
             heapq.heappush(self._queue, (self.now + delay, self._eid, event))
-
-    def _next(self):
-        """Pop the next event in dispatch order, or None when drained.
-
-        Interleaves the now-queue with same-timestamp heap entries by
-        event id, reproducing exactly the pure-heap dispatch order.
-        """
-        deferred = self._deferred
-        if deferred is not None:
-            self._deferred = None
-            heapq.heappush(self._queue, (deferred._time, deferred._teid, deferred))
-        nowq = self._nowq
-        queue = self._queue
-        if nowq:
-            if queue:
-                head = queue[0]
-                if head[0] == self.now and head[1] < nowq[0][0]:
-                    return heapq.heappop(queue)
-            eid, event = nowq.popleft()
-            return (self.now, eid, event)
-        if queue:
-            return heapq.heappop(queue)
-        return None
-
-    def _step(self) -> None:
-        item = self._next()
-        if item is None:
-            raise IndexError("step from an empty calendar")
-        time, _, event = item
-        self.now = time
-        callbacks, event.callbacks = event.callbacks, None
-        self._run_callbacks(callbacks, event)
-        if event._ok is False and not event._defused:
-            raise event._value
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -841,8 +855,8 @@ class Environment:
         is deterministic: two runs split at any horizon process the same
         events in the same order as one uninterrupted run.
 
-        The event dispatch loop is inlined here (rather than calling
-        :meth:`_step`) because it is the hottest code in the repository.
+        The event dispatch loop is written out three times here, once per
+        kind of ``until``, because it is the hottest code in the repository.
         """
         queue = self._queue
         nowq = self._nowq
@@ -850,10 +864,7 @@ class Environment:
         popleft = nowq.popleft
         timeout_pool = self._timeout_pool
         waiter_pool = self._waiter_pool
-        deferred = self._deferred
-        if deferred is not None:
-            self._deferred = None
-            heapq.heappush(queue, (deferred._time, deferred._teid, deferred))
+        self._flush()
         if isinstance(until, Event) and until.__class__ is Timeout and until.callbacks is not None:
             # Timeouts are pre-succeeded at creation (``_ok`` is True long
             # before they dispatch), so the event-wait loop below would
@@ -888,7 +899,7 @@ class Environment:
                 if event._ok is False and not event._defused:
                     raise event._value
                 if event._poolable and getrefcount(event) == 2:
-                    # inlined _recycle_dispatched (hot dispatch tail)
+                    # the dispatch loop's recycle site (inlined: hot tail)
                     if event.__class__ is Timeout:
                         if len(timeout_pool) < _POOL_CAP:
                             timeout_pool.append(event)
@@ -935,7 +946,7 @@ class Environment:
                 if event._ok is False and not event._defused:
                     raise event._value
                 if event._poolable and getrefcount(event) == 2:
-                    # inlined _recycle_dispatched (hot dispatch tail)
+                    # the dispatch loop's recycle site (inlined: hot tail)
                     if event.__class__ is Timeout:
                         if len(timeout_pool) < _POOL_CAP:
                             timeout_pool.append(event)
@@ -972,7 +983,7 @@ class Environment:
             if event._ok is False and not event._defused:
                 raise event._value
             if event._poolable and getrefcount(event) == 2:
-                # inlined _recycle_dispatched (hot dispatch tail)
+                # the dispatch loop's recycle site (inlined: hot tail)
                 if event.__class__ is Timeout:
                     if len(timeout_pool) < _POOL_CAP:
                         timeout_pool.append(event)
@@ -986,10 +997,7 @@ class Environment:
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the calendar is empty."""
-        deferred = self._deferred
-        if deferred is not None:
-            self._deferred = None
-            heapq.heappush(self._queue, (deferred._time, deferred._teid, deferred))
+        self._flush()
         if self._nowq:
             return self.now
         return self._queue[0][0] if self._queue else None

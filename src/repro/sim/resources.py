@@ -48,15 +48,6 @@ class _StoreGet(Event):
         super().__init__(store.env)
         self.store = store
 
-    def _reinit(self, store: "Store") -> None:
-        """Reset a recycled instance to freshly-constructed state."""
-        self.store = store
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = None
-        self._defused = False
-        self._scheduled = False
-
     def _abandoned(self) -> None:
         store, self.store = self.store, None
         if store is None:  # pragma: no cover - double interrupt, defensive
@@ -93,16 +84,6 @@ class _CapacityRequest(Event):
         self.resource = resource
         #: requesting process (for the sanitizer's leaked-hold report)
         self.proc = resource.env._active_process
-
-    def _reinit(self, resource: "CapacityResource") -> None:
-        """Reset a recycled instance to freshly-constructed state."""
-        self.resource = resource
-        self.proc = resource.env._active_process
-        self.callbacks = []
-        self._value = _PENDING
-        self._ok = None
-        self._defused = False
-        self._scheduled = False
 
     def _abandoned(self) -> None:
         resource, self.resource = self.resource, None
@@ -247,7 +228,7 @@ class Store:
         env = self.env
         items = self._items
         if items:
-            # inlined env.grant_event(items.popleft())
+            # a pre-processed grant, from the arena when it has one
             pool = env._event_pool
             if pool:
                 event = pool.pop()
@@ -260,7 +241,7 @@ class Store:
             event.callbacks = None
             event._scheduled = True
             return event
-        # inlined env.waiter_event(_StoreGet, self)
+        # a queued waiter, recycled from the arena when it has one
         pool = env._waiter_pool.get(_StoreGet)
         if pool:
             event = pool.pop()
@@ -310,7 +291,7 @@ class CapacityResource:
         env = self.env
         if self._in_use < self.capacity:
             self._in_use += 1
-            # inlined env.grant_event(self)
+            # a pre-processed grant, from the arena when it has one
             pool = env._event_pool
             if pool:
                 event = pool.pop()
@@ -325,7 +306,7 @@ class CapacityResource:
             if self.sanitizer is not None:
                 self.sanitizer.on_resource_grant(self)
         else:
-            # inlined env.waiter_event(_CapacityRequest, self)
+            # a queued waiter, recycled from the arena when it has one
             pool = env._waiter_pool.get(_CapacityRequest)
             if pool:
                 event = pool.pop()

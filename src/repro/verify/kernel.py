@@ -58,10 +58,7 @@ class KernelSanitizer:
         # already sitting in the now-queue keep their ids, so migrating
         # them into the heap preserves dispatch order exactly.
         env._fast = False
-        deferred = env._deferred
-        if deferred is not None:
-            env._deferred = None
-            heapq.heappush(env._queue, (deferred._time, deferred._teid, deferred))
+        env._flush()
         while env._nowq:
             eid, event = env._nowq.popleft()
             heapq.heappush(env._queue, (env.now, eid, event))

@@ -4,11 +4,12 @@ The numbers are DESIGN.md §7's hop table: what a 4 KiB read and a 4 KiB
 RMW write cost in ``env._eid`` ticks on an idle 8-target RAID-5 array, the
 caller waiting on the op.  They are exact and deterministic; a relay event
 that comes back (a per-capsule mailbox wake, a handler ``Initialize``, a
-process end, a condition release, a free-lock grant) moves them, and so
-does a new timed step — either way the table and this test change
-together.  Each tick is also classified: a *timer* advances the clock (the
-model), anything else is a relay — the op's own start, and dRAID's forward
-fork on an RMW write, are the only ones left.
+process end, a condition release, a free-lock grant, the op's own start)
+moves them, and so does a new timed step — either way the table and this
+test change together.  Each tick is also classified: a *timer* advances the
+clock (the model), anything else is a relay — an idle read has none, and
+dRAID's forward fork on an RMW write (started, then raced against the
+drive write, not yielded) is the only one left.
 """
 
 import pytest
@@ -49,7 +50,7 @@ def events_of(env, make_op):
 
 @pytest.mark.parametrize(
     "controller_cls, read_events, rmw_write_events, write_relays",
-    [(MdRaid, 7, 26, 1), (SpdkRaid, 7, 26, 1), (DraidArray, 8, 23, 2)],
+    [(MdRaid, 6, 25, 0), (SpdkRaid, 6, 25, 0), (DraidArray, 7, 22, 1)],
     ids=["MdRaid", "SpdkRaid", "DraidArray"],  # not the pins: they move
 )
 def test_events_of_one_idle_4k_op(
@@ -61,11 +62,11 @@ def test_events_of_one_idle_4k_op(
     offset = 8 * CHUNK + 4 * KB  # inside one chunk of the second stripe
     events, timers = events_of(env, lambda: array.read(offset, 4 * KB))
     assert events == read_events
-    assert events - timers == 1  # the op's own start
+    assert events == timers  # the caller yields the op it starts: no Initialize
     env.run()  # idle again (drains dRAID's deadline timer)
     events, timers = events_of(env, lambda: array.write(offset, 4 * KB))
     assert events == rmw_write_events
-    assert events - timers == write_relays  # ... and dRAID's forward fork
+    assert events - timers == write_relays  # dRAID's forward fork
     assert array.stats.rmw_writes == 1
 
 

@@ -17,6 +17,7 @@ where the guard must fall back to the evented path) are the norm, not the
 exception.
 """
 
+import heapq
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -751,3 +752,333 @@ def test_any_of_lets_go_of_the_timer_that_lost():
     assert deadline.callbacks == [] and env.now == 1
     env.run()
     assert env.now == 50
+
+
+# -- observed yield (PR 22): the child or the wake a step has just made --------
+#
+# A process step that creates a process, or succeeds an event nobody listens
+# to yet, and yields that very event next gets it in place: no ``Initialize``,
+# no wake entry.  Nobody promises anything — whatever the step does between
+# making the event and yielding (or never yielding) it, the kernel either
+# proves the event is what the calendar would dispatch next or gives it the
+# entry it was spared.  Same claim, same oracle.
+
+BETWEEN = ("nothing", "timer", "put", "succeed", "process", "interrupt")
+WRAPS = (None, None, "all", "any")
+
+made_step = st.tuples(
+    st.sampled_from(("child", "wake", "spawn")),
+    st.sampled_from(BETWEEN),
+    st.sampled_from(WRAPS),
+)
+
+
+def _observed(programs):
+    return st.lists(
+        st.one_of(
+            timer_step,
+            st.tuples(made_step, programs),
+        ),
+        max_size=4,
+    )
+
+
+observed_programs = st.recursive(
+    st.lists(timer_step, max_size=2), _observed, max_leaves=8
+)
+
+
+class World:
+    """Bystanders a step can poke between making an event and yielding it:
+    a mailbox with a parked getter, signals with listeners, a sleeper to
+    interrupt."""
+
+    def __init__(self, net):
+        self.net = net
+        env = net.env
+        self.box = Store(env, name="box")
+        self.signals = [env.event() for _ in range(3)]
+        env.process(self._getter())
+        for i, signal in enumerate(self.signals):
+            env.process(self._listener(i, signal))
+        self.sleeper = env.process(self._sleeper())
+
+    def _getter(self):
+        while True:
+            item = yield self.box.get()
+            self.net.log(f"box<-{item}")
+
+    def _listener(self, i, signal):
+        value = yield signal
+        self.net.log(f"signal{i}<-{value}")
+
+    def _sleeper(self):
+        while True:
+            try:
+                yield self.net.env.timeout(50)
+                return
+            except Interrupt as interrupt:
+                self.net.log(f"sleeper:interrupted:{interrupt.cause}")
+
+    def _bystander(self, label):
+        self.net.log(f"bystander:{label}")
+        yield self.net.env.timeout(0)
+        self.net.log(f"bystander:{label}:end")
+
+    def poke(self, how, label):
+        env = self.net.env
+        if how == "timer":
+            env.timeout(0).callbacks.append(lambda _ev: self.net.log(f"tick:{label}"))
+        elif how == "put":
+            self.box.put(label)
+        elif how == "succeed":
+            pending = [s for s in self.signals if not s.triggered]
+            if pending:
+                pending[0].succeed(label)
+        elif how == "process":
+            env.process(self._bystander(label))
+        elif how == "interrupt":
+            if self.sleeper.is_alive and self.sleeper._target is not None:
+                self.sleeper.interrupt(label)
+
+
+def observe(net, world, label, program):
+    """Run ``program``: timers, and events made then (maybe) yielded."""
+    env = net.env
+    for i, step in enumerate(program):
+        if step[0] == "timer":
+            net.log(f"{label}[{i}]timer")
+            yield env.timeout(step[1])
+            continue
+        (kind, between, wrap), body = step
+        net.log(f"{label}[{i}]{kind}")
+        if kind == "wake":
+            made = env.event()
+            made.succeed(f"{label}.{i}")
+        else:
+            made = env.process(observe(net, world, f"{label}.{i}", body))
+        world.poke(between, f"{label}.{i}")
+        if kind == "spawn":
+            continue  # made, never yielded
+        if wrap is not None:
+            made = (AllOf if wrap == "all" else AnyOf)(env, [made])
+        got = yield made
+        net.log(f"{label}[{i}]got:{sorted(got.values()) if wrap else got}")
+    net.log(f"{label}:end")
+    return label
+
+
+@given(roots=st.lists(observed_programs, min_size=1, max_size=3))
+@settings(max_examples=max(250, settings.default.max_examples), deadline=None)
+def test_observed_yield_matches_pure_heap_order(roots):
+    def build(net):
+        world = World(net)
+        for r, program in enumerate(roots):  # all start in nanosecond 0
+            net.env.process(observe(net, world, f"r{r}", program))
+
+    run_both(build)
+
+
+def test_idle_child_and_wake_are_taken_in_place():
+    """Parent start, one timer: the child's Initialize, both ends and the
+    wake never reach the calendar."""
+    def build(net):
+        env = net.env
+
+        def child():
+            yield env.timeout(3)
+            return "kid"
+
+        def parent():
+            got = yield env.process(child())
+            net.log(f"child:{got}")
+            wake = env.event()
+            wake.succeed("woke")
+            got = yield wake
+            net.log(f"wake:{got}")
+
+        env.process(parent())
+
+    fast, pure = run_both(build)
+    assert fast.trace == [(3, "child:kid"), (3, "wake:woke")]
+    assert fast.env._eid == 2 and pure.env._eid == 6
+
+
+@pytest.mark.parametrize("between", BETWEEN[1:])
+def test_anything_between_making_and_yielding_flushes_the_hold(between):
+    """The poke gets its calendar entry *behind* the held start, as if the
+    start had been scheduled when it was made."""
+    def build(net):
+        world = World(net)
+        net.env.process(observe(net, world, "p", [
+            (("child", between, None), [("timer", 0)]),
+        ]))
+
+    fast, pure = run_both(build)
+    if between != "interrupt":  # (one entry, then a second timer: no saving)
+        assert fast.env._eid < pure.env._eid  # ends still hand off
+
+
+def test_a_tick_site_need_not_know_about_the_hold():
+    """The held start took its event id when it was made, so a site that
+    only hands out the next id — written here as a future inlined wake would
+    be, with no flush in it — cannot get ahead of it."""
+    def build(net):
+        env = net.env
+
+        def child():
+            net.log("child:start")
+            yield env.timeout(1)
+
+        def parent():
+            proc = env.process(child())
+            wake = env.event()
+            wake._ok, wake._value, wake._scheduled = True, None, True
+            wake.callbacks.append(lambda _event: net.log("raw-wake"))
+            env._eid += 1
+            if env._fast:
+                env._nowq.append((env._eid, wake))
+            else:
+                heapq.heappush(env._queue, (env.now, env._eid, wake))
+            yield proc
+            net.log("parent:end")
+
+        env.process(parent())
+
+    fast, _ = run_both(build)
+    assert fast.trace == [(0, "child:start"), (0, "raw-wake"), (1, "parent:end")]
+
+
+def test_zero_time_child_loop_is_not_recursive():
+    """Each instant child resumes its parent one Python call deeper; the
+    nesting bound sends every ``_MAX_INLINE_DEPTH``-th start through the
+    calendar, which unwinds the stack."""
+    def build(net):
+        env = net.env
+
+        def instant(i):
+            return i
+            yield  # pragma: no cover
+
+        def parent():
+            total = 0
+            for i in range(5000):
+                total += yield env.process(instant(i))
+            net.log(f"total:{total}")
+
+        env.process(parent())
+
+    fast, pure = run_both(build)
+    assert fast.trace == [(0, f"total:{sum(range(5000))}")]
+    assert fast.env._eid < pure.env._eid // 10
+
+
+def test_deep_chain_of_children_is_not_recursive():
+    def build(net):
+        env = net.env
+
+        def link(depth):
+            net.log(f"down:{depth}")
+            if depth < 200:
+                yield env.process(link(depth + 1))
+            else:
+                yield env.timeout(1)
+            net.log(f"up:{depth}")
+
+        env.process(link(0))
+
+    fast, _ = run_both(build)
+    assert fast.trace[200] == (0, "down:200") and fast.trace[-1] == (1, "up:0")
+
+
+def test_child_started_in_place_can_interrupt_its_parent():
+    """The parent is parked before the child's first step runs (unlike under
+    ``gather``), so it is a legal interrupt target."""
+    def build(net):
+        env = net.env
+
+        def child(parent):
+            parent.interrupt("from-child")
+            yield env.timeout(2)
+            net.log("child:end")
+
+        def parent():
+            try:
+                yield env.process(child(env._active_process))
+            except Interrupt as interrupt:
+                net.log(f"parent:interrupted:{interrupt.cause}")
+            yield env.timeout(5)
+            net.log("parent:end")
+
+        env.process(parent())
+
+    fast, _ = run_both(build)
+    assert fast.trace == [
+        (0, "parent:interrupted:from-child"), (2, "child:end"), (5, "parent:end"),
+    ]
+
+
+def test_held_process_that_is_never_yielded_still_starts():
+    def build(net):
+        env = net.env
+
+        def child():
+            net.log("child:start")
+            yield env.timeout(1)
+
+        def parent():
+            env.process(child())
+            net.log("parent:end")
+            return
+            yield  # pragma: no cover
+
+        env.process(parent())
+
+    fast, _ = run_both(build)
+    assert fast.trace == [(0, "parent:end"), (0, "child:start")]
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "pure-heap"])
+def test_held_process_whose_creator_raises_still_starts(fast):
+    net = Net(fast)
+    env = net.env
+
+    def child():
+        net.log("child:start")
+        yield env.timeout(1)
+        net.log("child:end")
+
+    def parent():
+        env.process(child())
+        raise RuntimeError("creator failed")
+        yield  # pragma: no cover
+
+    env.process(parent())
+    with pytest.raises(RuntimeError, match="creator failed"):
+        env.run()
+    assert net.trace == [(0, "child:start")]
+    env.run()
+    assert net.trace[-1] == (1, "child:end")
+
+
+def test_armed_sanitizer_never_holds_an_event():
+    from repro.verify.kernel import KernelSanitizer
+
+    env = Environment()
+    KernelSanitizer(env)
+    seen = []
+
+    def child():
+        yield env.timeout(1)
+
+    def parent():
+        proc = env.process(child())
+        wake = env.event()
+        wake.succeed()
+        seen.append(env._held)
+        yield proc
+        yield wake
+
+    env.process(parent())
+    env.run()
+    assert seen == [None] and env._eid == 6  # every one on the calendar

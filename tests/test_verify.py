@@ -342,25 +342,34 @@ class TestProtocolCheckerUnits:
 class TestZeroInterference:
     """Arming the verifier must not change simulated outcomes."""
 
-    @pytest.mark.parametrize("system", ["md", "spdk", "draid"])
-    def test_armed_fio_result_equals_unarmed(self, system):
+    @staticmethod
+    def fio_result(system, verify):
         from repro import build_testbed
         from repro.workloads.fio import FioWorkload
 
-        def run(verify: bool):
-            # timing mode: FioWorkload issues payload-less I/O
-            config = ClusterConfig(
-                num_servers=4,
-                verify=VerifyConfig() if verify else None,
-            )
-            _, _, array = build_testbed(system, chunk_bytes=4 * KB, config=config)
-            workload = FioWorkload(
-                array, io_size=4 * KB, read_fraction=0.5, queue_depth=4,
-                capacity=16 * 3 * 4 * KB, seed=77,
-            )
-            return workload.run(warmup_ns=500_000, measure_ns=3_000_000)
+        # timing mode: FioWorkload issues payload-less I/O
+        config = ClusterConfig(num_servers=4, verify=verify)
+        _, _, array = build_testbed(system, chunk_bytes=4 * KB, config=config)
+        workload = FioWorkload(
+            array, io_size=4 * KB, read_fraction=0.5, queue_depth=4,
+            capacity=16 * 3 * 4 * KB, seed=77,
+        )
+        return workload.run(warmup_ns=500_000, measure_ns=3_000_000)
 
-        assert run(verify=True) == run(verify=False)
+    @pytest.mark.parametrize("system", ["md", "spdk", "draid"])
+    def test_armed_fio_result_equals_unarmed(self, system):
+        assert self.fio_result(system, VerifyConfig()) == self.fio_result(system, None)
+
+    @pytest.mark.parametrize("system", ["md", "spdk", "draid"])
+    @pytest.mark.parametrize(
+        "armed", [VerifyConfig(protocol=False), VerifyConfig(kernel=False)],
+        ids=["kernel-sanitizer", "protocol-checker"],
+    )
+    def test_each_checker_alone_equals_unarmed(self, system, armed):
+        """The kernel sanitizer runs the pure-heap kernel (nothing handed
+        off, nothing held); the protocol checker alone watches the fast
+        one.  Neither may move a simulated number."""
+        assert self.fio_result(system, armed) == self.fio_result(system, None)
 
     def test_verify_config_arms_hub(self):
         env = Environment()
