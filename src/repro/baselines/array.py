@@ -575,7 +575,9 @@ class RaidArray(ABC):
                 return True
             kinds_of = {d: store.bad_kinds(drives[d], stripe) for d in bad}
             for d in bad:
-                key = (d, stripe)
+                # the store's key (``record_write`` clears it): the drive's
+                # index, which is not the member's on an offloaded controller
+                key = (drives[d]._integrity_index, stripe)
                 if key not in store.known_bad:
                     store.known_bad.add(key)
                     first = store.first_poison_ns(drives[d], stripe)

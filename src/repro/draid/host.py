@@ -190,30 +190,33 @@ class DraidArray(RaidArray):
         On the resilient datapath the deadline escalates with the attempt
         number and a timed-out mutation gets a bounded drain window
         (``drain_factor x timeout``) before unresponsive participants are
-        fenced; without fault injection the original unbounded wait is
-        kept so healthy-path runs are bit-identical.  A request deadline
-        (overload control) clamps the per-attempt timeout to the remaining
-        budget either way.
+        fenced.  Without fault injection nothing happens at expiry but the
+        flag — §5.4 forbids a retry before every sub-operation reached a
+        final state (concurrent writes on a stripe are forbidden) — so no
+        guard timer is armed: the wait is on the op itself and the flag is
+        read off the clock afterwards, an op that lands on the very
+        nanosecond of its deadline counting as expired (DESIGN.md §9).  A
+        request deadline (overload control) clamps the per-attempt timeout
+        to the remaining budget either way.
         """
-        if self.resilient:
-            timeout_ns = self.backoff.timeout_for(
-                attempt, self.timeout_ns,
-                remaining_ns=self._deadline_remaining(deadline_ns),
-            )
-        else:
+        if not self.resilient:
             timeout_ns = self.timeout_ns
             remaining = self._deadline_remaining(deadline_ns)
             if remaining is not None:
                 timeout_ns = min(timeout_ns, max(1, remaining))
-        deadline = self.env.timeout(timeout_ns)
-        yield AnyOf(self.env, [waiter.event, deadline])
-        expired = not waiter.event.triggered
-        if expired:
-            if not self.resilient:
-                # §5.4: never retry until every sub-operation reached a
-                # final state (concurrent writes on a stripe are forbidden).
-                yield waiter.event
-            else:
+            issued = self.env.now
+            pending = not waiter.event.triggered
+            yield waiter.event
+            expired = pending and self.env.now - issued >= timeout_ns
+        else:
+            timeout_ns = self.backoff.timeout_for(
+                attempt, self.timeout_ns,
+                remaining_ns=self._deadline_remaining(deadline_ns),
+            )
+            deadline = self.env.timeout(timeout_ns)
+            yield AnyOf(self.env, [waiter.event, deadline])
+            expired = not waiter.event.triggered
+            if expired:
                 self.fault_stats.timeouts += 1
                 if drain:
                     # bounded §5.4 drain: one window for stragglers to

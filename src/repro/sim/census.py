@@ -2,12 +2,14 @@
 
 ``env._eid`` says how many calendar entries a run created; this says which:
 every entry by class — ``timer`` (advances the clock: the model), ``start``
-(a process's ``Initialize``), ``wake`` (a succeeded event or resource
-grant), ``process-end``, ``condition`` (an ``AllOf``/``AnyOf`` release),
-``other`` (failures, interrupts) — and by the code that created it, plus
-what became of every observed-yield hold (*Handoff* in
-:mod:`repro.sim.core`): starts and wakes taken in place, and holds flushed
-into the calendar by reason.
+(a process's ``Initialize``), ``wake`` (a succeeded event, a resource grant
+or a zero-delay timer), ``process-end``, ``condition`` (an
+``AllOf``/``AnyOf`` release), ``other`` (failures, interrupts) — and by the
+code that created it, plus what became of every observed-yield hold
+(*Handoff* in :mod:`repro.sim.core`): starts, forks and wakes taken in
+place, and holds flushed into the calendar by reason.  Two more lines weigh
+the calendar itself: its peak length, and the entries that dispatched with
+nobody listening (a never-cancelled guard timer is both).
 
 A :class:`Census` arms one :class:`~repro.sim.core.Environment` the way
 :class:`repro.verify.kernel.KernelSanitizer` does — it rebinds entry points
@@ -30,6 +32,8 @@ from typing import List, Optional, Tuple
 from repro.sim import core
 from repro.sim.core import Condition, Environment, Event, Initialize, Process, Timeout
 
+_RUN_CODE = Environment.run.__code__
+
 CLASSES = ("timer", "start", "wake", "process-end", "condition", "other")
 
 #: Why a held event got its calendar entry after all.
@@ -39,7 +43,8 @@ FLUSH_REASONS = (
     "not quiescent",     # yielded next, but something else is due at `now`
     "_more",             # yielded next, by a step that is not its event's last callback
     "other listener",    # a wake yielded next that someone else listens to as well
-    "parked elsewhere",  # the step yielded a different event
+    "parked elsewhere",  # a wake's maker yielded a different event; a child's
+                         # maker one that was already processed
     "step ended",        # the step returned or raised without yielding it
     "nesting bound",     # yielded next, _MAX_INLINE_DEPTH starts deep
 )
@@ -47,7 +52,7 @@ FLUSH_REASONS = (
 
 def _class_of(event: Event) -> str:
     if isinstance(event, Timeout):
-        return "timer"
+        return "timer" if event.delay else "wake"
     if isinstance(event, Initialize):
         return "start"
     if isinstance(event, Process):
@@ -103,7 +108,12 @@ class Census:
         #: (class, creating site) -> calendar entries
         self.entries: Counter = Counter()
         self.inline_starts = 0
+        self.inline_forks = 0
         self.inline_wakes = 0
+        #: most entries the calendar held at once
+        self.peak_length = 0
+        #: entries the run loop dispatched to no callback at all
+        self.unheard = 0
         #: reason -> holds that went to the calendar
         self.flushed: Counter = Counter()
         self._eid_at_arm = env._eid
@@ -116,20 +126,31 @@ class Census:
         self._flush_held = env._flush_held
         self._flush = env._flush
         self._observe = env._observe
+        self._run_callbacks = env._run_callbacks
         env.timeout = self._counting_timeout
         env._flush_held = self._counting_flush_held
         env._flush = self._counting_flush
         env._observe = self._counting_observe
+        env._run_callbacks = self._counting_run_callbacks
 
     # -- hooks ----------------------------------------------------------------
 
     def _note(self, event: Event, frame) -> None:
         self.entries[_class_of(event), _site(frame)] += 1
 
+    def _weigh(self) -> None:
+        """Called after every entry made: the calendar only grows there."""
+        env = self.env
+        length = len(env._queue) + len(env._nowq) + (env._deferred is not None)
+        if length > self.peak_length:
+            self.peak_length = length
+
     def _counting_timeout(self, delay: int, value=None) -> Timeout:
         # every timer of the model is made here (nothing constructs Timeout)
         timer = self._timeout(delay, value)
-        self.entries["timer", _site(sys._getframe(1))] += 1
+        if self.env._held is not timer:  # (a held one has no entry yet)
+            self._note(timer, sys._getframe(1))
+            self._weigh()
         return timer
 
     def _counting_flush_held(self) -> None:
@@ -141,6 +162,7 @@ class Census:
         else:
             self.entries[_class_of(held), f"<held>:{type(held).__name__}"] += 1
         self._flush_held()
+        self._weigh()
 
     def _counting_flush(self) -> None:
         # run/peek/arming find no hold: one only outlives a step that ended
@@ -150,10 +172,10 @@ class Census:
         finally:
             self._reason = None
 
-    def _counting_observe(self, target: Event) -> bool:
+    def _counting_observe(self, target: Event) -> Optional[Event]:
         env = self.env
         held = env._held
-        if held is not target:
+        if held is not target and (held._ok is not None or target.callbacks is None):
             self._reason = "parked elsewhere"
         elif env._eid != env._held_eid:
             self._reason = "other tick"
@@ -167,12 +189,21 @@ class Census:
             taken = self._observe(target)
         finally:
             self._reason = None
-        if taken:
-            if target._ok is None:
+        if taken is not None:
+            if taken._ok is not None:
+                self.inline_wakes += 1
+            elif taken is target:
                 self.inline_starts += 1
             else:
-                self.inline_wakes += 1
+                self.inline_forks += 1
         return taken
+
+    def _counting_run_callbacks(self, callbacks, event: Event) -> None:
+        # the run loops come here with no callback or several; so do the
+        # handoff sites, whose events never had an entry
+        if not callbacks and sys._getframe(1).f_code is _RUN_CODE:
+            self.unheard += 1
+        self._run_callbacks(callbacks, event)
 
     # -- reading --------------------------------------------------------------
 
@@ -208,8 +239,11 @@ class Census:
         if self.unattributed:
             lines.append(f"  {'unattributed':<12} {self.unattributed:>9}")
         lines.append(f"non-timer share: {self.non_timer_share():.2%}")
+        lines.append(f"peak calendar length: {self.peak_length}")
+        lines.append(f"dispatched with no listener: {self.unheard}")
         lines.append(
-            f"observed yield: {self.inline_starts} starts and "
+            f"observed yield: {self.inline_starts} starts, "
+            f"{self.inline_forks} forks and "
             f"{self.inline_wakes} wakes taken in place; "
             f"{sum(self.flushed.values())} holds flushed"
         )

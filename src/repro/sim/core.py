@@ -32,8 +32,8 @@ changing a single event's outcome or ordering:
   returned to the arena only when the kernel holds the *only* reference,
   so user code that keeps an event alive can never observe it aliased.
 
-Handoff (PR 18, PR 20, PR 22)
------------------------------
+Handoff (PR 18, PR 20, PR 22, PR 23)
+------------------------------------
 
 The producer-side mirror of batch-advance.  A zero-delay event may be
 dispatched inline only from *tail position*: its creation is the last
@@ -50,8 +50,8 @@ every other case nothing changes.  Who vouches for the first half:
   own code follows), and a *process step* that yields the result as its
   next action may fan out through :meth:`Environment.gather`, whose
   children's first steps then run in place of the ``Initialize`` queue.
-* **proved** by the kernel, at three process-step positions.  A **process
-  end**: the generator has returned, so ``_resume`` marks the process
+* **proved** by the kernel, at the process-step positions it can see.  A
+  **process end**: the generator has returned, so ``_resume`` marks the process
   processed and runs its listeners (a failing process always goes through
   the calendar).  A **condition release**: :class:`AllOf`/:class:`AnyOf`
   ``_check``, run as a child's dispatched callback, succeeds the condition
@@ -67,17 +67,26 @@ every other case nothing changes.  Who vouches for the first half:
   is quiescent, the step has parked on exactly what dispatches next: the
   id goes back and the child's first step runs in place
   (``_MAX_INLINE_DEPTH`` deep at most; its parent has parked, so it may
-  interrupt it), or the wake is consumed like a batch-advanced timer.
+  interrupt it), or the wake is consumed like a batch-advanced timer.  A
+  **zero-delay timer** is such a wake: ``env.timeout(0)`` made by a step
+  advances no clock and is held like an event the step succeeds.  An
+  **observed fork**: a step that holds a child, has handed out no id since
+  and parks on a *different*, still unprocessed event (a timer made before
+  the fork, a pending request, a condition the child is raced in) has, on
+  a quiescent calendar, parked with the child's ``Initialize`` as the next
+  dispatch — it parks without batch-advancing, the id goes back and the
+  child's first step runs in place, as if it had been yielded.
 
 The flush rule: in every other case the held event is pushed onto the heap
 at ``(now, its own id)`` *before the calendar is read* — a ``_quiescent()``
-ask, the step yielding (anything), returning or raising, ``run``/``peek``,
-a second hold — which is the slot an immediate schedule would have taken:
-the run loops interleave the heap with the now-queue by id, and a step
-cannot advance the clock before it yields.  Sites that only hand out an id
-(``succeed``, timers, ``_schedule``, the resource wakes) need not know a
-hold exists.  ``env._eid`` counts calendar entries, exactly;
-:mod:`repro.sim.census` says which.
+ask, the step yielding (anything not taken in place as above), returning
+or raising, ``run``/``peek``, a second hold — which is the slot an
+immediate schedule would have taken: the run loops interleave the heap
+with the now-queue by id, and a step cannot advance the clock before it
+yields.  Sites that only hand out an id (``succeed``, timers,
+``_schedule``, the resource wakes) need not know a hold exists.
+``env._eid`` counts calendar entries, exactly; :mod:`repro.sim.census`
+says which.
 
 Arming a :class:`repro.verify.kernel.KernelSanitizer` sets
 ``env._fast = False`` and migrates the now-queue into the heap: the kernel
@@ -411,15 +420,17 @@ class Process(Event):
                         pool.append(event)
 
             child = None
-            if env._held is not None and env._observe(target):
-                # Observed yield: the child or the wake this step has just
-                # made is what it yields and what dispatches next.
-                if target._ok is not None:  # a wake, ours alone: consume it
+            if env._held is not None:
+                # Observed yield / fork: is what this step has just made
+                # what dispatches next once it parks on ``target``?
+                child = env._observe(target)
+                if child is not None and child._ok is not None:
+                    # a wake (``target`` itself), ours alone: consume it
                     target._scheduled = True
                     target.callbacks = None
                     event = target
                     continue
-                child = target  # park below, then run its first step
+                # (a child: park below, then run its first step)
             if target.callbacks is None:
                 # Already processed: resume immediately with its outcome.
                 event = target
@@ -429,6 +440,7 @@ class Process(Event):
                 and not target.callbacks
                 and not env._nowq
                 and not env._more
+                and child is None  # its start precedes whatever is yielded
             ):
                 # Batch-advance: the yielded event is scheduled, nothing
                 # waits at the current timestamp — not even a sibling
@@ -610,7 +622,8 @@ class Environment:
         self._more = False
         #: Observed yield: the listener-less zero-delay event a process step
         #: has just made — a new :class:`Process` (``_ok`` None: it has no
-        #: ``Initialize``) or a succeeded event — and the event id it took.
+        #: ``Initialize``), a succeeded event or a zero-delay timer — and the
+        #: event id it took.
         #: The zero-delay sibling of ``_deferred``: not in the calendar until
         #: something reads it, in its creation-time slot when it does.
         self._held: Optional[Event] = None
@@ -635,8 +648,29 @@ class Environment:
         Pooled timers are *deferred*: the heap insertion happens only when
         some other kernel entry point needs the calendar.  The timer keeps
         its event id from creation time, so a late flush lands in exactly
-        the slot an immediate push would have used.
+        the slot an immediate push would have used.  A zero-delay timer made
+        by a process step is a wake, not a clock advance: it is *held* like
+        an event the step succeeds (see *Handoff* in the module docstring).
         """
+        if not delay and self._fast and self._active_process is not None:
+            pool = self._timeout_pool
+            if pool:
+                t = pool.pop()
+            else:  # (whether one is pooled must not show in ``_eid``)
+                t = Timeout.__new__(Timeout)
+                t.env = self
+                t._ok = t._scheduled = True
+            t.callbacks = []
+            t._value = value
+            t._defused = False
+            t.delay = 0
+            t._time = self.now
+            if self._held is not None:
+                self._flush_held()
+            self._eid += 1
+            self._held = t
+            self._held_eid = self._eid
+            return t
         deferred = self._deferred
         if deferred is not None:
             self._deferred = None
@@ -810,25 +844,30 @@ class Environment:
             self._deferred = None
             heapq.heappush(self._queue, (deferred._time, deferred._teid, deferred))
 
-    def _observe(self, target: Event) -> bool:
-        """A process step yields ``target`` while an event is held: True
-        when ``target`` is that event, no id was handed out since its own and
-        it is what the calendar would dispatch next — the caller does so in
-        place and the id goes back; else the event is flushed."""
+    def _observe(self, target: Event) -> Optional[Event]:
+        """A process step yields ``target`` while an event is held.  Returns
+        the held event when no id was handed out since its own and, with the
+        step parked on ``target``, it is what the calendar dispatches next:
+        the wake ``target`` itself (nobody else listens), or a child process
+        — yielded, or forked beside a ``target`` still to be processed.  The
+        caller takes it in place and the id goes back.  Else the event is
+        flushed and None returned."""
         held = self._held
         if (
-            held is target
-            and self._eid == self._held_eid
+            self._eid == self._held_eid
             and self._depth < _MAX_INLINE_DEPTH
-            and (held._ok is None or not held.callbacks)
+            and (
+                target.callbacks is not None if held._ok is None
+                else held is target and not held.callbacks
+            )
         ):
             self._held = None  # quiescent apart from the held event itself?
             if self._quiescent():
                 self._eid -= 1
-                return True
+                return held
             self._held = held
         self._flush_held()
-        return False
+        return None
 
     def _schedule(self, event: Event, delay: int = 0) -> None:
         if event._scheduled:

@@ -179,10 +179,18 @@ class OpenLoopWorkload:
 
     def _arrivals(self, stop_event):
         rng = self._rng
+        env = self.env
+        arrived = None
         while not stop_event.triggered:
             rate = self._current_rate()
             gap = max(1, int(rng.expovariate(rate / NS_PER_S)))
-            yield self.env.timeout(gap)
+            timer = env.timeout(gap)
+            if arrived is not None:
+                # Forked only now, the next arrival's timer made: the fork is
+                # this step's last calendar entry, so the kernel can start the
+                # I/O in place (*Handoff* in ``repro.sim.core``).
+                env.process(self._issue(*arrived), name="openloop.io")
+            yield timer
             if stop_event.triggered:
                 break
             offset = rng.randrange(self._slots) * self.io_size
@@ -191,9 +199,7 @@ class OpenLoopWorkload:
             if measured:
                 self.ops_offered += 1
                 self._offered_bytes += self.io_size
-            self.env.process(
-                self._issue(offset, is_read, measured), name="openloop.io"
-            )
+            arrived = (offset, is_read, measured)
 
     # -- one fire-and-forget I/O -------------------------------------------
 

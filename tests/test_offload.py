@@ -187,3 +187,37 @@ class TestMemberTable:
         stats = controller.integrity_stats
         assert stats.total_detected == 1
         assert stats.total_repaired == 1
+
+    @pytest.mark.parametrize("offloaded", [True, False], ids=["offloaded", "plain"])
+    def test_chunk_that_rots_again_after_a_rewrite_is_counted_again(self, offloaded):
+        """Detections are deduped under the store's own key — the drive's
+        index, which ``record_write`` clears — not the member number: on an
+        offloaded controller (member != server) the second episode of one
+        chunk was repaired but never counted.  The plain array (member ==
+        server) is the control."""
+        from repro.storage.integrity import IntegrityStore
+
+        if offloaded:
+            env, cluster, array, geometry = make_offloaded(stripes=4, controller=0)
+            controller = array.controller
+        else:
+            env = Environment()
+            cluster = build_cluster(
+                env, ClusterConfig(num_servers=5, functional_capacity=4 * CHUNK)
+            )
+            geometry = RaidGeometry(RaidLevel.RAID5, 5, CHUNK)
+            array = controller = DraidArray(cluster, geometry)
+        IntegrityStore(CHUNK, eager=True).attach(cluster)
+        size = 4 * geometry.stripe_data_bytes
+        rng = np.random.default_rng(6)
+        assert 0 not in geometry.parity_drives(1)
+        for episode in (1, 2):
+            blob = rng.integers(0, 256, size, dtype=np.uint8)
+            env.run(until=array.write(0, size, blob))  # (re)written ...
+            controller.drives[0].corrupt(              # ... and rotted (again)
+                "bitrot", offset=CHUNK + 100, length=64, seed=episode
+            )
+            assert np.array_equal(env.run(until=array.read(0, size)), blob)
+            stats = controller.integrity_stats
+            assert (stats.total_detected, stats.total_repaired) == (episode, episode)
+

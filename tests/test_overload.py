@@ -525,6 +525,65 @@ class TestOpenLoopWorkload:
         assert mean == pytest.approx(50_000, rel=0.05)
 
 
+    @pytest.mark.parametrize("arrival", ["poisson", "bursty", "diurnal"])
+    @pytest.mark.parametrize("system", ["dRAID", "Linux"])
+    def test_arrival_clock_equals_the_fork_then_timer_form(self, system, arrival):
+        """``_arrivals`` makes the next arrival's timer *before* it forks the
+        I/O, so that the kernel can start the I/O in place.  The form it
+        replaced — fork, then draw the gap and make the timer — is the oracle:
+        same arrival instants, offsets and read/write draws, same result, and
+        a stop that lands inside a gap ends both clocks at the same instant."""
+        from repro import build_testbed
+        from repro.workloads import OpenLoopWorkload
+        from repro.workloads.openloop import NS_PER_S
+
+        class ForkThenTimer(OpenLoopWorkload):
+            def _arrivals(self, stop_event):
+                rng = self._rng
+                while not stop_event.triggered:
+                    rate = self._current_rate()
+                    gap = max(1, int(rng.expovariate(rate / NS_PER_S)))
+                    yield self.env.timeout(gap)
+                    if stop_event.triggered:
+                        break
+                    offset = rng.randrange(self._slots) * self.io_size
+                    is_read = rng.random() < self.read_fraction
+                    measured = self._measuring
+                    if measured:
+                        self.ops_offered += 1
+                        self._offered_bytes += self.io_size
+                    self.env.process(
+                        self._issue(offset, is_read, measured), name="openloop.io"
+                    )
+
+        def drive(cls):
+            env, _cluster, array = build_testbed(system)
+            workload = cls(
+                array, 4 * KB, rate_iops=150_000, read_fraction=0.5, seed=5,
+                deadline_ns=400_000, arrival=arrival,
+                burst_period_ns=MS // 2, diurnal_period_ns=MS,
+            )
+            issued = []
+            issue = workload._issue
+
+            def spy(offset, is_read, measured):
+                issued.append((env.now, offset, is_read, measured))
+                return issue(offset, is_read, measured)
+
+            workload._issue = spy
+            result = workload.run(warmup_ns=MS // 2, measure_ns=2 * MS)
+            # a second clock, stopped inside a gap and run dry
+            stop = workload.start()
+            env.run(until=env.now + MS // 4 + 1)
+            stop.succeed()
+            env.run()
+            return issued, result, env.now
+
+        issued, result, end = drive(OpenLoopWorkload)
+        assert (issued, result, end) == drive(ForkThenTimer)
+        assert result.ops_offered > 100 and len(issued) > result.ops_offered
+
+
 class TestBackgroundDaemonShedding:
     def _armed_functional(self, stripes=8):
         env, array = build_md(

@@ -25,16 +25,22 @@ def small_world(env):
         wake = env.event()
         wake.succeed("w")
         log.append((yield wake))                        # wake taken in place
-        forked = env.process(child(1))                   # held ...
-        yield env.timeout(0)                             # ... parked elsewhere
+        log.append((yield env.timeout(0, "z")))         # so is a zero-delay timer
+        tick = env.timeout(1)
+        forked = env.process(child(2))                   # a fork ...
+        yield tick                                       # ... taken in place: tick is older
+        env.process(child(1))                            # held ...
+        yield env.timeout(0)                             # ... 2nd hold: other tick; not quiescent
         box.put("item")                                  # a getter's wake
         kids = [env.process(child(3)), env.process(child(3))]  # 2nd hold: other tick
-        log.append(sorted((yield AllOf(env, kids)).values()))  # parked elsewhere
+        log.append(sorted((yield AllOf(env, kids)).values()))  # a fork, but not quiescent
         late = env.event()
         late.succeed("l")
-        env.timeout(4)
+        env.timeout(4)                                   # nobody ever listens to it
         log.append((yield late))                         # a timer's id first: other tick
-        yield forked
+        ready = env.event()
+        ready.succeed()
+        yield forked                                     # the wake's maker parked elsewhere
         env.process(child(1))                            # step ended
 
     env.process(getter())
@@ -59,23 +65,32 @@ def test_classes_holds_and_reasons():
     small_world(env)
     by_class = census.by_class()
     assert set(by_class) <= set(CLASSES)
-    assert by_class == {"timer": 7, "start": 6, "wake": 2, "process-end": 4}
-    assert (census.inline_starts, census.inline_wakes) == (1, 1)
+    # (the two zero-delay timers are wakes: one taken in place, one flushed)
+    assert by_class == {"timer": 8, "start": 6, "wake": 4, "process-end": 6}
+    assert (census.inline_starts, census.inline_forks, census.inline_wakes) == (1, 1, 2)
     assert set(census.flushed) <= set(FLUSH_REASONS)
-    assert census.flushed == {"other tick": 2, "parked elsewhere": 2, "step ended": 1}
+    assert census.flushed == {
+        "other tick": 3, "not quiescent": 2, "parked elsewhere": 1, "step ended": 1,
+    }
+    # dead weight: the timer nobody listens to and five unawaited process ends
+    assert (census.peak_length, census.unheard) == (5, 6)
     sites = {site for (_cls, site), _n in census.entries.items()}
     assert "tests.test_sim_census:small_world.<locals>.child" in sites   # its timers
     assert "<held>:small_world.<locals>.child" in sites                  # flushed starts
     assert 0.0 < census.non_timer_share() < 1.0
-    assert "non-timer share" in census.table()
+    table = census.table()
+    assert "non-timer share" in table and "1 forks" in table
+    assert "peak calendar length: 5" in table
+    assert "dispatched with no listener: 6" in table
 
 
 def test_unarmed_environment_is_untouched():
     env = Environment()
-    assert not {"timeout", "_flush_held", "_flush", "_observe"} & set(vars(env))
+    hooks = {"timeout", "_flush_held", "_flush", "_observe", "_run_callbacks"}
+    assert not hooks & set(vars(env))
     assert type(env._nowq).__name__ == "deque"
     Census(env)
-    assert {"timeout", "_flush_held", "_flush", "_observe"} <= set(vars(env))
+    assert hooks <= set(vars(env))
 
 
 def test_census_refuses_a_sanitized_environment():

@@ -137,7 +137,12 @@ def run_both(build, until=None):
     for fast in (True, False):
         net = Net(fast)
         build(net)
-        net.env.run(until=until)
+        while True:
+            try:
+                net.env.run(until=until)
+                break
+            except Boom as boom:  # nobody listened to the process that raised
+                net.log(f"surfaced:{boom}")
         nets.append(net)
     fast, pure = nets
     assert fast.trace == pure.trace
@@ -196,11 +201,12 @@ def one_message(net, label, inbox, delay, timers=(1,), mode="forget", gap=0):
 
 
 def test_idle_delivery_hands_off_wake_start_and_end():
-    """One delivery on an idle calendar: the producer's listener-less end
-    event, the consumer wake and the handler's Initialize all disappear."""
+    """One delivery on an idle calendar: the producer's zero-delay gap timer
+    (a wake), its listener-less end event, the consumer wake and the
+    handler's Initialize all disappear."""
     fast, pure = run_both(lambda net: one_message(net, "m", 0, 5))
     assert fast.trace == [(5, "m@0"), (5, "m.h0.0"), (6, "m.h0.end")]
-    assert pure.env._eid - fast.env._eid == 3
+    assert pure.env._eid - fast.env._eid == 4
 
 
 def test_two_deliveries_in_one_nanosecond_to_one_inbox():
@@ -763,7 +769,7 @@ def test_any_of_lets_go_of_the_timer_that_lost():
 # proves the event is what the calendar would dispatch next or gives it the
 # entry it was spared.  Same claim, same oracle.
 
-BETWEEN = ("nothing", "timer", "put", "succeed", "process", "interrupt")
+BETWEEN = ("nothing", "timer", "put", "succeed", "process", "interrupt", "callback")
 WRAPS = (None, None, "all", "any")
 
 made_step = st.tuples(
@@ -772,12 +778,29 @@ made_step = st.tuples(
     st.sampled_from(WRAPS),
 )
 
+# Observed fork (PR 23): a child is made and the step parks on something
+# else, or never parks — ``(what, delay)``: a timer made before / after the
+# fork, a pending event released ``delay`` from now, an event processed long
+# ago; the step (and the process) ending, or raising.
+PARKS = [
+    (what, delay)
+    for what in ("timer-before", "timer-after", "pending")
+    for delay in (0, 1, 3)
+] + [("processed", 0), ("end", 0), ("raise", 0)]
+
+fork_step = st.tuples(
+    st.just("fork"),
+    st.sampled_from(("nothing",) * 3 + BETWEEN),  # (any poke flushes the hold)
+    st.sampled_from(PARKS),
+)
+
 
 def _observed(programs):
     return st.lists(
         st.one_of(
             timer_step,
             st.tuples(made_step, programs),
+            st.tuples(fork_step, programs),
         ),
         max_size=4,
     )
@@ -798,6 +821,7 @@ class World:
         env = net.env
         self.box = Store(env, name="box")
         self.signals = [env.event() for _ in range(3)]
+        self.done = env.event().succeed("done")  # processed before any root starts
         env.process(self._getter())
         for i, signal in enumerate(self.signals):
             env.process(self._listener(i, signal))
@@ -840,6 +864,14 @@ class World:
         elif how == "interrupt":
             if self.sleeper.is_alive and self.sleeper._target is not None:
                 self.sleeper.interrupt(label)
+        elif how == "callback":
+            # a zero-delay timer made by a plain callback: never held
+            log = self.net.log
+            env.timeout(1).callbacks.append(
+                lambda _ev: env.timeout(0).callbacks.append(
+                    lambda _ev: log(f"callback-tick:{label}")
+                )
+            )
 
 
 def observe(net, world, label, program):
@@ -852,6 +884,18 @@ def observe(net, world, label, program):
             continue
         (kind, between, wrap), body = step
         net.log(f"{label}[{i}]{kind}")
+        if kind == "fork":
+            what, delay = wrap
+            park = None
+            if what == "timer-before":
+                park = env.timeout(delay, "older")
+            elif what == "pending":
+                park = env.event()
+                env.timeout(delay).callbacks.append(
+                    lambda _ev, gate=park: gate.succeed("released")
+                )
+            elif what == "processed":
+                park = world.done
         if kind == "wake":
             made = env.event()
             made.succeed(f"{label}.{i}")
@@ -860,21 +904,45 @@ def observe(net, world, label, program):
         world.poke(between, f"{label}.{i}")
         if kind == "spawn":
             continue  # made, never yielded
-        if wrap is not None:
+        if kind == "fork":
+            if what == "end":
+                break
+            if what == "raise":
+                raise Boom(f"{label}[{i}]")
+            if what == "timer-after":
+                park = env.timeout(delay, "younger")
+            got = yield park
+            net.log(f"{label}[{i}]parked:{got}")
+        if wrap in ("all", "any"):
             made = (AllOf if wrap == "all" else AnyOf)(env, [made])
-        got = yield made
-        net.log(f"{label}[{i}]got:{sorted(got.values()) if wrap else got}")
+        try:
+            got = yield made
+        except Boom as boom:  # a child that raised after a fork of its own
+            net.log(f"{label}[{i}]boom:{boom}")
+            continue
+        net.log(
+            f"{label}[{i}]got:{sorted(got.values()) if wrap in ('all', 'any') else got}"
+        )
     net.log(f"{label}:end")
     return label
 
 
-@given(roots=st.lists(observed_programs, min_size=1, max_size=3))
+@given(
+    roots=st.lists(
+        st.tuples(st.sampled_from((0, 0, 10, 25)), observed_programs),
+        min_size=1, max_size=3,
+    )
+)
 @settings(max_examples=max(250, settings.default.max_examples), deadline=None)
 def test_observed_yield_matches_pure_heap_order(roots):
     def build(net):
         world = World(net)
-        for r, program in enumerate(roots):  # all start in nanosecond 0
-            net.env.process(observe(net, world, f"r{r}", program))
+        # a root starts in nanosecond 0, beside the bystanders and the other
+        # roots, or later, when the calendar may well be quiescent
+        for r, (start, program) in enumerate(roots):
+            net.env.process(
+                observe(net, world, f"r{r}", [("timer", start)] * bool(start) + program)
+            )
 
     run_both(build)
 
@@ -1078,7 +1146,249 @@ def test_armed_sanitizer_never_holds_an_event():
         seen.append(env._held)
         yield proc
         yield wake
+        zero = env.timeout(0)
+        seen.append(env._held)
+        yield zero
+        tick = env.timeout(2)
+        env.process(child())  # a fork
+        seen.append(env._held)
+        yield tick
 
     env.process(parent())
     env.run()
-    assert seen == [None] and env._eid == 6  # every one on the calendar
+    assert seen == [None] * 3 and env._eid == 11  # every one on the calendar
+
+
+# -- observed fork and zero-delay wake (PR 23) ---------------------------------
+#
+# Two more positions the kernel proves.  A step that has just made a child and
+# parks on something *else* has parked with the child's ``Initialize`` as the
+# next dispatch; ``env.timeout(0)`` from a step is a wake, held like one.  The
+# oracle above draws both at random; these pin each case.
+
+
+def forking_parent(net, make, before, between=None):
+    """A parent that makes a child and then yields ``make(env)``'s event —
+    made before the fork or after it — doing ``between(env)`` in between."""
+    env = net.env
+
+    def child():
+        net.log("child:start")
+        yield env.timeout(2)
+        net.log("child:end")
+        return "kid"
+
+    def parent():
+        older = make(env) if before else None
+        kid = env.process(child())
+        if between is not None:
+            between(env)
+        got = yield (older if before else make(env))
+        net.log(f"parent:parked:{got}")
+        got = yield kid
+        net.log(f"parent:got:{got}")
+
+    env.process(parent())
+
+
+def test_idle_fork_starts_in_place():
+    """The child's Initialize never reaches the calendar (nor do the two ends
+    and the zero-delay timer): three timers are all there is."""
+    def build(net):
+        env = net.env
+
+        def child():
+            net.log("child:start")
+            yield env.timeout(1)
+            net.log("child:end")
+
+        def parent():
+            tick = env.timeout(3)
+            env.process(child())
+            yield tick
+            net.log("parent:tick")
+            got = yield env.timeout(0, "zero")
+            net.log(f"parent:{got}")
+
+        env.process(parent())
+
+    fast, pure = run_both(build)
+    assert fast.trace == [
+        (0, "child:start"), (1, "child:end"), (3, "parent:tick"), (3, "parent:zero"),
+    ]
+    assert fast.env._eid == 3 and pure.env._eid == 7
+
+
+@pytest.mark.parametrize(
+    "before, delay, first",
+    [
+        (True, 1, "child:start"),
+        (True, 0, "parent:parked:tick"),  # due now and made first: it goes first
+        (False, 1, "child:start"),
+        (False, 0, "child:start"),
+    ],
+    ids=["timer-before", "zero-before", "timer-after", "zero-after"],
+)
+def test_fork_then_park_on_a_timer(before, delay, first):
+    fast, pure = run_both(lambda net: forking_parent(
+        net, lambda env: env.timeout(delay, "tick"), before
+    ))
+    rest = {"child:start", "parent:parked:tick"} - {first}
+    assert labels(fast) == [first, *rest, "child:end", "parent:got:kid"]
+    assert fast.env._eid < pure.env._eid
+
+
+def test_fork_then_an_already_processed_event():
+    """The step does not park: it goes on, and the child starts when it does."""
+    def build(net):
+        env = net.env
+
+        def child():
+            net.log("child:start")
+            yield env.timeout(2)
+
+        def parent():
+            done = env.timeout(0)
+            yield done
+            kid = env.process(child())
+            yield done
+            net.log("parent:went-on")
+            yield kid
+            net.log("parent:end")
+
+        env.process(parent())
+
+    fast, _ = run_both(build)
+    assert labels(fast) == ["parent:went-on", "child:start", "parent:end"]
+
+
+@pytest.mark.parametrize(
+    "between",
+    [
+        lambda env: env.event().succeed(),
+        lambda env: env.timeout(0),
+        lambda env: env.timeout(5),
+        lambda env: env.process(e for e in ()),
+    ],
+    ids=["succeed", "zero-timer", "timer", "process"],
+)
+def test_anything_between_fork_and_park_flushes_the_hold(between):
+    """The fork got its id first, so the child still starts first."""
+    fast, _ = run_both(lambda net: forking_parent(
+        net, lambda env: env.timeout(1, "tick"), True, between
+    ))
+    assert labels(fast, 2) == ["child:start", "parent:parked:tick"]
+
+
+def test_fork_by_a_step_that_ends_or_raises():
+    def build(net):
+        env = net.env
+
+        def child(name):
+            net.log(f"{name}:start")
+            yield env.timeout(1)
+
+        def ends():
+            env.process(child("a"))
+            net.log("ends:end")
+            return
+            yield  # pragma: no cover
+
+        def raises():
+            yield env.timeout(2)
+            env.process(child("b"))
+            raise Boom("raised")
+
+        env.process(ends())
+        env.process(raises())
+
+    fast, _ = run_both(build)
+    assert fast.trace == [
+        (0, "ends:end"), (0, "a:start"), (2, "b:start"), (2, "surfaced:raised"),
+    ]
+
+
+def test_forked_child_started_in_place_can_interrupt_its_parent():
+    """The parent has parked (on its older timer) before the child's first
+    step runs, so it is a legal interrupt target."""
+    def build(net):
+        env = net.env
+
+        def child(parent):
+            parent.interrupt("from-child")
+            yield env.timeout(2)
+            net.log("child:end")
+
+        def parent():
+            tick = env.timeout(5)
+            env.process(child(env._active_process))
+            try:
+                yield tick
+            except Interrupt as interrupt:
+                net.log(f"parent:interrupted:{interrupt.cause}")
+            yield env.timeout(1)
+            net.log("parent:end")
+
+        env.process(parent())
+
+    fast, _ = run_both(build)
+    assert fast.trace == [
+        (0, "parent:interrupted:from-child"), (1, "parent:end"), (2, "child:end"),
+    ]
+
+
+def test_deep_chain_of_forks_is_not_recursive():
+    """Each link forks the next from its first step, one Python call deeper;
+    the nesting bound covers forks as it covers yielded children."""
+    def build(net):
+        env = net.env
+
+        def link(depth):
+            tick = env.timeout(1)
+            if depth < 1000:
+                env.process(link(depth + 1))
+            yield tick
+            net.log(f"up:{depth}")
+
+        env.process(link(0))
+
+    fast, pure = run_both(build)
+    assert fast.trace[0] == (1, "up:0") and fast.trace[-1] == (1, "up:1000")
+    # one start in every _MAX_INLINE_DEPTH + 1 takes its calendar entry
+    assert pure.env._eid - fast.env._eid > 900
+
+
+def test_zero_delay_timer_from_a_plain_callback_is_never_held():
+    def build(net):
+        env = net.env
+
+        def callback(_event):
+            env.timeout(0).callbacks.append(lambda _ev: net.log("zero"))
+            assert env._held is None
+            net.log("callback:end")
+
+        env.timeout(5).callbacks.append(callback)
+        env.timeout(5).callbacks.append(lambda _ev: net.log("sibling"))
+
+    fast, pure = run_both(build)
+    assert labels(fast) == ["callback:end", "sibling", "zero"]
+    assert fast.env._eid == pure.env._eid == 3
+
+
+def test_zero_delay_wake_does_not_depend_on_the_timer_pool():
+    """Whether a recycled timer is at hand must not show in ``_eid``."""
+    def run(prime):
+        env = Environment()
+
+        def proc():
+            if prime:
+                yield env.timeout(1)  # consumed in place, then pooled
+            for _ in range(3):
+                yield env.timeout(0)
+
+        env.process(proc())
+        env.run()
+        return env._eid
+
+    assert run(False) == 1  # the start (the first wake is a brand-new Timeout)
+    assert run(True) == 2  # (all three are the recycled 1 ns timer)
