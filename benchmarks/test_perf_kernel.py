@@ -2,7 +2,8 @@
 
 Runs the fixed :mod:`repro.sim.benchkit` workloads (ping-pong, timeout
 churn, parallel bandwidth channel), saves the numbers under
-``benchmarks/results/BENCH_kernel.json`` and asserts only a generous floor
+``benchmarks/results/BENCH_kernel.json`` (git-ignored: they are this
+machine's) and asserts only a generous floor
 — absolute throughput is hardware-dependent.  The real-byte kernels of
 functional mode (CRC-32C, single-shard RS decode) get the same kind of
 floor.  The trajectory of both is the per-layer ledger of ``bench/run.py

@@ -17,11 +17,11 @@ from typing import Callable, Dict, Tuple
 from repro.sim.core import Environment
 from repro.sim.resources import NS_PER_S, BandwidthChannel, CapacityResource, Store
 
-#: Calendar events created by the most recent workload run (``env._eid``
-#: after the run: every scheduled event — timer, wake-up, process start —
-#: consumes exactly one id, whether it is dispatched through the heap, the
-#: now-queue or the batch-advance path).  Lets harnesses report an
-#: auditable event count next to the fixed operation count.
+#: Calendar entries created by the most recent workload run (``env._eid``
+#: after the run: every timer, wake-up or process start that goes through
+#: the heap takes exactly one id; one handed off or taken in place takes
+#: none).  Lets harnesses report an auditable event count next to the
+#: fixed operation count.
 LAST_EVENT_COUNT = 0
 
 

@@ -13,8 +13,9 @@ nobody listening (a never-cancelled guard timer is both).
 
 A :class:`Census` arms one :class:`~repro.sim.core.Environment` the way
 :class:`repro.verify.kernel.KernelSanitizer` does — it rebinds entry points
-on the *instance* and swaps the now-queue for a counting one — so an
-unarmed environment runs the stock kernel, not one instruction more.  An
+on the *instance* (``timeout`` makes every timer, ``_schedule`` every other
+entry but a flushed hold) — so an unarmed environment runs the stock
+kernel, not one instruction more.  An
 armed run creates the same entries in the same order as an unarmed one;
 only slower (a stack walk per entry).
 
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter, deque
-from typing import List, Optional, Tuple
+from collections import Counter
+from typing import List, Optional
 
 from repro.sim import core
 from repro.sim.core import Condition, Environment, Event, Initialize, Process, Timeout
@@ -86,18 +87,6 @@ def _site(frame) -> str:
     return f"<step end>:{_qualname(ending._generator.gi_code)}"
 
 
-class _CountingNowq(deque):
-    """The now-queue of an armed environment: ``append`` is where every
-    zero-delay calendar entry is made, at each of the kernel's inlined
-    scheduling sites."""
-
-    census: "Census"
-
-    def append(self, item: Tuple[int, Event]) -> None:
-        self.census._note(item[1], sys._getframe(1))
-        super().append(item)
-
-
 class Census:
     """Arms ``env`` (before it runs) and counts until read."""
 
@@ -119,15 +108,14 @@ class Census:
         self._eid_at_arm = env._eid
         #: why the kernel entry point now running flushes the hold it finds
         self._reason: Optional[str] = None
-        nowq = _CountingNowq(env._nowq)
-        nowq.census = self
-        env._nowq = nowq
         self._timeout = env.timeout
+        self._schedule = env._schedule
         self._flush_held = env._flush_held
         self._flush = env._flush
         self._observe = env._observe
         self._run_callbacks = env._run_callbacks
         env.timeout = self._counting_timeout
+        env._schedule = self._counting_schedule
         env._flush_held = self._counting_flush_held
         env._flush = self._counting_flush
         env._observe = self._counting_observe
@@ -140,8 +128,7 @@ class Census:
 
     def _weigh(self) -> None:
         """Called after every entry made: the calendar only grows there."""
-        env = self.env
-        length = len(env._queue) + len(env._nowq) + (env._deferred is not None)
+        length = len(self.env._queue)
         if length > self.peak_length:
             self.peak_length = length
 
@@ -152,6 +139,12 @@ class Census:
             self._note(timer, sys._getframe(1))
             self._weigh()
         return timer
+
+    def _counting_schedule(self, event: Event, delay: int = 0) -> None:
+        if not event._scheduled:  # (else no entry is made)
+            self._note(event, sys._getframe(1))
+        self._schedule(event, delay)
+        self._weigh()
 
     def _counting_flush_held(self) -> None:
         # a hold's entry is named after what was held, not after its flusher

@@ -6,36 +6,35 @@ events and is resumed when those events trigger.  Unlike ``simpy``, time is
 an integer (nanoseconds) so simulations are exactly reproducible across
 platforms, and the implementation is trimmed to what this repository needs.
 
-Fast-path architecture (PR 6)
------------------------------
+The calendar
+------------
 
-Three coordinated optimizations keep the dispatch rate high without
-changing a single event's outcome or ordering:
+One binary heap of ``(time, event id, event)`` holds every calendar entry,
+timers and zero-delay events alike, and :meth:`Environment.run` pops it in
+that order — one dispatch loop for every kind of ``until``.  Every event is
+freshly allocated, a timer in one Python frame (:meth:`Environment.timeout`).
+What keeps the loop short is what never reaches it: the handoff below.
 
-* **now-queue** — events scheduled at the current timestamp (``succeed``,
-  ``fail``, store wake-ups, process starts) go to a FIFO deque instead of
-  the heap.  Creation order equals event-id order, so draining the deque
-  FIFO — interleaved with same-timestamp heap entries by event id — is
-  exactly the order the pure-heap kernel dispatches.
-* **batch-advance** — when a process yields the event the calendar would
-  dispatch next anyway (typically a timer: the heap head, nothing queued
-  at ``now``, no other listeners, inside the run horizon), ``_resume``
-  pops it and continues the generator inline instead of parking and
-  bouncing through ``Environment.run``.  Fluid-flow resources
-  (:class:`~repro.sim.resources.BandwidthChannel`,
-  :class:`~repro.storage.drive.NvmeDrive`) compute completion times in
-  closed form and yield exactly such timers, so long stretches of
-  independent completions advance in one tight loop.
-* **event arena** — hot short-lived events (timers, uncontended
-  store/semaphore grants) are recycled through per-class free lists on the
-  environment.  Recycling is guarded by ``sys.getrefcount``: an event is
-  returned to the arena only when the kernel holds the *only* reference,
-  so user code that keeps an event alive can never observe it aliased.
+Three older layers under every event are gone because, behind handoff,
+they cost more than they saved (counted on the benchmark workloads):
+
+* a **now-queue** of zero-delay events, merged with the heap by event id on
+  every dispatch, carried 1.4 % of dRAID's calendar.  Such an entry now
+  takes its heap slot ``(now, id)`` — the order the merge reproduced.
+* **batch-advance** — a process that yielded the heap head popped it
+  without parking — fired 0 times on the four closed-loop workloads, and
+  a timer kept off the heap in the hope of it (a *deferred* timer) was
+  consumed in place for 0.32 of 14.7 timers per op on ``fio_small_mixed``;
+  every other one paid the checks and was pushed anyway.  A step that
+  yields a timer parks, and the run loop pops it.
+* an **event arena** recycled dead timers, grants and waiters under a
+  reference-count guard taken on every dispatch and resume, which cost
+  more than allocating the object (4–6 % of ``host_us_per_op`` alone).
 
 Handoff (PR 18, PR 20, PR 22, PR 23)
 ------------------------------------
 
-The producer-side mirror of batch-advance.  A zero-delay event may be
+A zero-delay event may be
 dispatched inline only from *tail position*: its creation is the last
 statement of the last callback of the event being dispatched.  The second
 half the kernel tracks itself (``env._more``).  When the calendar is also
@@ -61,54 +60,48 @@ every other case nothing changes.  Who vouches for the first half:
   :class:`Process`, or an event it succeeds without ``tail`` (a free
   stripe lock, an ``AllOf`` over processed children) — and the kernel
   *holds* it in ``env._held`` instead of scheduling it, under the event
-  id it takes there and then (``env._held_eid``, as a deferred timer keeps
-  its ``_teid``).  If the step's next yield is that very event, no id has
-  been handed out since (``env._eid == env._held_eid``) and the calendar
-  is quiescent, the step has parked on exactly what dispatches next: the
-  id goes back and the child's first step runs in place
-  (``_MAX_INLINE_DEPTH`` deep at most; its parent has parked, so it may
-  interrupt it), or the wake is consumed like a batch-advanced timer.  A
+  id it takes there and then (``env._held_eid``).  If the step's next
+  yield is that very event, no id has been handed out since
+  (``env._eid == env._held_eid``) and the calendar is quiescent, the step
+  has parked on exactly what dispatches next: the id goes back and the
+  child's first step runs in place (``_MAX_INLINE_DEPTH`` deep at most;
+  its parent has parked, so it may interrupt it), or the step goes on
+  with the wake.  A
   **zero-delay timer** is such a wake: ``env.timeout(0)`` made by a step
   advances no clock and is held like an event the step succeeds.  An
   **observed fork**: a step that holds a child, has handed out no id since
   and parks on a *different*, still unprocessed event (a timer made before
   the fork, a pending request, a condition the child is raced in) has, on
   a quiescent calendar, parked with the child's ``Initialize`` as the next
-  dispatch — it parks without batch-advancing, the id goes back and the
-  child's first step runs in place, as if it had been yielded.
+  dispatch — it parks, the id goes back and the child's first step runs
+  in place, as if it had been yielded.
 
 The flush rule: in every other case the held event is pushed onto the heap
 at ``(now, its own id)`` *before the calendar is read* — a ``_quiescent()``
 ask, the step yielding (anything not taken in place as above), returning
 or raising, ``run``/``peek``, a second hold — which is the slot an
-immediate schedule would have taken: the run loops interleave the heap
-with the now-queue by id, and a step cannot advance the clock before it
-yields.  Sites that only hand out an id (``succeed``, timers,
-``_schedule``, the resource wakes) need not know a hold exists.
+immediate schedule would have taken: a step cannot advance the clock
+before it yields.  Sites that only hand out an id (``succeed``, timers,
+``_schedule``) need not know a hold exists.
 ``env._eid`` counts calendar entries, exactly; :mod:`repro.sim.census`
 says which.
 
 Arming a :class:`repro.verify.kernel.KernelSanitizer` sets
-``env._fast = False`` and migrates the now-queue into the heap: the kernel
-degrades to the fully-checked pure-heap path and the sanitizer's rebound
-``run`` sees every single event.
+``env._fast = False`` and flushes the hold: the kernel degrades to the
+pure-heap path — nothing held, nothing handed off — and the sanitizer's
+rebound ``run`` sees every single event.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from sys import getrefcount
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 #: Sentinel for "event has not been assigned a value yet".
 _PENDING = object()
 
 #: Run horizon meaning "no limit" (compares greater than any int timestamp).
 _NO_HORIZON = float("inf")
-
-#: Per-class cap on arena free lists (bounds memory if a workload bursts).
-_POOL_CAP = 512
 
 #: The ``tail`` value :meth:`Environment.gather` starts its children with: it
 #: has tested quiescence once for all of them and sets ``env._more`` per child.
@@ -144,10 +137,6 @@ class Event:
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_scheduled")
-
-    #: True for arena-managed classes (Timeout, resource waiters): the
-    #: dispatch loop may recycle an instance once nothing references it.
-    _poolable = False
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -210,28 +199,25 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        # inlined self.env._schedule(self) — succeed is a kernel hot path
         if not self._scheduled:
-            self._scheduled = True
             env = self.env
             if tail and env._quiescent():
+                self._scheduled = True
                 callbacks, self.callbacks = self.callbacks, None
                 if len(callbacks) == 1:
                     callbacks[0](self)
                 else:
                     env._run_callbacks(callbacks, self)
-                return self
-            env._eid += 1
-            if not env._fast:
-                heapq.heappush(env._queue, (env.now, env._eid, self))
-            elif env._active_process is not None and not self.callbacks:
+            elif env._fast and env._active_process is not None and not self.callbacks:
                 # Observed yield: odds are the step yields its wake next.
                 if env._held is not None:
                     env._flush_held()
+                self._scheduled = True
+                env._eid += 1
                 env._held = self
                 env._held_eid = env._eid
             else:
-                env._nowq.append((env._eid, self))
+                env._schedule(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -252,35 +238,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers after a fixed delay.
+    """An event that triggers after a fixed delay, at ``_time``.
 
-    ``_time``/``_teid`` hold the calendar position of a *deferred* timer
-    (see :meth:`Environment.timeout`): a pooled timer is not pushed onto
-    the heap until something other than its creator needs the calendar,
-    because the overwhelmingly common fate of a timer is to be yielded
-    immediately and consumed by the batch-advance path without any other
-    event dispatching in between.
+    Made only by :meth:`Environment.timeout`, which fills in every field
+    itself: the kernel's most common event costs one Python frame.
     """
 
-    __slots__ = ("delay", "_time", "_teid")
-
-    _poolable = True
-
-    def __init__(self, env: "Environment", delay: int, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        # Timeouts are the kernel's most common event; initialize and
-        # schedule inline rather than through Event.__init__/_schedule.
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._defused = False
-        self._scheduled = True
-        self.delay = delay
-        self._time = env.now + delay
-        env._eid += 1
-        heapq.heappush(env._queue, (env.now + delay, env._eid, self))
+    __slots__ = ("delay", "_time")
 
 
 class Initialize(Event):
@@ -319,7 +283,13 @@ class Process(Event):
         name: Optional[str] = None,
         tail: bool = False,
     ) -> None:
-        super().__init__(env)
+        # (the Event fields set here, not through a second frame)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
+        self._scheduled = False
         self._generator = generator
         self._target: Optional[Event] = None
         self._name = name
@@ -372,7 +342,6 @@ class Process(Event):
         # Let resource-wait events return queued positions or granted
         # slots; a plain Event's hook is a no-op.
         target._abandoned()
-        self.env._recycle_abandoned(target)
         interrupt_event.callbacks = [self._resume]
         self.env._schedule(interrupt_event)
 
@@ -404,21 +373,6 @@ class Process(Event):
                 env._flush()  # (a child this step holds keeps its earlier id)
                 return
 
-            # The consumed event is dead unless someone else still holds a
-            # reference (the run loop, a Condition, user code): recycle it
-            # into the arena.  refcount == 2 means exactly [our local +
-            # getrefcount's argument] — nothing can observe the reuse.
-            if event is not None and event.callbacks is None:
-                cls = event.__class__
-                if cls is Timeout:
-                    pool = env._timeout_pool
-                    if len(pool) < _POOL_CAP and getrefcount(event) == 2:
-                        pool.append(event)
-                elif cls is Event:
-                    pool = env._event_pool
-                    if len(pool) < _POOL_CAP and getrefcount(event) == 2:
-                        pool.append(event)
-
             child = None
             if env._held is not None:
                 # Observed yield / fork: is what this step has just made
@@ -435,56 +389,8 @@ class Process(Event):
                 # Already processed: resume immediately with its outcome.
                 event = target
                 continue
-            if (
-                env._fast
-                and not target.callbacks
-                and not env._nowq
-                and not env._more
-                and child is None  # its start precedes whatever is yielded
-            ):
-                # Batch-advance: the yielded event is scheduled, nothing
-                # waits at the current timestamp — not even a sibling
-                # callback of the event that resumed us — and nobody else
-                # listens.
-                # If it is also the next calendar entry and inside the run
-                # horizon, the run loop's next action would be to pop it
-                # and resume this process — do that here without the round
-                # trip.
-                if env._deferred is target:
-                    # The just-created timer was never pushed: consume it
-                    # in place unless an earlier heap entry must dispatch
-                    # first (strict (time, eid) order against the head).
-                    time = target._time
-                    if time <= env._horizon:
-                        queue = env._queue
-                        if (
-                            not queue
-                            or time < queue[0][0]
-                            or (time == queue[0][0] and target._teid < queue[0][1])
-                        ):
-                            env._deferred = None
-                            env.now = time
-                            target.callbacks = None
-                            event = target
-                            continue
-                elif env._deferred is None:
-                    # (No temporary may retain the heap tuple, or the
-                    # recycle site above sees a phantom reference and never
-                    # pools timers.)
-                    queue = env._queue
-                    if queue and queue[0][2] is target and queue[0][0] <= env._horizon:
-                        env.now = heapq.heappop(queue)[0]
-                        target.callbacks = None
-                        event = target
-                        continue
             self._target = target
             target.callbacks.append(self._resume)
-            deferred = env._deferred
-            if deferred is not None:
-                env._deferred = None
-                heapq.heappush(
-                    env._queue, (deferred._time, deferred._teid, deferred)
-                )
             env._active_process = None
             if child is not None:
                 # in place of the Initialize event it never got
@@ -498,7 +404,7 @@ class Process(Event):
         # The generator returned.
         self._target = None
         env._active_process = None
-        if env._held is not None or env._deferred is not None:
+        if env._held is not None:
             env._flush()
         if env._quiescent():
             # Handoff: a step's end is its last action, so on a quiescent
@@ -601,21 +507,11 @@ class Environment:
     def __init__(self, initial_time: int = 0) -> None:
         self.now: int = int(initial_time)
         self._queue: List = []
-        #: FIFO of ``(eid, event)`` scheduled at the *current* timestamp.
-        #: Only populated on the fast path; drained before the clock moves.
-        self._nowq: Deque[Tuple[int, Event]] = deque()
         self._eid = 0
         self._active_process: Optional[Process] = None
-        #: False once a sanitizer arms this environment: every event goes
-        #: through the heap and the checked dispatch loop.
+        #: False once a sanitizer arms this environment: nothing is held or
+        #: handed off, every event goes through the heap.
         self._fast = True
-        #: Time bound of the active ``run`` call; the batch-advance fast
-        #: path never advances the clock past it.
-        self._horizon = _NO_HORIZON
-        #: A pooled Timeout whose heap insertion is deferred (see
-        #: :meth:`timeout`).  Flushed by every kernel entry point that
-        #: reads the calendar; at most one exists at a time.
-        self._deferred: Optional[Timeout] = None
         #: True while the callback now running is not in tail position: a
         #: sibling callback of the same event, or a later item of the same
         #: inbox burst, runs after it.  No fast path may run ahead of those.
@@ -623,18 +519,11 @@ class Environment:
         #: Observed yield: the listener-less zero-delay event a process step
         #: has just made — a new :class:`Process` (``_ok`` None: it has no
         #: ``Initialize``), a succeeded event or a zero-delay timer — and the
-        #: event id it took.
-        #: The zero-delay sibling of ``_deferred``: not in the calendar until
-        #: something reads it, in its creation-time slot when it does.
+        #: event id it took.  Not in the calendar until something reads it,
+        #: in its creation-time slot when it does.
         self._held: Optional[Event] = None
         self._held_eid = 0
         self._depth = 0  #: observed starts now nested (``_MAX_INLINE_DEPTH``)
-        # Arena free lists (see module docstring).  Recycled objects are
-        # fully re-initialized on reuse; the refcount guard at the recycle
-        # sites makes aliasing with live events impossible.
-        self._timeout_pool: List[Timeout] = []
-        self._event_pool: List[Event] = []
-        self._waiter_pool: dict = {}
 
     # -- event construction helpers ------------------------------------
 
@@ -645,65 +534,31 @@ class Environment:
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """An event that succeeds ``delay`` nanoseconds from now.
 
-        Pooled timers are *deferred*: the heap insertion happens only when
-        some other kernel entry point needs the calendar.  The timer keeps
-        its event id from creation time, so a late flush lands in exactly
-        the slot an immediate push would have used.  A zero-delay timer made
-        by a process step is a wake, not a clock advance: it is *held* like
-        an event the step succeeds (see *Handoff* in the module docstring).
+        A zero-delay timer made by a process step is a wake, not a clock
+        advance: it is *held* like an event the step succeeds (see *Handoff*
+        in the module docstring).
         """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        t = Timeout.__new__(Timeout)
+        t.env = self
+        t.callbacks = []
+        t._value = value
+        t._ok = True
+        t._defused = False
+        t._scheduled = True
+        t.delay = delay
+        t._time = time = self.now + delay
         if not delay and self._fast and self._active_process is not None:
-            pool = self._timeout_pool
-            if pool:
-                t = pool.pop()
-            else:  # (whether one is pooled must not show in ``_eid``)
-                t = Timeout.__new__(Timeout)
-                t.env = self
-                t._ok = t._scheduled = True
-            t.callbacks = []
-            t._value = value
-            t._defused = False
-            t.delay = 0
-            t._time = self.now
             if self._held is not None:
                 self._flush_held()
             self._eid += 1
             self._held = t
             self._held_eid = self._eid
             return t
-        deferred = self._deferred
-        if deferred is not None:
-            self._deferred = None
-            heapq.heappush(
-                self._queue, (deferred._time, deferred._teid, deferred)
-            )
-        pool = self._timeout_pool
-        if pool and delay >= 0:
-            t = pool.pop()
-            t.callbacks = []
-            t._value = value
-            t._defused = False
-            t.delay = delay
-            self._eid += 1
-            time = self.now + delay
-            t._time = time
-            queue = self._queue
-            if (
-                self._fast
-                and (not queue or time < queue[0][0])
-                and self._active_process is not None
-            ):
-                # Earliest known event, created by a process step: defer
-                # the heap insertion — odds are the creator yields it next
-                # and batch-advance consumes it without the calendar ever
-                # seeing it.  (Only ``_resume`` flushes on every exit, so a
-                # plain callback's timer goes straight to the heap.)
-                t._teid = self._eid
-                self._deferred = t
-                return t
-            heapq.heappush(queue, (time, self._eid, t))
-            return t
-        return Timeout(self, delay, value)
+        self._eid += 1
+        heapq.heappush(self._queue, (time, self._eid, t))
+        return t
 
     def process(
         self, generator: ProcessGenerator, name: Optional[str] = None,
@@ -754,39 +609,6 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    # -- arena ----------------------------------------------------------
-
-    def _recycle_waiter(self, event: Event) -> None:
-        """Return a dead resource-wait event to its per-class free list.
-
-        Callers must have verified via refcount that the kernel holds the
-        only reference; see the dispatch-loop recycle sites in ``run``.
-        """
-        pool = self._waiter_pool.setdefault(event.__class__, [])
-        if len(pool) < _POOL_CAP:
-            pool.append(event)
-
-    def _recycle_abandoned(self, event: Event) -> None:
-        """Recycle a wait event whose consumer was interrupted away.
-
-        Called from :meth:`Process.interrupt` after ``_abandoned`` has
-        withdrawn the event from its resource queue.  Only a *still-queued*
-        waiter (never triggered, never scheduled) is eligible — a waiter
-        whose grant already happened stays alive until its calendar entry
-        dispatches, where the dispatch-site recycler picks it up.  The
-        refcount must be exactly 3 (``interrupt``'s local + our argument +
-        getrefcount's own): anything more means user code or a resource
-        queue still sees the event, so it is left to the garbage collector.
-        """
-        if (
-            event._poolable
-            and event._ok is None
-            and event.callbacks is not None
-            and getrefcount(event) == 3
-        ):
-            event.callbacks = None
-            self._recycle_waiter(event)
-
     # -- scheduling -----------------------------------------------------
 
     def _quiescent(self) -> bool:
@@ -794,25 +616,21 @@ class Environment:
         event created right now *next*, with nothing in between?
 
         True only on the fast path, with the running callback the last of
-        its event (``_more``), the now-queue empty, no deferred timer due
-        at ``now`` and the heap head strictly later than ``now`` — each of
-        those would hold an earlier event id at this timestamp.  That the
+        its event (``_more``) and the heap head strictly later than ``now``
+        — anything due at ``now`` holds an earlier event id.  That the
         *call* is the callback's last statement is the caller's
         ``tail=True`` promise.
         """
         if self._held is not None:
             self._flush_held()
-        if self._nowq or self._more or not self._fast:
-            return False
-        deferred = self._deferred
-        if deferred is not None and deferred._time <= self.now:
+        if self._more or not self._fast:
             return False
         queue = self._queue
         return not queue or queue[0][0] > self.now
 
     def _run_callbacks(self, callbacks: List[Callable[[Event], None]], event: Event) -> None:
-        """Dispatch an event that has no callback or several (the loops
-        inline the one-callback case): all but the last are flagged as not
+        """Dispatch an event that has no callback or several (the loop
+        inlines the one-callback case): all but the last are flagged as not
         in tail position."""
         if not callbacks:
             return
@@ -826,8 +644,7 @@ class Environment:
 
     def _flush_held(self) -> None:
         """Put the held event into the calendar under the id it took when it
-        was made (the heap orders it against the now-queue by id, as the run
-        loops do): called by whatever reads the calendar, or holds the next."""
+        was made: called by whatever reads the calendar, or holds the next."""
         held = self._held
         self._held = None
         if held._ok is None:  # a process: the start event it has not needed
@@ -836,13 +653,9 @@ class Environment:
         heapq.heappush(self._queue, (self.now, self._held_eid, held))
 
     def _flush(self) -> None:
-        """Held event and deferred timer: a step's end, ``run``, ``peek``."""
+        """The held event, if any: a step's end, ``run``, ``peek``, arming."""
         if self._held is not None:
             self._flush_held()
-        deferred = self._deferred
-        if deferred is not None:
-            self._deferred = None
-            heapq.heappush(self._queue, (deferred._time, deferred._teid, deferred))
 
     def _observe(self, target: Event) -> Optional[Event]:
         """A process step yields ``target`` while an event is held.  Returns
@@ -870,14 +683,13 @@ class Environment:
         return None
 
     def _schedule(self, event: Event, delay: int = 0) -> None:
+        """Give ``event`` its calendar entry: every one that is not a timer
+        or a flushed hold is made here."""
         if event._scheduled:
             return
         event._scheduled = True
         self._eid += 1
-        if delay == 0 and self._fast:
-            self._nowq.append((self._eid, event))
-        else:
-            heapq.heappush(self._queue, (self.now + delay, self._eid, event))
+        heapq.heappush(self._queue, (self.now + delay, self._eid, event))
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -894,126 +706,27 @@ class Environment:
         is deterministic: two runs split at any horizon process the same
         events in the same order as one uninterrupted run.
 
-        The event dispatch loop is written out three times here, once per
-        kind of ``until``, because it is the hottest code in the repository.
+        Every kind of ``until`` is a stop event and a horizon, so the
+        dispatch loop — the hottest code in the repository — is written once.
         """
-        queue = self._queue
-        nowq = self._nowq
-        pop = heapq.heappop
-        popleft = nowq.popleft
-        timeout_pool = self._timeout_pool
-        waiter_pool = self._waiter_pool
         self._flush()
-        if isinstance(until, Event) and until.__class__ is Timeout and until.callbacks is not None:
+        if until.__class__ is Timeout and until.callbacks is not None:
             # Timeouts are pre-succeeded at creation (``_ok`` is True long
-            # before they dispatch), so the event-wait loop below would
-            # return immediately having simulated nothing.  An undispatched
-            # timer passed as ``until`` therefore runs as the integer
-            # horizon it denotes.
+            # before they dispatch), so waiting for the event would return
+            # at once having simulated nothing.  An undispatched timer passed
+            # as ``until`` therefore runs as the integer horizon it denotes.
             until = until._time
         if isinstance(until, Event):
-            stop_event = until
-            self._horizon = _NO_HORIZON
-            while stop_event._ok is None:
-                if nowq:
-                    if queue:
-                        head = queue[0]
-                        if head[0] == self.now and head[1] < nowq[0][0]:
-                            time, _, event = pop(queue)
-                            self.now = time
-                        else:
-                            _, event = popleft()
-                    else:
-                        _, event = popleft()
-                elif queue:
-                    time, _, event = pop(queue)
-                    self.now = time
-                else:
-                    break
-                callbacks, event.callbacks = event.callbacks, None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    self._run_callbacks(callbacks, event)
-                if event._ok is False and not event._defused:
-                    raise event._value
-                if event._poolable and getrefcount(event) == 2:
-                    # the dispatch loop's recycle site (inlined: hot tail)
-                    if event.__class__ is Timeout:
-                        if len(timeout_pool) < _POOL_CAP:
-                            timeout_pool.append(event)
-                    else:
-                        wpool = waiter_pool.get(event.__class__)
-                        if wpool is None:
-                            wpool = waiter_pool.setdefault(event.__class__, [])
-                        if len(wpool) < _POOL_CAP:
-                            wpool.append(event)
-            if stop_event._ok is None:
-                raise SimulationError(
-                    f"simulation ran out of events before {stop_event!r} triggered"
-                )
-            if not stop_event._ok:
-                stop_event._defused = True
-                raise stop_event._value
-            return stop_event._value
-        if until is not None:
-            horizon = int(until)
+            stop, horizon = until, _NO_HORIZON
+        else:
+            stop = Event(self)  # (never triggered)
+            horizon = _NO_HORIZON if until is None else int(until)
             if horizon < self.now:
                 raise ValueError(f"until={horizon} is in the past (now={self.now})")
-            self._horizon = horizon
-            while True:
-                if nowq:
-                    if queue:
-                        head = queue[0]
-                        if head[0] == self.now and head[1] < nowq[0][0]:
-                            time, _, event = pop(queue)
-                            self.now = time
-                        else:
-                            _, event = popleft()
-                    else:
-                        _, event = popleft()
-                elif queue and queue[0][0] <= horizon:
-                    time, _, event = pop(queue)
-                    self.now = time
-                else:
-                    break
-                callbacks, event.callbacks = event.callbacks, None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    self._run_callbacks(callbacks, event)
-                if event._ok is False and not event._defused:
-                    raise event._value
-                if event._poolable and getrefcount(event) == 2:
-                    # the dispatch loop's recycle site (inlined: hot tail)
-                    if event.__class__ is Timeout:
-                        if len(timeout_pool) < _POOL_CAP:
-                            timeout_pool.append(event)
-                    else:
-                        wpool = waiter_pool.get(event.__class__)
-                        if wpool is None:
-                            wpool = waiter_pool.setdefault(event.__class__, [])
-                        if len(wpool) < _POOL_CAP:
-                            wpool.append(event)
-            self.now = horizon
-            return None
-        self._horizon = _NO_HORIZON
-        while True:
-            if nowq:
-                if queue:
-                    head = queue[0]
-                    if head[0] == self.now and head[1] < nowq[0][0]:
-                        time, _, event = pop(queue)
-                        self.now = time
-                    else:
-                        _, event = popleft()
-                else:
-                    _, event = popleft()
-            elif queue:
-                time, _, event = pop(queue)
-                self.now = time
-            else:
-                break
+        queue = self._queue
+        pop = heapq.heappop
+        while stop._ok is None and queue and queue[0][0] <= horizon:
+            self.now, _, event = pop(queue)
             callbacks, event.callbacks = event.callbacks, None
             if len(callbacks) == 1:
                 callbacks[0](event)
@@ -1021,22 +734,20 @@ class Environment:
                 self._run_callbacks(callbacks, event)
             if event._ok is False and not event._defused:
                 raise event._value
-            if event._poolable and getrefcount(event) == 2:
-                # the dispatch loop's recycle site (inlined: hot tail)
-                if event.__class__ is Timeout:
-                    if len(timeout_pool) < _POOL_CAP:
-                        timeout_pool.append(event)
-                else:
-                    wpool = waiter_pool.get(event.__class__)
-                    if wpool is None:
-                        wpool = waiter_pool.setdefault(event.__class__, [])
-                    if len(wpool) < _POOL_CAP:
-                        wpool.append(event)
-        return None
+        if stop is not until:
+            if until is not None:
+                self.now = horizon
+            return None
+        if stop._ok is None:
+            raise SimulationError(
+                f"simulation ran out of events before {stop!r} triggered"
+            )
+        if not stop._ok:
+            stop._defused = True
+            raise stop._value
+        return stop._value
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the calendar is empty."""
         self._flush()
-        if self._nowq:
-            return self.now
         return self._queue[0][0] if self._queue else None

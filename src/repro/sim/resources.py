@@ -12,10 +12,9 @@ Three primitives cover every piece of hardware this repository models:
   nanoseconds of work).
 
 Hot-path note: uncontended ``Store.get`` / ``CapacityResource.request``
-return *pre-processed* grant events drawn from the environment's event
-arena, and queued waiters (:class:`_StoreGet`, :class:`_CapacityRequest`)
-are recycled through per-class free lists once consumed or cancelled —
-see :mod:`repro.sim.core` for the arena's aliasing guarantees.
+return *pre-processed* grant events, which a yielding process continues
+past without a calendar entry; a queued waiter (:class:`_StoreGet`,
+:class:`_CapacityRequest`) is woken through ``Environment._schedule``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from repro.sim.core import Environment, Event, SimulationError, _PENDING
+from repro.sim.core import Environment, Event, SimulationError
 
 #: Nanoseconds per second; all rates are converted to bytes/ns internally.
 NS_PER_S = 1_000_000_000
@@ -40,9 +39,6 @@ class _StoreGet(Event):
     """
 
     __slots__ = ("store",)
-
-    #: dispatched instances are recycled through the environment arena
-    _poolable = True
 
     def __init__(self, store: "Store") -> None:
         super().__init__(store.env)
@@ -75,9 +71,6 @@ class _CapacityRequest(Event):
     """
 
     __slots__ = ("resource", "proc")
-
-    #: dispatched instances are recycled through the environment arena
-    _poolable = True
 
     def __init__(self, resource: "CapacityResource") -> None:
         super().__init__(resource.env)
@@ -164,17 +157,9 @@ class Store:
             getter = getters.popleft()
             if getter._ok is not None:  # cancelled getter
                 continue
-            # inlined getter.succeed(item) — put/wake is a kernel hot path
             getter._ok = True
             getter._value = item
-            if not getter._scheduled:
-                getter._scheduled = True
-                env = self.env
-                env._eid += 1
-                if env._fast:
-                    env._nowq.append((env._eid, getter))
-                else:
-                    heapq.heappush(env._queue, (env.now, env._eid, getter))
+            self.env._schedule(getter)
             return
         self._items.append(item)
 
@@ -225,34 +210,15 @@ class Store:
         """
         if self._consumer is not None:
             raise SimulationError(f"{self.name}: get() on a store with a consumer")
-        env = self.env
         items = self._items
         if items:
-            # a pre-processed grant, from the arena when it has one
-            pool = env._event_pool
-            if pool:
-                event = pool.pop()
-                event._value = items.popleft()
-                event._defused = False
-                return event
-            event = Event(env)
+            event = Event(self.env)
             event._ok = True
             event._value = items.popleft()
             event.callbacks = None
             event._scheduled = True
             return event
-        # a queued waiter, recycled from the arena when it has one
-        pool = env._waiter_pool.get(_StoreGet)
-        if pool:
-            event = pool.pop()
-            event.store = self
-            event.callbacks = []
-            event._value = _PENDING
-            event._ok = None
-            event._defused = False
-            event._scheduled = False
-        else:
-            event = _StoreGet(self)
+        event = _StoreGet(self)
         self._getters.append(event)
         return event
 
@@ -288,37 +254,17 @@ class CapacityResource:
         process continues inline without touching the event calendar;
         contended requests queue and are woken FIFO through the calendar.
         """
-        env = self.env
         if self._in_use < self.capacity:
             self._in_use += 1
-            # a pre-processed grant, from the arena when it has one
-            pool = env._event_pool
-            if pool:
-                event = pool.pop()
-                event._value = self
-                event._defused = False
-            else:
-                event = Event(env)
-                event._ok = True
-                event._value = self
-                event.callbacks = None
-                event._scheduled = True
+            event = Event(self.env)
+            event._ok = True
+            event._value = self
+            event.callbacks = None
+            event._scheduled = True
             if self.sanitizer is not None:
                 self.sanitizer.on_resource_grant(self)
         else:
-            # a queued waiter, recycled from the arena when it has one
-            pool = env._waiter_pool.get(_CapacityRequest)
-            if pool:
-                event = pool.pop()
-                event.resource = self
-                event.proc = env._active_process
-                event.callbacks = []
-                event._value = _PENDING
-                event._ok = None
-                event._defused = False
-                event._scheduled = False
-            else:
-                event = _CapacityRequest(self)
+            event = _CapacityRequest(self)
             self._waiters.append(event)
         return event
 
@@ -329,17 +275,9 @@ class CapacityResource:
             waiter = waiters.popleft()
             if waiter._ok is not None:  # cancelled waiter
                 continue
-            # inlined waiter.succeed(self)
             waiter._ok = True
             waiter._value = self
-            if not waiter._scheduled:
-                waiter._scheduled = True
-                env = self.env
-                env._eid += 1
-                if env._fast:
-                    env._nowq.append((env._eid, waiter))
-                else:
-                    heapq.heappush(env._queue, (env.now, env._eid, waiter))
+            self.env._schedule(waiter)
             if self.sanitizer is not None:
                 self.sanitizer.on_resource_grant(self, waiter)
             return

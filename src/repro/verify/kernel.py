@@ -52,16 +52,11 @@ class KernelSanitizer:
         #: per resource id: list of holder Processes (None for non-process)
         self._res_holders: Dict[int, List[Any]] = {}
         self.events_checked = 0
-        # Degrade the kernel to the fully-checked pure-heap path: no
-        # batch-advance inside Process._resume, no now-queue bypass — every
-        # event flows through the heap and our _dispatch sees it.  Events
-        # already sitting in the now-queue keep their ids, so migrating
-        # them into the heap preserves dispatch order exactly.
+        # Degrade the kernel to the pure-heap path: nothing is held or
+        # handed off, every event flows through the heap and our _dispatch
+        # sees it.  A held event goes in under the id it already took.
         env._fast = False
         env._flush()
-        while env._nowq:
-            eid, event = env._nowq.popleft()
-            heapq.heappush(env._queue, (env.now, eid, event))
         # Rebind the hot entry points on the *instance* — unarmed
         # environments never see these attributes and keep the class-level
         # inlined loops.

@@ -86,9 +86,9 @@ def test_classes_holds_and_reasons():
 
 def test_unarmed_environment_is_untouched():
     env = Environment()
-    hooks = {"timeout", "_flush_held", "_flush", "_observe", "_run_callbacks"}
+    hooks = {"timeout", "_schedule", "_flush_held", "_flush", "_observe", "_run_callbacks"}
     assert not hooks & set(vars(env))
-    assert type(env._nowq).__name__ == "deque"
+    assert env._schedule.__func__ is Environment._schedule
     Census(env)
     assert hooks <= set(vars(env))
 

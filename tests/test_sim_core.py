@@ -2,7 +2,17 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Interrupt, SimulationError
+from repro.sim import (
+    AllOf,
+    AnyOf,
+    BandwidthChannel,
+    Environment,
+    Interrupt,
+    SimulationError,
+    Store,
+)
+from repro.sim.census import Census
+from repro.sim.resources import NS_PER_S
 
 
 def test_timeout_advances_clock():
@@ -402,3 +412,174 @@ def test_run_until_timeout_event_runs_to_its_horizon():
     env.run(until=10_000)
     env.run(until=stale)
     assert env.now == 10_000
+
+
+# -- the one run loop: every kind of ``until``, fast == pure-heap ------------
+
+
+class Boom(Exception):
+    pass
+
+
+def _world(env, log):
+    """Timers, a start, a wake and a zero-delay timer taken in place, and a
+    child that ends at once: entries at t=0, 5 (a zero-delay cascade), 8
+    and 15, where the parent returns "done"."""
+    def child(tag, delay):
+        yield env.timeout(delay)
+        log.append((env.now, tag))
+        return tag
+
+    def instant():
+        log.append((env.now, "instant"))
+        return "now"
+        yield  # pragma: no cover
+
+    def parent():
+        log.append((env.now, "parent"))
+        got = yield env.process(child("a", 5))
+        wake = env.event()
+        wake.succeed("w")
+        log.append((env.now, (yield wake)))
+        yield env.timeout(0)
+        log.append((env.now, (yield env.process(instant()))))
+        env.process(child("b", 3))
+        yield env.timeout(10)
+        log.append((env.now, got))
+        return "done"
+
+    return env.process(parent())
+
+
+def _past(env, parent):
+    env.run(until=5)
+    return 3
+
+
+def _failing(env, parent):
+    def raiser():
+        yield env.timeout(3)
+        raise Boom("at 3")
+
+    return env.process(raiser())
+
+
+def _processed_timeout(env, parent):
+    timer = env.timeout(2, "tv")
+    env.run(until=4)
+    return timer
+
+
+#: (case, until(env, parent process) -> the ``until`` to pass, outcome, now)
+UNTIL_CASES = [
+    ("None", lambda env, parent: None, None, 15),
+    ("int > now", lambda env, parent: 5, None, 5),
+    ("int == now", lambda env, parent: 0, None, 0),
+    ("int < now", _past, ValueError, 5),
+    ("pending event", lambda env, parent: parent, "done", 15),
+    ("failing event", _failing, Boom, 3),
+    ("never triggered", lambda env, parent: env.event(), SimulationError, 15),
+    ("pending Timeout", lambda env, parent: env.timeout(8), None, 8),
+    ("processed Timeout", _processed_timeout, "tv", 4),
+]
+
+
+def _run_until(fast, make_until):
+    env = Environment()
+    if not fast:
+        env._fast = False  # the pure-heap oracle
+    log = []
+    parent = _world(env, log)
+    until = make_until(env, parent)
+    try:
+        outcome = env.run(until=until)
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        outcome = type(exc)
+    return outcome, env.now, log, env._eid
+
+
+@pytest.mark.parametrize(
+    "make_until, outcome, now",
+    [case[1:] for case in UNTIL_CASES],
+    ids=[case[0] for case in UNTIL_CASES],
+)
+def test_run_loop_serves_every_kind_of_until(make_until, outcome, now):
+    fast = _run_until(True, make_until)
+    pure = _run_until(False, make_until)
+    assert fast[:3] == pure[:3]
+    assert fast[0] == outcome and fast[1] == now
+    assert fast[3] <= pure[3]
+    # everything up to ``now`` was dispatched, nothing after it
+    full = _run_until(True, lambda env, parent: None)[2]
+    assert fast[2] == [entry for entry in full if entry[0] <= now]
+
+
+# -- chains that once advanced inside one Python stack ------------------------
+
+
+def _pingpong(env, log, rounds=300):
+    """``repro.sim.benchkit.pingpong``'s shape: a token over two stores."""
+    ping, pong = Store(env, name="ping"), Store(env, name="pong")
+
+    def player(name, inbox, outbox, serve_first):
+        if serve_first:
+            outbox.put(0)
+        for _ in range(rounds):
+            token = yield inbox.get()
+            yield env.timeout(5)
+            log.append((env.now, name, token))
+            outbox.put(token + 1)
+
+    env.process(player("pong", ping, pong, False))
+    env.process(player("ping", pong, ping, True))
+
+
+def _closed_loop(clients, rounds=40):
+    """``clients`` closed-loop clients on one core: every op starts a child
+    that ends at once, then takes the core for 4 ns."""
+    def build(env, log):
+        core = BandwidthChannel(env, rate_bytes_per_s=NS_PER_S, name="core")
+
+        def instant(i):
+            return i
+            yield  # pragma: no cover
+
+        def op(i):
+            got = yield env.process(instant(i))
+            yield core.transfer(4)
+            return got
+
+        def client(c):
+            for i in range(rounds):
+                log.append((env.now, c, (yield env.process(op(i)))))
+
+        for c in range(clients):
+            env.process(client(c))
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_pingpong, _closed_loop(16), _closed_loop(1)],
+    ids=["pingpong", "16 clients on one core", "one client alone"],
+)
+def test_timer_chains_match_the_pure_heap_kernel(build):
+    """A step that yields a timer parks and the run loop pops it, so a
+    chain of closed-loop resumes never nests: no observed start is ever
+    refused for depth (a lone client's chain was, when the kernel resumed
+    it past its own timers inside one Python stack)."""
+    runs = []
+    for fast in (True, False):
+        env = Environment()
+        if not fast:
+            env._fast = False
+        census = Census(env) if fast else None
+        log = []
+        build(env, log)
+        env.run()
+        runs.append((log, env.now, env._eid, census))
+    (fast_log, fast_now, fast_eid, census), (pure_log, pure_now, pure_eid, _) = runs
+    assert fast_log == pure_log and fast_now == pure_now
+    assert fast_eid <= pure_eid
+    assert census.flushed["nesting bound"] == 0

@@ -231,8 +231,8 @@ def test_two_deliveries_in_one_nanosecond_to_two_inboxes():
 
 
 def test_delivery_beside_an_unrelated_zero_delay_event():
-    """An event already in the now-queue holds an earlier id: its listener
-    runs before the consumer."""
+    """An event already due at the same instant holds an earlier id: its
+    listener runs before the consumer."""
     def build(net):
         env = net.env
         flag = env.event()
@@ -287,8 +287,8 @@ def test_completion_from_the_consumer_resumes_the_waiter_inline():
 
 
 def test_sibling_callbacks_are_never_overtaken():
-    """Two processes wake on one timer; the first may not batch-advance its
-    own next timer past the second's wake-up."""
+    """Two processes wake on one timer; the first may not run its own next
+    timer past the second's wake-up."""
     def build(net):
         env = net.env
         shared = env.timeout(5)
@@ -526,8 +526,8 @@ def test_child_ending_beside_an_unrelated_zero_delay_event():
 
 
 def test_process_with_two_listeners():
-    """The first listener runs under ``_more``: it may not batch-advance its
-    next timer past the second listener's wake-up."""
+    """The first listener runs under ``_more``: it may not run its next
+    timer past the second listener's wake-up."""
     def build(net):
         env = net.env
 
@@ -1004,10 +1004,7 @@ def test_a_tick_site_need_not_know_about_the_hold():
             wake._ok, wake._value, wake._scheduled = True, None, True
             wake.callbacks.append(lambda _event: net.log("raw-wake"))
             env._eid += 1
-            if env._fast:
-                env._nowq.append((env._eid, wake))
-            else:
-                heapq.heappush(env._queue, (env.now, env._eid, wake))
+            heapq.heappush(env._queue, (env.now, env._eid, wake))
             yield proc
             net.log("parent:end")
 

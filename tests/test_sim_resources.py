@@ -1,9 +1,11 @@
 """Unit tests for stores, capacity resources and bandwidth channels."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import BandwidthChannel, CapacityResource, Environment, Store
-from repro.sim.resources import NS_PER_S
+from repro.sim import BandwidthChannel, CapacityResource, Environment, Interrupt, Store
+from repro.sim.resources import NS_PER_S, _CapacityRequest
 
 
 class TestStore:
@@ -387,3 +389,104 @@ class TestCancelSafety:
         env.run()  # the armed run loop leak-checks at drain
         assert sanitizer.violations == []
         sanitizer.check_quiescent()
+
+
+_OPS = st.lists(
+    st.sampled_from(["spawn", "feed", "cancel", "advance"]),
+    min_size=4,
+    max_size=50,
+)
+
+
+class TestCancelConservation:
+    """Arbitrary interleavings of request, grant and cancel: no store item
+    is lost or delivered twice and no capacity slot leaks, wherever the
+    cancels land (still queued, or granted but not yet resumed)."""
+
+    @given(ops=_OPS, picks=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_store_get_cancel_keeps_every_item_once(self, ops, picks):
+        env = Environment()
+        store = Store(env, name="box")
+        received = []
+        procs = []
+        next_token = 0
+
+        def getter():
+            try:
+                item = yield store.get()
+            except Interrupt:
+                return
+            received.append(item)
+
+        for op in ops:
+            if op == "spawn":
+                procs.append(env.process(getter(), name="getter"))
+            elif op == "feed":
+                store.put(next_token)
+                next_token += 1
+            elif op == "cancel":
+                waiting = [p for p in procs if p.is_alive and p._target is not None]
+                if waiting:
+                    idx = picks.draw(st.integers(0, len(waiting) - 1), label="victim")
+                    waiting[idx].interrupt("cancel")
+            else:  # advance: park spawned processes, deliver grants
+                env.run(until=env.now + 1)
+
+        # Drain: one item per still-live process, then run to quiescence.
+        env.run(until=env.now + 1)
+        for p in procs:
+            if p.is_alive:
+                store.put(next_token)
+                next_token += 1
+        env.run()
+
+        assert all(not p.is_alive for p in procs)
+        # every token delivered at most once, and delivered or still stored
+        # (a cancel hands a granted-but-unconsumed item back)
+        assert len(received) == len(set(received))
+        assert sorted(received + list(store._items)) == list(range(next_token))
+
+    @given(capacity=st.integers(1, 3), ops=_OPS, picks=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_capacity_request_cancel_leaks_no_slot(self, capacity, ops, picks):
+        env = Environment()
+        res = CapacityResource(env, capacity=capacity, name="slots")
+        served = []
+        procs = []
+
+        def holder(idx, hold_ns):
+            try:
+                yield res.request()
+            except Interrupt:
+                return
+            served.append(idx)
+            yield env.timeout(hold_ns)
+            res.release()
+
+        for op in ops:
+            if op == "spawn":
+                hold = picks.draw(st.integers(1, 20), label="hold_ns")
+                procs.append(env.process(holder(len(procs), hold), name="holder"))
+            elif op == "feed":
+                env.run(until=env.now + 5)  # let holders release
+            elif op == "cancel":
+                # only processes parked on the request itself: both the
+                # still-queued and the granted-but-not-resumed paths
+                waiting = [
+                    p for p in procs
+                    if p.is_alive and isinstance(p._target, _CapacityRequest)
+                ]
+                if waiting:
+                    idx = picks.draw(st.integers(0, len(waiting) - 1), label="victim")
+                    waiting[idx].interrupt("cancel")
+            else:  # advance
+                env.run(until=env.now + 1)
+            assert 0 <= res._in_use <= capacity
+
+        env.run()
+        assert all(not p.is_alive for p in procs)
+        # every grant was released, including slots granted to waiters that
+        # were cancelled before resuming
+        assert res._in_use == 0
+        assert len(served) == len(set(served))
