@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List, Optional
 
 from repro.cluster.profiles import DEFAULT_CPU, CpuProfile
 from repro.net.nic import Nic
@@ -25,19 +25,22 @@ class CpuCore:
         self._free_at = 0
         self.busy_ns = 0
 
-    def execute(self, work_ns: int) -> Event:
-        """Event that fires when ``work_ns`` of queued work completes."""
+    def execute(
+        self, work_ns: int, then: Optional[Callable[[Event], None]] = None
+    ) -> Event:
+        """Event that fires when ``work_ns`` of queued work completes;
+        ``then`` is its continuation (:meth:`Environment.timeout`)."""
         if work_ns < 0:
             raise ValueError(f"negative work {work_ns}")
         env = self.env
         if work_ns == 0:
-            return env.timeout(0)
+            return env.timeout(0, None, then)
         work_ns = int(work_ns)
         now = env.now
         free = self._free_at
         self._free_at = done = (free if free > now else now) + work_ns
         self.busy_ns += work_ns
-        return env.timeout(done - now, work_ns)
+        return env.timeout(done - now, work_ns, then)
 
     def utilization(self, elapsed_ns: int) -> float:
         return self.busy_ns / elapsed_ns if elapsed_ns > 0 else 0.0

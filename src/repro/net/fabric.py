@@ -16,7 +16,7 @@ Three verbs are modeled:
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.net.nic import Nic
 from repro.sim.core import Environment, Event
@@ -51,33 +51,33 @@ class ConnectionEnd:
         """Send a command capsule (+ optional inline payload) to the peer.
 
         The message object is placed into the peer's inbox when the last
-        byte arrives.  Returns the delivery event; with a second listener
-        on it the delivery is no longer the timer's last callback, so the
-        consumer is woken through the calendar (no handoff).
+        byte arrives.  Returns the delivery event, whose value is the
+        message; with a second listener on it the delivery is no longer the
+        timer's last callback, so the consumer is woken through the
+        calendar (no handoff).
         """
+        peer = self.peer
         return self.connection._transfer(
-            src=self.nic,
-            dst=self.peer.nic,
-            nbytes=header_bytes + payload_bytes,
-            deliver_to=self.peer.inbox,
-            message=message,
+            self.nic, peer.nic, header_bytes + payload_bytes, message, None,
+            peer.inbox._arrive,
         )
 
-    def rdma_read(self, nbytes: int, ctx: Any = None) -> Event:
-        """One-sided READ: pull ``nbytes`` from the peer's memory.
+    def rdma_read(
+        self, nbytes: int, ctx: Any = None, then: Optional[Callable[[Event], None]] = None
+    ) -> Event:
+        """One-sided READ: pull ``nbytes`` from the peer's memory; the
+        event's value is ``nbytes``.
 
         ``ctx`` (an optional :class:`repro.obs.TraceContext`) attributes the
-        wire time to a traced request when the fabric's tracer is armed.
+        wire time to a traced request when the fabric's tracer is armed;
+        ``then`` is the event's continuation (:meth:`Environment.timeout`).
         """
-        return self.connection._transfer(
-            src=self.peer.nic, dst=self.nic, nbytes=nbytes, ctx=ctx
-        )
+        return self.connection._transfer(self.peer.nic, self.nic, nbytes, nbytes, ctx, then)
 
     def rdma_write(self, nbytes: int, ctx: Any = None) -> Event:
-        """One-sided WRITE: push ``nbytes`` into the peer's memory."""
-        return self.connection._transfer(
-            src=self.nic, dst=self.peer.nic, nbytes=nbytes, ctx=ctx
-        )
+        """One-sided WRITE: push ``nbytes`` into the peer's memory; the
+        event's value is ``nbytes``."""
+        return self.connection._transfer(self.nic, self.peer.nic, nbytes, nbytes, ctx, None)
 
     def recv(self) -> Event:
         """Event yielding the next message in this end's inbox."""
@@ -114,47 +114,46 @@ class RdmaConnection:
         raise ValueError(f"{nic!r} is not an endpoint of {self.name}")
 
     def _transfer(
-        self,
-        src: Nic,
-        dst: Nic,
-        nbytes: int,
-        deliver_to: Optional[Store] = None,
-        message: Any = None,
-        ctx: Any = None,
+        self, src: Nic, dst: Nic, nbytes: int, value: Any, ctx: Any,
+        then: Optional[Callable[[Event], None]],
     ) -> Event:
         """Move ``nbytes`` from ``src`` to ``dst``.
 
         Bytes occupy src.tx and dst.rx; the transfer completes when both
         directions have drained it, plus fabric propagation and the RDMA
-        op overhead.  O(1): one completion event per transfer.
+        op overhead.  O(1): one completion timer per transfer, born with
+        ``then`` as its continuation.  Its value is ``value``: the message
+        for a ``send`` (its continuation, the peer inbox's ``_arrive``,
+        puts it), ``nbytes`` for an ``rdma_*`` verb.
 
         When the fabric's tracer is armed and the transfer belongs to a
         traced request (``ctx`` passed explicitly, or carried as a
-        ``.trace`` attribute of ``message``), the fully determined
+        ``.trace`` attribute of a sent message), the fully determined
         schedule is recorded as queue-wait + transfer spans — tracing
         reads the future completion time, it never changes it.
         """
-        tracer = self.fabric.tracer
+        fabric = self.fabric
+        tracer = fabric.tracer
         wait = 0
         if tracer is not None:
-            if ctx is None and message is not None:
-                ctx = getattr(message, "trace", None)
+            if ctx is None:
+                ctx = getattr(value, "trace", None)
             if ctx is not None and src is not dst:
                 wait = max(src.tx.queue_delay_ns(), dst.rx.queue_delay_ns())
+        now = self.env.now
         if src is dst:
             # loopback (co-located bdevs): no NIC occupancy, memcpy-scale delay
-            done = self.env.now + self.fabric.loopback_ns
+            done = now + fabric.loopback_ns
         else:
             tx_done = src.tx.reserve(nbytes)
             rx_done = dst.rx.reserve(nbytes)
-            done = max(tx_done, rx_done) + self.fabric.propagation_ns
-        done += self.fabric.rdma_op_ns
+            done = (tx_done if tx_done > rx_done else rx_done) + fabric.propagation_ns
+        done += fabric.rdma_op_ns
         if self._stall_until > done:
             done = self._stall_until
-        jitter_fn = self.fabric.jitter_ns_fn
+        jitter_fn = fabric.jitter_ns_fn
         if jitter_fn is not None:
             done += jitter_fn()
-        now = self.env.now
         if tracer is not None and ctx is not None:
             track = f"net.{self.name}"
             if wait:
@@ -168,12 +167,7 @@ class RdmaConnection:
                 done,
                 {"bytes": nbytes},
             )
-        event = self.env.timeout(done - now, value=nbytes)
-        if deliver_to is not None:
-            # the put is this callback's last statement; whether the callback
-            # is the timer's last (nobody else listens) the kernel knows
-            event.callbacks.append(lambda _ev: deliver_to.put(message, True))
-        return event
+        return self.env.timeout(done - now, value, then)
 
 
 class Fabric:

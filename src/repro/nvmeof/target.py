@@ -48,48 +48,48 @@ def serve_plain(
     ``owner`` is the server-side controller (``env``, ``server``, the
     ``tracer`` it is armed with), ``spans`` names its parse and completion
     charges, ``reply(end, command, ctx, data, error)`` sends its kind of
-    completion, always last.  Each step is the only callback of a timer:
-    nothing here is a process, so no ``Initialize`` and no process end.
+    completion, always last.  Each step is made with its timer, as the
+    timer's only callback (``then=``): nothing here is a process, so no
+    ``Initialize`` and no process end.
     """
-    env = owner.env
     server = owner.server
     tracer = owner.tracer
     ctx = command.trace if tracer is not None else None
 
-    def charge(work_ns: int, span: str, then: Callable[[], None]) -> None:
+    def charge(work_ns: int, span: str, then: Callable[[Any], None]) -> None:
         """A CPU charge, recorded as a compute span when traced."""
+        if ctx is None:
+            server.cpu.execute(work_ns, then)
+            return
+        env = owner.env
         t0 = env.now
 
-        def charged(_event) -> None:
-            if ctx is not None:
-                tracer.record(ctx, span, "compute", f"{server.name}.cpu", t0, env.now)
-            then()
+        def charged(event) -> None:
+            tracer.record(ctx, span, "compute", f"{server.name}.cpu", t0, env.now)
+            then(event)
 
-        server.cpu.execute(work_ns).callbacks.append(charged)
+        server.cpu.execute(work_ns, charged)
 
-    def parsed() -> None:
+    def parsed(_event) -> None:
         try:
             if command.opcode is Opcode.READ:
-                io = server.drive.read(command.offset, command.length, ctx=ctx)
-                io.callbacks.append(io_done)
+                server.drive.read(command.offset, command.length, ctx, io_done)
             else:
                 # target pulls the payload from host memory (one-sided READ)
-                end.rdma_read(command.length, ctx=ctx).callbacks.append(pulled)
+                end.rdma_read(command.length, ctx, pulled)
         except (DriveFailedError, ValueError) as exc:
             reply(end, command, ctx, None, str(exc))
 
     def pulled(_event) -> None:
         try:
-            io = server.drive.write(command.offset, command.length, command.data, ctx=ctx)
+            server.drive.write(command.offset, command.length, command.data, ctx, io_done)
         except (DriveFailedError, ValueError) as exc:
             reply(end, command, ctx, None, str(exc))
-            return
-        io.callbacks.append(io_done)
 
     def io_done(io) -> None:
         data = io._value  # a read's payload (functional mode), else None
         charge(server.cpu_profile.completion_ns, spans[1],
-               lambda: reply(end, command, ctx, data, None))
+               lambda _event: reply(end, command, ctx, data, None))
 
     charge(server.cpu_profile.cmd_handle_ns, spans[0], parsed)
 

@@ -69,22 +69,27 @@ def _qualname(code) -> str:
 
 def _site(frame) -> str:
     """``module:function`` of the nearest caller outside ``repro.sim``; for
-    an entry the kernel makes when a step ends, the process that ended."""
-    ending = None
+    an entry the kernel makes when a step ends, the process that ended; for
+    one a ``repro.sim`` callback makes (a delivery's ``Store._arrive``), that
+    callback."""
+    ending = callback = None
     while frame is not None:
         module = frame.f_globals.get("__name__", "?")
         code = frame.f_code
-        if not module.startswith("repro.sim.") and code.co_filename != __file__:
+        if code.co_filename == __file__:
+            pass
+        elif not module.startswith("repro.sim."):
             return f"{module}:{_qualname(code)}"
-        if module == core.__name__:
-            if code.co_name == "_resume":
-                ending = frame.f_locals["self"]
-            elif code.co_name == "run":
-                break
+        elif module != core.__name__:
+            callback = f"{module}:{_qualname(code)}"
+        elif code.co_name == "_resume":
+            ending = frame.f_locals["self"]
+        elif code.co_name == "run":
+            break
         frame = frame.f_back
-    if ending is None:
-        return "<kernel>"
-    return f"<step end>:{_qualname(ending._generator.gi_code)}"
+    if ending is not None:
+        return f"<step end>:{_qualname(ending._generator.gi_code)}"
+    return callback or "<kernel>"
 
 
 class Census:
@@ -132,9 +137,9 @@ class Census:
         if length > self.peak_length:
             self.peak_length = length
 
-    def _counting_timeout(self, delay: int, value=None) -> Timeout:
+    def _counting_timeout(self, delay: int, value=None, then=None) -> Timeout:
         # every timer of the model is made here (nothing constructs Timeout)
-        timer = self._timeout(delay, value)
+        timer = self._timeout(delay, value, then)
         if self.env._held is not timer:  # (a held one has no entry yet)
             self._note(timer, sys._getframe(1))
             self._weigh()

@@ -12,7 +12,8 @@ The calendar
 One binary heap of ``(time, event id, event)`` holds every calendar entry,
 timers and zero-delay events alike, and :meth:`Environment.run` pops it in
 that order — one dispatch loop for every kind of ``until``.  Every event is
-freshly allocated, a timer in one Python frame (:meth:`Environment.timeout`).
+freshly allocated, a timer in one Python frame (:meth:`Environment.timeout`),
+born with its continuation when a callback chain passes ``then=``.
 What keeps the loop short is what never reaches it: the handoff below.
 
 Three older layers under every event are gone because, behind handoff,
@@ -241,7 +242,8 @@ class Timeout(Event):
     """An event that triggers after a fixed delay, at ``_time``.
 
     Made only by :meth:`Environment.timeout`, which fills in every field
-    itself: the kernel's most common event costs one Python frame.
+    itself — its continuation (``then=``) included: the kernel's most
+    common event costs one Python frame.
     """
 
     __slots__ = ("delay", "_time")
@@ -531,8 +533,15 @@ class Environment:
         """A fresh untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: int, value: Any = None) -> Timeout:
+    def timeout(
+        self, delay: int, value: Any = None,
+        then: Optional[Callable[[Event], None]] = None,
+    ) -> Timeout:
         """An event that succeeds ``delay`` nanoseconds from now.
+
+        ``then`` is the timer's continuation: the timer is born with it as
+        its first callback, exactly as if it were appended at once — a step
+        of a callback chain is one call.
 
         A zero-delay timer made by a process step is a wake, not a clock
         advance: it is *held* like an event the step succeeds (see *Handoff*
@@ -542,7 +551,7 @@ class Environment:
             raise ValueError(f"negative delay {delay}")
         t = Timeout.__new__(Timeout)
         t.env = self
-        t.callbacks = []
+        t.callbacks = [] if then is None else [then]
         t._value = value
         t._ok = True
         t._defused = False

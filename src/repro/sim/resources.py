@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.core import Environment, Event, SimulationError
 
@@ -162,6 +162,14 @@ class Store:
             self.env._schedule(getter)
             return
         self._items.append(item)
+
+    def _arrive(self, delivery: Event) -> None:
+        """A delivery timer's continuation: put the message it carries.
+
+        The put is this callback's last statement; whether the callback is
+        the timer's last (nobody else listens) the kernel knows.
+        """
+        self.put(delivery._value, True)
 
     def _wake(self, item: Any) -> None:
         """Schedule the consumer's wake carrying ``item`` — like a parked
@@ -310,6 +318,10 @@ class BandwidthChannel:
     ``k`` independent FIFO servers each running at ``rate / k``, with new
     transfers dispatched to the earliest-free server.  ``parallelism=1``
     (the default) is a plain FIFO pipe at full rate.
+
+    A transfer's service time is computed once per size (:meth:`service_ns`)
+    and remembered until the rate changes; ``per_op_overhead_ns`` and
+    ``parallelism`` are fixed at construction.
     """
 
     def __init__(
@@ -330,6 +342,8 @@ class BandwidthChannel:
         self.parallelism = parallelism
         self._rate = float(rate_bytes_per_s)
         self._per_server_rate = self._rate / parallelism
+        #: nbytes -> service_ns(nbytes) at the current rate
+        self._service: Dict[int, int] = {}
         self._free_at = [0] * parallelism
         # (free_at, idx) min-heap mirror of _free_at: earliest-free server
         # selection in O(log k) instead of an O(k) min() scan per reserve.
@@ -356,12 +370,17 @@ class BandwidthChannel:
             raise ValueError(f"rate must be positive, got {value}")
         self._rate = float(value)
         self._per_server_rate = self._rate / self.parallelism
+        self._service.clear()
 
     def service_ns(self, nbytes: int) -> int:
-        """Pure service time of ``nbytes`` (no queueing)."""
-        return self.per_op_overhead_ns + int(
+        """Pure service time of ``nbytes`` (no queueing); remembered for
+        :meth:`reserve`, whose miss path this is."""
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
+        service = self._service[nbytes] = self.per_op_overhead_ns + int(
             round(nbytes * NS_PER_S / self._per_server_rate)
         )
+        return service
 
     def queue_delay_ns(self) -> int:
         """Wait a transfer submitted now would incur before service starts."""
@@ -385,14 +404,11 @@ class BandwidthChannel:
         event (e.g. a network transfer through sender-TX and receiver-RX)
         call ``reserve`` on each channel and take the max.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
-        # inlined service_ns(nbytes) — reserve is the resource hot path
-        service = (
-            self.per_op_overhead_ns
-            + int(round(nbytes * NS_PER_S / self._per_server_rate))
-            + int(extra_ns)
-        )
+        service = self._service.get(nbytes)
+        if service is None:
+            service = self.service_ns(nbytes)  # (a negative size raises there)
+        if extra_ns:
+            service += int(extra_ns)
         now = self.env.now
         if self.parallelism == 1:
             free = self._free_at[0]

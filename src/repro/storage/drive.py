@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,10 +73,13 @@ class NvmeDrive:
         # consulted only when the profile has internal parallelism > 1.
         self._free_heap = [(0, i) for i in range(profile.parallelism)]
         # Cached between dispatches (profiles are immutable): per-server
-        # transfer rates, plus the earliest-free head and the raw sum of
+        # transfer rates, the healthy transfer time of every size seen so far
+        # per direction, plus the earliest-free head and the raw sum of
         # server free times so backlog_ns is O(1) in the saturated regime.
         self._read_per_server = profile.read_bw_bytes_per_s / profile.parallelism
         self._write_per_server = profile.write_bw_bytes_per_s / profile.parallelism
+        self._read_work: Dict[int, int] = {}
+        self._write_work: Dict[int, int] = {}
         self._earliest_free = 0
         self._free_sum = 0
         self._gc_budget = profile.gc_after_bytes_written
@@ -127,11 +130,6 @@ class NvmeDrive:
         self.stats.busy_ns += work_ns
         return done
 
-    def _transfer_ns(self, nbytes: int, rate: float) -> int:
-        # internal servers each run at rate/parallelism
-        per_server = rate / self.profile.parallelism
-        return int(round(nbytes * NS_PER_S / per_server))
-
     def _rebuild_free_caches(self) -> None:
         """Recompute the free-server caches after a bulk ``_free_at`` edit
         (GC stall, heal)."""
@@ -169,16 +167,21 @@ class NvmeDrive:
 
     # -- public I/O interface -----------------------------------------------
 
-    def read(self, offset: int, nbytes: int, ctx=None) -> Event:
+    def read(self, offset: int, nbytes: int, ctx=None, then=None) -> Event:
         """Read ``nbytes`` at ``offset``; event value is the data (or None).
 
         ``ctx`` (optional :class:`repro.obs.TraceContext`) attributes the
-        queueing and media time to a traced request when tracing is armed.
+        queueing and media time to a traced request when tracing is armed;
+        ``then`` is the event's continuation (:meth:`Environment.timeout`).
         """
         self._check(offset, nbytes)
         self.stats.read_ops += 1
         self.stats.bytes_read += nbytes
-        work_ns = int(round(nbytes * NS_PER_S / self._read_per_server))
+        work_ns = self._read_work.get(nbytes)
+        if work_ns is None:
+            work_ns = self._read_work[nbytes] = int(
+                round(nbytes * NS_PER_S / self._read_per_server)
+            )
         latency_ns = self.profile.read_latency_ns
         factor = self._slow_factor()
         if factor != 1.0:
@@ -191,14 +194,18 @@ class NvmeDrive:
         value = None
         if self._data is not None:
             value = self._data[offset : offset + nbytes].copy()
-        return self.env.timeout(completion, value=value)
+        return self.env.timeout(completion, value, then)
 
-    def write(self, offset: int, nbytes: int, data=None, ctx=None) -> Event:
+    def write(self, offset: int, nbytes: int, data=None, ctx=None, then=None) -> Event:
         """Write ``nbytes`` at ``offset``; ``data`` required in functional mode."""
         self._check(offset, nbytes)
         self.stats.write_ops += 1
         self.stats.bytes_written += nbytes
-        work_ns = int(round(nbytes * NS_PER_S / self._write_per_server))
+        work_ns = self._write_work.get(nbytes)
+        if work_ns is None:
+            work_ns = self._write_work[nbytes] = int(
+                round(nbytes * NS_PER_S / self._write_per_server)
+            )
         latency_ns = self.profile.write_latency_ns
         factor = self._slow_factor()
         if factor != 1.0:
@@ -235,7 +242,7 @@ class NvmeDrive:
         elif self._poison:
             # a clean overwrite cures whatever poison it covers
             self._clear_poison(offset, nbytes)
-        return self.env.timeout(completion)
+        return self.env.timeout(completion, None, then)
 
     def _record_io(
         self, ctx, op: str, done: int, work_ns: int, latency_ns: int, nbytes: int

@@ -33,10 +33,10 @@ def events_of(env, make_op):
     timers = 0
     make_timeout = env.timeout
 
-    def counting_timeout(delay, value=None):
+    def counting_timeout(delay, value=None, then=None):
         nonlocal timers
         timers += delay > 0  # (a zero-delay timer is a wake)
-        return make_timeout(delay, value)
+        return make_timeout(delay, value, then)
 
     def caller():
         before = env._eid

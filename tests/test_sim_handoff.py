@@ -11,7 +11,7 @@ arms), which never hands off.
 The networks here are built from the real pieces — ``Fabric`` loopback
 connections whose delivery delay is driven through ``jitter_ns_fn``,
 inboxes with consumers, handler processes, request events — so the
-delivery closure in ``repro.net.fabric`` is under test too.  Delays come
+delivery continuation (``Store._arrive``) is under test too.  Delays come
 from a small set that includes 0, so same-nanosecond collisions (the cases
 where the guard must fall back to the evented path) are the norm, not the
 exception.
