@@ -187,13 +187,13 @@ class DraidBdevServer:
         if isinstance(message, NvmeOfCommand):
             if bounded and self.queue_depth is not None:
                 self.inflight += 1
-            # handoff, as NvmeOfTarget._serve: at once if the calendar is quiescent
+            # one held zero-delay start, as in NvmeOfTarget._serve
             begin = self.env.event()
             begin.callbacks.append(lambda _event: serve_plain(
                 self, message, end, ("draid.parse", "draid.complete"),
                 self._reply_plain,
             ))
-            begin.succeed(tail=True)
+            begin.succeed()
             return
         if isinstance(message, PartialWriteCmd):
             handler = self._handle_partial_write(message, end)
@@ -208,7 +208,7 @@ class DraidBdevServer:
         if bounded and self.queue_depth is not None:
             self.inflight += 1
             handler = self._run_bounded(handler)
-        self.env.process(handler, name=self._op_name, tail=True)
+        self.env.process(handler, name=self._op_name)
 
     def _run_bounded(self, handler):
         """Wrap a host-command handler with in-service accounting."""

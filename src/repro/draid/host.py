@@ -66,13 +66,12 @@ class _OpWaiter:
             self.event.succeed(self)
 
     def on_completion(self, comp: DraidCompletion) -> None:
-        """Count ``comp`` in; the last statement of a completion-queue
-        consumer, so the release is a tail-position succeed."""
+        """Count ``comp`` in; the last one releases the waiter."""
         if self.event.triggered:
             return
         if not comp.ok:
             self.errors.append(comp)
-            self.event.succeed(self, tail=True)
+            self.event.succeed(self)
             return
         self.completions.append(comp)
         if comp.kind in self.remaining:
@@ -80,7 +79,7 @@ class _OpWaiter:
             if self.remaining[comp.kind] <= 0:
                 del self.remaining[comp.kind]
         if not self.remaining:
-            self.event.succeed(self, tail=True)
+            self.event.succeed(self)
 
 
 class DraidArray(RaidArray):

@@ -128,7 +128,7 @@ class OffloadedDraidArray:
 
     def _serve_controller(self, cmd) -> None:
         if isinstance(cmd, ProxyCmd):
-            self.env.process(self._execute(cmd), name=f"{self.name}.op", tail=True)
+            self.env.process(self._execute(cmd), name=f"{self.name}.op")
 
     def _execute(self, cmd: ProxyCmd):
         server = self.controller.machine
@@ -164,7 +164,7 @@ class OffloadedDraidArray:
         if event is None or event.triggered:
             return
         if completion.ok:
-            event.succeed(completion.data, tail=True)
+            event.succeed(completion.data)
         else:
             event.fail(IoError(completion.error))
 

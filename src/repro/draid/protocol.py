@@ -35,13 +35,6 @@ from enum import Enum
 from typing import Any, Optional, Tuple
 
 
-class DraidOp(Enum):
-    PARTIAL_WRITE = "partial-write"
-    PARITY = "parity"
-    RECONSTRUCTION = "reconstruction"
-    PEER = "peer"
-
-
 class Subtype(Enum):
     RMW = "rmw"
     RW_WRITE = "rw-write"

@@ -53,8 +53,8 @@ class ConnectionEnd:
         The message object is placed into the peer's inbox when the last
         byte arrives.  Returns the delivery event, whose value is the
         message; with a second listener on it the delivery is no longer the
-        timer's last callback, so the consumer is woken through the
-        calendar (no handoff).
+        timer's last callback, so the consumer is woken by a held wake, not
+        called at once.
         """
         peer = self.peer
         return self.connection._transfer(

@@ -88,7 +88,7 @@ class RemoteBdev:
         if event is None or event.triggered:
             return  # late completion for a timed-out command
         if completion.ok:
-            event.succeed(completion.data, tail=True)
+            event.succeed(completion.data)
         else:
             event.fail(completion_error(self.name, completion))
 
@@ -125,10 +125,3 @@ class RemoteBdev:
     ) -> Event:
         return self._submit(Opcode.WRITE, offset, length, data=data, ctx=ctx,
                             deadline_ns=deadline_ns)
-
-    def cancel(self, event: Event) -> None:
-        """Abandon a pending command (used by timeout handling)."""
-        for cid, pending in list(self._pending.items()):
-            if pending is event:
-                del self._pending[cid]
-                return

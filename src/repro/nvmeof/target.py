@@ -148,11 +148,11 @@ class NvmeOfTarget:
                 self._reject(command, "submission queue full", "busy")
                 return
             self.inflight += 1
-        # handoff: at once on a quiescent calendar, else one zero-delay
-        # event in the slot a handler process's ``Initialize`` took
+        # one held zero-delay event in the slot a handler process's start
+        # would take: the run loop takes it in place if nothing else is due
         begin = self.env.event()
         begin.callbacks.append(lambda _event: self._begin(command))
-        begin.succeed(tail=True)
+        begin.succeed()
 
     def _reject(self, command: NvmeOfCommand, why: str, status: str) -> None:
         self.host_end.send(

@@ -199,11 +199,6 @@ class RaidGeometry:
             pos = stripe_start + local_end
         return extents
 
-    def untouched_data_indices(self, extent: StripeExtent) -> List[int]:
-        """Data-chunk indices of ``extent``'s stripe not touched at all."""
-        touched = set(extent.touched_data_indices)
-        return [d for d in range(self.data_per_stripe) if d not in touched]
-
     def capacity_bytes(self, drive_capacity: int) -> int:
         """Usable capacity of the virtual device."""
         stripes = drive_capacity // self.chunk_bytes

@@ -19,8 +19,7 @@ from repro.sim.resources import NS_PER_S, BandwidthChannel, CapacityResource, St
 
 #: Calendar entries created by the most recent workload run (``env._eid``
 #: after the run: every timer, wake-up or process start that goes through
-#: the heap takes exactly one id; one handed off or taken in place takes
-#: none).  Lets harnesses report an auditable event count next to the
+#: the heap takes exactly one id; one taken in place takes none).  Lets harnesses report an auditable event count next to the
 #: fixed operation count.
 LAST_EVENT_COUNT = 0
 

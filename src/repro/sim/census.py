@@ -5,19 +5,19 @@ every entry by class — ``timer`` (advances the clock: the model), ``start``
 (a process's ``Initialize``), ``wake`` (a succeeded event, a resource grant
 or a zero-delay timer), ``process-end``, ``condition`` (an
 ``AllOf``/``AnyOf`` release), ``other`` (failures, interrupts) — and by the
-code that created it, plus what became of every observed-yield hold
-(*Handoff* in :mod:`repro.sim.core`): starts, forks and wakes taken in
-place, and holds flushed into the calendar by reason.  Two more lines weigh
-the calendar itself: its peak length, and the entries that dispatched with
-nobody listening (a never-cancelled guard timer is both).
+code that created it, plus what became of every hold (*Handoff* in
+:mod:`repro.sim.core`): taken in place by the run loop, or flushed into the
+calendar, by reason.  Two more lines weigh the calendar itself: its peak
+length, and the entries popped from it with nobody listening (a
+never-cancelled guard timer is both).
 
 A :class:`Census` arms one :class:`~repro.sim.core.Environment` the way
 :class:`repro.verify.kernel.KernelSanitizer` does — it rebinds entry points
-on the *instance* (``timeout`` makes every timer, ``_schedule`` every other
-entry but a flushed hold) — so an unarmed environment runs the stock
-kernel, not one instruction more.  An
+on the *instance* (``timeout`` makes every timer, ``_hold`` every hold,
+``_flush_held`` a hold's entry, ``_schedule`` every other entry) — so an
+unarmed environment runs the stock kernel, not one instruction more.  An
 armed run creates the same entries in the same order as an unarmed one;
-only slower (a stack walk per entry).
+only slower (a stack walk per entry and per hold).
 
 ``python -m repro.sim.census <system> [--io-size N --read-share X]`` prints
 the table for one :func:`repro.experiments.common.fio_point`.
@@ -34,20 +34,16 @@ from repro.sim import core
 from repro.sim.core import Condition, Environment, Event, Initialize, Process, Timeout
 
 _RUN_CODE = Environment.run.__code__
+_HOLD_CODE = Environment._hold.__code__
 
 CLASSES = ("timer", "start", "wake", "process-end", "condition", "other")
 
 #: Why a held event got its calendar entry after all.
 FLUSH_REASONS = (
-    "other tick",        # yielded, but after another entry got an id; or the step
-                         # made a second hold or asked _quiescent() (gather) first
-    "not quiescent",     # yielded next, but something else is due at `now`
-    "_more",             # yielded next, by a step that is not its event's last callback
-    "other listener",    # a wake yielded next that someone else listens to as well
-    "parked elsewhere",  # a wake's maker yielded a different event; a child's
-                         # maker one that was already processed
-    "step ended",        # the step returned or raised without yielding it
-    "nesting bound",     # yielded next, _MAX_INLINE_DEPTH starts deep
+    "other tick",     # the run loop found an id handed out after it
+    "not quiescent",  # the run loop found something else due at `now`
+    "second hold",    # another zero-delay event was made first
+    "calendar read",  # _quiescent() (gather, a delivery), peek or arming read it first
 )
 
 
@@ -101,35 +97,36 @@ class Census:
         self.env = env
         #: (class, creating site) -> calendar entries
         self.entries: Counter = Counter()
-        self.inline_starts = 0
-        self.inline_forks = 0
-        self.inline_wakes = 0
+        #: zero-delay events held
+        self.holds = 0
         #: most entries the calendar held at once
         self.peak_length = 0
-        #: entries the run loop dispatched to no callback at all
+        #: entries the run loop popped and dispatched to no callback at all
         self.unheard = 0
         #: reason -> holds that went to the calendar
         self.flushed: Counter = Counter()
         self._eid_at_arm = env._eid
-        #: why the kernel entry point now running flushes the hold it finds
-        self._reason: Optional[str] = None
+        #: the hold made last, while no entry has been made since: the one
+        #: event the run loop may dispatch without popping it
+        self._holding: Optional[Event] = None
+        #: where the event now held was made
+        self._held_site = ""
         self._timeout = env.timeout
         self._schedule = env._schedule
+        self._hold = env._hold
         self._flush_held = env._flush_held
-        self._flush = env._flush
-        self._observe = env._observe
         self._run_callbacks = env._run_callbacks
         env.timeout = self._counting_timeout
         env._schedule = self._counting_schedule
+        env._hold = self._counting_hold
         env._flush_held = self._counting_flush_held
-        env._flush = self._counting_flush
-        env._observe = self._counting_observe
         env._run_callbacks = self._counting_run_callbacks
 
     # -- hooks ----------------------------------------------------------------
 
     def _note(self, event: Event, frame) -> None:
         self.entries[_class_of(event), _site(frame)] += 1
+        self._holding = None
 
     def _weigh(self) -> None:
         """Called after every entry made: the calendar only grows there."""
@@ -151,56 +148,37 @@ class Census:
         self._schedule(event, delay)
         self._weigh()
 
+    def _counting_hold(self, event: Event) -> None:
+        site = _site(sys._getframe(1))
+        self._hold(event)  # (may flush the hold before it: "second hold")
+        self.holds += 1
+        self._holding = event
+        self._held_site = site
+
     def _counting_flush_held(self) -> None:
-        # a hold's entry is named after what was held, not after its flusher
-        held = self.env._held
-        self.flushed[self._reason or "other tick"] += 1
-        if held._ok is None:
-            self.entries["start", f"<held>:{_qualname(held._generator.gi_code)}"] += 1
+        env = self.env
+        held = env._held
+        caller = sys._getframe(1).f_code
+        if caller is _RUN_CODE:
+            reason = "other tick" if env._eid != env._held_eid else "not quiescent"
         else:
-            self.entries[_class_of(held), f"<held>:{type(held).__name__}"] += 1
+            reason = "second hold" if caller is _HOLD_CODE else "calendar read"
+        self.flushed[reason] += 1
+        # a hold's entry is named after where it was made, not its flusher
+        cls = "start" if held._ok is None else _class_of(held)
+        self.entries[cls, self._held_site] += 1
+        self._holding = None
         self._flush_held()
         self._weigh()
 
-    def _counting_flush(self) -> None:
-        # run/peek/arming find no hold: one only outlives a step that ended
-        self._reason = "step ended"
-        try:
-            self._flush()
-        finally:
-            self._reason = None
-
-    def _counting_observe(self, target: Event) -> Optional[Event]:
-        env = self.env
-        held = env._held
-        if held is not target and (held._ok is not None or target.callbacks is None):
-            self._reason = "parked elsewhere"
-        elif env._eid != env._held_eid:
-            self._reason = "other tick"
-        elif env._depth >= core._MAX_INLINE_DEPTH:
-            self._reason = "nesting bound"
-        elif held._ok is not None and held.callbacks:
-            self._reason = "other listener"
-        else:
-            self._reason = "_more" if env._more else "not quiescent"
-        try:
-            taken = self._observe(target)
-        finally:
-            self._reason = None
-        if taken is not None:
-            if taken._ok is not None:
-                self.inline_wakes += 1
-            elif taken is target:
-                self.inline_starts += 1
-            else:
-                self.inline_forks += 1
-        return taken
-
     def _counting_run_callbacks(self, callbacks, event: Event) -> None:
-        # the run loops come here with no callback or several; so do the
-        # handoff sites, whose events never had an entry
+        # the run loop comes here with no callback or several; a listener-less
+        # event it took from the hold was never in the calendar
         if not callbacks and sys._getframe(1).f_code is _RUN_CODE:
-            self.unheard += 1
+            if event is self._holding:
+                self._holding = None
+            else:
+                self.unheard += 1
         self._run_callbacks(callbacks, event)
 
     # -- reading --------------------------------------------------------------
@@ -222,6 +200,11 @@ class Census:
         schedules behind the kernel's back)."""
         return self.total - sum(self.entries.values())
 
+    @property
+    def taken(self) -> int:
+        """Holds the run loop took in place: no calendar entry, no id."""
+        return self.holds - sum(self.flushed.values()) - (self.env._held is not None)
+
     def non_timer_share(self) -> float:
         total = self.total
         return 0.0 if not total else 1.0 - self.by_class()["timer"] / total
@@ -240,14 +223,12 @@ class Census:
         lines.append(f"peak calendar length: {self.peak_length}")
         lines.append(f"dispatched with no listener: {self.unheard}")
         lines.append(
-            f"observed yield: {self.inline_starts} starts, "
-            f"{self.inline_forks} forks and "
-            f"{self.inline_wakes} wakes taken in place; "
-            f"{sum(self.flushed.values())} holds flushed"
+            f"holds: {self.holds} made, {self.taken} taken by the run loop, "
+            f"{sum(self.flushed.values())} flushed"
         )
         for reason in FLUSH_REASONS:
             if self.flushed[reason]:
-                lines.append(f"  {reason:<17} {self.flushed[reason]:>9}")
+                lines.append(f"  {reason:<15} {self.flushed[reason]:>9}")
         for title, keep in (
             ("non-timer", lambda cls: cls != "timer"),
             ("timer", lambda cls: cls == "timer"),

@@ -32,65 +32,49 @@ they cost more than they saved (counted on the benchmark workloads):
   reference-count guard taken on every dispatch and resume, which cost
   more than allocating the object (4–6 % of ``host_us_per_op`` alone).
 
-Handoff (PR 18, PR 20, PR 22, PR 23)
-------------------------------------
+Handoff
+-------
 
-A zero-delay event may be
-dispatched inline only from *tail position*: its creation is the last
-statement of the last callback of the event being dispatched.  The second
-half the kernel tracks itself (``env._more``).  When the calendar is also
-quiescent (:meth:`Environment._quiescent`: the event the call would
-schedule is the very next thing pure-heap order dispatches) its callbacks
-run at once instead: no calendar entry, no ``_eid`` tick, same order.  In
-every other case nothing changes.  Who vouches for the first half:
+One rule.  Every zero-delay event — an event :meth:`Event.succeed`
+triggers, a new :class:`Process` (its start) and ``env.timeout(0)`` — is
+*held* in one slot in front of the heap (``env._held``) under the event id
+it takes there and then (``env._held_eid``), whoever makes it: a process
+step or a plain callback.  The run loop reads the hold before it pops the
+heap.  If no id has been handed out since (``env._eid == env._held_eid``)
+and nothing else is due at ``now`` (the heap head is later), the held event
+is the very next thing pure-heap order dispatches, so the loop takes it in
+place — runs its callbacks, or the process's first step — and the id goes
+back: ``env._eid`` counts calendar entries, exactly.  Otherwise the held
+event is pushed into its own slot, ``(now, its id)``, and popped like any
+other entry.  Whatever reads the calendar before the loop does flushes the
+hold the same way: a second hold, :meth:`Environment._quiescent`,
+:meth:`Environment.peek`, arming a sanitizer.  Nobody promises anything,
+sites that only hand out an id (failures, grants, timers) need not know a
+hold exists, and a chain of zero-time steps is driven by the loop, one
+step per iteration, not by recursion.  ``run(until=event)`` drains the
+hold before it looks at ``until``.  :mod:`repro.sim.census` counts the holds
+taken and flushed.
 
-* **promised** by the caller: a *plain callback* passes ``tail=True`` to
-  :meth:`Event.succeed`, :meth:`Environment.process` or
-  :meth:`~repro.sim.resources.Store.put` (a process step never does: its
-  own code follows), and a *process step* that yields the result as its
-  next action may fan out through :meth:`Environment.gather`, whose
-  children's first steps then run in place of the ``Initialize`` queue.
-* **proved** by the kernel, at the process-step positions it can see.  A
-  **process end**: the generator has returned, so ``_resume`` marks the process
-  processed and runs its listeners (a failing process always goes through
-  the calendar).  A **condition release**: :class:`AllOf`/:class:`AnyOf`
-  ``_check``, run as a child's dispatched callback, succeeds the condition
-  as its last statement (the constructor's synchronous ``_check`` calls
-  for already-processed children are not callbacks).  An **observed
-  yield**: a step creates a zero-delay event nobody listens to yet — a new
-  :class:`Process`, or an event it succeeds without ``tail`` (a free
-  stripe lock, an ``AllOf`` over processed children) — and the kernel
-  *holds* it in ``env._held`` instead of scheduling it, under the event
-  id it takes there and then (``env._held_eid``).  If the step's next
-  yield is that very event, no id has been handed out since
-  (``env._eid == env._held_eid``) and the calendar is quiescent, the step
-  has parked on exactly what dispatches next: the id goes back and the
-  child's first step runs in place (``_MAX_INLINE_DEPTH`` deep at most;
-  its parent has parked, so it may interrupt it), or the step goes on
-  with the wake.  A
-  **zero-delay timer** is such a wake: ``env.timeout(0)`` made by a step
-  advances no clock and is held like an event the step succeeds.  An
-  **observed fork**: a step that holds a child, has handed out no id since
-  and parks on a *different*, still unprocessed event (a timer made before
-  the fork, a pending request, a condition the child is raced in) has, on
-  a quiescent calendar, parked with the child's ``Initialize`` as the next
-  dispatch — it parks, the id goes back and the child's first step runs
-  in place, as if it had been yielded.
+Two fast paths stay inside the kernel, each for a measured reason.  Both
+ask :meth:`Environment._quiescent`: the running callback is its event's
+last (the dispatch loop sets ``env._more`` around the others) and the heap
+head is later than ``now``.
 
-The flush rule: in every other case the held event is pushed onto the heap
-at ``(now, its own id)`` *before the calendar is read* — a ``_quiescent()``
-ask, the step yielding (anything not taken in place as above), returning
-or raising, ``run``/``peek``, a second hold — which is the slot an
-immediate schedule would have taken: a step cannot advance the clock
-before it yields.  Sites that only hand out an id (``succeed``, timers,
-``_schedule``) need not know a hold exists.
-``env._eid`` counts calendar entries, exactly; :mod:`repro.sim.census`
-says which.
+* :meth:`Environment.gather` (a process step that yields the result next)
+  runs the children's first steps in place of their ``Initialize`` queue,
+  every child but the last under ``env._more``.  An ``AllOf`` over held
+  children instead raised ``events_per_op`` on ``func_recovery`` (156.43 →
+  157.05), ``rack_tenancy`` and ``ycsb_lsm``.
+* :meth:`~repro.sim.resources.Store._arrive`, a delivery timer's
+  continuation, calls an idle consumer at once rather than making the wake
+  the loop would take next.  Routing every delivery through a held wake
+  cost ``fio_small_mixed`` 4.5 % of ``host_us_per_op`` (300 → 314 µs/op,
+  5 of 5 interleaved pairs), for the same entries.
 
 Arming a :class:`repro.verify.kernel.KernelSanitizer` sets
 ``env._fast = False`` and flushes the hold: the kernel degrades to the
-pure-heap path — nothing held, nothing handed off — and the sanitizer's
-rebound ``run`` sees every single event.
+pure-heap path — every hold is flushed as it is made, nothing is handed
+off — and the sanitizer's rebound ``run`` sees every single event.
 """
 
 from __future__ import annotations
@@ -103,14 +87,6 @@ _PENDING = object()
 
 #: Run horizon meaning "no limit" (compares greater than any int timestamp).
 _NO_HORIZON = float("inf")
-
-#: The ``tail`` value :meth:`Environment.gather` starts its children with: it
-#: has tested quiescence once for all of them and sets ``env._more`` per child.
-_INLINE = object()
-
-#: How many observed process starts may nest (each a Python call inside its
-#: parent's ``_resume``); the next takes a calendar entry: the stack unwinds.
-_MAX_INLINE_DEPTH = 16
 
 ProcessGenerator = Generator["Event", Any, Any]
 
@@ -189,36 +165,16 @@ class Event:
         resource attached, so this is a no-op.
         """
 
-    def succeed(self, value: Any = None, tail: bool = False) -> "Event":
-        """Trigger the event successfully with ``value``.
-
-        ``tail=True`` is the caller's promise that this call is the last
-        statement of its callback (see *Handoff* in the module docstring):
-        on a quiescent calendar the callbacks run here, not from the calendar.
-        """
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event successfully with ``value``: it is held (see
+        *Handoff* in the module docstring)."""
         if self._ok is not None:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
         if not self._scheduled:
-            env = self.env
-            if tail and env._quiescent():
-                self._scheduled = True
-                callbacks, self.callbacks = self.callbacks, None
-                if len(callbacks) == 1:
-                    callbacks[0](self)
-                else:
-                    env._run_callbacks(callbacks, self)
-            elif env._fast and env._active_process is not None and not self.callbacks:
-                # Observed yield: odds are the step yields its wake next.
-                if env._held is not None:
-                    env._flush_held()
-                self._scheduled = True
-                env._eid += 1
-                env._held = self
-                env._held_eid = env._eid
-            else:
-                env._schedule(self)
+            self._scheduled = True
+            self.env._hold(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -250,8 +206,8 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Internal event that starts a freshly created process (its maker
-    schedules it)."""
+    """Internal event that starts a freshly created process: the calendar
+    entry of a start whose hold was flushed."""
 
     __slots__ = ()
 
@@ -283,7 +239,7 @@ class Process(Event):
         env: "Environment",
         generator: ProcessGenerator,
         name: Optional[str] = None,
-        tail: bool = False,
+        _inline: bool = False,
     ) -> None:
         # (the Event fields set here, not through a second frame)
         self.env = env
@@ -295,19 +251,10 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self._name = name
-        if tail and (tail is _INLINE or env._quiescent()):
-            # Handoff: the Initialize event would dispatch next anyway.
-            self._resume(None)
-        elif env._active_process is not None and env._fast:
-            # Observed yield: odds are the step yields its child next, and
-            # the Initialize event is never made.
-            if env._held is not None:
-                env._flush_held()
-            env._eid += 1
-            env._held = self
-            env._held_eid = env._eid
+        if _inline:
+            self._resume(None)  # env.gather has proved the start is next
         else:
-            env._schedule(Initialize(env, self))
+            env._hold(self)  # the start: held while ``_ok`` is None
 
     @property
     def name(self) -> str:
@@ -372,21 +319,7 @@ class Process(Event):
                 self._target = None
                 env._active_process = None
                 self.fail(exc)
-                env._flush()  # (a child this step holds keeps its earlier id)
                 return
-
-            child = None
-            if env._held is not None:
-                # Observed yield / fork: is what this step has just made
-                # what dispatches next once it parks on ``target``?
-                child = env._observe(target)
-                if child is not None and child._ok is not None:
-                    # a wake (``target`` itself), ours alone: consume it
-                    target._scheduled = True
-                    target.callbacks = None
-                    event = target
-                    continue
-                # (a child: park below, then run its first step)
             if target.callbacks is None:
                 # Already processed: resume immediately with its outcome.
                 event = target
@@ -394,35 +327,12 @@ class Process(Event):
             self._target = target
             target.callbacks.append(self._resume)
             env._active_process = None
-            if child is not None:
-                # in place of the Initialize event it never got
-                env._depth += 1
-                try:
-                    child._resume(None)
-                finally:
-                    env._depth -= 1
             return
 
         # The generator returned.
         self._target = None
         env._active_process = None
-        if env._held is not None:
-            env._flush()
-        if env._quiescent():
-            # Handoff: a step's end is its last action, so on a quiescent
-            # calendar the end event would dispatch next — run the listeners
-            # here.  (A failing process always goes through the calendar, so
-            # an unhandled error still surfaces from ``run``.)
-            self._ok = True
-            self._value = result
-            self._scheduled = True
-            callbacks, self.callbacks = self.callbacks, None
-            if len(callbacks) == 1:
-                callbacks[0](self)
-            else:
-                env._run_callbacks(callbacks, self)
-        else:
-            self.succeed(result)
+        self.succeed(result)
 
 
 class Condition(Event):
@@ -439,7 +349,7 @@ class Condition(Event):
             return
         for event in self.events:
             if event.processed:
-                self._check(event, tail=False)
+                self._check(event)
             else:
                 event.callbacks.append(self._check)
             if self.triggered:
@@ -448,11 +358,9 @@ class Condition(Event):
     def _outcome(self) -> Any:
         return {e: e._value for e in self.events if e.triggered and e._ok}
 
-    def _check(self, event: Event, tail: bool = True) -> None:
-        """A child's outcome is in.  As a child's dispatched callback the
-        release it may cause is this callback's last statement (handoff);
-        ``tail`` is False only for the synchronous calls the constructor
-        makes for already-processed children, whose caller goes on."""
+    def _check(self, event: Event) -> None:
+        """A child's outcome is in (a child's callback, or the constructor
+        for a child already processed)."""
         raise NotImplementedError
 
 
@@ -461,7 +369,7 @@ class AllOf(Condition):
 
     __slots__ = ()
 
-    def _check(self, event: Event, tail: bool = True) -> None:
+    def _check(self, event: Event) -> None:
         if self.triggered:
             if not event._ok:
                 event._defused = True
@@ -472,7 +380,7 @@ class AllOf(Condition):
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed(self._outcome(), tail)
+            self.succeed(self._outcome())
 
 
 class AnyOf(Condition):
@@ -480,7 +388,7 @@ class AnyOf(Condition):
 
     __slots__ = ()
 
-    def _check(self, event: Event, tail: bool = True) -> None:
+    def _check(self, event: Event) -> None:
         if self.triggered:
             if not event._ok:
                 event._defused = True
@@ -497,7 +405,7 @@ class AnyOf(Condition):
             event._defused = True
             self.fail(event._value)
             return
-        self.succeed(self._outcome(), tail)
+        self.succeed(self._outcome())
 
 
 class Environment:
@@ -511,21 +419,17 @@ class Environment:
         self._queue: List = []
         self._eid = 0
         self._active_process: Optional[Process] = None
-        #: False once a sanitizer arms this environment: nothing is held or
-        #: handed off, every event goes through the heap.
+        #: False once a sanitizer arms this environment: every hold is
+        #: flushed as it is made and nothing is handed off.
         self._fast = True
-        #: True while the callback now running is not in tail position: a
-        #: sibling callback of the same event, or a later item of the same
-        #: inbox burst, runs after it.  No fast path may run ahead of those.
+        #: True while the callback now running is not its event's last (or
+        #: a ``gather`` child is not the last): ``_quiescent()`` is False.
         self._more = False
-        #: Observed yield: the listener-less zero-delay event a process step
-        #: has just made — a new :class:`Process` (``_ok`` None: it has no
-        #: ``Initialize``), a succeeded event or a zero-delay timer — and the
-        #: event id it took.  Not in the calendar until something reads it,
-        #: in its creation-time slot when it does.
+        #: The hold (see *Handoff* in the module docstring): the zero-delay
+        #: event made last — a :class:`Process` to start while its ``_ok``
+        #: is None — and the event id it took, not yet in the calendar.
         self._held: Optional[Event] = None
         self._held_eid = 0
-        self._depth = 0  #: observed starts now nested (``_MAX_INLINE_DEPTH``)
 
     # -- event construction helpers ------------------------------------
 
@@ -541,11 +445,8 @@ class Environment:
 
         ``then`` is the timer's continuation: the timer is born with it as
         its first callback, exactly as if it were appended at once — a step
-        of a callback chain is one call.
-
-        A zero-delay timer made by a process step is a wake, not a clock
-        advance: it is *held* like an event the step succeeds (see *Handoff*
-        in the module docstring).
+        of a callback chain is one call.  A zero-delay timer advances no
+        clock: it is held like a succeeded event.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
@@ -558,30 +459,16 @@ class Environment:
         t._scheduled = True
         t.delay = delay
         t._time = time = self.now + delay
-        if not delay and self._fast and self._active_process is not None:
-            if self._held is not None:
-                self._flush_held()
-            self._eid += 1
-            self._held = t
-            self._held_eid = self._eid
+        if not delay:
+            self._hold(t)
             return t
         self._eid += 1
         heapq.heappush(self._queue, (time, self._eid, t))
         return t
 
-    def process(
-        self, generator: ProcessGenerator, name: Optional[str] = None,
-        tail: bool = False,
-    ) -> Process:
-        """Start a new process from ``generator``.
-
-        ``tail=True`` is the caller's promise that this call is the last
-        statement of its callback (see *Handoff* in the module docstring):
-        on a quiescent calendar the first step runs here, with no
-        ``Initialize`` event.  A process step's child is held instead, and
-        started in place if the step yields it next (*observed yield*).
-        """
-        return Process(self, generator, name, tail)
+    def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
+        """Start a new process from ``generator`` (its start is held)."""
+        return Process(self, generator, name)
 
     def gather(self, generators: Iterable[ProcessGenerator]) -> AllOf:
         """Fan out: ``AllOf(env, [env.process(g) for g in generators])``,
@@ -590,12 +477,12 @@ class Environment:
         On a quiescent calendar the children's ``Initialize`` events would
         dispatch next, in order, with the caller already parked — so their
         first steps run here instead, in that order.  Every child but the
-        last runs under ``env._more``: whatever it creates is scheduled, so
-        nothing can overtake a later sibling's first step (see *Handoff* in
-        the module docstring).  Anywhere else — calendar not quiescent, not
-        called from a process step — it is literally that expression.  (The
-        caller is not parked yet while the first steps run: a child may not
-        interrupt it from there.)
+        last runs under ``env._more``, so no fast path in it can overtake a
+        later sibling's first step (see *Handoff* in the module docstring).
+        Anywhere else — calendar not quiescent, not called from a process
+        step — it is literally that expression.  (The caller is not parked
+        yet while the first steps run: a child may not interrupt it from
+        there.)
         """
         generators = list(generators)
         parent = self._active_process
@@ -605,10 +492,10 @@ class Environment:
         self._more = True
         try:
             for generator in generators[:-1]:
-                children.append(Process(self, generator, tail=_INLINE))
+                children.append(Process(self, generator, None, True))
         finally:
             self._more = False
-        children.append(Process(self, generators[-1], tail=_INLINE))
+        children.append(Process(self, generators[-1], None, True))
         self._active_process = parent
         return AllOf(self, children)
 
@@ -620,15 +507,40 @@ class Environment:
 
     # -- scheduling -----------------------------------------------------
 
+    def _hold(self, event: Event) -> None:
+        """Give a zero-delay event the hold, flushing the one already there
+        (on the pure-heap path it is flushed at once)."""
+        if self._held is not None:
+            self._flush_held()
+        self._eid += 1
+        self._held = event
+        self._held_eid = self._eid
+        if not self._fast:
+            self._flush_held()
+
+    def _flush_held(self) -> None:
+        """Put the held event into the calendar under the id it took when it
+        was made: whoever reads the calendar first does this."""
+        held = self._held
+        self._held = None
+        if held._ok is None:  # a process: the start event it has not needed
+            held = Initialize(self, held)
+            held._scheduled = True
+        heapq.heappush(self._queue, (self.now, self._held_eid, held))
+
+    def _flush(self) -> None:
+        """The held event, if any: ``peek``, arming a sanitizer."""
+        if self._held is not None:
+            self._flush_held()
+
     def _quiescent(self) -> bool:
-        """The handoff guard: would pure-heap order dispatch a zero-delay
-        event created right now *next*, with nothing in between?
+        """Would pure-heap order dispatch a zero-delay event created right
+        now *next*, with nothing in between, if the running callback made it
+        as its last statement?  (Flushes the hold: it would come first.)
 
         True only on the fast path, with the running callback the last of
         its event (``_more``) and the heap head strictly later than ``now``
-        — anything due at ``now`` holds an earlier event id.  That the
-        *call* is the callback's last statement is the caller's
-        ``tail=True`` promise.
+        — anything due at ``now`` holds an earlier event id.
         """
         if self._held is not None:
             self._flush_held()
@@ -640,7 +552,7 @@ class Environment:
     def _run_callbacks(self, callbacks: List[Callable[[Event], None]], event: Event) -> None:
         """Dispatch an event that has no callback or several (the loop
         inlines the one-callback case): all but the last are flagged as not
-        in tail position."""
+        the event's last."""
         if not callbacks:
             return
         self._more = True
@@ -651,49 +563,9 @@ class Environment:
             self._more = False
         callbacks[-1](event)
 
-    def _flush_held(self) -> None:
-        """Put the held event into the calendar under the id it took when it
-        was made: called by whatever reads the calendar, or holds the next."""
-        held = self._held
-        self._held = None
-        if held._ok is None:  # a process: the start event it has not needed
-            held = Initialize(self, held)
-            held._scheduled = True
-        heapq.heappush(self._queue, (self.now, self._held_eid, held))
-
-    def _flush(self) -> None:
-        """The held event, if any: a step's end, ``run``, ``peek``, arming."""
-        if self._held is not None:
-            self._flush_held()
-
-    def _observe(self, target: Event) -> Optional[Event]:
-        """A process step yields ``target`` while an event is held.  Returns
-        the held event when no id was handed out since its own and, with the
-        step parked on ``target``, it is what the calendar dispatches next:
-        the wake ``target`` itself (nobody else listens), or a child process
-        — yielded, or forked beside a ``target`` still to be processed.  The
-        caller takes it in place and the id goes back.  Else the event is
-        flushed and None returned."""
-        held = self._held
-        if (
-            self._eid == self._held_eid
-            and self._depth < _MAX_INLINE_DEPTH
-            and (
-                target.callbacks is not None if held._ok is None
-                else held is target and not held.callbacks
-            )
-        ):
-            self._held = None  # quiescent apart from the held event itself?
-            if self._quiescent():
-                self._eid -= 1
-                return held
-            self._held = held
-        self._flush_held()
-        return None
-
     def _schedule(self, event: Event, delay: int = 0) -> None:
-        """Give ``event`` its calendar entry: every one that is not a timer
-        or a flushed hold is made here."""
+        """Give ``event`` its calendar entry: failures, interrupts and
+        resource grants — every entry that is neither a timer nor a hold."""
         if event._scheduled:
             return
         event._scheduled = True
@@ -716,9 +588,10 @@ class Environment:
         events in the same order as one uninterrupted run.
 
         Every kind of ``until`` is a stop event and a horizon, so the
-        dispatch loop — the hottest code in the repository — is written once.
+        dispatch loop — the hottest code in the repository — is written
+        once.  It reads the hold before anything else (see *Handoff* in the
+        module docstring), so the hold is drained before ``until`` is.
         """
-        self._flush()
         if until.__class__ is Timeout and until.callbacks is not None:
             # Timeouts are pre-succeeded at creation (``_ok`` is True long
             # before they dispatch), so waiting for the event would return
@@ -734,8 +607,22 @@ class Environment:
                 raise ValueError(f"until={horizon} is in the past (now={self.now})")
         queue = self._queue
         pop = heapq.heappop
-        while stop._ok is None and queue and queue[0][0] <= horizon:
-            self.now, _, event = pop(queue)
+        while True:
+            event = self._held
+            if event is not None:
+                if self._eid != self._held_eid or (queue and queue[0][0] == self.now):
+                    self._flush_held()
+                    continue
+                # the next dispatch in pure-heap order: taken in place
+                self._held = None
+                self._eid -= 1
+                if event._ok is None:
+                    event._resume(None)
+                    continue
+            elif stop._ok is not None or not queue or queue[0][0] > horizon:
+                break
+            else:
+                self.now, _, event = pop(queue)
             callbacks, event.callbacks = event.callbacks, None
             if len(callbacks) == 1:
                 callbacks[0](event)

@@ -53,10 +53,10 @@ class _StoreGet(Event):
                 store._getters.remove(self)
             except ValueError:  # pragma: no cover - already granted/removed
                 pass
-        elif self._ok:
-            # Granted but never consumed: the item goes back to the store
-            # (front of the line for the oldest still-live getter).
-            store.put(self._value)
+        elif self._ok and not store._grant(self._value):
+            # Granted but never consumed: the item is first in line again —
+            # the oldest still-live getter's, else the queue's head.
+            store._items.appendleft(self._value)
 
 
 class _CapacityRequest(Event):
@@ -103,10 +103,11 @@ class Store:
     the callback given to :meth:`consume` — never both (typed error).  The
     callback form behaves exactly like a process looping
     ``fn((yield store.get()))`` without the parked process: one wake event
-    per burst takes the calendar slot the getter's wake would take,
-    same-instant arrivals queue behind it and that one wake drains them in
-    order.  A ``put(item, tail=True)`` on a quiescent calendar skips even
-    that wake (handoff, see :mod:`repro.sim.core`).
+    per burst takes the slot the getter's wake would take (a hold, see
+    *Handoff* in :mod:`repro.sim.core`), same-instant arrivals queue behind
+    it and that one wake drains them in order.  A delivery to an idle
+    consumer on a quiescent calendar skips even that wake
+    (:meth:`_arrive`).
     """
 
     def __init__(self, env: Environment, name: str = "store") -> None:
@@ -126,9 +127,7 @@ class Store:
         """Register ``consumer(item)`` as this store's only reader.
 
         The consumer must not block: anything that waits belongs in a
-        handler process it starts.  Its last statement may use
-        ``tail=True``; the kernel lets only the last item of a burst hand
-        off.
+        handler process it starts.
         """
         if self._consumer is not None or self._getters:
             raise SimulationError(f"{self.name}: already has a reader")
@@ -136,22 +135,18 @@ class Store:
         if self._items:
             self._wake(self._items.popleft())
 
-    def put(self, item: Any, tail: bool = False) -> None:
-        """Add ``item``; wakes the consumer or the oldest waiting getter.
-
-        ``tail=True`` is the caller's promise that this call is the last
-        statement of its callback (see *Handoff* in :mod:`repro.sim.core`):
-        an idle consumer on a quiescent calendar is then called at once.
-        """
-        consumer = self._consumer
-        if consumer is not None:
+    def put(self, item: Any) -> None:
+        """Add ``item``; wakes the consumer or the oldest waiting getter."""
+        if self._consumer is not None:
             if self._waking:
                 self._items.append(item)
-            elif tail and self.env._quiescent():
-                consumer(item)
             else:
                 self._wake(item)
-            return
+        elif not self._grant(item):
+            self._items.append(item)
+
+    def _grant(self, item: Any) -> bool:
+        """Hand ``item`` to the oldest live waiting getter, if there is one."""
         getters = self._getters
         while getters:
             getter = getters.popleft()
@@ -160,19 +155,24 @@ class Store:
             getter._ok = True
             getter._value = item
             self.env._schedule(getter)
-            return
-        self._items.append(item)
+            return True
+        return False
 
     def _arrive(self, delivery: Event) -> None:
         """A delivery timer's continuation: put the message it carries.
 
-        The put is this callback's last statement; whether the callback is
-        the timer's last (nobody else listens) the kernel knows.
+        An idle consumer on a quiescent calendar is called at once: the put
+        is this callback's last statement, so its wake is what the run loop
+        would take next (*Handoff* in :mod:`repro.sim.core`).
         """
-        self.put(delivery._value, True)
+        consumer = self._consumer
+        if consumer is not None and not self._waking and self.env._quiescent():
+            consumer(delivery._value)
+        else:
+            self.put(delivery._value)
 
     def _wake(self, item: Any) -> None:
-        """Schedule the consumer's wake carrying ``item`` — like a parked
+        """Make the consumer's wake carrying ``item`` — like a parked
         getter's, it holds its item outside ``_items``."""
         self._waking = True
         wake = Event(self.env)
@@ -183,20 +183,14 @@ class Store:
         """The wake's only callback: feed the consumer the burst in order.
 
         The consumer counts as idle again from its last call on (arrivals
-        during it wake it afresh), so only that call is in tail position.
+        during it wake it afresh).
         """
         consumer = self._consumer
         item = wake._value
         items = self._items
-        if items:
-            env = self.env
-            env._more = True
-            try:
-                while items:
-                    consumer(item)
-                    item = items.popleft()
-            finally:
-                env._more = False
+        while items:
+            consumer(item)
+            item = items.popleft()
         self._waking = False
         consumer(item)
 

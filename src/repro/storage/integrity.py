@@ -338,14 +338,6 @@ class IntegrityStore:
             )
         return [d for d in members if d in bad]
 
-    def require_chunk(self, drive, chunk: int, data=None) -> None:
-        """Raise :class:`ChecksumError` unless ``chunk`` verifies clean."""
-        if not self.chunk_ok(drive, chunk, data=data):
-            raise ChecksumError(
-                f"{drive.name}: chunk {chunk} failed checksum verification "
-                f"(kinds={','.join(self.bad_kinds(drive, chunk))})"
-            )
-
     def bad_kinds(self, drive, chunk: int) -> List[str]:
         """Fault kinds attributed to a bad chunk (sorted, deterministic)."""
         lo = chunk * self.chunk_bytes

@@ -94,10 +94,6 @@ class ProtocolChecker:
         if len(self._closed) > self.CLOSED_WINDOW:
             self._closed.pop(next(iter(self._closed)))
 
-    @property
-    def open_requests(self) -> int:
-        return len(self._open)
-
     # -- host-side hooks (DraidArray) --------------------------------------
 
     def on_register(self, cid: int, expected, participants) -> None:

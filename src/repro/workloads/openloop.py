@@ -186,9 +186,9 @@ class OpenLoopWorkload:
             gap = max(1, int(rng.expovariate(rate / NS_PER_S)))
             timer = env.timeout(gap)
             if arrived is not None:
-                # Forked only now, the next arrival's timer made: the fork is
-                # this step's last calendar entry, so the kernel can start the
-                # I/O in place (*Handoff* in ``repro.sim.core``).
+                # Forked only now, the next arrival's timer made: no id is
+                # handed out after the held start, so the run loop can take
+                # it in place (*Handoff* in ``repro.sim.core``).
                 env.process(self._issue(*arrived), name="openloop.io")
             yield timer
             if stop_event.triggered:

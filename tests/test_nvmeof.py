@@ -168,14 +168,14 @@ class _HandlerProcessTarget(NvmeOfTarget):
         if self.env.now < self.down_until:
             return
         if self.queue_depth is None:
-            self.env.process(self._handle(command), tail=True)
+            self.env.process(self._handle(command))
             return
         if self.inflight >= self.queue_depth:
             self.busy_rejections += 1
             self._reject(command, "submission queue full", "busy")
             return
         self.inflight += 1
-        self.env.process(self._handle_bounded(command), tail=True)
+        self.env.process(self._handle_bounded(command))
 
     def _handle_bounded(self, command):
         try:
@@ -249,7 +249,7 @@ class _HandlerProcessBdev(DraidBdevServer):
         if bounded and self.queue_depth is not None:
             self.inflight += 1
             handler = self._run_bounded(handler)
-        self.env.process(handler, tail=True)
+        self.env.process(handler)
 
     def _handle_plain(self, cmd, origin):
         cpu = self.server.cpu

@@ -1,4 +1,4 @@
-"""The calendar census (PR 22 satellite): a microscope that must not touch
+"""The calendar census: a microscope that must not touch
 the specimen — an armed run creates the entries of an unarmed one — and
 whose counts must add up to ``env._eid``."""
 
@@ -9,7 +9,7 @@ from repro.sim.census import CLASSES, FLUSH_REASONS, Census, main
 
 
 def small_world(env):
-    """Every class of entry and both kinds of hold, taken and flushed."""
+    """Every class of entry, and holds taken and flushed for every reason."""
     box = Store(env)
     log = []
 
@@ -18,33 +18,33 @@ def small_world(env):
         return delay
 
     def getter():
-        log.append((yield box.get()))
+        log.append((yield box.get()))                   # its end: not quiescent
 
     def parent():
-        log.append((yield env.process(child(2))))       # start taken in place
+        log.append((yield env.process(child(2))))       # start and end taken
         wake = env.event()
         wake.succeed("w")
-        log.append((yield wake))                        # wake taken in place
+        log.append((yield wake))                        # wake taken
         log.append((yield env.timeout(0, "z")))         # so is a zero-delay timer
         tick = env.timeout(1)
         forked = env.process(child(2))                   # a fork ...
-        yield tick                                       # ... taken in place: tick is older
+        yield tick                                       # ... taken: tick is later
         env.process(child(1))                            # held ...
-        yield env.timeout(0)                             # ... 2nd hold: other tick; not quiescent
+        yield env.timeout(0)                             # ... 2nd hold; not quiescent
         box.put("item")                                  # a getter's wake
-        kids = [env.process(child(3)), env.process(child(3))]  # 2nd hold: other tick
-        log.append(sorted((yield AllOf(env, kids)).values()))  # a fork, but not quiescent
+        kids = [env.process(child(3)), env.process(child(3))]  # 2nd hold
+        log.append(sorted((yield AllOf(env, kids)).values()))  # not quiescent
         late = env.event()
         late.succeed("l")
         env.timeout(4)                                   # nobody ever listens to it
-        log.append((yield late))                         # a timer's id first: other tick
+        log.append((yield late))                         # a timer's id after it: other tick
         ready = env.event()
-        ready.succeed()
-        yield forked                                     # the wake's maker parked elsewhere
-        env.process(child(1))                            # step ended
+        ready.succeed()                                  # never yielded ...
+        yield forked                                     # (already processed)
+        env.process(child(1))                            # ... 2nd hold, and the end after it
 
-    env.process(getter())
-    env.process(parent())
+    env.process(getter())                                # 2nd hold
+    env.process(parent())                                # not quiescent
     env.run()
     return log
 
@@ -67,26 +67,27 @@ def test_classes_holds_and_reasons():
     assert set(by_class) <= set(CLASSES)
     # (the two zero-delay timers are wakes: one taken in place, one flushed)
     assert by_class == {"timer": 8, "start": 6, "wake": 4, "process-end": 6}
-    assert (census.inline_starts, census.inline_forks, census.inline_wakes) == (1, 1, 2)
+    assert (census.holds, census.taken) == (22, 7)
     assert set(census.flushed) <= set(FLUSH_REASONS)
-    assert census.flushed == {
-        "other tick": 3, "not quiescent": 2, "parked elsewhere": 1, "step ended": 1,
-    }
-    # dead weight: the timer nobody listens to and five unawaited process ends
+    assert census.flushed == {"other tick": 1, "not quiescent": 9, "second hold": 5}
+    # dead weight: the timer nobody listens to, `ready` and four unawaited
+    # process ends (the last child's end is taken from the hold: not counted)
     assert (census.peak_length, census.unheard) == (5, 6)
     sites = {site for (_cls, site), _n in census.entries.items()}
     assert "tests.test_sim_census:small_world.<locals>.child" in sites   # its timers
-    assert "<held>:small_world.<locals>.child" in sites                  # flushed starts
+    # a flushed hold is named after where it was made
+    assert census.entries["start", "tests.test_sim_census:small_world.<locals>.parent"] == 4
+    assert census.entries["process-end", "<step end>:small_world.<locals>.child"] == 4
     assert 0.0 < census.non_timer_share() < 1.0
     table = census.table()
-    assert "non-timer share" in table and "1 forks" in table
+    assert "non-timer share" in table and "22 made, 7 taken" in table
     assert "peak calendar length: 5" in table
     assert "dispatched with no listener: 6" in table
 
 
 def test_unarmed_environment_is_untouched():
     env = Environment()
-    hooks = {"timeout", "_schedule", "_flush_held", "_flush", "_observe", "_run_callbacks"}
+    hooks = {"timeout", "_schedule", "_hold", "_flush_held", "_run_callbacks"}
     assert not hooks & set(vars(env))
     assert env._schedule.__func__ is Environment._schedule
     Census(env)

@@ -1,12 +1,13 @@
-"""Differential oracle for the handoff fast path (PR 18 satellite).
+"""Differential oracle for the handoff fast path.
 
-Handoff lets a tail-position ``put``/``process``/``succeed`` run its
-zero-delay event's callbacks at once instead of scheduling it, and retires
-a listener-less process on the spot.  The claim is that nothing but the
-event-id counter can tell: every consumer call, handler step and
-completion happens at the same simulated time and in the same order as on
-the pure-heap kernel (``env._fast = False``, what ``KernelSanitizer``
-arms), which never hands off.
+Every zero-delay event — a succeeded event, a process start, a zero-delay
+timer — is held in front of the heap, and the run loop takes it in place
+when it is the next dispatch anyway; ``gather`` and a delivery to an idle
+consumer skip even the hold.  The claim is that nothing but the event-id
+counter can tell: every consumer call, handler step and completion happens
+at the same simulated time and in the same order as on the pure-heap
+kernel (``env._fast = False``, what ``KernelSanitizer`` arms), which never
+hands off.
 
 The networks here are built from the real pieces — ``Fabric`` loopback
 connections whose delivery delay is driven through ``jitter_ns_fn``,
@@ -31,6 +32,7 @@ from repro.net.fabric import Fabric
 from repro.net.nic import Nic
 from repro.raid.locks import StripeLockManager
 from repro.sim import AllOf, AnyOf, Environment, Interrupt, SimulationError, Store
+from repro.sim.census import Census
 
 # CI's perf-smoke job re-runs this file with HYPOTHESIS_PROFILE=handoff-ci:
 # same examples every time, and a budget tier-1 could not afford.
@@ -48,7 +50,7 @@ INBOXES = 3
 class Hop:
     """One leg of a message's route: wire delay, destination inbox and what
     the consumer does — ``timers=None`` completes the request from the
-    consumer itself (tail-position succeed); otherwise it starts a handler
+    consumer itself; otherwise it starts a handler
     that yields the timers, then forwards or completes."""
 
     inbox: int
@@ -95,12 +97,12 @@ class Net:
         self.log(f"{msg.label}@{i}")
         hop = msg.hops[msg.at]
         if hop.timers is not None:
-            self.env.process(self._handle(msg, hop), tail=True)
+            self.env.process(self._handle(msg, hop))
         elif msg.at + 1 < len(msg.hops):
             msg.at += 1
             self.send(msg)
         else:
-            msg.done.succeed(msg.label, tail=True)
+            msg.done.succeed(msg.label)
 
     def _handle(self, msg: Msg, hop: Hop):
         for step, delay in enumerate(hop.timers):
@@ -111,7 +113,6 @@ class Net:
         if msg.at < len(msg.hops):
             self.send(msg)
         else:
-            # a process is never in tail position: its own end follows
             msg.done.succeed(msg.label)
 
     def producer(self, name: str, script):
@@ -201,18 +202,17 @@ def one_message(net, label, inbox, delay, timers=(1,), mode="forget", gap=0):
 
 
 def test_idle_delivery_hands_off_wake_start_and_end():
-    """One delivery on an idle calendar: the producer's zero-delay gap timer
-    (a wake), its listener-less end event, the consumer wake and the
-    handler's Initialize all disappear."""
+    """One delivery on an idle calendar: the producer's start, its
+    zero-delay gap timer (a wake), its listener-less end event, the
+    consumer wake and the handler's Initialize all disappear."""
     fast, pure = run_both(lambda net: one_message(net, "m", 0, 5))
     assert fast.trace == [(5, "m@0"), (5, "m.h0.0"), (6, "m.h0.end")]
-    assert pure.env._eid - fast.env._eid == 4
+    assert pure.env._eid - fast.env._eid == 5
 
 
 def test_two_deliveries_in_one_nanosecond_to_one_inbox():
     """The first is not quiescent (the second's timer is due now): one
-    evented wake drains both, and only the last drained item is in tail
-    position."""
+    evented wake drains both, and their handlers start in order."""
     def build(net):
         one_message(net, "a", 0, 5)
         one_message(net, "b", 0, 5)
@@ -390,12 +390,13 @@ class TestOneReaderPerStore:
         assert seen == ["early", "also early", "late"]
 
 
-# -- process-step handoff (PR 20): ends, condition releases, fan-out, locks ----
+# -- process steps: ends, condition releases, fan-out, locks -------------------
 #
-# A process that returns, an ``AllOf``/``AnyOf`` whose last child comes in,
-# the first steps of ``env.gather`` children and the grant of a free stripe
-# lock all skip the calendar when it is quiescent.  Same claim, same oracle:
-# equal ``(now, label)`` traces on the fast and on the pure-heap kernel.
+# A process that returns, an ``AllOf``/``AnyOf`` whose last child comes in and
+# the grant of a free stripe lock are held and taken when nothing else is
+# due; the first steps of ``env.gather`` children run in place.  Same claim,
+# same oracle: equal ``(now, label)`` traces on the fast and on the pure-heap
+# kernel.
 
 STEP_DELAYS = (0, 1, 2, 5)
 
@@ -480,9 +481,8 @@ def labels(net, count=None):
 
 def test_idle_fan_out_hands_off_start_grant_end_and_release():
     """One child on an idle calendar: its Initialize, the free-lock grant,
-    its end, the AllOf release and the parent's end all disappear; the
-    parent's own start and the timers are what is left.  (The bystander
-    timer makes the child park instead of batch-advancing to its end.)"""
+    its end, the AllOf release, the parent's start and its end all
+    disappear; the timers are what is left."""
     def build(net):
         net.env.timeout(1)
         net.env.process(interpret(
@@ -490,7 +490,7 @@ def test_idle_fan_out_hands_off_start_grant_end_and_release():
         ))
 
     fast, pure = run_both(build)
-    assert fast.env._eid == 3 and pure.env._eid == 8
+    assert fast.env._eid == 2 and pure.env._eid == 8
     assert fast.trace[-1] == (3, "p:end")
 
 
@@ -526,8 +526,8 @@ def test_child_ending_beside_an_unrelated_zero_delay_event():
 
 
 def test_process_with_two_listeners():
-    """The first listener runs under ``_more``: it may not run its next
-    timer past the second listener's wake-up."""
+    """The first listener's zero-delay timer took its id before the second
+    listener made its own: neither overtakes the other."""
     def build(net):
         env = net.env
 
@@ -760,14 +760,14 @@ def test_any_of_lets_go_of_the_timer_that_lost():
     assert env.now == 50
 
 
-# -- observed yield (PR 22): the child or the wake a step has just made --------
+# -- the child or the wake a step has just made ----------------------------------
 #
-# A process step that creates a process, or succeeds an event nobody listens
-# to yet, and yields that very event next gets it in place: no ``Initialize``,
-# no wake entry.  Nobody promises anything — whatever the step does between
-# making the event and yielding (or never yielding) it, the kernel either
-# proves the event is what the calendar would dispatch next or gives it the
-# entry it was spared.  Same claim, same oracle.
+# A process step that creates a process, or succeeds an event, and yields
+# that very event next gets it from the hold: no ``Initialize``, no wake
+# entry.  Nobody promises anything — whatever the step does between making
+# the event and yielding (or never yielding) it, the run loop either finds
+# the event is what the calendar would dispatch next or gives it the entry it
+# was spared.  Same claim, same oracle.
 
 BETWEEN = ("nothing", "timer", "put", "succeed", "process", "interrupt", "callback")
 WRAPS = (None, None, "all", "any")
@@ -778,8 +778,8 @@ made_step = st.tuples(
     st.sampled_from(WRAPS),
 )
 
-# Observed fork (PR 23): a child is made and the step parks on something
-# else, or never parks — ``(what, delay)``: a timer made before / after the
+# A fork: a child is made and the step parks on something else, or never
+# parks — ``(what, delay)``: a timer made before / after the
 # fork, a pending event released ``delay`` from now, an event processed long
 # ago; the step (and the process) ending, or raising.
 PARKS = [
@@ -948,8 +948,8 @@ def test_observed_yield_matches_pure_heap_order(roots):
 
 
 def test_idle_child_and_wake_are_taken_in_place():
-    """Parent start, one timer: the child's Initialize, both ends and the
-    wake never reach the calendar."""
+    """One timer: both starts, both ends and the wake never reach the
+    calendar."""
     def build(net):
         env = net.env
 
@@ -969,7 +969,7 @@ def test_idle_child_and_wake_are_taken_in_place():
 
     fast, pure = run_both(build)
     assert fast.trace == [(3, "child:kid"), (3, "wake:woke")]
-    assert fast.env._eid == 2 and pure.env._eid == 6
+    assert fast.env._eid == 1 and pure.env._eid == 6
 
 
 @pytest.mark.parametrize("between", BETWEEN[1:])
@@ -1015,9 +1015,8 @@ def test_a_tick_site_need_not_know_about_the_hold():
 
 
 def test_zero_time_child_loop_is_not_recursive():
-    """Each instant child resumes its parent one Python call deeper; the
-    nesting bound sends every ``_MAX_INLINE_DEPTH``-th start through the
-    calendar, which unwinds the stack."""
+    """Each instant child is started, and its end resumes the parent, from
+    the run loop: nothing nests, and nothing reaches the calendar."""
     def build(net):
         env = net.env
 
@@ -1156,12 +1155,12 @@ def test_armed_sanitizer_never_holds_an_event():
     assert seen == [None] * 3 and env._eid == 11  # every one on the calendar
 
 
-# -- observed fork and zero-delay wake (PR 23) ---------------------------------
+# -- forks and zero-delay wakes ---------------------------------------------------
 #
-# Two more positions the kernel proves.  A step that has just made a child and
-# parks on something *else* has parked with the child's ``Initialize`` as the
-# next dispatch; ``env.timeout(0)`` from a step is a wake, held like one.  The
-# oracle above draws both at random; these pin each case.
+# A step that has just made a child and parks on something *else* leaves the
+# child's start in the hold, which the run loop reads next;
+# ``env.timeout(0)`` is a wake, held like a succeeded event.  The oracle above
+# draws both at random; these pin each case.
 
 
 def forking_parent(net, make, before, between=None):
@@ -1189,8 +1188,9 @@ def forking_parent(net, make, before, between=None):
 
 
 def test_idle_fork_starts_in_place():
-    """The child's Initialize never reaches the calendar (nor do the two ends
-    and the zero-delay timer): three timers are all there is."""
+    """The child's Initialize never reaches the calendar (nor do the
+    parent's start, the two ends and the zero-delay timer): two timers are
+    all there is."""
     def build(net):
         env = net.env
 
@@ -1213,7 +1213,7 @@ def test_idle_fork_starts_in_place():
     assert fast.trace == [
         (0, "child:start"), (1, "child:end"), (3, "parent:tick"), (3, "parent:zero"),
     ]
-    assert fast.env._eid == 3 and pure.env._eid == 7
+    assert fast.env._eid == 2 and pure.env._eid == 7
 
 
 @pytest.mark.parametrize(
@@ -1335,8 +1335,8 @@ def test_forked_child_started_in_place_can_interrupt_its_parent():
 
 
 def test_deep_chain_of_forks_is_not_recursive():
-    """Each link forks the next from its first step, one Python call deeper;
-    the nesting bound covers forks as it covers yielded children."""
+    """Each link forks the next from its first step; the run loop starts it
+    from the hold once the link has parked."""
     def build(net):
         env = net.env
 
@@ -1351,17 +1351,20 @@ def test_deep_chain_of_forks_is_not_recursive():
 
     fast, pure = run_both(build)
     assert fast.trace[0] == (1, "up:0") and fast.trace[-1] == (1, "up:1000")
-    # one start in every _MAX_INLINE_DEPTH + 1 takes its calendar entry
     assert pure.env._eid - fast.env._eid > 900
 
 
-def test_zero_delay_timer_from_a_plain_callback_is_never_held():
+def test_zero_delay_timer_from_a_plain_callback_waits_for_a_due_sibling():
+    """The callback's ``timeout(0)`` is held like any zero-delay event; a
+    timer already due at ``now`` holds an earlier id, so the loop flushes it
+    and the sibling runs first."""
     def build(net):
         env = net.env
 
         def callback(_event):
-            env.timeout(0).callbacks.append(lambda _ev: net.log("zero"))
-            assert env._held is None
+            zero = env.timeout(0)
+            zero.callbacks.append(lambda _ev: net.log("zero"))
+            assert env._held is (zero if env._fast else None)
             net.log("callback:end")
 
         env.timeout(5).callbacks.append(callback)
@@ -1373,13 +1376,13 @@ def test_zero_delay_timer_from_a_plain_callback_is_never_held():
 
 
 def test_zero_delay_wake_does_not_depend_on_the_timer_pool():
-    """Whether a recycled timer is at hand must not show in ``_eid``."""
+    """Whether a timer came before must not show in ``_eid``."""
     def run(prime):
         env = Environment()
 
         def proc():
             if prime:
-                yield env.timeout(1)  # consumed in place, then pooled
+                yield env.timeout(1)
             for _ in range(3):
                 yield env.timeout(0)
 
@@ -1387,5 +1390,133 @@ def test_zero_delay_wake_does_not_depend_on_the_timer_pool():
         env.run()
         return env._eid
 
-    assert run(False) == 1  # the start (the first wake is a brand-new Timeout)
-    assert run(True) == 2  # (all three are the recycled 1 ns timer)
+    assert run(False) == 0  # the start and the three wakes are all taken
+    assert run(True) == 1  # the 1 ns timer
+
+
+# -- one hold, read by the run loop ------------------------------------------------
+
+
+def test_plain_callback_zero_delay_events_are_taken_by_the_loop():
+    """A callback's ``succeed()``, ``timeout(0)`` and ``process()``, each the
+    next dispatch when the loop reads it, make no calendar entry; the
+    listener-less end of the process is not counted as dispatched to
+    nobody."""
+    logs, eids, censuses = [], [], []
+    for fast in (True, False):
+        env = Environment()
+        if fast:
+            censuses.append(Census(env))
+        else:
+            env._fast = False
+        log = []
+        wake = env.event()
+
+        def handler():
+            log.append(("handler", env.now))
+            return
+            yield  # pragma: no cover
+
+        env.timeout(5, then=lambda _ev: wake.succeed("w"))
+        wake.callbacks.append(
+            lambda ev: env.timeout(0, ev.value, then=lambda _ev: env.process(handler()))
+        )
+        env.run()
+        logs.append(log)
+        eids.append(env._eid)
+    assert logs[0] == logs[1] == [("handler", 5)]
+    assert eids == [1, 5]  # the timer; or with the wake, the zero, the start, the end
+    (census,) = censuses
+    assert (census.holds, census.taken, census.unheard) == (4, 4, 0)
+
+
+def test_a_second_hold_flushes_the_first_in_id_order():
+    env = Environment()
+    census = Census(env)
+    log = []
+
+    def callback(_event):
+        first = env.event()
+        first.callbacks.append(lambda _ev: log.append("first"))
+        first.succeed()
+        assert env._held is first and env._queue == []
+        second = env.event()
+        second.callbacks.append(lambda _ev: log.append("second"))
+        second.succeed()
+        assert env._held is second and env._queue == [(5, 2, first)]
+
+    env.timeout(5, then=callback)
+    env.run()
+    assert log == ["first", "second"]
+    # the second is flushed too: the first is due at `now` ahead of it
+    assert env._eid == 3
+    assert census.flushed == {"second hold": 1, "not quiescent": 1}
+    assert census.taken == 0 and census.unattributed == 0
+
+
+def test_run_until_an_event_drains_the_hold():
+    """The process's end is held when ``until`` triggers; ``run`` takes it
+    (and what its listener holds in turn) before it returns."""
+    env = Environment()
+    log = []
+
+    def proc():
+        yield env.timeout(3)
+        return "v"
+
+    def tail():
+        log.append(("tail", env.now))
+        yield env.timeout(2)
+
+    p = env.process(proc())
+    p.callbacks.append(lambda _ev: env.process(tail()))
+    assert env.run(until=p) == "v"
+    assert log == [("tail", 3)] and env._held is None
+    assert [entry[0] for entry in env._queue] == [5]
+
+
+def test_ten_thousand_deep_chain_of_zero_time_children_is_loop_driven():
+    """Each link yields its child; starts and ends are all taken from the
+    hold by the loop, so the chain costs no Python stack and no entry."""
+    def build(net):
+        env = net.env
+
+        def link(depth):
+            if depth < 10_000:
+                depth = yield env.process(link(depth + 1))
+            return depth
+
+        def root():
+            net.log(f"deepest:{(yield env.process(link(0)))}")
+
+        env.process(root())
+
+    fast, pure = run_both(build)
+    assert fast.trace == [(0, "deepest:10000")]
+    assert fast.env._eid == 0 and pure.env._eid > 20_000
+
+
+def test_gather_and_delivery_skip_even_the_hold():
+    """``gather`` starts its children in place and a delivery calls an idle
+    consumer at once: neither makes a hold, so only the starts, ends and the
+    release that do are counted, all taken."""
+    env = Environment()
+    census = Census(env)
+    seen = []
+    box = Store(env)
+    box.consume(seen.append)
+    env.timeout(5, "m", then=box._arrive)
+
+    def kid(delay):
+        yield env.timeout(delay)
+
+    def parent():
+        yield env.timeout(10)
+        yield env.gather(kid(delay) for delay in (1, 2, 3))
+
+    env.process(parent())
+    env.run()
+    assert seen == ["m"] and env.now == 13
+    assert env._eid == 5  # timers only: the delivery, the parent's, the kids'
+    # the parent's start and end, the kids' ends and the release
+    assert (census.holds, census.taken) == (6, 6)

@@ -359,6 +359,53 @@ class TestCancelSafety:
         # the granted item went back into the store, not into the void
         assert len(store) == 1
 
+    def test_abandoned_grant_keeps_its_place_in_line(self):
+        """A granted but abandoned item goes back *ahead* of the items that
+        arrived after it (it used to be re-put behind them)."""
+        env = Environment()
+        store = Store(env)
+        got = []
+        first = env.process(self._getter(store, got))
+
+        def producer():
+            yield env.timeout(10)
+            store.put("A")  # granted to the waiting getter ...
+            store.put("B")  # ... and queued
+            first.interrupt("cancelled")
+
+        def late_getters():
+            yield env.timeout(20)
+            got.append((yield store.get()))
+            got.append((yield store.get()))
+
+        env.process(producer())
+        env.process(late_getters())
+        env.run()
+        assert got == ["A", "B"]
+
+    def test_abandoned_grant_goes_to_the_oldest_live_getter(self):
+        env = Environment()
+        store = Store(env)
+        got = []
+        first = env.process(self._getter(store, got))
+        env.process(self._getter(store, got))
+
+        def producer():
+            yield env.timeout(10)
+            store.put("A")  # granted to the first getter, which is interrupted
+            first.interrupt("cancelled")
+
+        env.process(producer())
+        env.run()
+        assert got == ["A"] and len(store) == 0
+
+    @staticmethod
+    def _getter(store, got):
+        try:
+            got.append((yield store.get()))
+        except Interrupt:
+            pass
+
     def test_cancelled_paths_pass_leak_check(self):
         from repro.verify import KernelSanitizer
 

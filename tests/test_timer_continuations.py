@@ -119,7 +119,7 @@ class World:
             event = end.connection._transfer(
                 end.nic, peer.nic, CAPSULE_BYTES + arg, CAPSULE_BYTES + arg, None, None
             )
-            event.callbacks.append(lambda _event: peer.inbox.put(note, True))
+            event.callbacks.append(lambda _event: peer.inbox.put(note))
             return event
         end = self.conn.a
         make = {
@@ -142,7 +142,7 @@ class World:
         timer of ``chain`` (site, size) and waiting for it, if given."""
         def done(_event) -> None:
             self.log(f"{label}:done")
-            req.succeed(label, tail=True)
+            req.succeed(label)
 
         def first(_event) -> None:
             self.log(f"{label}:first")
