@@ -85,10 +85,6 @@ class Machine:
         self._next_core = (self._next_core + 1) % len(self.cores)
         return core
 
-    def least_used_nic(self) -> Nic:
-        """NIC with the smallest TX backlog (§5.5 network sharing)."""
-        return min(self.nics, key=lambda nic: nic.tx.backlog_ns())
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 

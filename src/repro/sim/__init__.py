@@ -14,8 +14,9 @@ Public surface:
   condition events.
 * :class:`~repro.sim.core.Interrupt` — raised inside a process when
   another process interrupts it.
-* :mod:`repro.sim.resources` — FIFO stores, counted resources and fluid
-  bandwidth channels used to model NICs, SSDs and CPU cores.
+* :mod:`repro.sim.resources` — FIFO stores, counted resources, the
+  k-server FIFO scheduler (:class:`~repro.sim.resources.FifoServers`) under
+  NICs and SSDs, and the fluid bandwidth channels built on it.
 """
 
 from repro.sim.core import (
@@ -31,6 +32,7 @@ from repro.sim.core import (
 from repro.sim.resources import (
     BandwidthChannel,
     CapacityResource,
+    FifoServers,
     Store,
 )
 
@@ -41,6 +43,7 @@ __all__ = [
     "CapacityResource",
     "Environment",
     "Event",
+    "FifoServers",
     "Interrupt",
     "Process",
     "SimulationError",

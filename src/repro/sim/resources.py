@@ -1,15 +1,17 @@
 """Shared resources for the simulation kernel.
 
-Three primitives cover every piece of hardware this repository models:
+These primitives cover every piece of hardware this repository models:
 
 * :class:`Store` — an unbounded FIFO queue of items (mailboxes, command
   queues).
 * :class:`CapacityResource` — a counted semaphore (queue-depth limits).
-* :class:`BandwidthChannel` — a fluid FIFO bandwidth server.  A transfer of
-  ``n`` bytes occupies the channel for ``overhead + n/rate`` seconds; queued
-  transfers are served in order.  This is the model used for NIC directions,
-  SSD data channels and CPU cores (where "bytes" are replaced by
-  nanoseconds of work).
+* :class:`FifoServers` — ``k`` FIFO servers fed earliest-free first, in
+  closed form: the one queueing rule under NIC directions and SSD media
+  channels (CPU cores inline its one-server case).
+* :class:`BandwidthChannel` — a fluid FIFO bandwidth server on top of it.
+  A transfer of ``n`` bytes occupies the channel for ``overhead + n/rate``
+  seconds; queued transfers are served in order.  This is the model used
+  for NIC directions.
 
 Hot-path note: uncontended ``Store.get`` / ``CapacityResource.request``
 return *pre-processed* grant events, which a yielding process continues
@@ -297,16 +299,83 @@ class CapacityResource:
         self._pass_on()
 
 
-class BandwidthChannel:
+class FifoServers:
+    """``parallelism`` identical FIFO servers fed earliest-free first: the
+    queueing rule under every NIC direction and SSD media channel.
+
+    A piece of work of ``work_ns`` nanoseconds goes to the server that
+    frees up first (the lowest index on a tie), starts when that server is
+    free or now, whichever is later, and occupies it for ``work_ns``.  The
+    schedule is closed form: :meth:`occupy` returns the absolute completion
+    time in ns and makes no event, so a device that owns one of these sets
+    one timer per request.  One server is a plain FIFO pipe; more keep a
+    ``(free_at, idx)`` min-heap beside the per-server free times, so picking
+    a server costs O(log k).  :meth:`queue_delay_ns` and
+    :meth:`backlog_ns` are computed from the free times when called.
+    """
+
+    def __init__(self, env: Environment, parallelism: int = 1) -> None:
+        if parallelism < 1:
+            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+        self.env = env
+        self.parallelism = parallelism
+        #: absolute time (ns) at which each server has drained its queue
+        self._free_at = [0] * parallelism
+        #: ``(free_at, idx)`` min-heap over the servers; read for k > 1 only
+        self._free_heap: List[Tuple[int, int]] = [(0, i) for i in range(parallelism)]
+
+    def occupy(self, work_ns: int) -> int:
+        """Queue ``work_ns`` on the earliest-free server; returns the
+        absolute time (ns) at which it completes."""
+        now = self.env.now
+        free_at = self._free_at
+        if self.parallelism == 1:
+            free = free_at[0]
+            free_at[0] = done = (free if free > now else now) + work_ns
+            return done
+        heap = self._free_heap
+        free, idx = heap[0]
+        free_at[idx] = done = (free if free > now else now) + work_ns
+        heapq.heapreplace(heap, (done, idx))
+        return done
+
+    def stall(self, pause_ns: int) -> None:
+        """Stop every server for ``pause_ns`` once all queued work has
+        drained (an SSD garbage-collection pause); the pause starts no
+        earlier than now."""
+        now = self.env.now
+        busy = max(self._free_at)
+        until = (busy if busy > now else now) + pause_ns
+        self._free_at = [until] * self.parallelism
+        self._free_heap = [(until, i) for i in range(self.parallelism)]
+
+    def forget_backlog(self) -> None:
+        """Drop all queued work: every server is free from now on (a drive
+        swapped for a fresh one)."""
+        now = self.env.now
+        self._free_at = [f if f < now else now for f in self._free_at]
+        self._free_heap = sorted((f, i) for i, f in enumerate(self._free_at))
+
+    def queue_delay_ns(self) -> int:
+        """Wait (ns) that work submitted now would incur before service."""
+        free = min(self._free_at)
+        now = self.env.now
+        return free - now if free > now else 0
+
+    def backlog_ns(self) -> int:
+        """Total remaining work (ns) across all servers (congestion signal)."""
+        now = self.env.now
+        return sum(f - now for f in self._free_at if f > now)
+
+
+class BandwidthChannel(FifoServers):
     """A fluid FIFO bandwidth server.
 
     The channel serves transfers strictly in submission order.  A transfer
     of ``nbytes`` takes ``per_op_overhead_ns + nbytes / rate``; its
     completion event fires when the transfer (and everything queued before
-    it) has drained.  Scheduling is O(1) per transfer: the channel only
-    tracks the time at which it becomes free — the completion timestamp of
-    the whole reservation queue is computed in closed form, so no per-grant
-    events exist at all.
+    it) has drained.  The schedule is :class:`FifoServers`'s, so a
+    reservation makes no event of its own.
 
     ``parallelism`` models devices with internal channels (e.g. NAND dies):
     ``k`` independent FIFO servers each running at ``rate / k``, with new
@@ -328,27 +397,13 @@ class BandwidthChannel:
     ) -> None:
         if rate_bytes_per_s <= 0:
             raise ValueError(f"rate must be positive, got {rate_bytes_per_s}")
-        if parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-        self.env = env
+        super().__init__(env, parallelism)
         self.name = name
         self.per_op_overhead_ns = int(per_op_overhead_ns)
-        self.parallelism = parallelism
         self._rate = float(rate_bytes_per_s)
         self._per_server_rate = self._rate / parallelism
         #: nbytes -> service_ns(nbytes) at the current rate
         self._service: Dict[int, int] = {}
-        self._free_at = [0] * parallelism
-        # (free_at, idx) min-heap mirror of _free_at: earliest-free server
-        # selection in O(log k) instead of an O(k) min() scan per reserve.
-        # Only consulted when parallelism > 1; ties break on lowest index,
-        # exactly like min() over the list.
-        self._free_heap: List[Tuple[int, int]] = [(0, i) for i in range(parallelism)]
-        # Cached between reservations: the earliest-free head and the raw
-        # sum of all server free times, so queue_delay_ns/backlog_ns are
-        # O(1) in the saturated (all servers beyond ``now``) regime.
-        self._earliest_free = 0
-        self._free_sum = 0
         # accounting
         self.bytes_transferred = 0
         self.ops = 0
@@ -376,54 +431,23 @@ class BandwidthChannel:
         )
         return service
 
-    def queue_delay_ns(self) -> int:
-        """Wait a transfer submitted now would incur before service starts."""
-        free_at = self._earliest_free
-        return free_at - self.env.now if free_at > self.env.now else 0
-
-    def backlog_ns(self) -> int:
-        """Total remaining work across all internal servers (congestion signal)."""
-        now = self.env.now
-        if self._earliest_free >= now:
-            # saturated regime: every server is booked past ``now``, so the
-            # cached raw sum gives the backlog without an O(k) scan
-            return self._free_sum - now * self.parallelism
-        return sum(f - now for f in self._free_at if f > now)
-
     def reserve(self, nbytes: int, extra_ns: int = 0) -> int:
         """Queue a transfer and return its *absolute* completion time.
 
-        This is the O(1) primitive behind :meth:`transfer`; layers that
-        need to combine several channel occupancies into one completion
-        event (e.g. a network transfer through sender-TX and receiver-RX)
-        call ``reserve`` on each channel and take the max.
+        This is the primitive behind :meth:`transfer`; layers that need to
+        combine several channel occupancies into one completion event (e.g.
+        a network transfer through sender-TX and receiver-RX) call
+        ``reserve`` on each channel and take the max.
         """
         service = self._service.get(nbytes)
         if service is None:
             service = self.service_ns(nbytes)  # (a negative size raises there)
         if extra_ns:
             service += int(extra_ns)
-        now = self.env.now
-        if self.parallelism == 1:
-            free = self._free_at[0]
-            start = free if free > now else now
-            done = start + service
-            self._free_at[0] = done
-            self._earliest_free = done
-            self._free_sum = done
-        else:
-            # earliest-free internal server via the heap mirror
-            free, idx = heapq.heappop(self._free_heap)
-            start = free if free > now else now
-            done = start + service
-            self._free_sum += done - self._free_at[idx]
-            self._free_at[idx] = done
-            heapq.heappush(self._free_heap, (done, idx))
-            self._earliest_free = self._free_heap[0][0]
         self.bytes_transferred += nbytes
         self.ops += 1
         self.busy_ns += service
-        return done
+        return self.occupy(service)
 
     def transfer(self, nbytes: int, extra_ns: int = 0) -> Event:
         """Submit a transfer; returns its completion event.

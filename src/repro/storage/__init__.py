@@ -14,15 +14,10 @@ from repro.storage.integrity import (
     crc32c,
     crc32c_many,
 )
-from repro.storage.profiles import (
-    DELL_AGN_MU,
-    FAST_NVME,
-    DriveProfile,
-)
+from repro.storage.profiles import DELL_AGN_MU, DriveProfile
 
 __all__ = [
     "DELL_AGN_MU",
-    "FAST_NVME",
     "ChecksumError",
     "DriveProfile",
     "DriveStats",

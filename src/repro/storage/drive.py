@@ -14,14 +14,13 @@ bytes and the whole RAID stack can be validated for bit-exactness.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.sim.core import Environment, Event
-from repro.sim.resources import NS_PER_S
+from repro.sim.resources import NS_PER_S, FifoServers
 from repro.storage.integrity import PoisonedExtent
 
 
@@ -68,20 +67,14 @@ class NvmeDrive:
         self.name = name
         self.stats = DriveStats()
         self.failed = False
-        self._free_at = [0] * profile.parallelism
-        # (free_at, idx) min-heap mirror of _free_at (see BandwidthChannel):
-        # consulted only when the profile has internal parallelism > 1.
-        self._free_heap = [(0, i) for i in range(profile.parallelism)]
-        # Cached between dispatches (profiles are immutable): per-server
-        # transfer rates, the healthy transfer time of every size seen so far
-        # per direction, plus the earliest-free head and the raw sum of
-        # server free times so backlog_ns is O(1) in the saturated regime.
+        #: the media channels: one FIFO server per unit of internal parallelism
+        self._media = FifoServers(env, profile.parallelism)
+        # Cached (profiles are immutable): per-server transfer rates and the
+        # healthy transfer time of every size seen so far per direction.
         self._read_per_server = profile.read_bw_bytes_per_s / profile.parallelism
         self._write_per_server = profile.write_bw_bytes_per_s / profile.parallelism
         self._read_work: Dict[int, int] = {}
         self._write_work: Dict[int, int] = {}
-        self._earliest_free = 0
-        self._free_sum = 0
         self._gc_budget = profile.gc_after_bytes_written
         # Fault-injection state (repro.faults): transient error bursts and
         # fail-slow latency multipliers.  All keyed off the sim clock.
@@ -107,35 +100,6 @@ class NvmeDrive:
     @property
     def functional(self) -> bool:
         return self._data is not None
-
-    def _dispatch(self, work_ns: int) -> int:
-        """Queue ``work_ns`` on the earliest-free internal server; returns
-        the absolute completion time of the channel occupancy."""
-        now = self.env.now
-        if len(self._free_at) == 1:
-            free = self._free_at[0]
-            start = free if free > now else now
-            done = start + work_ns
-            self._free_at[0] = done
-            self._earliest_free = done
-            self._free_sum = done
-        else:
-            free, idx = heapq.heappop(self._free_heap)
-            start = free if free > now else now
-            done = start + work_ns
-            self._free_sum += done - self._free_at[idx]
-            self._free_at[idx] = done
-            heapq.heappush(self._free_heap, (done, idx))
-            self._earliest_free = self._free_heap[0][0]
-        self.stats.busy_ns += work_ns
-        return done
-
-    def _rebuild_free_caches(self) -> None:
-        """Recompute the free-server caches after a bulk ``_free_at`` edit
-        (GC stall, heal)."""
-        self._free_heap = sorted((f, i) for i, f in enumerate(self._free_at))
-        self._earliest_free = self._free_heap[0][0]
-        self._free_sum = sum(self._free_at)
 
     def _slow_factor(self) -> float:
         """Current fail-slow latency multiplier (1.0 when healthy)."""
@@ -187,7 +151,8 @@ class NvmeDrive:
         if factor != 1.0:
             work_ns = int(round(work_ns * factor))
             latency_ns = int(round(latency_ns * factor))
-        done = self._dispatch(work_ns)
+        done = self._media.occupy(work_ns)
+        self.stats.busy_ns += work_ns
         completion = done + latency_ns - self.env.now
         if self._tracer is not None and ctx is not None:
             self._record_io(ctx, "read", done, work_ns, latency_ns, nbytes)
@@ -217,10 +182,9 @@ class NvmeDrive:
                 # garbage collection stalls every internal channel
                 self._gc_budget = self.profile.gc_after_bytes_written
                 self.stats.gc_events += 1
-                stall_until = max(self._free_at) + self.profile.gc_pause_ns
-                self._free_at = [max(f, stall_until) for f in self._free_at]
-                self._rebuild_free_caches()
-        done = self._dispatch(work_ns)
+                self._media.stall(self.profile.gc_pause_ns)
+        done = self._media.occupy(work_ns)
+        self.stats.busy_ns += work_ns
         completion = done + latency_ns - self.env.now
         if self._tracer is not None and ctx is not None:
             self._record_io(ctx, "write", done, work_ns, latency_ns, nbytes)
@@ -250,7 +214,7 @@ class NvmeDrive:
         """Record queue-wait + media spans for one traced I/O.
 
         The drive's schedule is fully determined at submission (``done`` is
-        the absolute channel-drain time computed by :meth:`_dispatch`), so
+        the absolute channel-drain time :meth:`FifoServers.occupy` returned), so
         spans are recorded immediately without touching the event calendar.
         """
         now = self.env.now
@@ -325,9 +289,7 @@ class NvmeDrive:
         self._gc_budget = self.profile.gc_after_bytes_written
         self._poison.clear()
         self._armed_corruptions.clear()
-        now = self.env.now
-        self._free_at = [min(f, now) for f in self._free_at]
-        self._rebuild_free_caches()
+        self._media.forget_backlog()
 
     # -- silent corruption ------------------------------------------------------
 
@@ -485,11 +447,8 @@ class NvmeDrive:
         return self._data[offset : offset + nbytes].copy()
 
     def backlog_ns(self) -> int:
-        now = self.env.now
-        if self._earliest_free >= now:
-            # saturated regime: every server is booked past ``now``
-            return self._free_sum - now * len(self._free_at)
-        return sum(max(0, f - now) for f in self._free_at)
+        """Media work (ns) still queued across the internal channels."""
+        return self._media.backlog_ns()
 
 
 class DriveFailedError(RuntimeError):

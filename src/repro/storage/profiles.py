@@ -61,12 +61,3 @@ DELL_AGN_MU = DriveProfile(
     read_latency_ns=80 * US,
     write_latency_ns=18 * US,  # write-back DRAM buffer absorbs the program op
 )
-
-#: A faster hypothetical drive used by ablations (what-if studies).
-FAST_NVME = DriveProfile(
-    name="fast-nvme",
-    read_bw_bytes_per_s=6800 * MB,
-    write_bw_bytes_per_s=4000 * MB,
-    read_latency_ns=60 * US,
-    write_latency_ns=12 * US,
-)

@@ -65,13 +65,6 @@ class TestMachines:
         assert picks[0] is picks[3]
         assert len({id(c) for c in picks}) == 3
 
-    def test_least_used_nic(self):
-        env = Environment()
-        nics = [Nic(env, name=f"n{i}") for i in range(2)]
-        machine = Machine(env, "m", nics)
-        nics[0].tx.reserve(1_000_000)
-        assert machine.least_used_nic() is nics[1]
-
     def test_machine_requires_nic(self):
         env = Environment()
         with pytest.raises(ValueError):

@@ -45,6 +45,24 @@ class TestGarbageCollection:
         # 200 KB at 1 GB/s = 200 us, plus the 500 us GC pause
         assert t2 - t1 == pytest.approx(700_000, rel=0.01)
 
+    def test_gc_pause_is_paid_on_an_idle_drive(self):
+        """The pause starts no earlier than now: a drive idle for longer
+        than the pause still stalls for all of it."""
+        env = Environment()
+        drive = NvmeDrive(env, gc_profile(after=1_000_000, pause=500_000))
+
+        def proc():
+            yield drive.write(0, 900_000)
+            yield env.timeout(10_000_000)  # idle 10 ms, far past the pause
+            start = env.now
+            yield drive.write(0, 200_000)  # crosses the budget: GC
+            return env.now - start
+
+        elapsed = env.run(until=env.process(proc()))
+        assert drive.stats.gc_events == 1
+        # 500 us GC pause, then 200 KB at 1 GB/s = 200 us
+        assert elapsed == 700_000
+
     def test_gc_budget_resets(self):
         env = Environment()
         drive = NvmeDrive(env, gc_profile(after=500_000, pause=100_000))

@@ -345,7 +345,7 @@ def test_drive_work_is_the_formula_under_fail_slow(steps):
             busy = drive.stats.busy_ns
             event = getattr(drive, action)(0, arg)
             assert drive.stats.busy_ns - busy == work
-            assert event._time - drive._free_at[0] == latency
+            assert event._time - drive._media._free_at[0] == latency
         elif action == "slow":
             drive.set_fail_slow(arg)
             mult, until = arg, None
