@@ -38,11 +38,6 @@ class Architecture:
         ]
 
 
-def write_overhead_single_machine() -> float:
-    """Local RAID controller: user data crosses the network once."""
-    return 1.0
-
-
 def write_overhead_distributed_rmw(num_parity: int = 1) -> float:
     """Host-centric remote RAID-5 RMW: old data + old parity in, new data
     + new parity out = 4x for RAID-5 (up to 1+3 = per-direction 2/2)."""

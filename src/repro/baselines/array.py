@@ -2,9 +2,10 @@
 
 :class:`RaidArray` owns what an array is regardless of how it moves bytes:
 the member table, failure bookkeeping and the fence rule, stripe locks and
-the write-intent bitmap, the overload entry (admission, deadlines, retry
-budget, breaker), end-to-end integrity (verify + parity read-repair), the
-public ``read``/``write`` block interface and the stripe-image helpers.
+the write-intent bitmap, the counted write plan, the overload entry
+(admission, deadlines, retry budget, breaker), end-to-end integrity
+(verify + parity read-repair), the public ``read``/``write`` block
+interface and the stripe-image helpers.
 
 A *datapath* subclass supplies the transport and the per-stripe I/O — the
 abstract hooks at the bottom of the class.  The two datapaths are siblings
@@ -37,6 +38,7 @@ from repro.qos.errors import Busy, DeadlineExceeded
 from repro.raid.bitmap import WriteIntentBitmap
 from repro.raid.geometry import ChunkSegment, RaidGeometry, StripeExtent
 from repro.raid.locks import StripeLockManager
+from repro.raid.modes import WriteMode, WritePlan, plan_write
 from repro.storage.integrity import ChecksumError
 from repro.sim.core import AllOf, Environment, Event, _defuse_on_failure
 
@@ -455,6 +457,24 @@ class RaidArray(ABC):
                 f"{self.name}: stripe {stripe} has more failures than "
                 f"{self._tolerance_name()} tolerates"
             )
+
+    def _plan_write(self, ext: StripeExtent) -> WritePlan:
+        """Plan the write of ``ext`` on its stripe's current failures and
+        count it — the one place the write-mode counters move: the mode's
+        counter unless degraded-mode, ``degraded_writes`` iff a data member
+        of the stripe has failed."""
+        plan = plan_write(self.geometry, ext, self.failed_in_stripe(ext.stripe))
+        stats = self.stats
+        mode = plan.mode
+        if mode is WriteMode.READ_MODIFY_WRITE:
+            stats.rmw_writes += 1
+        elif mode is WriteMode.RECONSTRUCT_WRITE:
+            stats.rcw_writes += 1
+        elif mode is WriteMode.FULL_STRIPE:
+            stats.full_stripe_writes += 1
+        if plan.degraded:
+            stats.degraded_writes += 1
+        return plan
 
     def _check_write_hole(self, ext: StripeExtent) -> None:
         """Refuse to retry a partial write whose gap now sits on a failed

@@ -27,7 +27,7 @@ from repro.nvmeof.initiator import RemoteBdev
 from repro.nvmeof.messages import IoError
 from repro.nvmeof.target import NvmeOfTarget
 from repro.raid.geometry import ChunkSegment, StripeExtent
-from repro.raid.modes import WriteMode, classify_write
+from repro.raid.modes import WriteMode, plan_write
 from repro.sim.core import AllOf, AnyOf, Interrupt, _defuse_on_failure
 
 
@@ -363,48 +363,31 @@ class HostCentricRaid(RaidArray):
             )
         else:
             yield from self._write_stripe_once(
-                ext, io_data, ctx, deadline_ns=deadline_ns
+                ext, io_data, self._plan_write(ext), ctx, deadline_ns=deadline_ns
             )
 
-    def _write_stripe_once(self, ext: StripeExtent, io_data, ctx=None,
+    def _write_stripe_once(self, ext: StripeExtent, io_data, plan=None, ctx=None,
                            deadline_ns=None):
-        """One pass of the normal write dispatch (caller holds the lock)."""
-        failed = self.failed_in_stripe(ext.stripe)
-        failed_parities = [p for p in ext.parity_drives if p in failed]
-        failed_touched = [s for s in ext.segments if s.drive in failed]
-        failed_untouched_data = [
-            d for d in failed
-            if d not in ext.parity_drives
-            and d not in {s.drive for s in ext.segments}
-        ]
-        mode = classify_write(self.geometry, ext)
-        if failed_touched:
-            self.stats.degraded_writes += 1
-            only_failed_chunk = (
-                len(failed_touched) == len(ext.segments) == 1
-                and len(failed - set(ext.parity_drives)) == 1
-            )
-            if only_failed_chunk:
-                yield from self._write_degraded_region(
-                    ext, io_data, failed_touched[0], ctx, deadline_ns=deadline_ns
-                )
-            else:
-                yield from self._write_degraded_data(
-                    ext, io_data, failed_touched, ctx, deadline_ns=deadline_ns
-                )
-        elif mode is WriteMode.FULL_STRIPE:
-            self.stats.full_stripe_writes += 1
-            yield from self._write_full(ext, io_data, ctx, deadline_ns=deadline_ns)
-        elif mode is WriteMode.RECONSTRUCT_WRITE and not failed_untouched_data:
-            self.stats.rcw_writes += 1
-            yield from self._write_rcw(ext, io_data, ctx, deadline_ns=deadline_ns)
-        else:
-            # RMW; also the fallback when an untouched data drive is
-            # failed (its chunk cannot be read for RCW).
-            self.stats.rmw_writes += 1
-            if failed_untouched_data or failed_parities:
-                self.stats.degraded_writes += 1
+        """One pass of the write dispatch on ``plan`` (caller holds the
+        lock).  A resilient attempt passes none: it plans again, uncounted,
+        when its process starts."""
+        if plan is None:
+            plan = plan_write(self.geometry, ext, self.failed_in_stripe(ext.stripe))
+        mode = plan.mode
+        if mode is WriteMode.READ_MODIFY_WRITE:
             yield from self._write_rmw(ext, io_data, ctx, deadline_ns=deadline_ns)
+        elif mode is WriteMode.RECONSTRUCT_WRITE:
+            yield from self._write_rcw(ext, io_data, ctx, deadline_ns=deadline_ns)
+        elif mode is WriteMode.FULL_STRIPE:
+            yield from self._write_full(ext, io_data, ctx, deadline_ns=deadline_ns)
+        elif mode is WriteMode.DEGRADED_REGION:
+            yield from self._write_degraded_region(
+                ext, io_data, plan.lost[0], ctx, deadline_ns=deadline_ns
+            )
+        else:
+            yield from self._write_degraded_data(
+                ext, io_data, plan.lost, ctx, deadline_ns=deadline_ns
+            )
 
     # resilient write path (§5.4) --------------------------------------------
 
@@ -419,10 +402,9 @@ class HostCentricRaid(RaidArray):
         are idempotent no matter which of a previous attempt's writes
         landed.
         """
+        self._check_tolerance(ext.stripe)
         pinned = None
-        if self.failed_in_stripe(ext.stripe) - set(ext.parity_drives):
-            self._check_tolerance(ext.stripe)
-            self.stats.degraded_writes += 1
+        if self._plan_write(ext).degraded:
             pinned = yield from self._pin_with_retries(
                 ext, ctx, deadline_ns=deadline_ns
             )
@@ -438,7 +420,7 @@ class HostCentricRaid(RaidArray):
         def body():
             if pinned is None:
                 return self._write_stripe_once(
-                    ext, io_data, ctx, deadline_ns=deadline_ns
+                    ext, io_data, ctx=ctx, deadline_ns=deadline_ns
                 )
             return self._write_full(
                 ext, io_data, ctx, deadline_ns=deadline_ns, pinned=pinned
@@ -682,9 +664,10 @@ class HostCentricRaid(RaidArray):
             )
         yield finish if finish is not None else AllOf(self.env, write_events)
 
-    def _write_degraded_data(self, ext: StripeExtent, io_data, failed_touched,
+    def _write_degraded_data(self, ext: StripeExtent, io_data, lost,
                              ctx=None, deadline_ns=None):
-        """Write when a touched data chunk lives on a failed drive.
+        """Write when touched data chunks (the ``lost`` segments) live on
+        failed drives.
 
         Reconstructs the failed chunk's old content when the write only
         partially covers it, merges the new data, recomputes parity from
@@ -693,9 +676,7 @@ class HostCentricRaid(RaidArray):
         g = self.geometry
         chunk = g.chunk_bytes
         touched_by_index = {s.data_index: s for s in ext.segments}
-        failed_indices = {
-            g.data_index_of_drive(ext.stripe, s.drive) for s in failed_touched
-        }
+        failed_indices = {s.data_index for s in lost}
         partial_failed = [
             i for i in failed_indices if touched_by_index[i].length < chunk
         ]

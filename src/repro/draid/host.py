@@ -35,11 +35,11 @@ from repro.draid.protocol import (
     ReconstructionCmd,
     Subtype,
 )
-from repro.draid.reconstruction import RandomReducerSelector
+from repro.draid.reconstruction import BandwidthAwareSelector, RandomReducerSelector
 from repro.ec import LinearCode
 from repro.nvmeof.messages import IoError, NvmeOfCommand, Opcode, next_cid
 from repro.raid.geometry import RaidGeometry, StripeExtent
-from repro.raid.modes import WriteMode, classify_write
+from repro.raid.modes import WriteMode, WritePlan
 from repro.sim.core import AnyOf, Event
 
 
@@ -104,8 +104,8 @@ class DraidArray(RaidArray):
     ) -> None:
         self.pipeline = pipeline
         self.blocking_reduce = blocking_reduce
-        self.selector = selector or RandomReducerSelector(seed=17)
         super().__init__(cluster, geometry, name=name, timeout_ns=timeout_ns)
+        self.selector = selector or RandomReducerSelector(seed=17)
         self.failslow_detector = failslow_detector
         if code is not None:
             if (code.k, code.m) != (geometry.data_per_stripe, geometry.num_parity):
@@ -114,6 +114,18 @@ class DraidArray(RaidArray):
                     f"fit {geometry!r}"
                 )
             self.code = code
+
+    @property
+    def selector(self):
+        """The §6 reducer policy; a bandwidth-aware one reads each member's
+        NIC through this array's member table."""
+        return self._selector
+
+    @selector.setter
+    def selector(self, selector) -> None:
+        if isinstance(selector, BandwidthAwareSelector):
+            selector.servers = self.servers
+        self._selector = selector
 
     # -- transport --------------------------------------------------------
 
@@ -439,7 +451,7 @@ class DraidArray(RaidArray):
         """
         g = self.geometry
         participants = self._recon_participants(ext, seg.data_index)
-        reducer_member = self.selector.pick(
+        reducer_member = self._selector.pick(
             [d for d, _ in participants], seg.length
         )
         cid = next_cid()
@@ -516,8 +528,8 @@ class DraidArray(RaidArray):
     def _write_stripe(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None):
         if self.resilient:
             self._check_tolerance(ext.stripe)
-        ok = yield from self._write_extent_once(
-            ext, io_data, ctx, deadline_ns=deadline_ns
+        ok = yield from self._write_stripe_once(
+            ext, io_data, self._plan_write(ext), ctx, deadline_ns=deadline_ns
         )
         attempts = 0
         while not ok:
@@ -539,42 +551,28 @@ class DraidArray(RaidArray):
             )
         self._note_success()
 
-    def _write_extent_once(self, ext: StripeExtent, io_data, ctx=None,
-                           deadline_ns=None):
-        """One attempt at the optimal disaggregated write path.
+    def _write_stripe_once(self, ext: StripeExtent, io_data, plan: WritePlan,
+                           ctx=None, deadline_ns=None):
+        """One attempt at the optimal disaggregated write path on ``plan``.
 
         Returns True on clean completion, False if a retry is needed.
         """
-        failed = self.failed_in_stripe(ext.stripe)
-        failed_touched = [s for s in ext.segments if s.drive in failed]
-        failed_untouched_data = [
-            d for d in failed
-            if d not in ext.parity_drives and d not in {s.drive for s in ext.segments}
-        ]
-        mode = classify_write(self.geometry, ext)
-        if failed_touched:
-            self.stats.degraded_writes += 1
-            return (yield from self._write_degraded(
-                ext, io_data, failed_touched, ctx, deadline_ns=deadline_ns
-            ))
+        mode = plan.mode
         if mode is WriteMode.FULL_STRIPE:
             # §3: disaggregation gains nothing on a full stripe — the host
             # computes the parity itself
-            self.stats.full_stripe_writes += 1
             return (yield from self._write_stripe_image(
                 ext, [self._seg_data(io_data, s) for s in ext.segments], ctx,
                 "draid.write-full", deadline_ns=deadline_ns,
             ))
-        if mode is WriteMode.RECONSTRUCT_WRITE and not failed_untouched_data:
-            self.stats.rcw_writes += 1
-            return (yield from self._write_distributed(
-                ext, io_data, rcw=True, ctx=ctx, deadline_ns=deadline_ns
+        if mode is WriteMode.DEGRADED_STRIPE and plan.parities:
+            # several failed chunks or a mixed write: rare, so it takes the
+            # §5.4 host-side full-stripe path
+            return (yield from self._write_host_fallback(
+                ext, io_data, ctx=ctx, deadline_ns=deadline_ns
             ))
-        self.stats.rmw_writes += 1
-        if failed_untouched_data:
-            self.stats.degraded_writes += 1
         return (yield from self._write_distributed(
-            ext, io_data, rcw=False, ctx=ctx, deadline_ns=deadline_ns
+            ext, io_data, plan, ctx=ctx, deadline_ns=deadline_ns
         ))
 
     # .. host-side parity: full-stripe writes (§3), §5.4 retries ................
@@ -683,28 +681,43 @@ class DraidArray(RaidArray):
             for row, p in alive_parities
         )
 
-    def _write_distributed(self, ext: StripeExtent, io_data, rcw: bool, ctx=None,
-                           deadline_ns=None):
-        g = self.geometry
-        chunk = g.chunk_bytes
-        failed = self.failed_in_stripe(ext.stripe)
-        alive_parities = [
-            (row, p) for row, p in enumerate(ext.parity_drives) if p not in failed
-        ]
+    def _write_distributed(self, ext: StripeExtent, io_data, plan: WritePlan,
+                           ctx=None, deadline_ns=None):
+        """The disaggregated partial-stripe write (§5), one broadcast.
+
+        RMW: every touched data bdev forwards its delta over the parity
+        span.  RCW: every data bdev forwards its whole chunk.  A degraded
+        region write is an RCW over the lost segment's region alone: every
+        surviving data bdev forwards that region (RW_READ) and the host
+        adds the lost chunk's new data as one more partial (wait-num + 1) —
+        no old-parity read, no reconstruction of the failed chunk, cost
+        proportional to the I/O size (Fig. 18/30's small degraded-write
+        penalty).
+        """
+        alive_parities = plan.parities
         if not alive_parities:
+            # no parity left to maintain (e.g. RAID-5 with P failed)
             return (yield from self._plain_segment_writes(
                 ext, io_data, ctx, deadline_ns=deadline_ns
             ))
-        if rcw:
-            fwd_off, fwd_len = 0, chunk
-            subtype_parity = Subtype.RW_READ  # no parity preread
-        else:
-            fwd_off, fwd_len = ext.parity_span()
-            subtype_parity = Subtype.RMW
-        cid = next_cid()
+        g = self.geometry
+        chunk = g.chunk_bytes
+        rcw = plan.mode is not WriteMode.READ_MODIFY_WRITE
+        # the degraded region's one lost segment, which no bdev can write
+        lost = plan.lost[0] if plan.lost else None
         touched = {s.data_index: s for s in ext.segments}
-        # every data bdev participates in RCW; only touched ones in RMW
-        contributors = range(g.data_per_stripe) if rcw else sorted(touched)
+        # every surviving data bdev participates in RCW; only touched ones in RMW
+        if not rcw:
+            fwd_off, fwd_len = ext.parity_span()
+            contributors = sorted(touched)
+        elif lost is None:
+            fwd_off, fwd_len = 0, chunk
+            contributors = range(g.data_per_stripe)
+        else:
+            fwd_off, fwd_len = lost.chunk_offset, lost.length
+            contributors = [d for d in range(g.data_per_stripe) if d != lost.data_index]
+        subtype_parity = Subtype.RW_READ if rcw else Subtype.RMW  # RCW: no preread
+        cid = next_cid()
         responders = set()
         ectx = self._derive(ctx)
         sent_ns = self.env.now
@@ -713,7 +726,7 @@ class DraidArray(RaidArray):
             drive = g.data_drive(ext.stripe, d)
             if rcw:
                 subtype = Subtype.RW_WRITE if seg is not None else Subtype.RW_READ
-                cmd_fwd_off, cmd_fwd_len = 0, chunk
+                cmd_fwd_off, cmd_fwd_len = fwd_off, fwd_len
             else:
                 subtype = Subtype.RMW
                 cmd_fwd_off, cmd_fwd_len = seg.chunk_offset, seg.length
@@ -738,107 +751,34 @@ class DraidArray(RaidArray):
             if seg is not None:
                 responders.add(drive)
         writers = len(responders)
+        wait_num = len(contributors)
+        if lost is not None:
+            # the host's own partial: the lost chunk's new data for the region
+            wait_num += 1
+            partials = [None] * self.code.m
+            if self.functional:
+                partials = self.code.partial_parity(
+                    lost.data_index, self._seg_data(io_data, lost)
+                )
         for row, p in alive_parities:
+            if lost is not None:
+                if self.code.partial_charged(row):
+                    yield from self._span_wait(self._charge_gf(1, fwd_len), ctx, "gf")
+                self.host_ends[p].send(
+                    PeerMsg(cid, key=cid, fwd_offset=fwd_off, fwd_length=fwd_len,
+                            source=("data", lost.data_index), data=partials[row],
+                            trace=ectx)
+                )
             self.host_ends[p].send(
                 ParityCmd(cid, subtype=subtype_parity,
                           parity_drive_offset=ext.parity_offset,
                           fwd_offset=fwd_off, fwd_length=fwd_len,
-                          wait_num=len(contributors), parity_index=row, key=cid,
+                          wait_num=wait_num, parity_index=row, key=cid,
                           trace=ectx, deadline_ns=deadline_ns)
             )
             responders.add(p)
+        span = "draid.partial-write" if lost is None else "draid.degraded-write"
         return (yield from self._finish_write(
             cid, {"data": writers, "parity": len(alive_parities)}, responders,
-            ectx, "draid.partial-write", sent_ns, deadline_ns=deadline_ns,
-        ))
-
-    # .. degraded write touching failed chunks (§3 host participation) .........
-
-    def _write_degraded(self, ext: StripeExtent, io_data, failed_touched, ctx=None,
-                        deadline_ns=None):
-        """Write that touches a failed data chunk.
-
-        Common case (the write covers *only* the failed chunk, one data
-        failure): region-scoped distributed reconstruct-write.  Parity over
-        the written region is the (weighted) sum of the other chunks' same
-        region plus the new data, so every surviving data bdev forwards its
-        region (RW_READ) and the host contributes the new data as one extra
-        partial (wait-num + 1) — no old-parity read, no reconstruction of
-        the failed chunk, cost proportional to the I/O size (Fig. 18/30's
-        small degraded-write penalty).
-
-        Mixed or multi-failure cases are rare (multi-chunk writes) and go
-        through the §5.4 host-side full-stripe path.
-        """
-        g = self.geometry
-        failed = self.failed_in_stripe(ext.stripe)
-        alive_parities = [
-            (row, p) for row, p in enumerate(ext.parity_drives) if p not in failed
-        ]
-        if not alive_parities:
-            return (yield from self._plain_segment_writes(
-                ext, io_data, ctx, deadline_ns=deadline_ns
-            ))
-        only_failed_chunk = (
-            len(failed_touched) == len(ext.segments) == 1
-            and len(failed - set(ext.parity_drives)) == 1
-        )
-        if not only_failed_chunk:
-            return (yield from self._write_host_fallback(
-                ext, io_data, ctx=ctx, deadline_ns=deadline_ns
-            ))
-        seg = failed_touched[0]
-        region_offset, region_len = seg.chunk_offset, seg.length
-        cid = next_cid()
-        contributors = 0
-        ectx = self._derive(ctx)
-        sent_ns = self.env.now
-        for d in range(g.data_per_stripe):
-            drive = g.data_drive(ext.stripe, d)
-            if drive in failed:
-                continue
-            self.host_ends[drive].send(
-                PartialWriteCmd(
-                    cid,
-                    subtype=Subtype.RW_READ,
-                    drive_offset=0,
-                    length=0,
-                    chunk_offset=0,
-                    data_index=d,
-                    fwd_offset=region_offset,
-                    fwd_length=region_len,
-                    dests=self._dests(alive_parities, d),
-                    chunk_drive_offset=ext.stripe * g.chunk_bytes,
-                    parity_key=cid,
-                    trace=ectx,
-                    deadline_ns=deadline_ns,
-                )
-            )
-            contributors += 1
-        # the host's own partial: the failed chunk's new data for the region
-        partials = [None] * self.code.m
-        if self.functional:
-            partials = self.code.partial_parity(
-                seg.data_index, self._seg_data(io_data, seg)
-            )
-        for row, p in alive_parities:
-            if self.code.partial_charged(row):
-                yield from self._span_wait(
-                    self._charge_gf(1, region_len), ctx, "gf"
-                )
-            self.host_ends[p].send(
-                PeerMsg(cid, key=cid, fwd_offset=region_offset, fwd_length=region_len,
-                        source=("data", seg.data_index), data=partials[row],
-                        trace=ectx)
-            )
-            self.host_ends[p].send(
-                ParityCmd(cid, subtype=Subtype.RW_READ,
-                          parity_drive_offset=ext.parity_offset,
-                          fwd_offset=region_offset, fwd_length=region_len,
-                          wait_num=contributors + 1, parity_index=row, key=cid,
-                          trace=ectx, deadline_ns=deadline_ns)
-            )
-        return (yield from self._finish_write(
-            cid, {"parity": len(alive_parities)}, {p for _, p in alive_parities},
-            ectx, "draid.degraded-write", sent_ns, deadline_ns=deadline_ns,
+            ectx, span, sent_ns, deadline_ns=deadline_ns,
         ))

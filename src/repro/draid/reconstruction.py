@@ -108,8 +108,8 @@ class BandwidthAwareSelector:
         if not 0 < alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.cluster = cluster
-        #: candidate (member) index -> server; the identity topology — an
-        #: array on another topology assigns its own member table
+        #: candidate (member) index -> server: the identity topology until
+        #: the selector is given to an array, which assigns its member table
         self.servers = cluster.servers
         self.alpha = alpha
         self.window_ns = window_ns

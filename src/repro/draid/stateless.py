@@ -49,14 +49,8 @@ class StatelessTargetDraid(DraidArray):
     # -- writes: everything partial or degraded becomes a host-side
     # full-stripe write (plain NVMe-oF WRITEs, no target reduce state) --
 
-    def _write_distributed(self, ext: StripeExtent, io_data, rcw: bool, ctx=None,
+    def _write_distributed(self, ext: StripeExtent, io_data, plan, ctx=None,
                            deadline_ns=None):
-        return (yield from self._write_host_fallback(
-            ext, io_data, ctx=ctx, deadline_ns=deadline_ns
-        ))
-
-    def _write_degraded(self, ext: StripeExtent, io_data, failed_touched, ctx=None,
-                        deadline_ns=None):
         return (yield from self._write_host_fallback(
             ext, io_data, ctx=ctx, deadline_ns=deadline_ns
         ))

@@ -97,10 +97,3 @@ def loss_rate_per_hour(total_loss_events: int, total_sim_ns: int) -> float:
     if total_sim_ns <= 0:
         return 0.0
     return total_loss_events * 3.6e12 / total_sim_ns
-
-
-def mttdl_hours(total_loss_events: int, total_sim_ns: int) -> Optional[float]:
-    """MTTDL estimate in simulated hours (None when no loss was observed)."""
-    if total_loss_events == 0:
-        return None
-    return total_sim_ns / total_loss_events / 3.6e12

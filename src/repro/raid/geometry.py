@@ -62,10 +62,6 @@ class StripeExtent:
     def touched_bytes(self) -> int:
         return sum(s.length for s in self.segments)
 
-    @property
-    def touched_data_indices(self) -> Tuple[int, ...]:
-        return tuple(s.data_index for s in self.segments)
-
     def parity_span(self) -> Tuple[int, int]:
         """(offset, length) of the union of per-chunk intervals touched.
 

@@ -160,12 +160,58 @@ def test_rebuild_after_degraded_overwrite(kind):
     assert scrub_array(core.drives, geometry, STRIPES, code=core.code).clean
 
 
+#: ``(rmw, rcw, full_stripe, degraded)_writes`` of one write on an idle
+#: array, by (failed member, write shape): the mode's counter unless a
+#: touched chunk failed, ``degraded`` iff a data member failed — an RCW
+#: that cannot read a failed untouched chunk is an RMW
+WRITE_COUNTERS = {
+    ("none", "rmw"): (1, 0, 0, 0),
+    ("none", "rcw"): (0, 1, 0, 0),
+    ("none", "full"): (0, 0, 1, 0),
+    ("parity", "rmw"): (1, 0, 0, 0),
+    ("parity", "rcw"): (0, 1, 0, 0),
+    ("parity", "full"): (0, 0, 1, 0),
+    ("untouched data", "rmw"): (1, 0, 0, 1),
+    ("untouched data", "rcw"): (1, 0, 0, 1),
+    ("touched data", "rmw"): (0, 0, 0, 1),
+    ("touched data", "rcw"): (0, 0, 0, 1),
+    ("touched data", "full"): (0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("level", list(RaidLevel), ids=lambda level: level.name)
+@pytest.mark.parametrize("failed, shape", list(WRITE_COUNTERS))
+def test_controllers_count_writes_the_same_way(level, failed, shape):
+    """One write to one stripe of an idle 6-target array: every controller
+    ends with the same write-mode counters."""
+    geometry = RaidGeometry(level, 6, CHUNK)
+    k = geometry.data_per_stripe
+    # 4 KiB in chunk 0; chunks 0..k-2 (chunk k-1 untouched); the stripe
+    offset, size = {"rmw": (0, 4 * KB), "rcw": (0, (k - 1) * CHUNK),
+                    "full": (0, k * CHUNK)}[shape]
+    member = {
+        "none": None,
+        "parity": geometry.parity_drives(0)[0],
+        "untouched data": geometry.data_drive(0, k - 1),
+        "touched data": geometry.data_drive(0, 0),
+    }[failed]
+    for cls in (MdRaid, SpdkRaid, DraidArray, StatelessTargetDraid):
+        env = Environment()
+        array = cls(build_cluster(env, ClusterConfig(num_servers=6)), geometry)
+        if member is not None:
+            array.fail_drive(member)
+        env.run(until=array.write(offset, size))
+        s = array.stats
+        counters = (s.rmw_writes, s.rcw_writes, s.full_stripe_writes, s.degraded_writes)
+        assert counters == WRITE_COUNTERS[failed, shape], cls.__name__
+
+
 #: the NVMe-oF datapath: methods only a host-centric array runs
 HOST_CENTRIC_ONLY = (
     "_guarded", "_gather", "_subscribe_early", "_run_attempt", "_fence_stragglers",
     "_retry_loop", "_bdev_read", "_bdev_write", "_charge_write_staging",
     "_charge_reconstruct_staging", "_charge_degraded_read_staging",
-    "_read_extent_once", "_reconstruct_segment", "_write_stripe_once",
+    "_read_extent_once", "_reconstruct_segment",
     "_data_drives_in", "_write_resilient", "_pin_with_retries", "_pin_stripe_image",
     "_write_pinned", "_alive_parities", "_parity_index", "_parity_writes",
     "_write_rmw", "_write_rcw", "_write_degraded_region", "_write_degraded_data",
@@ -187,7 +233,7 @@ def test_frame_and_datapaths_are_siblings():
     assert HostCentricRaid not in DraidArray.__mro__
     assert DraidArray not in HostCentricRaid.__mro__
     env, array, geometry = build_controller("draid")
-    assert len(HOST_CENTRIC_ONLY) == 26
+    assert len(HOST_CENTRIC_ONLY) == 25
     for name in (*HOST_CENTRIC_ONLY, "bdevs", "targets"):
         assert not hasattr(array, name), f"DraidArray still carries {name}"
     # a frame without a datapath is a typed error up front, naming the

@@ -1,8 +1,9 @@
-"""Pins the calendar events one idle I/O schedules (PR 18 satellite).
+"""Pins the calendar events one idle I/O schedules.
 
 The numbers are DESIGN.md §7's hop table: what a 4 KiB read and a 4 KiB
 RMW write cost in ``env._eid`` ticks on an idle 8-target RAID-5 array, the
-caller waiting on the op.  They are exact and deterministic; a relay event
+caller waiting on the op (and, for the two degraded 4 KiB writes, with one
+member failed).  They are exact and deterministic; a relay event
 that comes back (a per-capsule mailbox wake, a handler ``Initialize``, a
 process end, a condition release, a free-lock grant, the op's own start)
 moves them, and so does a new timed step — either way the table and this
@@ -68,6 +69,32 @@ def test_events_of_one_idle_4k_op(controller_cls, read_events, rmw_write_events)
     assert events == rmw_write_events
     assert events == timers  # timers only
     assert array.stats.rmw_writes == 1
+
+
+@pytest.mark.parametrize(
+    "controller_cls, failed_parity_rmw_events, region_write_events",
+    [(MdRaid, 14, 39), (SpdkRaid, 13, 38), (DraidArray, 7, 58)],
+    ids=["MdRaid", "SpdkRaid", "DraidArray"],
+)
+def test_events_of_one_idle_4k_degraded_write(
+    controller_cls, failed_parity_rmw_events, region_write_events
+):
+    """The two degraded 4 KiB writes: an RMW whose parity member has failed,
+    and a write covering only a failed data chunk (dRAID's RCW broadcast
+    over that one region, the host adding the lost chunk's partial)."""
+    offset = 8 * CHUNK + 4 * KB
+    geometry = RaidGeometry(RaidLevel.RAID5, 8, CHUNK)
+    (ext,) = geometry.map_extent(offset, 4 * KB)
+    for failed, expected in (
+        (ext.parity_drives[0], failed_parity_rmw_events),
+        (ext.segments[0].drive, region_write_events),
+    ):
+        env = Environment()
+        array = controller_cls(build_cluster(env, ClusterConfig(num_servers=8)), geometry)
+        array.fail_drive(failed)
+        events, timers = events_of(env, lambda: array.write(offset, 4 * KB))
+        assert events == expected
+        assert events == timers  # timers only
 
 
 def test_events_of_one_nvmeof_read():

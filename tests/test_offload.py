@@ -188,6 +188,20 @@ class TestMemberTable:
         assert stats.total_detected == 1
         assert stats.total_repaired == 1
 
+    def test_bandwidth_aware_selector_reads_the_members_own_nic(self):
+        """Member 0's NIC is server 1's: a backlog there weighs member 0
+        down as a reducer, and the controller's own NIC counts for no one."""
+        from repro.draid.reconstruction import BandwidthAwareSelector
+
+        env, cluster, array, geometry = make_offloaded(functional=False, controller=0)
+        controller = array.controller
+        controller.selector = BandwidthAwareSelector(cluster, seed=1)
+        controller.selector._load_ewma = 1e9
+        cluster.servers[1].nic.tx.reserve(50_000_000)
+        probs = controller.selector.probabilities(range(5))
+        assert probs[0] < probs[1]
+        assert probs[1] == pytest.approx(probs[2])
+
     @pytest.mark.parametrize("offloaded", [True, False], ids=["offloaded", "plain"])
     def test_chunk_that_rots_again_after_a_rewrite_is_counted_again(self, offloaded):
         """Detections are deduped under the store's own key — the drive's

@@ -1,4 +1,5 @@
-"""Tests for RAID geometry, write-mode classification and stripe locks."""
+"""Tests for RAID geometry, write-mode classification and planning, and
+stripe locks."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,9 @@ from repro.raid import (
     WriteMode,
     classify_write,
 )
+from repro.draid import EcGeometry
+from repro.raid.layout import DeclusteredLayout
+from repro.raid.modes import plan_write
 from repro.sim import Environment
 
 KB = 1024
@@ -195,6 +199,59 @@ class TestWriteModes:
                 assert mode == WriteMode.FULL_STRIPE
             else:
                 assert mode != WriteMode.FULL_STRIPE
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_plan_write_is_classify_write_made_failure_aware(self, data):
+        """RAID-5/6 and RS geometries, rotating and declustered, any extent,
+        any failed set within tolerance: ``plan_write`` is degraded exactly
+        when a touched member failed, region-scoped exactly when the one
+        segment is the only failed data member, never RCW over a failed data
+        member, and ``classify_write`` whenever no data member failed."""
+        num_parity = data.draw(st.integers(1, 3), label="num_parity")
+        drives = data.draw(st.integers(num_parity + 3, 12), label="drives")
+        layout = None
+        if data.draw(st.booleans(), label="declustered"):
+            layout = DeclusteredLayout(
+                drives, num_parity,
+                stripe_width=data.draw(st.integers(num_parity + 1, drives)),
+                seed=data.draw(st.integers(0, 99)),
+            )
+        if num_parity < 3 and data.draw(st.booleans(), label="raid level"):
+            level = RaidLevel.RAID5 if num_parity == 1 else RaidLevel.RAID6
+            g = RaidGeometry(level, drives, 16 * KB, layout)
+        else:
+            g = EcGeometry(drives, 16 * KB, num_parity, layout)
+        offset = data.draw(st.integers(0, 4 * g.stripe_data_bytes - 1), label="offset")
+        length = data.draw(
+            st.integers(1, 16 * KB) | st.integers(1, 2 * g.stripe_data_bytes),
+            label="length",
+        )
+        ext = data.draw(st.sampled_from(g.map_extent(offset, length)), label="extent")
+        touched = {s.drive for s in ext.segments}
+        # touched members drawn about as often as all the others together
+        members = list(g.stripe_drives(ext.stripe))
+        pool = members + sorted(touched) * len(members)
+        failed = set(data.draw(
+            st.lists(st.sampled_from(pool), max_size=num_parity, unique=True),
+            label="failed",
+        ))
+        plan = plan_write(g, ext, failed)
+
+        failed_data = failed - set(ext.parity_drives)
+        degraded_modes = (WriteMode.DEGRADED_REGION, WriteMode.DEGRADED_STRIPE)
+        assert (plan.mode in degraded_modes) == bool(failed & touched)
+        assert (plan.mode is WriteMode.DEGRADED_REGION) == (
+            len(ext.segments) == 1 and failed_data == touched
+        )
+        assert not (plan.mode is WriteMode.RECONSTRUCT_WRITE and failed_data)
+        if not failed_data:
+            assert plan.mode is classify_write(g, ext)
+        assert plan.parities == tuple(
+            (row, p) for row, p in enumerate(ext.parity_drives) if p not in failed
+        )
+        assert plan.lost == tuple(s for s in ext.segments if s.drive in failed)
+        assert plan.degraded == bool(failed_data)
 
 
 class TestStripeLocks:
