@@ -29,27 +29,31 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.metrics.report import Row, format_table
+from repro.raid.geometry import RaidLevel
 from repro.sim import Environment
 from repro.workloads import FioWorkload
 
 GOLDEN_TRACE = Path(__file__).parent / "golden" / "trace_draid_4k.json"
+#: Linux MD, RAID-6 4 KiB writes: host submit/xor/gf and raid-thread staging
+GOLDEN_LINUX_TRACE = Path(__file__).parent / "golden" / "trace_linux_4k.json"
 
 KB = 1024
 
 
 def _traced_run(system: str, io_size: int = 4 * KB, read_fraction: float = 0.0,
-                queue_depth: int = 2, measure_ns: int = 400_000, seed: int = 77):
+                queue_depth: int = 2, measure_ns: int = 400_000, seed: int = 77,
+                level: RaidLevel = RaidLevel.RAID5):
     """A small, fast observability-armed FIO run; returns (fio, obs)."""
-    array = build_array(system, observability=ObservabilityConfig())
+    array = build_array(system, level=level, observability=ObservabilityConfig())
     fio = FioWorkload(array, io_size, read_fraction=read_fraction,
                       queue_depth=queue_depth, seed=seed)
     fio.run(warmup_ns=100_000, measure_ns=measure_ns)
     return fio, array.cluster.obs
 
 
-def small_trace_json(system: str = "dRAID") -> str:
+def small_trace_json(system: str = "dRAID", level: RaidLevel = RaidLevel.RAID5) -> str:
     """Module-level so run_points can ship it across the process boundary."""
-    _, obs = _traced_run(system)
+    _, obs = _traced_run(system, level=level)
     return chrome_trace_json(obs.tracer)
 
 
@@ -119,6 +123,9 @@ class TestChromeTraceExport:
     def test_golden_trace(self):
         assert small_trace_json("dRAID") == GOLDEN_TRACE.read_text()
 
+    def test_golden_trace_linux(self):
+        assert small_trace_json("Linux", RaidLevel.RAID6) == GOLDEN_LINUX_TRACE.read_text()
+
     def test_two_runs_byte_identical(self):
         assert small_trace_json("dRAID") == small_trace_json("dRAID")
 
@@ -128,6 +135,30 @@ class TestChromeTraceExport:
         parallel = run_points(points, jobs=2)
         assert serial == parallel
         assert serial[0] == serial[1]
+
+
+class TestLockWaitSpan:
+    def test_second_write_on_a_stripe_records_its_blocked_interval(self):
+        """Two traced writes to one SPDK stripe: the second waits on the
+        stripe lock from its acquire until the first releases it."""
+        array = build_array("SPDK", observability=ObservabilityConfig())
+        env, tracer = array.env, array.cluster.obs.tracer
+        first_ctx, second_ctx = tracer.new_request(), tracer.new_request()
+        first = array.write(0, 4 * KB, ctx=first_ctx)
+        array.write(4 * KB, 4 * KB, ctx=second_ctx)
+        released = []
+        first.callbacks.append(lambda _event: released.append(env.now))
+        env.run()
+        waits = [s for s in tracer.spans if s.cat == "lock-wait"]
+        assert len(waits) == 1
+        wait, = waits
+        assert (wait.name, wait.track) == ("stripe-0", "host.locks")
+        assert (wait.trace_id, wait.parent_id) == (second_ctx.trace_id, second_ctx.span_id)
+        submit, = [s for s in tracer.spans
+                   if s.name == "submit" and s.parent_id == second_ctx.span_id]
+        assert wait.start_ns == submit.end_ns
+        assert wait.end_ns == released[0]
+        assert wait.start_ns < wait.end_ns
 
 
 class TestBottleneckReport:
