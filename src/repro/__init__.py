@@ -129,8 +129,9 @@ def build_testbed(
     * ``env`` — an existing environment to build into (a rack shares one
       among its arrays); a fresh one by default.
 
-    Other keyword arguments go to the controller (``name=``, ``timeout_ns=``,
-    ``failslow_detector=``, ...).  By default the array keeps its class's
+    Other keyword arguments go to the controller (``name=``,
+    ``failslow_detector=``, ...); the I/O timeout is the config's
+    ``io_timeout_ns``.  By default the array keeps its class's
     name — ``md`` / ``raid`` / ``draid`` / ``draid-st``, ``ec-<name>`` /
     ``lrc-<name>`` when coded — which seeds its retry-backoff RNG.
     """

@@ -85,7 +85,6 @@ class RaidArray(ABC):
         cluster: Cluster,
         geometry: RaidGeometry,
         name: str = "raid",
-        timeout_ns: Optional[int] = None,
     ) -> None:
         # how many members the topology hook can place on this cluster
         slots = sum(
@@ -118,7 +117,7 @@ class RaidArray(ABC):
         #: messages and the sanitizer's reports)
         self._read_name = f"{name}.read"
         self._write_name = f"{name}.write"
-        self.locks = StripeLockManager(self.env)
+        self.locks = StripeLockManager(self.env, f"{self.machine.name}.locks")
         #: §5.4 host-failure recovery: stripes with in-flight writes
         self.bitmap = WriteIntentBitmap()
         self.stats = RaidIoStats()
@@ -133,11 +132,10 @@ class RaidArray(ABC):
         self.rebuilt_stripes: Dict[int, set] = {}
         self.functional = cluster.config.functional_capacity > 0
         #: §5.4 hardening: I/O deadline (escalates per retry attempt) and
-        #: fault bookkeeping.  ``timeout_ns`` may be reassigned on the
-        #: instance (tests do); everything reads it at use time.
-        self.timeout_ns = (
-            timeout_ns if timeout_ns is not None else cluster.config.io_timeout_ns
-        )
+        #: fault bookkeeping.  ``timeout_ns`` (the cluster's
+        #: ``io_timeout_ns``) may be reassigned on the instance (tests do);
+        #: everything reads it at use time.
+        self.timeout_ns = cluster.config.io_timeout_ns
         self.backoff = BackoffPolicy(self.timeout_ns)
         self.fault_stats = FaultStats()
         self.integrity_stats = IntegrityStats()
@@ -145,9 +143,11 @@ class RaidArray(ABC):
         self._retry_rng = random.Random(f"repro.backoff:{name}")
         self._force_resilient = False
         #: Observability (repro.obs): the cluster tracer, or None when the
-        #: cluster was built without an observability config.  Every traced
-        #: branch below short-circuits on this being None.
+        #: cluster was built without an observability config.  The cores,
+        #: drives and links record their own spans; the array arms its stripe
+        #: locks and keeps the tracer for its retry backoff.
         self._tracer = None if cluster.obs is None else cluster.obs.tracer
+        self.locks.tracer = self._tracer
         #: Verification (repro.verify): the cluster's Verifier hub, or None
         #: when the cluster was built without a verify config.  Every
         #: checked branch short-circuits on these being None, exactly like
@@ -306,41 +306,18 @@ class RaidArray(ABC):
             return range(self.geometry.num_drives)
         return sorted(self.geometry.stripe_drives(stripe))
 
-    # -- observability helpers (repro.obs) --------------------------------------
-
-    def _span_wait(self, event, ctx, name, cat="compute", track="host.cpu"):
-        """Yield ``event``; when tracing is armed, record a span (ns) over
-        the wait.  The simulated event sequence is identical either way."""
-        tracer = self._tracer
-        if tracer is None or ctx is None:
-            result = yield event
-            return result
-        t0 = self.env.now
-        result = yield event
-        tracer.record(ctx, name, cat, track, t0, self.env.now)
-        return result
-
-    def _lock_wait(self, stripe: int, ctx):
-        """Acquire the stripe lock, recording a lock-wait span if blocked.
-
-        Uncontended acquires complete at the same instant and record
-        nothing (zero-length spans are dropped by the tracer).
-        """
-        return self._span_wait(
-            self.locks.acquire(stripe, ctx), ctx, f"stripe-{stripe}", "lock-wait",
-            "host.locks",
-        )
-
     def _backoff_pause(self, attempts: int, remaining, ctx):
         """Sleep the jittered backoff before retry ``attempts`` (never past
-        the ``remaining`` deadline budget), recording a span when traced."""
+        the ``remaining`` deadline budget), recording its span when traced."""
         pause_ns = self.backoff.backoff_ns(attempts, self._retry_rng)
         if remaining is not None:
             pause_ns = min(pause_ns, remaining)
         if pause_ns:
-            yield from self._span_wait(
-                self.env.timeout(pause_ns), ctx, "retry-backoff", "backoff"
-            )
+            if ctx is not None and self._tracer is not None:
+                now = self.env.now
+                self._tracer.record(ctx, "retry-backoff", "backoff",
+                                    self.machine.cpu.track, now, now + pause_ns)
+            yield self.env.timeout(pause_ns)
 
     # -- overload control (repro.qos) -------------------------------------------
     #
@@ -754,19 +731,21 @@ class RaidArray(ABC):
         return data
 
     # -- CPU cost hooks: the controller's own work, on ``self.machine`` --------
+    #
+    # ``ctx`` parents the compute span the charged core records when traced.
 
-    def _charge_submit(self):
-        return self.machine.pick_core().execute(self.submit_ns)
+    def _charge_submit(self, ctx=None):
+        return self.machine.pick_core().execute(self.submit_ns, ctx=ctx, span="submit")
 
-    def _charge_xor(self, num_sources: int, nbytes: int):
+    def _charge_xor(self, num_sources: int, nbytes: int, ctx=None):
         core = self.machine.pick_core()
         work = self.machine.cpu_profile.xor_ns(nbytes) * max(0, num_sources - 1)
-        return core.execute(work)
+        return core.execute(work, ctx=ctx, span="xor")
 
-    def _charge_gf(self, num_sources: int, nbytes: int):
+    def _charge_gf(self, num_sources: int, nbytes: int, ctx=None):
         core = self.machine.pick_core()
         work = self.machine.cpu_profile.gf_ns(nbytes) * num_sources
-        return core.execute(work)
+        return core.execute(work, ctx=ctx, span="gf")
 
     # -- top-level read/write processes ----------------------------------------
 
@@ -774,7 +753,7 @@ class RaidArray(ABC):
         self, offset: int, nbytes: int, take_locks: bool = True, ctx=None,
         deadline_ns=None,
     ):
-        yield from self._span_wait(self._charge_submit(), ctx, "submit")
+        yield self._charge_submit(ctx)
         extents = self.geometry.map_extent(offset, nbytes)
         buffer = np.zeros(nbytes, dtype=np.uint8) if self.functional else None
         yield self.env.gather(
@@ -789,7 +768,7 @@ class RaidArray(ABC):
         return buffer
 
     def _write(self, offset: int, nbytes: int, data, ctx=None, deadline_ns=None):
-        yield from self._span_wait(self._charge_submit(), ctx, "submit")
+        yield self._charge_submit(ctx)
         extents = self.geometry.map_extent(offset, nbytes)
         yield self.env.gather(
             self._write_extent(ext, data, ctx, deadline_ns=deadline_ns)
@@ -802,7 +781,7 @@ class RaidArray(ABC):
         write-intent bitmap, take the stripe lock (§3: one write per stripe),
         repair silent corruption first, then run the datapath's write."""
         self.bitmap.mark(ext.stripe)
-        yield from self._lock_wait(ext.stripe, ctx)
+        yield self.locks.acquire(ext.stripe, ctx)
         try:
             if self.integrity is not None:
                 yield from self._verify_stripe_before_write(ext)
@@ -828,7 +807,7 @@ class RaidArray(ABC):
         chunk = self.geometry.chunk_bytes
         for kind, sources in self.code.encode_charges:
             charge = self._charge_xor if kind == "xor" else self._charge_gf
-            yield from self._span_wait(charge(sources, chunk), ctx, kind)
+            yield charge(sources, chunk, ctx)
         if not self.functional:
             return [None] * self.code.m
         return self.code.encode(image)

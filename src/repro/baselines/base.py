@@ -51,7 +51,6 @@ class HostCentricRaid(RaidArray):
             target = NvmeOfTarget(
                 server, self.cluster.server_end(index), queue_depth=target_depth
             )
-            target.tracer = self._tracer
             self.targets.append(target)
             bdev = RemoteBdev(
                 self.cluster.host,
@@ -244,15 +243,16 @@ class HostCentricRaid(RaidArray):
 
     # -- CPU cost hooks (overridden by MdRaid) ---------------------------------
 
-    def _charge_write_staging(self, staged_bytes: int, ext: StripeExtent):
+    def _charge_write_staging(self, staged_bytes: int, ext: StripeExtent, ctx=None):
         """Extra per-write CPU beyond parity math (MD stripe cache)."""
         return self.env.timeout(0)
 
-    def _charge_reconstruct_staging(self, source_bytes: int, ext: StripeExtent):
+    def _charge_reconstruct_staging(self, source_bytes: int, ext: StripeExtent,
+                                    ctx=None):
         """Extra per-reconstruction CPU (MD stripe cache)."""
         return self.env.timeout(0)
 
-    def _charge_degraded_read_staging(self, nbytes: int, ext: StripeExtent):
+    def _charge_degraded_read_staging(self, nbytes: int, ext: StripeExtent, ctx=None):
         """Extra CPU for *normal* reads while the array is degraded.
 
         Linux MD disables its read fast path on a degraded array: every
@@ -268,7 +268,7 @@ class HostCentricRaid(RaidArray):
     ):
         lock = self.lock_reads and take_locks
         if lock:
-            yield from self._lock_wait(ext.stripe, ctx)
+            yield self.locks.acquire(ext.stripe, ctx)
         try:
             if self.resilient:
                 # reads are idempotent: on timeout or member error, retry
@@ -313,12 +313,8 @@ class HostCentricRaid(RaidArray):
         # arriving mid-charge is handled, not an unhandled failed event
         gathered = self._subscribe_early(events)
         if self.degraded and healthy:
-            yield from self._span_wait(
-                self._charge_degraded_read_staging(
-                    sum(s.length for s in healthy), ext
-                ),
-                ctx,
-                "staging",
+            yield self._charge_degraded_read_staging(
+                sum(s.length for s in healthy), ext, ctx
             )
         if gathered is not None:
             outcome = yield gathered
@@ -342,13 +338,8 @@ class HostCentricRaid(RaidArray):
             for drive, _ in sources
         ]
         blocks = yield from self._gather(events)
-        yield from self._span_wait(
-            self._charge_reconstruct_staging(seg.length * len(events), ext),
-            ctx, "staging",
-        )
-        yield from self._span_wait(
-            self._charge_xor(len(events), seg.length), ctx, "xor"
-        )
+        yield self._charge_reconstruct_staging(seg.length * len(events), ext, ctx)
+        yield self._charge_xor(len(events), seg.length, ctx)
         if not self.functional:
             return None
         shards = {shard: block for (_, shard), block in zip(sources, blocks)}
@@ -509,9 +500,7 @@ class HostCentricRaid(RaidArray):
             image = self._assemble_stripe(ext, io_data, *pinned)
         parity_blocks = yield from self._encode_parities(image, ctx)
         staged = ext.touched_bytes + len(ext.parity_drives) * self.geometry.chunk_bytes
-        yield from self._span_wait(
-            self._charge_write_staging(staged, ext), ctx, "staging"
-        )
+        yield self._charge_write_staging(staged, ext, ctx)
         events = self._segment_writes(
             ext, io_data, ctx, deadline_ns, skip=self.failed_in_stripe(ext.stripe)
         )
@@ -539,9 +528,7 @@ class HostCentricRaid(RaidArray):
         old_data = old_blocks[: len(ext.segments)]
         old_parity = old_blocks[len(ext.segments):]
         # phase 2: compute deltas and new parities
-        yield from self._span_wait(
-            self._charge_xor(2 * len(ext.segments), span_len), ctx, "xor"
-        )
+        yield self._charge_xor(2 * len(ext.segments), span_len, ctx)
         new_parities: Dict[int, Optional[np.ndarray]] = {p: None for p in parities}
         if self.functional:
             # each segment's delta, weighted for every parity row
@@ -559,13 +546,9 @@ class HostCentricRaid(RaidArray):
                     block[rel : rel + seg.length] ^= partial[row]
                 new_parities[p] = block
         if self.code.gf_pass and len(parities) > 1:
-            yield from self._span_wait(
-                self._charge_gf(len(ext.segments), span_len), ctx, "gf"
-            )
+            yield self._charge_gf(len(ext.segments), span_len, ctx)
         staged = 2 * ext.touched_bytes + 2 * len(parities) * span_len
-        yield from self._span_wait(
-            self._charge_write_staging(staged, ext), ctx, "staging"
-        )
+        yield self._charge_write_staging(staged, ext, ctx)
         # phase 3: write new data and new parities
         write_events = self._segment_writes(ext, io_data, ctx, deadline_ns)
         for p in parities:
@@ -597,9 +580,7 @@ class HostCentricRaid(RaidArray):
         )
         gap_bytes = sum(length for _, _, length in gaps)
         staged = ext.touched_bytes + gap_bytes + len(self._alive_parities(ext)) * chunk
-        yield from self._span_wait(
-            self._charge_write_staging(staged, ext), ctx, "staging"
-        )
+        yield self._charge_write_staging(staged, ext, ctx)
         write_events = self._segment_writes(ext, io_data, ctx, deadline_ns)
         write_events += self._parity_writes(ext, parity_blocks, ctx, deadline_ns)
         yield AllOf(self.env, write_events)
@@ -633,14 +614,8 @@ class HostCentricRaid(RaidArray):
             for d in survivors
         ]
         blocks = yield from self._gather(read_events)
-        yield from self._span_wait(
-            self._charge_reconstruct_staging(region_len * len(blocks), ext),
-            ctx,
-            "staging",
-        )
-        yield from self._span_wait(
-            self._charge_xor(len(blocks) + 1, region_len), ctx, "xor"
-        )
+        yield self._charge_reconstruct_staging(region_len * len(blocks), ext, ctx)
+        yield self._charge_xor(len(blocks) + 1, region_len, ctx)
         parity_blocks = [None] * self.code.m
         if self.functional:
             # the region's full data image: survivors plus the new data
@@ -659,9 +634,7 @@ class HostCentricRaid(RaidArray):
         ]
         finish = self._subscribe_early(write_events)
         if self.code.gf_pass and len(write_events) > 1:
-            yield from self._span_wait(
-                self._charge_gf(len(survivors) + 1, region_len), ctx, "gf"
-            )
+            yield self._charge_gf(len(survivors) + 1, region_len, ctx)
         yield finish if finish is not None else AllOf(self.env, write_events)
 
     def _write_degraded_data(self, ext: StripeExtent, io_data, lost,
@@ -707,12 +680,8 @@ class HostCentricRaid(RaidArray):
         for p, blk in zip(parities_to_read, blocks[len(survivors):]):
             parity_blocks[p] = blk
         source_bytes = chunk * len(blocks)
-        yield from self._span_wait(
-            self._charge_reconstruct_staging(source_bytes, ext), ctx, "staging"
-        )
-        yield from self._span_wait(
-            self._charge_xor(len(blocks), chunk), ctx, "xor"
-        )
+        yield self._charge_reconstruct_staging(source_bytes, ext, ctx)
+        yield self._charge_xor(len(blocks), chunk, ctx)
         stripe_img: Optional[List[np.ndarray]] = None
         if self.functional:
             present = dict(zip(survivors, survivor_blocks))
@@ -738,9 +707,7 @@ class HostCentricRaid(RaidArray):
                 stripe_img.append(base)
         new_parity = yield from self._encode_parities(stripe_img, ctx)
         staged = chunk * (len(survivors) + len(self._alive_parities(ext)))
-        yield from self._span_wait(
-            self._charge_write_staging(staged, ext), ctx, "staging"
-        )
+        yield self._charge_write_staging(staged, ext, ctx)
         write_events = self._segment_writes(
             ext, io_data, ctx, deadline_ns, skip=failed
         )

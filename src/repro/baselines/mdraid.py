@@ -52,26 +52,33 @@ class MdRaid(HostCentricRaid):
         self, cluster: Cluster, geometry: RaidGeometry, name: str = "md", **kwargs
     ) -> None:
         super().__init__(cluster, geometry, name=name, **kwargs)
-        #: The single md/raidX kernel thread everything serializes on.
-        self.md_thread = CpuCore(self.env, f"{name}.raid-thread")
+        #: The single md/raidX kernel thread everything serializes on; its
+        #: staging spans render on the host's CPU track.
+        self.md_thread = CpuCore(
+            self.env, f"{name}.raid-thread", self.machine.cpu.track
+        )
+        self.md_thread.tracer = self._tracer
 
     def _rows(self, ext: StripeExtent) -> int:
         span_off, span_len = ext.parity_span()
         return max(1, (span_len + PAGE - 1) // PAGE)
 
-    def _charge_write_staging(self, staged_bytes: int, ext: StripeExtent):
+    def _charge_write_staging(self, staged_bytes: int, ext: StripeExtent, ctx=None):
         pages = (staged_bytes + PAGE - 1) // PAGE
         head = self._rows(ext) * self.geometry.num_drives * self.head_ns_per_row_per_drive
-        return self.md_thread.execute(pages * self.page_ns + head)
+        return self.md_thread.execute(pages * self.page_ns + head, ctx=ctx, span="staging")
 
-    def _charge_reconstruct_staging(self, source_bytes: int, ext: StripeExtent):
+    def _charge_reconstruct_staging(self, source_bytes: int, ext: StripeExtent,
+                                    ctx=None):
         pages = (source_bytes + PAGE - 1) // PAGE
         head = self._rows(ext) * self.geometry.num_drives * self.recon_head_ns
-        return self.md_thread.execute(pages * self.recon_page_ns + head)
+        return self.md_thread.execute(
+            pages * self.recon_page_ns + head, ctx=ctx, span="staging"
+        )
 
-    def _charge_degraded_read_staging(self, nbytes: int, ext: StripeExtent):
+    def _charge_degraded_read_staging(self, nbytes: int, ext: StripeExtent, ctx=None):
         # MD's read bypass is off on degraded arrays: reads page through
         # the stripe cache even when their chunk is intact.
         pages = (nbytes + PAGE - 1) // PAGE
         head = self._rows(ext) * self.geometry.num_drives * self.head_ns_per_row_per_drive
-        return self.md_thread.execute(pages * self.page_ns + head)
+        return self.md_thread.execute(pages * self.page_ns + head, ctx=ctx, span="staging")

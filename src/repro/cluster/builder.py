@@ -53,8 +53,8 @@ class ClusterConfig:
     propagation_ns: int = 1_500
     rdma_op_ns: int = 3_000
     #: Per-attempt I/O timeout for the RAID controllers built on this
-    #: cluster (§5.4 prolonged-failure detection).  Controllers may override
-    #: it per array via their ``timeout_ns`` constructor parameter.
+    #: cluster (§5.4 prolonged-failure detection): each array's
+    #: ``timeout_ns``, which may be reassigned on the instance.
     io_timeout_ns: int = 50_000_000
     #: None (the default) leaves tracing/utilization sampling entirely
     #: unarmed — runs are byte-identical to an unobserved simulation.  Set

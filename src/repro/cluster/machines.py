@@ -17,19 +17,31 @@ class CpuCore:
     order at real-time rate (one nanosecond of work per nanosecond): a
     one-server 1 byte/ns :class:`~repro.sim.resources.BandwidthChannel`
     with no arithmetic left, in place because every command charges one.
+
+    A traced charge (``ctx`` given, core armed) records its own ``compute``
+    span on ``track`` — submission to completion, queueing included — when
+    its timer fires, so span ids keep the order of the simulated steps.
     """
 
-    def __init__(self, env: Environment, name: str = "core") -> None:
+    #: A :class:`repro.obs.Tracer`, armed by :class:`repro.obs.Observability`
+    #: (MD's raid thread by its array); None keeps every charge untraced.
+    tracer = None
+
+    def __init__(self, env: Environment, name: str = "core", track: str = "cpu") -> None:
         self.env = env
         self.name = name
+        #: the trace track this core's compute spans render on
+        self.track = track
         self._free_at = 0
         self.busy_ns = 0
 
     def execute(
-        self, work_ns: int, then: Optional[Callable[[Event], None]] = None
+        self, work_ns: int, then: Optional[Callable[[Event], None]] = None,
+        ctx=None, span: Optional[str] = None,
     ) -> Event:
         """Event that fires when ``work_ns`` of queued work completes;
-        ``then`` is its continuation (:meth:`Environment.timeout`)."""
+        ``then`` is its continuation (:meth:`Environment.timeout`).  ``ctx``
+        (a :class:`repro.obs.TraceContext`) parents the ``span`` it records."""
         if work_ns < 0:
             raise ValueError(f"negative work {work_ns}")
         env = self.env
@@ -40,7 +52,16 @@ class CpuCore:
         free = self._free_at
         self._free_at = done = (free if free > now else now) + work_ns
         self.busy_ns += work_ns
-        return env.timeout(done - now, work_ns, then)
+        if ctx is None or self.tracer is None:
+            return env.timeout(done - now, work_ns, then)
+        tracer, track = self.tracer, self.track
+
+        def record(event) -> None:
+            tracer.record(ctx, span, "compute", track, now, done)
+            if then is not None:
+                then(event)
+
+        return env.timeout(done - now, work_ns, record)
 
     def utilization(self, elapsed_ns: int) -> float:
         return self.busy_ns / elapsed_ns if elapsed_ns > 0 else 0.0
@@ -66,7 +87,9 @@ class Machine:
         self.name = name
         self.nics = nics
         self.cpu_profile = cpu_profile
-        self.cores = [CpuCore(env, f"{name}.core{i}") for i in range(num_cores)]
+        self.cores = [
+            CpuCore(env, f"{name}.core{i}", f"{name}.cpu") for i in range(num_cores)
+        ]
         self._next_core = 0
 
     @property

@@ -142,9 +142,6 @@ class DraidBdevServer:
         self.inflight = 0
         self.busy_rejections = 0
         self.deadline_rejections = 0
-        #: Observability: armed by the host controller when ``cluster.obs``
-        #: is set; server-side spans parent to each command's ``trace``.
-        self.tracer = None
         #: Verification: armed by the host controller when ``cluster.verify``
         #: is set; a :class:`repro.verify.protocol.ProtocolChecker` that
         #: audits every completion/fold this bdev produces.
@@ -243,7 +240,7 @@ class DraidBdevServer:
             self._complete(
                 origin, message.cid, self._completion_kind(message), ok=False,
                 error=f"{self.server.name}: deadline exceeded at target",
-                ctx=self._ctx(message), status="deadline",
+                ctx=message.trace, status="deadline",
             )
             return True
         if self.queue_depth is not None and self.inflight >= self.queue_depth:
@@ -251,7 +248,7 @@ class DraidBdevServer:
             self._complete(
                 origin, message.cid, self._completion_kind(message), ok=False,
                 error=f"{self.server.name}: submission queue full",
-                ctx=self._ctx(message), status="busy",
+                ctx=message.trace, status="busy",
             )
             return True
         return False
@@ -272,21 +269,6 @@ class DraidBdevServer:
             header_bytes=RESPONSE_BYTES,
         )
 
-    def _ctx(self, message):
-        """The trace context of ``message`` (None when tracing is off)."""
-        return message.trace if self.tracer is not None else None
-
-    def _span(self, work_event, ctx, name):
-        """Yield a CPU charge, recording a compute span (ns) when traced."""
-        if ctx is None:
-            yield work_event
-            return
-        t0 = self.env.now
-        yield work_event
-        self.tracer.record(
-            ctx, name, "compute", f"{self.server.name}.cpu", t0, self.env.now
-        )
-
     # -- plain NVMe-oF ------------------------------------------------------
 
     def _reply_plain(self, origin, cmd: NvmeOfCommand, ctx, data, error) -> None:
@@ -303,8 +285,8 @@ class DraidBdevServer:
     def _handle_partial_write(self, cmd: PartialWriteCmd, origin):
         cpu = self.server.cpu
         profile = self.server.cpu_profile
-        ctx = self._ctx(cmd)
-        yield from self._span(cpu.execute(profile.cmd_handle_ns), ctx, "draid.parse")
+        ctx = cmd.trace
+        yield cpu.execute(profile.cmd_handle_ns, ctx=ctx, span="draid.parse")
         try:
             if self.pipeline:
                 yield from self._partial_write_pipelined(cmd, origin, ctx)
@@ -391,9 +373,8 @@ class DraidBdevServer:
         forward_done = self.env.process(self._forward_partials(cmd, old_blocks, ctx))
         if write_event is not None:
             yield write_event
-            yield from self._span(
-                self.server.cpu.execute(self.server.cpu_profile.completion_ns),
-                ctx, "draid.complete",
+            yield self.server.cpu.execute(
+                self.server.cpu_profile.completion_ns, ctx=ctx, span="draid.complete"
             )
             # §5.3: the data bdev reports its own drive-write completion,
             # overlapping with partial-parity forwarding.
@@ -413,24 +394,23 @@ class DraidBdevServer:
             yield self.server.drive.write(cmd.drive_offset, cmd.length, cmd.data, ctx=ctx)
         yield self.env.process(self._forward_partials(cmd, old_blocks, ctx))
         if cmd.length:
-            yield from self._span(
-                self.server.cpu.execute(self.server.cpu_profile.completion_ns),
-                ctx, "draid.complete",
+            yield self.server.cpu.execute(
+                self.server.cpu_profile.completion_ns, ctx=ctx, span="draid.complete"
             )
             self._complete(origin, cmd.cid, "data", ctx=ctx)
 
     def _forward_partials(self, cmd: PartialWriteCmd, old_blocks, ctx=None):
         cpu = self.server.cpu
         profile = self.server.cpu_profile
-        yield from self._span(
-            cpu.execute(profile.xor_ns(cmd.fwd_length)), ctx, "draid.partial-xor"
+        yield cpu.execute(
+            profile.xor_ns(cmd.fwd_length), ctx=ctx, span="draid.partial-xor"
         )
         partial = self._build_partial(cmd, old_blocks)
         for dest, coefficient in cmd.dests:
             block = partial
             if coefficient is not None:
-                yield from self._span(
-                    cpu.execute(profile.gf_ns(cmd.fwd_length)), ctx, "draid.partial-gf"
+                yield cpu.execute(
+                    profile.gf_ns(cmd.fwd_length), ctx=ctx, span="draid.partial-gf"
                 )
                 if partial is not None:
                     block = GF.mul_bytes(coefficient, partial)
@@ -458,8 +438,8 @@ class DraidBdevServer:
     def _handle_parity(self, cmd: ParityCmd, origin):
         cpu = self.server.cpu
         profile = self.server.cpu_profile
-        ctx = self._ctx(cmd)
-        yield from self._span(cpu.execute(profile.cmd_handle_ns), ctx, "draid.parse")
+        ctx = cmd.trace
+        yield cpu.execute(profile.cmd_handle_ns, ctx=ctx, span="draid.parse")
         key = cmd.key
         state = self._parity_state(key)
         state.origin = origin
@@ -473,8 +453,8 @@ class DraidBdevServer:
                 self._complete(origin, cmd.cid, "parity", ok=False, error=str(exc),
                                ctx=ctx)
                 return
-            yield from self._span(
-                cpu.execute(profile.xor_ns(cmd.fwd_length)), ctx, "draid.parity-xor"
+            yield cpu.execute(
+                profile.xor_ns(cmd.fwd_length), ctx=ctx, span="draid.parity-xor"
             )
             state.old_parity = (cmd.fwd_offset, old)
         state.wait_num = (state.wait_num or 0) + cmd.wait_num
@@ -506,7 +486,7 @@ class DraidBdevServer:
                 rel = offset - cmd.fwd_offset
                 data[rel : rel + len(block)] ^= block
         origin = state.origin if state.origin is not None else self.host_end
-        ctx = self._ctx(cmd)
+        ctx = cmd.trace
         try:
             yield self.server.drive.write(
                 cmd.parity_drive_offset + cmd.fwd_offset, cmd.fwd_length, data, ctx=ctx
@@ -514,9 +494,8 @@ class DraidBdevServer:
         except (DriveFailedError, ValueError) as exc:
             self._complete(origin, cmd.cid, "parity", ok=False, error=str(exc), ctx=ctx)
             return
-        yield from self._span(
-            self.server.cpu.execute(self.server.cpu_profile.completion_ns),
-            ctx, "draid.complete",
+        yield self.server.cpu.execute(
+            self.server.cpu_profile.completion_ns, ctx=ctx, span="draid.complete"
         )
         self._complete(origin, cmd.cid, "parity", ctx=ctx)
 
@@ -525,8 +504,8 @@ class DraidBdevServer:
     def _handle_peer(self, msg: PeerMsg, end):
         cpu = self.server.cpu
         profile = self.server.cpu_profile
-        ctx = self._ctx(msg)
-        yield from self._span(cpu.execute(profile.cmd_handle_ns), ctx, "draid.parse")
+        ctx = msg.trace
+        yield cpu.execute(profile.cmd_handle_ns, ctx=ctx, span="draid.parse")
         if msg.key != RECON_KEY and self.blocking_reduce:
             # §5.2 ablation: a barrier design cannot even fetch the partial
             # before the Parity command has set up the reduction, so the
@@ -539,8 +518,8 @@ class DraidBdevServer:
                 yield state.cmd_arrived
         # fetch the partial from the signalling peer (one-sided READ)
         yield end.rdma_read(msg.fwd_length, ctx=ctx)
-        yield from self._span(
-            cpu.execute(profile.xor_ns(msg.fwd_length)), ctx, "draid.reduce-xor"
+        yield cpu.execute(
+            profile.xor_ns(msg.fwd_length), ctx=ctx, span="draid.reduce-xor"
         )
         if msg.key == RECON_KEY:
             yield from self._reduce_recon_partial(msg)
@@ -564,8 +543,8 @@ class DraidBdevServer:
     def _handle_reconstruction(self, cmd: ReconstructionCmd, origin):
         cpu = self.server.cpu
         profile = self.server.cpu_profile
-        ctx = self._ctx(cmd)
-        yield from self._span(cpu.execute(profile.cmd_handle_ns), ctx, "draid.parse")
+        ctx = cmd.trace
+        yield cpu.execute(profile.cmd_handle_ns, ctx=ctx, span="draid.parse")
         # read the union of the normal-read segment and the recon region
         # (a single drive I/O even when they are disjoint, §6.1)
         spans = [(cmd.region_offset, cmd.region_offset + cmd.region_length)]
@@ -606,9 +585,7 @@ class DraidBdevServer:
             if self.functional:
                 rel = offset - union_start
                 seg = block[rel : rel + length]
-            yield from self._span(
-                cpu.execute(profile.completion_ns), ctx, "draid.complete"
-            )
+            yield cpu.execute(profile.completion_ns, ctx=ctx, span="draid.complete")
             # normal-read bytes return directly to the host (§6.1 key idea)
             self._complete(origin, cmd.cid, "read", data=seg, io_offset=io_offset,
                            payload=length, ctx=ctx)
@@ -628,21 +605,17 @@ class DraidBdevServer:
         cmd = state.cmd
         del self._recon_states[cid]
         profile = self.server.cpu_profile
-        ctx = self._ctx(cmd)
-        yield from self._span(
-            self.server.cpu.execute(
-                profile.xor_ns(cmd.region_length) * max(1, len(state.blocks) - 1)
-            ),
-            ctx, "draid.decode",
+        ctx = cmd.trace
+        yield self.server.cpu.execute(
+            profile.xor_ns(cmd.region_length) * max(1, len(state.blocks) - 1),
+            ctx=ctx, span="draid.decode",
         )
         result = None
         if self.functional:
             result = decode_lost(
                 code_for(cmd.code), cmd.lost, state.blocks, cmd.region_length
             )
-        yield from self._span(
-            self.server.cpu.execute(profile.completion_ns), ctx, "draid.complete"
-        )
+        yield self.server.cpu.execute(profile.completion_ns, ctx=ctx, span="draid.complete")
         origin = state.origin if state.origin is not None else self.host_end
         self._complete(origin, cmd.cid, "recon", data=result,
                        io_offset=cmd.lost_io_offset, payload=cmd.region_length,

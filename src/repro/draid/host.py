@@ -98,13 +98,12 @@ class DraidArray(RaidArray):
         selector=None,
         pipeline: bool = True,
         blocking_reduce: bool = False,
-        timeout_ns: Optional[int] = None,
         failslow_detector=None,
         code: Optional[LinearCode] = None,
     ) -> None:
         self.pipeline = pipeline
         self.blocking_reduce = blocking_reduce
-        super().__init__(cluster, geometry, name=name, timeout_ns=timeout_ns)
+        super().__init__(cluster, geometry, name=name)
         self.selector = selector or RandomReducerSelector(seed=17)
         self.failslow_detector = failslow_detector
         if code is not None:
@@ -144,7 +143,6 @@ class DraidArray(RaidArray):
             for member in members
         ]
         for bdev_server in self.bdev_servers:
-            bdev_server.tracer = self._tracer
             bdev_server.verifier = self._protocol_verifier
         #: the controller's command channel to each member's bdev server;
         #: completions come back on the same end
@@ -763,7 +761,7 @@ class DraidArray(RaidArray):
         for row, p in alive_parities:
             if lost is not None:
                 if self.code.partial_charged(row):
-                    yield from self._span_wait(self._charge_gf(1, fwd_len), ctx, "gf")
+                    yield self._charge_gf(1, fwd_len, ctx)
                 self.host_ends[p].send(
                     PeerMsg(cid, key=cid, fwd_offset=fwd_off, fwd_length=fwd_len,
                             source=("data", lost.data_index), data=partials[row],

@@ -74,10 +74,7 @@ class StatelessTargetDraid(DraidArray):
                     ctx, deadline_ns,
                 )
                 if not errors:
-                    yield from self._span_wait(
-                        self._charge_xor(max(1, len(blocks) - 1), region_len),
-                        ctx, "xor",
-                    )
+                    yield self._charge_xor(max(1, len(blocks) - 1), region_len, ctx)
                     if self.functional:
                         block = decode_lost(
                             self.code, ("data", seg.data_index), blocks, region_len

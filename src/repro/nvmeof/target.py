@@ -45,30 +45,17 @@ def serve_plain(
     CPU parse → [one-sided pull of a write's payload] → drive I/O → CPU
     complete → reply.  A drive error is answered with an error completion.
 
-    ``owner`` is the server-side controller (``env``, ``server``, the
-    ``tracer`` it is armed with), ``spans`` names its parse and completion
-    charges, ``reply(end, command, ctx, data, error)`` sends its kind of
-    completion, always last.  Each step is made with its timer, as the
-    timer's only callback (``then=``): nothing here is a process, so no
-    ``Initialize`` and no process end.
+    ``owner`` is the server-side controller (its ``server``), ``spans``
+    names its parse and completion charges, ``reply(end, command, ctx,
+    data, error)`` sends its kind of completion, always last.  Each step is
+    made with its timer, as the timer's only callback (``then=``): nothing
+    here is a process, so no ``Initialize`` and no process end.  The
+    command's ``trace`` goes to the core, link and drive, which record
+    their own spans when traced.
     """
     server = owner.server
-    tracer = owner.tracer
-    ctx = command.trace if tracer is not None else None
-
-    def charge(work_ns: int, span: str, then: Callable[[Any], None]) -> None:
-        """A CPU charge, recorded as a compute span when traced."""
-        if ctx is None:
-            server.cpu.execute(work_ns, then)
-            return
-        env = owner.env
-        t0 = env.now
-
-        def charged(event) -> None:
-            tracer.record(ctx, span, "compute", f"{server.name}.cpu", t0, env.now)
-            then(event)
-
-        server.cpu.execute(work_ns, charged)
+    cpu = server.cpu
+    ctx = command.trace
 
     def parsed(_event) -> None:
         try:
@@ -88,10 +75,11 @@ def serve_plain(
 
     def io_done(io) -> None:
         data = io._value  # a read's payload (functional mode), else None
-        charge(server.cpu_profile.completion_ns, spans[1],
-               lambda _event: reply(end, command, ctx, data, None))
+        cpu.execute(server.cpu_profile.completion_ns,
+                    lambda _event: reply(end, command, ctx, data, None),
+                    ctx, spans[1])
 
-    charge(server.cpu_profile.cmd_handle_ns, spans[0], parsed)
+    cpu.execute(server.cpu_profile.cmd_handle_ns, parsed, ctx, spans[0])
 
 
 class NvmeOfTarget:
@@ -120,8 +108,6 @@ class NvmeOfTarget:
         self.inflight = 0
         self.busy_rejections = 0
         self.deadline_rejections = 0
-        #: Observability: armed by the controller when ``cluster.obs`` is set.
-        self.tracer = None
         host_end.inbox.consume(self._serve)
 
     def crash(self, down_ns: int) -> None:

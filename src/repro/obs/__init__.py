@@ -3,12 +3,12 @@
 Arm a cluster by passing ``ClusterConfig(observability=ObservabilityConfig())``
 to :func:`repro.cluster.builder.build_cluster`.  That attaches an
 :class:`Observability` hub to ``cluster.obs`` — a :class:`~repro.obs.trace.Tracer`
-that components record spans into, plus a
+that the resources record their own spans into (every CPU core, NIC link
+and drive; each array arms its stripe locks), plus a
 :class:`~repro.obs.sampler.UtilizationSampler` ready to be started around a
-measurement window.  When the knob is left ``None`` (the default), every
-instrumentation site short-circuits on a single ``is None`` check, no trace
-context objects are created, and no sampling events are scheduled — runs are
-byte-identical to an unobserved simulation.
+measurement window.  When the knob is left ``None`` (the default), no
+resource is armed, no trace context objects are created, and no sampling
+events are scheduled — runs are byte-identical to an unobserved simulation.
 
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and how to open an
 exported trace in Perfetto.
@@ -17,7 +17,7 @@ exported trace in Perfetto.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.obs.sampler import RESOURCE_CLASSES, BottleneckReport, UtilizationSampler
 from repro.obs.trace import (
@@ -52,16 +52,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObservabilityConfig:
-    """Knobs for the observability layer of one cluster.
+    """The marker that arms a cluster's observability layer.
 
-    ``trace`` enables span collection (per-I/O trace contexts threaded
-    through the datapath); ``sample_interval_ns`` sets the utilization
-    sampler's period in simulated nanoseconds.  The sampler is created
-    either way but only runs between explicit ``start()``/``stop()`` calls.
+    An armed cluster always traces (per-I/O trace contexts threaded through
+    the datapath) and samples utilization every 200 µs of simulated time;
+    the sampler only runs between explicit ``start()``/``stop()`` calls.
     """
-
-    trace: bool = True
-    sample_interval_ns: int = 200_000
 
 
 class Observability:
@@ -69,16 +65,20 @@ class Observability:
 
     Built by :func:`repro.cluster.builder.build_cluster` when
     ``ClusterConfig.observability`` is set; arming wires the tracer into
-    the fabric and every drive so transport- and media-level spans are
-    recorded without per-call plumbing.
+    the fabric, every drive and every core of every machine, so those
+    resources record their own transfer, media and compute spans without
+    per-call plumbing.
     """
 
     def __init__(self, cluster: Any, config: ObservabilityConfig) -> None:
         self.config = config
         self.cluster = cluster
-        self.tracer: Optional[Tracer] = Tracer() if config.trace else None
-        self.sampler = UtilizationSampler(cluster, config.sample_interval_ns)
+        self.tracer = Tracer()
+        self.sampler = UtilizationSampler(cluster)
         cluster.fabric.tracer = self.tracer
+        for machine in (cluster.host, *cluster.servers):
+            for core in machine.cores:
+                core.tracer = self.tracer
         for server in cluster.servers:
             for drive in server.drives:
                 drive._tracer = self.tracer

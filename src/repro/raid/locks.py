@@ -15,6 +15,10 @@ When a :class:`repro.verify.kernel.KernelSanitizer` is armed (via
 so the sanitizer can detect lock-order inversions, double releases, leaked
 holds and deadlocks.  Unarmed managers keep the exact pre-sanitizer
 behavior: every hook sits behind an ``is None`` check on a class attribute.
+
+A traced manager (its array arms ``tracer``) records a contended acquire's
+wait as a ``lock-wait`` span ``stripe-N`` on ``track``, when the grant is
+dispatched; an uncontended acquire waits no time and records nothing.
 """
 
 from __future__ import annotations
@@ -70,9 +74,14 @@ class StripeLockManager:
     #: Armed by :class:`repro.verify.kernel.KernelSanitizer.watch_locks`;
     #: None keeps acquire/release on their zero-cost paths.
     sanitizer = None
+    #: A :class:`repro.obs.Tracer`, armed by the owning array; None records
+    #: no lock-wait spans.
+    tracer = None
 
-    def __init__(self, env: Environment) -> None:
+    def __init__(self, env: Environment, track: str = "locks") -> None:
         self.env = env
+        #: the trace track this manager's lock-wait spans render on
+        self.track = track
         self._waiting: Dict[int, Deque[_LockAcquire]] = {}
         self._held: Dict[int, bool] = {}
         self.contended_acquires = 0  #: how often a lock request had to wait
@@ -86,8 +95,9 @@ class StripeLockManager:
     def acquire(self, stripe: int, ctx: Optional[Any] = None) -> Event:
         """Event that succeeds once the stripe lock is held by the caller.
 
-        ``ctx`` is an optional :class:`repro.obs.TraceContext`: it is only
-        consulted by an armed sanitizer, which attaches it to any
+        ``ctx`` is an optional :class:`repro.obs.TraceContext`: a traced
+        manager parents a contended acquire's lock-wait span to it, and an
+        armed sanitizer attaches it to any
         :class:`~repro.verify.InvariantViolation` blaming this acquire.
         """
         event = _LockAcquire(self, stripe)
@@ -100,6 +110,11 @@ class StripeLockManager:
             self.contended_acquires += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_lock_acquire(self, stripe, event, ctx, granted=False)
+            if ctx is not None and self.tracer is not None:
+                tracer, track, start = self.tracer, self.track, self.env.now
+                event.callbacks.append(lambda granted: tracer.record(
+                    ctx, f"stripe-{stripe}", "lock-wait", track, start, granted.env.now
+                ))
             self._waiting.setdefault(stripe, deque()).append(event)
         return event
 

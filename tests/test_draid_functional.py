@@ -325,10 +325,10 @@ def await_in_turn(cls, arrivals, deadline_ns):
     timer (``late-hop``) or a timer and the wake it makes (``late-wake``).
     Returns ``(wait began, wait ended, expired, completions)`` per op."""
     env = Environment()
-    cluster = build_cluster(env, ClusterConfig(num_servers=5))
-    array = cls(
-        cluster, RaidGeometry(RaidLevel.RAID5, 5, TEST_CHUNK), timeout_ns=AWAIT_TIMEOUT
+    cluster = build_cluster(
+        env, ClusterConfig(num_servers=5, io_timeout_ns=AWAIT_TIMEOUT)
     )
+    array = cls(cluster, RaidGeometry(RaidLevel.RAID5, 5, TEST_CHUNK))
     ops = []
     for i, (at, how) in enumerate(arrivals):
         member = i % 5

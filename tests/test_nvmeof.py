@@ -190,8 +190,8 @@ class _HandlerProcessTarget(NvmeOfTarget):
             return
         cpu = self.server.cpu
         profile = self.server.cpu_profile
-        tracer = self.tracer
-        ctx = command.trace if tracer is not None else None
+        tracer = cpu.tracer
+        ctx = command.trace
         track = f"{self.server.name}.cpu"
         t0 = self.env.now
         yield cpu.execute(profile.cmd_handle_ns)
@@ -251,10 +251,21 @@ class _HandlerProcessBdev(DraidBdevServer):
             handler = self._run_bounded(handler)
         self.env.process(handler)
 
+    def _span(self, work_event, ctx, name):
+        """Yield a CPU charge, recording a compute span (ns) when traced."""
+        if ctx is None:
+            yield work_event
+            return
+        t0 = self.env.now
+        yield work_event
+        self.server.cpu.tracer.record(
+            ctx, name, "compute", f"{self.server.name}.cpu", t0, self.env.now
+        )
+
     def _handle_plain(self, cmd, origin):
         cpu = self.server.cpu
         profile = self.server.cpu_profile
-        ctx = self._ctx(cmd)
+        ctx = cmd.trace
         read = cmd.opcode is Opcode.READ
         yield from self._span(cpu.execute(profile.cmd_handle_ns), ctx, "draid.parse")
         try:
@@ -294,7 +305,7 @@ def serve_script(kind, oracle, script, queue_depth=None, traced=False):
     else:
         server = cls(cluster, 0, queue_depth=queue_depth)
     tracer = Tracer() if traced else None
-    server.tracer = tracer
+    cluster.servers[0].cpu.tracer = tracer
     drive = cluster.servers[0].drive
     completions = []
 

@@ -197,15 +197,23 @@ class TestZeroCostDisabled:
         fio.run(warmup_ns=100_000, measure_ns=200_000)
         assert array.cluster.obs is None
 
-    def test_armed_and_unarmed_results_identical(self):
-        """Arming the tracer must not perturb the simulated outcome."""
-        plain = build_array("dRAID")
-        fio_plain = FioWorkload(plain, 4 * KB, queue_depth=2, seed=77)
-        r1 = fio_plain.run(warmup_ns=100_000, measure_ns=400_000)
-        armed = build_array("dRAID", observability=ObservabilityConfig())
-        fio_armed = FioWorkload(armed, 4 * KB, queue_depth=2, seed=77)
-        r2 = fio_armed.run(warmup_ns=100_000, measure_ns=400_000)
-        assert r1 == r2
+    @pytest.mark.parametrize("system", ["Linux", "SPDK", "dRAID"])
+    def test_armed_and_unarmed_results_identical(self, system):
+        """Arming the tracer must not perturb the simulated outcome; past
+        the sampler's own wakeups it adds not one calendar entry."""
+
+        def run(observability, sampled=True):
+            array = build_array(system, observability=observability)
+            fio = FioWorkload(array, 4 * KB, queue_depth=2, seed=77)
+            if not sampled:
+                fio._obs = None  # traced, but the sampler is never started
+            return fio.run(warmup_ns=100_000, measure_ns=400_000), array.env._eid
+
+        plain, plain_eid = run(None)
+        armed, _ = run(ObservabilityConfig())
+        traced, traced_eid = run(ObservabilityConfig(), sampled=False)
+        assert plain == armed == traced
+        assert plain_eid == traced_eid
 
 
 class TestTracerUnit:
