@@ -117,7 +117,7 @@ class RaidArray(ABC):
         #: messages and the sanitizer's reports)
         self._read_name = f"{name}.read"
         self._write_name = f"{name}.write"
-        self.locks = StripeLockManager(self.env, f"{self.machine.name}.locks")
+        self.locks = StripeLockManager(self.env)
         #: §5.4 host-failure recovery: stripes with in-flight writes
         self.bitmap = WriteIntentBitmap()
         self.stats = RaidIoStats()

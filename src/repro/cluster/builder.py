@@ -253,7 +253,7 @@ def build_cluster(env: Environment, config: Optional[ClusterConfig] = None) -> C
         env, fabric, host, servers, host_connections, peer_connections, config
     )
     if config.observability is not None:
-        cluster.obs = Observability(cluster, config.observability)
+        cluster.obs = Observability(cluster)
     if config.verify is not None:
         cluster.verify = Verifier(cluster, config.verify)
     if config.overload is not None:

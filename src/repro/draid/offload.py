@@ -71,9 +71,8 @@ class OffloadedController(DraidArray):
         # :meth:`_server_of` leaves for members
         super().__init__(cluster, geometry, name=name, **kwargs)
         # every orchestration CPU cycle is charged to the controller
-        # server's single poll-mode core, and its stripe locks live there
+        # server's single poll-mode core
         self.machine = cluster.servers[controller_server]
-        self.locks.track = f"{self.machine.name}.locks"
 
     # -- topology ---------------------------------------------------------
 

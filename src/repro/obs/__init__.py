@@ -70,8 +70,7 @@ class Observability:
     per-call plumbing.
     """
 
-    def __init__(self, cluster: Any, config: ObservabilityConfig) -> None:
-        self.config = config
+    def __init__(self, cluster: Any) -> None:
         self.cluster = cluster
         self.tracer = Tracer()
         self.sampler = UtilizationSampler(cluster)

@@ -17,8 +17,8 @@ holds and deadlocks.  Unarmed managers keep the exact pre-sanitizer
 behavior: every hook sits behind an ``is None`` check on a class attribute.
 
 A traced manager (its array arms ``tracer``) records a contended acquire's
-wait as a ``lock-wait`` span ``stripe-N`` on ``track``, when the grant is
-dispatched; an uncontended acquire waits no time and records nothing.
+wait as a ``lock-wait`` span ``stripe-N`` on ``host.locks``, when the grant
+is dispatched; an uncontended acquire waits no time and records nothing.
 """
 
 from __future__ import annotations
@@ -78,10 +78,8 @@ class StripeLockManager:
     #: no lock-wait spans.
     tracer = None
 
-    def __init__(self, env: Environment, track: str = "locks") -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        #: the trace track this manager's lock-wait spans render on
-        self.track = track
         self._waiting: Dict[int, Deque[_LockAcquire]] = {}
         self._held: Dict[int, bool] = {}
         self.contended_acquires = 0  #: how often a lock request had to wait
@@ -111,9 +109,10 @@ class StripeLockManager:
             if self.sanitizer is not None:
                 self.sanitizer.on_lock_acquire(self, stripe, event, ctx, granted=False)
             if ctx is not None and self.tracer is not None:
-                tracer, track, start = self.tracer, self.track, self.env.now
+                tracer, start = self.tracer, self.env.now
                 event.callbacks.append(lambda granted: tracer.record(
-                    ctx, f"stripe-{stripe}", "lock-wait", track, start, granted.env.now
+                    ctx, f"stripe-{stripe}", "lock-wait", "host.locks", start,
+                    granted.env.now,
                 ))
             self._waiting.setdefault(stripe, deque()).append(event)
         return event

@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from repro import build_testbed
 from repro.cluster import ClusterConfig, build_cluster
+from repro.draid.offload import OffloadedController
 from repro.experiments.common import build_array, traced_fio_point
 from repro.experiments.runner import SweepPoint, run_points
 from repro.obs import (
@@ -29,7 +31,7 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.metrics.report import Row, format_table
-from repro.raid.geometry import RaidLevel
+from repro.raid.geometry import RaidGeometry, RaidLevel
 from repro.sim import Environment
 from repro.workloads import FioWorkload
 
@@ -159,6 +161,51 @@ class TestLockWaitSpan:
         assert wait.start_ns == submit.end_ns
         assert wait.end_ns == released[0]
         assert wait.start_ns < wait.end_ns
+
+
+class TestBackoffSpan:
+    def test_retry_pause_is_recorded_under_the_request(self):
+        """A read whose first attempt is lost to crashed targets retries
+        after a backoff pause, recorded as one span of the request."""
+        array = build_array("SPDK", observability=ObservabilityConfig())
+        array._force_resilient = True
+        array.timeout_ns = 200_000
+        for target in array.targets:
+            target.crash(100_000)
+        tracer = array.cluster.obs.tracer
+        ctx = tracer.new_request()
+        array.env.run(until=array.read(0, 4 * KB, ctx=ctx))
+        assert array.stats.retries == 1
+        pause, = [s for s in tracer.spans if s.cat == "backoff"]
+        assert (pause.name, pause.track, pause.parent_id) == (
+            "retry-backoff", "host.cpu", ctx.span_id)
+        assert pause.start_ns == 2_000 + 200_000  # submit, then one timeout
+        assert pause.end_ns > pause.start_ns
+
+
+def _compute_tracks(array):
+    """Tracks of the compute spans one traced 4 KiB write on ``array`` records."""
+    tracer = array.cluster.obs.tracer
+    array.env.run(until=array.write(0, 4 * KB, ctx=tracer.new_request()))
+    return {s.track for s in tracer.spans if s.cat == "compute"}
+
+
+class TestResourceTracks:
+    def test_named_cluster_cores_get_their_own_tracks(self):
+        _, _, array = build_testbed("dRAID", config=ClusterConfig(
+            name="r0", observability=ObservabilityConfig()))
+        tracks = _compute_tracks(array)
+        assert "r0.host.cpu" in tracks
+        assert tracks <= {"r0.host.cpu"} | {f"r0.server{i}.cpu" for i in range(8)}
+
+    def test_offloaded_controller_charges_its_server_core(self):
+        cluster = build_cluster(Environment(), ClusterConfig(
+            num_servers=6, observability=ObservabilityConfig()))
+        controller = OffloadedController(
+            cluster, RaidGeometry(RaidLevel.RAID5, 5, 16 * KB), controller_server=0
+        )
+        tracks = _compute_tracks(controller)
+        assert "server0.cpu" in tracks and "host.cpu" not in tracks
 
 
 class TestBottleneckReport:
