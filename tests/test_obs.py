@@ -244,23 +244,24 @@ class TestZeroCostDisabled:
         fio.run(warmup_ns=100_000, measure_ns=200_000)
         assert array.cluster.obs is None
 
-    @pytest.mark.parametrize("system", ["Linux", "SPDK", "dRAID"])
-    def test_armed_and_unarmed_results_identical(self, system):
-        """Arming the tracer must not perturb the simulated outcome; past
-        the sampler's own wakeups it adds not one calendar entry."""
+    def test_armed_and_unarmed_results_identical(self):
+        """Arming the tracer must not perturb the simulated outcome on any
+        controller; past the sampler's own wakeups it adds not one calendar
+        entry."""
 
-        def run(observability, sampled=True):
+        def run(system, observability, sampled=True):
             array = build_array(system, observability=observability)
             fio = FioWorkload(array, 4 * KB, queue_depth=2, seed=77)
             if not sampled:
                 fio._obs = None  # traced, but the sampler is never started
             return fio.run(warmup_ns=100_000, measure_ns=400_000), array.env._eid
 
-        plain, plain_eid = run(None)
-        armed, _ = run(ObservabilityConfig())
-        traced, traced_eid = run(ObservabilityConfig(), sampled=False)
-        assert plain == armed == traced
-        assert plain_eid == traced_eid
+        for system in ("Linux", "SPDK", "dRAID"):
+            plain, plain_eid = run(system, None)
+            armed, _ = run(system, ObservabilityConfig())
+            traced, traced_eid = run(system, ObservabilityConfig(), sampled=False)
+            assert plain == armed == traced, system
+            assert plain_eid == traced_eid, system
 
 
 class TestTracerUnit:
