@@ -40,7 +40,7 @@ from repro.raid.geometry import ChunkSegment, RaidGeometry, StripeExtent
 from repro.raid.locks import StripeLockManager
 from repro.raid.modes import WriteMode, WritePlan, plan_write
 from repro.storage.integrity import ChecksumError
-from repro.sim.core import AllOf, Environment, Event, _defuse_on_failure
+from repro.sim.core import AllOf, AnyOf, Environment, Event, _defuse_on_failure
 
 
 @dataclass
@@ -54,7 +54,7 @@ class RaidIoStats:
     rcw_writes: int = 0
     full_stripe_writes: int = 0
     degraded_writes: int = 0
-    #: full-stripe retries after timeout/error (dRAID, §5.4)
+    #: retries after timeout/error (§5.4), every datapath
     retries: int = 0
     #: reconstructions delegated to a remote reducer (dRAID, §6.1)
     remote_reconstructions: int = 0
@@ -306,6 +306,43 @@ class RaidArray(ABC):
             return range(self.geometry.num_drives)
         return sorted(self.geometry.stripe_drives(stripe))
 
+    # -- §5.4 attempts: one loop, one expiry race -----------------------------
+
+    def _attempts(self, attempt, kind: str, stripe: int, deadline_ns=None, ctx=None,
+                  retries: Optional[int] = None, pause: bool = True):
+        """Run ``attempt(n)`` for ``n = 0, 1, ...`` until one succeeds.
+
+        ``attempt(n)`` is the datapath's part: a generator that runs attempt
+        ``n`` — for ``n >= 1`` after its own between-attempts step (re-route,
+        pin, host fallback) — and returns whether it succeeded.  The rest is
+        the one retry rule every datapath shares: after ``retries`` failed
+        retries (default :attr:`max_retries`) a terminal :class:`IoError`;
+        before each retry the gate (:meth:`_admit_retry`), the counters and,
+        on a resilient array, the backoff pause.  A reconstruction retries
+        without one (``pause=False``): the members its failed attempt hit
+        are marked, so the retry routes around them at once.  A success
+        deposits a retry-budget token.
+        """
+        limit = self.max_retries if retries is None else retries
+        n = 0
+        while not (yield from attempt(n)):
+            n += 1
+            if n > limit:
+                if self.resilient:
+                    self.fault_stats.io_errors += 1
+                raise IoError(
+                    f"{self.name}: {kind} on stripe {stripe} failed after {n} attempts"
+                )
+            remaining = self._admit_retry(kind, stripe, deadline_ns)
+            self.stats.retries += 1
+            if self.resilient:
+                self.fault_stats.retries += 1
+                if pause:
+                    yield from self._backoff_pause(n, remaining, ctx)
+        qos = self.qos
+        if qos is not None and qos.retry_budget is not None:
+            qos.retry_budget.note_success()
+
     def _backoff_pause(self, attempts: int, remaining, ctx):
         """Sleep the jittered backoff before retry ``attempts`` (never past
         the ``remaining`` deadline budget), recording its span when traced."""
@@ -318,6 +355,25 @@ class RaidArray(ABC):
                 self._tracer.record(ctx, "retry-backoff", "backoff",
                                     self.machine.cpu.track, now, now + pause_ns)
             yield self.env.timeout(pause_ns)
+
+    def _race(self, event: Event, timeout_ns: int, drain: bool = False):
+        """Race ``event`` against its §5.4 guard timer; whether it won.
+
+        A lost race counts a timeout.  A ``drain``-ing caller (a mutation)
+        then gives ``event`` ``drain_factor x timeout_ns`` more to land — a
+        retry must never race the attempt it replaces.  If ``event`` is
+        still pending on return, the caller fences whoever stayed silent.
+        A failed ``event`` raises here.
+        """
+        yield AnyOf(self.env, [event, self.env.timeout(timeout_ns)])
+        if event.triggered:
+            return True
+        self.fault_stats.timeouts += 1
+        if drain:
+            yield AnyOf(
+                self.env, [event, self.env.timeout(self.drain_factor * timeout_ns)]
+            )
+        return False
 
     # -- overload control (repro.qos) -------------------------------------------
     #
@@ -344,46 +400,39 @@ class RaidArray(ABC):
             return None
         return deadline_ns - self.env.now
 
-    def _deadline_spent(self, kind: str, stripe: int):
-        """Terminal abandon: the request's deadline budget is exhausted."""
-        if self.qos is not None:
-            self.qos.stats.deadline_exceeded += 1
-        self.fault_stats.io_errors += 1
-        raise DeadlineExceeded(
-            f"{self.name}: {kind} on stripe {stripe} exceeded its deadline"
-        )
-
-    def _charge_retry(self, kind: str, stripe: int) -> None:
-        """Spend one retry-budget token; terminal IoError when denied.
-
-        Caps retry amplification under overload (the SRE retry-budget
-        rule): when the whole array is failing, retries stop being free.
-        """
-        qos = self.qos
-        if qos is None or qos.retry_budget is None:
-            return
-        if not qos.retry_budget.try_spend():
-            qos.stats.retries_denied += 1
+    def _deadline_left(self, kind: str, stripe: int, deadline_ns):
+        """Budget (ns) left before ``deadline_ns`` (None when undeadlined);
+        a spent budget abandons the request: terminal
+        :class:`DeadlineExceeded`."""
+        remaining = self._deadline_remaining(deadline_ns)
+        if remaining is not None and remaining <= 0:
+            if self.qos is not None:
+                self.qos.stats.deadline_exceeded += 1
             self.fault_stats.io_errors += 1
-            raise IoError(
-                f"{self.name}: {kind} on stripe {stripe}: retry budget exhausted"
+            raise DeadlineExceeded(
+                f"{self.name}: {kind} on stripe {stripe} exceeded its deadline"
             )
+        return remaining
 
     def _admit_retry(self, kind: str, stripe: int, deadline_ns):
         """Gate one retry: terminal when the request's deadline budget is
         spent or the retry budget denies it.  Returns the budget left (ns;
-        None when undeadlined)."""
-        remaining = self._deadline_remaining(deadline_ns)
-        if remaining is not None and remaining <= 0:
-            self._deadline_spent(kind, stripe)
-        self._charge_retry(kind, stripe)
-        return remaining
+        None when undeadlined).
 
-    def _note_success(self) -> None:
-        """Deposit a fractional retry token on operation success."""
+        The retry budget caps retry amplification under overload (the SRE
+        retry-budget rule): when the whole array is failing, retries stop
+        being free.
+        """
+        remaining = self._deadline_left(kind, stripe, deadline_ns)
         qos = self.qos
         if qos is not None and qos.retry_budget is not None:
-            qos.retry_budget.note_success()
+            if not qos.retry_budget.try_spend():
+                qos.stats.retries_denied += 1
+                self.fault_stats.io_errors += 1
+                raise IoError(
+                    f"{self.name}: {kind} on stripe {stripe}: retry budget exhausted"
+                )
+        return remaining
 
     def _admitted(self, body, priority: str):
         """Run a top-level I/O under the bounded admission queue.

@@ -28,7 +28,7 @@ from repro.nvmeof.messages import IoError
 from repro.nvmeof.target import NvmeOfTarget
 from repro.raid.geometry import ChunkSegment, StripeExtent
 from repro.raid.modes import WriteMode, plan_write
-from repro.sim.core import AllOf, AnyOf, Interrupt, _defuse_on_failure
+from repro.sim.core import AllOf, Interrupt, _defuse_on_failure
 
 
 class HostCentricRaid(RaidArray):
@@ -112,41 +112,6 @@ class HostCentricRaid(RaidArray):
         gathered.callbacks.append(_defuse_on_failure)
         return gathered
 
-    def _run_attempt(self, body, timeout_ns: int, drain: bool):
-        """Run one attempt generator under a deadline.
-
-        Returns True if the attempt succeeded.  A timed-out *write*
-        attempt is given a drain window (``drain_factor x timeout``) for
-        its straggling mutations to land — §5.4: a retry must never race
-        the attempt it replaces — after which unresponsive members are
-        fenced as prolonged failures and the attempt is abandoned.
-        """
-        attempt = self.env.process(body, name=self._attempt_name)
-        deadline = self.env.timeout(timeout_ns)
-        try:
-            yield AnyOf(self.env, [attempt, deadline])
-        except IoError:
-            return False
-        if attempt.triggered:
-            return bool(attempt._ok)
-        self.fault_stats.timeouts += 1
-        if drain:
-            drain_deadline = self.env.timeout(self.drain_factor * timeout_ns)
-            try:
-                yield AnyOf(self.env, [attempt, drain_deadline])
-            except IoError:
-                return False
-            if attempt.triggered:
-                return bool(attempt._ok)
-            self._fence_stragglers(timeout_ns)
-        if attempt.is_alive:
-            attempt.interrupt("attempt timed out")
-            try:
-                yield attempt
-            except (Interrupt, IoError):
-                pass
-        return False
-
     def _fence_stragglers(self, timeout_ns: int) -> None:
         """Fail members still holding commands after a drain window.
 
@@ -171,44 +136,49 @@ class HostCentricRaid(RaidArray):
         self, make_body, stripe: int, kind: str, drain: bool, ctx=None,
         deadline_ns=None, prepare=None,
     ):
-        """Attempt/backoff loop shared by resilient reads, pre-reads and
-        writes.
+        """Run ``make_body()`` through the frame's attempt loop
+        (:meth:`_attempts`) — resilient reads, pre-reads and writes.
 
-        With a deadline, each attempt's timeout is clamped to the
-        remaining budget (cumulative attempt timeouts charge against the
-        request deadline), and a spent budget is a terminal
-        :class:`DeadlineExceeded` — no retry ever starts past the
-        deadline.  Each retry also spends a retry-budget token when one is
-        armed.  ``prepare(attempts)``, when given, is a generator run
-        before each attempt's body is made (the write path pins its stripe
+        Each attempt first re-checks the stripe's tolerance and the
+        request deadline: a spent budget is a terminal
+        :class:`DeadlineExceeded`, and each attempt's timeout is clamped to
+        what is left of it (cumulative attempt timeouts charge against the
+        request deadline).  ``prepare(n)``, when given, is a generator run
+        before attempt ``n``'s body is made (the write path pins its stripe
         image there); its time is not taken off that attempt's timeout.
+
+        The body runs as its own process, raced against the timeout
+        (:meth:`_race`).  A timed-out *write* (``drain``) gets the drain
+        window for its straggling mutations to land, after which
+        unresponsive members are fenced as prolonged failures; a body still
+        running is then abandoned.
         """
-        attempts = 0
-        while True:
+        def attempt(n: int):
             self._check_tolerance(stripe)
-            remaining = self._deadline_remaining(deadline_ns)
-            if remaining is not None and remaining <= 0:
-                self._deadline_spent(kind, stripe)
+            remaining = self._deadline_left(kind, stripe, deadline_ns)
             if prepare is not None:
-                yield from prepare(attempts)
+                yield from prepare(n)
             timeout_ns = self.backoff.timeout_for(
-                attempts, self.timeout_ns, remaining_ns=remaining
+                n, self.timeout_ns, remaining_ns=remaining
             )
-            ok = yield from self._run_attempt(make_body(), timeout_ns, drain)
-            if ok:
-                self._note_success()
-                return
-            attempts += 1
-            if attempts > self.max_retries:
-                self.fault_stats.io_errors += 1
-                raise IoError(
-                    f"{self.name}: {kind} on stripe {stripe} failed after "
-                    f"{attempts} attempts"
-                )
-            remaining = self._admit_retry(kind, stripe, deadline_ns)
-            self.stats.retries += 1
-            self.fault_stats.retries += 1
-            yield from self._backoff_pause(attempts, remaining, ctx)
+            body = self.env.process(make_body(), name=self._attempt_name)
+            try:
+                yield from self._race(body, timeout_ns, drain)
+            except IoError:
+                return False
+            if body.triggered:
+                return bool(body._ok)
+            if drain:
+                self._fence_stragglers(timeout_ns)
+            if body.is_alive:
+                body.interrupt("attempt timed out")
+                try:
+                    yield body
+                except (Interrupt, IoError):
+                    pass
+            return False
+
+        yield from self._attempts(attempt, kind, stripe, deadline_ns, ctx)
 
     # -- integrity member I/O (read-repair / scrub path) -----------------------
 
@@ -221,13 +191,11 @@ class HostCentricRaid(RaidArray):
         the outcome dict, or None on member error or expiry (fencing
         stragglers exactly like the resilient datapath does).
         """
-        deadline = self.env.timeout(self.timeout_ns)
         try:
-            yield AnyOf(self.env, [gathered, deadline])
+            in_time = yield from self._race(gathered, self.timeout_ns)
         except IoError:
             return None
-        if not gathered.triggered:
-            self.fault_stats.timeouts += 1
+        if not in_time:
             self._fence_stragglers(self.timeout_ns)
             return None
         return gathered._value

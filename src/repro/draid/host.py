@@ -40,7 +40,7 @@ from repro.ec import LinearCode
 from repro.nvmeof.messages import IoError, NvmeOfCommand, Opcode, next_cid
 from repro.raid.geometry import RaidGeometry, StripeExtent
 from repro.raid.modes import WriteMode, WritePlan
-from repro.sim.core import AnyOf, Event
+from repro.sim.core import Event
 
 
 class _OpWaiter:
@@ -50,9 +50,16 @@ class _OpWaiter:
     immediately on the first error (all constituent mutations are
     idempotent re-executions of the same logical write, so an abort
     followed by a full-stripe retry is safe — §5.4).
+
+    A traced operation's waiter carries its envelope: ``trace``, the
+    context every command of the batch is stamped with, and ``span``, the
+    name :meth:`DraidArray._await_op` records it under over
+    ``[start_ns, end of the wait]``.  ``sent_ns``, when the batch's last
+    command went out, is what a member's fail-slow latency counts from.
     """
 
-    def __init__(self, env, expected: Dict[str, int], participants=()) -> None:
+    def __init__(self, env, expected: Dict[str, int], participants=(),
+                 trace=None, span: str = "") -> None:
         self.event: Event = env.event()
         self.remaining = {k: v for k, v in expected.items() if v > 0}
         self.completions: List[DraidCompletion] = []
@@ -61,7 +68,9 @@ class _OpWaiter:
         #: prolonged-failure fencing keys off the difference)
         self.participants = set(participants)
         self.responded: set = set()
-        self.start_ns = env.now
+        self.start_ns = self.sent_ns = env.now
+        self.trace = trace
+        self.span = span
         if not self.remaining:
             self.event.succeed(self)
 
@@ -164,7 +173,7 @@ class DraidArray(RaidArray):
         waiter.responded.add(member)
         if comp.ok and self.failslow_detector is not None:
             self.failslow_detector.observe(
-                member, self.env.now - waiter.start_ns
+                member, self.env.now - waiter.sent_ns
             )
             self._maybe_eject_failslow(member)
         if self.qos is not None and self.qos.breaker is not None:
@@ -182,11 +191,19 @@ class DraidArray(RaidArray):
             self.fault_stats.fail_slow_ejections += 1
 
     def _register(
-        self, cid: int, expected: Dict[str, int], participants=()
+        self, cid: int, expected: Dict[str, int], participants=(), ctx=None,
+        span: str = "",
     ) -> _OpWaiter:
+        """Open the waiter of one command batch, before any command of it
+        is sent.  Under a traced ``ctx`` it reserves the batch's envelope
+        span ``span``: the waiter's ``trace`` is what the batch's commands
+        carry."""
         if self._protocol_verifier is not None:
             self._protocol_verifier.on_register(cid, expected, participants)
-        waiter = _OpWaiter(self.env, expected, participants)
+        trace = None
+        if ctx is not None and self._tracer is not None:
+            trace = self._tracer.derive(ctx)
+        waiter = _OpWaiter(self.env, expected, participants, trace, span)
         self._waiters[cid] = waiter
         return waiter
 
@@ -206,7 +223,8 @@ class DraidArray(RaidArray):
         read off the clock afterwards, an op that lands on the very
         nanosecond of its deadline counting as expired (DESIGN.md §9).  A
         request deadline (overload control) clamps the per-attempt timeout
-        to the remaining budget either way.
+        to the remaining budget either way.  A traced batch's envelope is
+        recorded when the wait ends.
         """
         if not self.resilient:
             timeout_ns = self.timeout_ns
@@ -222,22 +240,17 @@ class DraidArray(RaidArray):
                 attempt, self.timeout_ns,
                 remaining_ns=self._deadline_remaining(deadline_ns),
             )
-            deadline = self.env.timeout(timeout_ns)
-            yield AnyOf(self.env, [waiter.event, deadline])
-            expired = not waiter.event.triggered
-            if expired:
-                self.fault_stats.timeouts += 1
-                if drain:
-                    # bounded §5.4 drain: one window for stragglers to
-                    # land, then fence whoever never answered so their
-                    # queued mutations can never race the retry
-                    drain_deadline = self.env.timeout(self.drain_factor * timeout_ns)
-                    yield AnyOf(self.env, [waiter.event, drain_deadline])
-                    if not waiter.event.triggered:
-                        self._fence_unresponsive(waiter)
+            expired = not (yield from self._race(waiter.event, timeout_ns, drain))
+            if drain and not waiter.event.triggered:
+                self._fence_unresponsive(waiter)
         del self._waiters[cid]
         if self._protocol_verifier is not None:
             self._protocol_verifier.on_deregister(cid)
+        if waiter.trace is not None:
+            self._tracer.record_at(
+                waiter.trace, waiter.span, "rpc", f"host.{self.name}",
+                waiter.start_ns, self.env.now,
+            )
         return expired
 
     def _fence_unresponsive(self, waiter: _OpWaiter) -> None:
@@ -272,24 +285,22 @@ class DraidArray(RaidArray):
     def _submit_plain(self, member: int, opcode: Opcode, offset: int, length: int,
                       data=None, ctx=None, deadline_ns=None):
         """Submit one plain NVMe-oF command to ``member`` under its own
-        command id (so its payload maps back unambiguously).
-
-        Returns ``(cid, waiter, envelope context)``; the context is None
-        when untraced.
-        """
+        command id (so its payload maps back unambiguously); returns
+        ``(cid, waiter)``."""
         cid = next_cid()
         kind = "read" if opcode is Opcode.READ else "write"
-        waiter = self._register(cid, {kind: 1}, participants={member})
-        ectx = self._derive(ctx)
-        self.host_ends[member].send(
-            NvmeOfCommand(cid, opcode, offset, length, data=data, trace=ectx,
-                          deadline_ns=deadline_ns)
+        waiter = self._register(
+            cid, {kind: 1}, participants={member}, ctx=ctx, span=f"draid.{kind}"
         )
-        return cid, waiter, ectx
+        self.host_ends[member].send(
+            NvmeOfCommand(cid, opcode, offset, length, data=data,
+                          trace=waiter.trace, deadline_ns=deadline_ns)
+        )
+        return cid, waiter
 
     def _member_read(self, drive: int, offset: int, nbytes: int):
         """Raw chunk-region read over the dRAID transport."""
-        cid, waiter, _ = self._submit_plain(drive, Opcode.READ, offset, nbytes)
+        cid, waiter = self._submit_plain(drive, Opcode.READ, offset, nbytes)
         expired = yield from self._await_op(cid, waiter, drain=False)
         if waiter.errors or expired:
             raise IoError(f"{self.name}: integrity read on member {drive} failed")
@@ -298,7 +309,7 @@ class DraidArray(RaidArray):
 
     def _member_write(self, drive: int, offset: int, nbytes: int, data):
         """Raw chunk-region write over the dRAID transport."""
-        cid, waiter, _ = self._submit_plain(
+        cid, waiter = self._submit_plain(
             drive, Opcode.WRITE, offset, nbytes, data=data
         )
         expired = yield from self._await_op(cid, waiter)
@@ -330,33 +341,35 @@ class DraidArray(RaidArray):
     def _plain_reads(self, ext: StripeExtent, segments, buffer, ctx=None,
                      deadline_ns=None):
         pending = list(segments)
-        attempts = 0
-        while pending:
-            submitted = []
-            for seg in pending:
-                cid, waiter, ectx = self._submit_plain(
+
+        def attempt(n: int):
+            if n:
+                # a member that failed meanwhile is read around (§6.1)
+                failed = self.failed_in_stripe(ext.stripe)
+                lost = [s for s in pending if s.drive in failed]
+                if lost:
+                    yield from self._degraded_read(
+                        ext, [], lost, buffer, ctx, deadline_ns=deadline_ns
+                    )
+                pending[:] = [s for s in pending if s.drive not in failed]
+            submitted = [
+                (seg, *self._submit_plain(
                     seg.drive, Opcode.READ, seg.drive_offset, seg.length,
                     ctx=ctx, deadline_ns=deadline_ns,
-                )
-                submitted.append((cid, seg, waiter, ectx, self.env.now))
+                ))
+                for seg in pending
+            ]
             retry = []
-            for cid, seg, waiter, ectx, sent_ns in submitted:
+            for seg, cid, waiter in submitted:
                 expired = yield from self._await_op(
-                    cid, waiter, attempt=attempts, drain=False,
-                    deadline_ns=deadline_ns,
+                    cid, waiter, attempt=n, drain=False, deadline_ns=deadline_ns,
                 )
-                self._record_envelope(ectx, "draid.read", sent_ns)
                 if waiter.errors or expired:
                     # NVMe-oF reads are idempotent: resend expired ones
                     # (§5.4); errors mean a prolonged failure, handled by
                     # the degraded path on the retry round.
                     self._mark_prolonged_failures(waiter)
-                    if (
-                        self.resilient
-                        and expired
-                        and not waiter.errors
-                        and attempts >= 2
-                    ):
+                    if self.resilient and expired and not waiter.errors and n >= 2:
                         # silent across escalating deadlines: prolonged
                         # failure — fence the member so the degraded path
                         # serves the read instead of burning the budget
@@ -366,27 +379,10 @@ class DraidArray(RaidArray):
                 if buffer is not None:
                     comp = next(c for c in waiter.completions if c.kind == "read")
                     buffer[seg.io_offset : seg.io_offset + seg.length] = comp.data
-            if retry:
-                attempts += 1
-                if attempts > self.max_retries:
-                    if self.resilient:
-                        self.fault_stats.io_errors += 1
-                    raise IoError(f"{self.name}: read failed on stripe {ext.stripe}")
-                remaining = self._admit_retry("read", ext.stripe, deadline_ns)
-                if self.resilient:
-                    self.fault_stats.retries += 1
-                    yield from self._backoff_pause(attempts, remaining, ctx)
-                failed = self.failed_in_stripe(ext.stripe)
-                still_healthy = [s for s in retry if s.drive not in failed]
-                lost = [s for s in retry if s.drive in failed]
-                if lost:
-                    yield from self._degraded_read(
-                        ext, [], lost, buffer, ctx, deadline_ns=deadline_ns
-                    )
-                pending = still_healthy
-            else:
-                pending = []
-        self._note_success()
+            pending[:] = retry
+            return not retry
+
+        yield from self._attempts(attempt, "read", ext.stripe, deadline_ns, ctx)
 
     def _degraded_read(self, ext: StripeExtent, healthy, lost, buffer, ctx=None,
                        deadline_ns=None):
@@ -396,15 +392,24 @@ class DraidArray(RaidArray):
             self.stats.degraded_reads += 1
             self.stats.remote_reconstructions += 1
             # healthy segments ride along with the first broadcast only
-            waiter, expired, folded = yield from self._recon_broadcast(
-                ext, seg, remaining_healthy if order == 0 else {}, ctx, deadline_ns
-            )
-            if waiter.errors or expired:
-                # reconstruction reads are idempotent too: retry once with
-                # a fresh broadcast before giving up
+            foldable = remaining_healthy if order == 0 else {}
+
+            def attempt(n: int):
+                waiter, expired, folded = yield from self._recon_broadcast(
+                    ext, seg, foldable if n == 0 else {}, ctx, deadline_ns,
+                    attempt=n,
+                )
+                if not (waiter.errors or expired):
+                    if buffer is not None:
+                        for comp in waiter.completions:
+                            if comp.data is not None:
+                                buffer[comp.io_offset : comp.io_offset + len(comp.data)] = comp.data
+                    return True
+                # reconstruction reads are idempotent too: a fresh
+                # broadcast retries it.  Keep whatever normal-read payloads
+                # already arrived and re-read the folded segments that were
+                # lost with the op.
                 self._mark_prolonged_failures(waiter)
-                # keep whatever normal-read payloads already arrived and
-                # re-read the folded segments that were lost with the op
                 received = set()
                 for comp in waiter.completions:
                     if comp.kind == "read":
@@ -416,22 +421,11 @@ class DraidArray(RaidArray):
                     yield from self._plain_reads(
                         ext, missing, buffer, ctx, deadline_ns=deadline_ns
                     )
-                self._admit_retry("read", ext.stripe, deadline_ns)
-                if self.resilient:
-                    self.fault_stats.retries += 1
-                waiter, expired, _ = yield from self._recon_broadcast(
-                    ext, seg, {}, ctx, deadline_ns, attempt=1
-                )
-                if waiter.errors or expired:
-                    if self.resilient:
-                        self.fault_stats.io_errors += 1
-                    raise IoError(
-                        f"{self.name}: degraded read failed on stripe {ext.stripe}"
-                    )
-            if buffer is not None:
-                for comp in waiter.completions:
-                    if comp.data is not None:
-                        buffer[comp.io_offset : comp.io_offset + len(comp.data)] = comp.data
+                return False
+
+            yield from self._attempts(
+                attempt, "read", ext.stripe, deadline_ns, ctx, retries=1, pause=False
+            )
         # healthy segments not folded into any reconstruction broadcast
         leftovers = list(remaining_healthy.values())
         if leftovers:
@@ -452,18 +446,19 @@ class DraidArray(RaidArray):
         reducer_member = self._selector.pick(
             [d for d, _ in participants], seg.length
         )
-        cid = next_cid()
-        folded = []
-        responders = {reducer_member}
-        ectx = self._derive(ctx)
-        sent_ns = self.env.now
-        for drive, source in participants:
-            read_segment = None
+        folded = {}
+        for drive, _ in participants:
             h = foldable.pop(drive, None)
             if h is not None:
-                read_segment = (h.chunk_offset, h.length, h.io_offset)
-                folded.append(h)
-                responders.add(drive)
+                folded[drive] = h
+        cid = next_cid()
+        waiter = self._register(
+            cid, {"recon": 1, "read": len(folded)},
+            participants={reducer_member, *folded}, ctx=ctx, span="draid.recon",
+        )
+        for drive, source in participants:
+            h = folded.get(drive)
+            read_segment = None if h is None else (h.chunk_offset, h.length, h.io_offset)
             self.host_ends[drive].send(
                 ReconstructionCmd(
                     cid,
@@ -478,18 +473,14 @@ class DraidArray(RaidArray):
                     code=self.code.spec,
                     read_segment=read_segment,
                     lost_io_offset=seg.io_offset,
-                    trace=ectx,
+                    trace=waiter.trace,
                     deadline_ns=deadline_ns,
                 )
             )
-        waiter = self._register(
-            cid, {"recon": 1, "read": len(folded)}, participants=responders
-        )
         expired = yield from self._await_op(
             cid, waiter, attempt=attempt, drain=False, deadline_ns=deadline_ns
         )
-        self._record_envelope(ectx, "draid.recon", sent_ns)
-        return waiter, expired, folded
+        return waiter, expired, list(folded.values())
 
     def _recon_participants(
         self, ext: StripeExtent, lost_index: int
@@ -502,52 +493,27 @@ class DraidArray(RaidArray):
             for drive, s in self._repair_members(ext.stripe, lost_index)
         ]
 
-    # -- observability (repro.obs) ---------------------------------------------
-
-    def _derive(self, ctx):
-        """Reserve the envelope span of one dRAID command batch.
-
-        Returns a derived context to stamp on every command of the batch
-        (they are one logical remote operation), or None when untraced.
-        """
-        if self._tracer is None or ctx is None:
-            return None
-        return self._tracer.derive(ctx)
-
-    def _record_envelope(self, ectx, name: str, start_ns: int) -> None:
-        """Close a reserved envelope span over [start_ns, now] (ns)."""
-        if ectx is not None:
-            self._tracer.record_at(
-                ectx, name, "rpc", f"host.{self.name}", start_ns, self.env.now
-            )
-
     # -- writes ----------------------------------------------------------------
 
     def _write_stripe(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None):
         if self.resilient:
             self._check_tolerance(ext.stripe)
-        ok = yield from self._write_stripe_once(
-            ext, io_data, self._plan_write(ext), ctx, deadline_ns=deadline_ns
-        )
-        attempts = 0
-        while not ok:
-            # §5.4: explicit full-stripe retry after timeout/failure.
-            attempts += 1
-            if attempts > self.max_retries:
-                if self.resilient:
-                    self.fault_stats.io_errors += 1
-                raise IoError(f"{self.name}: write failed on stripe {ext.stripe}")
-            remaining = self._admit_retry("write", ext.stripe, deadline_ns)
-            self.stats.retries += 1
+        plan = self._plan_write(ext)
+
+        def attempt(n: int):
+            if not n:
+                return (yield from self._write_stripe_once(
+                    ext, io_data, plan, ctx, deadline_ns=deadline_ns
+                ))
+            # §5.4: explicit full-stripe retry after timeout/failure
             if self.resilient:
-                self.fault_stats.retries += 1
                 self._check_tolerance(ext.stripe)
-                yield from self._backoff_pause(attempts, remaining, ctx)
             self._check_write_hole(ext)
-            ok = yield from self._write_host_fallback(
-                ext, io_data, attempt=attempts, ctx=ctx, deadline_ns=deadline_ns
-            )
-        self._note_success()
+            return (yield from self._write_host_fallback(
+                ext, io_data, attempt=n, ctx=ctx, deadline_ns=deadline_ns
+            ))
+
+        yield from self._attempts(attempt, "write", ext.stripe, deadline_ns, ctx)
 
     def _write_stripe_once(self, ext: StripeExtent, io_data, plan: WritePlan,
                            ctx=None, deadline_ns=None):
@@ -624,36 +590,30 @@ class DraidArray(RaidArray):
         ``(member, drive offset, length, block)`` per write, skipping the
         stripe's failed members.  True on clean success."""
         failed = self.failed_in_stripe(ext.stripe)
+        writes = [w for w in writes if w[0] not in failed]
         cid = next_cid()
-        writers = set()
-        ectx = self._derive(ctx)
-        sent_ns = self.env.now
+        waiter = self._register(
+            cid, {"write": len(writes)}, participants={w[0] for w in writes},
+            ctx=ctx, span=span,
+        )
         for drive, offset, length, block in writes:
-            if drive in failed:
-                continue
             self.host_ends[drive].send(
                 NvmeOfCommand(cid, Opcode.WRITE, offset, length, data=block,
-                              trace=ectx, deadline_ns=deadline_ns)
+                              trace=waiter.trace, deadline_ns=deadline_ns)
             )
-            writers.add(drive)
         return (yield from self._finish_write(
-            cid, {"write": len(writers)}, writers, ectx, span, sent_ns,
-            attempt=attempt, deadline_ns=deadline_ns,
+            cid, waiter, attempt=attempt, deadline_ns=deadline_ns
         ))
 
-    def _finish_write(self, cid: int, expected: Dict[str, int], participants,
-                      ectx, span: str, sent_ns: int, attempt: int = 0,
+    def _finish_write(self, cid: int, waiter: _OpWaiter, attempt: int = 0,
                       deadline_ns=None):
-        """The tail every write broadcast shares: register the expected
-        completions, await them (§5.4 deadline, drain, fencing), close the
-        trace envelope and note prolonged failures.  True on clean success."""
-        waiter = self._register(cid, expected, participants=participants)
+        """The tail every write broadcast shares: await its completions
+        (§5.4 deadline, drain, fencing) and note prolonged failures.  True
+        on clean success."""
         expired = yield from self._await_op(
             cid, waiter, attempt=attempt, deadline_ns=deadline_ns
         )
-        self._record_envelope(ectx, span, sent_ns)
-        if waiter.errors:
-            self._mark_prolonged_failures(waiter)
+        self._mark_prolonged_failures(waiter)
         return not (waiter.errors or expired)
 
     def _plain_segment_writes(self, ext: StripeExtent, io_data, ctx=None,
@@ -715,10 +675,13 @@ class DraidArray(RaidArray):
             fwd_off, fwd_len = lost.chunk_offset, lost.length
             contributors = [d for d in range(g.data_per_stripe) if d != lost.data_index]
         subtype_parity = Subtype.RW_READ if rcw else Subtype.RMW  # RCW: no preread
+        writers = {g.data_drive(ext.stripe, d) for d in contributors if d in touched}
         cid = next_cid()
-        responders = set()
-        ectx = self._derive(ctx)
-        sent_ns = self.env.now
+        waiter = self._register(
+            cid, {"data": len(writers), "parity": len(alive_parities)},
+            participants=writers | {p for _, p in alive_parities}, ctx=ctx,
+            span="draid.partial-write" if lost is None else "draid.degraded-write",
+        )
         for d in contributors:
             seg = touched.get(d)
             drive = g.data_drive(ext.stripe, d)
@@ -742,13 +705,10 @@ class DraidArray(RaidArray):
                     chunk_drive_offset=ext.stripe * chunk,
                     parity_key=cid,
                     data=self._seg_data(io_data, seg) if seg is not None else None,
-                    trace=ectx,
+                    trace=waiter.trace,
                     deadline_ns=deadline_ns,
                 )
             )
-            if seg is not None:
-                responders.add(drive)
-        writers = len(responders)
         wait_num = len(contributors)
         if lost is not None:
             # the host's own partial: the lost chunk's new data for the region
@@ -765,18 +725,15 @@ class DraidArray(RaidArray):
                 self.host_ends[p].send(
                     PeerMsg(cid, key=cid, fwd_offset=fwd_off, fwd_length=fwd_len,
                             source=("data", lost.data_index), data=partials[row],
-                            trace=ectx)
+                            trace=waiter.trace)
                 )
             self.host_ends[p].send(
                 ParityCmd(cid, subtype=subtype_parity,
                           parity_drive_offset=ext.parity_offset,
                           fwd_offset=fwd_off, fwd_length=fwd_len,
                           wait_num=wait_num, parity_index=row, key=cid,
-                          trace=ectx, deadline_ns=deadline_ns)
+                          trace=waiter.trace, deadline_ns=deadline_ns)
             )
-            responders.add(p)
-        span = "draid.partial-write" if lost is None else "draid.degraded-write"
-        return (yield from self._finish_write(
-            cid, {"data": writers, "parity": len(alive_parities)}, responders,
-            ectx, span, sent_ns, deadline_ns=deadline_ns,
-        ))
+        # the host's partial charges ran between the sends
+        waiter.sent_ns = self.env.now
+        return (yield from self._finish_write(cid, waiter, deadline_ns=deadline_ns))

@@ -28,7 +28,7 @@ from __future__ import annotations
 from repro.cluster.builder import Cluster
 from repro.draid.bdev import decode_lost
 from repro.draid.host import DraidArray
-from repro.nvmeof.messages import IoError, Opcode
+from repro.nvmeof.messages import Opcode
 from repro.raid.geometry import RaidGeometry, StripeExtent
 
 
@@ -65,32 +65,24 @@ class StatelessTargetDraid(DraidArray):
             )
         for seg in lost:
             self.stats.degraded_reads += 1
-            region_offset, region_len = seg.chunk_offset, seg.length
-            block = None
-            for attempt in range(self.max_retries + 1):
+
+            def attempt(n: int):
                 sources = self._recon_participants(ext, seg.data_index)
                 blocks, errors = yield from self._gather_regions(
-                    ext, sources, region_offset, region_len, attempt,
-                    ctx, deadline_ns,
+                    ext, sources, seg.chunk_offset, seg.length, n, ctx, deadline_ns,
                 )
-                if not errors:
-                    yield self._charge_xor(max(1, len(blocks) - 1), region_len, ctx)
-                    if self.functional:
-                        block = decode_lost(
-                            self.code, ("data", seg.data_index), blocks, region_len
-                        )
-                    break
-                self._charge_retry("read", ext.stripe)
-                if self.resilient:
-                    self.fault_stats.retries += 1
-            else:
-                if self.resilient:
-                    self.fault_stats.io_errors += 1
-                raise IoError(
-                    f"{self.name}: degraded read failed on stripe {ext.stripe}"
-                )
-            if buffer is not None and block is not None:
-                buffer[seg.io_offset : seg.io_offset + region_len] = block
+                if errors:
+                    return False
+                yield self._charge_xor(max(1, len(blocks) - 1), seg.length, ctx)
+                if buffer is not None:
+                    buffer[seg.io_offset : seg.io_offset + seg.length] = decode_lost(
+                        self.code, ("data", seg.data_index), blocks, seg.length
+                    )
+                return True
+
+            yield from self._attempts(
+                attempt, "read", ext.stripe, deadline_ns, ctx, pause=False
+            )
 
     def _gather_regions(self, ext: StripeExtent, sources, region_offset,
                         region_len, attempt, ctx, deadline_ns):
@@ -101,20 +93,18 @@ class StatelessTargetDraid(DraidArray):
         """
         chunk = self.geometry.chunk_bytes
         base = ext.stripe * chunk + region_offset
-        submitted = []
-        for drive, source in sources:
-            cid, waiter, ectx = self._submit_plain(
-                drive, Opcode.READ, base, region_len,
-                ctx=ctx, deadline_ns=deadline_ns,
-            )
-            submitted.append((cid, source, waiter, ectx, self.env.now))
+        submitted = [
+            (source, *self._submit_plain(
+                drive, Opcode.READ, base, region_len, ctx=ctx, deadline_ns=deadline_ns,
+            ))
+            for drive, source in sources
+        ]
         blocks = {}
         errors = False
-        for cid, source, waiter, ectx, sent_ns in submitted:
+        for source, cid, waiter in submitted:
             expired = yield from self._await_op(
                 cid, waiter, attempt=attempt, drain=False, deadline_ns=deadline_ns
             )
-            self._record_envelope(ectx, "draid.read", sent_ns)
             if waiter.errors or expired:
                 self._mark_prolonged_failures(waiter)
                 errors = True

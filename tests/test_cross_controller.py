@@ -208,7 +208,7 @@ def test_controllers_count_writes_the_same_way(level, failed, shape):
 
 #: the NVMe-oF datapath: methods only a host-centric array runs
 HOST_CENTRIC_ONLY = (
-    "_guarded", "_gather", "_subscribe_early", "_run_attempt", "_fence_stragglers",
+    "_guarded", "_gather", "_subscribe_early", "_fence_stragglers",
     "_retry_loop", "_bdev_read", "_bdev_write", "_charge_write_staging",
     "_charge_reconstruct_staging", "_charge_degraded_read_staging",
     "_read_extent_once", "_reconstruct_segment",
@@ -233,7 +233,7 @@ def test_frame_and_datapaths_are_siblings():
     assert HostCentricRaid not in DraidArray.__mro__
     assert DraidArray not in HostCentricRaid.__mro__
     env, array, geometry = build_controller("draid")
-    assert len(HOST_CENTRIC_ONLY) == 25
+    assert len(HOST_CENTRIC_ONLY) == 24
     for name in (*HOST_CENTRIC_ONLY, "bdevs", "targets"):
         assert not hasattr(array, name), f"DraidArray still carries {name}"
     # a frame without a datapath is a typed error up front, naming the

@@ -183,6 +183,32 @@ class TestBackoffSpan:
         assert pause.end_ns > pause.start_ns
 
 
+class TestEnvelopeSpan:
+    @pytest.mark.parametrize("system, names", [
+        ("dRAID", {"draid.degraded-write", "draid.recon"}),
+        ("dRAID-ST", {"draid.read", "draid.write-fallback"}),
+    ])
+    def test_degraded_envelopes_cover_their_commands(self, system, names):
+        """A traced degraded write, then read, of the failed chunk: every
+        remote-op envelope hangs off its request and covers each span its
+        commands recorded under it."""
+        array = build_array(system, observability=ObservabilityConfig())
+        array.fail_drive(array.geometry.data_drive(0, 0))
+        env, tracer = array.env, array.cluster.obs.tracer
+        roots = [tracer.new_request(), tracer.new_request()]
+        env.run(until=array.write(0, 4 * KB, ctx=roots[0]))
+        env.run(until=array.read(0, 4 * KB, ctx=roots[1]))
+        envelopes = [s for s in tracer.spans if s.cat == "rpc"]
+        assert {s.name for s in envelopes} == names
+        for envelope in envelopes:
+            assert envelope.parent_id in {root.span_id for root in roots}
+            children = [s for s in tracer.spans if s.parent_id == envelope.span_id]
+            assert children
+            for child in children:
+                assert envelope.start_ns <= child.start_ns
+                assert child.end_ns <= envelope.end_ns
+
+
 def _compute_tracks(array):
     """Tracks of the compute spans one traced 4 KiB write on ``array`` records."""
     tracer = array.cluster.obs.tracer
