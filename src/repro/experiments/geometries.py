@@ -22,8 +22,8 @@ degraded cost under test), then (foreground stopped) measure **rebuild
 completion time** — :class:`~repro.raid.rebuild.SpareRebuildJob` onto the
 distributed spares for the declustered layout, the stock
 :class:`~repro.raid.rebuild.RebuildJob` replacement sweep for rotation.
-Each cell is additionally driven through the chaos harness
-(:func:`~repro.faults.chaos.run_chaos_schedule` with the same axes) and
+Each cell is additionally driven through a chaos schedule of the fault
+harness (:func:`~repro.verify.fuzz.chaos_schedule` with the same axes) and
 reports whether the seeded fault storm verified byte-exact
 (``chaos_ok``).  The headline result: declustered rebuild only touches
 the ``width/n`` fraction of stripes holding the dead member and its
@@ -95,8 +95,8 @@ def geometry_point(
     layout: str, code: str, controller: str, fast: bool = True
 ) -> Row:
     """One grid cell: degraded FIO window, then a foreground-free rebuild."""
-    from repro.faults.chaos import run_chaos_schedule
     from repro.raid.rebuild import RebuildJob, SpareRebuildJob
+    from repro.verify.fuzz import chaos_point
     from repro.workloads import FioWorkload
 
     stripes = geom_stripes(fast)
@@ -137,7 +137,7 @@ def geometry_point(
     env.run()
     assert not array.failed, f"{array.name}: rebuild left {array.failed} failed"
 
-    outcome = run_chaos_schedule(
+    outcome = chaos_point(
         controller,
         seed=GEOM_CHAOS_SEED,
         drives=GEOM_SERVERS,

@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import availability, geometries, overload, tenancy
 from repro.experiments.runner import SweepPoint, SweepSpec, resolve_jobs
-from repro.faults.chaos import CHAOS_SYSTEMS, run_chaos_schedule
 from repro.verify import fuzz
 
 #: where ``<name>_smoke.golden`` lives (a source checkout: src/repro/experiments/..)
@@ -37,31 +36,52 @@ GOLDEN_DIR = Path(__file__).resolve().parents[3] / "tests" / "golden"
 Check = Callable[[List[Any]], Optional[str]]
 
 
-# -- chaos / integrity / fuzz: one schedule per cell ---------------------------
+# -- chaos / integrity / fuzz: one schedule per cell, one line format each -----
 
 
 def _every_schedule_ok(outcomes) -> Optional[str]:
     return "\n".join(o.row() for o in outcomes if not o.ok) or None
 
 
+def _verdict(o) -> str:
+    return (
+        f"scrub={'clean' if o.scrub_clean else 'DIRTY'} "
+        f"verified={'yes' if o.verified else 'NO'} sha={o.data_sha256[:12]}"
+    )
+
+
 def _chaos_lines(outcomes) -> List[str]:
-    return [line for o in outcomes for line in (o.row(), f"      {o.fault_summary}")]
+    return [
+        line
+        for o in outcomes
+        for line in (
+            f"{o.system:>5s} seed={o.seed:<4d} events={o.applied} ops={o.ops} "
+            f"errors={o.op_errors} torn={o.torn_stripes} rebuilds={o.rebuilds} "
+            f"{_verdict(o)}",
+            f"      {o.fault_summary}",
+        )
+    ]
 
 
 def _integrity_lines(outcomes) -> List[str]:
     return [
         line
         for o in outcomes
-        for line in (o.integrity_row(), f"      {o.integrity_summary}")
+        for line in (
+            f"{o.system:>5s} seed={o.seed:<4d} corrupt={o.corruption_events} "
+            f"detected={o.detected} repaired={o.repaired} "
+            f"unrecoverable={o.unrecoverable} {_verdict(o)}",
+            f"      {o.integrity_summary}",
+        )
     ]
 
 
 CHAOS = SweepSpec(
     "chaos",
     tuple(
-        SweepPoint(run_chaos_schedule, dict(system=system, seed=seed))
+        SweepPoint(fuzz.chaos_point, dict(system=system, seed=seed))
         for seed in (1, 2, 3, 4)
-        for system in CHAOS_SYSTEMS
+        for system in fuzz.FUZZ_SYSTEMS
     ),
     lines=_chaos_lines,
     checks=(("every-schedule-ok", _every_schedule_ok),),
@@ -74,15 +94,16 @@ INTEGRITY = SweepSpec(
     "integrity",
     tuple(
         SweepPoint(
-            run_chaos_schedule,
+            fuzz.chaos_point,
             dict(system=system, seed=seed, corruption_events=4, scrub_pace_ns=pace),
         )
         for seed, pace in ((101, None), (102, None), (103, None), (105, 500_000))
-        for system in CHAOS_SYSTEMS
+        for system in fuzz.FUZZ_SYSTEMS
     ),
     lines=_integrity_lines,
     checks=(("every-schedule-ok", _every_schedule_ok),),
 )
+
 
 def _fuzz_cell(i: int) -> SweepPoint:
     """Schedule ``i`` of the grid: SHA-256-derived seeds, round-robin over

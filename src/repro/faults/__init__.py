@@ -6,8 +6,9 @@ simulation: drives die, slow down and spew transient errors, NICs flap,
 RDMA connections stall, storage servers crash losing in-flight parity
 state — all on the sim clock, bit-identically replayable.
 
-The chaos harness lives in :mod:`repro.faults.chaos` (imported lazily to
-keep this package free of controller dependencies).
+Chaos schedules — a seeded workload through a :func:`chaos_plan` storm,
+then recovery and a shadow-model diff — are one generator of the fault
+harness in :mod:`repro.verify.fuzz`.
 """
 
 from repro.faults.backoff import BackoffPolicy

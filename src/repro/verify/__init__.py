@@ -18,9 +18,10 @@ Three cooperating pieces:
   against per-request state machines: no parity acknowledgment before
   all partial folds, no duplicate acks, command-id uniqueness across
   retries, fencing never exceeding parity.
-* :mod:`repro.verify.fuzz` — a shadow-model differential fuzzer that
-  runs seeded workload+fault+corruption schedules against all three
-  controllers with the sanitizer armed and shrinks failures to minimal
+* :mod:`repro.verify.fuzz` — the one fault-schedule harness: seeded
+  fuzz schedules and chaos fault storms run against all three
+  controllers with the sanitizer armed, recover with one playbook, diff
+  against a shadow model, and shrink fuzz failures to minimal
   reproducers.
 
 Arming: pass ``ClusterConfig(verify=VerifyConfig())`` to

@@ -20,13 +20,13 @@ import random
 import pytest
 
 from repro import ClusterConfig, build_testbed
-from repro.faults.chaos import CHAOS_SYSTEMS
 from repro.faults.events import DriveErrorBurst, DriveFailSlow, ServerCrash
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.nvmeof.messages import IoError
 from repro.qos import Busy, DeadlineExceeded, OverloadConfig
 from repro.verify import VerifyConfig
+from repro.verify.fuzz import FUZZ_SYSTEMS
 
 KB = 1024
 MS = 1_000_000
@@ -60,7 +60,7 @@ def build_faulted_array(system, fault, overload):
     return env, array
 
 
-@pytest.mark.parametrize("system", CHAOS_SYSTEMS)
+@pytest.mark.parametrize("system", FUZZ_SYSTEMS)
 @pytest.mark.parametrize("fault", sorted(FAULT_PLANS))
 def test_no_retry_past_deadline(system, fault):
     """Every deadlined op resolves — success or typed error — within its
@@ -112,7 +112,7 @@ def test_no_retry_past_deadline(system, fault):
     assert any(kind != "ok" for kind, _ in resolved), resolved
 
 
-@pytest.mark.parametrize("system", CHAOS_SYSTEMS)
+@pytest.mark.parametrize("system", FUZZ_SYSTEMS)
 def test_deadline_failures_are_typed_and_terminal(system):
     """A tight budget under an error burst surfaces as DeadlineExceeded
     (never a bare timeout hang) and bumps the deadline counter."""
@@ -144,7 +144,7 @@ def test_deadline_failures_are_typed_and_terminal(system):
     assert env.now < 100 * MS  # nothing hung waiting on the sick member
 
 
-@pytest.mark.parametrize("system", CHAOS_SYSTEMS)
+@pytest.mark.parametrize("system", FUZZ_SYSTEMS)
 def test_retry_budget_exhaustion_is_terminal_ioerror(system):
     """With a dry retry budget the retry loop sheds instead of amplifying:
     ops fail with terminal IoError and the denial counter records it."""
@@ -180,7 +180,7 @@ def test_retry_budget_exhaustion_is_terminal_ioerror(system):
     assert "ioerror" in kinds
 
 
-@pytest.mark.parametrize("system", CHAOS_SYSTEMS)
+@pytest.mark.parametrize("system", FUZZ_SYSTEMS)
 def test_generous_budget_still_completes_under_faults(system):
     """Protection must not break correctness: with sane knobs and a
     transient burst, deadlined I/O completes once the fault clears."""

@@ -14,7 +14,6 @@ from collections import Counter
 
 import pytest
 
-from repro.faults.chaos import CHAOS_SYSTEMS, run_chaos_schedule
 from repro.faults.domains import (
     DOMAIN_KINDS,
     DomainTopology,
@@ -31,6 +30,7 @@ from repro.faults.events import (
     ServerCrash,
 )
 from repro.faults.plan import chaos_plan
+from repro.verify.fuzz import FUZZ_SYSTEMS, chaos_point
 
 MS = 1_000_000
 
@@ -213,11 +213,11 @@ class TestCorrelatedSchedulesEndClean:
     """ISSUE acceptance: correlated chaos schedules run through the full
     harness and end verified with a clean scrub on every controller."""
 
-    @pytest.mark.parametrize("system", CHAOS_SYSTEMS)
+    @pytest.mark.parametrize("system", FUZZ_SYSTEMS)
     @pytest.mark.parametrize("seed", (3, 7))
     def test_raid6_correlated_storm_recovers(self, system, seed):
-        outcome = run_chaos_schedule(
-            system, seed, raid6=True, correlated_events=2, gray_events=2
+        outcome = chaos_point(
+            system, seed, code="raid6", correlated_events=2, gray_events=2
         )
         assert outcome.verified, (
             f"{system} seed {seed}: data diverged\n{outcome.row()}"
@@ -227,6 +227,6 @@ class TestCorrelatedSchedulesEndClean:
         )
 
     def test_replay_is_deterministic(self):
-        a = run_chaos_schedule("draid", 3, raid6=True, correlated_events=2, gray_events=2)
-        b = run_chaos_schedule("draid", 3, raid6=True, correlated_events=2, gray_events=2)
+        a = chaos_point("draid", 3, code="raid6", correlated_events=2, gray_events=2)
+        b = chaos_point("draid", 3, code="raid6", correlated_events=2, gray_events=2)
         assert a == b

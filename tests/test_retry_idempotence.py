@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, build_testbed
-from repro.faults.chaos import CHAOS_SYSTEMS
 from repro.faults.events import (
     BitRot,
     DriveErrorBurst,
@@ -39,6 +38,7 @@ from repro.raid.resync import resync_stripes
 from repro.raid.scrubber import ScrubDaemon
 from repro.storage.integrity import ChecksumError, IntegrityStore
 from repro.verify import VerifyConfig
+from repro.verify.fuzz import FUZZ_SYSTEMS
 
 KB = 1024
 MS = 1_000_000
@@ -127,7 +127,7 @@ def run_retry_scenario(system, events, corruption):
         size = rng.randint(1, 2 * stripe_bytes)
         write(rng.randrange(0, capacity - size), size)
 
-    # recovery playbook (the chaos harness's, miniaturized)
+    # recovery playbook: heal past redundancy in place, rebuild, scrub, resync
     env.run(until=injector.drain())
     env.run(until=max(env.now, max(e.at_ns for e in events)) + 60 * MS)
     still_failed = sorted(array.failed)
@@ -165,14 +165,14 @@ def run_retry_scenario(system, events, corruption):
     return verifier
 
 
-@pytest.mark.parametrize("system", CHAOS_SYSTEMS)
+@pytest.mark.parametrize("system", FUZZ_SYSTEMS)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_retry_idempotence(system, name):
     events, corruption = SCENARIOS[name]
     run_retry_scenario(system, events, corruption)
 
 
-@pytest.mark.parametrize("system", CHAOS_SYSTEMS)
+@pytest.mark.parametrize("system", FUZZ_SYSTEMS)
 def test_late_completions_are_benign(system):
     """A link stall longer than the I/O timeout forces retries whose
     original acks arrive late; the checker counts them instead of

@@ -124,7 +124,7 @@ def test_protocol_checker_clean_over_mixed_fault_schedule(seed):
     no invariant violations, shadow-model byte equality, clean scrub."""
     schedule = make_schedule("draid-st", seed=seed, num_ops=14)
     assert any(op.kind == "fail" for op in schedule.ops), "no fault ops drawn"
-    outcome = run_schedule(schedule, verify=True)
+    outcome = run_schedule(schedule)
     assert outcome.ok, outcome.detail
     assert outcome.verified and outcome.scrub_clean
     assert outcome.checked_messages > 0
