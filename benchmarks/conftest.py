@@ -1,20 +1,15 @@
 """Benchmark-suite plumbing.
 
-Each benchmark file regenerates one paper table/figure via the experiment
-registry, saves the rendered table under ``benchmarks/results/`` and makes
-loose *shape* assertions (who wins, by roughly what factor) — absolute
-numbers are simulation outputs and are recorded in EXPERIMENTS.md instead.
+``test_figures.py`` regenerates every paper table and figure through the
+experiment registry and checks it against the claims table
+(:mod:`repro.experiments.paper_values`); the other files measure
+ablations, what-if studies and kernel speeds.  Each saves its rendered
+table under ``benchmarks/results/`` with :func:`save_table`.
 """
 
 from __future__ import annotations
 
 import pathlib
-from typing import List, Sequence
-
-import pytest
-
-from repro.experiments.registry import EXPERIMENTS
-from repro.metrics.report import Row, format_table
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -24,37 +19,3 @@ def save_table(name: str, text: str) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print()
     print(text)
-
-
-@pytest.fixture
-def figure(benchmark, request):
-    """Run one experiment under pytest-benchmark and return its rows."""
-
-    def run(exp_id: str) -> List[Row]:
-        title, rows = benchmark.pedantic(
-            EXPERIMENTS[exp_id], args=(True,), rounds=1, iterations=1
-        )
-        if rows:
-            metric_order = [
-                m for m in ("bandwidth_mb_s", "avg_latency_us", "kiops")
-                if m in rows[0].metrics
-            ]
-            text = format_table(title, rows, metric_order=metric_order)
-        else:
-            text = title
-        save_table(exp_id, text)
-        return rows
-
-    return run
-
-
-def metric(rows: Sequence[Row], x, system: str, key: str = "bandwidth_mb_s") -> float:
-    """Look up one metric value from experiment rows."""
-    for row in rows:
-        if row.x == x and row.system == system:
-            return row.metrics[key]
-    raise KeyError(f"no row for x={x!r} system={system!r}")
-
-
-def systems_at(rows: Sequence[Row], x) -> dict:
-    return {r.system: r.metrics for r in rows if r.x == x}

@@ -1,10 +1,11 @@
 """Table 1: comparison of the three remote-RAID architectures.
 
 The table is analytical in the paper; here each architecture is a small
-model whose overhead entries are *derived* from its data-path byte flows,
-and the benchmark (`benchmarks/test_table1_architectures.py`) additionally
-verifies the write/degraded-read overhead columns against byte counters
-measured in simulation.
+model whose overhead entries are *derived* from its data-path byte flows.
+The ``table1`` experiment (:func:`repro.experiments.registry.run_table1`)
+measures the write/degraded-read overhead columns with host-NIC byte
+counters in simulation and prints them next to these analytical values;
+the claims table (:mod:`repro.experiments.paper_values`) bounds them.
 """
 
 from __future__ import annotations

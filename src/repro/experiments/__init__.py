@@ -3,7 +3,10 @@
 Each experiment in :data:`repro.experiments.registry.EXPERIMENTS` maps a
 paper table/figure id to a runner that executes the corresponding sweep on
 the simulated testbed and returns rows shaped like the paper's plot axes.
-The benchmark suite (``benchmarks/``) wraps these runners one-per-figure.
+The paper's claims about those rows are one table,
+:mod:`repro.experiments.paper_values` (imported on demand, not here);
+``benchmarks/test_figures.py`` checks every figure against it and the
+``fidelity`` experiment scores them all.
 """
 
 from repro.experiments.common import (

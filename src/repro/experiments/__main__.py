@@ -7,6 +7,7 @@ Usage::
     python -m repro.experiments fig10 -j 8       # sweep points on 8 processes
     python -m repro.experiments --list           # what is available
     python -m repro.experiments --all            # everything (takes minutes)
+    python -m repro.experiments fidelity         # every paper claim, scored
     python -m repro.experiments --trace t.json   # export one traced I/O run
     python -m repro.experiments smoke chaos --check   # a smoke grid vs its golden
 
@@ -23,7 +24,7 @@ import pathlib
 import sys
 import time
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import EXPERIMENTS, run, run_experiment
 from repro.experiments.runner import JOBS_ENV_VAR, resolve_jobs
 from repro.metrics.report import rows_to_csv
 
@@ -133,16 +134,17 @@ def main(argv=None) -> int:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         print(f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
+    runs: dict = {}  # each figure runs once, though `fidelity` reads them all
     for exp_id in targets:
         start = time.time()
         if args.csv:
-            title, rows = EXPERIMENTS[exp_id](not args.full)
+            title, rows = run(exp_id, not args.full, runs)
             directory = pathlib.Path(args.csv)
             directory.mkdir(parents=True, exist_ok=True)
             (directory / f"{exp_id}.csv").write_text(rows_to_csv(rows))
             print(f"{title} -> {directory / (exp_id + '.csv')}")
         else:
-            print(run_experiment(exp_id, fast=not args.full))
+            print(run_experiment(exp_id, not args.full, runs))
         print(f"[{exp_id}: {time.time() - start:.1f}s]")
         print()
     return 0

@@ -3,9 +3,10 @@
 Each runner takes ``fast`` (short measurement windows, slightly sparser
 sweeps) and returns ``(title, rows)``.  The FIO figures (9-18 and their
 RAID-6 twins 22-30) are rows of one table, :data:`FIO_FIGURES`, run by
-:func:`run_fio_figure`; the rest are small functions.  ``run_experiment``
-executes one and renders its table.  Benchmarks in ``benchmarks/`` wrap
-these one-to-one.
+:func:`run_fio_figure`; the rest are small functions.  :func:`run` runs
+one experiment at most once per caller-owned memo, :func:`render` is the
+one renderer, and ``fidelity`` scores every figure against the claims
+table in :mod:`repro.experiments.paper_values`.
 """
 
 from __future__ import annotations
@@ -13,14 +14,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from importlib import import_module
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from itertools import count, islice
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.table1 import architecture_table
+from repro import build_testbed
+from repro.analysis.table1 import (
+    architecture_table,
+    degraded_read_overhead_distributed,
+    degraded_read_overhead_draid,
+    write_overhead_distributed_rmw,
+    write_overhead_draid,
+)
 from repro.experiments import app_figures, fio_figures
 from repro.metrics.report import Row, format_table
 from repro.raid.geometry import RaidLevel
 
 R5, R6 = RaidLevel.RAID5, RaidLevel.RAID6
+KB, MiB = 1024, 1024 * 1024
+
+#: A caller's memo of finished runs at one ``fast`` setting: id -> ``(title, rows)``.
+Runs = Dict[str, Tuple[str, List[Row]]]
 
 #: Sweep points (full mode mirrors the paper's x axes; fast mode thins them).
 IO_SIZES_READ = [4, 8, 16, 32, 64, 128]
@@ -42,15 +55,65 @@ def _thin(points: Sequence, fast: bool, keep_every: int = 2) -> List:
     return kept
 
 
+def _host_nic_write_overhead(system: str) -> float:
+    """Host-NIC bytes (tx + rx) per user byte over sixteen 128 KiB RMW writes."""
+    env, cluster, array = build_testbed(system)
+    env.run(until=array.write(0, 128 * KB))  # warm paths
+    cluster.reset_accounting()
+    for i in range(16):
+        env.run(until=array.write(i * 4 * MiB, 128 * KB))
+    nic = cluster.host.nic
+    return (nic.tx_bytes + nic.rx_bytes) / (16 * 128 * KB)
+
+
+def _host_nic_dread_overhead(system: str) -> float:
+    """Host-NIC bytes (tx + rx) per user byte over eight 128 KiB reads that
+    each fall on a chunk of the failed member 0."""
+    env, cluster, array = build_testbed(system)
+    array.fail_drive(0)
+    geometry = array.geometry
+    cluster.reset_accounting()
+    stripes = list(islice(
+        (s for s in count() if 0 not in geometry.parity_drives(s)), 8
+    ))
+    for stripe in stripes:
+        idx = geometry.data_index_of_drive(stripe, 0)
+        offset = stripe * geometry.stripe_data_bytes + idx * geometry.chunk_bytes
+        env.run(until=array.read(offset, 128 * KB))
+    nic = cluster.host.nic
+    return (nic.tx_bytes + nic.rx_bytes) / (len(stripes) * 128 * KB)
+
+
 def run_table1(fast: bool = True) -> Tuple[str, List[Row]]:
-    table = architecture_table()
-    # Rendered analytically; rows carry the numeric overhead columns.
+    """Table 1's two overhead columns, measured on the host NIC of a
+    width-8 RAID-5 array: x is the architecture, system the controller
+    that stands in for it."""
     rows = [
-        Row("Single-Machine", "analytical", {"write_overhead_x": 1.0, "dread_overhead_x": 1.0}),
-        Row("Distributed", "analytical", {"write_overhead_x": 4.0, "dread_overhead_x": 7.0}),
-        Row("dRAID", "analytical", {"write_overhead_x": 1.0, "dread_overhead_x": 1.0}),
+        Row(arch, system, {
+            "write_overhead_x": _host_nic_write_overhead(system),
+            "dread_overhead_x": _host_nic_dread_overhead(system),
+        })
+        for arch, system in (("Distributed", "SPDK"), ("dRAID", "dRAID"))
     ]
-    return "Table 1: remote RAID architectures\n" + table, rows
+    return "Table 1: remote RAID architectures", rows
+
+
+def _render_table1(title: str, rows: Sequence[Row]) -> str:
+    analytical = {
+        ("Distributed", "write"): write_overhead_distributed_rmw(),
+        ("Distributed", "d-read"): degraded_read_overhead_distributed(8),
+        ("dRAID", "write"): write_overhead_draid(),
+        ("dRAID", "d-read"): degraded_read_overhead_draid(),
+    }
+    lines = [title, "=" * len(title), architecture_table(), "",
+             "Measured host-NIC overheads (bytes moved / user byte):"]
+    for op, metric in (("write", "write_overhead_x"), ("d-read", "dread_overhead_x")):
+        for row in rows:
+            lines.append(
+                f"  {row.x + ' ' + op:22s} measured {row.metrics[metric]:5.2f}x"
+                f"   analytical {analytical[row.x, op]:.0f}x"
+            )
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -218,6 +281,20 @@ def _fio_figures(first: int, last: int) -> Dict[str, Callable]:
     return {exp_id: partial(run_fio_figure, exp_id) for exp_id in ids}
 
 
+def run_fidelity(fast: bool = True, runs: Optional[Runs] = None) -> Tuple[str, List[Row]]:
+    """Score every figure of the claims table (:mod:`repro.experiments.paper_values`).
+
+    The report is the title; there are no grid rows.  ``runs`` is
+    :func:`run`'s memo: figures already in it are not run again.
+    """
+    from repro.experiments import paper_values
+
+    rows_by_figure = {
+        exp_id: run(exp_id, fast, runs)[1] for exp_id in paper_values.FIGURES
+    }
+    return paper_values.render(paper_values.score(rows_by_figure)), []
+
+
 EXPERIMENTS: Dict[str, Callable[[bool], Tuple[str, List[Row]]]] = {
     "table1": run_table1,
     **_fio_figures(9, 18),
@@ -226,16 +303,44 @@ EXPERIMENTS: Dict[str, Callable[[bool], Tuple[str, List[Row]]]] = {
     "fig21": run_fig21,
     **_fio_figures(22, 30),
     **{exp_id: partial(run_added_figure, exp_id) for exp_id in ADDED_FIGURES},
+    "fidelity": run_fidelity,
 }
 
+#: Metrics that lead a rendered table, in this order, when its rows carry them.
+METRIC_ORDER = ("bandwidth_mb_s", "avg_latency_us", "kiops")
 
-def run_experiment(exp_id: str, fast: bool = True) -> str:
-    """Run one experiment and return its rendered table."""
+
+def run(exp_id: str, fast: bool = True, runs: Optional[Runs] = None) -> Tuple[str, List[Row]]:
+    """Run one experiment and return ``(title, rows)``.
+
+    An experiment already in ``runs`` is not run again, so ``--all`` and
+    the benchmark suite run each figure once although ``fidelity`` reads
+    them all.
+    """
     if exp_id not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {exp_id!r}; known: {sorted(EXPERIMENTS)}")
-    title, rows = EXPERIMENTS[exp_id](fast)
+    if runs is None:
+        runs = {}
+    if exp_id not in runs:
+        if exp_id == "fidelity":
+            runs[exp_id] = run_fidelity(fast, runs)
+        else:
+            runs[exp_id] = EXPERIMENTS[exp_id](fast)
+    return runs[exp_id]
+
+
+def render(exp_id: str, title: str, rows: Sequence[Row]) -> str:
+    """Render one experiment's result: the text the CLI prints and the
+    benchmark suite saves under ``benchmarks/results/``."""
+    if exp_id == "table1":
+        return _render_table1(title, rows)
     if not rows:
         return title
-    x_label = "x"
-    metric_order = ["bandwidth_mb_s", "avg_latency_us"] if "bandwidth_mb_s" in rows[0].metrics else []
-    return format_table(title, rows, x_label=x_label, metric_order=metric_order)
+    metric_order = [m for m in METRIC_ORDER if m in rows[0].metrics]
+    return format_table(title, rows, metric_order=metric_order)
+
+
+def run_experiment(exp_id: str, fast: bool = True, runs: Optional[Runs] = None) -> str:
+    """Run one experiment (through ``runs``, see :func:`run`) and return its
+    rendered table."""
+    return render(exp_id, *run(exp_id, fast, runs))

@@ -1,5 +1,7 @@
 """Tests for the experiment harnesses, analysis models and the CLI."""
 
+import pathlib
+
 import pytest
 
 from repro.analysis import (
@@ -11,7 +13,7 @@ from repro.analysis import (
 from repro.analysis.table1 import ARCHITECTURES
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.common import build_array, fio_point, nic_goodput_mb_s
-from repro.experiments.registry import EXPERIMENTS, _thin, run_experiment
+from repro.experiments.registry import EXPERIMENTS, _thin, render, run, run_experiment
 from repro.metrics.report import Row, format_table
 
 
@@ -76,6 +78,7 @@ class TestHarness:
                 "overload",
                 "tenancy",
                 "geometries",
+                "fidelity",
             }
             | {f"fig{i:02d}" for i in range(9, 31)}
         )
@@ -89,6 +92,25 @@ class TestHarness:
         out = run_experiment("table1")
         assert "dRAID" in out and "Distributed" in out
 
+    def test_table1_rows_are_measured(self):
+        title, rows = run("table1")
+        # host-NIC counters: host-centric RMW ~4x and reconstruct read ~7x,
+        # dRAID ~1x for both -- never the analytical constants themselves
+        assert [(row.x, row.system) for row in rows] == [
+            ("Distributed", "SPDK"), ("dRAID", "dRAID")
+        ]
+        values = [v for row in rows for v in row.metrics.values()]
+        assert values == pytest.approx([4.0, 7.0, 1.0, 1.0], abs=0.02)
+        assert not set(values) & {1.0, 4.0, 7.0}
+        lines = render("table1", title, rows).splitlines()
+        assert lines[:2] == [title, "=" * len(title)]
+        assert max(map(len, lines)) == max(map(len, architecture_table().splitlines()))
+
+    def test_run_memo_runs_each_experiment_once(self):
+        runs = {}
+        first = run("table1", True, runs)
+        assert run("table1", True, runs) is first and list(runs) == ["table1"]
+
 
 class TestReport:
     def test_format_table_groups_metrics(self):
@@ -100,6 +122,16 @@ class TestReport:
         assert "Demo" in text
         assert "1500.0" in text
         assert text.index("bandwidth_mb_s") < text.index("avg_latency_us")
+
+    def test_render_leads_with_bandwidth_latency_kiops(self):
+        # the application figures (19-21) carry kiops, no bandwidth: the CLI
+        # and the committed benchmarks/results tables print the same order
+        rows = [Row("YCSB-A", "dRAID", {"kiops": 64.0, "avg_latency_us": 503.0,
+                                        "p99_latency_us": 1594.2})]
+        header = render("fig20", "t", rows).splitlines()[2].split()
+        assert header == ["x", "system", "avg_latency_us", "kiops", "p99_latency_us"]
+        committed = pathlib.Path(__file__).resolve().parent.parent / "benchmarks/results/fig20.txt"
+        assert committed.read_text().splitlines()[2].split() == header
 
     def test_format_table_missing_metric_is_nan(self):
         rows = [Row(1, "a", {"x": 1.0}), Row(1, "b", {"y": 2.0})]
