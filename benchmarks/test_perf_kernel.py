@@ -5,8 +5,8 @@ churn, parallel bandwidth channel), saves the numbers under
 ``benchmarks/results/BENCH_kernel.json`` (git-ignored: they are this
 machine's) and asserts only a generous floor
 — absolute throughput is hardware-dependent.  The real-byte kernels of
-functional mode (CRC-32C, single-shard RS decode) get the same kind of
-floor.  The trajectory of both is the per-layer ledger of ``bench/run.py
+functional mode (CRC-32C, the GF(2^8) block multiply, RS encode and
+single-shard RS decode) get the same kind of floor.  The trajectory of both is the per-layer ledger of ``bench/run.py
 --trace`` (``sim.core.*_ev_per_s`` and ``*_mb_s`` rows; ``bench/README.md``).
 """
 
@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.ec.gf import GF
 from repro.ec.rs import ReedSolomon
 from repro.sim.benchkit import KERNEL_WORKLOADS, run_workload
 from repro.storage.integrity import crc32c
@@ -50,8 +51,16 @@ def test_kernel_events_per_second(name):
 
 #: MB/s floors of the byte kernels: a third to a fifth of what the numpy
 #: kernels measure on a slow shared runner, and well above what a
-#: byte-at-a-time Python loop (9 MB/s CRC, 60 MB/s full-stripe decode) can do
-BYTE_FLOORS_MB_S = {"crc32c_4k": 30.0, "rs_decode_one_5x32k": 150.0}
+#: byte-at-a-time Python loop (9 MB/s CRC, 60 MB/s full-stripe decode) can do.
+#: The GF multiply is a byte translation (about 2 200 MB/s on 32 KiB, and
+#: RS(5,3) encode about 650 MB/s of data, on a 2-CPU x86 container); the
+#: floors catch a fall back to a per-element path.
+BYTE_FLOORS_MB_S = {
+    "crc32c_4k": 30.0,
+    "rs_decode_one_5x32k": 150.0,
+    "gf_mul_32k": 500.0,
+    "rs_encode_5x3_32k": 150.0,
+}
 
 
 def _best_mb_s(fn, nbytes: int, calls: int = 20, repeats: int = 5) -> float:
@@ -73,8 +82,14 @@ def test_byte_kernel_floors():
     shards = dict(enumerate(data + rs.encode(data)))
     survivors = {i: s for i, s in shards.items() if i not in (0, 2, 4)}
     assert np.array_equal(rs.decode_one(2, survivors, 32 * 1024), data[2])
+    assert np.array_equal(
+        GF.mul_bytes(29, data[0]), GF.mul_table[29][data[0]]
+    )
     measured = {
         "crc32c_4k": _best_mb_s(lambda: crc32c(block), len(block)),
+        "gf_mul_32k": _best_mb_s(lambda: GF.mul_bytes(29, data[0]), 32 * 1024),
+        # MB/s of the five data shards the three parities are computed from
+        "rs_encode_5x3_32k": _best_mb_s(lambda: rs.encode(data), 5 * 32 * 1024),
         # MB/s of the five source shards one lost shard is rebuilt from
         "rs_decode_one_5x32k": _best_mb_s(
             lambda: rs.decode_one(2, survivors, 32 * 1024), 5 * 32 * 1024

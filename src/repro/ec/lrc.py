@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ec.parity import _as_block
+from repro.ec.parity import _as_block, xor_blocks
 from repro.ec.rs import LinearCode, ReedSolomon, UnrecoverableErasureError
 
 
@@ -197,8 +197,5 @@ class LocalReconstructionCode(LinearCode):
         """
         scope = self._group_scope(index)
         if scope is not None and all(s in shards for s in scope if s != index):
-            acc = np.zeros(length, dtype=np.uint8)
-            for s in scope - {index}:
-                acc ^= _as_block(shards[s])[:length]
-            return acc
+            return xor_blocks([_as_block(shards[s])[:length] for s in scope - {index}])
         return super().decode_one(index, shards, length)

@@ -68,6 +68,15 @@ class LinearCode:
 
     def encode(self, data_shards: Sequence) -> List[np.ndarray]:
         """Compute the m parity shards for k equal-length data shards."""
+        shards = self._data_shards(data_shards)
+        return [GF.dot(row, shards) for row in self.parity_matrix.tolist()]
+
+    def encode_row(self, row: int, data_shards: Sequence) -> np.ndarray:
+        """Parity shard ``row`` alone: ``encode(data_shards)[row]`` for
+        1/m of the products (a rebuilt parity chunk needs only its own)."""
+        return GF.dot(self.parity_matrix[row].tolist(), self._data_shards(data_shards))
+
+    def _data_shards(self, data_shards: Sequence) -> List[np.ndarray]:
         shards = [_as_block(s) for s in data_shards]
         if len(shards) != self.k:
             raise ValueError(f"expected {self.k} data shards, got {len(shards)}")
@@ -75,13 +84,7 @@ class LinearCode:
         for s in shards:
             if len(s) != length:
                 raise ValueError("data shards must have equal length")
-        parities = []
-        for coefficients in self.parity_matrix.tolist():
-            acc = np.zeros(length, dtype=np.uint8)
-            for coefficient, shard in zip(coefficients, shards):
-                GF.mul_bytes_inplace_xor(acc, coefficient, shard)
-            parities.append(acc)
-        return parities
+        return shards
 
     def partial_parity(self, shard_index: int, block) -> List[np.ndarray]:
         """Per-device partial contribution of one data shard to every parity.
@@ -171,10 +174,7 @@ class LinearCode:
         """Recover shard ``index`` (data or parity) alone from any decodable
         surviving subset: one cached coefficient row times the survivors."""
         sources, rows = self._decode_plan(shards)
-        acc = np.zeros(length, dtype=np.uint8)
-        for coefficient, source in zip(rows[index], sources):
-            GF.mul_bytes_inplace_xor(acc, coefficient, _as_block(shards[source])[:length])
-        return acc
+        return GF.dot(rows[index], [_as_block(shards[s])[:length] for s in sources])
 
     def decode(self, shards: Dict[int, np.ndarray], length: int) -> List[np.ndarray]:
         """Recover the k data shards from any decodable surviving subset.

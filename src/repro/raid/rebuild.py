@@ -258,5 +258,5 @@ def _rebuild_parity_chunk(array, stripe: int, parity_index: int, drive):
     block: Optional[np.ndarray] = None
     if data is not None:
         chunks = [data[d * chunk : (d + 1) * chunk] for d in range(geometry.data_per_stripe)]
-        block = array.code.encode(chunks)[parity_index]
+        block = array.code.encode_row(parity_index, chunks)
     yield drive.write(stripe * chunk, chunk, block)

@@ -85,7 +85,7 @@ def scrub_array(
     * RAID-6: that same total XOR equals Q when P is consistent, which
       checks P; Q is then recomputed from the data chunks per rotation
       phase (stripes sharing ``stripe % num_drives`` have identical
-      placement, so one fancy-indexed GF table lookup per phase covers
+      placement, so one :meth:`~repro.ec.gf.GF256.dot` per phase covers
       the whole batch).
     """
     g = geometry
@@ -121,22 +121,18 @@ def scrub_array(
             bad_mask = total.any(axis=1)
         else:
             bad_mask = np.zeros(nb, dtype=bool)
-            phases = np.arange(start, start + nb) % n
-            for phase in np.unique(phases):
-                sel = np.nonzero(phases == phase)[0]
-                s0 = start + int(sel[0])
+            # batch stripes phase, phase + n, ... share one placement
+            for phase in range(min(n, nb)):
+                sel = slice(phase, nb, n)
+                s0 = start + phase
                 q_drive = g.parity_drives(s0)[1]
                 # P-check: total XOR == Q iff P is consistent
                 bad_mask[sel] |= (total[sel] ^ rows[q_drive][sel]).any(axis=1)
                 # Q-check: recompute Q from the data chunks
-                q_calc = np.zeros((len(sel), chunk), dtype=np.uint8)
-                for d in range(g.data_per_stripe):
-                    drive = g.data_drive(s0, d)
-                    np.bitwise_xor(
-                        q_calc,
-                        GF.mul_table[code.parity_matrix[1, d]][rows[drive][sel]],
-                        out=q_calc,
-                    )
+                q_calc = GF.dot(
+                    code.parity_matrix[1].tolist(),
+                    [rows[g.data_drive(s0, d)][sel] for d in range(g.data_per_stripe)],
+                )
                 bad_mask[sel] |= (q_calc ^ rows[q_drive][sel]).any(axis=1)
         bad.extend(start + int(i) for i in np.nonzero(bad_mask)[0])
         checked += nb

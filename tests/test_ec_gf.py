@@ -140,3 +140,63 @@ class TestMatrices:
         for i in range(3):
             for j in range(3):
                 assert v[i, j] == GF.pow(GF.gen_pow(i), j)
+
+
+class TestBlockKernel:
+    """``mul_bytes`` / ``mul_bytes_inplace_xor`` against ``mul_table``, every
+    coefficient over every byte value, on every shape a caller passes."""
+
+    ALL_BYTES = np.arange(256, dtype=np.uint8)
+
+    @pytest.mark.parametrize("c", range(256))
+    def test_every_coefficient_over_every_byte(self, c):
+        expected = GF.mul_table[c][self.ALL_BYTES]
+        assert np.array_equal(GF.mul_bytes(c, self.ALL_BYTES), expected)
+        acc = np.full(256, 0xA5, dtype=np.uint8)
+        GF.mul_bytes_inplace_xor(acc, c, self.ALL_BYTES)
+        assert np.array_equal(acc, expected ^ 0xA5)
+
+    @staticmethod
+    def _shapes():
+        rng = np.random.default_rng(35)
+        big = rng.integers(0, 256, 4096, dtype=np.uint8)
+        return {
+            "empty": np.zeros(0, dtype=np.uint8),
+            # bytearray() of a 0-d array would read it as a length
+            "0-d": np.array(7, dtype=np.uint8),
+            "odd": rng.integers(0, 256, 1001, dtype=np.uint8),
+            "2-D": rng.integers(0, 256, (7, 33), dtype=np.uint8),
+            "slice": big[13:2013],
+            "strided": big[1::3],
+            "strided 2-D": big.reshape(64, 64)[::2, 1::2],
+        }
+
+    @pytest.mark.parametrize("c", [0, 1, 2, 29, 255])
+    @pytest.mark.parametrize("shape", ["empty", "0-d", "odd", "2-D", "slice", "strided", "strided 2-D"])
+    def test_shapes(self, c, shape):
+        data = self._shapes()[shape]
+        before = data.copy()
+        expected = GF.mul_table[c][data]
+        out = GF.mul_bytes(c, data)
+        assert out.dtype == np.uint8 and out.shape == data.shape
+        assert np.array_equal(out, expected)
+        assert out.flags.writeable
+        assert not np.shares_memory(out, data)
+        out ^= 1  # the caller may XOR into the product
+        assert np.array_equal(data, before)
+        acc = np.zeros(data.shape, dtype=np.uint8)
+        GF.mul_bytes_inplace_xor(acc, c, data)
+        assert np.array_equal(acc, expected)
+        assert np.array_equal(data, before)
+
+    def test_dot_is_the_sum_of_products(self):
+        rng = np.random.default_rng(7)
+        blocks = [rng.integers(0, 256, 100, dtype=np.uint8) for _ in range(4)]
+        coefficients = [0, 1, 29, 0]
+        expected = np.zeros(100, dtype=np.uint8)
+        for c, block in zip(coefficients, blocks):
+            expected ^= GF.mul_table[c][block]
+        out = GF.dot(coefficients, blocks)
+        assert np.array_equal(out, expected)
+        assert not any(np.shares_memory(out, b) for b in blocks)
+        assert np.array_equal(GF.dot([0, 0], blocks), np.zeros(100, dtype=np.uint8))

@@ -15,6 +15,7 @@ from repro.ec import (
     raid6_reconstruct,
     xor_blocks,
 )
+from repro.ec.lrc import LocalReconstructionCode
 from repro.ec.parity import raid6_q_delta
 
 
@@ -289,3 +290,21 @@ class TestReedSolomon:
             ReedSolomon(0, 1)
         with pytest.raises(ValueError):
             ReedSolomon(200, 100)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [PQCode(6, 1), PQCode(6, 2), ReedSolomon(5, 3), LocalReconstructionCode(5, 2, 1)],
+    ids=["pq6.1", "pq6.2", "rs5+3", "lrc5.2.1"],
+)
+def test_encode_row_is_one_row_of_encode(code):
+    """The one-row encode a parity-chunk rebuild uses equals that row of
+    the full encode, for every parity row of every code family."""
+    rng = np.random.default_rng(code.k + code.m)
+    data = [rng.integers(0, 256, size=1000, dtype=np.uint8) for _ in range(code.k)]
+    full = code.encode(data)
+    assert len(full) == code.m
+    for row in range(code.m):
+        assert np.array_equal(code.encode_row(row, data), full[row])
+    with pytest.raises(ValueError):
+        code.encode_row(0, data[:-1])
