@@ -6,7 +6,9 @@ churn, parallel bandwidth channel), saves the numbers under
 machine's) and asserts only a generous floor
 — absolute throughput is hardware-dependent.  The real-byte kernels of
 functional mode (CRC-32C, the GF(2^8) block multiply, RS encode and
-single-shard RS decode) get the same kind of floor.  The trajectory of both is the per-layer ledger of ``bench/run.py
+single-shard RS decode) get the same kind of floor, and so does the
+per-stripe decision every controller makes on every op (map an extent,
+plan its write).  The trajectory of both is the per-layer ledger of ``bench/run.py
 --trace`` (``sim.core.*_ev_per_s`` and ``*_mb_s`` rows; ``bench/README.md``).
 """
 
@@ -19,6 +21,8 @@ import pytest
 
 from repro.ec.gf import GF
 from repro.ec.rs import ReedSolomon
+from repro.raid import RaidGeometry, RaidLevel
+from repro.raid.modes import plan_write
 from repro.sim.benchkit import KERNEL_WORKLOADS, run_workload
 from repro.storage.integrity import crc32c
 
@@ -100,4 +104,52 @@ def test_byte_kernel_floors():
         assert mb_s > BYTE_FLOORS_MB_S[name], (
             f"{name} fell below the catastrophic-regression floor: "
             f"{mb_s:,.1f} < {BYTE_FLOORS_MB_S[name]} MB/s"
+        )
+
+
+#: Extents mapped and planned per second on the paper's geometry (RAID-5,
+#: 8 drives, 512 KiB chunks), healthy array: a third to a fifth of what the
+#: one-pass mapper and the O(1) healthy-stripe plan measure (about 175 000/s
+#: for a 4 KiB extent and 80 000/s for a 3 584 KiB full stripe, seven
+#: segments, on a 2-CPU x86 container), so the gate catches a catastrophic
+#: fall (a per-byte or per-stripe scan), not ordinary variance.
+MAP_PLAN_FLOORS_PER_S = {
+    "map_plan_4k": 50_000,
+    "map_plan_full_stripe": 25_000,
+}
+
+
+def _best_per_s(fn, calls: int = 5_000, repeats: int = 5) -> float:
+    fn(0)
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        for i in range(calls):
+            fn(i)
+        best = min(best, time.perf_counter() - started)
+    return calls / best
+
+
+def test_map_and_plan_floors():
+    geometry = RaidGeometry(RaidLevel.RAID5, 8, 512 * 1024)
+    stripe = geometry.stripe_data_bytes
+    healthy = frozenset()
+
+    def map_and_plan(offset: int, length: int):
+        return [plan_write(geometry, ext, healthy)
+                for ext in geometry.map_extent(offset, length)]
+
+    (plan,) = map_and_plan(stripe, stripe)
+    assert plan.mode.value == "full" and len(plan.data_drives) == 7
+    measured = {
+        "map_plan_4k": _best_per_s(lambda i: map_and_plan(i * 20_480, 4096)),
+        "map_plan_full_stripe": _best_per_s(
+            lambda i: map_and_plan(i * stripe, stripe)
+        ),
+    }
+    for name, per_s in measured.items():
+        print(f"{name}: {per_s:,.0f} extents/s")
+        assert per_s > MAP_PLAN_FLOORS_PER_S[name], (
+            f"{name} fell below the catastrophic-regression floor: "
+            f"{per_s:,.0f} < {MAP_PLAN_FLOORS_PER_S[name]:,} extents/s"
         )

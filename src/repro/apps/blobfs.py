@@ -146,8 +146,6 @@ class BlobFs:
         data_pos = 0
         while remaining > 0:
             within = position % self.cluster_bytes
-            if within == 0 and position == blob.size + (nbytes - remaining):
-                pass
             if position // self.cluster_bytes >= len(blob.clusters):
                 blob.clusters.append(self._allocate_cluster())
                 grew = True

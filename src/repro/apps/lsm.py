@@ -17,7 +17,7 @@ precisely the files a real LSM would consult.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from repro.apps.blobfs import BlobFs

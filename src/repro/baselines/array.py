@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +41,10 @@ from repro.raid.locks import StripeLockManager
 from repro.raid.modes import WriteMode, WritePlan, plan_write
 from repro.storage.integrity import ChecksumError
 from repro.sim.core import AllOf, AnyOf, Environment, Event, _defuse_on_failure
+
+
+#: :meth:`RaidArray.failed_in_stripe` on an array with no failed member
+_NONE_FAILED: AbstractSet[int] = frozenset()
 
 
 @dataclass
@@ -276,14 +280,20 @@ class RaidArray(ABC):
             return False
         return True
 
-    def failed_in_stripe(self, stripe: int) -> set:
-        """The member drives to treat as failed for ``stripe``.
+    def failed_in_stripe(self, stripe: int) -> AbstractSet[int]:
+        """The member drives to treat as failed for ``stripe`` (read-only).
 
         Declustered layouts narrow this to the stripe's member set: a
         failed drive that holds no chunk of ``stripe`` does not degrade
         it (the fan-out property rebuild exploits).
         """
-        failed = {d for d in self.failed if self.drive_failed(d, stripe)}
+        failed = self.failed
+        if not failed:
+            return _NONE_FAILED
+        if self.rebuild_watermark or self.rebuilt_stripes:
+            failed = {d for d in failed if self.drive_failed(d, stripe)}
+        else:
+            failed = set(failed)
         if failed and not self.geometry.full_width:
             failed &= set(self.geometry.stripe_drives(stripe))
         return failed
@@ -484,12 +494,16 @@ class RaidArray(ABC):
                 f"{self._tolerance_name()} tolerates"
             )
 
-    def _plan_write(self, ext: StripeExtent) -> WritePlan:
+    def _plan(self, ext: StripeExtent) -> WritePlan:
         """Plan the write of ``ext`` on its stripe's current failures and
-        count it — the one place the write-mode counters move: the mode's
-        counter unless degraded-mode, ``degraded_writes`` iff a data member
-        of the stripe has failed."""
-        plan = plan_write(self.geometry, ext, self.failed_in_stripe(ext.stripe))
+        membership.  A plan lives for one attempt: a retry plans again."""
+        return plan_write(self.geometry, ext, self.failed_in_stripe(ext.stripe))
+
+    def _plan_write(self, ext: StripeExtent) -> WritePlan:
+        """:meth:`_plan` and count it — the one place the write-mode
+        counters move: the mode's counter unless degraded-mode,
+        ``degraded_writes`` iff a data member of the stripe has failed."""
+        plan = self._plan(ext)
         stats = self.stats
         mode = plan.mode
         if mode is WriteMode.READ_MODIFY_WRITE:
@@ -695,10 +709,8 @@ class RaidArray(ABC):
     def _shard_drives(self, stripe: int) -> List[int]:
         """Member drive of every shard of ``stripe`` in the code's order:
         data chunks ``0..k-1``, then the parity rows."""
-        g = self.geometry
-        return [
-            g.data_drive(stripe, d) for d in range(g.data_per_stripe)
-        ] + list(g.parity_drives(stripe))
+        layout = self.geometry.layout
+        return [*layout.data_drives(stripe), *layout.parity_drives(stripe)]
 
     def _repair_members(self, stripe: int, lost_index: int) -> List[Tuple[int, int]]:
         """``(member drive, shard index)`` of every chunk the code reads to

@@ -18,7 +18,7 @@ how it moves bytes lives in the frame, :class:`~repro.baselines.array.RaidArray`
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.nvmeof.initiator import RemoteBdev
 from repro.nvmeof.messages import IoError
 from repro.nvmeof.target import NvmeOfTarget
 from repro.raid.geometry import ChunkSegment, StripeExtent
-from repro.raid.modes import WriteMode, plan_write
+from repro.raid.modes import WriteMode, WritePlan, split_segments
 from repro.sim.core import AllOf, Interrupt, _defuse_on_failure
 
 
@@ -262,9 +262,7 @@ class HostCentricRaid(RaidArray):
 
     def _read_extent_once(self, ext: StripeExtent, buffer, ctx=None,
                           deadline_ns=None):
-        failed = self.failed_in_stripe(ext.stripe)
-        healthy = [s for s in ext.segments if s.drive not in failed]
-        lost = [s for s in ext.segments if s.drive in failed]
+        healthy, lost = split_segments(ext, self.failed_in_stripe(ext.stripe))
         events = [
             self.bdevs[s.drive].read(s.drive_offset, s.length, ctx=ctx,
                                      deadline_ns=deadline_ns)
@@ -290,7 +288,7 @@ class HostCentricRaid(RaidArray):
         else:
             results = yield from self._gather(events)
         if buffer is not None:
-            for seg, data in zip(list(healthy) + list(lost), results):
+            for seg, data in zip(healthy + lost, results):
                 buffer[seg.io_offset : seg.io_offset + seg.length] = data
 
     def _reconstruct_segment(self, ext: StripeExtent, seg: ChunkSegment, ctx=None,
@@ -331,22 +329,19 @@ class HostCentricRaid(RaidArray):
         lock).  A resilient attempt passes none: it plans again, uncounted,
         when its process starts."""
         if plan is None:
-            plan = plan_write(self.geometry, ext, self.failed_in_stripe(ext.stripe))
+            plan = self._plan(ext)
         mode = plan.mode
         if mode is WriteMode.READ_MODIFY_WRITE:
-            yield from self._write_rmw(ext, io_data, ctx, deadline_ns=deadline_ns)
+            executor = self._write_rmw
         elif mode is WriteMode.RECONSTRUCT_WRITE:
-            yield from self._write_rcw(ext, io_data, ctx, deadline_ns=deadline_ns)
+            executor = self._write_rcw
         elif mode is WriteMode.FULL_STRIPE:
-            yield from self._write_full(ext, io_data, ctx, deadline_ns=deadline_ns)
+            executor = self._write_full
         elif mode is WriteMode.DEGRADED_REGION:
-            yield from self._write_degraded_region(
-                ext, io_data, plan.lost[0], ctx, deadline_ns=deadline_ns
-            )
+            executor = self._write_degraded_region
         else:
-            yield from self._write_degraded_data(
-                ext, io_data, plan.lost, ctx, deadline_ns=deadline_ns
-            )
+            executor = self._write_degraded_data
+        yield from executor(ext, io_data, plan, ctx, deadline_ns=deadline_ns)
 
     # resilient write path (§5.4) --------------------------------------------
 
@@ -382,7 +377,7 @@ class HostCentricRaid(RaidArray):
                     ext, io_data, ctx=ctx, deadline_ns=deadline_ns
                 )
             return self._write_full(
-                ext, io_data, ctx, deadline_ns=deadline_ns, pinned=pinned
+                ext, io_data, ctx=ctx, deadline_ns=deadline_ns, pinned=pinned
             )
 
         yield from self._retry_loop(
@@ -422,14 +417,6 @@ class HostCentricRaid(RaidArray):
 
     # data helpers -----------------------------------------------------------
 
-    def _alive_parities(self, ext: StripeExtent) -> List[int]:
-        failed = self.failed_in_stripe(ext.stripe)
-        return [p for p in ext.parity_drives if p not in failed]
-
-    def _parity_index(self, ext: StripeExtent, drive: int) -> int:
-        """The code's parity row ``drive`` holds (0 for P, 1 for Q)."""
-        return ext.parity_drives.index(drive)
-
     def _segment_writes(self, ext: StripeExtent, io_data, ctx, deadline_ns, skip=()):
         """Writes of the user data to every touched segment whose member
         is not in ``skip``."""
@@ -442,26 +429,32 @@ class HostCentricRaid(RaidArray):
             if s.drive not in skip
         ]
 
-    def _parity_writes(self, ext: StripeExtent, parity_blocks, ctx, deadline_ns):
-        """Whole-chunk writes of ``parity_blocks`` to the surviving parities."""
+    def _parity_writes(self, ext: StripeExtent, plan: WritePlan, parity_blocks,
+                       ctx, deadline_ns):
+        """Whole-chunk writes of ``parity_blocks`` (one per code row) to the
+        plan's surviving parities."""
+        chunk = self.geometry.chunk_bytes
         return [
             self.bdevs[p].write(
-                ext.parity_offset, self.geometry.chunk_bytes,
-                parity_blocks[self._parity_index(ext, p)],
+                ext.parity_offset, chunk, parity_blocks[row],
                 ctx=ctx, deadline_ns=deadline_ns,
             )
-            for p in self._alive_parities(ext)
+            for row, p in plan.parities
         ]
 
-    def _write_full(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None,
-                    pinned=None):
+    def _write_full(self, ext: StripeExtent, io_data, plan=None, ctx=None,
+                    deadline_ns=None, pinned=None):
         """Write the stripe from its full data image: host computes parity,
         writes every touched segment and every parity.
 
         A full-stripe write is its own image; a §5.4 retry passes
         ``pinned`` — the ``(gaps, blocks)`` read once before any mutation —
-        and the image is assembled from it plus the user data.
+        and the image is assembled from it plus the user data.  With no
+        ``plan`` (the retry's, or a log-structured flush) it plans when it
+        starts.
         """
+        if plan is None:
+            plan = self._plan(ext)
         if pinned is None:
             image = [self._seg_data(io_data, s) for s in ext.segments]
         else:
@@ -469,74 +462,74 @@ class HostCentricRaid(RaidArray):
         parity_blocks = yield from self._encode_parities(image, ctx)
         staged = ext.touched_bytes + len(ext.parity_drives) * self.geometry.chunk_bytes
         yield self._charge_write_staging(staged, ext, ctx)
-        events = self._segment_writes(
-            ext, io_data, ctx, deadline_ns, skip=self.failed_in_stripe(ext.stripe)
-        )
-        events += self._parity_writes(ext, parity_blocks, ctx, deadline_ns)
+        events = self._segment_writes(ext, io_data, ctx, deadline_ns, skip=plan.failed)
+        events += self._parity_writes(ext, plan, parity_blocks, ctx, deadline_ns)
         if events:
             yield AllOf(self.env, events)
 
-    def _write_rmw(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None):
+    def _write_rmw(self, ext: StripeExtent, io_data, plan: WritePlan, ctx=None,
+                   deadline_ns=None):
         """Read-modify-write: 2 reads + 2 writes of the touched extent
         through the host NIC (3 + 3 for RAID-6)."""
-        span_off, span_len = ext.parity_span()
-        parities = self._alive_parities(ext)
+        span_off, span_len = ext.span
+        parities = plan.parities
+        segments = ext.segments
         # phase 1: read old data segments and old parity spans
         read_events = [
             self.bdevs[s.drive].read(s.drive_offset, s.length, ctx=ctx,
                                      deadline_ns=deadline_ns)
-            for s in ext.segments
+            for s in segments
         ]
-        for p in parities:
+        for _, p in parities:
             read_events.append(
                 self.bdevs[p].read(ext.parity_offset + span_off, span_len,
                                    ctx=ctx, deadline_ns=deadline_ns)
             )
         old_blocks = yield from self._gather(read_events)
-        old_data = old_blocks[: len(ext.segments)]
-        old_parity = old_blocks[len(ext.segments):]
+        old_data = old_blocks[: len(segments)]
+        old_parity = old_blocks[len(segments):]
         # phase 2: compute deltas and new parities
-        yield self._charge_xor(2 * len(ext.segments), span_len, ctx)
-        new_parities: Dict[int, Optional[np.ndarray]] = {p: None for p in parities}
+        yield self._charge_xor(2 * len(segments), span_len, ctx)
+        new_parities: List[Optional[np.ndarray]] = [None] * len(parities)
         if self.functional:
             # each segment's delta, weighted for every parity row
             partials = [
                 self.code.partial_parity(
                     seg.data_index, old ^ self._seg_data(io_data, seg)
                 )
-                for seg, old in zip(ext.segments, old_data)
+                for seg, old in zip(segments, old_data)
             ]
-            for order, p in enumerate(parities):
-                row = self._parity_index(ext, p)
+            for order, (row, _) in enumerate(parities):
                 block = old_parity[order].copy()
-                for seg, partial in zip(ext.segments, partials):
+                for seg, partial in zip(segments, partials):
                     rel = seg.chunk_offset - span_off
                     block[rel : rel + seg.length] ^= partial[row]
-                new_parities[p] = block
+                new_parities[order] = block
         if self.code.gf_pass and len(parities) > 1:
-            yield self._charge_gf(len(ext.segments), span_len, ctx)
+            yield self._charge_gf(len(segments), span_len, ctx)
         staged = 2 * ext.touched_bytes + 2 * len(parities) * span_len
         yield self._charge_write_staging(staged, ext, ctx)
         # phase 3: write new data and new parities
         write_events = self._segment_writes(ext, io_data, ctx, deadline_ns)
-        for p in parities:
+        for (_, p), block in zip(parities, new_parities):
             write_events.append(
                 self.bdevs[p].write(
-                    ext.parity_offset + span_off, span_len, new_parities[p],
+                    ext.parity_offset + span_off, span_len, block,
                     ctx=ctx, deadline_ns=deadline_ns,
                 )
             )
         yield AllOf(self.env, write_events)
 
-    def _write_rcw(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None):
+    def _write_rcw(self, ext: StripeExtent, io_data, plan: WritePlan, ctx=None,
+                   deadline_ns=None):
         """Reconstruct-write: read untouched data, recompute parity fully."""
-        g = self.geometry
-        chunk = g.chunk_bytes
+        chunk = self.geometry.chunk_bytes
+        data_drives = plan.data_drives
         # Build the full new stripe image: read whatever the write does not
         # cover (untouched chunks and partial-chunk complements).
         gaps = self._stripe_gaps(ext)
         read_events = [
-            self.bdevs[g.data_drive(ext.stripe, d)].read(
+            self.bdevs[data_drives[d]].read(
                 ext.stripe * chunk + off, length,
                 ctx=ctx, deadline_ns=deadline_ns,
             )
@@ -547,16 +540,14 @@ class HostCentricRaid(RaidArray):
             self._assemble_stripe(ext, io_data, gaps, gap_blocks), ctx
         )
         gap_bytes = sum(length for _, _, length in gaps)
-        staged = ext.touched_bytes + gap_bytes + len(self._alive_parities(ext)) * chunk
+        staged = ext.touched_bytes + gap_bytes + len(plan.parities) * chunk
         yield self._charge_write_staging(staged, ext, ctx)
         write_events = self._segment_writes(ext, io_data, ctx, deadline_ns)
-        write_events += self._parity_writes(ext, parity_blocks, ctx, deadline_ns)
+        write_events += self._parity_writes(ext, plan, parity_blocks, ctx, deadline_ns)
         yield AllOf(self.env, write_events)
 
-    def _write_degraded_region(
-        self, ext: StripeExtent, io_data, seg: ChunkSegment, ctx=None,
-        deadline_ns=None,
-    ):
+    def _write_degraded_region(self, ext: StripeExtent, io_data, plan: WritePlan,
+                               ctx=None, deadline_ns=None):
         """Write covering only a failed data chunk: region-scoped parity rebuild.
 
         Since parity is the (weighted) sum of all data chunks, the new
@@ -567,15 +558,17 @@ class HostCentricRaid(RaidArray):
         write penalty small (Fig. 18/30: ~5-11% drop).
         """
         g = self.geometry
-        failed_index = g.data_index_of_drive(ext.stripe, seg.drive)
+        seg = plan.lost[0]
+        failed_index = seg.data_index
         region_offset, region_len = seg.chunk_offset, seg.length
-        failed = self.failed_in_stripe(ext.stripe)
+        failed = plan.failed
+        data_drives = plan.data_drives
         survivors = [
-            d for d in range(g.data_per_stripe)
-            if d != failed_index and g.data_drive(ext.stripe, d) not in failed
+            d for d, drive in enumerate(data_drives)
+            if d != failed_index and drive not in failed
         ]
         read_events = [
-            self.bdevs[g.data_drive(ext.stripe, d)].read(
+            self.bdevs[data_drives[d]].read(
                 ext.stripe * g.chunk_bytes + region_offset, region_len,
                 ctx=ctx, deadline_ns=deadline_ns,
             )
@@ -594,21 +587,20 @@ class HostCentricRaid(RaidArray):
             )
         write_events = [
             self.bdevs[p].write(
-                ext.parity_offset + region_offset, region_len,
-                parity_blocks[self._parity_index(ext, p)],
+                ext.parity_offset + region_offset, region_len, parity_blocks[row],
                 ctx=ctx, deadline_ns=deadline_ns,
             )
-            for p in self._alive_parities(ext)
+            for row, p in plan.parities
         ]
         finish = self._subscribe_early(write_events)
         if self.code.gf_pass and len(write_events) > 1:
             yield self._charge_gf(len(survivors) + 1, region_len, ctx)
         yield finish if finish is not None else AllOf(self.env, write_events)
 
-    def _write_degraded_data(self, ext: StripeExtent, io_data, lost,
+    def _write_degraded_data(self, ext: StripeExtent, io_data, plan: WritePlan,
                              ctx=None, deadline_ns=None):
-        """Write when touched data chunks (the ``lost`` segments) live on
-        failed drives.
+        """Write when touched data chunks (the plan's ``lost`` segments)
+        live on failed drives.
 
         Reconstructs the failed chunk's old content when the write only
         partially covers it, merges the new data, recomputes parity from
@@ -617,36 +609,31 @@ class HostCentricRaid(RaidArray):
         g = self.geometry
         chunk = g.chunk_bytes
         touched_by_index = {s.data_index: s for s in ext.segments}
-        failed_indices = {s.data_index for s in lost}
+        failed_indices = {s.data_index for s in plan.lost}
         partial_failed = [
             i for i in failed_indices if touched_by_index[i].length < chunk
         ]
         # read every surviving data chunk in full
-        failed = self.failed_in_stripe(ext.stripe)
-        survivors = [
-            d for d in range(g.data_per_stripe)
-            if g.data_drive(ext.stripe, d) not in failed
-        ]
+        failed = plan.failed
+        data_drives = plan.data_drives
+        survivors = [d for d, drive in enumerate(data_drives) if drive not in failed]
         read_events = [
-            self.bdevs[g.data_drive(ext.stripe, d)].read(
-                ext.stripe * chunk, chunk,
-                ctx=ctx, deadline_ns=deadline_ns,
+            self.bdevs[data_drives[d]].read(
+                ext.stripe * chunk, chunk, ctx=ctx, deadline_ns=deadline_ns,
             )
             for d in survivors
         ]
         # if the failed chunk is partially covered we need its old content:
         # read parity too so it can be reconstructed
-        parity_blocks: Dict[int, Optional[np.ndarray]] = {}
-        parities_to_read = self._alive_parities(ext)[: len(failed_indices)] if partial_failed else []
-        for p in parities_to_read:
+        parities_to_read = plan.parities[: len(failed_indices)] if partial_failed else ()
+        for _, p in parities_to_read:
             read_events.append(
                 self.bdevs[p].read(ext.parity_offset, chunk, ctx=ctx,
                                    deadline_ns=deadline_ns)
             )
         blocks = yield from self._gather(read_events)
         survivor_blocks = blocks[: len(survivors)]
-        for p, blk in zip(parities_to_read, blocks[len(survivors):]):
-            parity_blocks[p] = blk
+        parity_blocks = blocks[len(survivors):]
         source_bytes = chunk * len(blocks)
         yield self._charge_reconstruct_staging(source_bytes, ext, ctx)
         yield self._charge_xor(len(blocks), chunk, ctx)
@@ -655,8 +642,8 @@ class HostCentricRaid(RaidArray):
             present = dict(zip(survivors, survivor_blocks))
             if partial_failed:
                 shards = dict(present)
-                for p, blk in parity_blocks.items():
-                    shards[g.data_per_stripe + self._parity_index(ext, p)] = blk
+                for (row, _), blk in zip(parities_to_read, parity_blocks):
+                    shards[g.data_per_stripe + row] = blk
                 for i in failed_indices:
                     present[i] = self.code.decode_one(i, shards, chunk)
             else:
@@ -674,11 +661,11 @@ class HostCentricRaid(RaidArray):
                     base[seg.chunk_offset : seg.chunk_end] = self._seg_data(io_data, seg)
                 stripe_img.append(base)
         new_parity = yield from self._encode_parities(stripe_img, ctx)
-        staged = chunk * (len(survivors) + len(self._alive_parities(ext)))
+        staged = chunk * (len(survivors) + len(plan.parities))
         yield self._charge_write_staging(staged, ext, ctx)
         write_events = self._segment_writes(
             ext, io_data, ctx, deadline_ns, skip=failed
         )
-        write_events += self._parity_writes(ext, new_parity, ctx, deadline_ns)
+        write_events += self._parity_writes(ext, plan, new_parity, ctx, deadline_ns)
         yield AllOf(self.env, write_events)
 

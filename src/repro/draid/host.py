@@ -39,7 +39,7 @@ from repro.draid.reconstruction import BandwidthAwareSelector, RandomReducerSele
 from repro.ec import LinearCode
 from repro.nvmeof.messages import IoError, NvmeOfCommand, Opcode, next_cid
 from repro.raid.geometry import RaidGeometry, StripeExtent
-from repro.raid.modes import WriteMode, WritePlan
+from repro.raid.modes import WriteMode, WritePlan, split_segments
 from repro.sim.core import Event
 
 
@@ -326,9 +326,7 @@ class DraidArray(RaidArray):
         # controller interface and has nothing to suppress here.
         if self.resilient:
             self._check_tolerance(ext.stripe)
-        failed = self.failed_in_stripe(ext.stripe)
-        healthy = [s for s in ext.segments if s.drive not in failed]
-        lost = [s for s in ext.segments if s.drive in failed]
+        healthy, lost = split_segments(ext, self.failed_in_stripe(ext.stripe))
         if not lost:
             yield from self._plain_reads(
                 ext, healthy, buffer, ctx, deadline_ns=deadline_ns
@@ -664,9 +662,10 @@ class DraidArray(RaidArray):
         # the degraded region's one lost segment, which no bdev can write
         lost = plan.lost[0] if plan.lost else None
         touched = {s.data_index: s for s in ext.segments}
+        data_drives = plan.data_drives
         # every surviving data bdev participates in RCW; only touched ones in RMW
         if not rcw:
-            fwd_off, fwd_len = ext.parity_span()
+            fwd_off, fwd_len = ext.span
             contributors = sorted(touched)
         elif lost is None:
             fwd_off, fwd_len = 0, chunk
@@ -675,7 +674,7 @@ class DraidArray(RaidArray):
             fwd_off, fwd_len = lost.chunk_offset, lost.length
             contributors = [d for d in range(g.data_per_stripe) if d != lost.data_index]
         subtype_parity = Subtype.RW_READ if rcw else Subtype.RMW  # RCW: no preread
-        writers = {g.data_drive(ext.stripe, d) for d in contributors if d in touched}
+        writers = {data_drives[d] for d in contributors if d in touched}
         cid = next_cid()
         waiter = self._register(
             cid, {"data": len(writers), "parity": len(alive_parities)},
@@ -684,7 +683,7 @@ class DraidArray(RaidArray):
         )
         for d in contributors:
             seg = touched.get(d)
-            drive = g.data_drive(ext.stripe, d)
+            drive = data_drives[d]
             if rcw:
                 subtype = Subtype.RW_WRITE if seg is not None else Subtype.RW_READ
                 cmd_fwd_off, cmd_fwd_len = fwd_off, fwd_len

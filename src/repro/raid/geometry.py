@@ -14,9 +14,8 @@ Maps the linear user address space of the virtual block device onto
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.ec import LinearCode, code_for
 from repro.raid.layout import Layout, RotatingLayout
@@ -33,9 +32,12 @@ class RaidLevel(Enum):
         return 1 if self is RaidLevel.RAID5 else 2
 
 
-@dataclass(frozen=True)
-class ChunkSegment:
-    """A contiguous byte range of one data chunk touched by a user I/O."""
+class ChunkSegment(NamedTuple):
+    """A contiguous byte range of one data chunk touched by a user I/O.
+
+    A light positional record: :meth:`RaidGeometry.map_extent` builds one
+    per chunk an I/O touches, on every op of every controller.
+    """
 
     data_index: int  #: logical data-chunk index within the stripe (0..k-1)
     drive: int  #: physical member-drive index
@@ -49,18 +51,20 @@ class ChunkSegment:
         return self.chunk_offset + self.length
 
 
-@dataclass(frozen=True)
-class StripeExtent:
-    """The portion of a user I/O that falls into one stripe."""
+class StripeExtent(NamedTuple):
+    """The portion of a user I/O that falls into one stripe.
+
+    Built once per stripe by :meth:`RaidGeometry.map_extent`, with the
+    sums every write plan reads stored rather than recomputed.
+    """
 
     stripe: int
     segments: Tuple[ChunkSegment, ...]
     parity_drives: Tuple[int, ...]  #: (P,) for RAID-5, (P, Q) for RAID-6
     parity_offset: int  #: byte offset of the parity chunk on its drive
-
-    @property
-    def touched_bytes(self) -> int:
-        return sum(s.length for s in self.segments)
+    touched_bytes: int  #: user bytes in the stripe (the segments' lengths)
+    #: (offset, length) of the union of the segments' chunk intervals
+    span: Tuple[int, int]
 
     def parity_span(self) -> Tuple[int, int]:
         """(offset, length) of the union of per-chunk intervals touched.
@@ -68,9 +72,7 @@ class StripeExtent:
         This is the region of the parity chunk that must be updated: the
         dRAID protocol's ``fwd-offset`` / ``fwd-length`` (§5.1).
         """
-        start = min(s.chunk_offset for s in self.segments)
-        end = max(s.chunk_end for s in self.segments)
-        return start, end - start
+        return self.span
 
 
 class RaidGeometry:
@@ -156,44 +158,59 @@ class RaidGeometry:
     # -- extent mapping -------------------------------------------------------
 
     def map_extent(self, offset: int, length: int) -> List[StripeExtent]:
-        """Split the user extent ``[offset, offset+length)`` into stripes."""
+        """Split the user extent ``[offset, offset+length)`` into stripes.
+
+        One pass: each stripe's placement is read once, and its segments,
+        touched bytes and parity span are built together.  A stripe's
+        segments are consecutive chunks, so the span is the one segment's
+        own interval, or the whole chunk once two or more are touched (the
+        first runs to its chunk's end, the next starts at 0).
+        """
         if offset < 0 or length <= 0:
             raise ValueError(f"invalid extent offset={offset} length={length}")
-        extents: List[StripeExtent] = []
+        chunk = self.chunk_bytes
+        stripe_bytes = self.stripe_data_bytes
+        layout = self.layout
         end = offset + length
-        pos = offset
-        while pos < end:
-            stripe = pos // self.stripe_data_bytes
-            stripe_start = stripe * self.stripe_data_bytes
-            local = pos - stripe_start
-            local_end = min(end - stripe_start, self.stripe_data_bytes)
-            data_drives = self.layout.data_drives(stripe)
-            segments: List[ChunkSegment] = []
-            while local < local_end:
-                data_index = local // self.chunk_bytes
-                chunk_offset = local % self.chunk_bytes
-                seg_len = min(self.chunk_bytes - chunk_offset, local_end - local)
-                segments.append(
-                    ChunkSegment(
-                        data_index=data_index,
-                        drive=data_drives[data_index],
-                        drive_offset=stripe * self.chunk_bytes + chunk_offset,
-                        chunk_offset=chunk_offset,
-                        length=seg_len,
-                        io_offset=(stripe_start + local) - offset,
-                    )
-                )
-                local += seg_len
-            extents.append(
-                StripeExtent(
-                    stripe=stripe,
-                    segments=tuple(segments),
-                    parity_drives=self.parity_drives(stripe),
-                    parity_offset=self.chunk_offset_on_drive(stripe),
-                )
+        stripe, local = divmod(offset, stripe_bytes)
+        extents: List[StripeExtent] = []
+        while True:
+            stripe_start = stripe * stripe_bytes
+            local_end = min(end - stripe_start, stripe_bytes)
+            data_drives = layout.data_drives(stripe)
+            chunk_base = stripe * chunk
+            io_base = stripe_start - offset
+            data_index, chunk_offset = divmod(local, chunk)
+            seg_len = min(chunk - chunk_offset, local_end - local)
+            first = ChunkSegment(
+                data_index, data_drives[data_index], chunk_base + chunk_offset,
+                chunk_offset, seg_len, io_base + local,
             )
-            pos = stripe_start + local_end
-        return extents
+            touched = local_end - local
+            if seg_len == touched:
+                segments: Tuple[ChunkSegment, ...] = (first,)
+                span = (chunk_offset, seg_len)
+            else:
+                more = [first]
+                local += seg_len
+                while local < local_end:
+                    data_index += 1
+                    seg_len = min(chunk, local_end - local)
+                    more.append(ChunkSegment(
+                        data_index, data_drives[data_index],
+                        chunk_base, 0, seg_len, io_base + local,
+                    ))
+                    local += seg_len
+                segments = tuple(more)
+                span = (0, chunk)
+            extents.append(StripeExtent(
+                stripe, segments, layout.parity_drives(stripe), chunk_base,
+                touched, span,
+            ))
+            if stripe_start + stripe_bytes >= end:
+                return extents
+            stripe += 1
+            local = 0
 
     def capacity_bytes(self, drive_capacity: int) -> int:
         """Usable capacity of the virtual device."""

@@ -16,7 +16,7 @@ RMW, 1536–3583 KiB → RCW, 3584 KiB → full stripe.
 
 :func:`plan_write` is the failure-aware decision every controller executes
 (§3): it adds the two degraded modes and the survivors a write must keep
-consistent.
+consistent.  :func:`split_segments` is the same survivor split for reads.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ class WriteMode(Enum):
 
 
 class WritePlan(NamedTuple):
-    """What one stripe write does, decided once for every datapath."""
+    """What one stripe write does, decided once per attempt for every
+    datapath: the executors read it and derive none of it again."""
 
     mode: WriteMode
     #: surviving ``(row, member)`` parities, in row order
@@ -53,26 +54,41 @@ class WritePlan(NamedTuple):
     lost: Tuple[ChunkSegment, ...]
     #: whether a data member of the stripe has failed
     degraded: bool
-
-
-def rmw_read_bytes(geometry: RaidGeometry, extent: StripeExtent) -> int:
-    """Bytes RMW must read: old data under the write + old parity span."""
-    span_off, span_len = extent.parity_span()
-    return extent.touched_bytes + geometry.num_parity * span_len
-
-
-def rcw_read_bytes(geometry: RaidGeometry, extent: StripeExtent) -> int:
-    """Bytes RCW must read: everything in the stripe not being written."""
-    return geometry.stripe_data_bytes - extent.touched_bytes
+    #: the stripe's failed members when the plan was made
+    failed: AbstractSet[int]
+    #: the member of every data chunk, in logical chunk order, when the
+    #: plan was made (declustered membership moves onto spares over time)
+    data_drives: Tuple[int, ...]
 
 
 def classify_write(geometry: RaidGeometry, extent: StripeExtent) -> WriteMode:
-    """Pick the cheapest write mode for one stripe extent."""
-    if extent.touched_bytes == geometry.stripe_data_bytes:
+    """Pick the cheapest write mode for one stripe extent.
+
+    RMW reads the old data under the write plus every parity's span; RCW
+    reads everything in the stripe the write does not cover.
+    """
+    touched = extent.touched_bytes
+    stripe_bytes = geometry.stripe_data_bytes
+    if touched == stripe_bytes:
         return WriteMode.FULL_STRIPE
-    if rcw_read_bytes(geometry, extent) <= rmw_read_bytes(geometry, extent):
+    rmw_reads = touched + geometry.num_parity * extent.span[1]
+    if stripe_bytes - touched <= rmw_reads:
         return WriteMode.RECONSTRUCT_WRITE
     return WriteMode.READ_MODIFY_WRITE
+
+
+def split_segments(
+    extent: StripeExtent, failed: AbstractSet[int]
+) -> Tuple[Tuple[ChunkSegment, ...], Tuple[ChunkSegment, ...]]:
+    """``(healthy, lost)``: ``extent``'s segments on surviving members and
+    on ``failed`` ones, each in segment order."""
+    segments = extent.segments
+    if not failed:
+        return segments, ()
+    return (
+        tuple(s for s in segments if s.drive not in failed),
+        tuple(s for s in segments if s.drive in failed),
+    )
 
 
 def plan_write(
@@ -84,9 +100,16 @@ def plan_write(
     A write touching a failed chunk is degraded — region-scoped when it
     covers only the stripe's one failed data chunk.  Otherwise the mode is
     :func:`classify_write`'s, except that RCW cannot read a failed
-    untouched chunk and becomes RMW.
+    untouched chunk and becomes RMW.  A stripe with no failed member
+    takes the classifier's mode with every parity alive.
     """
     parity_drives = extent.parity_drives
+    data_drives = geometry.layout.data_drives(extent.stripe)
+    if not failed:
+        return WritePlan(
+            classify_write(geometry, extent), tuple(enumerate(parity_drives)),
+            (), False, failed, data_drives,
+        )
     parities = tuple((row, p) for row, p in enumerate(parity_drives) if p not in failed)
     lost = tuple(s for s in extent.segments if s.drive in failed)
     failed_data = len(failed) - (len(parity_drives) - len(parities))
@@ -97,4 +120,4 @@ def plan_write(
         mode = classify_write(geometry, extent)
         if mode is WriteMode.RECONSTRUCT_WRITE and failed_data:
             mode = WriteMode.READ_MODIFY_WRITE
-    return WritePlan(mode, parities, lost, failed_data > 0)
+    return WritePlan(mode, parities, lost, failed_data > 0, failed, data_drives)

@@ -213,7 +213,7 @@ HOST_CENTRIC_ONLY = (
     "_charge_reconstruct_staging", "_charge_degraded_read_staging",
     "_read_extent_once", "_reconstruct_segment",
     "_data_drives_in", "_write_resilient", "_pin_with_retries", "_pin_stripe_image",
-    "_write_pinned", "_alive_parities", "_parity_index", "_parity_writes",
+    "_write_pinned", "_parity_writes",
     "_write_rmw", "_write_rcw", "_write_degraded_region", "_write_degraded_data",
 )
 DATAPATH_HOOKS = (
@@ -233,7 +233,7 @@ def test_frame_and_datapaths_are_siblings():
     assert HostCentricRaid not in DraidArray.__mro__
     assert DraidArray not in HostCentricRaid.__mro__
     env, array, geometry = build_controller("draid")
-    assert len(HOST_CENTRIC_ONLY) == 24
+    assert len(HOST_CENTRIC_ONLY) == 22
     for name in (*HOST_CENTRIC_ONLY, "bdevs", "targets"):
         assert not hasattr(array, name), f"DraidArray still carries {name}"
     # a frame without a datapath is a typed error up front, naming the

@@ -1,6 +1,8 @@
 """Tests for RAID geometry, write-mode classification and planning, and
 stripe locks."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +15,20 @@ from repro.raid import (
     classify_write,
 )
 from repro.draid import EcGeometry
+from repro.baselines.array import RaidArray
 from repro.raid.layout import DeclusteredLayout
-from repro.raid.modes import plan_write
+from repro.raid.modes import plan_write, split_segments
 from repro.sim import Environment
+from tests import geometry_oracle as oracle
+
+# CI's perf-smoke job re-runs the oracle property with
+# HYPOTHESIS_PROFILE=geometry-ci: same examples every time, and a budget
+# tier-1 could not afford.
+settings.register_profile(
+    "geometry-ci", max_examples=3000, derandomize=True, deadline=None
+)
+if os.environ.get("HYPOTHESIS_PROFILE") == "geometry-ci":
+    settings.load_profile("geometry-ci")
 
 KB = 1024
 CHUNK = 512 * KB
@@ -252,6 +265,115 @@ class TestWriteModes:
         )
         assert plan.lost == tuple(s for s in ext.segments if s.drive in failed)
         assert plan.degraded == bool(failed_data)
+
+
+class _Members:
+    """The frame's failure bookkeeping alone: ``failed_in_stripe`` over a
+    failed set, rebuild watermarks and out-of-order rebuilt stripes."""
+
+    failed_in_stripe = RaidArray.failed_in_stripe
+    drive_failed = RaidArray.drive_failed
+
+    def __init__(self, geometry, failed, watermark, rebuilt):
+        self.geometry = geometry
+        self.failed = failed
+        self.rebuild_watermark = watermark
+        self.rebuilt_stripes = rebuilt
+
+
+@st.composite
+def oracle_cases(draw):
+    """A geometry (RAID-5/6 or RS, rotating or declustered with spares), an
+    extent (sub-chunk, multi-chunk, multi-stripe, exactly one stripe or at
+    the RMW/RCW tie) and failure bookkeeping (any drives, members of a stripe or not, some
+    healed by a rebuild watermark or an out-of-order rebuilt set)."""
+    num_parity = draw(st.integers(1, 3), label="num_parity")
+    drives = draw(st.integers(num_parity + 3, 12), label="drives")
+    layout = None
+    if draw(st.booleans(), label="declustered"):
+        layout = DeclusteredLayout(
+            drives, num_parity,
+            stripe_width=draw(st.integers(num_parity + 2, drives), label="width"),
+            seed=draw(st.integers(0, 99), label="seed"),
+        )
+    chunk = draw(st.sampled_from([4 * KB, 16 * KB]), label="chunk")
+    if num_parity < 3 and draw(st.booleans(), label="raid level"):
+        level = RaidLevel.RAID5 if num_parity == 1 else RaidLevel.RAID6
+        g = RaidGeometry(level, drives, chunk, layout)
+    else:
+        g = EcGeometry(drives, chunk, num_parity, layout)
+    stripe_bytes = g.stripe_data_bytes
+    offset = draw(
+        st.integers(0, 6 * stripe_bytes - 1)
+        | st.integers(0, 5).map(lambda s: s * stripe_bytes)
+        | st.integers(0, 6 * g.data_per_stripe).map(lambda c: c * chunk),
+        label="offset",
+    )
+    # RMW and RCW read equal bytes at the tie, which goes to RCW
+    tie = (stripe_bytes - g.num_parity * chunk) // 2
+    length = draw(
+        st.integers(1, chunk)
+        | st.integers(chunk, 3 * chunk)
+        | st.integers(1, 3 * stripe_bytes)
+        | st.just(stripe_bytes)
+        | st.sampled_from([tie - 512, tie, tie + 512]).filter(lambda n: n > 0),
+        label="length",
+    )
+    failed = set(draw(
+        st.lists(st.integers(0, drives - 1), max_size=num_parity + 1, unique=True),
+        label="failed",
+    ))
+    watermark, rebuilt = {}, {}
+    for d in sorted(failed):
+        heal = draw(st.sampled_from(["none", "watermark", "rebuilt"]), label="heal")
+        if heal == "watermark":
+            watermark[d] = draw(st.integers(0, 8), label="watermark")
+        elif heal == "rebuilt":
+            rebuilt[d] = set(draw(st.lists(st.integers(0, 8)), label="rebuilt"))
+    return g, offset, length, _Members(g, failed, watermark, rebuilt)
+
+
+@given(oracle_cases())
+@settings(deadline=None)
+def test_oracle_map_extent_and_plan_write(case):
+    """The one-pass records and plans equal the per-segment dataclass
+    oracle's, field by field, on every stripe the extent touches."""
+    g, offset, length, members = case
+    new = g.map_extent(offset, length)
+    old = oracle.map_extent(g, offset, length)
+    assert len(new) == len(old)
+    for ext, ref in zip(new, old):
+        assert ext.stripe == ref.stripe
+        assert ext.parity_drives == ref.parity_drives
+        assert ext.parity_offset == ref.parity_offset
+        assert ext.touched_bytes == ref.touched_bytes
+        assert ext.parity_span() == ref.parity_span()
+        assert len(ext.segments) == len(ref.segments)
+        for seg, want in zip(ext.segments, ref.segments):
+            for name in ("data_index", "drive", "drive_offset", "chunk_offset",
+                         "length", "io_offset", "chunk_end"):
+                assert getattr(seg, name) == getattr(want, name), name
+
+        failed = members.failed_in_stripe(ext.stripe)
+        assert failed == oracle.failed_in_stripe(
+            g, members.failed, members.rebuild_watermark,
+            members.rebuilt_stripes, ext.stripe,
+        )
+        plan = plan_write(g, ext, failed)
+        ref_plan = oracle.plan_write(g, ref, failed)
+        assert plan.mode is ref_plan.mode
+        assert plan.parities == ref_plan.parities
+        assert plan.degraded == ref_plan.degraded
+        assert [s.io_offset for s in plan.lost] == [s.io_offset for s in ref_plan.lost]
+        assert plan.failed == failed
+        assert plan.data_drives == tuple(
+            g.data_drive(ext.stripe, d) for d in range(g.data_per_stripe)
+        )
+        healthy, lost = split_segments(ext, failed)
+        assert [s.io_offset for s in healthy] == [
+            s.io_offset for s in ref.segments if s.drive not in failed
+        ]
+        assert lost == plan.lost
 
 
 class TestStripeLocks:
