@@ -28,7 +28,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.baselines import MdRaid, SpdkRaid
 from repro.cluster import ClusterConfig, build_cluster
-from repro.draid import BandwidthAwareSelector, DraidArray, EcGeometry, RandomReducerSelector
+from repro.draid import BandwidthAwareSelector, DraidArray, RandomReducerSelector
 from repro.ec import code_for
 from repro.raid.geometry import RaidGeometry, RaidLevel
 from repro.raid.layout import Layout, make_layout
@@ -154,6 +154,8 @@ def build_testbed(
     if code is None:
         geometry = RaidGeometry(level, servers, chunk_bytes, layout=layout)
     else:
+        from repro.draid.ec_array import EcGeometry
+
         geometry = EcGeometry(servers, chunk_bytes, num_parity, layout=layout)
         k = geometry.data_per_stripe
         array_kwargs["code"] = code_for(

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.sim.core import AllOf, Environment, Event
 
 SUPER_BLOCK_BYTES = 4096
@@ -189,7 +191,5 @@ class BlobFs:
         for event in events:
             results.append((yield event))
         if results and results[0] is not None:
-            import numpy as np
-
             return np.concatenate(results)
         return None

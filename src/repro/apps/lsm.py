@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Set
 
 from repro.apps.blobfs import BlobFs
@@ -54,6 +55,8 @@ class SsTable:
     size_bytes: int
     level: int
     seq: int
+    #: ``size_bytes`` in cache blocks (an SST is at least one block)
+    blocks: int
 
 
 class _BlockCache:
@@ -67,8 +70,11 @@ class _BlockCache:
 
     def access(self, key: tuple) -> bool:
         """True on hit; inserts on miss (read-through)."""
-        if key in self._lru:
+        try:
             self._lru.move_to_end(key)
+        except KeyError:
+            pass
+        else:
             self.hits += 1
             return True
         self.misses += 1
@@ -154,7 +160,9 @@ class LsmKvStore:
             size = max(cfg.block_bytes, len(frozen) * cfg.value_bytes)
             payload = b"\0" * size if self.fs.array.functional else None
             yield self.fs.append(blob_id, size, data=payload)
-            self._levels[0].append(SsTable(blob_id, frozen, size, 0, self._seq))
+            self._levels[0].append(
+                SsTable(blob_id, frozen, size, 0, self._seq, size // cfg.block_bytes)
+            )
             if len(self._levels[0]) >= cfg.level0_compaction_trigger and not self._compaction_lock:
                 self.env.process(self._compact(), name="lsm.compact")
         self._flush_lock = False
@@ -179,7 +187,11 @@ class LsmKvStore:
             size = max(cfg.block_bytes, len(merged) * cfg.value_bytes)
             payload = b"\0" * size if self.fs.array.functional else None
             yield self.fs.append(blob_id, size, data=payload)
-            self._levels[1].append(SsTable(blob_id, merged, size, 1, self._seq))
+            # a new list, not an append to the empty one: a lookup in flight
+            # keeps the level 1 it started with (see _get)
+            self._levels[1] = [
+                SsTable(blob_id, merged, size, 1, self._seq, size // cfg.block_bytes)
+            ]
             for sst in inputs:
                 self.cache.invalidate_sst(sst.blob_id)
                 yield self.fs.delete_blob(sst.blob_id)
@@ -194,7 +206,7 @@ class LsmKvStore:
         inserted = 0
         for level in self._levels:
             for sst in level:
-                for block in range(max(1, sst.size_bytes // self.config.block_bytes)):
+                for block in range(sst.blocks):
                     self.cache.access((sst.blob_id, block))
                     inserted += 1
         return inserted
@@ -205,17 +217,6 @@ class LsmKvStore:
         """Point lookup."""
         self.stats["gets"] += 1
         return self.env.process(self._get(key), name="lsm.get")
-
-    def _candidate_ssts(self, key: int) -> List[SsTable]:
-        """SSTs a lookup consults: newest level-0 first, then level 1."""
-        candidates = []
-        for sst in reversed(self._levels[0]):
-            candidates.append(sst)
-            if key in sst.keys:
-                break
-        else:
-            candidates.extend(self._levels[1])
-        return candidates
 
     def scan(self, start_key: int, count: int) -> Event:
         """Range scan: read ``count`` consecutive keys from ``start_key``.
@@ -244,7 +245,7 @@ class LsmKvStore:
                     continue
                 found += len(overlap)
                 # sequential read of the overlapping block range
-                max_block = max(1, sst.size_bytes // cfg.block_bytes)
+                max_block = sst.blocks
                 start_block = (start_key * 2654435761) % max_block
                 span_blocks = max(1, (len(overlap) * cfg.value_bytes) // cfg.block_bytes + 1)
                 misses = 0
@@ -263,25 +264,33 @@ class LsmKvStore:
 
     def _get(self, key: int):
         yield self._cpu.execute(self.config.get_cpu_ns)
-        if key in self._memtable or any(key in imm for imm in self._immutable):
-            self.stats["memtable_hits"] += 1
+        stats = self.stats
+        if key in self._memtable:
+            stats["memtable_hits"] += 1
             return True
+        for immutable in self._immutable:
+            if key in immutable:
+                stats["memtable_hits"] += 1
+                return True
         cfg = self.config
-        for sst in self._candidate_ssts(key):
+        # newest level-0 SST first, then level 1; a present key returns, so
+        # level 1 is reached only when no level-0 SST holds the key.  Both
+        # are read as they stand now: a flush appends behind the reversed
+        # iterator and a compaction swaps in new lists.
+        for sst in chain(reversed(self._levels[0]), self._levels[1]):
             present = key in sst.keys
             if not present:
                 # bloom filter rejects absent keys (except false positives)
                 if self._rng.random() >= cfg.bloom_false_positive:
-                    self.stats["bloom_skips"] += 1
+                    stats["bloom_skips"] += 1
                     continue
-            block_index = (key * 2654435761) % max(1, sst.size_bytes // cfg.block_bytes)
-            cache_key = (sst.blob_id, block_index)
-            if self.cache.access(cache_key):
-                self.stats["cache_hits"] += 1
+            block_index = (key * 2654435761) % sst.blocks
+            if self.cache.access((sst.blob_id, block_index)):
+                stats["cache_hits"] += 1
                 if present:
                     return True
                 continue
-            self.stats["sst_reads"] += 1
+            stats["sst_reads"] += 1
             yield self.fs.read(sst.blob_id, block_index * cfg.block_bytes, cfg.block_bytes)
             if present:
                 return True

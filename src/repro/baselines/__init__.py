@@ -17,11 +17,15 @@ fence rule, admission, integrity, block interface) that dRAID's own
 datapath sits on as well — siblings on one substrate.
 """
 
-from repro.baselines.array import RaidArray, RaidIoStats
-from repro.baselines.base import HostCentricRaid
-from repro.baselines.logstructured import LogStructuredRaid
-from repro.baselines.mdraid import MdRaid
-from repro.baselines.spdkraid import SpdkRaid
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".array": ("RaidArray", "RaidIoStats"),
+    ".base": ("HostCentricRaid",),
+    ".logstructured": ("LogStructuredRaid",),
+    ".mdraid": ("MdRaid",),
+    ".spdkraid": ("SpdkRaid",),
+})
 
 __all__ = [
     "HostCentricRaid",

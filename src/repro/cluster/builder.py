@@ -10,17 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # annotation only: keep repro.cluster import-light
+if TYPE_CHECKING:  # annotation only: a hub loads when a config arms it
     from repro.faults.domains import DomainTopology
+    from repro.obs import ObservabilityConfig
     from repro.qos import OverloadConfig
+    from repro.verify import VerifyConfig
 
 from repro.cluster.machines import HostMachine, StorageServer
 from repro.cluster.profiles import DEFAULT_CPU, CpuProfile
 from repro.net.fabric import Fabric, RdmaConnection
 from repro.net.nic import GOODPUT_100G, Nic
-from repro.obs import Observability, ObservabilityConfig
 from repro.sim.core import Environment
-from repro.verify import Verifier, VerifyConfig
 from repro.storage.drive import NvmeDrive
 from repro.storage.profiles import DELL_AGN_MU, DriveProfile
 
@@ -60,12 +60,12 @@ class ClusterConfig:
     #: unarmed — runs are byte-identical to an unobserved simulation.  Set
     #: an :class:`repro.obs.ObservabilityConfig` to attach a
     #: :class:`repro.obs.Observability` hub at ``cluster.obs``.
-    observability: Optional[ObservabilityConfig] = None
+    observability: Optional["ObservabilityConfig"] = None
     #: None (the default) leaves the sanitizer/protocol checker entirely
     #: unarmed — runs are byte-identical to an unverified simulation.  Set
     #: a :class:`repro.verify.VerifyConfig` to attach a
     #: :class:`repro.verify.Verifier` hub at ``cluster.verify``.
-    verify: Optional[VerifyConfig] = None
+    verify: Optional["VerifyConfig"] = None
     #: None (the default) gives faults no shape — every fault event is
     #: independent, exactly as before.  Set a
     #: :class:`repro.faults.domains.DomainTopology` to give correlated
@@ -252,12 +252,17 @@ def build_cluster(env: Environment, config: Optional[ClusterConfig] = None) -> C
     cluster = Cluster(
         env, fabric, host, servers, host_connections, peer_connections, config
     )
+    # each hub is imported only when its config arms it
     if config.observability is not None:
+        from repro.obs import Observability
+
         cluster.obs = Observability(cluster)
     if config.verify is not None:
+        from repro.verify import Verifier
+
         cluster.verify = Verifier(cluster, config.verify)
     if config.overload is not None:
-        from repro.qos import QosControl  # local: keep repro.cluster import-light
+        from repro.qos.control import QosControl
 
         cluster.qos = QosControl(config.overload)
     return cluster

@@ -15,15 +15,17 @@ host (vs ``width - 1`` chunks).
   bandwidth-aware (§6.2).
 """
 
-from repro.draid.host import DraidArray
-from repro.draid.bdev import DraidBdevServer
-from repro.draid.ec_array import EcDraidArray, EcGeometry
-from repro.draid.offload import OffloadedController, OffloadedDraidArray
-from repro.draid.reconstruction import (
-    BandwidthAwareSelector,
-    RandomReducerSelector,
-    solve_reducer_probabilities,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".bdev": ("DraidBdevServer",),
+    ".ec_array": ("EcDraidArray", "EcGeometry"),
+    ".host": ("DraidArray",),
+    ".offload": ("OffloadedController", "OffloadedDraidArray"),
+    ".reconstruction": (
+        "BandwidthAwareSelector", "RandomReducerSelector", "solve_reducer_probabilities",
+    ),
+})
 
 __all__ = [
     "BandwidthAwareSelector",

@@ -60,6 +60,25 @@ def decode_lost(code: LinearCode, lost: Tuple[str, int], blocks, length: int):
     return code.decode_one(shard(lost), shards, length)
 
 
+def _fold(span_offset: int, span_length: int, pieces) -> np.ndarray:
+    """XOR of the ``(offset, block)`` pieces laid over one parity span,
+    starting from a copy of the first piece that covers the whole span."""
+    data = None
+    rest = []
+    for piece in pieces:
+        offset, block = piece
+        if data is None and offset == span_offset and len(block) == span_length:
+            data = block.copy()
+        else:
+            rest.append(piece)
+    if data is None:
+        data = np.zeros(span_length, dtype=np.uint8)
+    for offset, block in rest:
+        rel = offset - span_offset
+        data[rel : rel + len(block)] ^= block
+    return data
+
+
 @dataclass
 class _ParityReduceState:
     """Algorithm 2 state for one in-flight parity reduction.
@@ -340,12 +359,15 @@ class DraidBdevServer:
         """The partial parity this bdev contributes (functional mode only)."""
         if not self.functional:
             return None
-        partial = np.zeros(cmd.fwd_length, dtype=np.uint8)
         if cmd.subtype is Subtype.RMW:
             old = old_blocks[0][1]
+            if cmd.length == cmd.fwd_length:  # the segment is the whole span
+                return old ^ cmd.data
+            partial = np.zeros(cmd.fwd_length, dtype=np.uint8)
             rel = cmd.chunk_offset - cmd.fwd_offset
             partial[rel : rel + cmd.length] = old ^ cmd.data
         else:
+            partial = np.zeros(cmd.fwd_length, dtype=np.uint8)
             # full new chunk image: complement reads + the new segment
             for (offset, length), block in old_blocks:
                 rel = offset - cmd.fwd_offset
@@ -412,7 +434,7 @@ class DraidBdevServer:
                 yield cpu.execute(
                     profile.gf_ns(cmd.fwd_length), ctx=ctx, span="draid.partial-gf"
                 )
-                if partial is not None:
+                if partial is not None and coefficient != 1:
                     block = GF.mul_bytes(coefficient, partial)
             self._signal_peer(
                 dest,
@@ -477,14 +499,10 @@ class DraidBdevServer:
         del self._parity_states[key]
         data = None
         if self.functional:
-            data = np.zeros(cmd.fwd_length, dtype=np.uint8)
+            pieces = state.partials
             if state.old_parity is not None:
-                offset, block = state.old_parity
-                rel = offset - cmd.fwd_offset
-                data[rel : rel + len(block)] ^= block
-            for offset, block in state.partials:
-                rel = offset - cmd.fwd_offset
-                data[rel : rel + len(block)] ^= block
+                pieces = [state.old_parity, *pieces]
+            data = _fold(cmd.fwd_offset, cmd.fwd_length, pieces)
         origin = state.origin if state.origin is not None else self.host_end
         ctx = cmd.trace
         try:

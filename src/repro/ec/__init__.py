@@ -18,8 +18,8 @@ independent oracle the differential tests compare the codes against.
 from functools import lru_cache
 from typing import Tuple
 
+from repro._lazy import lazy_exports
 from repro.ec.gf import GF256
-from repro.ec.lrc import DecodePlan, DecodeStep, LocalReconstructionCode
 from repro.ec.parity import (
     raid5_parity,
     raid5_reconstruct,
@@ -29,7 +29,12 @@ from repro.ec.parity import (
 )
 from repro.ec.rs import LinearCode, PQCode, ReedSolomon, UnrecoverableErasureError
 
-_FAMILIES = {"pq": PQCode, "rs": ReedSolomon, "lrc": LocalReconstructionCode}
+# LRC loads on first use: an array without local groups never reads it.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".lrc": ("DecodePlan", "DecodeStep", "LocalReconstructionCode"),
+})
+
+_FAMILIES = {"pq": PQCode, "rs": ReedSolomon}
 
 
 @lru_cache(maxsize=None)
@@ -41,6 +46,10 @@ def code_for(spec: Tuple) -> LinearCode:
     pass over the same shape shares its decode-plan cache.  Codes are never
     mutated beyond that cache, and the distinct shapes of a process are few.
     """
+    if spec[0] == "lrc":
+        from repro.ec.lrc import LocalReconstructionCode
+
+        return LocalReconstructionCode(*spec[1:])
     return _FAMILIES[spec[0]](*spec[1:])
 
 

@@ -26,12 +26,21 @@ Usage::
 process boundary under both the ``fork`` and ``spawn`` start methods.  A
 point crossing the boundary is just ``(fn reference, small kwargs dict)`` —
 configs are built inside the worker, not shipped.
+
+A point whose runs share an expensive start (fig19's preloaded store) makes
+that start once and hands each run to :func:`run_forked`: a forked child of
+the prepared process does the run and returns its result.  The helper works
+the same on the serial path and inside a pool worker.  It needs ``os.fork``
+(POSIX), as the benchmark driver does.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
+import pickle
+import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -93,6 +102,68 @@ def resolve_jobs(jobs: Optional[int] = None, num_points: Optional[int] = None) -
     if num_points is not None:
         jobs = min(jobs, max(1, num_points))
     return jobs
+
+
+class ChildTraceback(Exception):
+    """The traceback of an exception raised in a :func:`run_forked` child,
+    chained as the ``__cause__`` of the exception re-raised in the parent."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def run_forked(fn: Callable[..., Any], *args: Any) -> Any:
+    """Return ``fn(*args)``, computed in a forked child of this process.
+
+    The child starts from a copy of everything this process has built, so
+    state made once serves many runs and no run can disturb the next.  Its
+    result comes back pickled over a pipe, and an exception it raises is
+    re-raised here (with the child's traceback as its cause).  The child
+    ends with ``os._exit``: no ``atexit`` handler runs twice, and no buffer
+    inherited from the parent is written twice.  A fork copies only the
+    calling thread, so the child must not need a lock another thread holds:
+    a simulation run takes none.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            try:
+                payload = pickle.dumps((True, fn(*args)))
+            except BaseException as exc:  # the parent re-raises it
+                payload = _pickled_failure(exc)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(payload)
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        payload = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if not payload:
+        raise ChildProcessError(f"forked child {pid} ended (status {status}) with no result")
+    ok, value = pickle.loads(payload)
+    if ok:
+        return value
+    exc, child_traceback = value
+    raise exc from ChildTraceback(child_traceback)
+
+
+def _pickled_failure(exc: BaseException) -> bytes:
+    """``exc`` and its traceback text, pickled; a ``RuntimeError`` carrying
+    its text stands in for an exception that does not survive pickling."""
+    text = traceback.format_exc()
+    try:
+        payload = pickle.dumps((False, (exc, text)))
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        return pickle.dumps((False, (RuntimeError(f"{type(exc).__name__}: {exc}"), text)))
 
 
 def _execute(point: SweepPoint) -> Any:

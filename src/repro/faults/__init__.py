@@ -11,35 +11,24 @@ then recovery and a shadow-model diff — are one generator of the fault
 harness in :mod:`repro.verify.fuzz`.
 """
 
-from repro.faults.backoff import BackoffPolicy
-from repro.faults.detect import FailSlowDetector
-from repro.faults.domains import (
-    DOMAIN_KINDS,
-    DomainTopology,
-    FailureDomain,
-    default_topology,
-)
-from repro.faults.events import (
-    BatchFailureStorm,
-    BitRot,
-    DomainOutage,
-    DriveErrorBurst,
-    DriveFail,
-    DriveFailSlow,
-    DriveHeal,
-    FaultEvent,
-    GrayDriveStutter,
-    GrayNicFlap,
-    LinkStall,
-    LostWrite,
-    MisdirectedWrite,
-    NetJitter,
-    NicDegrade,
-    ServerCrash,
-    TornWrite,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, chaos_plan
+from repro._lazy import lazy_exports
+
+# Nothing is imported until read: an unarmed run never loads the injector,
+# the event catalogue or the domain map (the datapath imports ``backoff``
+# itself).
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".backoff": ("BackoffPolicy",),
+    ".detect": ("FailSlowDetector",),
+    ".domains": ("DOMAIN_KINDS", "DomainTopology", "FailureDomain", "default_topology"),
+    ".events": (
+        "BatchFailureStorm", "BitRot", "DomainOutage", "DriveErrorBurst",
+        "DriveFail", "DriveFailSlow", "DriveHeal", "FaultEvent",
+        "GrayDriveStutter", "GrayNicFlap", "LinkStall", "LostWrite",
+        "MisdirectedWrite", "NetJitter", "NicDegrade", "ServerCrash", "TornWrite",
+    ),
+    ".injector": ("FaultInjector",),
+    ".plan": ("FaultPlan", "chaos_plan"),
+})
 
 __all__ = [
     "BackoffPolicy",

@@ -1,11 +1,15 @@
 """Measurement utilities: latency distributions and throughput windows."""
 
-from repro.metrics.faults import FaultStats
-from repro.metrics.integrity import IntegrityStats
-from repro.metrics.latency import LatencySummary, LatencyRecorder
-from repro.metrics.report import Row, format_table
-from repro.metrics.tenancy import fairness_index, goodput_retention
-from repro.metrics.timeline import ThroughputTimeline, TimelineSample
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".faults": ("FaultStats",),
+    ".integrity": ("IntegrityStats",),
+    ".latency": ("LatencyRecorder", "LatencySummary"),
+    ".report": ("Row", "format_table"),
+    ".tenancy": ("fairness_index", "goodput_retention"),
+    ".timeline": ("ThroughputTimeline", "TimelineSample"),
+})
 
 __all__ = [
     "FaultStats",

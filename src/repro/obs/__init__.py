@@ -19,18 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.obs.sampler import RESOURCE_CLASSES, BottleneckReport, UtilizationSampler
-from repro.obs.trace import (
-    CATEGORY_PRIORITY,
-    Span,
-    TraceContext,
-    Tracer,
-    breakdown_table,
-    chrome_trace_events,
-    chrome_trace_json,
-    request_breakdowns,
-    validate_chrome_trace,
-)
+from repro._lazy import lazy_exports
+
+# The tracer and the sampler load when a cluster is armed (or a name is read).
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".sampler": ("RESOURCE_CLASSES", "BottleneckReport", "UtilizationSampler"),
+    ".trace": (
+        "CATEGORY_PRIORITY", "Span", "TraceContext", "Tracer", "breakdown_table",
+        "chrome_trace_events", "chrome_trace_json", "request_breakdowns",
+        "validate_chrome_trace",
+    ),
+})
 
 __all__ = [
     "ObservabilityConfig",
@@ -71,6 +70,9 @@ class Observability:
     """
 
     def __init__(self, cluster: Any) -> None:
+        from repro.obs.sampler import UtilizationSampler
+        from repro.obs.trace import Tracer
+
         self.cluster = cluster
         self.tracer = Tracer()
         self.sampler = UtilizationSampler(cluster)

@@ -12,17 +12,20 @@ through reconstruction instead of a sick member.  Armed per cluster via
 datapath is byte-identical to an unarmed build.
 """
 
-from repro.qos.admission import (
-    AdmissionQueue,
-    PRIORITY_BACKGROUND,
-    PRIORITY_FOREGROUND,
-)
-from repro.qos.breaker import CircuitBreaker
-from repro.qos.budget import RetryBudget
-from repro.qos.control import OverloadConfig, QosControl, QosStats
-from repro.qos.errors import Busy, DeadlineExceeded
-from repro.qos.fair import FairFlow, WeightedFairQueue
-from repro.qos.tokens import NS_PER_S, RateLimitedDevice, TokenBucket
+from repro._lazy import lazy_exports
+
+# The datapath imports ``admission`` and ``errors`` itself; the control hub,
+# fair queueing and token buckets load when an overload config or a rack
+# reads them.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".admission": ("AdmissionQueue", "PRIORITY_BACKGROUND", "PRIORITY_FOREGROUND"),
+    ".breaker": ("CircuitBreaker",),
+    ".budget": ("RetryBudget",),
+    ".control": ("OverloadConfig", "QosControl", "QosStats"),
+    ".errors": ("Busy", "DeadlineExceeded"),
+    ".fair": ("FairFlow", "WeightedFairQueue"),
+    ".tokens": ("NS_PER_S", "RateLimitedDevice", "TokenBucket"),
+})
 
 __all__ = [
     "AdmissionQueue",

@@ -7,15 +7,24 @@ between read-modify-write / reconstruct-write / full-stripe write, and
 serializing conflicting writes per stripe.
 """
 
-from repro.raid.bitmap import WriteIntentBitmap
-from repro.raid.geometry import ChunkSegment, RaidGeometry, RaidLevel, StripeExtent
-from repro.raid.locks import StripeLockManager
-from repro.raid.modes import WriteMode, classify_write
-from repro.raid.rebuild import RebuildJob, RebuildStats, rebuild_member_stripe
-from repro.raid.recovery import RecoveryOrchestrator, RecoveryStats, SparePool
-from repro.raid.resync import resync_after_crash, resync_stripes
-from repro.raid.scrub import ScrubReport, scrub_array, scrub_stripe
-from repro.raid.scrubber import ScrubDaemon, ScrubPassReport
+from repro._lazy import lazy_exports
+
+# rebuild and scrub stay eager: a measured phase reaches them, and a first
+# import there would be charged to the op that made it.  The recovery
+# orchestrator, crash resync and the scrub daemon load when read.
+from repro.raid import rebuild, scrub  # noqa: F401  (imported for loading)
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".bitmap": ("WriteIntentBitmap",),
+    ".geometry": ("ChunkSegment", "RaidGeometry", "RaidLevel", "StripeExtent"),
+    ".locks": ("StripeLockManager",),
+    ".modes": ("WriteMode", "classify_write"),
+    ".rebuild": ("RebuildJob", "RebuildStats", "rebuild_member_stripe"),
+    ".recovery": ("RecoveryOrchestrator", "RecoveryStats", "SparePool"),
+    ".resync": ("resync_after_crash", "resync_stripes"),
+    ".scrub": ("ScrubReport", "scrub_array", "scrub_stripe"),
+    ".scrubber": ("ScrubDaemon", "ScrubPassReport"),
+})
 
 __all__ = [
     "ChunkSegment",

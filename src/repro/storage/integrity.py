@@ -35,6 +35,7 @@ used by the unit tests to validate the checksum math end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -176,8 +177,14 @@ def crc32c_many(blocks) -> np.ndarray:
     n, length = blocks.shape
     if not length:
         return np.zeros(n, dtype=np.uint32)
-    affine = _advance(0xFFFFFFFF, length) ^ 0xFFFFFFFF
-    return _raw_crcs(blocks) ^ np.uint32(affine)
+    return _raw_crcs(blocks) ^ _affine(length)
+
+
+@lru_cache(maxsize=None)
+def _affine(length: int) -> np.uint32:
+    """What the pre- and post-inversion add to the CRC of ``length`` bytes;
+    a process checks few distinct lengths."""
+    return np.uint32(_advance(0xFFFFFFFF, length) ^ 0xFFFFFFFF)
 
 
 class ChecksumError(RuntimeError):

@@ -38,8 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from repro.verify.kernel import KernelSanitizer
-from repro.verify.protocol import ProtocolChecker
+from repro._lazy import lazy_exports
+
+# The sanitizer and the protocol checker load when a cluster is armed.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".kernel": ("KernelSanitizer",),
+    ".protocol": ("ProtocolChecker",),
+})
 
 __all__ = [
     "InvariantViolation",
@@ -113,6 +118,9 @@ class Verifier:
     """
 
     def __init__(self, cluster, config: VerifyConfig) -> None:
+        from repro.verify.kernel import KernelSanitizer
+        from repro.verify.protocol import ProtocolChecker
+
         self.cluster = cluster
         self.config = config
         self.kernel: Optional[KernelSanitizer] = (

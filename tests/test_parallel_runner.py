@@ -11,13 +11,15 @@ from unittest import mock
 
 import pytest
 
-from repro.experiments import fio_figures
+from repro.experiments import app_figures, fio_figures
 from repro.experiments.common import fio_point
 from repro.experiments.runner import (
     JOBS_ENV_VAR,
+    ChildTraceback,
     SweepPoint,
     SweepSpec,
     resolve_jobs,
+    run_forked,
     run_points,
 )
 from repro.metrics.report import Row
@@ -55,6 +57,98 @@ class TestRunPoints:
     def test_sweep_spec_wrapper(self):
         spec = SweepSpec("demo", tuple(SweepPoint(_double, dict(x=i)) for i in range(3)))
         assert spec.run(jobs=1) == [0, 2, 4]
+
+
+def _append_and_count(items, item):
+    items.append(item)
+    return len(items)
+
+
+def _raise_value_error(message):
+    raise ValueError(message)
+
+
+class _Unpicklable(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _raise_unpicklable():
+    raise _Unpicklable("one", "two")
+
+
+def _fork_and_raise(message):
+    return run_forked(_raise_value_error, message)
+
+
+class TestRunForked:
+    def test_result_returns_and_the_child_leaves_the_parent_alone(self):
+        items = [1, 2]
+        assert run_forked(_append_and_count, items, 3) == 3
+        assert run_forked(_append_and_count, items, 4) == 3
+        assert items == [1, 2]
+
+    def test_child_exception_is_raised_in_the_parent(self):
+        with pytest.raises(ValueError, match="boom") as info:
+            run_forked(_raise_value_error, "boom")
+        assert isinstance(info.value.__cause__, ChildTraceback)
+        assert "_raise_value_error" in str(info.value.__cause__)
+
+    def test_unpicklable_exception_arrives_as_runtime_error(self):
+        with pytest.raises(RuntimeError, match="_Unpicklable: one and two"):
+            run_forked(_raise_unpicklable)
+
+    def test_child_of_a_pool_worker_raises_in_the_driver(self):
+        points = [SweepPoint(_fork_and_raise, dict(message=f"point {i}")) for i in range(2)]
+        with pytest.raises(ValueError, match="point 0"):
+            run_points(points, jobs=2)
+
+
+class TestFig19SharedPreload:
+    """fig19 preloads each (system, state) once and runs every YCSB workload
+    in a forked child: its rows must equal one fresh preload per workload.
+    A above F makes the check bite: F run after A in the same process (no
+    fork) reads A's updates and its row moves."""
+
+    KEYS = 17_000  # one memtable flush: lookups reach an SST
+    WORKLOADS = ("A", "F")
+    CASES = [(system, degraded) for system in ("SPDK", "dRAID") for degraded in (False, True)]
+
+    @pytest.fixture(scope="class")
+    def shared(self):
+        return {
+            case: app_figures._lsm_rows(*case, self.WORKLOADS, True, keys=self.KEYS)
+            for case in self.CASES
+        }
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{'degraded' if c[1] else 'normal'}")
+    def test_shared_preload_equals_fresh_preloads(self, shared, case):
+        fresh = [
+            app_figures._lsm_rows(*case, (workload,), True, keys=self.KEYS)[0]
+            for workload in self.WORKLOADS
+        ]
+        assert shared[case] == fresh
+
+    def test_pool_workers_give_the_serial_rows(self, shared):
+        points = [
+            SweepPoint(
+                app_figures._lsm_rows,
+                dict(system=system, degraded=degraded, workloads=self.WORKLOADS,
+                     fast=True, keys=self.KEYS),
+            )
+            for system, degraded in self.CASES
+        ]
+        assert run_points(points, jobs=2) == [shared[case] for case in self.CASES]
+
+    def test_rows_keep_the_workload_then_system_order(self, monkeypatch):
+        def rows(system, degraded, workloads, fast):
+            return [Row(x=workload, system=system, metrics={}) for workload in workloads]
+
+        monkeypatch.setattr(app_figures, "_lsm_rows", rows)
+        got = app_figures.lsm_ycsb(workloads=("A", "B", "C"), jobs=1)
+        assert [(row.x, row.system) for row in got] == [
+            (w, s) for w in ("A", "B", "C") for s in ("SPDK", "dRAID")
+        ]
 
 
 class TestResolveJobs:
