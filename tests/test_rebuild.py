@@ -1,20 +1,23 @@
 """Tests for online rebuild with the rebuild watermark."""
 
+import dataclasses
+import hashlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from repro import build_testbed
 from repro.baselines import MdRaid, SpdkRaid
 from repro.cluster import ClusterConfig, build_cluster
 from repro.draid import DraidArray
 from repro.draid.ec_array import EcDraidArray, EcGeometry, LrcDraidArray
 from repro.raid.geometry import RaidLevel
-from repro.raid.rebuild import RebuildJob, rebuild_member_stripe
+from repro.raid.rebuild import RebuildJob, SpareRebuildJob, rebuild_member_stripe
 from repro.raid.scrub import scrub_array
 from repro.sim import Environment
-from tests.raid_harness import ArrayHarness, TEST_CHUNK
+from tests.raid_harness import KB, ArrayHarness, TEST_CHUNK
 
 CONTROLLERS = [SpdkRaid, DraidArray]
 
@@ -224,3 +227,94 @@ class TestDegradedWriteOverRebuiltMember:
         h.write(0, payload)
         h.check_read(0, g.stripe_data_bytes)
         assert np.array_equal(replacement.peek(0, TEST_CHUNK), payload[:TEST_CHUNK])
+
+
+def _drive_digests(drives):
+    return [hashlib.sha256(d.peek(0, len(d._data)).tobytes()).hexdigest()
+            for d in drives]
+
+
+def _pinned_spare_rebuild():
+    """SpareRebuildJob on a declustered RS dRAID array configured like the
+    geometries grid's (8 servers, 32 KiB chunks, 3 parity, seed 7)."""
+    stripes, chunk = 12, 32 * KB
+    env, cluster, array = build_testbed(
+        "draid", chunk_bytes=chunk,
+        config=ClusterConfig(num_servers=8, functional_capacity=stripes * chunk),
+        layout="declustered", layout_seed=7, code="rs", parity=3,
+    )
+    g = array.geometry
+    blob = np.random.default_rng(7).integers(
+        0, 256, stripes * g.stripe_data_bytes, dtype=np.uint8
+    )
+    env.run(until=array.write(0, len(blob), blob))
+    array.fail_drive(0)
+    stats = env.run(until=SpareRebuildJob(array, 0, stripes).start())
+    assert not array.failed
+    assert np.array_equal(env.run(until=array.read(0, len(blob))), blob)
+    return env, cluster, stats
+
+
+def _pinned_throttled_raid6_rebuild():
+    """RebuildJob with ``throttle_ns`` on RAID-6, foreground writes racing."""
+    h = ArrayHarness(DraidArray, level=RaidLevel.RAID6, drives=6, stripes=10)
+    rng = np.random.default_rng(11)
+    h.write(0, rng.integers(0, 256, h.capacity, dtype=np.uint8))
+    h.array.fail_drive(4)
+    h.cluster.drives()[4]._data[:] = 0
+    done = RebuildJob(h.array, 4, num_stripes=10, throttle_ns=150_000).start()
+
+    def writer():
+        for i in range(12):
+            offset = ((i * 7) % 10) * h.geometry.stripe_data_bytes + (i % 4) * 3000
+            payload = rng.integers(0, 256, 5000, dtype=np.uint8)
+            h.model[offset : offset + len(payload)] = payload
+            yield h.array.write(offset, len(payload), payload)
+            yield h.env.timeout(90_000)
+
+    writes = h.env.process(writer())
+    stats = h.env.run(until=done)
+    h.env.run(until=writes)
+    assert not h.array.degraded
+    h.scrub()
+    h.check_read(0, h.capacity)
+    return h.env, h.cluster, stats
+
+
+#: case -> (the run, its RebuildStats fields, env.now, env._eid and every
+#: drive's SHA-256 after the read-back)
+_PINNED_REBUILDS = {
+    "spare-declustered-rs": (
+        _pinned_spare_rebuild,
+        (10, 4, 6, 327680, 327413, 1855109), 2095406, 1018,
+        ["2bc50d9deb95257c35286486ac6d7581991a65828e5bd0dd5870e250eaefbfa5",
+         "480534da68bbfe6c0fcd75a531a373477e7852d7e25b0287c7b7111c2d77dc49",
+         "9f1ce2e379a707b4345a3bfc56bb21dc49f1cdd777c9608d0d16bf9f32c72096",
+         "80c85f0e30d84969d1c10cdb8503a6ef8011b2f710ad8fa6c82154137a66a53d",
+         "7dd8b85a1908d714ae9e6ad36a240abadcdf707f6352a1cb6768665b1a2c450c",
+         "c9985aaa4dc6ea9f4f1739455b914b4df023edd6fbfe7fb5bda278c86d8cb426",
+         "333d2716391532f3b3c1b415826309d3c48ad012b17327667851fe76a3e453fa",
+         "b6ccc01de0a625059577f775cc04b8f6ecedbc87db8cc6368360b99f3c0f4219"],
+    ),
+    "throttled-raid6-racing-writes": (
+        _pinned_throttled_raid6_rebuild,
+        (10, 6, 4, 163840, 137720, 3004912), 3160249, 1272,
+        ["1faa0c0ccae29e9ee277b53b5a5e74f0a771cbabb3719c6f73eb17e8c487ad09",
+         "15bce74ee42a89630c4b6f0cfe65a304d23548238b318b121a4a1c29b712ddf6",
+         "d2eeb41f90e1fab7cedab407fcffb02f39843b51060586f80757290bb46664c9",
+         "e4756190be4b7e5f2131665c5cbaa251a2ca5e1c50cecc384bceb99a5ea1ce9c",
+         "fd6d954b856cde06bb5f52d55cd0f6a531c89fdabccd1aaf585a4b885060efa4",
+         "3bb541b3704c81b72162471cca4e7da4ee1e0a7acf1d1f57635046ea0c888b77"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_REBUILDS))
+def test_rebuild_pinned(case):
+    """The restore path's exact outcome: counters, the simulated clock, the
+    calendar-entry count and every drive's bytes."""
+    run, *expected = _PINNED_REBUILDS[case]
+    env, cluster, stats = run()
+    got = [dataclasses.astuple(stats), env.now, env._eid,
+           _drive_digests(cluster.drives())]
+    assert got == expected
