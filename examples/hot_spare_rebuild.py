@@ -2,7 +2,7 @@
 
 A drive fails; a replacement is drawn from the shared pool and the array
 rebuilds the lost member's contents onto it *while serving writes*.  The
-rebuild watermark lets completed stripes treat the member as healthy again,
+rebuilt-stripe record lets completed stripes treat the member as healthy again,
 so concurrent writes land on the replacement directly and nothing is stale
 when the rebuild finishes — verified byte-for-byte plus a full parity
 scrub.

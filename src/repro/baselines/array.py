@@ -126,13 +126,11 @@ class RaidArray(ABC):
         self.bitmap = WriteIntentBitmap()
         self.stats = RaidIoStats()
         self.failed: set = set()
-        #: drive -> first stripe NOT yet rebuilt (see :meth:`drive_failed`)
-        self.rebuild_watermark: Dict[int, int] = {}
-        #: drive -> stripes already rebuilt *out of order* (risk-prioritized
-        #: recovery, :mod:`repro.raid.recovery`).  Sequential rebuilds use
-        #: the contiguous watermark above; this set exists only while an
-        #: out-of-order rebuild is in flight, so healthy and
-        #: sequential-rebuild paths never pay the extra lookup.
+        #: drive -> stripes already rebuilt onto it (see :meth:`drive_failed`):
+        #: the one record of rebuild progress, written by every restore path
+        #: of :mod:`repro.raid.rebuild` and :mod:`repro.raid.recovery`.  An
+        #: entry exists only while a rebuild is in flight, so healthy arrays
+        #: never pay the extra lookup.
         self.rebuilt_stripes: Dict[int, set] = {}
         self.functional = cluster.config.functional_capacity > 0
         #: §5.4 hardening: I/O deadline (escalates per retry attempt) and
@@ -184,11 +182,10 @@ class RaidArray(ABC):
 
         Any rebuild progress recorded for the member is invalidated: a
         drive that fails again mid-rebuild restarts from scratch — resuming
-        a stale watermark would serve reads from a replacement that never
+        stale progress would serve reads from a replacement that never
         received those stripes' content.
         """
         self.failed.add(index)
-        self.rebuild_watermark.pop(index, None)
         self.rebuilt_stripes.pop(index, None)
         self.drives[index].fail()
         if len(self.failed) > self.fault_tolerance:
@@ -199,7 +196,6 @@ class RaidArray(ABC):
 
     def repair_drive(self, index: int) -> None:
         self.failed.discard(index)
-        self.rebuild_watermark.pop(index, None)
         self.rebuilt_stripes.pop(index, None)
         self.drives[index].repair()
         if self.failslow_detector is not None:
@@ -263,22 +259,15 @@ class RaidArray(ABC):
     def drive_failed(self, drive: int, stripe: int) -> bool:
         """Whether ``drive`` should be treated as failed for ``stripe``.
 
-        During an online rebuild (:mod:`repro.raid.rebuild`) stripes below
-        the rebuild watermark have already been reconstructed onto the
-        replacement, so the drive is healthy *for those stripes* while
-        still failed beyond the watermark.  Risk-prioritized rebuilds
-        (:mod:`repro.raid.recovery`) sweep stripes out of order and record
-        them in :attr:`rebuilt_stripes` instead.
+        During an online rebuild the stripes in the drive's
+        :attr:`rebuilt_stripes` record have already been reconstructed, so
+        the drive is healthy *for those stripes* while still failed for
+        the rest.
         """
         if drive not in self.failed:
             return False
-        watermark = self.rebuild_watermark.get(drive)
-        if watermark is not None and stripe < watermark:
-            return False
         rebuilt = self.rebuilt_stripes.get(drive)
-        if rebuilt is not None and stripe in rebuilt:
-            return False
-        return True
+        return rebuilt is None or stripe not in rebuilt
 
     def failed_in_stripe(self, stripe: int) -> AbstractSet[int]:
         """The member drives to treat as failed for ``stripe`` (read-only).
@@ -290,7 +279,7 @@ class RaidArray(ABC):
         failed = self.failed
         if not failed:
             return _NONE_FAILED
-        if self.rebuild_watermark or self.rebuilt_stripes:
+        if self.rebuilt_stripes:
             failed = {d for d in failed if self.drive_failed(d, stripe)}
         else:
             failed = set(failed)

@@ -103,7 +103,7 @@ def availability_point(system: str, process: str, seed: int, fast: bool = True) 
         poll_ns=AVAIL_POLL_NS,
         exposure=tracker,
     )
-    orchestrator.start_watch(auto_rebuild=True)
+    orchestrator.start_watch()
     fio = FioWorkload(
         array, 128 * KB, read_fraction=0.7, queue_depth=16, seed=11
     )

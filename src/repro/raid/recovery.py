@@ -27,9 +27,12 @@ small control plane:
   only once the detector's hysteresis band says they have genuinely
   recovered — no eject/re-admit flapping.
 
-Progress is tracked per (member, stripe) in the controller's
-``rebuilt_stripes`` out-of-order set, so foreground writes update already
-rebuilt chunks in place exactly as with the watermark scheme.
+Each chunk goes through the one restore step of :mod:`repro.raid.rebuild`
+(:func:`~repro.raid.rebuild.rebuild_member_stripe`), and progress lands in
+the controller's ``rebuilt_stripes`` record exactly as a sequential
+``RebuildJob``'s does, so foreground writes update already rebuilt chunks
+in place.  Between stripes a worker takes the scrub daemon's pause
+(:func:`~repro.raid.rebuild.background_pause`).
 
 Arming an orchestrator sets ``cluster.recovery``;
 :class:`~repro.faults.injector.FaultInjector` then routes ``DriveHeal``
@@ -43,10 +46,15 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.nvmeof.messages import IoError
-from repro.raid.rebuild import RebuildStats, rebuild_member_stripe
+from repro.raid.rebuild import RebuildStats, background_pause, rebuild_member_stripe
 from repro.sim.core import Environment, Event, _defuse_on_failure
 from repro.sim.resources import CapacityResource
 from repro.storage.drive import DriveFailedError
+
+#: floor of an SLO-raised ``pace_ns`` (the first doubling from zero)
+MIN_PACE_NS = 50_000
+#: bytes of each SLO probe read and gray-failure member probe
+PROBE_BYTES = 4096
 
 
 class SparePool:
@@ -54,17 +62,12 @@ class SparePool:
 
     Disaggregated deployments keep a few hot spares per failure domain,
     not one per array; concurrent rebuilds beyond the pool size must
-    queue.  ``replace_latency_ns`` charges the mechanical/administrative
-    delay of attaching a replacement before its rebuild may start.
+    queue.
     """
 
-    def __init__(self, env: Environment, capacity: int, replace_latency_ns: int = 0) -> None:
+    def __init__(self, env: Environment, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"spare pool needs >= 1 spare, got {capacity}")
-        if replace_latency_ns < 0:
-            raise ValueError(f"negative replace latency {replace_latency_ns}")
-        self.env = env
-        self.replace_latency_ns = int(replace_latency_ns)
         self._resource = CapacityResource(env, capacity, name="spares")
         #: cumulative spare allocations
         self.allocated = 0
@@ -88,8 +91,6 @@ class SparePool:
         if self.available <= 0:
             self.waits += 1
         yield self._resource.request()
-        if self.replace_latency_ns:
-            yield self.env.timeout(self.replace_latency_ns)
         self.allocated += 1
 
     def release(self) -> None:
@@ -138,14 +139,11 @@ class RecoveryOrchestrator:
         concurrency: int = 1,
         pace_ns: int = 0,
         max_pace_ns: int = 2_000_000,
-        min_pace_ns: int = 50_000,
         slo_p99_us: Optional[float] = None,
         probe_every: int = 8,
-        probe_bytes: int = 4096,
         detector=None,
         poll_ns: int = 500_000,
         exposure=None,
-        pressure_pause_ns: int = 500_000,
     ) -> None:
         if num_stripes < 1:
             raise ValueError(f"need >= 1 stripe, got {num_stripes}")
@@ -161,16 +159,11 @@ class RecoveryOrchestrator:
         self.base_pace_ns = int(pace_ns)
         self.pace_ns = int(pace_ns)
         self.max_pace_ns = int(max_pace_ns)
-        self.min_pace_ns = int(min_pace_ns)
         self.slo_p99_us = slo_p99_us
         self.probe_every = int(probe_every)
-        self.probe_bytes = int(probe_bytes)
         self.detector = detector if detector is not None else array.failslow_detector
         self.poll_ns = int(poll_ns)
         self.exposure = exposure
-        #: extra back-off per pace slot while foreground admission pressure
-        #: is high (overload control armed only; see :meth:`_pace`)
-        self.pressure_pause_ns = int(pressure_pause_ns)
         self.stats = RecoveryStats()
         #: aggregate chunk/byte counters across all orchestrated rebuilds
         self.rebuild_stats = RebuildStats()
@@ -218,24 +211,23 @@ class RecoveryOrchestrator:
         parity = array.geometry.num_parity
         histogram: Dict[int, int] = {}
         for stripe in range(self.num_stripes):
-            erased = sum(1 for m in array.failed if array.drive_failed(m, stripe))
-            level = parity - erased
+            level = parity - len(array.failed_in_stripe(stripe))
             histogram[level] = histogram.get(level, 0) + 1
         return histogram
 
-    def start_watch(self, auto_rebuild: bool = True) -> Event:
+    def start_watch(self) -> Event:
         """Start the autonomous poll loop (idempotent).
 
         Every ``poll_ns``: probe members and feed the fail-slow detector,
         eject persistent stragglers / re-admit recovered ones through the
-        hysteresis band, kick rebuilds for hard-failed members (when
-        ``auto_rebuild``), and sample the exposure tracker if attached.
+        hysteresis band, kick rebuilds for hard-failed members, and sample
+        the exposure tracker if attached.
         """
         if self._watch_proc is not None:
             return self._watch_proc
         self._watch_stop = False
         self._watch_proc = self.env.process(
-            self._watch(auto_rebuild), name=f"{self.array.name}.recovery-watch"
+            self._watch(), name=f"{self.array.name}.recovery-watch"
         )
         return self._watch_proc
 
@@ -287,9 +279,6 @@ class RecoveryOrchestrator:
         self._remaining[member] = self.num_stripes
         for stripe in range(self.num_stripes):
             self._stripe_pending.setdefault(stripe, set()).add(member)
-        # progress lives in the out-of-order rebuilt set, never a watermark:
-        # the scheduler does not sweep in address order
-        array.rebuild_watermark.pop(member, None)
         array.rebuilt_stripes[member] = set()
         self.stats.rebuilds_started += 1
         self._ensure_scheduler()
@@ -342,13 +331,12 @@ class RecoveryOrchestrator:
                     pending = self._stripe_pending.get(stripe)
                     if pending is None or member not in pending:
                         continue
-                    drive = array.drives[member]
                     try:
                         yield from rebuild_member_stripe(
-                            array, member, stripe, drive, self.rebuild_stats
+                            array, member, stripe, stats=self.rebuild_stats
                         )
                     except (IoError, DriveFailedError) as exc:
-                        if drive.failed:
+                        if array.drives[member].failed:
                             # the replacement died: all progress is void
                             self._abort(member, exc)
                             continue
@@ -435,24 +423,14 @@ class RecoveryOrchestrator:
             if self._since_probe >= self.probe_every:
                 self._since_probe = 0
                 yield from self._probe_slo()
-        qos = self.array.qos
-        if qos is not None and qos.under_pressure:
-            # the admission queue is at/above its background watermark:
-            # rebuild I/O yields a full pressure pause so foreground drains
-            # first (priority shedding, the recovery-side half of the
-            # admission queue's early background rejection)
-            qos.stats.shed_background += 1
+        if (yield from background_pause(self.array, self.pace_ns)):
             self.stats.pressure_sheds += 1
-            yield self.env.timeout(max(self.pace_ns, self.pressure_pause_ns))
-            return
-        if self.pace_ns:
-            yield self.env.timeout(self.pace_ns)
 
     def _probe_slo(self):
         """One foreground-path read; adapt ``pace_ns`` against the SLO."""
         start = self.env.now
         try:
-            yield self.array.read(0, self.probe_bytes)
+            yield self.array.read(0, PROBE_BYTES)
         except (IoError, DriveFailedError):
             return
         self.stats.probes += 1
@@ -462,13 +440,13 @@ class RecoveryOrchestrator:
         else:
             self._ewma_probe_us = 0.3 * latency_us + 0.7 * self._ewma_probe_us
         if self._ewma_probe_us > self.slo_p99_us:
-            paced = min(self.max_pace_ns, max(self.pace_ns * 2, self.min_pace_ns))
+            paced = min(self.max_pace_ns, max(self.pace_ns * 2, MIN_PACE_NS))
             if paced != self.pace_ns:
                 self.stats.pace_increases += 1
             self.pace_ns = paced
         elif self._ewma_probe_us < 0.5 * self.slo_p99_us and self.pace_ns > self.base_pace_ns:
             paced = max(self.base_pace_ns, self.pace_ns // 2)
-            if paced < self.min_pace_ns and paced != self.base_pace_ns:
+            if paced < MIN_PACE_NS and paced != self.base_pace_ns:
                 paced = self.base_pace_ns
             if paced != self.pace_ns:
                 self.stats.pace_decreases += 1
@@ -476,24 +454,23 @@ class RecoveryOrchestrator:
 
     # -- autonomous watch loop ---------------------------------------------------
 
-    def _watch(self, auto_rebuild: bool):
+    def _watch(self):
         while not self._watch_stop:
             yield self.env.timeout(self.poll_ns)
-            yield from self._watch_tick(auto_rebuild)
+            yield from self._watch_tick()
         self._watch_proc = None
 
-    def _watch_tick(self, auto_rebuild: bool):
+    def _watch_tick(self):
         array = self.array
         if self.detector is not None:
             yield from self._probe_members()
             self._escalate_gray()
             self._readmit_gray()
-        if auto_rebuild:
-            for member in sorted(array.failed):
-                if member in self._done or member in self._remaining:
-                    continue
-                if array.drives[member].failed:
-                    self._enqueue(member)
+        for member in sorted(array.failed):
+            if member in self._done or member in self._remaining:
+                continue
+            if array.drives[member].failed:
+                self._enqueue(member)
         if self.exposure is not None:
             self._sample_exposure()
 
@@ -507,7 +484,7 @@ class RecoveryOrchestrator:
                 continue
             start = self.env.now
             try:
-                yield drive.read(0, self.probe_bytes)
+                yield drive.read(0, PROBE_BYTES)
             except DriveFailedError:
                 continue
             self.detector.observe(member, self.env.now - start)
@@ -533,7 +510,7 @@ class RecoveryOrchestrator:
             if member in self._done or member in self._remaining:
                 continue
             if array.drives[member].failed:
-                continue  # hard failure — auto_rebuild's business
+                continue  # hard failure — the watch tick rebuilds it
             if self.detector.recovered(
                 member, self.env.now, exclude=array.failed - {member}
             ):
@@ -547,7 +524,7 @@ class RecoveryOrchestrator:
         worst = 0
         if array.failed:
             worst = max(
-                sum(1 for m in array.failed if array.drive_failed(m, stripe))
+                len(array.failed_in_stripe(stripe))
                 for stripe in range(self.num_stripes)
             )
         self.exposure.sample(

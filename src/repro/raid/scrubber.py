@@ -19,7 +19,9 @@ walker for any armed array:
   audit (re-encode the parities from the data read-back) — defense in depth
   against corruption that slipped past the checksum layer;
 * pacing: ``pace_ns`` of idle time per stripe bounds the daemon's
-  bandwidth draw (pace 0 = as fast as the array allows).
+  bandwidth draw (pace 0 = as fast as the array allows); under foreground
+  admission pressure the daemon takes the recovery orchestrator's pause
+  instead (:func:`~repro.raid.rebuild.background_pause`).
 
 Each completed pass appends a :class:`ScrubPassReport` to ``reports``.
 """
@@ -30,6 +32,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
+
+from repro.raid.rebuild import background_pause
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,6 @@ class ScrubDaemon:
         pace_ns: int = 0,
         repeat: bool = False,
         name: Optional[str] = None,
-        pressure_pause_ns: int = 500_000,
     ) -> None:
         if array.integrity is None:
             raise ValueError(
@@ -79,9 +82,7 @@ class ScrubDaemon:
         self.env = array.env
         self.num_stripes = num_stripes
         self.pace_ns = pace_ns
-        #: extra back-off per stripe while foreground admission pressure is
-        #: high (overload control armed only; zero-cost when disarmed)
-        self.pressure_pause_ns = pressure_pause_ns
+        #: stripes after which the walker shed to foreground pressure
         self.pressure_sheds = 0
         self.repeat = repeat
         self.name = name or f"{array.name}.scrub"
@@ -145,16 +146,8 @@ class ScrubDaemon:
                 array.locks.release(stripe)
             scanned += 1
             self.stripes_scanned_total += 1
-            qos = array.qos
-            if qos is not None and qos.under_pressure:
-                # foreground is pressing against the admission bound: the
-                # scrub walker backs off a full pressure pause instead of
-                # its normal pace, shedding verify bandwidth to clients
-                qos.stats.shed_background += 1
+            if (yield from background_pause(array, self.pace_ns)):
                 self.pressure_sheds += 1
-                yield self.env.timeout(max(self.pace_ns, self.pressure_pause_ns))
-            elif self.pace_ns:
-                yield self.env.timeout(self.pace_ns)
         return ScrubPassReport(
             stripes_scanned=scanned,
             chunks_verified=verified,

@@ -117,15 +117,12 @@ def plan_write(geometry, extent: StripeExtent, failed: AbstractSet[int]) -> Writ
     return WritePlan(mode, parities, lost, failed_data > 0)
 
 
-def failed_in_stripe(geometry, failed, watermark, rebuilt, stripe: int) -> set:
+def failed_in_stripe(geometry, failed, rebuilt, stripe: int) -> set:
     """The members to treat as failed for ``stripe``: ``failed`` less the
-    drives healed below their rebuild ``watermark`` or in their
-    ``rebuilt`` stripe set, narrowed to the stripe's members."""
+    drives whose ``rebuilt`` stripe set holds it, narrowed to the stripe's
+    members."""
     out = set()
     for d in failed:
-        mark = watermark.get(d)
-        if mark is not None and stripe < mark:
-            continue
         done = rebuilt.get(d)
         if done is not None and stripe in done:
             continue

@@ -281,10 +281,8 @@ class TestCodedArraysFailLikeRaid:
         reads must not go to a replacement that never received them."""
         _, array = make_array(kind)
         array.fail_drive(3)
-        array.rebuild_watermark[3] = 10
-        array.rebuilt_stripes[3] = {12}
+        array.rebuilt_stripes[3] = set(range(10)) | {12}
         array.fail_drive(3)
-        assert 3 not in array.rebuild_watermark
         assert 3 not in array.rebuilt_stripes
         assert array.drive_failed(3, 5) and array.drive_failed(3, 12)
 

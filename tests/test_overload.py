@@ -605,7 +605,7 @@ class TestBackgroundDaemonShedding:
         env, array = self._armed_functional()
         IntegrityStore(array.geometry.chunk_bytes).attach(array.cluster)
         self._pressurize(array)
-        daemon = ScrubDaemon(array, num_stripes=4, pressure_pause_ns=100_000)
+        daemon = ScrubDaemon(array, num_stripes=4)
         env.run(until=daemon.process)
         assert daemon.pressure_sheds == 4
         assert array.qos.stats.shed_background == 4
@@ -628,9 +628,7 @@ class TestBackgroundDaemonShedding:
 
         env, array = self._armed_functional()
         self._pressurize(array)
-        orch = RecoveryOrchestrator(
-            array, num_stripes=4, pressure_pause_ns=100_000
-        )
+        orch = RecoveryOrchestrator(array, num_stripes=4)
         array.fail_drive(1)
         env.run(until=orch.request_rebuild(1))
         assert orch.stats.pressure_sheds > 0

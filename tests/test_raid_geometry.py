@@ -269,15 +269,14 @@ class TestWriteModes:
 
 class _Members:
     """The frame's failure bookkeeping alone: ``failed_in_stripe`` over a
-    failed set, rebuild watermarks and out-of-order rebuilt stripes."""
+    failed set and its rebuilt-stripe records."""
 
     failed_in_stripe = RaidArray.failed_in_stripe
     drive_failed = RaidArray.drive_failed
 
-    def __init__(self, geometry, failed, watermark, rebuilt):
+    def __init__(self, geometry, failed, rebuilt):
         self.geometry = geometry
         self.failed = failed
-        self.rebuild_watermark = watermark
         self.rebuilt_stripes = rebuilt
 
 
@@ -286,7 +285,7 @@ def oracle_cases(draw):
     """A geometry (RAID-5/6 or RS, rotating or declustered with spares), an
     extent (sub-chunk, multi-chunk, multi-stripe, exactly one stripe or at
     the RMW/RCW tie) and failure bookkeeping (any drives, members of a stripe or not, some
-    healed by a rebuild watermark or an out-of-order rebuilt set)."""
+    healed by a rebuilt-stripe record, some of them contiguous)."""
     num_parity = draw(st.integers(1, 3), label="num_parity")
     drives = draw(st.integers(num_parity + 3, 12), label="drives")
     layout = None
@@ -323,14 +322,15 @@ def oracle_cases(draw):
         st.lists(st.integers(0, drives - 1), max_size=num_parity + 1, unique=True),
         label="failed",
     ))
-    watermark, rebuilt = {}, {}
+    rebuilt = {}
     for d in sorted(failed):
-        heal = draw(st.sampled_from(["none", "watermark", "rebuilt"]), label="heal")
-        if heal == "watermark":
-            watermark[d] = draw(st.integers(0, 8), label="watermark")
-        elif heal == "rebuilt":
+        heal = draw(st.sampled_from(["none", "prefix", "any"]), label="heal")
+        if heal == "prefix":
+            # a sequential sweep's record: every stripe below a point
+            rebuilt[d] = set(range(draw(st.integers(0, 8), label="swept")))
+        elif heal == "any":
             rebuilt[d] = set(draw(st.lists(st.integers(0, 8)), label="rebuilt"))
-    return g, offset, length, _Members(g, failed, watermark, rebuilt)
+    return g, offset, length, _Members(g, failed, rebuilt)
 
 
 @given(oracle_cases())
@@ -356,8 +356,7 @@ def test_oracle_map_extent_and_plan_write(case):
 
         failed = members.failed_in_stripe(ext.stripe)
         assert failed == oracle.failed_in_stripe(
-            g, members.failed, members.rebuild_watermark,
-            members.rebuilt_stripes, ext.stripe,
+            g, members.failed, members.rebuilt_stripes, ext.stripe,
         )
         plan = plan_write(g, ext, failed)
         ref_plan = oracle.plan_write(g, ref, failed)

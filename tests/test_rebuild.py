@@ -1,4 +1,4 @@
-"""Tests for online rebuild with the rebuild watermark."""
+"""Tests for online rebuild and its per-member rebuilt-stripe record."""
 
 import dataclasses
 import hashlib
@@ -63,8 +63,9 @@ class TestRebuild:
 
     def test_concurrent_writes_during_rebuild_stay_consistent(self, controller_cls):
         """Writes racing the rebuild land correctly on both sides of the
-        watermark: rebuilt stripes update the replacement directly, pending
-        stripes go through the degraded path and are rebuilt afterwards."""
+        rebuilt-stripe record: rebuilt stripes update the replacement
+        directly, pending stripes go through the degraded path and are
+        rebuilt afterwards."""
         h = ArrayHarness(controller_cls, stripes=12)
         rng = np.random.default_rng(3)
         blob = rng.integers(0, 256, 12 * h.geometry.stripe_data_bytes, dtype=np.uint8)
@@ -95,16 +96,16 @@ class TestRebuild:
         h.scrub()
         h.check_read(0, len(blob))
 
-    def test_watermark_semantics(self, controller_cls):
+    def test_rebuilt_stripes_semantics(self, controller_cls):
         h = ArrayHarness(controller_cls, stripes=8)
         h.array.fail_drive(0)
-        h.array.rebuild_watermark[0] = 3
+        h.array.rebuilt_stripes[0] = {0, 1, 2}
         assert not h.array.drive_failed(0, 2)
         assert h.array.drive_failed(0, 3)
         assert h.array.failed_in_stripe(2) == set()
         assert h.array.failed_in_stripe(5) == {0}
         h.array.repair_drive(0)
-        assert h.array.rebuild_watermark == {}
+        assert h.array.rebuilt_stripes == {}
 
     def test_rebuild_requires_failed_drive(self, controller_cls):
         h = ArrayHarness(controller_cls)
@@ -121,6 +122,30 @@ class TestRebuild:
         stats = h.env.run(until=job.start())
         assert job.progress == 1.0
         assert stats.rate_mb_s() > 0
+
+
+@pytest.mark.parametrize("job_cls", [RebuildJob, SpareRebuildJob],
+                         ids=lambda c: c.__name__)
+@pytest.mark.parametrize(
+    "bad", [{"throttle_ns": -5}, {"num_stripes": 20}, {"num_stripes": -1}],
+    ids=["negative-throttle", "past-capacity", "negative-stripes"],
+)
+def test_rebuild_rejects_bad_input_before_installing(job_cls, bad):
+    """A negative delay or count, or (functional mode) more stripes than
+    the drives hold, raises at construction: the replacement is never
+    installed, nothing is written and no progress is recorded."""
+    spare = job_cls is SpareRebuildJob
+    _, _, array = build_testbed(
+        "draid", servers=6, chunk_bytes=TEST_CHUNK,
+        functional_capacity=8 * TEST_CHUNK, layout="declustered" if spare else None,
+    )
+    array.fail_drive(0)
+    with pytest.raises(ValueError):
+        array.env.run(until=job_cls(array, 0, **{"num_stripes": 8, **bad}).start())
+    assert array.drives[0].failed
+    assert array.failed == {0}
+    assert array.rebuilt_stripes == {}
+    assert sum(d.stats.write_ops for d in array.drives) == 0
 
 
 @pytest.mark.parametrize("family", ["rs", "lrc"])
@@ -197,9 +222,8 @@ class TestDegradedWriteOverRebuiltMember:
     skipping it leaves the old chunk behind a parity that encodes the new
     one."""
 
-    @pytest.mark.parametrize("progress", ["watermark", "rebuilt_stripes"])
     @pytest.mark.parametrize("cls", [MdRaid, SpdkRaid], ids=lambda c: c.__name__)
-    def test_write_lands_on_the_rebuilt_replacement(self, cls, progress):
+    def test_write_lands_on_the_rebuilt_replacement(self, cls):
         h = ArrayHarness(cls, level=RaidLevel.RAID6, drives=6, stripes=4)
         g = h.geometry
         rng = np.random.default_rng(5)
@@ -213,14 +237,11 @@ class TestDegradedWriteOverRebuiltMember:
 
         def rebuild_stripe_0():
             yield h.array.locks.acquire(0)
-            yield from rebuild_member_stripe(h.array, rebuilt, 0, replacement)
+            yield from rebuild_member_stripe(h.array, rebuilt, 0)
             h.array.locks.release(0)
 
         h.env.run(until=h.env.process(rebuild_stripe_0()))
-        if progress == "watermark":
-            h.array.rebuild_watermark[rebuilt] = 1
-        else:
-            h.array.rebuilt_stripes[rebuilt] = {0}
+        h.array.rebuilt_stripes[rebuilt] = {0}
         assert h.array.failed_in_stripe(0) == {dead}
 
         payload = rng.integers(0, 256, 2 * TEST_CHUNK, dtype=np.uint8)

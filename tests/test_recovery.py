@@ -4,7 +4,7 @@ Covers the satellite regressions that motivated the subsystem:
 
 * fail-slow hysteresis — a gray drive oscillating around the ejection
   threshold must not flap in and out of rotation;
-* rebuild-watermark restart — a member re-failing mid-rebuild (or across a
+* rebuild restart — a member re-failing mid-rebuild (or across a
   heal -> fail -> heal cycle) restarts from scratch instead of resuming
   stale progress;
 * risk-ordered scheduling — in a double-degraded RAID-6 group the
@@ -14,6 +14,7 @@ Covers the satellite regressions that motivated the subsystem:
 import numpy as np
 import pytest
 
+from repro import build_testbed
 from repro.baselines import SpdkRaid
 from repro.cluster import ClusterConfig, build_cluster
 from repro.draid import DraidArray, EcGeometry
@@ -112,21 +113,18 @@ class TestFailSlowHysteresis:
 
 
 class TestWatermarkRestart:
-    def test_refail_clears_watermark(self, controller_cls):
+    def test_refail_clears_rebuilt_stripes(self, controller_cls):
         """A re-failing member must restart its rebuild from scratch."""
         h = ArrayHarness(controller_cls, stripes=12)
         h.array.fail_drive(2)
-        h.array.rebuild_watermark[2] = 7  # simulate a part-way rebuild
-        h.array.rebuilt_stripes[2] = {9}
-        h.array.repair_drive(2)
+        h.array.rebuilt_stripes[2] = {0, 1, 9}  # simulate a part-way rebuild
         h.array.fail_drive(2)
-        assert 2 not in h.array.rebuild_watermark
         assert 2 not in h.array.rebuilt_stripes
         assert h.array.drive_failed(2, 0) and h.array.drive_failed(2, 9)
 
     def test_second_failure_mid_rebuild_restarts(self, controller_cls):
         """heal -> fail -> heal: the second rebuild must not resume the
-        first one's stale watermark (the replacement is empty again)."""
+        first one's stale progress (the replacement is empty again)."""
         h = ArrayHarness(controller_cls, stripes=12)
         rng = np.random.default_rng(5)
         blob = rng.integers(0, 256, h.capacity, dtype=np.uint8)
@@ -145,7 +143,6 @@ class TestWatermarkRestart:
         h.env.process(refail(), name="refail")
         with pytest.raises(RuntimeError):
             h.env.run(until=done)
-        assert victim not in h.array.rebuild_watermark
         assert victim not in h.array.rebuilt_stripes
         # every stripe is treated as failed again — no stale resume window
         assert all(h.array.drive_failed(victim, s) for s in range(12))
@@ -256,6 +253,30 @@ class TestRecoveryOrchestrator:
         array.fail_drive(3)
         array.rebuilt_stripes[3] = {0, 1}
         assert orch.risk_index() == {0: 4, 1: 2}
+
+    def test_erasures_count_only_the_stripes_members(self):
+        """Declustered RAID-5 (width 7 of 8): a failed drive erases only the
+        stripes holding one of its chunks, so risk and exposure count
+        through the frame's ``failed_in_stripe``."""
+        _, _, array = build_testbed(
+            "draid", servers=8, layout="declustered", layout_seed=3
+        )
+        worst = []
+
+        class Exposure:
+            def sample(self, now_ns, worst_erasures, degraded, parity):
+                worst.append(worst_erasures)
+
+        orch = RecoveryOrchestrator(array, num_stripes=16, exposure=Exposure())
+        array.fail_drive(0)
+        assert orch.risk_index() == {0: 14, 1: 2}
+        # every stripe that held a chunk of drive 0 is rebuilt: none exposed
+        array.rebuilt_stripes[0] = {
+            s for s in range(16) if 0 in array.geometry.stripe_drives(s)
+        }
+        assert orch.risk_index() == {1: 16}
+        orch._sample_exposure()
+        assert worst == [0]
 
     def test_spare_pool_serializes_rebuilds(self):
         env, cluster, geometry, array = _sanitized_harness(stripes=6)
