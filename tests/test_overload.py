@@ -584,6 +584,64 @@ class TestOpenLoopWorkload:
         assert result.ops_offered > 100 and len(issued) > result.ops_offered
 
 
+class TestDeadlinePins:
+    def test_deadline_decision_outcomes_are_pinned(self):
+        """Where a tenant's latency budget stops being a wire deadline.
+
+        (a) An unarmed dRAID array under an open-loop stream with a 1 ms
+        budget: nothing is shed, late completions are only counted late.
+        (b) A 1 ms tenant on a QoS-unarmed rack whose SPDK array arms its
+        own overload control: the array stamps its 3 ms default instead.
+        Exact results, QoS counters, clock and calendar ids are pinned.
+        """
+        from repro import build_testbed
+        from repro.metrics.latency import LatencySummary
+        from repro.rack import ArraySpec, RackConfig, build_rack
+        from repro.workloads import OpenLoopWorkload
+        from repro.workloads.openloop import OpenLoopResult
+        from repro.workloads.tenants import MultiTenantWorkload, TenantSpec
+
+        env, _cluster, array = build_testbed("dRAID", servers=4, chunk_bytes=64 * KB)
+        result = OpenLoopWorkload(
+            array, 16 * KB, rate_iops=400_000, read_fraction=0.5, seed=3,
+            deadline_ns=1 * MS,
+        ).run(warmup_ns=MS // 2, measure_ns=2 * MS)
+        assert array.qos is None
+        assert result == OpenLoopResult(
+            6610.944, 6602.752, 4759.552, 807, 806, 581, 0, 0, 0, 225,
+            LatencySummary(
+                806, 781040.8622828784, 636556.0, 1513938.5,
+                1881162.8500000003, 3324416.0,
+            ),
+            2 * MS,
+        )
+        assert (env.now, env._eid) == (6_500_001, 30_346)
+
+        overload = OverloadConfig(admission_depth=16, default_deadline_ns=3 * MS)
+        rack = build_rack(None, RackConfig(arrays=[ArraySpec(
+            system="SPDK", servers=4, chunk_bytes=64 * KB, export_bytes=1 << 26,
+            cluster=ClusterConfig(overload=overload),
+        )]))
+        assert rack.config.qos is None
+        tenants = MultiTenantWorkload(rack, [TenantSpec(
+            "t", 1024 * KB, rate_iops=20_000, volume_bytes=1 << 24,
+            read_fraction=0.5, deadline_ns=1 * MS, seed=9,
+        )])
+        result = tenants.run(warmup_ns=MS // 2, measure_ns=2 * MS)["t"]
+        assert result == OpenLoopResult(
+            23592.96, 6815.744, 1572.864, 45, 13, 3, 28, 4, 0, 10,
+            LatencySummary(
+                13, 1973641.2307692308, 1955081.0, 2771372.2,
+                2878369.0399999996, 2892794.0,
+            ),
+            2 * MS,
+        )
+        assert rack.arrays[0].cluster.qos.stats.summary() == (
+            "busy=82 shed_bg=0 deadline=0 retries_denied=0 breaker_trips=0"
+        )
+        assert (rack.env.now, rack.env._eid) == (6_500_001, 7_278)
+
+
 class TestBackgroundDaemonShedding:
     def _armed_functional(self, stripes=8):
         env, array = build_md(
