@@ -29,7 +29,7 @@ from typing import AbstractSet, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.builder import Cluster
-from repro.faults.backoff import BackoffPolicy
+from repro.faults.backoff import backoff_ns
 from repro.metrics.faults import FaultStats
 from repro.metrics.integrity import IntegrityStats
 from repro.nvmeof.messages import IoError
@@ -138,12 +138,14 @@ class RaidArray(ABC):
         #: ``io_timeout_ns``) may be reassigned on the instance (tests do);
         #: everything reads it at use time.
         self.timeout_ns = cluster.config.io_timeout_ns
-        self.backoff = BackoffPolicy(self.timeout_ns)
         self.fault_stats = FaultStats()
         self.integrity_stats = IntegrityStats()
         self.failslow_detector = None
         self._retry_rng = random.Random(f"repro.backoff:{name}")
-        self._force_resilient = False
+        #: whether the timeout/retry datapath runs: set by the
+        #: :class:`repro.faults.FaultInjector` that attaches to the array
+        #: (or directly); off keeps the healthy paths' exact event sequence
+        self.resilient = False
         #: Observability (repro.obs): the cluster tracer, or None when the
         #: cluster was built without an observability config.  The cores,
         #: drives and links record their own spans; the array arms its stripe
@@ -159,10 +161,14 @@ class RaidArray(ABC):
             None if cluster.verify is None else cluster.verify.protocol
         )
         #: Overload control (repro.qos): the cluster's QosControl hub, or
-        #: None when the cluster was built without an overload config.
-        #: Every admission/deadline/budget/breaker branch short-circuits on
-        #: this being None, exactly like the tracer above.
-        self.qos = cluster.qos
+        #: None when the cluster was built without an overload config, and
+        #: its optional parts, read once (each None unless its knob is set).
+        #: Every overload branch short-circuits on these, like the tracer.
+        qos = self.qos = cluster.qos
+        self._admission = None if qos is None else qos.admission
+        self._retry_budget = None if qos is None else qos.retry_budget
+        self._breaker = None if qos is None else qos.breaker
+        self._target_depth = None if qos is None else qos.config.target_queue_depth
         if self._verifier is not None:
             self._verifier.watch_array(self)
         self._attach_transport()
@@ -236,16 +242,6 @@ class RaidArray(ABC):
     @property
     def degraded(self) -> bool:
         return bool(self.failed)
-
-    @property
-    def resilient(self) -> bool:
-        """Whether the timeout/retry datapath is active.
-
-        Armed automatically when a :class:`repro.faults.FaultInjector`
-        attaches to the cluster; arrays without one keep the exact event
-        sequence of the healthy paths (committed figures unchanged).
-        """
-        return self._force_resilient or self.cluster.fault_injection is not None
 
     @property
     def integrity(self):
@@ -338,14 +334,13 @@ class RaidArray(ABC):
                 self.fault_stats.retries += 1
                 if pause:
                     yield from self._backoff_pause(n, remaining, ctx)
-        qos = self.qos
-        if qos is not None and qos.retry_budget is not None:
-            qos.retry_budget.note_success()
+        if self._retry_budget is not None:
+            self._retry_budget.note_success()
 
     def _backoff_pause(self, attempts: int, remaining, ctx):
         """Sleep the jittered backoff before retry ``attempts`` (never past
         the ``remaining`` deadline budget), recording its span when traced."""
-        pause_ns = self.backoff.backoff_ns(attempts, self._retry_rng)
+        pause_ns = backoff_ns(attempts, self._retry_rng)
         if remaining is not None:
             pause_ns = min(pause_ns, remaining)
         if pause_ns:
@@ -376,22 +371,25 @@ class RaidArray(ABC):
 
     # -- overload control (repro.qos) -------------------------------------------
     #
-    # Every helper here short-circuits when ``self.qos`` is None (or the
-    # relevant sub-knob is off), so unarmed arrays keep the seed's exact
-    # event sequence.
+    # The array owns the deadline decision: :meth:`_qos_deadline` gives a
+    # request none unless overload control is armed, so every helper below
+    # short-circuits on an unarmed array (or an unset knob), which keeps
+    # the seed's exact event sequence.
 
     def _qos_deadline(self, deadline_ns):
         """The effective absolute deadline (ns) for a new request.
 
-        An explicit caller deadline wins; otherwise the armed config's
-        ``default_deadline_ns`` is added to *now*; otherwise None.
+        None on an array with no overload config (a caller's deadline is
+        ignored there); else an explicit caller deadline wins, then the
+        armed config's ``default_deadline_ns`` added to *now*, then None.
         """
+        qos = self.qos
+        if qos is None:
+            return None
         if deadline_ns is not None:
             return deadline_ns
-        qos = self.qos
-        if qos is None or qos.config.default_deadline_ns is None:
-            return None
-        return self.env.now + qos.config.default_deadline_ns
+        default = qos.config.default_deadline_ns
+        return None if default is None else self.env.now + default
 
     def _deadline_remaining(self, deadline_ns):
         """Budget (ns) left before ``deadline_ns``; None when undeadlined."""
@@ -405,8 +403,7 @@ class RaidArray(ABC):
         :class:`DeadlineExceeded`."""
         remaining = self._deadline_remaining(deadline_ns)
         if remaining is not None and remaining <= 0:
-            if self.qos is not None:
-                self.qos.stats.deadline_exceeded += 1
+            self.qos.stats.deadline_exceeded += 1
             self.fault_stats.io_errors += 1
             raise DeadlineExceeded(
                 f"{self.name}: {kind} on stripe {stripe} exceeded its deadline"
@@ -423,28 +420,23 @@ class RaidArray(ABC):
         being free.
         """
         remaining = self._deadline_left(kind, stripe, deadline_ns)
-        qos = self.qos
-        if qos is not None and qos.retry_budget is not None:
-            if not qos.retry_budget.try_spend():
-                qos.stats.retries_denied += 1
-                self.fault_stats.io_errors += 1
-                raise IoError(
-                    f"{self.name}: {kind} on stripe {stripe}: retry budget exhausted"
-                )
+        budget = self._retry_budget
+        if budget is not None and not budget.try_spend():
+            self.qos.stats.retries_denied += 1
+            self.fault_stats.io_errors += 1
+            raise IoError(
+                f"{self.name}: {kind} on stripe {stripe}: retry budget exhausted"
+            )
         return remaining
 
     def _admitted(self, body, priority: str):
         """Run a top-level I/O under the bounded admission queue.
 
-        Only reached when overload control is armed; with no admission
-        bound configured this is a transparent pass-through.  A refused
+        Only reached when an admission bound is armed.  A refused
         admission is a typed :class:`Busy` fast-reject — no datapath work,
         no queueing.
         """
-        adm = self.qos.admission
-        if adm is None:
-            result = yield from body
-            return result
+        adm = self._admission
         if not adm.try_admit(priority):
             stats = self.qos.stats
             if priority == PRIORITY_BACKGROUND:
@@ -465,7 +457,7 @@ class RaidArray(ABC):
         is fenced (reads route around it through reconstruction) — but,
         like every fence, never past tolerance.
         """
-        breaker = self.qos.breaker
+        breaker = self._breaker
         breaker.record(member, ok)
         if ok or not breaker.should_trip(member, self.env.now):
             return
@@ -729,15 +721,16 @@ class RaidArray(ABC):
 
         ``ctx`` is an optional :class:`repro.obs.TraceContext` the spans of
         this I/O are parented to (None = untraced).  ``deadline_ns`` is an
-        optional absolute sim-time deadline; with overload control armed an
-        unset deadline defaults to ``now + default_deadline_ns``.
+        optional absolute sim-time deadline, honoured only with overload
+        control armed, where an unset one defaults to
+        ``now + default_deadline_ns``.
         ``priority`` selects the admission class (foreground vs
         background) when an admission bound is armed.
         """
         body = self._read(
             offset, nbytes, ctx=ctx, deadline_ns=self._qos_deadline(deadline_ns)
         )
-        if self.qos is not None:
+        if self._admission is not None:
             body = self._admitted(body, priority)
         return self.env.process(body, name=self._read_name)
 
@@ -765,7 +758,7 @@ class RaidArray(ABC):
             offset, nbytes, self._payload(data, nbytes), ctx=ctx,
             deadline_ns=self._qos_deadline(deadline_ns),
         )
-        if self.qos is not None:
+        if self._admission is not None:
             body = self._admitted(body, priority)
         return self.env.process(body, name=self._write_name)
 

@@ -23,6 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.baselines.array import ArrayFailureError, RaidArray  # noqa: F401
+from repro.faults.backoff import attempt_timeout_ns
 from repro.nvmeof.initiator import RemoteBdev
 from repro.nvmeof.messages import IoError
 from repro.nvmeof.target import NvmeOfTarget
@@ -39,9 +40,6 @@ class HostCentricRaid(RaidArray):
 
     def _attach_transport(self) -> None:
         """One NVMe-oF target per member server, one host-side bdev to it."""
-        qos = self.qos
-        target_depth = None if qos is None else qos.config.target_queue_depth
-        breaker_on = qos is not None and qos.breaker is not None
         self._attempt_name = f"{self.name}.attempt"
         self.targets: List[NvmeOfTarget] = []
         self.server_sides = self.targets
@@ -49,7 +47,7 @@ class HostCentricRaid(RaidArray):
         for i, server in enumerate(self.servers):
             index = self._server_of(i)
             target = NvmeOfTarget(
-                server, self.cluster.server_end(index), queue_depth=target_depth
+                server, self.cluster.server_end(index), queue_depth=self._target_depth
             )
             self.targets.append(target)
             bdev = RemoteBdev(
@@ -59,7 +57,7 @@ class HostCentricRaid(RaidArray):
             )
             bdev.tracer = self._tracer
             bdev.verifier = self._protocol_verifier
-            if breaker_on:
+            if self._breaker is not None:
                 bdev.on_result = (
                     lambda ok, member=i: self._breaker_observe(member, ok)
                 )
@@ -125,9 +123,9 @@ class HostCentricRaid(RaidArray):
                 continue
             if now - bdev.last_completion_ns < timeout_ns:
                 continue
-            if self.qos is not None and self.qos.breaker is not None:
+            if self._breaker is not None:
                 # timeouts count against the member's EWMA error rate too
-                self.qos.breaker.record(i, False)
+                self._breaker.record(i, False)
             if not self._fence(i, prolonged=True):
                 # at tolerance: leave the member in (see :meth:`_fence`)
                 break
@@ -158,9 +156,7 @@ class HostCentricRaid(RaidArray):
             remaining = self._deadline_left(kind, stripe, deadline_ns)
             if prepare is not None:
                 yield from prepare(n)
-            timeout_ns = self.backoff.timeout_for(
-                n, self.timeout_ns, remaining_ns=remaining
-            )
+            timeout_ns = attempt_timeout_ns(self.timeout_ns, n, remaining)
             body = self.env.process(make_body(), name=self._attempt_name)
             try:
                 yield from self._race(body, timeout_ns, drain)

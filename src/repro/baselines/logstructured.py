@@ -100,14 +100,14 @@ class LogStructuredRaid(HostCentricRaid):
 
     # -- public block interface ------------------------------------------------
 
-    def write(self, offset: int, nbytes: int, data=None, ctx=None) -> Event:
-        # ctx accepted for interface parity; the staged path is untraced
+    def write(self, offset: int, nbytes: int, data=None, ctx=None, deadline_ns=None) -> Event:
+        # ctx/deadline_ns accepted for interface parity; staging is untraced, unshed
         return self.env.process(
             self._staged_write(offset, nbytes, self._payload(data, nbytes)),
             name=f"{self.name}.write",
         )
 
-    def read(self, offset: int, nbytes: int, ctx=None) -> Event:
+    def read(self, offset: int, nbytes: int, ctx=None, deadline_ns=None) -> Event:
         return self.env.process(self._remapped_read(offset, nbytes),
                                 name=f"{self.name}.read")
 

@@ -101,9 +101,6 @@ class Cluster:
         self.host_connections = host_connections
         self._peer_connections = peer_connections
         self.config = config
-        #: Armed by :class:`repro.faults.FaultInjector`; when set, the RAID
-        #: controllers enable their resilient (timeout/retry) datapaths.
-        self.fault_injection = None
         #: Armed by :class:`repro.storage.integrity.IntegrityStore.attach`;
         #: when set, the RAID controllers verify chunk checksums on reads
         #: and repair mismatches from parity.
@@ -186,6 +183,8 @@ def build_cluster(env: Environment, config: Optional[ClusterConfig] = None) -> C
     config = config or ClusterConfig()
     if config.num_servers < 1:
         raise ValueError("need at least one server")
+    if config.io_timeout_ns <= 0:
+        raise ValueError(f"io_timeout_ns must be positive, got {config.io_timeout_ns}")
     rates = config.server_nic_rates
     if rates is not None and len(rates) != config.num_servers:
         raise ValueError(

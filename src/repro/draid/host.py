@@ -37,6 +37,7 @@ from repro.draid.protocol import (
 )
 from repro.draid.reconstruction import BandwidthAwareSelector, RandomReducerSelector
 from repro.ec import LinearCode
+from repro.faults.backoff import attempt_timeout_ns
 from repro.nvmeof.messages import IoError, NvmeOfCommand, Opcode, next_cid
 from repro.raid.geometry import RaidGeometry, StripeExtent
 from repro.raid.modes import WriteMode, WritePlan, split_segments
@@ -138,16 +139,13 @@ class DraidArray(RaidArray):
     # -- transport --------------------------------------------------------
 
     def _attach_transport(self) -> None:
-        target_depth = (
-            None if self.qos is None else self.qos.config.target_queue_depth
-        )
         members = range(self.geometry.num_drives)
         self.bdev_servers = self.server_sides = [
             DraidBdevServer(
                 self.cluster, self._server_of(member),
                 pipeline=self.pipeline,
                 blocking_reduce=self.blocking_reduce,
-                queue_depth=target_depth,
+                queue_depth=self._target_depth,
             )
             for member in members
         ]
@@ -176,7 +174,7 @@ class DraidArray(RaidArray):
                 member, self.env.now - waiter.sent_ns
             )
             self._maybe_eject_failslow(member)
-        if self.qos is not None and self.qos.breaker is not None:
+        if self._breaker is not None:
             self._breaker_observe(member, comp.ok)
         waiter.on_completion(comp)
 
@@ -236,9 +234,8 @@ class DraidArray(RaidArray):
             yield waiter.event
             expired = pending and self.env.now - issued >= timeout_ns
         else:
-            timeout_ns = self.backoff.timeout_for(
-                attempt, self.timeout_ns,
-                remaining_ns=self._deadline_remaining(deadline_ns),
+            timeout_ns = attempt_timeout_ns(
+                self.timeout_ns, attempt, self._deadline_remaining(deadline_ns)
             )
             expired = not (yield from self._race(waiter.event, timeout_ns, drain))
             if drain and not waiter.event.triggered:

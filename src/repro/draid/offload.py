@@ -175,12 +175,12 @@ class OffloadedDraidArray:
         self._host_end.send(cmd)
         return event
 
-    def read(self, offset: int, nbytes: int, ctx=None) -> Event:
-        # ctx accepted for interface parity; spans are not propagated across
+    def read(self, offset: int, nbytes: int, ctx=None, deadline_ns=None) -> Event:
+        # ctx and deadline_ns accepted for interface parity; neither crosses
         # the proxy hop (the controller re-derives nothing host-side).
         return self._submit("read", offset, nbytes)
 
-    def write(self, offset: int, nbytes: int, data=None, ctx=None) -> Event:
+    def write(self, offset: int, nbytes: int, data=None, ctx=None, deadline_ns=None) -> Event:
         # the payload is validated and normalised by the controller's write
         return self._submit("write", offset, nbytes, data=data)
 

@@ -251,7 +251,7 @@ class _FailedChunkView:
         self.env = inner.env
         self.geometry = inner.geometry
 
-    def read(self, offset, nbytes):
+    def read(self, offset, nbytes, ctx=None, deadline_ns=None):
         geometry = self.geometry
         stripe = offset // geometry.chunk_bytes
         within = offset % geometry.chunk_bytes
@@ -265,7 +265,7 @@ class _FailedChunkView:
             + data_index * geometry.chunk_bytes
             + within
         )
-        return self.inner.read(user, nbytes)
+        return self.inner.read(user, nbytes, ctx=ctx, deadline_ns=deadline_ns)
 
-    def write(self, offset, nbytes, data=None):
+    def write(self, offset, nbytes, data=None, ctx=None, deadline_ns=None):
         raise NotImplementedError("rebuild stream is read-only")

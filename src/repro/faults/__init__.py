@@ -17,7 +17,6 @@ from repro._lazy import lazy_exports
 # the event catalogue or the domain map (the datapath imports ``backoff``
 # itself).
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    ".backoff": ("BackoffPolicy",),
     ".detect": ("FailSlowDetector",),
     ".domains": ("DOMAIN_KINDS", "DomainTopology", "FailureDomain", "default_topology"),
     ".events": (
@@ -31,7 +30,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
 })
 
 __all__ = [
-    "BackoffPolicy",
     "BatchFailureStorm",
     "BitRot",
     "DOMAIN_KINDS",

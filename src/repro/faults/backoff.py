@@ -1,4 +1,4 @@
-"""Adaptive timeout / retry backoff policy (§5.4 hardening).
+"""Attempt timeouts and retry backoff (§5.4 hardening): the one timing rule.
 
 Timeouts escalate exponentially per attempt so a retry is given more slack
 than the attempt it replaces; retry delays use exponential backoff with
@@ -11,51 +11,34 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+#: sleep before the first retry, ns
+BASE_BACKOFF_NS = 2_000_000
+#: growth factor of both the attempt timeout and the backoff, per attempt
+MULTIPLIER = 2.0
+#: no attempt timeout exceeds this, ns
+MAX_TIMEOUT_NS = 1_000_000_000
 
-class BackoffPolicy:
-    """Per-array retry/backoff policy.
 
-    ``timeout_for(attempt)`` — timeout for attempt N (0-based); doubles
-    each attempt starting from the array's base timeout.  When the request
-    carries a deadline, pass its *remaining* budget as ``remaining_ns``:
-    the attempt timeout is clamped to it, so cumulative attempt timeouts
-    are charged against the request deadline instead of every retry
-    getting a fresh full timeout.
-
-    ``backoff_ns(attempt, rng)`` — sleep before launching attempt N >= 1:
-    ``base * 2**(attempt-1)`` plus up to 50% seeded jitter.
+def attempt_timeout_ns(
+    base_ns: int, attempt: int, remaining_ns: Optional[int] = None
+) -> int:
+    """Timeout for attempt ``attempt`` (0-based): ``base_ns`` doubled per
+    attempt, capped at :data:`MAX_TIMEOUT_NS`.  When the request carries a
+    deadline, ``remaining_ns`` is its remaining budget: the timeout is
+    clamped to it, so cumulative attempt timeouts are charged against the
+    request deadline instead of every retry getting a fresh full timeout.
     """
+    timeout = int(min(base_ns * MULTIPLIER ** attempt, MAX_TIMEOUT_NS))
+    if remaining_ns is not None:
+        timeout = min(timeout, max(0, remaining_ns))
+    return timeout
 
-    def __init__(
-        self,
-        base_timeout_ns: int,
-        base_backoff_ns: int = 2_000_000,
-        multiplier: float = 2.0,
-        max_timeout_ns: int = 1_000_000_000,
-    ) -> None:
-        if base_timeout_ns <= 0:
-            raise ValueError(f"base timeout must be positive, got {base_timeout_ns}")
-        self.base_timeout_ns = int(base_timeout_ns)
-        self.base_backoff_ns = int(base_backoff_ns)
-        self.multiplier = float(multiplier)
-        self.max_timeout_ns = int(max_timeout_ns)
 
-    def timeout_for(
-        self,
-        attempt: int,
-        base_ns: Optional[int] = None,
-        remaining_ns: Optional[int] = None,
-    ) -> int:
-        base = self.base_timeout_ns if base_ns is None else base_ns
-        timeout = base * self.multiplier ** attempt
-        timeout = int(min(timeout, self.max_timeout_ns))
-        if remaining_ns is not None:
-            timeout = min(timeout, max(0, remaining_ns))
-        return timeout
-
-    def backoff_ns(self, attempt: int, rng: random.Random) -> int:
-        if attempt <= 0:
-            return 0
-        base = self.base_backoff_ns * self.multiplier ** (attempt - 1)
-        jitter = rng.random() * 0.5 * base
-        return int(base + jitter)
+def backoff_ns(attempt: int, rng: random.Random) -> int:
+    """Sleep before launching attempt ``attempt`` >= 1:
+    ``BASE_BACKOFF_NS * 2**(attempt-1)`` plus up to 50% seeded jitter
+    (none before attempt 0)."""
+    if attempt <= 0:
+        return 0
+    base = BASE_BACKOFF_NS * MULTIPLIER ** (attempt - 1)
+    return int(base + rng.random() * 0.5 * base)

@@ -1,10 +1,9 @@
 """The fault injector: executes a :class:`FaultPlan` against one array.
 
-The injector is a simulation process.  Creating one *arms* the cluster
-(``cluster.fault_injection``), which switches the RAID controllers onto
-their resilient timeout/retry datapaths; arrays built without an injector
-keep the exact event sequence of the healthy paths, so all committed
-figures are unchanged.
+The injector is a simulation process.  Creating one *arms* its array: it
+sets ``array.resilient``, which switches the controller onto its resilient
+timeout/retry datapath; arrays without an injector keep the exact event
+sequence of the healthy paths, so all committed figures are unchanged.
 
 Every fault keys off sim time and the plan's own seeds — never wall
 clock — so identical plans replay bit-identically, serial or parallel.
@@ -49,7 +48,6 @@ class FaultInjector:
         array,
         plan: FaultPlan,
         num_stripes: Optional[int] = None,
-        arm: bool = True,
     ) -> None:
         self.array = array
         self.plan = plan
@@ -62,8 +60,7 @@ class FaultInjector:
         self._helpers: List[Event] = []
         self._nic_degrades = {i: 0 for i in range(self.cluster.num_servers)}
         self._default_topology = None
-        if arm:
-            self.cluster.fault_injection = self
+        array.resilient = True
         self.process = self.env.process(self._run(), name=f"{array.name}.faults")
 
     # -- lifecycle ---------------------------------------------------------

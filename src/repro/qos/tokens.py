@@ -115,8 +115,10 @@ class TokenBucket:
 class RateLimitedDevice:
     """A block device view with a per-tenant byte budget.
 
-    Wraps any object exposing ``read(offset, nbytes)`` and
-    ``write(offset, nbytes, data=None)`` returning events.  Separate
+    Wraps any block device (``read(offset, nbytes, ctx=None,
+    deadline_ns=None)`` and ``write(offset, nbytes, data=None, ctx=None,
+    deadline_ns=None)`` returning events) and passes ``ctx`` and
+    ``deadline_ns`` through to it.  Separate
     buckets may be supplied for reads and writes; passing one bucket for
     both models a combined budget.
     """
@@ -135,20 +137,20 @@ class RateLimitedDevice:
         self.geometry = getattr(inner, "geometry", None)
         self.functional = getattr(inner, "functional", False)
 
-    def read(self, offset: int, nbytes: int, ctx=None) -> Event:
-        return self.env.process(self._read(offset, nbytes, ctx), name="qos.read")
+    def read(self, offset: int, nbytes: int, ctx=None, deadline_ns=None) -> Event:
+        return self.env.process(self._read(offset, nbytes, ctx, deadline_ns), name="qos.read")
 
-    def _read(self, offset: int, nbytes: int, ctx=None):
+    def _read(self, offset: int, nbytes: int, ctx, deadline_ns):
         yield self.read_bucket.acquire(nbytes)
-        result = yield (self.inner.read(offset, nbytes, ctx=ctx)
-                        if ctx is not None else self.inner.read(offset, nbytes))
+        result = yield self.inner.read(offset, nbytes, ctx=ctx, deadline_ns=deadline_ns)
         return result
 
-    def write(self, offset: int, nbytes: int, data=None, ctx=None) -> Event:
-        return self.env.process(self._write(offset, nbytes, data, ctx), name="qos.write")
+    def write(self, offset: int, nbytes: int, data=None, ctx=None, deadline_ns=None) -> Event:
+        return self.env.process(
+            self._write(offset, nbytes, data, ctx, deadline_ns), name="qos.write"
+        )
 
-    def _write(self, offset: int, nbytes: int, data, ctx=None):
+    def _write(self, offset: int, nbytes: int, data, ctx, deadline_ns):
         yield self.write_bucket.acquire(nbytes)
-        result = yield (self.inner.write(offset, nbytes, data, ctx=ctx)
-                        if ctx is not None else self.inner.write(offset, nbytes, data))
+        result = yield self.inner.write(offset, nbytes, data, ctx=ctx, deadline_ns=deadline_ns)
         return result

@@ -19,7 +19,8 @@ them.  The life of a tenant I/O under an armed rack:
    I/O would.
 
 With rack QoS unarmed every step above short-circuits to a plain
-pass-through call.
+pass-through call, and a tenant's deadline stays the workload's goodput
+yardstick: the volume drops it before the array sees it.
 
 Placement is capacity- and load-aware (:data:`PLACEMENT_POLICIES`), and
 :meth:`VolumeManager.migrate` re-homes a volume while the tenant keeps
@@ -39,15 +40,13 @@ from repro.nvmeof.messages import IoError
 from repro.qos.admission import PRIORITY_BACKGROUND
 from repro.qos.errors import Busy
 from repro.qos.tokens import TokenBucket
+from repro.raid.rebuild import PRESSURE_PAUSE_NS
 from repro.sim.core import Environment, Event
 
 if TYPE_CHECKING:  # annotation only
     from repro.rack.topology import Rack, RackArray
 
 MB = 1_000_000
-#: how long a migration copy stream backs off when an overload-armed array
-#: sheds its background I/O (the scrub daemon's default pressure pause)
-PRESSURE_PAUSE_NS = 500_000
 
 
 @dataclass
@@ -88,10 +87,11 @@ class MigrationRecord:
 class Volume:
     """A tenant's block device: a placed, QoS-gated slice of one array.
 
-    Exposes the same ``read(offset, nbytes)`` / ``write(offset, nbytes,
-    data=None)`` event interface as an array, plus the attributes
-    open-loop workloads expect (``env``, ``geometry``, ``qos``), so any
-    workload generator drives a volume unchanged.
+    Exposes the same ``read(offset, nbytes, ctx=None, deadline_ns=None)``
+    / ``write(offset, nbytes, data=None, ctx=None, deadline_ns=None)``
+    event interface as an array, plus the attributes workloads expect
+    (``env``, ``geometry``), so any workload generator drives a volume
+    unchanged.
     """
 
     def __init__(
@@ -125,29 +125,21 @@ class Volume:
         """The home array's RAID geometry (tracks migrations)."""
         return self.home.array.geometry
 
-    @property
-    def qos(self):
-        """Truthy marker when rack-level tenant QoS is armed (workloads use
-        it to decide whether to stamp absolute deadlines on I/Os)."""
-        return self.manager.rack.config.qos
-
     # -- block interface ----------------------------------------------------
 
-    def read(self, offset: int, nbytes: int, deadline_ns: Optional[int] = None) -> Event:
+    def read(self, offset: int, nbytes: int, ctx=None, deadline_ns=None) -> Event:
         """Read ``nbytes`` at tenant-relative ``offset`` (event interface)."""
         self._check_bounds(offset, nbytes)
         return self.env.process(
-            self._io(True, offset, nbytes, None, deadline_ns),
+            self._io(True, offset, nbytes, None, ctx, deadline_ns),
             name=f"vol.{self.name}.read",
         )
 
-    def write(
-        self, offset: int, nbytes: int, data=None, deadline_ns: Optional[int] = None
-    ) -> Event:
+    def write(self, offset: int, nbytes: int, data=None, ctx=None, deadline_ns=None) -> Event:
         """Write ``nbytes`` at tenant-relative ``offset`` (event interface)."""
         self._check_bounds(offset, nbytes)
         return self.env.process(
-            self._io(False, offset, nbytes, data, deadline_ns),
+            self._io(False, offset, nbytes, data, ctx, deadline_ns),
             name=f"vol.{self.name}.write",
         )
 
@@ -158,9 +150,12 @@ class Volume:
                 f"[0, {self.size_bytes})"
             )
 
-    def _io(self, is_read: bool, offset: int, nbytes: int, data, deadline_ns):
+    def _io(self, is_read: bool, offset: int, nbytes: int, data, ctx, deadline_ns):
         self.window_ops += 1
         self.window_bytes += nbytes
+        if self.manager.rack.config.qos is None:
+            # unarmed rack: the deadline only judges goodput, never the wire
+            deadline_ns = None
         if self.bucket is not None:
             horizon = self._shaping_horizon(deadline_ns)
             grant = self.bucket.acquire_within(nbytes, horizon)
@@ -179,23 +174,15 @@ class Volume:
                 raise
             yield slot
         try:
-            result = yield self._forward(home, is_read, offset, nbytes, data, deadline_ns)
+            result = yield self._forward(home, is_read, offset, nbytes, data, ctx, deadline_ns)
         finally:
             if home.wfq is not None:
                 home.wfq.release()
         return result
 
-    def _forward(self, home, is_read, offset, nbytes, data, deadline_ns):
-        # The wire deadline (target-side shedding of stale work) is an
-        # overload-control feature: forward it only when the controller has
-        # its own qos armed, the combination the datapath is built for.
-        # Without it the deadline still shapes the bucket horizon above and
-        # the workload's goodput accounting — late I/Os complete and are
-        # counted late, they are not shed mid-flight.
-        if home.array.qos is None:
-            deadline_ns = None
+    def _forward(self, home, is_read, offset, nbytes, data, ctx, deadline_ns):
         if is_read:
-            return home.array.read(self.base + offset, nbytes, deadline_ns=deadline_ns)
+            return home.array.read(self.base + offset, nbytes, ctx=ctx, deadline_ns=deadline_ns)
         # during a functional-mode migration, mirror writes to the copy
         # target so no acknowledged byte is left behind by the cutover
         if self._migrating_to is not None and self.manager.functional:
@@ -205,17 +192,20 @@ class Volume:
             return AllOf(
                 self.env,
                 [
-                    home.array.write(self.base + offset, nbytes, data, deadline_ns=deadline_ns),
-                    dst.array.write(dst_base + offset, nbytes, data, deadline_ns=deadline_ns),
+                    home.array.write(self.base + offset, nbytes, data, ctx=ctx,
+                                     deadline_ns=deadline_ns),
+                    dst.array.write(dst_base + offset, nbytes, data, ctx=ctx,
+                                    deadline_ns=deadline_ns),
                 ],
             )
-        return home.array.write(self.base + offset, nbytes, data, deadline_ns=deadline_ns)
+        return home.array.write(
+            self.base + offset, nbytes, data, ctx=ctx, deadline_ns=deadline_ns
+        )
 
     def _shaping_horizon(self, deadline_ns: Optional[int]) -> int:
         if deadline_ns is not None:
             return max(0, deadline_ns - self.env.now)
-        qos = self.manager.rack.config.qos
-        return qos.shaping_horizon_ns if qos is not None else 0
+        return self.manager.rack.config.qos.shaping_horizon_ns
 
     def reset_window(self) -> None:
         """Zero the hotness counters (called by the balancer each scan)."""
@@ -319,16 +309,22 @@ class VolumeManager:
                 burst_bytes=spec.burst_bytes,
             )
         volume = Volume(self, spec, home, base, bucket)
-        if qos is not None:
-            home.wfq.register(
-                spec.name,
-                weight=spec.weight,
-                queue_limit=spec.queue_limit or qos.default_queue_limit,
-            )
+        self._register_lane(home, spec)
         home.volumes.append(volume)
         home.placed_demand_mb_s += spec.demand_mb_s
         self.volumes[spec.name] = volume
         return volume
+
+    def _register_lane(self, array: "RackArray", spec: VolumeSpec) -> None:
+        """Give ``spec``'s tenant its private lane in ``array``'s fair queue
+        (rack QoS armed only)."""
+        qos = self.rack.config.qos
+        if qos is not None:
+            array.wfq.register(
+                spec.name,
+                weight=spec.weight,
+                queue_limit=spec.queue_limit or qos.default_queue_limit,
+            )
 
     def migrate(
         self,
@@ -362,13 +358,7 @@ class VolumeManager:
         src = volume.home
         started = env.now
         dst_base = dst.allocate(volume.size_bytes)
-        if self.rack.config.qos is not None:
-            dst.wfq.register(
-                volume.name,
-                weight=volume.spec.weight,
-                queue_limit=volume.spec.queue_limit
-                or self.rack.config.qos.default_queue_limit,
-            )
+        self._register_lane(dst, volume.spec)
         volume._migrating_to = (dst, dst_base)
         copied = 0
         try:

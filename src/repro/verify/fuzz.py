@@ -413,7 +413,7 @@ def run_schedule(schedule: FuzzSchedule) -> FuzzOutcome:
     store = cluster.integrity
     # the timeout/retry datapath runs even when ops, not an injector,
     # drive the faults
-    array._force_resilient = True
+    array.resilient = True
     injector = None
     if plan is not None:
         injector = FaultInjector(array, plan, num_stripes=stripes)

@@ -90,16 +90,10 @@ class FioWorkload:
                 ctx = tracer.new_request()
             start = self.env.now
             try:
-                # only pass the kwarg when armed so wrappers that predate
-                # tracing (QoS shims, rebuild views) keep working untraced
                 if is_read:
-                    yield (self.array.read(offset, self.io_size, ctx=ctx)
-                           if ctx is not None
-                           else self.array.read(offset, self.io_size))
+                    yield self.array.read(offset, self.io_size, ctx=ctx)
                 else:
-                    yield (self.array.write(offset, self.io_size, ctx=ctx)
-                           if ctx is not None
-                           else self.array.write(offset, self.io_size))
+                    yield self.array.write(offset, self.io_size, ctx=ctx)
             except (IoError, ChecksumError):
                 # terminal failure after the §5.4 retry budget (or an
                 # unrecoverable checksum mismatch on an armed array): the

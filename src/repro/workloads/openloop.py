@@ -16,10 +16,11 @@ toward throughput, not goodput.  Typed overload rejections
 (:class:`~repro.qos.errors.Busy`, :class:`~repro.qos.errors.DeadlineExceeded`)
 are tallied separately from ordinary terminal I/O errors.
 
-On a QoS-armed array the generator stamps each I/O with an absolute
-deadline (arrival time + budget) so the datapath can shed late work; on an
-unarmed array it issues the exact historic call — the generator itself
-never perturbs a disarmed run.
+When a budget is set the generator stamps each I/O with an absolute
+deadline (arrival time + budget).  Whether it becomes a wire deadline is
+the device's decision: an overload-armed array sheds late work, an
+unarmed one ignores it — the generator itself never perturbs a disarmed
+run.
 """
 
 from __future__ import annotations
@@ -138,9 +139,6 @@ class OpenLoopWorkload:
             raise ValueError("capacity smaller than one I/O")
         self._rng = random.Random(seed)
         self._slots = max(1, self.capacity // io_size)
-        #: stamp absolute deadlines only on a QoS-armed array; a disarmed
-        #: array gets the exact historic read()/write() call
-        self._armed = getattr(array, "qos", None) is not None
         self.reads = LatencyRecorder()
         self.writes = LatencyRecorder()
         self._measuring = False
@@ -205,21 +203,12 @@ class OpenLoopWorkload:
 
     def _issue(self, offset: int, is_read: bool, measured: bool):
         start = self.env.now
+        deadline = None if self.deadline_ns is None else start + self.deadline_ns
         try:
-            if self._armed and self.deadline_ns is not None:
-                deadline = start + self.deadline_ns
-                if is_read:
-                    yield self.array.read(
-                        offset, self.io_size, deadline_ns=deadline
-                    )
-                else:
-                    yield self.array.write(
-                        offset, self.io_size, deadline_ns=deadline
-                    )
-            elif is_read:
-                yield self.array.read(offset, self.io_size)
+            if is_read:
+                yield self.array.read(offset, self.io_size, deadline_ns=deadline)
             else:
-                yield self.array.write(offset, self.io_size)
+                yield self.array.write(offset, self.io_size, deadline_ns=deadline)
         except Busy:
             if measured:
                 self.busy_rejections += 1

@@ -29,7 +29,7 @@ def resilient_array(system, degraded):
         system, chunk_bytes=16 * KB,
         config=ClusterConfig(num_servers=5, io_timeout_ns=TIMEOUT_NS),
     )
-    array._force_resilient = True
+    array.resilient = True
     if degraded:
         array.fail_drive(array.geometry.data_drive(0, 0))
     return env, array

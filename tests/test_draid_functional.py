@@ -247,7 +247,7 @@ class TestFailureHandling:
 
         for resilient in (False, True):
             h = ArrayHarness(DraidArray)
-            h.array._force_resilient = resilient
+            h.array.resilient = resilient
             h.write(0, bytes(range(256)) * 16)
             h.env.run()  # idle: no timer of the write is left
             del refs[:]

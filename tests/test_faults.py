@@ -7,7 +7,6 @@ from repro.baselines import MdRaid, SpdkRaid
 from repro.cluster import ClusterConfig, build_cluster
 from repro.draid import DraidArray
 from repro.faults import (
-    BackoffPolicy,
     DriveErrorBurst,
     DriveFail,
     DriveFailSlow,
@@ -17,6 +16,12 @@ from repro.faults import (
     FaultPlan,
     NicDegrade,
     chaos_plan,
+)
+from repro.faults.backoff import (
+    BASE_BACKOFF_NS,
+    MAX_TIMEOUT_NS,
+    attempt_timeout_ns,
+    backoff_ns,
 )
 from repro.raid.rebuild import RebuildJob
 from repro.sim import Environment
@@ -63,29 +68,32 @@ class TestFaultPlan:
                 assert sum(down.values()) <= 2, f"seed {seed} exceeds budget"
 
 
-class TestBackoffPolicy:
+class TestAttemptTiming:
     def test_timeout_escalates_and_caps(self):
-        policy = BackoffPolicy(10 * MS, max_timeout_ns=50 * MS)
-        assert policy.timeout_for(0) == 10 * MS
-        assert policy.timeout_for(1) == 20 * MS
-        assert policy.timeout_for(2) == 40 * MS
-        assert policy.timeout_for(3) == 50 * MS  # capped
+        assert [attempt_timeout_ns(10 * MS, n) for n in range(4)] == [
+            10 * MS, 20 * MS, 40 * MS, 80 * MS,
+        ]
+        assert attempt_timeout_ns(300 * MS, 1) == 600 * MS
+        assert attempt_timeout_ns(300 * MS, 2) == MAX_TIMEOUT_NS  # capped
 
-    def test_timeout_base_override_tracks_live_value(self):
-        # arrays reassign .timeout_ns post-construction; the policy must
-        # honor the live value, not the one captured at build time
-        policy = BackoffPolicy(10 * MS)
-        assert policy.timeout_for(1, base_ns=500_000) == 1_000_000
+    def test_timeout_clamped_to_remaining_budget(self):
+        # cumulative attempt timeouts are charged against the request
+        # deadline: never more than what is left, never below zero
+        assert attempt_timeout_ns(10 * MS, 1, remaining_ns=5 * MS) == 5 * MS
+        assert attempt_timeout_ns(10 * MS, 1, remaining_ns=30 * MS) == 20 * MS
+        assert attempt_timeout_ns(10 * MS, 0, remaining_ns=-3) == 0
 
     def test_backoff_jitter_deterministic(self):
         import random
 
-        policy = BackoffPolicy(10 * MS)
-        a = [policy.backoff_ns(n, random.Random("x")) for n in range(4)]
-        b = [policy.backoff_ns(n, random.Random("x")) for n in range(4)]
+        a = [backoff_ns(n, random.Random("x")) for n in range(4)]
+        b = [backoff_ns(n, random.Random("x")) for n in range(4)]
         assert a == b
         assert a[0] == 0  # first attempt never sleeps
-        assert all(x > 0 for x in a[1:])
+        # doubling base plus up to 50 % jitter
+        for n, pause in enumerate(a[1:], start=1):
+            base = BASE_BACKOFF_NS * 2 ** (n - 1)
+            assert base <= pause <= 1.5 * base
 
 
 class TestFailSlowDetector:
@@ -203,17 +211,11 @@ class TestFaultInjector:
     def _harness(self):
         return ArrayHarness(SpdkRaid)
 
-    def test_injector_arms_cluster(self):
+    def test_injector_arms_array(self):
         h = self._harness()
         assert not h.array.resilient
         FaultInjector(h.array, FaultPlan([]), num_stripes=h.stripes)
-        assert h.cluster.fault_injection is not None
         assert h.array.resilient
-
-    def test_arm_false_leaves_datapath_alone(self):
-        h = self._harness()
-        FaultInjector(h.array, FaultPlan([]), num_stripes=h.stripes, arm=False)
-        assert not h.array.resilient
 
     def test_applies_events_on_schedule(self):
         h = self._harness()
@@ -308,7 +310,7 @@ def _fence_unresponsive(array, members):
 def _read_silent_members(array, members):
     from repro.nvmeof.messages import IoError
 
-    array._force_resilient = True
+    array.resilient = True
     for member in members:
         array.bdev_servers[member].crash(10_000 * MS)
     g = array.geometry

@@ -168,7 +168,7 @@ class TestBackoffSpan:
         """A read whose first attempt is lost to crashed targets retries
         after a backoff pause, recorded as one span of the request."""
         array = build_array("SPDK", observability=ObservabilityConfig())
-        array._force_resilient = True
+        array.resilient = True
         array.timeout_ns = 200_000
         for target in array.targets:
             target.crash(100_000)

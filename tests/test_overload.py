@@ -584,6 +584,59 @@ class TestOpenLoopWorkload:
         assert result.ops_offered > 100 and len(issued) > result.ops_offered
 
 
+def _block_device(kind):
+    """(env, device) for one block-device kind of the one read/write
+    contract, on an overload-armed cluster."""
+    from repro import build_testbed
+    from repro.baselines.logstructured import LogStructuredRaid
+    from repro.draid.offload import OffloadedDraidArray
+    from repro.qos.tokens import RateLimitedDevice, TokenBucket
+    from repro.rack import ArraySpec, RackConfig, build_rack
+    from repro.rack.volumes import VolumeSpec
+
+    config = ClusterConfig(num_servers=4, overload=OverloadConfig(admission_depth=8))
+    if kind in ("Linux", "SPDK", "dRAID", "dRAID-ST"):
+        env, _cluster, array = build_testbed(kind, chunk_bytes=16 * KB, config=config)
+        return env, array
+    if kind == "Volume":
+        rack = build_rack(None, RackConfig(arrays=[ArraySpec(
+            system="SPDK", servers=4, chunk_bytes=16 * KB, export_bytes=1 << 24,
+            cluster=config,
+        )]))
+        return rack.env, rack.volumes.create(VolumeSpec("t", 1 << 20))
+    env = Environment()
+    cluster = build_cluster(env, config)
+    if kind == "OffloadedDraidArray":
+        geometry = RaidGeometry(RaidLevel.RAID5, 3, 16 * KB)
+        return env, OffloadedDraidArray(cluster, geometry)
+    array = LogStructuredRaid(cluster, RaidGeometry(RaidLevel.RAID5, 4, 16 * KB))
+    if kind == "LogStructuredRaid":
+        return env, array
+    return env, RateLimitedDevice(array, TokenBucket(env, 100e6))
+
+
+@pytest.mark.parametrize("kind", [
+    "Linux", "SPDK", "dRAID", "dRAID-ST", "LogStructuredRaid",
+    "OffloadedDraidArray", "RateLimitedDevice", "Volume",
+])
+def test_every_block_device_takes_ctx_and_deadline(kind):
+    """One block-device contract: ``read(offset, nbytes, ctx=None,
+    deadline_ns=None)`` and ``write(offset, nbytes, data=None, ctx=None,
+    deadline_ns=None)`` on every device and wrapper, so a workload issues
+    one call whatever it drives."""
+    env, device = _block_device(kind)
+    done = []
+
+    def driver():
+        yield device.write(0, 4 * KB, None, ctx=None, deadline_ns=None)
+        yield device.read(0, 4 * KB, ctx=None, deadline_ns=None)
+        done.append(env.now)
+
+    env.process(driver(), name="driver")
+    env.run()
+    assert len(done) == 1
+
+
 class TestDeadlinePins:
     def test_deadline_decision_outcomes_are_pinned(self):
         """Where a tenant's latency budget stops being a wire deadline.
