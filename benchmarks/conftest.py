@@ -1,10 +1,11 @@
 """Benchmark-suite plumbing.
 
-``test_figures.py`` regenerates every paper table and figure through the
-experiment registry and checks it against the claims table
-(:mod:`repro.experiments.paper_values`); the other files measure
-ablations, what-if studies and kernel speeds.  Each saves its rendered
-table under ``benchmarks/results/`` with :func:`save_table`.
+``test_figures.py`` regenerates every paper table and figure, and the
+figures the repository adds (its ablation and what-if studies among them),
+through the experiment registry and checks each against the claims tables
+(:mod:`repro.experiments.paper_values`); ``test_perf_kernel.py`` measures
+kernel speeds.  Each saves its rendered table under ``benchmarks/results/``
+with :func:`save_table`.
 """
 
 from __future__ import annotations

@@ -60,6 +60,7 @@ SYSTEMS: Dict[str, type] = {"Linux": MdRaid, "SPDK": SpdkRaid, "dRAID": DraidArr
 #: that ``import repro`` stays light: figure-style name -> (module, class).
 VARIANTS: Dict[str, Tuple[str, str]] = {
     "dRAID-ST": ("repro.draid.stateless", "StatelessTargetDraid"),
+    "Log-RAID": ("repro.baselines.logstructured", "LogStructuredRaid"),
 }
 #: The lower-case spelling chaos/fuzz schedules and CLIs use -> figure name.
 ALIASES: Dict[str, str] = {
@@ -68,6 +69,7 @@ ALIASES: Dict[str, str] = {
     "spdk": "SPDK",
     "draid": "dRAID",
     "draid-st": "dRAID-ST",
+    "log-raid": "Log-RAID",
 }
 #: Erasure codes a dRAID controller can run instead of its level's P+Q.
 CODES = ("rs", "lrc")
@@ -111,8 +113,9 @@ def build_testbed(
     and benchmark workload stands its system up here, on the same substrate.
 
     * ``system`` — ``"Linux"`` (aliases ``"linux"``, ``"md"``), ``"SPDK"``
-      (``"spdk"``), ``"dRAID"`` (``"draid"``) or the stateless-target
-      variant ``"dRAID-ST"`` (``"draid-st"``).
+      (``"spdk"``), ``"dRAID"`` (``"draid"``), the stateless-target
+      variant ``"dRAID-ST"`` (``"draid-st"``) or the §2.3 NVRAM-staging
+      log ``"Log-RAID"`` (``"log-raid"``).
     * ``servers``, ``functional_capacity`` (bytes per drive; nonzero carries
       real data through the simulation) — the cluster, unless ``config``
       gives a ready :class:`~repro.cluster.ClusterConfig` (timeouts,

@@ -172,12 +172,9 @@ def aggregate_rows(results: List[Dict]) -> List[Row]:
     return rows
 
 
-def availability_rows(
-    fast: bool = True, jobs: Optional[int] = None, seeds: Optional[range] = None
-) -> List[Row]:
-    if seeds is None:
-        seeds = range(1, 7) if fast else range(1, 17)
-    points = [
+def availability_points(seeds, fast: bool = True) -> List[SweepPoint]:
+    """One point per (process, system, seed)."""
+    return [
         SweepPoint(
             availability_point,
             dict(system=system, process=process, seed=seed, fast=fast),
@@ -186,4 +183,11 @@ def availability_rows(
         for system in AVAIL_SYSTEMS
         for seed in seeds
     ]
-    return aggregate_rows(run_points(points, jobs=jobs))
+
+
+def availability_rows(
+    fast: bool = True, jobs: Optional[int] = None, seeds: Optional[range] = None
+) -> List[Row]:
+    if seeds is None:
+        seeds = range(1, 7) if fast else range(1, 17)
+    return aggregate_rows(run_points(availability_points(seeds, fast), jobs=jobs))

@@ -29,7 +29,8 @@ reports whether the seeded fault storm verified byte-exact
 the ``width/n`` fraction of stripes holding the dead member and its
 writes fan out across every stripe's own spare, so it completes
 measurably faster than the rotating layout's funnel into one
-replacement drive — the smoke golden asserts it.
+replacement drive — four rows of
+:data:`repro.experiments.paper_values.REPO_CLAIMS` bound it.
 
 Points are fully independent, so the sweep parallelizes across worker
 processes (``-j``), byte-identical to serial.
@@ -162,9 +163,9 @@ def geometry_point(
     )
 
 
-def geometries_rows(fast: bool = True, jobs: Optional[int] = None) -> List[Row]:
-    """The full grid, ranked by rebuild completion time within each x."""
-    points = [
+def geometries_points(fast: bool = True) -> List[SweepPoint]:
+    """Every cell of the grid; fast mode's are the geometries smoke grid's."""
+    return [
         SweepPoint(
             geometry_point,
             dict(layout=layout, code=code, controller=controller, fast=fast),
@@ -173,4 +174,8 @@ def geometries_rows(fast: bool = True, jobs: Optional[int] = None) -> List[Row]:
         for code in GEOM_CODES
         for controller in GEOM_CONTROLLERS
     ]
-    return run_points(points, jobs=jobs)
+
+
+def geometries_rows(fast: bool = True, jobs: Optional[int] = None) -> List[Row]:
+    """The full grid, one row per cell."""
+    return run_points(geometries_points(fast), jobs=jobs)

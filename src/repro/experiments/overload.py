@@ -160,24 +160,28 @@ def _metrics(system: str, protected: bool, x: str, result) -> Dict:
     }
 
 
+def overload_points(fast: bool = True) -> List[SweepPoint]:
+    """Per controller and arm: the load sweep, then the metastable scenario.
+
+    The overload smoke grid (:data:`repro.experiments.smoke.SMOKES`) is the
+    fast points at 1x and 2x and the metastable ones, so the figure and its
+    golden share those numbers.
+    """
+    return [
+        SweepPoint(fn, dict(system=system, protected=protected, **kwargs, fast=fast))
+        for system in OVERLOAD_SYSTEMS
+        for protected in (False, True)
+        for fn, kwargs in (
+            *((overload_point, dict(multiplier=m)) for m in OVERLOAD_MULTIPLIERS),
+            (metastable_point, {}),
+        )
+    ]
+
+
 def overload_rows(fast: bool = True, jobs: Optional[int] = None) -> List[Row]:
     """The full figure: load sweep plus the metastable scenario."""
-    points = [
-        SweepPoint(
-            overload_point,
-            dict(system=system, protected=protected, multiplier=m, fast=fast),
-        )
-        for system in OVERLOAD_SYSTEMS
-        for protected in (False, True)
-        for m in OVERLOAD_MULTIPLIERS
-    ]
-    points += [
-        SweepPoint(metastable_point, dict(system=system, protected=protected, fast=fast))
-        for system in OVERLOAD_SYSTEMS
-        for protected in (False, True)
-    ]
     rows = []
-    for result in run_points(points, jobs=jobs):
+    for result in run_points(overload_points(fast), jobs=jobs):
         arm = "protected" if result["protected"] else "raw"
         rows.append(
             Row(

@@ -1,25 +1,30 @@
 """The paper's evaluation claims as one table, and the one evaluator.
 
 Every claim of Table 1 and Figures 9-30 that this repository checks or
-scores is one :class:`Claim` in :data:`CLAIMS`: a figure id, a measure
-taken from that figure's rows, optional *exclusive* bounds ``lo``/``hi``
-(a claim with a bound is gated: ``benchmarks/test_figures.py`` fails on
-it), and an optional paper value with the sentence it comes from.  A
-measure is a :class:`Point` ``(x, system, metric)``, a :class:`Ratio` of
-two measures, or an :class:`Extreme` (max or min) over the points whose
-x starts with a prefix.  Points name x values the fast sweeps run.
+scores is one :class:`Claim` in :data:`CLAIMS`, and every bound the
+repository sets on the figures it adds is one in :data:`REPO_CLAIMS`: a
+figure id, a measure taken from that figure's rows, optional *exclusive*
+bounds ``lo``/``hi`` (a claim with a bound is gated:
+``benchmarks/test_figures.py`` fails on it), and an optional paper value
+with the sentence it comes from.  A measure is a :class:`Point`
+``(x, system, metric)``, a :class:`Ratio` of two measures, or an
+:class:`Extreme` (max or min) over the points whose x starts with a
+prefix.  Points name x values the fast sweeps run.
 
 :func:`score` evaluates the table on a run's rows.  A claim's error is
 ``|measured / paper - 1|``; a figure's error is the mean over its claims
 that carry a paper value, and the repo-wide error is the mean of the
 figure errors.  ``python -m repro.experiments fidelity`` prints
-:func:`render` of it, committed as ``benchmarks/results/fidelity.txt``.
+:func:`render` of it over :data:`CLAIMS`, committed as
+``benchmarks/results/fidelity.txt``; ``benchmarks/test_figures.py`` gates
+both tables.
 
 Not imported by ``import repro.experiments``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import mean
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
@@ -34,6 +39,13 @@ G = nic_goodput_mb_s()
 DRIVE_BOUND_8 = 5000.0
 
 
+def _has(row: Row, metric: str) -> bool:
+    """Whether ``row`` carries ``metric`` (a committed table's empty cell
+    reads back as ``nan``: absent)."""
+    value = row.metrics.get(metric)
+    return value is not None and not math.isnan(value)
+
+
 @dataclass(frozen=True)
 class Point:
     """One cell of a figure: the ``metric`` of ``system`` at ``x``."""
@@ -45,7 +57,7 @@ class Point:
     def value(self, rows: Sequence[Row]) -> float:
         """The cell's value; raises ``KeyError`` when the point is absent."""
         for row in rows:
-            if row.x == self.x and row.system == self.system and self.metric in row.metrics:
+            if row.x == self.x and row.system == self.system and _has(row, self.metric):
                 return row.metrics[self.metric]
         raise KeyError(f"no point x={self.x!r} system={self.system!r} metric={self.metric!r}")
 
@@ -57,7 +69,8 @@ class Point:
 @dataclass(frozen=True)
 class Extreme:
     """``max`` or ``min`` of ``system``'s ``metric`` over the points whose x
-    starts with ``prefix``, leaving out the first ``skip`` of them."""
+    starts with ``prefix`` and that carry the metric, leaving out the first
+    ``skip`` of them."""
 
     fn: str  #: "max" or "min"
     system: str
@@ -70,6 +83,7 @@ class Extreme:
         values = [
             row.metrics[self.metric] for row in rows
             if row.system == self.system and str(row.x).startswith(self.prefix)
+            and _has(row, self.metric)
         ][self.skip:]
         if not values:
             raise KeyError(f"no points for {self}")
@@ -88,8 +102,10 @@ class Ratio:
     den: "Measure"
 
     def value(self, rows: Sequence[Row]) -> float:
-        """The quotient of the two measures."""
-        return self.num.value(rows) / self.den.value(rows)
+        """The quotient of the two measures; ``nan`` over a zero denominator,
+        which fails any bound."""
+        den = self.den.value(rows)
+        return self.num.value(rows) / den if den else math.nan
 
     def __str__(self) -> str:
         return f"{self.num} / {self.den}"
@@ -318,6 +334,90 @@ CLAIMS: Tuple[Claim, ...] = (
 FIGURES: Tuple[str, ...] = tuple(dict.fromkeys(claim.figure for claim in CLAIMS))
 
 
+def _across(system: str, num_x, den_x, metric: str) -> Ratio:
+    """``system``'s ``metric`` at ``num_x`` over the same at ``den_x``."""
+    return Ratio(Point(num_x, system, metric), Point(den_x, system, metric))
+
+
+def _goodput(x: str, system: str, arm: str) -> Point:
+    return Point(x, f"{system}-{arm}", "goodput_mb_s")
+
+
+#: The repository's own claims: bounds on the figures it adds to the paper's
+#: (:data:`repro.experiments.registry.ADDED_FIGURES`).  They carry no paper
+#: value, so they add no error, and ``fidelity`` does not read them.
+REPO_CLAIMS: Tuple[Claim, ...] = (
+    *_claims(
+        "overload",
+        *(claim for system in ("Linux", "SPDK", "dRAID") for claim in (
+            (Ratio(_goodput("2x", system, "raw"), _goodput("1x", system, "raw")),
+             None, 0.6, None, "collapse: raw goodput at 2x saturation falls below 60 % of 1x"),
+            (Ratio(_goodput("2x", system, "protected"), _goodput("1x", system, "protected")),
+             0.8, None, None, "retention: the protected datapath keeps 80 % of 1x at 2x"),
+            (Ratio(_goodput("meta", system, "protected"), _goodput("meta", system, "raw")),
+             2.0, None, None, "metastability: after the load spike protected doubles raw"),
+        )),
+    ),
+    *_claims(
+        "tenancy",
+        (Point("noisy-neighbor", "dRAID-qos-off", "victim_retention"), None, 0.5, None,
+         "interference: with QoS off the victim keeps at most half its solo goodput"),
+        (Point("noisy-neighbor", "dRAID-qos-on", "victim_retention"), 0.9, None, None,
+         "isolation: with QoS on the victim keeps 90 % of its solo goodput"),
+        (Point("hotspot-p2", "dRAID-migrate", "migrations"), 0.5, 1.5, None,
+         "migration-recovery: the balancer migrates exactly one volume"),
+        (Ratio(Point("hotspot-p2", "dRAID-migrate", "hot_goodput_mb_s"),
+               Point("hotspot-p2", "dRAID-static", "hot_goodput_mb_s")), 1.2, None, None,
+         "migration-recovery: phase-2 hot goodput 1.2x the static placement's"),
+    ),
+    *_claims(
+        "availability",
+        *((_ratio("correlated", "dRAID", baseline, "data_loss_per_hour"), None, 1.0, None,
+           "under correlated storms dRAID loses less than the host-centric baselines")
+          for baseline in ("Linux", "SPDK")),
+    ),
+    *_claims(
+        "geometries",
+        *((Ratio(Point(f"declustered/{code}", system, "rebuild_ms"),
+                 Point(f"rotating/{code}", system, "rebuild_ms")), None, 1.0, None,
+           "declustered rebuild finishes before the rotating layout's")
+          for code in ("rs", "lrc") for system in ("dRAID", "dRAID-ST")),
+    ),
+    *_claims(
+        "ablation",
+        (_ratio("pipeline", "dRAID", "dRAID-serial", "avg_latency_us"), None, 1.0, None,
+         "§5.3: the I/O pipeline lowers write latency"),
+        (_ratio("pipeline", "dRAID", "dRAID-serial"), 1.0, None, None,
+         "§5.3: the I/O pipeline raises write throughput"),
+        (_ratio("late-parity", "dRAID", "dRAID-barrier", "parity_done_us"), None, 0.9, None,
+         "§5.2: with Parity late, the non-blocking reduce finishes 10 % sooner"),
+    ),
+    *_claims(
+        "nvram_staging",
+        (_ratio("random-16KB", "Log-RAID", "dRAID"), 1.3, None, None,
+         "§2.3: full-stripe-only device writes outrun in-place RMW"),
+        (Point("burst", "Log-RAID", "ack_us"), None, 30.0, None,
+         "§2.3: a burst is acknowledged at NVRAM speed"),
+        (Point("churn", "Log-RAID", "write_amp_x"), 1.1, None, None,
+         "§2.3: a churning log pays background amplification"),
+        (Point("churn", "Log-RAID", "gc_blocks_moved"), 0.0, None, None,
+         "§2.3: garbage collection relocates live blocks"),
+    ),
+    *_claims(
+        "rebuild_throttle",
+        (_across("dRAID", "0us", "2000us", "rebuild_mb_s"), 1.0, None, None,
+         "throttling slows the rebuild"),
+        (_across("dRAID", "2000us", "0us", "p99_us"), None, 1.05, None,
+         "a throttled rebuild does not raise foreground p99"),
+        (_across("dRAID", "0us", "no-rebuild", BW), 0.3, None, None,
+         "even unthrottled, the rebuild leaves the foreground 30 % of its bandwidth"),
+    ),
+)
+
+#: The figure ids :data:`REPO_CLAIMS` covers, in table order.
+REPO_FIGURES: Tuple[str, ...] = tuple(dict.fromkeys(claim.figure for claim in REPO_CLAIMS))
+
+
 @dataclass(frozen=True)
 class Scored:
     """One claim evaluated on a run."""
@@ -343,7 +443,8 @@ class Score:
 
 
 def evaluate(claim: Claim, rows: Sequence[Row]) -> Scored:
-    """Evaluate one claim on its figure's rows (``KeyError`` on a missing point)."""
+    """Evaluate one claim on its figure's rows (``KeyError`` on a missing
+    point; a ``nan`` measure, such as a ratio over zero, fails its bound)."""
     measured = claim.measure.value(rows)
     if not claim.gated:
         verdict = "report"
@@ -351,7 +452,7 @@ def evaluate(claim: Claim, rows: Sequence[Row]) -> Scored:
         verdict = "pass"
     else:
         verdict = "FAIL"
-    error = None if claim.paper is None else abs(measured / claim.paper - 1)
+    error = None if claim.paper is None or math.isnan(measured) else abs(measured / claim.paper - 1)
     return Scored(claim, measured, verdict, error)
 
 

@@ -266,6 +266,21 @@ ADDED_FIGURES: Dict[str, Tuple[str, str]] = {
         "Geometries: design-space grid of stripe layout x erasure code x "
         "controller — rebuild time, degraded throughput/p99, chaos verify",
     ),
+    "ablation": (
+        "studies",
+        "Ablation: dRAID without its §5.3 I/O pipeline (RAID-5 128 KiB writes, "
+        "QD 16) and without its §5.2 non-blocking reduce (Parity 800 us late)",
+    ),
+    "nvram_staging": (
+        "studies",
+        "What-if: NVRAM staging (log-structured, §2.3) vs dRAID in place — "
+        "random 16 KiB writes, burst ack, GC churn on a small log",
+    ),
+    "rebuild_throttle": (
+        "studies",
+        "What-if: rebuild throttle vs foreground (dRAID, width 8, 70 % read "
+        "64 KiB at QD 16 while member 3 rebuilds)",
+    ),
 }
 
 

@@ -68,9 +68,11 @@ class SweepSpec:
     A *smoke* (one row of :data:`repro.experiments.smoke.SMOKES`) is a spec
     that also says what its results print and what they must prove:
     ``lines`` maps the result list (in point order) to the report's lines,
-    and ``checks`` are named invariants — ``(name, fn)`` pairs where
-    ``fn(results)`` returns ``None`` when the invariant holds and the
-    reason when it does not.
+    and ``checks`` are named correctness verdicts — ``(name, fn)`` pairs
+    where ``fn(results)`` returns ``None`` when every schedule verified and
+    the reason when one did not.  Bounds on measured numbers are not
+    checks: they are rows of the claims table
+    (:mod:`repro.experiments.paper_values`).
     """
 
     name: str

@@ -3,8 +3,12 @@
 One table, :data:`SMOKES`.  A smoke is data — a
 :class:`~repro.experiments.runner.SweepSpec` whose cells are
 :class:`~repro.experiments.runner.SweepPoint` s over the point functions
-the figures already use, plus the lines those cells print and the figure's
-headline invariants as *named* checks.  :func:`run_smoke` runs any of them
+the figures already use, plus the lines those cells print and, on the
+fault grids, the correctness verdict ``every-schedule-ok``.  The overload,
+rack and geometries grids are cells of their figures' fast runs; the
+bounds on their numbers are rows of the claims table
+(:data:`repro.experiments.paper_values.REPO_CLAIMS`), checked on the
+figures, not here.  :func:`run_smoke` runs any of them
 through ``run_points`` (so ``-j N`` is free and prints the same bytes as
 ``-j 1``); the golden is ``tests/golden/<name>_smoke.golden``.  Command
 line: ``python -m repro.experiments smoke <name>...|--all [--check]
@@ -20,11 +24,10 @@ datapath changed behaviour (or the golden needs a deliberate
 from __future__ import annotations
 
 import difflib
-import operator
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments import availability, geometries, overload, tenancy
 from repro.experiments.runner import SweepPoint, SweepSpec, resolve_jobs
@@ -32,9 +35,6 @@ from repro.verify import fuzz
 
 #: where ``<name>_smoke.golden`` lives (a source checkout: src/repro/experiments/..)
 GOLDEN_DIR = Path(__file__).resolve().parents[3] / "tests" / "golden"
-
-Check = Callable[[List[Any]], Optional[str]]
-
 
 # -- chaos / integrity / fuzz: one schedule per cell, one line format each -----
 
@@ -144,30 +144,10 @@ def _availability_lines(results) -> List[str]:
     return lines
 
 
-def _draid_loses_no_more_than_baselines(results) -> Optional[str]:
-    losses: Dict[str, int] = dict.fromkeys(availability.AVAIL_SYSTEMS, 0)
-    for r in results:
-        if r["process"] == "correlated":
-            losses[r["system"]] += r["loss_events"]
-    if all(losses["dRAID"] <= losses[b] for b in ("Linux", "SPDK")):
-        return None
-    return f"loss events under correlated storms: {losses}"
-
-
 AVAILABILITY = SweepSpec(
     "availability",
-    tuple(
-        SweepPoint(
-            availability.availability_point, dict(system=system, process=process, seed=seed)
-        )
-        for process in availability.AVAIL_PROCESSES
-        for system in availability.AVAIL_SYSTEMS
-        for seed in (1, 2)
-    ),
+    tuple(availability.availability_points(seeds=(1, 2))),
     lines=_availability_lines,
-    checks=(
-        ("dRAID-loses-no-more-than-baselines", _draid_loses_no_more_than_baselines),
-    ),
 )
 
 
@@ -189,54 +169,13 @@ def _overload_lines(results) -> List[str]:
     ]
 
 
-def _goodput_bound(cell: Tuple[bool, str], relation, factor: float,
-                   anchor: Tuple[bool, str]) -> Check:
-    """For every controller: goodput[cell] ``relation`` factor x goodput[anchor],
-    a cell being ``(protected, x)``."""
-
-    def check(results) -> Optional[str]:
-        goodput = {
-            (r["system"], r["protected"], r["x"]): r["goodput_mb_s"] for r in results
-        }
-        broken = []
-        for system in overload.OVERLOAD_SYSTEMS:
-            got, bound = goodput[(system, *cell)], factor * goodput[(system, *anchor)]
-            if not relation(got, bound):
-                broken.append(f"{system}: {got:.0f} MB/s against a bound of {bound:.0f}")
-        return "; ".join(broken) or None
-
-    return check
-
-
-RAW, PROTECTED = False, True
-
 OVERLOAD = SweepSpec(
     "overload",
     tuple(
-        SweepPoint(fn, dict(system=system, protected=protected, **kwargs))
-        for system in overload.OVERLOAD_SYSTEMS
-        for protected in (RAW, PROTECTED)
-        for fn, kwargs in (
-            (overload.overload_point, dict(multiplier=1.0)),
-            (overload.overload_point, dict(multiplier=2.0)),
-            (overload.metastable_point, {}),
-        )
+        point for point in overload.overload_points(fast=True)
+        if point.kwargs.get("multiplier", 1.0) in (1.0, 2.0)
     ),
     lines=_overload_lines,
-    checks=(
-        # raw goodput at 2x saturation falls below 60% of goodput at saturation
-        ("collapse", _goodput_bound((RAW, "2x"), operator.le, 0.6, (RAW, "1x"))),
-        # the protected datapath keeps >= 80% of saturation goodput at 2x
-        (
-            "retention",
-            _goodput_bound((PROTECTED, "2x"), operator.ge, 0.8, (PROTECTED, "1x")),
-        ),
-        # after the load-spike storm protected goodput is >= 2x raw goodput
-        (
-            "metastability",
-            _goodput_bound((PROTECTED, "meta"), operator.ge, 2.0, (RAW, "meta")),
-        ),
-    ),
 )
 
 
@@ -270,44 +209,13 @@ def _rack_lines(results) -> List[str]:
     return lines
 
 
-def _interference(results) -> Optional[str]:
-    retention = results[0]["victim_retention"]
-    if retention > 0.5:
-        return f"QoS off, yet the victim kept {retention:.3f} of its solo goodput"
-    return None
-
-
-def _isolation(results) -> Optional[str]:
-    retention = results[1]["victim_retention"]
-    if retention < 0.9:
-        return f"QoS on, yet the victim kept only {retention:.3f} of its solo goodput"
-    return None
-
-
-def _migration_recovery(results) -> Optional[str]:
-    static, migrate = results[2], results[3]
-    if migrate["migrations"] != 1:
-        return f"balancer migrated {migrate['migrations']} volumes, expected 1"
-    static_p2, migrate_p2 = (r["p2_hot_goodput_mb_s"] for r in (static, migrate))
-    if migrate_p2 < 1.2 * static_p2:
-        return f"phase-2 hot goodput {migrate_p2:.0f} MB/s vs static {static_p2:.0f}"
-    return None
-
-
 RACK = SweepSpec(
     "rack",
-    (
-        SweepPoint(tenancy.noisy_point, dict(system="dRAID", qos=False)),
-        SweepPoint(tenancy.noisy_point, dict(system="dRAID", qos=True)),
-        SweepPoint(tenancy.hotspot_point, dict(system="dRAID", migrate=False)),
-        SweepPoint(tenancy.hotspot_point, dict(system="dRAID", migrate=True)),
+    tuple(
+        point for point in tenancy.tenancy_points(fast=True)
+        if point.kwargs["system"] == "dRAID"
     ),
     lines=_rack_lines,
-    checks=(
-        ("interference", _interference),
-        ("isolation", _isolation),
-        ("migration-recovery", _migration_recovery),
-    ),
 )
 
 
@@ -331,36 +239,11 @@ def _every_cell_chaos_ok(rows) -> Optional[str]:
     ) or None
 
 
-def _declustered_rebuild_faster(rows) -> Optional[str]:
-    rebuild_ms = {(row.x, row.system): row.metrics["rebuild_ms"] for row in rows}
-    slower = []
-    for (x, system), ms in sorted(rebuild_ms.items()):
-        layout, code = x.split("/")
-        if layout != "declustered":
-            continue
-        rotating = rebuild_ms[(f"rotating/{code}", system)]
-        if not ms < rotating:
-            slower.append(
-                f"{code}/{system}: declustered {ms:.3f} ms, rotating {rotating:.3f} ms"
-            )
-    return "; ".join(slower) or None
-
-
 GEOMETRIES = SweepSpec(
     "geometries",
-    tuple(
-        SweepPoint(
-            geometries.geometry_point, dict(layout=layout, code=code, controller=controller)
-        )
-        for layout in geometries.GEOM_LAYOUTS
-        for code in geometries.GEOM_CODES
-        for controller in geometries.GEOM_CONTROLLERS
-    ),
+    tuple(geometries.geometries_points(fast=True)),
     lines=_geometry_lines,
-    checks=(
-        ("every-schedule-ok", _every_cell_chaos_ok),
-        ("declustered-rebuild-faster", _declustered_rebuild_faster),
-    ),
+    checks=(("every-schedule-ok", _every_cell_chaos_ok),),
 )
 
 
@@ -380,7 +263,7 @@ def golden_path(name: str) -> Path:
 
 
 def failed_checks(spec: SweepSpec, results: List[Any]) -> List[str]:
-    """``"<smoke>: check '<name>' failed: <reason>"`` per violated invariant."""
+    """``"<smoke>: check '<name>' failed: <reason>"`` per failed check."""
     failures = []
     for check_name, check in spec.checks:
         reason = check(results)
@@ -393,7 +276,7 @@ def run_smoke(name: str, jobs: Optional[int] = None) -> Tuple[str, List[str]]:
     """Run smoke ``name``; returns ``(report, failed checks)``.
 
     The report is what the golden holds; an empty failure list means every
-    named invariant of the grid holds.
+    named check of the grid holds.
     """
     spec = SMOKES[name]
     results = spec.run(jobs=jobs)

@@ -209,20 +209,28 @@ def hotspot_point(system: str, migrate: bool, fast: bool = True) -> Dict:
     return result
 
 
-def tenancy_rows(fast: bool = True, jobs: Optional[int] = None) -> List[Row]:
-    """The full figure: isolation points then migration-recovery points."""
+def tenancy_points(fast: bool = True) -> List[SweepPoint]:
+    """Isolation points then migration-recovery points.
+
+    The rack smoke grid (:data:`repro.experiments.smoke.SMOKES`) is the
+    fast dRAID points, so the figure and its golden share those numbers.
+    """
     points = [
         SweepPoint(noisy_point, dict(system=system, qos=qos, fast=fast))
         for system in TENANCY_SYSTEMS
         for qos in (False, True)
     ]
-    points += [
+    return points + [
         SweepPoint(hotspot_point, dict(system=system, migrate=migrate, fast=fast))
         for system in TENANCY_SYSTEMS
         for migrate in (False, True)
     ]
+
+
+def tenancy_rows(fast: bool = True, jobs: Optional[int] = None) -> List[Row]:
+    """The full figure: isolation points then migration-recovery points."""
     rows: List[Row] = []
-    for result in run_points(points, jobs=jobs):
+    for result in run_points(tenancy_points(fast), jobs=jobs):
         if "qos" in result:
             arm = "qos-on" if result["qos"] else "qos-off"
             rows.append(

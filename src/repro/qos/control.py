@@ -99,6 +99,10 @@ class QosControl:
     """
 
     def __init__(self, config: OverloadConfig) -> None:
+        if config.default_deadline_ns is not None and config.default_deadline_ns <= 0:
+            raise ValueError(
+                f"default_deadline_ns must be positive, got {config.default_deadline_ns}"
+            )
         self.config = config
         self.stats = QosStats()
         self.admission: Optional[AdmissionQueue] = None

@@ -78,6 +78,9 @@ class TestHarness:
                 "overload",
                 "tenancy",
                 "geometries",
+                "ablation",
+                "nvram_staging",
+                "rebuild_throttle",
                 "fidelity",
             }
             | {f"fig{i:02d}" for i in range(9, 31)}

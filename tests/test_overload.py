@@ -359,6 +359,14 @@ class TestControllerAdmission:
         # the stale commands were shed at the targets, not serviced
         assert sum(t.deadline_rejections for t in array.targets) >= 2
 
+    @pytest.mark.parametrize("deadline_ns", [0, -5])
+    def test_non_positive_default_deadline_is_rejected(self, deadline_ns):
+        from repro import build_testbed
+
+        config = ClusterConfig(overload=OverloadConfig(default_deadline_ns=deadline_ns))
+        with pytest.raises(ValueError, match="default_deadline_ns"):
+            build_testbed("dRAID", config=config)
+
     def test_explicit_deadline_overrides_default(self):
         env, array = build_md(
             overload=OverloadConfig(default_deadline_ns=1)

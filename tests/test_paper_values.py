@@ -1,5 +1,6 @@
 """Tests for the claims table and its evaluator (repro.experiments.paper_values)."""
 
+import math
 import pathlib
 
 import pytest
@@ -76,6 +77,29 @@ class TestEvaluator:
         assert pv.Extreme("min", "dRAID").value(rows) == 3.0
         assert pv.Extreme("min", "dRAID", skip=1).value(rows) == 9.0
 
+    def test_extreme_skips_rows_without_its_metric(self):
+        # the tenancy figure's row mix: a system's rows do not all carry
+        # every metric, and a committed table's empty cell reads back as nan
+        for noisy in ({"victim_retention": 1.0}, {"hot_goodput_mb_s": float("nan")}):
+            rows = [Row("noisy-neighbor", "dRAID-migrate", noisy),
+                    Row("hotspot-p2", "dRAID-migrate", {"hot_goodput_mb_s": 5.0})]
+            for fn in ("max", "min"):
+                assert pv.Extreme(fn, "dRAID-migrate", metric="hot_goodput_mb_s").value(rows) == 5.0
+            with pytest.raises(KeyError):
+                pv.Point("noisy-neighbor", "dRAID-migrate", "hot_goodput_mb_s").value(rows)
+
+    def test_zero_denominator_fails_the_claim(self):
+        # a baseline that loses nothing: 0 / 0 and 1 / 0 fail either bound
+        for num in (0.0, 1.0):
+            rows = grid(SPDK_4=0.0, dRAID_4=num)
+            ratio = pv.Ratio(pv.Point(4, "dRAID"), pv.Point(4, "SPDK"))
+            for claim in (pv.Claim("f", ratio, hi=1.0), pv.Claim("f", ratio, lo=1.0, paper=2.0)):
+                scored = pv.evaluate(claim, rows)
+                assert scored.verdict == "FAIL" and math.isnan(scored.measured)
+                assert scored.error is None
+            failed = pv.score({"f": rows}, (pv.Claim("f", ratio, hi=1.0),)).failed
+            assert [row.claim.measure for row in failed] == [ratio]
+
     def test_swapping_two_systems_fails(self):
         claim = pv.Claim("f", pv.Ratio(pv.Point(4, "dRAID"), pv.Point(4, "SPDK")), lo=1.5)
         assert verdict(claim, grid(SPDK_4=1.0, dRAID_4=2.0)) == "pass"
@@ -106,15 +130,23 @@ class TestClaimsTable:
     def test_every_figure_has_a_claim_and_every_claim_a_runner(self):
         expected = ("table1", *(f"fig{n:02d}" for n in range(9, 31)))
         assert pv.FIGURES == expected
-        assert {claim.figure for claim in pv.CLAIMS} <= set(EXPERIMENTS)
+        assert pv.REPO_FIGURES == ("overload", "tenancy", "availability", "geometries",
+                                   "ablation", "nvram_staging", "rebuild_throttle")
+        assert {claim.figure for claim in pv.CLAIMS + pv.REPO_CLAIMS} <= set(EXPERIMENTS)
+
+    def test_repo_claims_are_gated_and_carry_no_paper_value(self):
+        assert all(claim.gated and claim.paper is None for claim in pv.REPO_CLAIMS)
 
     def test_every_claim_holds_on_the_committed_tables(self):
         # the figures' committed tables (the CI `figures` job keeps them
         # current), read back at one decimal; Table 1 runs in milliseconds
-        rows_by_figure = {exp_id: committed_rows(exp_id) for exp_id in pv.FIGURES[1:]}
+        rows_by_figure = {
+            exp_id: committed_rows(exp_id) for exp_id in pv.FIGURES[1:] + pv.REPO_FIGURES
+        }
         rows_by_figure["table1"] = run("table1")[1]
-        result = pv.score(rows_by_figure)
-        assert len(result.rows) == len(pv.CLAIMS)
+        claims = pv.CLAIMS + pv.REPO_CLAIMS
+        result = pv.score(rows_by_figure, claims)
+        assert len(result.rows) == len(claims)
         assert not result.failed, [str(row.claim.measure) for row in result.failed]
 
     def test_fidelity_report_lists_every_claim(self):
@@ -123,3 +155,36 @@ class TestClaimsTable:
         for row in result.rows:
             assert any(str(row.claim.measure) in line for line in lines)
         assert lines[-1].split()[:4] == ["all", "4", "4", "0"]
+
+
+def _moved(rows, claim, value):
+    """A copy of ``rows`` in which the cell ``claim`` reads (a ratio's
+    numerator) makes the measure equal ``value``."""
+    cell, target = claim.measure, value
+    if isinstance(cell, pv.Ratio):
+        cell, target = cell.num, value * cell.den.value(rows)
+    moved = [Row(row.x, row.system, dict(row.metrics)) for row in rows]
+    (row,) = [row for row in moved if (row.x, row.system) == (cell.x, cell.system)]
+    row.metrics[cell.metric] = target
+    return moved
+
+
+def _repo_claim_ids():
+    seen = {}
+    for claim in pv.REPO_CLAIMS:
+        seen[claim.figure] = seen.get(claim.figure, -1) + 1
+        yield f"{claim.figure}-{seen[claim.figure]}"
+
+
+@pytest.mark.parametrize("claim", pv.REPO_CLAIMS, ids=list(_repo_claim_ids()))
+def test_every_repo_bound_can_fail(claim):
+    """Each bound of the repository's claims, on its committed table: the
+    value the measure reads, put just inside the bound, passes, and put
+    just past it, fails."""
+    rows = committed_rows(claim.figure)
+    for bound, outward in ((claim.lo, -1), (claim.hi, 1)):
+        if bound is None:
+            continue
+        step = 1e-6 * max(1.0, abs(bound))
+        assert verdict(claim, _moved(rows, claim, bound - outward * step)) == "pass"
+        assert verdict(claim, _moved(rows, claim, bound + outward * step)) == "FAIL"

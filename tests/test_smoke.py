@@ -1,7 +1,10 @@
 """The smoke table: every committed ``*_smoke.golden`` is compared in full
 (on every core the machine has; ``-j N`` prints the same bytes as ``-j 1``),
-every named check fires by name, and the one CLI entry behaves.  Regenerate
-a golden with ``python -m repro.experiments smoke <name> --write-golden``.
+every correctness verdict fires by name, and the one CLI entry behaves.
+The bounds on the grids' numbers are rows of
+``repro.experiments.paper_values.REPO_CLAIMS`` (tests/test_paper_values.py).
+Regenerate a golden with ``python -m repro.experiments smoke <name>
+--write-golden``.
 """
 
 import dataclasses
@@ -12,7 +15,6 @@ import pytest
 
 from repro.experiments import smoke
 from repro.experiments.__main__ import main
-from repro.experiments.overload import OVERLOAD_SYSTEMS
 from repro.experiments.runner import JOBS_ENV_VAR
 from repro.experiments.smoke import SMOKES, failed_checks, golden_path, run_smoke
 from repro.metrics.report import Row
@@ -31,48 +33,7 @@ def test_serial_matches_parallel():
     assert run_smoke("chaos", jobs=1) == run_smoke("chaos", jobs=2)
 
 
-# -- named checks: doctored results that violate exactly one invariant --------
-
-
-RAW, PROTECTED = False, True
-#: goodput (MB/s) per (arm, x) of an overload grid on which every check holds
-PASSING_GOODPUT = {
-    (RAW, "1x"): 100, (RAW, "2x"): 10, (RAW, "meta"): 10,
-    (PROTECTED, "1x"): 100, (PROTECTED, "2x"): 95, (PROTECTED, "meta"): 90,
-}
-
-
-def _overload_results(arm, x, goodput):
-    """The passing grid with one cell's goodput replaced, on every system."""
-    table = {**PASSING_GOODPUT, (arm, x): goodput}
-    return [
-        dict(system=system, protected=protected, x=x, goodput_mb_s=value)
-        for system in OVERLOAD_SYSTEMS
-        for (protected, x), value in table.items()
-    ]
-
-
-def _rack_results(off=0.3, on=0.95, migrations=1, migrate_p2=150):
-    return [
-        dict(qos=False, victim_retention=off),
-        dict(qos=True, victim_retention=on),
-        dict(migrate=False, migrations=0, p2_hot_goodput_mb_s=100),
-        dict(migrate=True, migrations=migrations, p2_hot_goodput_mb_s=migrate_p2),
-    ]
-
-
-def _availability_results(draid_losses=0):
-    return [
-        dict(process="correlated", system=system, loss_events=losses)
-        for system, losses in (("Linux", 1), ("SPDK", 1), ("dRAID", draid_losses))
-    ]
-
-
-def _geometry_rows(declustered_ms=1.0, chaos_ok=1.0):
-    return [
-        Row("rotating/rs", "dRAID", dict(rebuild_ms=2.0, chaos_ok=1.0)),
-        Row("declustered/rs", "dRAID", dict(rebuild_ms=declustered_ms, chaos_ok=chaos_ok)),
-    ]
+# -- named checks: doctored results that violate exactly one verdict ---------
 
 
 def _chaos_outcomes(**changes):
@@ -84,18 +45,9 @@ VIOLATIONS = [
     ("chaos", "every-schedule-ok", lambda: _chaos_outcomes(verified=False)),
     ("integrity", "every-schedule-ok", lambda: _chaos_outcomes(unrecoverable=1)),
     ("fuzz", "every-schedule-ok", lambda: _chaos_outcomes(scrub_clean=False)),
-    ("availability", "dRAID-loses-no-more-than-baselines",
-     lambda: _availability_results(draid_losses=2)),
-    ("overload", "collapse", lambda: _overload_results(RAW, "2x", 70)),
-    ("overload", "retention", lambda: _overload_results(PROTECTED, "2x", 70)),
-    ("overload", "metastability", lambda: _overload_results(PROTECTED, "meta", 15)),
-    ("rack", "interference", lambda: _rack_results(off=0.6)),
-    ("rack", "isolation", lambda: _rack_results(on=0.8)),
-    ("rack", "migration-recovery", lambda: _rack_results(migrations=2)),
-    ("rack", "migration-recovery", lambda: _rack_results(migrate_p2=110)),
-    ("geometries", "every-schedule-ok", lambda: _geometry_rows(chaos_ok=0.0)),
-    ("geometries", "declustered-rebuild-faster",
-     lambda: _geometry_rows(declustered_ms=2.0)),
+    ("geometries", "every-schedule-ok",
+     lambda: [Row("rotating/rs", "dRAID", dict(chaos_ok=1.0)),
+              Row("declustered/rs", "dRAID", dict(chaos_ok=0.0))]),
 ]
 
 

@@ -15,6 +15,7 @@ from repro import (
     build_testbed,
     system_class,
 )
+from repro.baselines import LogStructuredRaid
 from repro.draid import EcGeometry
 from repro.draid.stateless import StatelessTargetDraid
 from repro.raid.layout import DeclusteredLayout, RotatingLayout
@@ -32,6 +33,8 @@ SPELLINGS = {
     "draid": (DraidArray, "draid"),
     "dRAID-ST": (StatelessTargetDraid, "draid-st"),
     "draid-st": (StatelessTargetDraid, "draid-st"),
+    "Log-RAID": (LogStructuredRaid, "log-raid"),
+    "log-raid": (LogStructuredRaid, "log-raid"),
 }
 
 
