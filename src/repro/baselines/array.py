@@ -873,6 +873,24 @@ class RaidArray(ABC):
                 gaps.append((d, cursor, g.chunk_bytes - cursor))
         return gaps
 
+    def _read_gaps(self, ext: StripeExtent, read):
+        """Read every region :meth:`_stripe_gaps` lists, one after another,
+        each through the datapath's degraded-aware reader, a generator
+        ``read(gap_ext, buffer, user_offset)``.  Returns ``(gaps, blocks)``
+        (each block ``None`` in timing mode), what :meth:`_assemble_stripe`
+        takes."""
+        g = self.geometry
+        gaps = self._stripe_gaps(ext)
+        stripe_base = ext.stripe * g.stripe_data_bytes
+        blocks: List[Optional[np.ndarray]] = []
+        for d, off, length in gaps:
+            user_offset = stripe_base + d * g.chunk_bytes + off
+            gap_ext, = g.map_extent(user_offset, length)
+            buffer = np.zeros(length, dtype=np.uint8) if self.functional else None
+            yield from read(gap_ext, buffer, user_offset)
+            blocks.append(buffer)
+        return gaps, blocks
+
     def _assemble_stripe(
         self, ext: StripeExtent, io_data, gaps, gap_blocks
     ) -> List[Optional[np.ndarray]]:

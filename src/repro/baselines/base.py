@@ -393,23 +393,18 @@ class HostCentricRaid(RaidArray):
             ctx=ctx,
             deadline_ns=deadline_ns,
         )
-        return out["gaps"], out["blocks"]
+        return out["pinned"]
 
     def _pin_stripe_image(self, ext: StripeExtent, out: dict, ctx=None,
                           deadline_ns=None):
-        g = self.geometry
-        gaps = self._stripe_gaps(ext)
-        stripe_base = ext.stripe * g.stripe_data_bytes
-        blocks = []
-        for d, off, length in gaps:
-            buffer = np.zeros(length, dtype=np.uint8) if self.functional else None
-            gap_ext, = g.map_extent(stripe_base + d * g.chunk_bytes + off, length)
-            yield from self._read_extent_once(
+        """One attempt of :meth:`_pin_with_retries`; its ``(gaps, blocks)``
+        land in ``out``."""
+        out["pinned"] = yield from self._read_gaps(
+            ext,
+            lambda gap_ext, buffer, _user_offset: self._read_extent_once(
                 gap_ext, buffer, ctx, deadline_ns=deadline_ns
-            )
-            blocks.append(buffer)
-        out["gaps"] = gaps
-        out["blocks"] = blocks
+            ),
+        )
 
     # data helpers -----------------------------------------------------------
 
@@ -598,70 +593,47 @@ class HostCentricRaid(RaidArray):
         """Write when touched data chunks (the plan's ``lost`` segments)
         live on failed drives.
 
-        Reconstructs the failed chunk's old content when the write only
-        partially covers it, merges the new data, recomputes parity from
-        the full stripe image and writes all survivors.
+        Reads every surviving data chunk in full.  When the new image needs
+        the old bytes of a failed data chunk — one the write does not wholly
+        cover, touched or not — it also reads as many surviving parities as
+        the stripe has failed data chunks and decodes those chunks.  Parity
+        is recomputed from the full stripe image and every survivor written.
         """
-        g = self.geometry
-        chunk = g.chunk_bytes
-        touched_by_index = {s.data_index: s for s in ext.segments}
-        failed_indices = {s.data_index for s in plan.lost}
-        partial_failed = [
-            i for i in failed_indices if touched_by_index[i].length < chunk
-        ]
-        # read every surviving data chunk in full
+        chunk = self.geometry.chunk_bytes
+        k = self.code.k
         failed = plan.failed
-        data_drives = plan.data_drives
-        survivors = [d for d, drive in enumerate(data_drives) if drive not in failed]
+        # the member of every shard: data chunks, then parity rows
+        drives = plan.data_drives + ext.parity_drives
+        covered = {s.data_index for s in ext.segments if s.length == chunk}
+        erased = [i for i in range(k) if drives[i] in failed]
+        decoded = [i for i in erased if i not in covered]
+        survivors = [i for i, drive in enumerate(drives) if drive not in failed]
+        # the surviving data chunks lead; a decode adds one parity per
+        # erased data chunk
+        sources = survivors[: k if decoded else k - len(erased)]
         read_events = [
-            self.bdevs[data_drives[d]].read(
+            self.bdevs[drives[i]].read(
                 ext.stripe * chunk, chunk, ctx=ctx, deadline_ns=deadline_ns,
             )
-            for d in survivors
+            for i in sources
         ]
-        # if the failed chunk is partially covered we need its old content:
-        # read parity too so it can be reconstructed
-        parities_to_read = plan.parities[: len(failed_indices)] if partial_failed else ()
-        for _, p in parities_to_read:
-            read_events.append(
-                self.bdevs[p].read(ext.parity_offset, chunk, ctx=ctx,
-                                   deadline_ns=deadline_ns)
-            )
         blocks = yield from self._gather(read_events)
-        survivor_blocks = blocks[: len(survivors)]
-        parity_blocks = blocks[len(survivors):]
-        source_bytes = chunk * len(blocks)
-        yield self._charge_reconstruct_staging(source_bytes, ext, ctx)
+        yield self._charge_reconstruct_staging(chunk * len(blocks), ext, ctx)
         yield self._charge_xor(len(blocks), chunk, ctx)
-        stripe_img: Optional[List[np.ndarray]] = None
+        gaps = self._stripe_gaps(ext)
+        gap_blocks = [None] * len(gaps)
         if self.functional:
-            present = dict(zip(survivors, survivor_blocks))
-            if partial_failed:
-                shards = dict(present)
-                for (row, _), blk in zip(parities_to_read, parity_blocks):
-                    shards[g.data_per_stripe + row] = blk
-                for i in failed_indices:
-                    present[i] = self.code.decode_one(i, shards, chunk)
-            else:
-                for i in failed_indices:
-                    present[i] = np.zeros(chunk, dtype=np.uint8)
-            # merge new data over the old image
-            stripe_img = []
-            for d in range(g.data_per_stripe):
-                base = present.get(d)
-                if base is None:
-                    base = np.zeros(chunk, dtype=np.uint8)
-                base = base.copy()
-                seg = touched_by_index.get(d)
-                if seg is not None:
-                    base[seg.chunk_offset : seg.chunk_end] = self._seg_data(io_data, seg)
-                stripe_img.append(base)
-        new_parity = yield from self._encode_parities(stripe_img, ctx)
-        staged = chunk * (len(survivors) + len(plan.parities))
+            shards = dict(zip(sources, blocks))
+            chunks = {i: self.code.decode_one(i, shards, chunk) for i in decoded}
+            chunks.update(shards)
+            gap_blocks = [chunks[i][off : off + length] for i, off, length in gaps]
+        new_parity = yield from self._encode_parities(
+            self._assemble_stripe(ext, io_data, gaps, gap_blocks), ctx
+        )
+        staged = chunk * (k - len(erased) + len(plan.parities))
         yield self._charge_write_staging(staged, ext, ctx)
         write_events = self._segment_writes(
             ext, io_data, ctx, deadline_ns, skip=failed
         )
         write_events += self._parity_writes(ext, plan, new_parity, ctx, deadline_ns)
         yield AllOf(self.env, write_events)
-

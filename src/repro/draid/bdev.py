@@ -37,7 +37,7 @@ from repro.draid.protocol import (
     ReconstructionCmd,
     Subtype,
 )
-from repro.ec import LinearCode, code_for
+from repro.ec import code_for
 from repro.ec.gf import GF
 from repro.nvmeof.messages import RESPONSE_BYTES, NvmeOfCommand, Opcode
 from repro.nvmeof.target import serve_plain
@@ -46,18 +46,6 @@ from repro.storage.drive import DriveFailedError
 
 #: PeerMsg.key value marking a reconstruction partial (keyed by cid instead).
 RECON_KEY = -1
-
-
-def decode_lost(code: LinearCode, lost: Tuple[str, int], blocks, length: int):
-    """Rebuild the ``lost`` region from survivor regions labeled with their
-    ``('data', index)`` / ``('parity', row)`` role in the stripe."""
-
-    def shard(source: Tuple[str, int]) -> int:
-        kind, index = source
-        return index if kind == "data" else code.k + index
-
-    shards = {shard(source): block for source, block in blocks.items()}
-    return code.decode_one(shard(lost), shards, length)
 
 
 def _fold(span_offset: int, span_length: int, pieces) -> np.ndarray:
@@ -107,7 +95,8 @@ class _ReconReduceState:
     """Reducer-side state for one reconstruction (§6.1)."""
 
     received: int = 0
-    blocks: Dict[Tuple[str, int], Optional[np.ndarray]] = field(default_factory=dict)
+    #: survivor regions by shard index
+    blocks: Dict[int, Optional[np.ndarray]] = field(default_factory=dict)
     #: None until the reducer's own Reconstruction command arrives
     cmd: Optional[ReconstructionCmd] = None
     own_done: bool = False
@@ -439,7 +428,7 @@ class DraidBdevServer:
             self._signal_peer(
                 dest,
                 PeerMsg(cmd.cid, key=cmd.parity_key, fwd_offset=cmd.fwd_offset,
-                        fwd_length=cmd.fwd_length, source=("data", cmd.data_index),
+                        fwd_length=cmd.fwd_length, source=cmd.data_index,
                         data=block, trace=ctx),
             )
 
@@ -630,8 +619,8 @@ class DraidBdevServer:
         )
         result = None
         if self.functional:
-            result = decode_lost(
-                code_for(cmd.code), cmd.lost, state.blocks, cmd.region_length
+            result = code_for(cmd.code).decode_one(
+                cmd.lost, state.blocks, cmd.region_length
             )
         yield self.server.cpu.execute(profile.completion_ns, ctx=ctx, span="draid.complete")
         origin = state.origin if state.origin is not None else self.host_end

@@ -3,13 +3,17 @@
 "Most erasure codes can also be generated in parallel, so I/O
 disaggregation still applies."  The dRAID controller is code-agnostic —
 each data bdev forwards, for parity row j, ``C[j,i] * partial`` (where C is
-the code's parity matrix and i its data index), and each of the m parity
-bdevs reduces with plain XOR, exactly as RAID-5/6 — so a coded array is
-:class:`~repro.draid.host.DraidArray` over an :class:`EcGeometry` with a
+the code's parity matrix and i its data index), each of the m parity bdevs
+reduces with plain XOR, exactly as RAID-5/6, and a reconstruction reducer
+decodes survivor regions keyed by their shard index in the code (``0..k-1``
+data, ``k..k+m-1`` parity) — so a coded array is
+:class:`~repro.draid.host.DraidArray` over a level-less geometry with a
 ``code=`` of the right shape.
 
-:class:`EcGeometry` rotates all m parity chunks across members (balancing
-load, as RAID-6 does for P and Q); :class:`EcDraidArray` and
+:class:`EcGeometry` is the constructor of that geometry: a
+:class:`~repro.raid.geometry.RaidGeometry` with no RAID level, whose m
+parity chunks rotate across members (balancing load, as RAID-6 does for P
+and Q) and whose default code is Reed-Solomon.  :class:`EcDraidArray` and
 :class:`LrcDraidArray` are the named constructors for the Reed-Solomon and
 local-reconstruction arrays.
 """
@@ -20,16 +24,17 @@ from typing import Optional
 
 from repro.cluster.builder import Cluster
 from repro.draid.host import DraidArray
-from repro.ec import LinearCode, code_for
+from repro.ec import code_for
 from repro.raid.geometry import RaidGeometry
-from repro.raid.layout import Layout, RotatingLayout
+from repro.raid.layout import Layout
 
 
 class EcGeometry(RaidGeometry):
-    """Striped layout with ``num_parity`` rotating parity chunks.
+    """A :class:`RaidGeometry` with no RAID level: ``num_parity`` rotating
+    parity chunks and a Reed-Solomon default code.
 
-    ``layout`` plugs in an alternative placement (e.g. a
-    :class:`~repro.raid.layout.DeclusteredLayout`); the default
+    A constructor only.  ``layout`` plugs in an alternative placement
+    (e.g. a :class:`~repro.raid.layout.DeclusteredLayout`); the default
     :class:`~repro.raid.layout.RotatingLayout` reproduces the historical
     m-parity rotation byte-for-byte.
     """
@@ -41,39 +46,8 @@ class EcGeometry(RaidGeometry):
         num_parity: int,
         layout: Optional[Layout] = None,
     ) -> None:
-        if num_parity < 1:
-            raise ValueError(f"need at least one parity, got {num_parity}")
-        if num_drives <= num_parity + 1:
-            raise ValueError(
-                f"{num_drives} drives cannot host {num_parity} parities + data"
-            )
-        if chunk_bytes <= 0 or chunk_bytes % 4096:
-            raise ValueError(f"chunk size must be a positive multiple of 4096, got {chunk_bytes}")
-        if layout is None:
-            layout = RotatingLayout(num_drives, num_parity)
-        if layout.num_drives != num_drives or layout.num_parity != num_parity:
-            raise ValueError(
-                f"layout {layout.describe()} does not match "
-                f"{num_drives} drives / {num_parity} parity"
-            )
-        self.level = None  #: not a standard RAID level
-        self.num_drives = num_drives
-        self.chunk_bytes = chunk_bytes
         self.num_parity = num_parity
-        self.layout = layout
-        self.data_per_stripe = layout.data_per_stripe
-        self.stripe_data_bytes = self.data_per_stripe * chunk_bytes
-        self.full_width = layout.stripe_width == num_drives
-
-    def __repr__(self) -> str:
-        return (
-            f"<EcGeometry RS({self.data_per_stripe}+{self.num_parity}) "
-            f"drives={self.num_drives} chunk={self.chunk_bytes // 1024}KiB>"
-        )
-
-    def default_code(self) -> LinearCode:
-        """Systematic Reed-Solomon over the stripe's k data + m parity."""
-        return code_for(("rs", self.data_per_stripe, self.num_parity))
+        super().__init__(None, num_drives, chunk_bytes, layout)
 
 
 class EcDraidArray(DraidArray):

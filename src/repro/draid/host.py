@@ -20,9 +20,7 @@ prolonged-failed drives faulty and retries the whole stripe as a
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.baselines.array import RaidArray
 from repro.cluster.builder import Cluster
@@ -437,7 +435,7 @@ class DraidArray(RaidArray):
         from the map.  Returns ``(waiter, expired, folded segments)``.
         """
         g = self.geometry
-        participants = self._recon_participants(ext, seg.data_index)
+        participants = self._repair_members(ext.stripe, seg.data_index)
         reducer_member = self._selector.pick(
             [d for d, _ in participants], seg.length
         )
@@ -451,7 +449,7 @@ class DraidArray(RaidArray):
             cid, {"recon": 1, "read": len(folded)},
             participants={reducer_member, *folded}, ctx=ctx, span="draid.recon",
         )
-        for drive, source in participants:
+        for drive, shard in participants:
             h = folded.get(drive)
             read_segment = None if h is None else (h.chunk_offset, h.length, h.io_offset)
             self.host_ends[drive].send(
@@ -461,10 +459,10 @@ class DraidArray(RaidArray):
                     chunk_drive_offset=ext.stripe * g.chunk_bytes,
                     region_offset=seg.chunk_offset,
                     region_length=seg.length,
-                    source=source,
+                    source=shard,
                     reducer=self._server_of(reducer_member),
                     wait_num=len(participants) - 1,
-                    lost=("data", seg.data_index),
+                    lost=seg.data_index,
                     code=self.code.spec,
                     read_segment=read_segment,
                     lost_io_offset=seg.io_offset,
@@ -476,17 +474,6 @@ class DraidArray(RaidArray):
             cid, waiter, attempt=attempt, drain=False, deadline_ns=deadline_ns
         )
         return waiter, expired, list(folded.values())
-
-    def _recon_participants(
-        self, ext: StripeExtent, lost_index: int
-    ) -> List[Tuple[int, Tuple[str, int]]]:
-        """(member, source-role) pairs contributing to the reconstruction of
-        data chunk ``lost_index``: the shards the code asks for."""
-        k = self.code.k
-        return [
-            (drive, ("data", s) if s < k else ("parity", s - k))
-            for drive, s in self._repair_members(ext.stripe, lost_index)
-        ]
 
     # -- writes ----------------------------------------------------------------
 
@@ -545,20 +532,14 @@ class DraidArray(RaidArray):
         rewrites the whole stripe.  Used for §5.4 retries and for writes
         spanning several failed chunks.
         """
-        g = self.geometry
-        gaps = self._stripe_gaps(ext)
-        stripe_base = ext.stripe * g.stripe_data_bytes
-        gap_buffers: List[Optional[np.ndarray]] = []
-        for d, off, length in gaps:
-            user_offset = stripe_base + d * g.chunk_bytes + off
-            gap_ext, = g.map_extent(user_offset, length)
-            buffer = np.zeros(length, dtype=np.uint8) if self.functional else None
-            yield from self._read_extent(
+        gaps, gap_blocks = yield from self._read_gaps(
+            ext,
+            lambda gap_ext, buffer, user_offset: self._read_extent(
                 gap_ext, buffer, user_offset, ctx=ctx, deadline_ns=deadline_ns
-            )
-            gap_buffers.append(buffer)
+            ),
+        )
         return (yield from self._write_stripe_image(
-            ext, self._assemble_stripe(ext, io_data, gaps, gap_buffers), ctx,
+            ext, self._assemble_stripe(ext, io_data, gaps, gap_blocks), ctx,
             "draid.write-fallback", attempt=attempt, deadline_ns=deadline_ns,
         ))
 
@@ -720,7 +701,7 @@ class DraidArray(RaidArray):
                     yield self._charge_gf(1, fwd_len, ctx)
                 self.host_ends[p].send(
                     PeerMsg(cid, key=cid, fwd_offset=fwd_off, fwd_length=fwd_len,
-                            source=("data", lost.data_index), data=partials[row],
+                            source=lost.data_index, data=partials[row],
                             trace=waiter.trace)
                 )
             self.host_ends[p].send(

@@ -23,7 +23,8 @@ destinations travel as one ``dests`` tuple of ``(server, coefficient)``
 pairs, one per surviving parity: ``dests[0]`` and ``dests[1]`` are Figure
 5's next-dest and next-dest2, and a wider code (§7) simply carries more.
 A bdev stays unaware of the RAID configuration — which partials to weight
-and which code a reducer decodes with are spelled out in the command.
+and which code a reducer decodes with are spelled out in the command, and
+a chunk's position in the stripe travels as its shard index in that code.
 Payload arrays are a functional-mode convenience and are not charged to the
 network (payload bytes are moved by explicit one-sided reads/writes).
 """
@@ -54,7 +55,8 @@ class PartialWriteCmd:
     length: int
     #: offset of the segment within its chunk
     chunk_offset: int
-    #: logical data-chunk index (labels the forwarded partial's source)
+    #: logical data-chunk index, which is also its shard index (the
+    #: forwarded partial's ``source``)
     data_index: int
     #: region of the chunk the forwarded partial covers
     fwd_offset: int
@@ -113,9 +115,10 @@ class PeerMsg:
     key: int
     fwd_offset: int
     fwd_length: int
-    #: ('data', index) or ('parity', parity_index) — lets a reconstruction
-    #: reducer run the correct decode; plain XOR reductions ignore it.
-    source: Tuple[str, int]
+    #: shard index of the partial's chunk in the code (``0..k-1`` data,
+    #: ``k..k+m-1`` parity rows) — keys a reconstruction reducer's decode;
+    #: plain XOR reductions ignore it.
+    source: int
     #: the partial result (functional mode)
     data: Optional[Any] = None
     #: observability: trace context of the host request (None untraced)
@@ -133,14 +136,15 @@ class ReconstructionCmd:
     #: region of the chunk to contribute (same for every participant)
     region_offset: int
     region_length: int
-    #: this bdev's role: ('data', index) or ('parity', parity_index)
-    source: Tuple[str, int]
+    #: shard index of this bdev's chunk in the code (``0..k-1`` data,
+    #: ``k..k+m-1`` parity rows)
+    source: int
     #: server index of the reducer
     reducer: int
     #: reducer only: number of peer partials to expect
     wait_num: int = 0
-    #: reducer only: identity of the lost chunk ('data', idx) / ('parity', i)
-    lost: Optional[Tuple[str, int]] = None
+    #: reducer only: shard index of the lost chunk
+    lost: Optional[int] = None
     #: reducer only: ``spec`` of the erasure code to decode with
     #: (``repro.ec.code_for``), e.g. ``("pq", k, 2)`` for RAID-6
     code: Optional[Tuple] = None

@@ -26,7 +26,6 @@ cost and degraded reads pull ``k`` regions through the host NIC.  The
 from __future__ import annotations
 
 from repro.cluster.builder import Cluster
-from repro.draid.bdev import decode_lost
 from repro.draid.host import DraidArray
 from repro.nvmeof.messages import Opcode
 from repro.raid.geometry import RaidGeometry, StripeExtent
@@ -67,7 +66,7 @@ class StatelessTargetDraid(DraidArray):
             self.stats.degraded_reads += 1
 
             def attempt(n: int):
-                sources = self._recon_participants(ext, seg.data_index)
+                sources = self._repair_members(ext.stripe, seg.data_index)
                 blocks, errors = yield from self._gather_regions(
                     ext, sources, seg.chunk_offset, seg.length, n, ctx, deadline_ns,
                 )
@@ -75,8 +74,8 @@ class StatelessTargetDraid(DraidArray):
                     return False
                 yield self._charge_xor(max(1, len(blocks) - 1), seg.length, ctx)
                 if buffer is not None:
-                    buffer[seg.io_offset : seg.io_offset + seg.length] = decode_lost(
-                        self.code, ("data", seg.data_index), blocks, seg.length
+                    buffer[seg.io_offset : seg.io_offset + seg.length] = (
+                        self.code.decode_one(seg.data_index, blocks, seg.length)
                     )
                 return True
 
@@ -88,20 +87,21 @@ class StatelessTargetDraid(DraidArray):
                         region_len, attempt, ctx, deadline_ns):
         """Concurrently read one chunk region per source member.
 
-        Returns ``({(role, index): block}, had_errors)``; every command
-        is a plain NVMe-oF READ — the whole point of this variant.
+        ``sources`` are ``(member, shard index)`` pairs.  Returns
+        ``({shard: block}, had_errors)``; every command is a plain NVMe-oF
+        READ — the whole point of this variant.
         """
         chunk = self.geometry.chunk_bytes
         base = ext.stripe * chunk + region_offset
         submitted = [
-            (source, *self._submit_plain(
+            (shard, *self._submit_plain(
                 drive, Opcode.READ, base, region_len, ctx=ctx, deadline_ns=deadline_ns,
             ))
-            for drive, source in sources
+            for drive, shard in sources
         ]
         blocks = {}
         errors = False
-        for source, cid, waiter in submitted:
+        for shard, cid, waiter in submitted:
             expired = yield from self._await_op(
                 cid, waiter, attempt=attempt, drain=False, deadline_ns=deadline_ns
             )
@@ -110,5 +110,5 @@ class StatelessTargetDraid(DraidArray):
                 errors = True
                 continue
             comp = next(c for c in waiter.completions if c.kind == "read")
-            blocks[source] = comp.data
+            blocks[shard] = comp.data
         return blocks, errors

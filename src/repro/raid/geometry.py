@@ -76,56 +76,75 @@ class StripeExtent(NamedTuple):
 
 
 class RaidGeometry:
-    """Address arithmetic for a parity-RAID array.
+    """Address arithmetic for a parity array.
 
     ``num_drives`` counts every member (data + parity); ``chunk_bytes`` is
     the striping unit (the paper's default is 512 KiB, the Linux MD
-    default).  ``layout`` selects the placement policy; the default
+    default).  ``level`` fixes the parity count and the default code:
+    RAID-5/6 P+Q.  A geometry with no level is erasure-coded —
+    :class:`~repro.draid.ec_array.EcGeometry`, which sets ``num_parity``
+    before this constructor runs — and defaults to Reed-Solomon.
+    ``layout`` selects the placement policy; the default
     :class:`~repro.raid.layout.RotatingLayout` reproduces the historical
     left-symmetric rotation byte-identically, while a
     :class:`~repro.raid.layout.DeclusteredLayout` narrows each stripe to
     a ``stripe_width``-drive member set with distributed spares.
     """
 
+    #: parity chunks per stripe (set from ``level`` when there is one)
+    num_parity: int
+
     def __init__(
         self,
-        level: RaidLevel,
+        level: Optional[RaidLevel],
         num_drives: int,
         chunk_bytes: int,
         layout: Optional[Layout] = None,
     ) -> None:
-        min_drives = 3 if level is RaidLevel.RAID5 else 4
-        if num_drives < min_drives:
-            raise ValueError(f"{level.name} needs >= {min_drives} drives, got {num_drives}")
+        if level is not None:
+            self.num_parity = level.num_parity
+        num_parity = self.num_parity
+        scheme = f"{num_parity}-parity" if level is None else level.name
+        if num_parity < 1:
+            raise ValueError(f"need at least one parity, got {num_parity}")
+        if num_drives < num_parity + 2:
+            raise ValueError(
+                f"{scheme} needs >= {num_parity + 2} drives, got {num_drives}"
+            )
         if chunk_bytes <= 0 or chunk_bytes % 4096:
             raise ValueError(f"chunk size must be a positive multiple of 4096, got {chunk_bytes}")
         if layout is None:
-            layout = RotatingLayout(num_drives, level.num_parity)
-        elif layout.num_drives != num_drives or layout.num_parity != level.num_parity:
+            layout = RotatingLayout(num_drives, num_parity)
+        elif layout.num_drives != num_drives or layout.num_parity != num_parity:
             raise ValueError(
                 f"layout {layout.describe()} does not match "
-                f"{level.name} over {num_drives} drives"
+                f"{scheme} over {num_drives} drives"
             )
         self.level = level
         self.layout = layout
         self.num_drives = num_drives
         self.chunk_bytes = chunk_bytes
-        self.num_parity = level.num_parity
         self.data_per_stripe = layout.data_per_stripe
         self.stripe_data_bytes = self.data_per_stripe * chunk_bytes
         #: True when every drive is a member of every stripe (rotating)
         self.full_width = layout.stripe_width == num_drives
 
     def __repr__(self) -> str:
+        scheme = (
+            f"RS({self.data_per_stripe}+{self.num_parity})"
+            if self.level is None else self.level.name
+        )
         return (
-            f"<RaidGeometry {self.level.name} drives={self.num_drives} "
+            f"<{type(self).__name__} {scheme} drives={self.num_drives} "
             f"chunk={self.chunk_bytes // 1024}KiB>"
         )
 
     def default_code(self) -> LinearCode:
         """The erasure code of an array over this geometry unless its
-        controller is told otherwise: RAID-5/6 P+Q parity."""
-        return code_for(("pq", self.data_per_stripe, self.num_parity))
+        controller is told otherwise: RAID-5/6 P+Q parity, or systematic
+        Reed-Solomon over the stripe's k data + m parity with no level."""
+        kind = "rs" if self.level is None else "pq"
+        return code_for((kind, self.data_per_stripe, self.num_parity))
 
     # -- parity / data placement -------------------------------------------
 

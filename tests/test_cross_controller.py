@@ -79,14 +79,22 @@ CONTROLLERS = [
 
 
 def apply_ops(kind: str, ops, fail_at: int):
-    """Run the op sequence; returns (final_device_image, model_image)."""
+    """Run the op sequence; returns (final_device_image, model_image).
+
+    Member 1 fails before op ``fail_at`` (none when negative); on a
+    controller that tolerates two failures member 2 follows one op later.
+    """
     env, array, geometry = build_controller(kind)
+    # the offloaded proxy forwards block I/O; its controller is the array
+    tolerance = getattr(array, "controller", array).fault_tolerance
     capacity = STRIPES * geometry.stripe_data_bytes
     model = np.zeros(capacity, dtype=np.uint8)
     rng = np.random.default_rng(999)
     for index, (offset_frac, size_frac) in enumerate(ops):
         if index == fail_at:
             array.fail_drive(1)
+        elif fail_at >= 0 and index == fail_at + 1 and tolerance >= 2:
+            array.fail_drive(2)
         size = 1 + int(size_frac * (geometry.stripe_data_bytes * 2 - 1))
         offset = int(offset_frac * (capacity - size))
         payload = rng.integers(0, 256, size, dtype=np.uint8)
@@ -158,6 +166,34 @@ def test_rebuild_after_degraded_overwrite(kind):
     data = env.run(until=array.read(0, capacity))
     assert np.array_equal(np.asarray(data), model)
     assert scrub_array(core.drives, geometry, STRIPES, code=core.code).clean
+
+
+@pytest.mark.parametrize(
+    "cls", [MdRaid, SpdkRaid, DraidArray, StatelessTargetDraid],
+    ids=lambda cls: cls.__name__,
+)
+@pytest.mark.parametrize("offset, size", [(0, CHUNK), (KB, 4 * KB)],
+                         ids=["whole-chunk", "inside-chunk"])
+def test_raid6_write_onto_one_of_two_failed_data_chunks(cls, offset, size):
+    """RAID-6 with data chunks 0 and 1 of stripe 0 failed: a write to
+    chunk 0 keeps chunk 1's content.  A whole-chunk write still needs
+    chunk 1's old bytes for the new parity; a write inside the chunk
+    decodes chunk 0 from both parities."""
+    env = Environment()
+    geometry = RaidGeometry(RaidLevel.RAID6, 6, CHUNK)
+    array = cls(build_cluster(env, ClusterConfig(
+        num_servers=6, functional_capacity=STRIPES * CHUNK)), geometry)
+    capacity = STRIPES * geometry.stripe_data_bytes
+    rng = np.random.default_rng(11)
+    model = rng.integers(0, 256, capacity, dtype=np.uint8)
+    env.run(until=array.write(0, capacity, model.copy()))
+    array.fail_drive(geometry.data_drive(0, 0))
+    array.fail_drive(geometry.data_drive(0, 1))
+    patch = rng.integers(0, 256, size, dtype=np.uint8)
+    env.run(until=array.write(offset, size, patch))
+    model[offset : offset + size] = patch
+    data = env.run(until=array.read(0, capacity))
+    assert np.array_equal(np.asarray(data), model)
 
 
 #: ``(rmw, rcw, full_stripe, degraded)_writes`` of one write on an idle

@@ -151,7 +151,7 @@ class TestPartialWriteReduce:
                     yield env.timeout(gap)
                     servers[2].peer_ends[4].send(
                         PeerMsg(cid, key=cid, fwd_offset=0, fwd_length=2048,
-                                source=("data", 0), data=block)
+                                source=0, data=block)
                     )
 
             env.process(injector())
@@ -227,8 +227,8 @@ class TestReconstructionProtocol:
         ends[1].send(
             ReconstructionCmd(
                 cid, subtype=Subtype.ALSO_READ, chunk_drive_offset=0,
-                region_offset=8 * KB, region_length=KB, source=("data", 1),
-                reducer=0, wait_num=1, lost=("data", 0), code=("pq", 3, 1),
+                region_offset=8 * KB, region_length=KB, source=1,
+                reducer=0, wait_num=1, lost=0, code=("pq", 3, 1),
                 read_segment=(0, KB, 0),
             )
         )
@@ -241,7 +241,7 @@ class TestReconstructionProtocol:
         env.run(until=env.now + 1_000_000)
         state = servers[0]._recon_states[cid]
         assert np.array_equal(
-            state.blocks[("data", 1)], chunk_data[8 * KB : 9 * KB]
+            state.blocks[1], chunk_data[8 * KB : 9 * KB]
         )
 
     def test_reducer_decodes_from_peer_partials(self):
@@ -254,12 +254,13 @@ class TestReconstructionProtocol:
         env.run(until=cluster.drives()[2].write(0, 2048, data[2]))
         env.run(until=cluster.drives()[3].write(0, 2048, parity))
         cid = next_cid()
-        for drive, source in ((1, ("data", 1)), (2, ("data", 2)), (3, ("parity", 0))):
+        # shard indices: data 1 and 2, parity row 0 is shard k = 3
+        for drive, source in ((1, 1), (2, 2), (3, 3)):
             ends[drive].send(
                 ReconstructionCmd(
                     cid, subtype=Subtype.NO_READ, chunk_drive_offset=0,
                     region_offset=0, region_length=2048, source=source,
-                    reducer=3, wait_num=2, lost=("data", 0), code=("pq", 3, 1),
+                    reducer=3, wait_num=2, lost=0, code=("pq", 3, 1),
                 )
             )
         comps = run_collect(env, ends[3], 1)
