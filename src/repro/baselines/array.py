@@ -181,6 +181,16 @@ class RaidArray(ABC):
         """
         return member
 
+    def _drive_of(self, server: int) -> int:
+        """Member hosted on server ``server`` — the inverse of
+        :meth:`_server_of`, read off the member table.  Raises ValueError
+        for a server that hosts no member (an offloaded controller's own)."""
+        machine = self.cluster.servers[server]
+        for member, member_server in enumerate(self.servers):
+            if member_server is machine:
+                return member
+        raise ValueError(f"{self.name}: server {server} hosts no member drive")
+
     # -- failure management ---------------------------------------------------
 
     def fail_drive(self, index: int) -> None:

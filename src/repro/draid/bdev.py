@@ -8,7 +8,10 @@ tolerance), and the §6.1 reconstruction participant/reducer roles.
 
 A bdev is unaware of RAID configuration: every command carries all the
 information needed (parity destinations and their coefficients, wait-num,
-fwd-offset/length, the code a reducer decodes with, ...).
+fwd-offset/length, the code a reducer decodes with, ...).  Both
+reductions — the parity reduce and the reconstruction reducer — are one
+:class:`_Reduction` record in one table keyed by command id, finished by
+one gate: the command is in and ``wait_num`` peer partials have arrived.
 
 Overload control (armed via ``queue_depth``): intake on the *host*
 connection is bounded — a host command arriving while ``queue_depth``
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,10 +46,6 @@ from repro.nvmeof.messages import RESPONSE_BYTES, NvmeOfCommand, Opcode
 from repro.nvmeof.target import serve_plain
 from repro.sim.core import Environment
 from repro.storage.drive import DriveFailedError
-
-#: PeerMsg.key value marking a reconstruction partial (keyed by cid instead).
-RECON_KEY = -1
-
 
 def _fold(span_offset: int, span_length: int, pieces) -> np.ndarray:
     """XOR of the ``(offset, block)`` pieces laid over one parity span,
@@ -68,48 +67,47 @@ def _fold(span_offset: int, span_length: int, pieces) -> np.ndarray:
 
 
 @dataclass
-class _ParityReduceState:
-    """Algorithm 2 state for one in-flight parity reduction.
+class _Reduction:
+    """One in-flight reduction, keyed by its command id: Algorithm 2's
+    parity reduce (§5.2) or the §6.1 reconstruction reducer.
 
-    Partials are *collected* in arrival order and folded at completion —
-    XOR's commutativity makes the fold order irrelevant (§5), and deferring
-    the arithmetic keeps late-Parity handling trivial: nothing about the
-    final region needs to be known until the Parity command has arrived.
+    Peer partials are *collected* in arrival order and combined at the
+    finish — neither the XOR fold nor the decode depends on order (§5), and
+    deferring the arithmetic keeps a late command trivial: nothing about
+    the result needs to be known until the command has arrived.
     """
 
-    partials: List[Tuple[int, Optional[np.ndarray]]] = field(default_factory=list)
-    old_parity: Optional[Tuple[int, Optional[np.ndarray]]] = None
-    received: int = 0
-    #: None until the Parity command arrives (late-arrival handling, §5.2)
-    wait_num: Optional[int] = None
-    cmd: Optional[ParityCmd] = None
-    #: fires when the Parity command arrives (used by the §5.2 barrier
-    #: ablation, where partials may not be processed before the command)
+    #: peer partials in arrival order: ``(shard, fwd_offset, block)``
+    partials: List[Tuple[int, int, Optional[np.ndarray]]] = field(default_factory=list)
+    #: None until the command is in — set only once this bdev's own piece
+    #: (old parity, or the reducer's own region) is in too
+    cmd: Optional[Union[ParityCmd, ReconstructionCmd]] = None
+    #: this bdev's own piece: the old parity of an RMW, the reducer's region
+    own: Optional[np.ndarray] = None
+    #: the end the command came from (completion destination), set with it
+    origin: Optional[object] = None
+    #: fires when the command arrives (used by the §5.2 barrier ablation,
+    #: where partials may not be processed before the command)
     cmd_arrived: Optional[object] = None
-    #: the end the Parity command came from (completion destination)
-    origin: Optional[object] = None
 
+    @property
+    def received(self) -> int:
+        """Peer partials arrived so far."""
+        return len(self.partials)
 
-@dataclass
-class _ReconReduceState:
-    """Reducer-side state for one reconstruction (§6.1)."""
-
-    received: int = 0
-    #: survivor regions by shard index
-    blocks: Dict[int, Optional[np.ndarray]] = field(default_factory=dict)
-    #: None until the reducer's own Reconstruction command arrives
-    cmd: Optional[ReconstructionCmd] = None
-    own_done: bool = False
-    #: the end the command came from (completion destination)
-    origin: Optional[object] = None
+    @property
+    def blocks(self) -> Dict[int, Optional[np.ndarray]]:
+        """The peer partials by shard index (a reducer's decode input)."""
+        return {shard: block for shard, _, block in self.partials}
 
 
 class DraidBdevServer:
     """Server-side dRAID controller for one storage server.
 
     :meth:`_serve` is the consumer callback of the host end's inbox and of
-    each of the n-1 peer ends'; it starts one handler process per admitted
-    message of the extended opcodes, and the callback chain it shares with
+    each of the n-1 peer ends'; it starts one :meth:`_run` process per
+    admitted message of the extended opcodes (the :data:`_OPCODES` table),
+    and the callback chain it shares with
     :class:`~repro.nvmeof.target.NvmeOfTarget`
     (:func:`~repro.nvmeof.target.serve_plain`) per plain READ/WRITE.
     """
@@ -130,8 +128,9 @@ class DraidBdevServer:
         self.server = cluster.servers[index]
         #: §5.3 pipeline on/off (ablation knob)
         self.pipeline = pipeline
-        #: §5.2 ablation: process peer partials only after the Parity
-        #: command has arrived (the "barrier" design dRAID rejects)
+        #: §5.2 ablation: process peer partials only after their
+        #: reduction's command has arrived (the "barrier" design dRAID
+        #: rejects)
         self.blocking_reduce = blocking_reduce
         self.functional = cluster.config.functional_capacity > 0
         self.host_end = cluster.server_end(index)
@@ -140,8 +139,8 @@ class DraidBdevServer:
             if j == index:
                 continue
             self.peer_ends[j] = cluster.peer_end(index, j)
-        self._parity_states: Dict[int, _ParityReduceState] = {}
-        self._recon_states: Dict[int, _ReconReduceState] = {}
+        #: in-flight reductions by command id
+        self._reductions: Dict[int, _Reduction] = {}
         self.commands_served = 0
         self.down_until = 0
         self.crashes = 0
@@ -174,8 +173,7 @@ class DraidBdevServer:
         self.crashes += 1
         if self.verifier is not None:
             self.verifier.on_server_crash(self.index)
-        self._parity_states.clear()
-        self._recon_states.clear()
+        self._reductions.clear()
         self.host_end.inbox.clear()
         for end in self.peer_ends.values():
             end.inbox.clear()
@@ -186,12 +184,21 @@ class DraidBdevServer:
         if self.env.now < self.down_until:
             return  # crashed: message lost, no completion ever sent
         self.commands_served += 1
-        bounded = end is self.host_end and not isinstance(message, PeerMsg)
-        if bounded and self._fast_reject(message, end):
-            return
         if isinstance(message, NvmeOfCommand):
-            if bounded and self.queue_depth is not None:
-                self.inflight += 1
+            kind, handler = "read" if message.opcode is Opcode.READ else "write", None
+        else:
+            try:
+                kind, handler = _OPCODES[type(message)]
+            except KeyError:
+                raise TypeError(f"unknown dRAID message {message!r}") from None
+        # host commands are bounded; peer partials (kind None) never are
+        host = end is self.host_end and kind is not None
+        if host and self._fast_reject(message, end, kind):
+            return
+        slot = host and self.queue_depth is not None
+        if slot:
+            self.inflight += 1
+        if handler is None:
             # one held zero-delay start, as in NvmeOfTarget._serve
             begin = self.env.event()
             begin.callbacks.append(lambda _event: serve_plain(
@@ -200,66 +207,42 @@ class DraidBdevServer:
             ))
             begin.succeed()
             return
-        if isinstance(message, PartialWriteCmd):
-            handler = self._handle_partial_write(message, end)
-        elif isinstance(message, ParityCmd):
-            handler = self._handle_parity(message, end)
-        elif isinstance(message, ReconstructionCmd):
-            handler = self._handle_reconstruction(message, end)
-        elif isinstance(message, PeerMsg):
-            handler = self._handle_peer(message, end)
-        else:
-            raise TypeError(f"unknown dRAID message {message!r}")
-        if bounded and self.queue_depth is not None:
-            self.inflight += 1
-            handler = self._run_bounded(handler)
-        self.env.process(handler, name=self._op_name)
+        self.env.process(self._run(handler, message, end, slot), name=self._op_name)
 
-    def _run_bounded(self, handler):
-        """Wrap a host-command handler with in-service accounting."""
+    def _run(self, handler, message, origin, slot: bool):
+        """One extended message: parse it, run its opcode's handler, then
+        give back the in-service slot of a bounded host command."""
         try:
-            yield from handler
+            yield self.server.cpu.execute(
+                self.server.cpu_profile.cmd_handle_ns, ctx=message.trace,
+                span="draid.parse",
+            )
+            yield from handler(self, message, origin)
         finally:
-            self.inflight -= 1
+            if slot:
+                self.inflight -= 1
 
-    def _completion_kind(self, message) -> str:
-        """The DraidCompletion kind a rejection of ``message`` must carry."""
-        if isinstance(message, NvmeOfCommand):
-            return "read" if message.opcode is Opcode.READ else "write"
-        if isinstance(message, PartialWriteCmd):
-            return "data"
-        if isinstance(message, ParityCmd):
-            return "parity"
-        return "recon"
-
-    def _fast_reject(self, message, origin) -> bool:
+    def _fast_reject(self, message, origin, kind: str) -> bool:
         """Typed busy/deadline fast-reject for host commands (armed only).
 
-        Rejecting *before* dispatch means no parity/reconstruction reduce
-        state is ever created for the command, so nothing dangles; the
-        host sees the error completion, aborts the op and retries
-        idempotently (§5.4).
+        Rejecting *before* dispatch means no reduction state is ever
+        created for the command, so nothing dangles; the host sees the
+        error completion (of the command's own ``kind``), aborts the op and
+        retries idempotently (§5.4).
         """
-        # unknown message types carry no deadline and fall through to the
-        # dispatch table's own rejection path
-        deadline = getattr(message, "deadline_ns", None)
+        deadline = message.deadline_ns
         if deadline is not None and self.env.now >= deadline:
             self.deadline_rejections += 1
-            self._complete(
-                origin, message.cid, self._completion_kind(message), ok=False,
-                error=f"{self.server.name}: deadline exceeded at target",
-                ctx=message.trace, status="deadline",
-            )
-            return True
-        if self.queue_depth is not None and self.inflight >= self.queue_depth:
+            status, why = "deadline", "deadline exceeded at target"
+        elif self.queue_depth is not None and self.inflight >= self.queue_depth:
             self.busy_rejections += 1
-            self._complete(
-                origin, message.cid, self._completion_kind(message), ok=False,
-                error=f"{self.server.name}: submission queue full",
-                ctx=message.trace, status="busy",
-            )
-            return True
-        return False
+            status, why = "busy", "submission queue full"
+        else:
+            return False
+        self._complete(origin, message.cid, kind, ok=False,
+                       error=f"{self.server.name}: {why}", ctx=message.trace,
+                       status=status)
+        return True
 
     def _complete(self, origin, cid, kind, ok=True, data=None, io_offset=0,
                   error=None, payload=0, ctx=None, status=None):
@@ -291,10 +274,7 @@ class DraidBdevServer:
     # -- PartialWrite: Algorithm 1 + §5.3 pipeline ---------------------------
 
     def _handle_partial_write(self, cmd: PartialWriteCmd, origin):
-        cpu = self.server.cpu
-        profile = self.server.cpu_profile
         ctx = cmd.trace
-        yield cpu.execute(profile.cmd_handle_ns, ctx=ctx, span="draid.parse")
         try:
             if self.pipeline:
                 yield from self._partial_write_pipelined(cmd, origin, ctx)
@@ -315,7 +295,8 @@ class DraidBdevServer:
         if cmd.subtype is Subtype.RMW:
             reads.append(
                 ((cmd.chunk_offset, cmd.length),
-                 self.server.drive.read(cmd.drive_offset, cmd.length, ctx=ctx))
+                 self.server.drive.read(chunk_base + cmd.chunk_offset, cmd.length,
+                                        ctx=ctx))
             )
         elif cmd.subtype is Subtype.RW_WRITE:
             # read the chunk complement so the full new image can be forwarded
@@ -379,7 +360,8 @@ class DraidBdevServer:
         write_event = None
         if cmd.length:
             write_event = self.server.drive.write(
-                cmd.drive_offset, cmd.length, cmd.data, ctx=ctx
+                cmd.chunk_drive_offset + cmd.chunk_offset, cmd.length, cmd.data,
+                ctx=ctx,
             )
         forward_done = self.env.process(self._forward_partials(cmd, old_blocks, ctx))
         if write_event is not None:
@@ -402,7 +384,10 @@ class DraidBdevServer:
             block = yield event
             old_blocks.append((region, block))
         if cmd.length:
-            yield self.server.drive.write(cmd.drive_offset, cmd.length, cmd.data, ctx=ctx)
+            yield self.server.drive.write(
+                cmd.chunk_drive_offset + cmd.chunk_offset, cmd.length, cmd.data,
+                ctx=ctx,
+            )
         yield self.env.process(self._forward_partials(cmd, old_blocks, ctx))
         if cmd.length:
             yield self.server.cpu.execute(
@@ -427,7 +412,7 @@ class DraidBdevServer:
                     block = GF.mul_bytes(coefficient, partial)
             self._signal_peer(
                 dest,
-                PeerMsg(cmd.cid, key=cmd.parity_key, fwd_offset=cmd.fwd_offset,
+                PeerMsg(cmd.cid, fwd_offset=cmd.fwd_offset,
                         fwd_length=cmd.fwd_length, source=cmd.data_index,
                         data=block, trace=ctx),
             )
@@ -437,74 +422,85 @@ class DraidBdevServer:
             raise ValueError("a bdev never forwards a partial to itself")
         self.peer_ends[dest].send(msg)
 
-    # -- Parity: Algorithm 2 -------------------------------------------------
+    # -- reductions: Algorithm 2 and the §6.1 reducer ------------------------
 
-    def _parity_state(self, key: int) -> _ParityReduceState:
-        state = self._parity_states.get(key)
+    def _reduction(self, cid: int) -> _Reduction:
+        state = self._reductions.get(cid)
         if state is None:
-            state = _ParityReduceState()
-            self._parity_states[key] = state
+            state = _Reduction()
+            self._reductions[cid] = state
         return state
 
-    def _handle_parity(self, cmd: ParityCmd, origin):
-        cpu = self.server.cpu
-        profile = self.server.cpu_profile
-        ctx = cmd.trace
-        yield cpu.execute(profile.cmd_handle_ns, ctx=ctx, span="draid.parse")
-        key = cmd.key
-        state = self._parity_state(key)
-        state.origin = origin
-        if cmd.subtype is Subtype.RMW:
-            try:
-                old = yield self.server.drive.read(
-                    cmd.parity_drive_offset + cmd.fwd_offset, cmd.fwd_length, ctx=ctx
-                )
-            except (DriveFailedError, ValueError) as exc:
-                del self._parity_states[key]
-                self._complete(origin, cmd.cid, "parity", ok=False, error=str(exc),
-                               ctx=ctx)
-                return
-            yield cpu.execute(
-                profile.xor_ns(cmd.fwd_length), ctx=ctx, span="draid.parity-xor"
-            )
-            state.old_parity = (cmd.fwd_offset, old)
-        state.wait_num = (state.wait_num or 0) + cmd.wait_num
+    def _command_in(self, state: _Reduction, cmd, origin, own):
+        """The reduction's command and this bdev's own piece are in:
+        release the §5.2 barrier and try the gate."""
         state.cmd = cmd
+        state.origin = origin
+        state.own = own
         if self.verifier is not None:
-            self.verifier.on_parity_cmd(self.index, cmd.cid, key, cmd.wait_num)
+            self.verifier.on_reduction(self.index, cmd.cid, cmd.wait_num)
         if state.cmd_arrived is not None and not state.cmd_arrived.triggered:
             # wake peers held at the §5.2 barrier (ablation mode only)
             state.cmd_arrived.succeed()
-        yield from self._maybe_finish_parity(key)
+        yield from self._maybe_finish(cmd.cid)
 
-    def _maybe_finish_parity(self, key: int):
-        """Persist and acknowledge once Parity arrived and all partials are in."""
-        state = self._parity_states.get(key)
-        if state is None or state.cmd is None:
+    def _maybe_finish(self, cid: int):
+        """The one gate: finish once the command is in and every promised
+        peer partial has arrived."""
+        state = self._reductions.get(cid)
+        if state is None or state.cmd is None or state.received < state.cmd.wait_num:
             return
-        if state.wait_num is None or state.received < state.wait_num:
-            return
+        del self._reductions[cid]
+        if isinstance(state.cmd, ParityCmd):
+            yield from self._persist_parity(state)
+        else:
+            yield from self._decode_and_reply(state)
+
+    def _handle_parity(self, cmd: ParityCmd, origin):
+        ctx = cmd.trace
+        # taken before the old-parity read: a crash during it clears the
+        # table, and the command dies with the record it holds
+        state = self._reduction(cmd.cid)
+        old = None
+        if cmd.subtype is Subtype.RMW:
+            try:
+                old = yield self.server.drive.read(
+                    cmd.chunk_drive_offset + cmd.fwd_offset, cmd.fwd_length, ctx=ctx
+                )
+            except (DriveFailedError, ValueError) as exc:
+                self._reductions.pop(cmd.cid, None)
+                self._complete(origin, cmd.cid, "parity", ok=False, error=str(exc),
+                               ctx=ctx)
+                return
+            yield self.server.cpu.execute(
+                self.server.cpu_profile.xor_ns(cmd.fwd_length), ctx=ctx,
+                span="draid.parity-xor",
+            )
+        yield from self._command_in(state, cmd, origin, old)
+
+    def _persist_parity(self, state: _Reduction):
+        """Algorithm 2's finish: fold the old parity and the partials,
+        persist, acknowledge."""
         cmd = state.cmd
-        del self._parity_states[key]
         data = None
         if self.functional:
-            pieces = state.partials
-            if state.old_parity is not None:
-                pieces = [state.old_parity, *pieces]
+            pieces = [(offset, block) for _, offset, block in state.partials]
+            if state.own is not None:
+                pieces.insert(0, (cmd.fwd_offset, state.own))
             data = _fold(cmd.fwd_offset, cmd.fwd_length, pieces)
-        origin = state.origin if state.origin is not None else self.host_end
         ctx = cmd.trace
         try:
             yield self.server.drive.write(
-                cmd.parity_drive_offset + cmd.fwd_offset, cmd.fwd_length, data, ctx=ctx
+                cmd.chunk_drive_offset + cmd.fwd_offset, cmd.fwd_length, data, ctx=ctx
             )
         except (DriveFailedError, ValueError) as exc:
-            self._complete(origin, cmd.cid, "parity", ok=False, error=str(exc), ctx=ctx)
+            self._complete(state.origin, cmd.cid, "parity", ok=False, error=str(exc),
+                           ctx=ctx)
             return
         yield self.server.cpu.execute(
             self.server.cpu_profile.completion_ns, ctx=ctx, span="draid.complete"
         )
-        self._complete(origin, cmd.cid, "parity", ctx=ctx)
+        self._complete(state.origin, cmd.cid, "parity", ctx=ctx)
 
     # -- Peer messages ----------------------------------------------------------
 
@@ -512,13 +508,12 @@ class DraidBdevServer:
         cpu = self.server.cpu
         profile = self.server.cpu_profile
         ctx = msg.trace
-        yield cpu.execute(profile.cmd_handle_ns, ctx=ctx, span="draid.parse")
-        if msg.key != RECON_KEY and self.blocking_reduce:
+        if self.blocking_reduce:
             # §5.2 ablation: a barrier design cannot even fetch the partial
-            # before the Parity command has set up the reduction, so the
-            # one-sided READ and everything after it wait for the command.
-            # dRAID proper proceeds immediately (non-blocking multi-stage).
-            state = self._parity_state(msg.key)
+            # before the command has set up the reduction, so the one-sided
+            # READ and everything after it wait for the command.  dRAID
+            # proper proceeds immediately (non-blocking multi-stage).
+            state = self._reduction(msg.cid)
             if state.cmd is None:
                 if state.cmd_arrived is None:
                     state.cmd_arrived = self.env.event()
@@ -528,30 +523,17 @@ class DraidBdevServer:
         yield cpu.execute(
             profile.xor_ns(msg.fwd_length), ctx=ctx, span="draid.reduce-xor"
         )
-        if msg.key == RECON_KEY:
-            yield from self._reduce_recon_partial(msg)
-        else:
-            state = self._parity_state(msg.key)
-            state.partials.append((msg.fwd_offset, msg.data))
-            state.received += 1
-            if self.verifier is not None:
-                self.verifier.on_parity_fold(self.index, msg.key)
-            yield from self._maybe_finish_parity(msg.key)
+        self._reduction(msg.cid).partials.append((msg.source, msg.fwd_offset, msg.data))
+        if self.verifier is not None:
+            self.verifier.on_fold(self.index, msg.cid)
+        yield from self._maybe_finish(msg.cid)
 
     # -- Reconstruction (§6.1) ---------------------------------------------------
-
-    def _recon_state(self, cid: int) -> _ReconReduceState:
-        state = self._recon_states.get(cid)
-        if state is None:
-            state = _ReconReduceState()
-            self._recon_states[cid] = state
-        return state
 
     def _handle_reconstruction(self, cmd: ReconstructionCmd, origin):
         cpu = self.server.cpu
         profile = self.server.cpu_profile
         ctx = cmd.trace
-        yield cpu.execute(profile.cmd_handle_ns, ctx=ctx, span="draid.parse")
         # read the union of the normal-read segment and the recon region
         # (a single drive I/O even when they are disjoint, §6.1)
         spans = [(cmd.region_offset, cmd.region_offset + cmd.region_length)]
@@ -572,17 +554,12 @@ class DraidBdevServer:
             rel = cmd.region_offset - union_start
             region = block[rel : rel + cmd.region_length]
         if cmd.reducer == self.index:
-            state = self._recon_state(cmd.cid)
-            state.cmd = cmd
-            state.origin = origin
-            state.own_done = True
-            state.blocks[cmd.source] = region
-            yield from self._maybe_finish_recon(cmd.cid)
+            yield from self._command_in(self._reduction(cmd.cid), cmd, origin, region)
         else:
             # prioritize forwarding the partial to the reducer (§6.1)
             self._signal_peer(
                 cmd.reducer,
-                PeerMsg(cmd.cid, key=RECON_KEY, fwd_offset=cmd.region_offset,
+                PeerMsg(cmd.cid, fwd_offset=cmd.region_offset,
                         fwd_length=cmd.region_length, source=cmd.source, data=region,
                         trace=ctx),
             )
@@ -597,33 +574,32 @@ class DraidBdevServer:
             self._complete(origin, cmd.cid, "read", data=seg, io_offset=io_offset,
                            payload=length, ctx=ctx)
 
-    def _reduce_recon_partial(self, msg: PeerMsg):
-        state = self._recon_state(msg.cid)
-        state.blocks[msg.source] = msg.data
-        state.received += 1
-        yield from self._maybe_finish_recon(msg.cid)
-
-    def _maybe_finish_recon(self, cid: int):
-        state = self._recon_states.get(cid)
-        if state is None or state.cmd is None or not state.own_done:
-            return
-        if state.received < state.cmd.wait_num:
-            return
+    def _decode_and_reply(self, state: _Reduction):
+        """The reducer's finish: decode the lost region from its own region
+        and the peer partials, reply with it."""
         cmd = state.cmd
-        del self._recon_states[cid]
+        blocks = state.blocks
+        blocks[cmd.source] = state.own
         profile = self.server.cpu_profile
         ctx = cmd.trace
         yield self.server.cpu.execute(
-            profile.xor_ns(cmd.region_length) * max(1, len(state.blocks) - 1),
+            profile.xor_ns(cmd.region_length) * max(1, len(blocks) - 1),
             ctx=ctx, span="draid.decode",
         )
         result = None
         if self.functional:
-            result = code_for(cmd.code).decode_one(
-                cmd.lost, state.blocks, cmd.region_length
-            )
+            result = code_for(cmd.code).decode_one(cmd.lost, blocks, cmd.region_length)
         yield self.server.cpu.execute(profile.completion_ns, ctx=ctx, span="draid.complete")
-        origin = state.origin if state.origin is not None else self.host_end
-        self._complete(origin, cmd.cid, "recon", data=result,
+        self._complete(state.origin, cmd.cid, "recon", data=result,
                        io_offset=cmd.lost_io_offset, payload=cmd.region_length,
                        ctx=ctx)
+
+
+#: extended opcode -> (the completion kind a rejection of it carries, its
+#: handler); a peer partial is never rejected
+_OPCODES = {
+    PartialWriteCmd: ("data", DraidBdevServer._handle_partial_write),
+    ParityCmd: ("parity", DraidBdevServer._handle_parity),
+    ReconstructionCmd: ("recon", DraidBdevServer._handle_reconstruction),
+    PeerMsg: (None, DraidBdevServer._handle_peer),
+}

@@ -105,12 +105,10 @@ class DraidArray(RaidArray):
         name: str = "draid",
         selector=None,
         pipeline: bool = True,
-        blocking_reduce: bool = False,
         failslow_detector=None,
         code: Optional[LinearCode] = None,
     ) -> None:
         self.pipeline = pipeline
-        self.blocking_reduce = blocking_reduce
         super().__init__(cluster, geometry, name=name)
         self.selector = selector or RandomReducerSelector(seed=17)
         self.failslow_detector = failslow_detector
@@ -142,7 +140,6 @@ class DraidArray(RaidArray):
             DraidBdevServer(
                 self.cluster, self._server_of(member),
                 pipeline=self.pipeline,
-                blocking_reduce=self.blocking_reduce,
                 queue_depth=self._target_depth,
             )
             for member in members
@@ -672,15 +669,13 @@ class DraidArray(RaidArray):
                 PartialWriteCmd(
                     cid,
                     subtype=subtype,
-                    drive_offset=seg.drive_offset if seg else 0,
+                    chunk_drive_offset=ext.stripe * chunk,
                     length=seg.length if seg else 0,
                     chunk_offset=seg.chunk_offset if seg else 0,
                     data_index=d,
                     fwd_offset=cmd_fwd_off,
                     fwd_length=cmd_fwd_len,
                     dests=self._dests(alive_parities, d),
-                    chunk_drive_offset=ext.stripe * chunk,
-                    parity_key=cid,
                     data=self._seg_data(io_data, seg) if seg is not None else None,
                     trace=waiter.trace,
                     deadline_ns=deadline_ns,
@@ -700,15 +695,14 @@ class DraidArray(RaidArray):
                 if self.code.partial_charged(row):
                     yield self._charge_gf(1, fwd_len, ctx)
                 self.host_ends[p].send(
-                    PeerMsg(cid, key=cid, fwd_offset=fwd_off, fwd_length=fwd_len,
+                    PeerMsg(cid, fwd_offset=fwd_off, fwd_length=fwd_len,
                             source=lost.data_index, data=partials[row],
                             trace=waiter.trace)
                 )
             self.host_ends[p].send(
                 ParityCmd(cid, subtype=subtype_parity,
-                          parity_drive_offset=ext.parity_offset,
-                          fwd_offset=fwd_off, fwd_length=fwd_len,
-                          wait_num=wait_num, parity_index=row, key=cid,
+                          chunk_drive_offset=ext.parity_offset,
+                          fwd_offset=fwd_off, fwd_length=fwd_len, wait_num=wait_num,
                           trace=waiter.trace, deadline_ns=deadline_ns)
             )
         # the host's partial charges ran between the sends

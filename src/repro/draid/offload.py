@@ -80,11 +80,6 @@ class OffloadedController(DraidArray):
         """Member drives skip the controller's own server slot."""
         return drive if drive < self.controller_server else drive + 1
 
-    def _drive_of(self, server: int) -> int:
-        if server == self.controller_server:
-            raise ValueError("the controller server hosts no member drive")
-        return server if server < self.controller_server else server - 1
-
     def _command_end(self, member: int):
         """Command channels are the controller's ends of its peer queue
         pairs; bdev-to-bdev partials never touch them (``PeerMsg`` handling

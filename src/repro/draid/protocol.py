@@ -25,6 +25,11 @@ pairs, one per surviving parity: ``dests[0]`` and ``dests[1]`` are Figure
 A bdev stays unaware of the RAID configuration — which partials to weight
 and which code a reducer decodes with are spelled out in the command, and
 a chunk's position in the stripe travels as its shard index in that code.
+A reduction is named by its command id: the Parity or Reconstruction
+command and every Peer partial meant for it carry the same ``cid``, which
+is never reused (a §5.4 retry takes a fresh one).  Nothing the bdev can
+derive travels: a segment's drive offset is its chunk's
+``chunk_drive_offset`` plus its ``chunk_offset``.
 Payload arrays are a functional-mode convenience and are not charged to the
 network (payload bytes are moved by explicit one-sided reads/writes).
 """
@@ -50,8 +55,9 @@ class PartialWriteCmd:
 
     cid: int
     subtype: Subtype
-    #: location of the write on the member drive
-    drive_offset: int
+    #: drive offset of this bdev's chunk in the stripe (the write lands at
+    #: ``chunk_drive_offset + chunk_offset``)
+    chunk_drive_offset: int
     length: int
     #: offset of the segment within its chunk
     chunk_offset: int
@@ -66,11 +72,6 @@ class PartialWriteCmd:
     #: uncharged (RAID-5/6 P), anything else costs the bdev one GF pass
     #: (RAID-6 Q = g^data_index, §4 "other command data")
     dests: Tuple[Tuple[int, Optional[int]], ...]
-    #: stripe-relative drive offset of the chunk start
-    chunk_drive_offset: int = 0
-    #: reduction key echoed in Peer messages (= parity chunk drive offset;
-    #: unique per in-flight write because stripes admit one write at a time)
-    parity_key: int = 0
     #: new data (functional mode)
     data: Optional[Any] = None
     #: observability: trace context of the host request (None untraced)
@@ -86,17 +87,13 @@ class ParityCmd:
 
     cid: int
     subtype: Subtype
-    #: drive offset of the parity chunk
-    parity_drive_offset: int
+    #: drive offset of the parity chunk in the stripe
+    chunk_drive_offset: int
     #: region of the parity chunk being updated
     fwd_offset: int
     fwd_length: int
-    #: how many partial parities to expect
+    #: how many peer partials to expect under this ``cid``
     wait_num: int
-    #: parity row of the array's code (0 = P, 1 = Q for RAID-5/6)
-    parity_index: int = 0
-    #: reduction key matching PartialWriteCmd.parity_key / PeerMsg.key
-    key: int = 0
     #: observability: trace context of the host request (None untraced)
     trace: Optional[Any] = None
     #: overload control: absolute sim-time deadline in ns (None = none)
@@ -107,12 +104,10 @@ class ParityCmd:
 class PeerMsg:
     """bdev -> bdev signal: a partial result is ready to be fetched (§5.1).
 
-    ``key`` groups partials of the same reduction; dRAID uses the parity
-    chunk's drive offset because only one write runs per stripe at a time.
+    The receiving bdev folds it into the reduction named by ``cid``.
     """
 
     cid: int
-    key: int
     fwd_offset: int
     fwd_length: int
     #: shard index of the partial's chunk in the code (``0..k-1`` data,
@@ -141,7 +136,7 @@ class ReconstructionCmd:
     source: int
     #: server index of the reducer
     reducer: int
-    #: reducer only: number of peer partials to expect
+    #: reducer only: number of peer partials to expect under this ``cid``
     wait_num: int = 0
     #: reducer only: shard index of the lost chunk
     lost: Optional[int] = None

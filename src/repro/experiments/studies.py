@@ -103,15 +103,14 @@ def late_parity_point(blocking_reduce: bool) -> Row:
         # each data bdev reads its chunk and forwards it as a partial parity
         for member in range(1, PARTIALS + 1):
             host_ends[member].send(PartialWriteCmd(
-                cid, subtype=Subtype.RW_READ, drive_offset=0, length=0,
+                cid, subtype=Subtype.RW_READ, chunk_drive_offset=0, length=0,
                 chunk_offset=0, data_index=member - 1, fwd_offset=0,
-                fwd_length=chunk, dests=((0, None),), chunk_drive_offset=0,
-                parity_key=cid,
+                fwd_length=chunk, dests=((0, None),),
             ))
         yield env.timeout(PARITY_DELAY_NS)
         host_ends[0].send(ParityCmd(
-            cid, subtype=Subtype.RW_READ, parity_drive_offset=0,
-            fwd_offset=0, fwd_length=chunk, wait_num=PARTIALS, key=cid,
+            cid, subtype=Subtype.RW_READ, chunk_drive_offset=0,
+            fwd_offset=0, fwd_length=chunk, wait_num=PARTIALS,
         ))
         completion = yield host_ends[0].recv()
         if completion.kind != "parity" or not completion.ok:

@@ -24,14 +24,14 @@ class FaultEvent:
 
 @dataclass(frozen=True)
 class DriveFail(FaultEvent):
-    """Hard-fail member ``server`` (binary death, §5.4 prolonged failure)."""
+    """Hard-fail the member on ``server`` (binary death, §5.4 prolonged failure)."""
 
     server: int
 
 
 @dataclass(frozen=True)
 class DriveHeal(FaultEvent):
-    """Heal/replace member ``server``.
+    """Heal/replace the member on ``server``.
 
     If the array still considers the member failed, the injector runs an
     online rebuild (:mod:`repro.raid.rebuild`) so the replacement is

@@ -7,6 +7,11 @@ sequence of the healthy paths, so all committed figures are unchanged.
 
 Every fault keys off sim time and the plan's own seeds — never wall
 clock — so identical plans replay bit-identically, serial or parallel.
+
+A plan names servers.  Drive and NIC faults go to that server directly;
+the member events (fail, heal, crash) resolve it to a member through the
+array's member table (``_drive_of``), and leave the array alone when the
+server hosts none, like an offloaded controller's own.
 """
 
 from __future__ import annotations
@@ -118,10 +123,10 @@ class FaultInjector:
                 self._jitter_clear(fn, event.duration_ns), f"{array.name}.jitter-clear"
             )
         elif isinstance(event, ServerCrash):
-            array.server_sides[event.server].crash(event.down_ns)
+            self._crash(event.server, event.down_ns)
         elif isinstance(event, DomainOutage):
             for server in self.topology.members(event.kind_name, event.domain_id):
-                array.server_sides[server].crash(event.down_ns)
+                self._crash(server, event.down_ns)
         elif isinstance(event, BatchFailureStorm):
             self._spawn(
                 self._batch_storm(event), f"{array.name}.batch-storm{event.batch_id}"
@@ -151,16 +156,24 @@ class FaultInjector:
         self.applied += 1
         array.fault_stats.record_injected(event.kind)
 
+    def _crash(self, server: int, down_ns: int) -> None:
+        """Crash the array's server side on ``server``, if it hosts a member."""
+        member = self._member(server)
+        if member is not None:
+            self.array.server_sides[member].crash(down_ns)
+
     def _fail_member(self, server: int) -> None:
-        """Hard-fail one member (idempotent; tolerance overruns are kept
-        as marked failures and surface as datapath ``IoError``)."""
+        """Hard-fail the member on ``server`` (idempotent; tolerance
+        overruns are kept as marked failures and surface as datapath
+        ``IoError``; a server hosting no member is left alone)."""
         array = self.array
-        if server in array.failed:
+        member = self._member(server)
+        if member is None or member in array.failed:
             return
         from repro.baselines.array import ArrayFailureError
 
         try:
-            array.fail_drive(server)
+            array.fail_drive(member)
         except ArrayFailureError:
             pass  # still marked failed; the datapath surfaces IoError
         array.fault_stats.degraded_transitions += 1
@@ -180,17 +193,25 @@ class FaultInjector:
     def _drive(self, server: int):
         return self.cluster.servers[server].drive
 
+    def _member(self, server: int) -> Optional[int]:
+        """The array member on ``server``, or None when it hosts none."""
+        try:
+            return self.array._drive_of(server)
+        except ValueError:
+            return None
+
     # -- helpers -----------------------------------------------------------
 
     def _heal(self, server: int):
         array = self.array
-        if server in array.failed:
+        member = self._member(server)
+        if member is not None and member in array.failed:
             orchestrator = self.cluster.recovery
             if orchestrator is not None and orchestrator.array is array:
                 # availability-aware path: the orchestrator owns spare
                 # allocation, risk-ordered stripe scheduling and pacing
                 try:
-                    yield orchestrator.request_rebuild(server)
+                    yield orchestrator.request_rebuild(member)
                     self.rebuilds += 1
                 except (IoError, RuntimeError):
                     self.rebuild_failures += 1
@@ -201,7 +222,7 @@ class FaultInjector:
                     self.cluster.config.functional_capacity
                     // array.geometry.chunk_bytes
                 )
-            job = RebuildJob(array, server, num_stripes)
+            job = RebuildJob(array, member, num_stripes)
             try:
                 yield job.start()
                 self.rebuilds += 1

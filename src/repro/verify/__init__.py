@@ -65,7 +65,7 @@ class InvariantViolation(RuntimeError):
       ``"lock-order-inversion"``, ``"double-release"``, ``"leaked-hold"``,
       ``"past-event"``, ``"time-travel"``, ``"cid-reuse"``,
       ``"duplicate-completion"``, ``"premature-parity-completion"``,
-      ``"fencing-beyond-parity"``).
+      ``"premature-recon-completion"``, ``"fencing-beyond-parity"``).
     * ``detail`` — human-readable description of the offending state.
     * ``time_ns`` — simulated time of detection.
     * ``cid`` — command id of the offending request, when applicable.

@@ -16,6 +16,12 @@ is impossible under the protocol:
 * **premature-parity-completion** — a parity server acknowledging a
   partial-stripe write before it has folded every partial the Parity
   command's ``wait_num`` promised (Algorithm 2's completion gate).
+* **premature-recon-completion** — a reconstruction reducer answering
+  before it has folded every partial its own Reconstruction command's
+  ``wait_num`` promised (the §6.1 reducer's gate).
+
+Both gates are one rule over reductions keyed by ``(server, cid)``: the
+bdev names a reduction by its command id, which is never reused.
 * **fencing-beyond-parity** — the §5.4 fencing/ejection paths leaving
   more members failed than the geometry has parity.
 
@@ -30,6 +36,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.sim.core import Environment
+
+
+#: completion kind -> the invariant its reduction gate enforces
+_GATES = {
+    "parity": "premature-parity-completion",
+    "recon": "premature-recon-completion",
+}
 
 
 class _RequestState:
@@ -59,12 +72,10 @@ class ProtocolChecker:
         self._closed: Dict[int, None] = {}  # insertion-ordered ring
         #: server-side acks seen: (server, cid, kind, io_offset)
         self._server_acks: Set[Tuple[int, int, str, int]] = set()
-        #: (server, cid) -> parity reduction key of the ParityCmd(s)
-        self._parity_key: Dict[Tuple[int, int], int] = {}
-        #: (server, key) -> partials promised by ParityCmd wait_nums
-        self._parity_waits: Dict[Tuple[int, int], int] = {}
-        #: (server, key) -> partials actually folded so far
-        self._parity_folds: Dict[Tuple[int, int], int] = {}
+        #: (server, cid) -> peer partials the reduction's command promised
+        self._promised: Dict[Tuple[int, int], int] = {}
+        #: (server, cid) -> peer partials folded so far
+        self._folded: Dict[Tuple[int, int], int] = {}
         #: per-bdev NVMe-oF completions seen: (bdev_name, cid)
         self._nvmeof_acks: Set[Tuple[str, int]] = set()
         # accounting (not violations)
@@ -138,16 +149,15 @@ class ProtocolChecker:
 
     # -- server-side hooks (DraidBdevServer) -------------------------------
 
-    def on_parity_cmd(self, server: int, cid: int, key: int, wait_num: int) -> None:
-        """A ParityCmd reached ``server``: ``wait_num`` more partials owed."""
-        self._parity_key[(server, cid)] = key
-        slot = (server, key)
-        self._parity_waits[slot] = self._parity_waits.get(slot, 0) + wait_num
+    def on_reduction(self, server: int, cid: int, wait_num: int) -> None:
+        """A Parity command, or a reducer's own Reconstruction command, is
+        in at ``server``: ``wait_num`` peer partials are owed to ``cid``."""
+        self._promised[(server, cid)] = wait_num
 
-    def on_parity_fold(self, server: int, key: int) -> None:
-        """``server`` folded one peer partial into reduction ``key``."""
-        slot = (server, key)
-        self._parity_folds[slot] = self._parity_folds.get(slot, 0) + 1
+    def on_fold(self, server: int, cid: int) -> None:
+        """``server`` folded one peer partial into reduction ``cid``."""
+        slot = (server, cid)
+        self._folded[slot] = self._folded.get(slot, 0) + 1
 
     def on_server_completion(
         self,
@@ -160,8 +170,9 @@ class ProtocolChecker:
     ) -> None:
         """``server`` sent a DraidCompletion upstream."""
         self.checked_messages += 1
-        if kind == "parity":
-            self._check_parity_completion(server, cid, ok, trace)
+        invariant = _GATES.get(kind)
+        if invariant is not None:
+            self._check_reduction(server, cid, kind, invariant, ok, trace)
         if not ok:
             return
         ack = (server, cid, kind, io_offset)
@@ -175,45 +186,35 @@ class ProtocolChecker:
             )
         self._server_acks.add(ack)
 
-    def _check_parity_completion(self, server, cid, ok, trace) -> None:
-        """Algorithm 2's gate: an ok parity ack implies every promised
-        partial was folded first."""
-        key = self._parity_key.pop((server, cid), None)
-        if key is None:
-            if ok:
-                self._violate(
-                    "premature-parity-completion",
-                    f"server {server} acknowledged a parity fold it never "
-                    f"received a ParityCmd for",
-                    cid=cid,
-                    trace=trace,
-                )
-            return
-        slot = (server, key)
-        waits = self._parity_waits.pop(slot, 0)
-        folds = self._parity_folds.get(slot, 0)
+    def _check_reduction(self, server, cid, kind, invariant, ok, trace) -> None:
+        """The one gate: an ok ``parity`` or ``recon`` ack implies every
+        promised peer partial was folded first.  Any ack retires the
+        reduction's counts."""
+        slot = (server, cid)
+        promised = self._promised.pop(slot, None)
+        folded = self._folded.pop(slot, 0)
         if not ok:
-            # failed reduction: the server dropped its state; partials
-            # already folded stay accounted for any key reuse, mirroring
-            # the bdev's own bookkeeping
             return
-        if folds < waits:
+        if promised is None:
             self._violate(
-                "premature-parity-completion",
-                f"server {server} acknowledged parity key {key} after "
-                f"folding {folds}/{waits} promised partials",
+                invariant,
+                f"server {server} acknowledged a {kind} reduction it never "
+                f"received a command for",
                 cid=cid,
                 trace=trace,
             )
-        remaining = folds - waits
-        if remaining > 0:
-            self._parity_folds[slot] = remaining
-        else:
-            self._parity_folds.pop(slot, None)
+        elif folded < promised:
+            self._violate(
+                invariant,
+                f"server {server} acknowledged {kind} after folding "
+                f"{folded}/{promised} promised partials",
+                cid=cid,
+                trace=trace,
+            )
 
     def on_server_crash(self, server: int) -> None:
         """Volatile reduce state is legitimately lost on a crash."""
-        for mapping in (self._parity_key, self._parity_waits, self._parity_folds):
+        for mapping in (self._promised, self._folded):
             for slot in [s for s in mapping if s[0] == server]:
                 del mapping[slot]
 

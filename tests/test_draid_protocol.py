@@ -81,9 +81,9 @@ class TestPartialWriteReduce:
         env.run(until=cluster.drives()[1].write(0, len(old_parity), old_parity))
         ends[0].send(
             PartialWriteCmd(
-                cid, subtype=Subtype.RMW, drive_offset=0, length=len(new_data),
+                cid, subtype=Subtype.RMW, chunk_drive_offset=0, length=len(new_data),
                 chunk_offset=0, data_index=0, fwd_offset=0, fwd_length=len(new_data),
-                dests=((1, None),), chunk_drive_offset=0, parity_key=cid, data=new_data,
+                dests=((1, None),), data=new_data,
             )
         )
 
@@ -96,8 +96,8 @@ class TestPartialWriteReduce:
         cid = next_cid()
         self._rmw(env, cluster, ends, cid, old_data, old_parity, new_data)
         ends[1].send(
-            ParityCmd(cid, subtype=Subtype.RMW, parity_drive_offset=0,
-                      fwd_offset=0, fwd_length=4096, wait_num=1, key=cid)
+            ParityCmd(cid, subtype=Subtype.RMW, chunk_drive_offset=0,
+                      fwd_offset=0, fwd_length=4096, wait_num=1)
         )
         comps = run_collect(env, ends[0], 1) + run_collect(env, ends[1], 1)
         kinds = sorted(c.kind for c in comps)
@@ -121,11 +121,11 @@ class TestPartialWriteReduce:
             yield env.timeout(5_000_000)  # far after the peer partial landed
             # before Parity arrives the reduce must not have persisted
             assert np.array_equal(cluster.drives()[1].peek(0, 4096), old_parity)
-            state = servers[1]._parity_states[cid]
+            state = servers[1]._reductions[cid]
             assert state.received == 1 and state.cmd is None
             ends[1].send(
-                ParityCmd(cid, subtype=Subtype.RMW, parity_drive_offset=0,
-                          fwd_offset=0, fwd_length=4096, wait_num=1, key=cid)
+                ParityCmd(cid, subtype=Subtype.RMW, chunk_drive_offset=0,
+                          fwd_offset=0, fwd_length=4096, wait_num=1)
             )
 
         env.process(late_parity())
@@ -150,14 +150,14 @@ class TestPartialWriteReduce:
                 for block, gap in zip(blocks, gaps):
                     yield env.timeout(gap)
                     servers[2].peer_ends[4].send(
-                        PeerMsg(cid, key=cid, fwd_offset=0, fwd_length=2048,
+                        PeerMsg(cid, fwd_offset=0, fwd_length=2048,
                                 source=0, data=block)
                     )
 
             env.process(injector())
             ends[4].send(
-                ParityCmd(cid, subtype=Subtype.RW_READ, parity_drive_offset=0,
-                          fwd_offset=0, fwd_length=2048, wait_num=3, key=cid)
+                ParityCmd(cid, subtype=Subtype.RW_READ, chunk_drive_offset=0,
+                          fwd_offset=0, fwd_length=2048, wait_num=3)
             )
             run_collect(env, ends[4], 1)
             return cluster.drives()[4].peek(0, 2048)
@@ -174,14 +174,14 @@ class TestPartialWriteReduce:
         cid = next_cid()
         ends[0].send(
             PartialWriteCmd(
-                cid, subtype=Subtype.RW_WRITE, drive_offset=1024, length=4096,
+                cid, subtype=Subtype.RW_WRITE, chunk_drive_offset=0, length=4096,
                 chunk_offset=1024, data_index=0, fwd_offset=0, fwd_length=CHUNK,
-                dests=((3, None),), chunk_drive_offset=0, parity_key=cid, data=new_seg,
+                dests=((3, None),), data=new_seg,
             )
         )
         ends[3].send(
-            ParityCmd(cid, subtype=Subtype.RW_READ, parity_drive_offset=0,
-                      fwd_offset=0, fwd_length=CHUNK, wait_num=1, key=cid)
+            ParityCmd(cid, subtype=Subtype.RW_READ, chunk_drive_offset=0,
+                      fwd_offset=0, fwd_length=CHUNK, wait_num=1)
         )
         run_collect(env, ends[3], 1)
         expected = old_chunk.copy()
@@ -198,14 +198,14 @@ class TestPartialWriteReduce:
         coefficient = 0x37
         ends[0].send(
             PartialWriteCmd(
-                cid, subtype=Subtype.RW_READ, drive_offset=0, length=0,
+                cid, subtype=Subtype.RW_READ, chunk_drive_offset=0, length=0,
                 chunk_offset=0, data_index=0, fwd_offset=0, fwd_length=2048,
-                dests=((2, coefficient),), chunk_drive_offset=0, parity_key=cid,
+                dests=((2, coefficient),),
             )
         )
         ends[2].send(
-            ParityCmd(cid, subtype=Subtype.RW_READ, parity_drive_offset=0,
-                      fwd_offset=0, fwd_length=2048, wait_num=1, key=cid)
+            ParityCmd(cid, subtype=Subtype.RW_READ, chunk_drive_offset=0,
+                      fwd_offset=0, fwd_length=2048, wait_num=1)
         )
         run_collect(env, ends[2], 1)
         expected = GF.mul_bytes(coefficient, chunk_data)
@@ -239,7 +239,7 @@ class TestReconstructionProtocol:
         assert np.array_equal(comps[0].data, chunk_data[:KB])
         # the reducer received the recon region as a peer partial
         env.run(until=env.now + 1_000_000)
-        state = servers[0]._recon_states[cid]
+        state = servers[0]._reductions[cid]
         assert np.array_equal(
             state.blocks[1], chunk_data[8 * KB : 9 * KB]
         )

@@ -15,6 +15,7 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     NicDegrade,
+    ServerCrash,
     chaos_plan,
 )
 from repro.faults.backoff import (
@@ -265,6 +266,33 @@ class TestFaultInjector:
             cluster = build_cluster(env, config)
             assert cls(cluster, geometry).timeout_ns == 7 * MS
         assert ClusterConfig().io_timeout_ns == 50 * MS  # seed default
+
+    def test_member_events_resolve_servers_on_an_offloaded_array(self):
+        """A plan names servers; on an offloaded array member m lives on
+        server m + 1, and the controller's own server hosts no member."""
+        from repro.draid.offload import OffloadedDraidArray
+        from repro.raid.geometry import RaidGeometry, RaidLevel
+
+        env = Environment()
+        cluster = build_cluster(env, ClusterConfig(num_servers=6))
+        geometry = RaidGeometry(RaidLevel.RAID5, 5, 16 * 1024)
+        array = OffloadedDraidArray(cluster, geometry, controller_server=0).controller
+        plan = FaultPlan([
+            ServerCrash(1 * MS, server=2, down_ns=MS),
+            DriveFail(1 * MS, server=4),
+            DriveFailSlow(1 * MS, server=3, multiplier=4.0),
+            # the controller's server: no member to crash or fail
+            ServerCrash(1 * MS, server=0, down_ns=MS),
+            DriveFail(1 * MS, server=0),
+            DriveHeal(3 * MS, server=4),
+        ])
+        injector = FaultInjector(array, plan, num_stripes=4)
+        env.run(until=2 * MS)
+        assert [side.index for side in array.server_sides if side.crashes] == [2]
+        assert array.failed == {3} and array.servers[3] is cluster.servers[4]
+        assert cluster.servers[3].drive._slow_factor() == 4.0
+        env.run(until=injector.drain())
+        assert injector.rebuilds == 1 and not array.failed
 
 
 # -- the fence rule: one table over the six decision paths -------------------

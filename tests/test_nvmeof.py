@@ -242,14 +242,21 @@ class _HandlerProcessBdev(DraidBdevServer):
         if not isinstance(message, NvmeOfCommand) or self.env.now < self.down_until:
             return super()._serve(end, message)
         self.commands_served += 1
+        kind = "read" if message.opcode is Opcode.READ else "write"
         bounded = end is self.host_end
-        if bounded and self._fast_reject(message, end):
+        if bounded and self._fast_reject(message, end, kind):
             return
-        handler = self._handle_plain(message, end)
-        if bounded and self.queue_depth is not None:
+        slot = bounded and self.queue_depth is not None
+        if slot:
             self.inflight += 1
-            handler = self._run_bounded(handler)
-        self.env.process(handler)
+        self.env.process(self._handle_bounded(message, end, slot))
+
+    def _handle_bounded(self, cmd, origin, slot):
+        try:
+            yield from self._handle_plain(cmd, origin)
+        finally:
+            if slot:
+                self.inflight -= 1
 
     def _span(self, work_event, ctx, name):
         """Yield a CPU charge, recording a compute span (ns) when traced."""

@@ -187,18 +187,35 @@ class TestKernelSanitizer:
         assert trace_run(env) == plain
 
 
-def build_armed_draid(drives=4, stripes=8, chunk=4 * KB, verify=True):
+def build_armed_draid(drives=4, stripes=8, chunk=4 * KB, verify=True, functional=True):
     from repro.draid.host import DraidArray
 
     env = Environment()
     config = ClusterConfig(
         num_servers=drives,
-        functional_capacity=stripes * chunk,
+        functional_capacity=stripes * chunk if functional else 0,
         verify=VerifyConfig() if verify else None,
     )
     cluster = build_cluster(env, config)
     geometry = RaidGeometry(RaidLevel.RAID5, drives, chunk)
     return env, cluster, DraidArray(cluster, geometry)
+
+
+def eager_finish_gate():
+    """The bdev's reduction gate with a planted bug."""
+    from repro.draid.bdev import DraidBdevServer
+
+    orig = DraidBdevServer._maybe_finish
+
+    def eager_finish(self, cid):
+        # the bug: finish as soon as the command is in, without waiting
+        # for the promised peer partials
+        state = self._reductions.get(cid)
+        if state is not None and state.cmd is not None:
+            state.cmd.wait_num = state.received
+        yield from orig(self, cid)
+
+    return eager_finish
 
 
 class TestSeededBugs:
@@ -224,22 +241,25 @@ class TestSeededBugs:
         from repro.draid.bdev import DraidBdevServer
 
         env, cluster, array = build_armed_draid()
-        orig = DraidBdevServer._maybe_finish_parity
-
-        def eager_finish(self, key):
-            # the bug: acknowledge the parity write as soon as the Parity
-            # command arrives, without waiting for the promised partials
-            state = self._parity_states.get(key)
-            if state is not None and state.cmd is not None and state.wait_num:
-                state.received = state.wait_num
-            yield from orig(self, key)
-
-        monkeypatch.setattr(DraidBdevServer, "_maybe_finish_parity", eager_finish)
+        monkeypatch.setattr(DraidBdevServer, "_maybe_finish", eager_finish_gate())
         # a sub-stripe write drives the RMW path: data servers forward
         # partials that the parity server is supposed to fold
         with pytest.raises(InvariantViolation) as exc:
             env.run(until=array.write(0, 4 * KB, b"\xa5" * 4 * KB))
         assert exc.value.invariant == "premature-parity-completion"
+
+    def test_early_recon_finish_detected(self, monkeypatch):
+        from repro.draid.bdev import DraidBdevServer
+
+        # timing mode: the early decode has too few shards to run on bytes
+        env, cluster, array = build_armed_draid(functional=False)
+        array.fail_drive(array.geometry.layout.data_drives(0)[0])
+        monkeypatch.setattr(DraidBdevServer, "_maybe_finish", eager_finish_gate())
+        # a degraded read of the lost chunk: the survivors forward their
+        # regions to a reducer that is supposed to fold them all
+        with pytest.raises(InvariantViolation) as exc:
+            env.run(until=array.read(0, 4 * KB))
+        assert exc.value.invariant == "premature-recon-completion"
 
     def test_fencing_beyond_parity_detected(self):
         env, cluster, array = build_armed_draid()
@@ -300,8 +320,8 @@ class TestProtocolCheckerUnits:
 
     def test_parity_completion_requires_all_folds(self):
         checker = self.make_checker()
-        checker.on_parity_cmd(server=3, cid=11, key=11, wait_num=2)
-        checker.on_parity_fold(server=3, key=11)
+        checker.on_reduction(server=3, cid=11, wait_num=2)
+        checker.on_fold(server=3, cid=11)
         with pytest.raises(InvariantViolation) as exc:
             checker.on_server_completion(3, 11, "parity", ok=True)
         assert exc.value.invariant == "premature-parity-completion"
@@ -309,9 +329,9 @@ class TestProtocolCheckerUnits:
 
     def test_parity_completion_clean_after_folds(self):
         checker = self.make_checker()
-        checker.on_parity_cmd(server=3, cid=11, key=11, wait_num=2)
-        checker.on_parity_fold(server=3, key=11)
-        checker.on_parity_fold(server=3, key=11)
+        checker.on_reduction(server=3, cid=11, wait_num=2)
+        checker.on_fold(server=3, cid=11)
+        checker.on_fold(server=3, cid=11)
         checker.on_server_completion(3, 11, "parity", ok=True)
         assert checker.violations == []
 
@@ -323,12 +343,43 @@ class TestProtocolCheckerUnits:
 
     def test_server_crash_forgives_pending_folds(self):
         checker = self.make_checker()
-        checker.on_parity_cmd(server=1, cid=8, key=8, wait_num=3)
+        checker.on_reduction(server=1, cid=8, wait_num=3)
         checker.on_server_crash(1)
         # post-crash retry under a fresh cid completes cleanly
-        checker.on_parity_cmd(server=1, cid=9, key=9, wait_num=1)
-        checker.on_parity_fold(server=1, key=9)
+        checker.on_reduction(server=1, cid=9, wait_num=1)
+        checker.on_fold(server=1, cid=9)
         checker.on_server_completion(1, 9, "parity", ok=True)
+        assert checker.violations == []
+
+    def test_recon_completion_requires_all_folds(self):
+        checker = self.make_checker()
+        checker.on_reduction(server=2, cid=21, wait_num=2)
+        checker.on_fold(server=2, cid=21)
+        with pytest.raises(InvariantViolation) as exc:
+            checker.on_server_completion(2, 21, "recon", ok=True)
+        assert exc.value.invariant == "premature-recon-completion"
+        assert "1/2" in exc.value.detail
+
+    def test_recon_completion_clean_after_folds(self):
+        checker = self.make_checker()
+        checker.on_reduction(server=2, cid=21, wait_num=2)
+        checker.on_fold(server=2, cid=21)
+        checker.on_fold(server=2, cid=21)
+        checker.on_server_completion(2, 21, "recon", ok=True)
+        assert checker.violations == []
+
+    def test_server_crash_forgives_pending_recon_folds(self):
+        checker = self.make_checker()
+        checker.on_reduction(server=2, cid=21, wait_num=2)
+        checker.on_fold(server=2, cid=21)
+        checker.on_server_crash(2)
+        # the reducer's state is gone with the crash, and the checker's
+        # with it; the host's retry broadcasts under a fresh cid
+        assert not checker._promised and not checker._folded
+        checker.on_reduction(server=2, cid=22, wait_num=2)
+        checker.on_fold(server=2, cid=22)
+        checker.on_fold(server=2, cid=22)
+        checker.on_server_completion(2, 22, "recon", ok=True)
         assert checker.violations == []
 
     def test_nvmeof_duplicate_completion(self):
