@@ -53,9 +53,7 @@ def qos_demo():
     env, cluster, array = build()
     # noisy neighbour: unthrottled large sequential writes
     noisy = FioWorkload(array, 512 * KB, read_fraction=0.0, queue_depth=32, seed=5)
-    stop = env.event()
-    for _ in range(32):
-        env.process(noisy._worker(stop))
+    stop = noisy.start()
     victim = FioWorkload(array, 16 * KB, read_fraction=1.0, queue_depth=4, seed=6)
     contended = victim.run(measure_ns=10_000_000)
     stop.succeed()
@@ -63,9 +61,7 @@ def qos_demo():
     env2, cluster2, array2 = build()
     limited = RateLimitedDevice(array2, TokenBucket(env2, 500 * MB, burst_bytes=2 << 20))
     noisy2 = FioWorkload(limited, 512 * KB, read_fraction=0.0, queue_depth=32, seed=5)
-    stop2 = env2.event()
-    for _ in range(32):
-        env2.process(noisy2._worker(stop2))
+    stop2 = noisy2.start()
     victim2 = FioWorkload(array2, 16 * KB, read_fraction=1.0, queue_depth=4, seed=6)
     protected = victim2.run(measure_ns=10_000_000)
     stop2.succeed()

@@ -107,9 +107,7 @@ def availability_point(system: str, process: str, seed: int, fast: bool = True) 
     fio = FioWorkload(
         array, 128 * KB, read_fraction=0.7, queue_depth=16, seed=11
     )
-    stop = env.event()
-    for _ in range(fio.queue_depth):
-        env.process(fio._worker(stop), name="fio")
+    stop = fio.start()
     env.run(until=horizon_ns)
     orchestrator.stop_watch()
     stop.succeed()

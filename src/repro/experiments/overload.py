@@ -131,8 +131,7 @@ def metastable_point(system: str, protected: bool, fast: bool = True) -> Dict:
 
     def spike_window():
         yield env.timeout(4 * MS)
-        stop = env.event()
-        env.process(spike._arrivals(stop), name="spike")
+        stop = spike.start()
         yield env.timeout(5 * MS)
         stop.succeed()
 

@@ -1,4 +1,5 @@
-"""Measurement utilities: latency distributions and throughput windows."""
+"""Measurement utilities: latency distributions, result tables and
+tenancy/fault/integrity counters."""
 
 from repro._lazy import lazy_exports
 
@@ -8,7 +9,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".latency": ("LatencyRecorder", "LatencySummary"),
     ".report": ("Row", "format_table"),
     ".tenancy": ("fairness_index", "goodput_retention"),
-    ".timeline": ("ThroughputTimeline", "TimelineSample"),
 })
 
 __all__ = [
@@ -17,8 +17,6 @@ __all__ = [
     "LatencyRecorder",
     "LatencySummary",
     "Row",
-    "ThroughputTimeline",
-    "TimelineSample",
     "fairness_index",
     "format_table",
     "goodput_retention",

@@ -49,26 +49,6 @@ class LatencyRecorder:
         self._samples.append(latency_ns)
         self._cached = None
 
-    def record_many(self, latencies_ns) -> None:
-        """Bulk ingest: validate a whole batch with one vectorized pass.
-
-        Accepts any 1-D sequence/array of integer nanoseconds.  The batch is
-        range-checked via a single ``min`` reduction instead of a Python-level
-        comparison per sample, then appended in one ``list.extend``; summaries
-        are unchanged because samples land in the same internal list that
-        :meth:`record` feeds.
-        """
-        arr = np.asarray(latencies_ns, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError(f"expected 1-D samples, got shape {arr.shape}")
-        if arr.size == 0:
-            return
-        lowest = int(arr.min())
-        if lowest < 0:
-            raise ValueError(f"negative latency {lowest}")
-        self._samples.extend(arr.tolist())
-        self._cached = None
-
     @staticmethod
     def merged(*recorders: "LatencyRecorder") -> "LatencyRecorder":
         """A new recorder holding every sample of ``recorders`` (in order)."""

@@ -56,18 +56,11 @@ class TokenBucket:
 
     def acquire(self, nbytes: int) -> Event:
         """Event firing when ``nbytes`` conform to the budget."""
-        if nbytes <= 0:
-            raise ValueError(f"nbytes must be positive, got {nbytes}")
-        now = self.env.now
-        self._tat = max(now, self._tat) + self._cost_ns(nbytes)
-        delay = self._tat - self._limit_ns - now
-        self.admitted_bytes += nbytes
-        if delay <= 0:
-            return self.env.timeout(0)
-        self.throttle_events += 1
-        return self.env.timeout(delay)
+        return self.acquire_within(nbytes)
 
-    def acquire_within(self, nbytes: int, max_delay_ns: int) -> Optional[Event]:
+    def acquire_within(
+        self, nbytes: int, max_delay_ns: Optional[int] = None
+    ) -> Optional[Event]:
         """Shape-or-police: admit ``nbytes`` only if conformance is near.
 
         Like :meth:`acquire`, but when the bucket would delay the request
@@ -76,16 +69,16 @@ class TokenBucket:
         caller should fast-reject instead of queueing work that cannot
         possibly complete in time.  This is the per-tenant rate *limit* of
         the rack layer: short overshoots are shaped, sustained overshoots
-        are policed.
+        are policed.  ``max_delay_ns=None`` never polices (:meth:`acquire`).
         """
         if nbytes <= 0:
             raise ValueError(f"nbytes must be positive, got {nbytes}")
-        if max_delay_ns < 0:
+        if max_delay_ns is not None and max_delay_ns < 0:
             raise ValueError(f"max_delay_ns must be >= 0, got {max_delay_ns}")
         now = self.env.now
         tat = max(now, self._tat) + self._cost_ns(nbytes)
         delay = tat - self._limit_ns - now
-        if delay > max_delay_ns:
+        if max_delay_ns is not None and delay > max_delay_ns:
             self.throttle_events += 1
             return None
         self._tat = tat

@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.core import Environment, Event, SimulationError, Timeout
 
 
 class KernelSanitizer:
@@ -115,6 +115,9 @@ class KernelSanitizer:
         env = self.env
         queue = env._queue
         pop = heapq.heappop
+        if until.__class__ is Timeout and until.callbacks is not None:
+            # an undispatched timer is the horizon it denotes, as in the kernel
+            until = until._time
         if isinstance(until, Event):
             stop_event = until
             while queue and stop_event._ok is None:

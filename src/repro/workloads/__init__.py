@@ -1,4 +1,6 @@
-"""Workload generators: FIO-style block workloads and YCSB key-value mixes."""
+"""Workload generators: FIO-style block workloads, YCSB key-value mixes,
+open-loop arrivals and rack tenant streams, all measured through one
+window driver (:func:`run_windows`)."""
 
 from repro.workloads.fio import FioResult, FioWorkload
 from repro.workloads.generators import (
@@ -8,6 +10,7 @@ from repro.workloads.generators import (
 )
 from repro.workloads.openloop import OpenLoopResult, OpenLoopWorkload
 from repro.workloads.tenants import MultiTenantWorkload, TenantSpec
+from repro.workloads.window import run_windows
 from repro.workloads.ycsb import YCSB_WORKLOADS, YcsbResult, YcsbWorkload, YcsbSpec
 
 __all__ = [
@@ -24,4 +27,5 @@ __all__ = [
     "YcsbSpec",
     "YcsbWorkload",
     "ZipfianGenerator",
+    "run_windows",
 ]

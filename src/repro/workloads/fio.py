@@ -5,9 +5,16 @@ array (aggregate inflight = queue depth, like FIO's ``iodepth`` with
 ``numjobs=1``).  Offsets are uniformly random, aligned to the I/O size, over
 the array capacity; the read fraction selects the op mix.
 
-``run`` executes warmup then a measurement window and reports bandwidth,
-IOPS and the latency distribution — the quantities the paper's figures
-plot.
+``run`` executes warmup then a measurement window
+(:func:`~repro.workloads.window.run_windows`) and reports bandwidth, IOPS
+and the latency distribution — the quantities the paper's figures plot.
+An I/O counts in the window when it *completes* there.
+
+A :class:`~repro.qos.errors.Busy` fast-reject takes no simulated time, so
+a worker that re-issued at once against a full admission gate or an
+over-limit volume would never advance the clock.  It instead sleeps the
+§5.4 retry backoff of its consecutive-``Busy`` count, drawn from its own
+seeded stream so a run that never sees ``Busy`` keeps its draw order.
 """
 
 from __future__ import annotations
@@ -16,10 +23,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.faults.backoff import backoff_ns
 from repro.metrics.latency import LatencyRecorder, LatencySummary
 from repro.nvmeof.messages import IoError
-from repro.sim.core import Environment
+from repro.qos.errors import Busy
+from repro.sim.core import Environment, Event
 from repro.storage.integrity import ChecksumError
+from repro.workloads.window import run_windows
 
 MB = 1_000_000
 
@@ -68,6 +78,8 @@ class FioWorkload:
         if self.capacity < io_size:
             raise ValueError("capacity smaller than one I/O")
         self._rng = random.Random(seed)
+        #: jitter of the Busy backoff, apart from the offset/op draws
+        self._busy_rng = random.Random(f"{seed}/busy")
         self._slots = max(1, self.capacity // io_size)
         self.reads = LatencyRecorder()
         self.writes = LatencyRecorder()
@@ -75,6 +87,8 @@ class FioWorkload:
         self._measuring = False
         #: I/Os that exhausted the array's retry budget (fault injection)
         self.io_errors = 0
+        #: typed queue-full fast-rejects (admission gate, volume rate limit)
+        self.busy_rejections = 0
         obs = getattr(array.cluster, "obs", None) if hasattr(array, "cluster") else None
         self._obs = obs
         #: armed tracer (or None): every *measured* I/O opens a root span
@@ -82,6 +96,7 @@ class FioWorkload:
 
     def _worker(self, stop_event):
         tracer = self._tracer
+        busy = 0  # this worker's consecutive Busy rejects
         while not stop_event.triggered:
             offset = self._rng.randrange(self._slots) * self.io_size
             is_read = self._rng.random() < self.read_fraction
@@ -94,12 +109,19 @@ class FioWorkload:
                     yield self.array.read(offset, self.io_size, ctx=ctx)
                 else:
                     yield self.array.write(offset, self.io_size, ctx=ctx)
+            except Busy:
+                self.busy_rejections += 1
+                busy += 1
+                yield self.env.timeout(backoff_ns(busy, self._busy_rng))
+                continue
             except (IoError, ChecksumError):
                 # terminal failure after the §5.4 retry budget (or an
                 # unrecoverable checksum mismatch on an armed array): the
                 # real FIO would log an error and carry on
                 self.io_errors += 1
+                busy = 0
                 continue
+            busy = 0
             if ctx is not None:
                 tracer.record_root(
                     ctx,
@@ -114,40 +136,51 @@ class FioWorkload:
                 (self.reads if is_read else self.writes).record(latency)
                 self._bytes_done += self.io_size
 
-    def combined_latency(self) -> LatencySummary:
-        return LatencyRecorder.merged(self.reads, self.writes).summarize()
+    # -- measurement window (repro.workloads.window) ----------------------
 
-    def run(self, warmup_ns: int = 2_000_000, measure_ns: int = 30_000_000) -> FioResult:
-        """Warm up, measure for ``measure_ns``, return windowed results.
-
-        On an observability-armed cluster the utilization sampler runs
-        exactly over the measurement window, so its
-        :class:`~repro.obs.sampler.BottleneckReport` excludes warmup.
-        """
+    def start(self) -> Event:
+        """Spawn ``queue_depth`` workers; returns the stop event ending them."""
         stop = self.env.event()
         for _ in range(self.queue_depth):
             self.env.process(self._worker(stop), name="fio")
-        self.env.run(until=self.env.now + warmup_ns)
+        return stop
+
+    def open_window(self) -> None:
+        """Zero the window's bytes and latencies and start counting
+        completions; on an observability-armed cluster the utilization
+        sampler runs exactly over the window, so its
+        :class:`~repro.obs.sampler.BottleneckReport` excludes warmup."""
         self._measuring = True
         self._bytes_done = 0
-        start = self.env.now
+        self.reads = LatencyRecorder()
+        self.writes = LatencyRecorder()
         sampler = None if self._obs is None else self._obs.sampler
         if sampler is not None:
             sampler.attach_array(self.array)
             sampler.start()
-        self.env.run(until=start + measure_ns)
+
+    def close_window(self) -> None:
+        """Stop counting completions (and stop the sampler)."""
         self._measuring = False
+        sampler = None if self._obs is None else self._obs.sampler
         if sampler is not None:
             sampler.stop()
-        elapsed = self.env.now - start
-        stop.succeed()
-        # let inflight I/Os drain so worker processes terminate cleanly
-        self.env.run(until=self.env.now + 1)
-        summary = self.combined_latency()
+
+    def settle_ns(self, measure_ns: int) -> int:
+        """A closed loop's window is final at its close: no settle."""
+        return 0
+
+    def snapshot(self, measure_ns: int) -> FioResult:
+        """The window's bandwidth, IOPS and latency over ``measure_ns``."""
+        summary = LatencyRecorder.merged(self.reads, self.writes).summarize()
         return FioResult(
-            bandwidth_mb_s=self._bytes_done * 1e9 / elapsed / MB,
-            iops=summary.count * 1e9 / elapsed,
+            bandwidth_mb_s=self._bytes_done * 1e9 / measure_ns / MB,
+            iops=summary.count * 1e9 / measure_ns,
             latency=summary,
             ops_completed=summary.count,
-            measured_ns=elapsed,
+            measured_ns=measure_ns,
         )
+
+    def run(self, warmup_ns: int = 2_000_000, measure_ns: int = 30_000_000) -> FioResult:
+        """Warm up, measure for ``measure_ns``, return windowed results."""
+        return run_windows([self], [measure_ns], warmup_ns)[0][0]

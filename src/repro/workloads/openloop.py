@@ -33,8 +33,9 @@ from typing import Optional
 from repro.metrics.latency import LatencyRecorder, LatencySummary
 from repro.nvmeof.messages import IoError
 from repro.qos.errors import Busy, DeadlineExceeded
-from repro.sim.core import Environment
+from repro.sim.core import Environment, Event
 from repro.storage.integrity import ChecksumError
+from repro.workloads.window import run_windows
 
 MB = 1_000_000
 NS_PER_S = 1_000_000_000
@@ -233,15 +234,9 @@ class OpenLoopWorkload:
         else:
             self.late_completions += 1
 
-    # -- measurement window ------------------------------------------------
-    #
-    # The window machinery is split into ``start`` / ``open_window`` /
-    # ``close_window`` / ``snapshot`` so an external orchestrator (the
-    # rack layer's multi-tenant workload) can run several streams against
-    # one shared clock and cut every tenant's window at the same instants.
-    # ``run`` composes them for the historic single-stream case.
+    # -- measurement window (repro.workloads.window) ----------------------
 
-    def start(self) -> "Event":
+    def start(self) -> Event:
         """Spawn the arrival clock; returns the stop event ending it."""
         stop = self.env.event()
         self.env.process(self._arrivals(stop), name="openloop.clock")
@@ -261,6 +256,11 @@ class OpenLoopWorkload:
         """Stop attributing new arrivals (in-flight measured I/Os still
         settle into the window's counters when they complete)."""
         self._measuring = False
+
+    def settle_ns(self, measure_ns: int) -> int:
+        """Time the window's in-flight arrivals get to finish after the
+        close: half the window, or four latency budgets if longer."""
+        return max(measure_ns // 2, 4 * (self.deadline_ns or 0))
 
     def snapshot(self, measure_ns: int) -> OpenLoopResult:
         """Freeze the current counters into an :class:`OpenLoopResult`."""
@@ -289,19 +289,7 @@ class OpenLoopWorkload:
         """Warm up, measure for ``measure_ns``, drain, return results.
 
         Arrivals admitted during the window are attributed to it even when
-        they complete during the drain — an open-loop window cuts on
-        arrival time, not completion time.
+        they complete during the drain (default :meth:`settle_ns`) — an
+        open-loop window cuts on arrival time, not completion time.
         """
-        stop = self.start()
-        self.env.run(until=self.env.now + warmup_ns)
-        self.open_window()
-        start = self.env.now
-        self.env.run(until=start + measure_ns)
-        self.close_window()
-        if drain_ns is None:
-            budget = self.deadline_ns if self.deadline_ns is not None else 0
-            drain_ns = max(measure_ns // 2, 4 * budget)
-        self.env.run(until=self.env.now + drain_ns)
-        stop.succeed()
-        self.env.run(until=self.env.now + 1)
-        return self.snapshot(measure_ns)
+        return run_windows([self], [measure_ns], warmup_ns, drain_ns)[0][0]

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.workloads.openloop import OpenLoopResult, OpenLoopWorkload
+from repro.workloads.window import run_windows
 
 MB = 1_000_000
-NS_PER_S = 1_000_000_000
 
 
 @dataclass
@@ -133,10 +133,6 @@ class MultiTenantWorkload:
                 diurnal_amplitude=spec.diurnal_amplitude,
             )
 
-    def _default_drain(self, measure_ns: int) -> int:
-        budgets = [t.deadline_ns or 0 for t in self.tenants]
-        return max(measure_ns // 2, 4 * max(budgets))
-
     def run(
         self,
         warmup_ns: int = 2_000_000,
@@ -159,26 +155,12 @@ class MultiTenantWorkload:
 
         Between phases (and after the last) the clocks keep arriving but
         counters are frozen for ``settle_ns`` (default: the longest
-        deadline-derived drain), so in-flight I/Os of phase *k* settle into
+        :meth:`~repro.workloads.openloop.OpenLoopWorkload.settle_ns` of
+        any stream), so in-flight I/Os of phase *k* settle into
         phase *k*'s numbers instead of leaking into phase *k+1*.
         """
-        if not phase_ns:
-            raise ValueError("need at least one phase")
-        env = self.env
-        stops = [stream.start() for stream in self.streams.values()]
-        env.run(until=env.now + warmup_ns)
-        collected: Dict[str, List[OpenLoopResult]] = {t.name: [] for t in self.tenants}
-        for measure_ns in phase_ns:
-            gap = settle_ns if settle_ns is not None else self._default_drain(measure_ns)
-            for stream in self.streams.values():
-                stream.open_window()
-            env.run(until=env.now + measure_ns)
-            for stream in self.streams.values():
-                stream.close_window()
-            env.run(until=env.now + gap)
-            for name, stream in self.streams.items():
-                collected[name].append(stream.snapshot(measure_ns))
-        for stop in stops:
-            stop.succeed()
-        env.run(until=env.now + 1)
-        return collected
+        phases = run_windows(list(self.streams.values()), phase_ns, warmup_ns, settle_ns)
+        return {
+            name: [phase[i] for phase in phases]
+            for i, name in enumerate(self.streams)
+        }

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.metrics.latency import LatencyRecorder, LatencySummary
+from repro.sim.core import Event
 from repro.workloads.generators import LatestGenerator, UniformGenerator, ZipfianGenerator
+from repro.workloads.window import run_windows
 
 
 @dataclass(frozen=True)
@@ -142,22 +144,38 @@ class YcsbWorkload:
                 self.latencies.record(self.env.now - start)
                 self._ops += 1
 
-    def run(self, warmup_ns: int = 2_000_000, measure_ns: int = 30_000_000) -> YcsbResult:
+    # -- measurement window (repro.workloads.window) ----------------------
+
+    def start(self) -> Event:
+        """Spawn ``clients`` client loops; returns the stop event ending them."""
         stop = self.env.event()
         for _ in range(self.clients):
             self.env.process(self._client(stop), name=f"ycsb-{self.spec.name}")
-        self.env.run(until=self.env.now + warmup_ns)
+        return stop
+
+    def open_window(self) -> None:
+        """Zero the window's operations and start counting completions."""
         self._measuring = True
         self._ops = 0
-        start = self.env.now
-        self.env.run(until=start + measure_ns)
+        self.latencies = LatencyRecorder()
+
+    def close_window(self) -> None:
+        """Stop counting completions."""
         self._measuring = False
-        elapsed = self.env.now - start
-        stop.succeed()
-        self.env.run(until=self.env.now + 1)
+
+    def settle_ns(self, measure_ns: int) -> int:
+        """A closed loop's window is final at its close: no settle."""
+        return 0
+
+    def snapshot(self, measure_ns: int) -> YcsbResult:
+        """The window's throughput and latency over ``measure_ns``."""
         return YcsbResult(
-            kiops=self._ops * 1e9 / elapsed / 1000,
+            kiops=self._ops * 1e9 / measure_ns / 1000,
             latency=self.latencies.summarize(),
             ops_completed=self._ops,
-            measured_ns=elapsed,
+            measured_ns=measure_ns,
         )
+
+    def run(self, warmup_ns: int = 2_000_000, measure_ns: int = 30_000_000) -> YcsbResult:
+        """Warm up, measure for ``measure_ns``, return windowed results."""
+        return run_windows([self], [measure_ns], warmup_ns)[0][0]

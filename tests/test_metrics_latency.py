@@ -87,39 +87,12 @@ def test_negative_latency_rejected():
         recorder.record(-1)
 
 
-def test_record_many_matches_scalar_path():
-    rng = random.Random(7)
-    samples = [rng.randrange(0, 10**9) for _ in range(500)]
-    scalar, bulk = LatencyRecorder(), LatencyRecorder()
-    for s in samples:
-        scalar.record(s)
-    bulk.record_many(samples[:200])
-    bulk.record_many(samples[200:])
-    assert len(bulk) == len(scalar) == 500
-    assert bulk.summarize() == scalar.summarize()
-    # samples stay plain Python ints: downstream code concatenates the
-    # internal lists and pickles results across process boundaries
-    assert all(type(s) is int for s in bulk._samples)
-
-
-def test_record_many_validates_and_invalidates_cache():
-    recorder = LatencyRecorder()
-    recorder.record(10)
-    first = recorder.summarize()
-    recorder.record_many([])  # no-op: cache intact
-    assert recorder.summarize() is first
-    recorder.record_many([30])
-    assert recorder.summarize().count == 2
-    with pytest.raises(ValueError):
-        recorder.record_many([1, 2, -3])
-    with pytest.raises(ValueError):
-        recorder.record_many([[1, 2], [3, 4]])
-
-
 def test_merged_combines_in_order():
     a, b = LatencyRecorder(), LatencyRecorder()
-    a.record_many([1, 2, 3])
-    b.record_many([4, 5])
+    for v in (1, 2, 3):
+        a.record(v)
+    for v in (4, 5):
+        b.record(v)
     merged = LatencyRecorder.merged(a, b)
     assert merged._samples == [1, 2, 3, 4, 5]
     assert merged.summarize().count == 5

@@ -202,9 +202,7 @@ class TestRateLimitedDevice:
         limited = RateLimitedDevice(array, TokenBucket(env, 100 * MB))
         fio_a = FioWorkload(limited, 128 * KB, read_fraction=1.0, queue_depth=8, seed=1)
         fio_b = FioWorkload(array, 128 * KB, read_fraction=1.0, queue_depth=8, seed=2)
-        stop = env.event()
-        for _ in range(8):
-            env.process(fio_a._worker(stop))
+        stop = fio_a.start()
         result_b = fio_b.run(measure_ns=20_000_000)
         stop.succeed()
         # B gets the lion's share of the array

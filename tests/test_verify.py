@@ -35,6 +35,28 @@ class TestKernelSanitizer:
             env._schedule(env.event(), delay=-5)
         assert exc.value.invariant == "past-event"
 
+    def test_timer_until_runs_to_its_horizon(self):
+        """An undispatched ``Timeout`` passed as ``until`` is the horizon it
+        denotes, armed or not (``Environment.run``'s rule)."""
+
+        def ticks(armed):
+            env = Environment()
+            if armed:
+                KernelSanitizer(env)
+            count = [0]
+
+            def ticker():
+                while True:
+                    yield env.timeout(1_000)
+                    count[0] += 1
+
+            env.process(ticker(), name="ticker")
+            env.run(until=env.timeout(5_000))
+            return env.now, count[0]
+
+        assert ticks(armed=False) == (5_000, 5)
+        assert ticks(armed=True) == (5_000, 5)
+
     def test_deadlock_reported_with_wait_graph(self):
         env, sanitizer = armed_env()
         locks = StripeLockManager(env)

@@ -1,6 +1,9 @@
-"""Tests for workload generators (FIO, YCSB, distributions) and metrics."""
+"""Tests for workload generators (FIO, YCSB, open loop, tenants,
+distributions), their one window protocol, and metrics."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,9 @@ from repro.sim import Environment
 from repro.workloads import (
     FioWorkload,
     LatestGenerator,
+    MultiTenantWorkload,
+    OpenLoopWorkload,
+    TenantSpec,
     UniformGenerator,
     YCSB_WORKLOADS,
     YcsbSpec,
@@ -204,3 +210,109 @@ class TestYcsb:
         result = ycsb.run(warmup_ns=0, measure_ns=1_000_000)
         # each op takes 1 us => ~1000 ops in 1 ms => ~1000 KIOPS
         assert result.kiops == pytest.approx(1000, rel=0.1)
+
+
+class TestWindowProtocol:
+    """Every generator's ``run`` is the window driver over its protocol:
+    driving ``start``/``open_window``/``close_window``/``snapshot`` by hand
+    gives the same result."""
+
+    @staticmethod
+    def _by_hand(generator, warmup_ns, measure_ns):
+        env = generator.env
+        stop = generator.start()
+        env.run(until=env.now + warmup_ns)
+        generator.open_window()
+        env.run(until=env.now + measure_ns)
+        generator.close_window()
+        settle = generator.settle_ns(measure_ns)
+        if settle:
+            env.run(until=env.now + settle)
+        result = generator.snapshot(measure_ns)
+        stop.succeed()
+        env.run(until=env.now + 1)
+        return result, env.now
+
+    @pytest.mark.parametrize("kind", ["fio", "ycsb", "openloop"])
+    def test_by_hand_equals_run(self, kind):
+        def make():
+            if kind == "fio":
+                return FioWorkload(make_array(), 16 * KB, read_fraction=0.5, queue_depth=4)
+            if kind == "ycsb":
+                store = _CountingStore(Environment())
+                return YcsbWorkload(store, YCSB_WORKLOADS["F"], num_keys=100, clients=3)
+            return OpenLoopWorkload(
+                make_array(), 16 * KB, rate_iops=50_000, read_fraction=0.5,
+                deadline_ns=200_000, arrival="bursty",
+            )
+
+        ran = make()
+        result = ran.run(warmup_ns=300_000, measure_ns=1_000_000)
+        by_hand, now = self._by_hand(make(), 300_000, 1_000_000)
+        assert result.ops_completed > 0
+        assert by_hand == result
+        assert ran.env.now == now
+
+    def test_tenant_run_is_one_phase(self):
+        from repro.rack import ArraySpec, RackConfig, build_rack
+
+        def make():
+            rack = build_rack(None, RackConfig(arrays=[
+                ArraySpec(system="dRAID", servers=4, name="a0", export_bytes=1 << 24),
+            ]))
+            return MultiTenantWorkload(rack, [
+                TenantSpec("a", 16 * KB, rate_iops=20_000, volume_bytes=1 << 22,
+                           deadline_ns=500_000),
+                TenantSpec("b", 64 * KB, rate_iops=5_000, volume_bytes=1 << 22,
+                           read_fraction=0.3, arrival="diurnal"),
+            ])
+
+        one = make().run(warmup_ns=200_000, measure_ns=1_000_000)
+        phases = make().run_phases([1_000_000], warmup_ns=200_000)
+        assert one == {name: results[0] for name, results in phases.items()}
+        assert one["a"].ops_completed > 0 and one["b"].ops_completed > 0
+
+
+#: Closed loops against a fast reject: a ``Busy`` takes no simulated time,
+#: so a worker re-issuing at once never advanced the clock.  Each probe
+#: runs in a fresh interpreter under a wall-clock timeout, so a livelock
+#: fails the test instead of hanging the suite.
+_BUSY_PROBES = {
+    "admission-bound": """
+import repro
+from repro.cluster import ClusterConfig
+from repro.qos import OverloadConfig
+from repro.workloads import FioWorkload
+env, _, array = repro.build_testbed(
+    "dRAID", config=ClusterConfig(overload=OverloadConfig(admission_depth=8))
+)
+fio = FioWorkload(array, 4096, read_fraction=1.0, queue_depth=16)
+fio.run(warmup_ns=100_000, measure_ns=1_000_000)
+print(env.now, fio.busy_rejections, fio.io_errors)
+""",
+    "volume-rate-limit": """
+from repro.rack import ArraySpec, RackConfig, RackQosConfig, VolumeSpec, build_rack
+from repro.workloads import FioWorkload
+rack = build_rack(None, RackConfig(
+    arrays=[ArraySpec(system="dRAID", servers=4, name="a0", export_bytes=1 << 26)],
+    qos=RackQosConfig(),
+))
+volume = rack.volumes.create(VolumeSpec("v", 1 << 24, rate_limit_mb_s=50.0))
+fio = FioWorkload(volume, 512 * 1024, read_fraction=0.0, queue_depth=8,
+                  capacity=volume.size_bytes)
+fio.run(warmup_ns=100_000, measure_ns=1_000_000)
+print(rack.env.now, fio.busy_rejections, fio.io_errors)
+""",
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_BUSY_PROBES))
+def test_closed_loop_survives_a_fast_reject(probe):
+    out = subprocess.run(
+        [sys.executable, "-c", _BUSY_PROBES[probe]],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split()
+    now, busy, io_errors = map(int, out)
+    assert now == 100_000 + 1_000_000 + 1  # warm-up, window, stop
+    assert busy > 0
+    assert io_errors == 0
