@@ -740,9 +740,7 @@ class RaidArray(ABC):
         body = self._read(
             offset, nbytes, ctx=ctx, deadline_ns=self._qos_deadline(deadline_ns)
         )
-        if self._admission is not None:
-            body = self._admitted(body, priority)
-        return self.env.process(body, name=self._read_name)
+        return self._enter(body, priority, self._read_name)
 
     def read_unlocked(self, offset: int, nbytes: int) -> Event:
         """Read without taking stripe locks.
@@ -768,9 +766,14 @@ class RaidArray(ABC):
             offset, nbytes, self._payload(data, nbytes), ctx=ctx,
             deadline_ns=self._qos_deadline(deadline_ns),
         )
+        return self._enter(body, priority, self._write_name)
+
+    def _enter(self, body, priority: str, name: str) -> Event:
+        """Start a top-level I/O ``body`` through the admission gate, when
+        one is armed: the one entry every public read and write takes."""
         if self._admission is not None:
             body = self._admitted(body, priority)
-        return self.env.process(body, name=self._write_name)
+        return self.env.process(body, name=name)
 
     def _payload(self, data, nbytes: int):
         """A write's ``data`` as a ``uint8`` array of ``nbytes`` (None in

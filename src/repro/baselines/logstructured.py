@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.baselines.base import HostCentricRaid
 from repro.cluster.builder import Cluster
+from repro.qos.admission import PRIORITY_FOREGROUND
 from repro.raid.geometry import RaidGeometry
 from repro.sim.core import AllOf, Event
 
@@ -100,20 +101,19 @@ class LogStructuredRaid(HostCentricRaid):
 
     # -- public block interface ------------------------------------------------
 
-    def write(self, offset: int, nbytes: int, data=None, ctx=None, deadline_ns=None) -> Event:
-        # ctx/deadline_ns accepted for interface parity; staging is untraced, unshed
-        return self.env.process(
-            self._staged_write(offset, nbytes, self._payload(data, nbytes)),
-            name=f"{self.name}.write",
-        )
-
-    def read(self, offset: int, nbytes: int, ctx=None, deadline_ns=None) -> Event:
-        return self.env.process(self._remapped_read(offset, nbytes),
-                                name=f"{self.name}.read")
+    def read(
+        self, offset: int, nbytes: int, ctx=None, deadline_ns=None,
+        priority: str = PRIORITY_FOREGROUND,
+    ) -> Event:
+        """Read through the remap table; like a write (whose body is
+        :meth:`_write`), it enters through the frame's admission gate."""
+        body = self._remapped_read(offset, nbytes, self._qos_deadline(deadline_ns))
+        return self._enter(body, priority, self._read_name)
 
     # -- write path: stage into NVRAM ------------------------------------------
 
-    def _staged_write(self, offset: int, nbytes: int, data):
+    def _write(self, offset: int, nbytes: int, data, ctx=None, deadline_ns=None):
+        """The frame's write body: stage into NVRAM (untraced)."""
         yield self._charge_submit()
         # backpressure: sustained load runs at the flusher's (full-stripe)
         # rate; only bursts within the buffer get pure NVRAM latency
@@ -133,7 +133,7 @@ class LogStructuredRaid(HostCentricRaid):
             lo = max(offset, block_start)
             hi = min(offset + nbytes, block_start + BLOCK)
             if (hi - lo) < BLOCK and block not in self._staging:
-                old = yield self.env.process(self._read_block(block))
+                old = yield self.env.process(self._read_block(block, deadline_ns))
                 self._staging[block] = old
                 self._staging.move_to_end(block)
             elif block not in self._staging:
@@ -239,22 +239,21 @@ class LogStructuredRaid(HostCentricRaid):
 
     # -- read path --------------------------------------------------------------------
 
-    def _remapped_read(self, offset: int, nbytes: int):
+    def _remapped_read(self, offset: int, nbytes: int, deadline_ns):
         yield self._charge_submit()
         buffer = np.zeros(nbytes, dtype=np.uint8) if self.functional else None
         first_block = offset // BLOCK
         last_block = (offset + nbytes - 1) // BLOCK
-        pending = []
-        for block in range(first_block, last_block + 1):
-            pending.append(
-                self.env.process(self._fill_block(block, offset, nbytes, buffer))
-            )
+        pending = [
+            self.env.process(self._fill_block(block, offset, nbytes, buffer, deadline_ns))
+            for block in range(first_block, last_block + 1)
+        ]
         yield AllOf(self.env, pending)
         self.stats.reads += 1
         return buffer
 
-    def _fill_block(self, block: int, offset: int, nbytes: int, buffer):
-        data = yield self.env.process(self._read_block(block))
+    def _fill_block(self, block: int, offset: int, nbytes: int, buffer, deadline_ns):
+        data = yield self.env.process(self._read_block(block, deadline_ns))
         if buffer is None or data is None:
             return
         block_start = block * BLOCK
@@ -262,7 +261,7 @@ class LogStructuredRaid(HostCentricRaid):
         hi = min(offset + nbytes, block_start + BLOCK)
         buffer[lo - offset : hi - offset] = data[lo - block_start : hi - block_start]
 
-    def _read_block(self, block: int):
+    def _read_block(self, block: int, deadline_ns):
         """One logical 4 KiB block: staging, the log, or zeros."""
         if block in self._staging:
             staged = self._staging[block]
@@ -272,12 +271,12 @@ class LogStructuredRaid(HostCentricRaid):
         if located is None:
             yield self.env.timeout(0)
             return np.zeros(BLOCK, dtype=np.uint8) if self.functional else None
-        data = yield self.env.process(self._read_log_block(*located))
+        data = yield self.env.process(self._read_log_block(*located, deadline_ns))
         return data
 
-    def _read_log_block(self, stripe: int, slot: int):
+    def _read_log_block(self, stripe: int, slot: int, deadline_ns=None):
         user_offset = stripe * self.geometry.stripe_data_bytes + slot * BLOCK
         (ext,) = self.geometry.map_extent(user_offset, BLOCK)
         buffer = np.zeros(BLOCK, dtype=np.uint8) if self.functional else None
-        yield from self._read_extent(ext, buffer, user_offset)
+        yield from self._read_extent(ext, buffer, user_offset, deadline_ns=deadline_ns)
         return buffer

@@ -13,10 +13,13 @@ This module implements exactly that trade:
   bdevs are the server-to-server queue pairs, and every orchestration CPU
   cycle is charged to that server's single poll-mode core.
 * :class:`OffloadedDraidArray` is the thin host-side proxy: reads and
-  writes become single commands to the controller server, so the host
-  spends almost nothing — at the price of one extra network hop for every
-  byte (host -> controller -> bdevs), which the simulation charges
-  faithfully.
+  writes become single NVMe-oF commands to the controller server, issued
+  by a :class:`~repro.nvmeof.initiator.RemoteBdev`, so the host spends
+  almost nothing — at the price of one extra network hop for every byte
+  (host -> controller -> bdevs), which the simulation charges faithfully.
+  A typed reject the controller raises (``Busy``, ``DeadlineExceeded``)
+  travels back as its completion ``status`` and is raised again, typed,
+  at the host.
 
 The controller occupies one dedicated server; the array spans the
 remaining ``n - 1``.
@@ -24,33 +27,12 @@ remaining ``n - 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
-
 from repro.cluster.builder import Cluster
 from repro.draid.host import DraidArray
-from repro.nvmeof.messages import IoError, RESPONSE_BYTES, next_cid
+from repro.nvmeof.initiator import RemoteBdev
+from repro.nvmeof.messages import IoError, NvmeOfCommand, Opcode
+from repro.nvmeof.target import complete
 from repro.raid.geometry import RaidGeometry
-from repro.sim.core import Environment, Event
-
-
-@dataclass
-class ProxyCmd:
-    """Host -> controller server: one virtual-device read or write."""
-
-    cid: int
-    op: str  #: 'read' | 'write'
-    offset: int
-    length: int
-    data: Optional[Any] = None
-
-
-@dataclass
-class ProxyCompletion:
-    cid: int
-    ok: bool
-    data: Optional[Any] = None
-    error: Optional[str] = None
 
 
 class OffloadedController(DraidArray):
@@ -87,13 +69,14 @@ class OffloadedController(DraidArray):
         return self.cluster.peer_end(self.controller_server, self._server_of(member))
 
 
-class OffloadedDraidArray:
+class OffloadedDraidArray(RemoteBdev):
     """Host-side proxy to an offloaded controller (§7 full offloading).
 
-    Exposes the usual ``read``/``write`` block interface; each call is one
-    command to the controller server.  Write payloads hop host ->
-    controller -> data bdevs (the "additional I/O overlay"); read payloads
-    hop back bdevs -> controller -> host.
+    An NVMe-oF initiator to the controller server: each ``read``/``write``
+    is one command there.  Write payloads hop host -> controller -> data
+    bdevs (the "additional I/O overlay"); read payloads hop back bdevs ->
+    controller -> host.  A caller's ``deadline_ns`` rides the command to
+    the controller, which honours it when armed; tracing stops here.
     """
 
     def __init__(
@@ -104,80 +87,42 @@ class OffloadedDraidArray:
         name: str = "draid-proxy",
         **controller_kwargs,
     ) -> None:
-        self.env: Environment = cluster.env
         self.cluster = cluster
         self.geometry = geometry
-        self.name = name
         self.controller = OffloadedController(
             cluster, geometry, controller_server, **controller_kwargs
         )
         self.functional = self.controller.functional
         self.stats = self.controller.stats
-        self._host_end = cluster.host_end(controller_server)
+        super().__init__(cluster.host, cluster.host_end(controller_server), name)
         self._controller_end = cluster.server_end(controller_server)
-        self._pending: Dict[int, Event] = {}
         self._controller_end.inbox.consume(self._serve_controller)
-        self._host_end.inbox.consume(self._receive_host)
 
     # -- controller-server command service ----------------------------------
 
-    def _serve_controller(self, cmd) -> None:
-        if isinstance(cmd, ProxyCmd):
-            self.env.process(self._execute(cmd), name=f"{self.name}.op")
+    def _serve_controller(self, cmd: NvmeOfCommand) -> None:
+        self.env.process(self._execute(cmd), name=f"{self.name}.op")
 
-    def _execute(self, cmd: ProxyCmd):
+    def _execute(self, cmd: NvmeOfCommand):
         server = self.controller.machine
         yield server.cpu.execute(server.cpu_profile.cmd_handle_ns)
+        data = error = status = None
         try:
-            if cmd.op == "write":
-                # pull the payload from the host (extra overlay hop #1)
+            if cmd.opcode is Opcode.WRITE:
+                # pull the payload from the host (extra overlay hop #1); the
+                # controller's write validates and normalises it
                 yield self._controller_end.rdma_read(cmd.length)
-                yield self.controller.write(cmd.offset, cmd.length, cmd.data)
-                self._controller_end.send(
-                    ProxyCompletion(cmd.cid, ok=True), header_bytes=RESPONSE_BYTES
+                yield self.controller.write(
+                    cmd.offset, cmd.length, cmd.data, deadline_ns=cmd.deadline_ns
                 )
             else:
-                data = yield self.controller.read(cmd.offset, cmd.length)
-                # push the payload to the host (extra overlay hop #2)
-                self._controller_end.send(
-                    ProxyCompletion(cmd.cid, ok=True, data=data),
-                    payload_bytes=cmd.length,
-                    header_bytes=RESPONSE_BYTES,
+                # the completion pushes the payload to the host (hop #2)
+                data = yield self.controller.read(
+                    cmd.offset, cmd.length, deadline_ns=cmd.deadline_ns
                 )
         except IoError as exc:
-            self._controller_end.send(
-                ProxyCompletion(cmd.cid, ok=False, error=str(exc)),
-                header_bytes=RESPONSE_BYTES,
-            )
-
-    # -- host-side interface -----------------------------------------------------
-
-    def _receive_host(self, completion) -> None:
-        if not isinstance(completion, ProxyCompletion):
-            return
-        event = self._pending.pop(completion.cid, None)
-        if event is None or event.triggered:
-            return
-        if completion.ok:
-            event.succeed(completion.data)
-        else:
-            event.fail(IoError(completion.error))
-
-    def _submit(self, op: str, offset: int, length: int, data=None) -> Event:
-        cmd = ProxyCmd(next_cid(), op, offset, length, data=data)
-        event = self.env.event()
-        self._pending[cmd.cid] = event
-        self._host_end.send(cmd)
-        return event
-
-    def read(self, offset: int, nbytes: int, ctx=None, deadline_ns=None) -> Event:
-        # ctx and deadline_ns accepted for interface parity; neither crosses
-        # the proxy hop (the controller re-derives nothing host-side).
-        return self._submit("read", offset, nbytes)
-
-    def write(self, offset: int, nbytes: int, data=None, ctx=None, deadline_ns=None) -> Event:
-        # the payload is validated and normalised by the controller's write
-        return self._submit("write", offset, nbytes, data=data)
+            error, status = str(exc), exc.status
+        complete(self._controller_end, cmd, data, error, status)
 
     def fail_drive(self, index: int) -> None:
         self.controller.fail_drive(index)

@@ -34,6 +34,10 @@ class Opcode(Enum):
 class IoError(RuntimeError):
     """A remote I/O failed (drive fault, injected error, timeout)."""
 
+    #: the completion ``status`` this failure crosses the wire as
+    #: (:func:`~repro.nvmeof.initiator.completion_error` maps it back)
+    status: Optional[str] = None
+
 
 @dataclass
 class NvmeOfCommand:

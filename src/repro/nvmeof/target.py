@@ -37,6 +37,20 @@ from repro.sim.core import Environment
 from repro.storage.drive import DriveFailedError
 
 
+def complete(end: ConnectionEnd, command: NvmeOfCommand, data=None,
+             error: Optional[str] = None, status: Optional[str] = None,
+             trace=None) -> None:
+    """Answer ``command`` on ``end``; a successful read's payload rides its
+    completion.  ``status`` types a failure (see :class:`NvmeOfCompletion`)."""
+    ok = error is None
+    end.send(
+        NvmeOfCompletion(command.cid, ok=ok, data=data, error=error, trace=trace,
+                         status=status),
+        payload_bytes=command.length if ok and command.opcode is Opcode.READ else 0,
+        header_bytes=RESPONSE_BYTES,
+    )
+
+
 def serve_plain(
     owner: Any, command: NvmeOfCommand, end: ConnectionEnd,
     spans: Tuple[str, str], reply: Callable[..., None],
@@ -141,14 +155,8 @@ class NvmeOfTarget:
         begin.succeed()
 
     def _reject(self, command: NvmeOfCommand, why: str, status: str) -> None:
-        self.host_end.send(
-            NvmeOfCompletion(
-                command.cid, ok=False, error=f"{self.server.name}: {why}",
-                trace=command.trace, status=status,
-            ),
-            payload_bytes=0,
-            header_bytes=RESPONSE_BYTES,
-        )
+        complete(self.host_end, command, None, f"{self.server.name}: {why}",
+                 status, command.trace)
 
     def _begin(self, command: NvmeOfCommand) -> None:
         if command.deadline_ns is None or self.env.now < command.deadline_ns:
@@ -165,12 +173,7 @@ class NvmeOfTarget:
             self.inflight -= 1
 
     def _reply(self, end, command: NvmeOfCommand, ctx, data, error) -> None:
-        ok = error is None
-        end.send(
-            NvmeOfCompletion(command.cid, ok=ok, data=data, error=error, trace=ctx),
-            payload_bytes=command.length if ok and command.opcode is Opcode.READ else 0,
-            header_bytes=RESPONSE_BYTES,
-        )
+        complete(end, command, data, error, trace=ctx)
         self.commands_served += 1
         if self.queue_depth is not None:
             self.inflight -= 1

@@ -22,6 +22,8 @@ class Busy(IoError):
     rejection against offered load.
     """
 
+    status = "busy"
+
 
 class DeadlineExceeded(IoError):
     """Terminal deadline failure: the I/O's time budget (ns) is spent.
@@ -31,3 +33,5 @@ class DeadlineExceeded(IoError):
     loop whose remaining budget reaches zero.  Never retried: retrying work
     the client has already given up on is what turns overload metastable.
     """
+
+    status = "deadline"

@@ -94,6 +94,21 @@ class InvariantViolation(RuntimeError):
         super().__init__(f"[{invariant}] {detail} ({where})")
 
 
+class Checker:
+    """What both checkers share: the environment they watch and every
+    violation they have raised."""
+
+    def __init__(self, env) -> None:
+        self.env = env
+        self.violations: List[InvariantViolation] = []
+
+    def _violate(self, invariant: str, detail: str, cid: Optional[int] = None,
+                 trace: Optional[Any] = None) -> None:
+        violation = InvariantViolation(invariant, detail, self.env.now, cid, trace)
+        self.violations.append(violation)
+        raise violation
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     """What to arm when ``ClusterConfig.verify`` is set.

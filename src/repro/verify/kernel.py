@@ -29,17 +29,17 @@ Checked invariants:
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.sim.core import Environment, Event, SimulationError, Timeout
+from repro.verify import Checker
 
 
-class KernelSanitizer:
+class KernelSanitizer(Checker):
     """Arms one environment; see the module docstring for the invariants."""
 
     def __init__(self, env: Environment) -> None:
-        self.env = env
-        self.violations: List["InvariantViolation"] = []
+        super().__init__(env)
         self._locks: List[Any] = []  # watched StripeLockManagers
         self._resources: List[Any] = []  # watched CapacityResources
         #: per manager id: stripe -> owning Process (None = non-process)
@@ -64,23 +64,6 @@ class KernelSanitizer:
         env._schedule = self._schedule
         env.run = self._run
         env.sanitizer = self
-
-    # -- violation plumbing -------------------------------------------------
-
-    def _violate(
-        self,
-        invariant: str,
-        detail: str,
-        cid: Optional[int] = None,
-        trace: Optional[Any] = None,
-    ) -> None:
-        from repro.verify import InvariantViolation
-
-        violation = InvariantViolation(
-            invariant, detail, time_ns=self.env.now, cid=cid, trace=trace
-        )
-        self.violations.append(violation)
-        raise violation
 
     # -- event-loop hooks ---------------------------------------------------
 

@@ -33,9 +33,10 @@ unarmed runs stay byte-identical.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.sim.core import Environment
+from repro.verify import Checker
 
 
 #: completion kind -> the invariant its reduction gate enforces
@@ -59,15 +60,14 @@ class _RequestState:
         self.acks: Set[Tuple[str, int]] = set()
 
 
-class ProtocolChecker:
+class ProtocolChecker(Checker):
     """Validates the message exchange of every registered request."""
 
     #: how many retired cids to remember for late-completion accounting
     CLOSED_WINDOW = 8192
 
     def __init__(self, env: Environment) -> None:
-        self.env = env
-        self.violations: List["InvariantViolation"] = []
+        super().__init__(env)
         self._open: Dict[int, _RequestState] = {}
         self._closed: Dict[int, None] = {}  # insertion-ordered ring
         #: server-side acks seen: (server, cid, kind, io_offset)
@@ -84,21 +84,6 @@ class ProtocolChecker:
         self.requests_opened = 0
 
     # -- plumbing -----------------------------------------------------------
-
-    def _violate(
-        self,
-        invariant: str,
-        detail: str,
-        cid: Optional[int] = None,
-        trace: Optional[Any] = None,
-    ) -> None:
-        from repro.verify import InvariantViolation
-
-        violation = InvariantViolation(
-            invariant, detail, time_ns=self.env.now, cid=cid, trace=trace
-        )
-        self.violations.append(violation)
-        raise violation
 
     def _retire(self, cid: int) -> None:
         self._closed[cid] = None

@@ -8,13 +8,15 @@ listen to the array — a seeded Poisson process, or a bursty on/off
 modulation of one — which is what datacenter frontends look like and what
 makes goodput collapse observable.
 
-Every arrival is fire-and-forget: a fresh process issues one read or write
-and records its outcome; the arrival clock never waits.  ``goodput``
-counts only bytes whose I/O completed *within its latency budget* during
-the measurement window — work the array finished but delivered late counts
-toward throughput, not goodput.  Typed overload rejections
-(:class:`~repro.qos.errors.Busy`, :class:`~repro.qos.errors.DeadlineExceeded`)
-are tallied separately from ordinary terminal I/O errors.
+Every arrival is fire-and-forget
+(:class:`~repro.workloads.issue.FireAndForget`): a fresh process issues
+one read or write and records its outcome; the arrival clock never
+waits.  ``goodput`` counts only bytes whose I/O completed *within its
+latency budget* during the measurement window — work the array finished
+but delivered late counts toward throughput, not goodput.  Typed
+overload rejections (:class:`~repro.qos.errors.Busy`,
+:class:`~repro.qos.errors.DeadlineExceeded`) are tallied separately from
+ordinary terminal I/O errors.
 
 When a budget is set the generator stamps each I/O with an absolute
 deadline (arrival time + budget).  Whether it becomes a wire deadline is
@@ -26,15 +28,12 @@ run.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.metrics.latency import LatencyRecorder, LatencySummary
-from repro.nvmeof.messages import IoError
-from repro.qos.errors import Busy, DeadlineExceeded
-from repro.sim.core import Environment, Event
-from repro.storage.integrity import ChecksumError
+from repro.sim.core import Event
+from repro.workloads.issue import BlockStream, FireAndForget
 from repro.workloads.window import run_windows
 
 MB = 1_000_000
@@ -70,7 +69,7 @@ class OpenLoopResult:
         return self.ops_good / self.ops_offered
 
 
-class OpenLoopWorkload:
+class OpenLoopWorkload(BlockStream, FireAndForget):
     """Fire-and-forget arrival generator with per-I/O latency budgets.
 
     ``rate_iops`` is the *offered* arrival rate; ``arrival`` selects the
@@ -99,12 +98,9 @@ class OpenLoopWorkload:
         diurnal_period_ns: int = 20_000_000,
         diurnal_amplitude: float = 0.5,
     ) -> None:
-        if io_size <= 0:
-            raise ValueError(f"io_size must be positive, got {io_size}")
+        BlockStream.__init__(self, array, io_size, read_fraction, capacity, seed)
         if rate_iops <= 0:
             raise ValueError(f"rate_iops must be positive, got {rate_iops}")
-        if not 0.0 <= read_fraction <= 1.0:
-            raise ValueError(f"read_fraction out of range: {read_fraction}")
         if arrival not in ("poisson", "bursty", "diurnal"):
             raise ValueError(f"unknown arrival process: {arrival!r}")
         if arrival == "bursty":
@@ -121,11 +117,7 @@ class OpenLoopWorkload:
                 )
             if diurnal_period_ns <= 0:
                 raise ValueError("diurnal_period_ns must be positive")
-        self.array = array
-        self.env: Environment = array.env
-        self.io_size = io_size
         self.rate_iops = rate_iops
-        self.read_fraction = read_fraction
         self.deadline_ns = deadline_ns
         self.arrival = arrival
         self.burst_factor = burst_factor
@@ -133,26 +125,8 @@ class OpenLoopWorkload:
         self.burst_duty = burst_duty
         self.diurnal_period_ns = diurnal_period_ns
         self.diurnal_amplitude = diurnal_amplitude
-        geometry = array.geometry
-        default_cap = geometry.stripe_data_bytes * 4096
-        self.capacity = capacity if capacity is not None else default_cap
-        if self.capacity < io_size:
-            raise ValueError("capacity smaller than one I/O")
-        self._rng = random.Random(seed)
-        self._slots = max(1, self.capacity // io_size)
-        self.reads = LatencyRecorder()
-        self.writes = LatencyRecorder()
         self._measuring = False
-        self.ops_offered = 0
-        self.ops_completed = 0
-        self.ops_good = 0
-        self.busy_rejections = 0
-        self.deadline_failures = 0
-        self.io_errors = 0
-        self.late_completions = 0
-        self._offered_bytes = 0
-        self._throughput_bytes = 0
-        self._good_bytes = 0
+        self._zero()
 
     # -- arrival clock -----------------------------------------------------
 
@@ -192,8 +166,7 @@ class OpenLoopWorkload:
             yield timer
             if stop_event.triggered:
                 break
-            offset = rng.randrange(self._slots) * self.io_size
-            is_read = rng.random() < self.read_fraction
+            offset, is_read = self._draw()
             measured = self._measuring
             if measured:
                 self.ops_offered += 1
@@ -203,34 +176,15 @@ class OpenLoopWorkload:
     # -- one fire-and-forget I/O -------------------------------------------
 
     def _issue(self, offset: int, is_read: bool, measured: bool):
-        start = self.env.now
-        deadline = None if self.deadline_ns is None else start + self.deadline_ns
-        try:
-            if is_read:
-                yield self.array.read(offset, self.io_size, deadline_ns=deadline)
-            else:
-                yield self.array.write(offset, self.io_size, deadline_ns=deadline)
-        except Busy:
-            if measured:
-                self.busy_rejections += 1
-            return
-        except DeadlineExceeded:
-            if measured:
-                self.deadline_failures += 1
-            return
-        except (IoError, ChecksumError):
-            if measured:
-                self.io_errors += 1
-            return
-        if not measured:
-            return
-        latency = self.env.now - start
+        return self._fire(offset, self.io_size, is_read, measured, self.deadline_ns)
+
+    def _completed(self, is_read: bool, nbytes: int, latency_ns: int) -> None:
         self.ops_completed += 1
-        self._throughput_bytes += self.io_size
-        (self.reads if is_read else self.writes).record(latency)
-        if self.deadline_ns is None or latency <= self.deadline_ns:
+        self._throughput_bytes += nbytes
+        (self.reads if is_read else self.writes).record(latency_ns)
+        if self.deadline_ns is None or latency_ns <= self.deadline_ns:
             self.ops_good += 1
-            self._good_bytes += self.io_size
+            self._good_bytes += nbytes
         else:
             self.late_completions += 1
 
@@ -245,9 +199,12 @@ class OpenLoopWorkload:
     def open_window(self) -> None:
         """Zero every counter and begin attributing arrivals to a window."""
         self._measuring = True
+        self._zero()
+
+    def _zero(self) -> None:
         self.ops_offered = self.ops_completed = self.ops_good = 0
-        self.busy_rejections = self.deadline_failures = 0
-        self.io_errors = self.late_completions = 0
+        self._zero_rejects()
+        self.late_completions = 0
         self._offered_bytes = self._throughput_bytes = self._good_bytes = 0
         self.reads = LatencyRecorder()
         self.writes = LatencyRecorder()

@@ -32,6 +32,13 @@ from repro.workloads.window import run_windows
 
 MB = 1_000_000
 
+#: the :class:`TenantSpec` fields that are :class:`OpenLoopWorkload`
+#: arguments of the same name
+_STREAM_FIELDS = (
+    "io_size", "rate_iops", "read_fraction", "deadline_ns", "arrival", "burst_factor",
+    "burst_period_ns", "burst_duty", "diurnal_period_ns", "diurnal_amplitude",
+)
+
 
 @dataclass
 class TenantSpec:
@@ -118,19 +125,8 @@ class MultiTenantWorkload:
             )
             self.volumes[spec.name] = volume
             self.streams[spec.name] = OpenLoopWorkload(
-                volume,
-                spec.io_size,
-                rate_iops=spec.rate_iops,
-                read_fraction=spec.read_fraction,
-                capacity=spec.volume_bytes,
-                seed=spec.resolved_seed(),
-                deadline_ns=spec.deadline_ns,
-                arrival=spec.arrival,
-                burst_factor=spec.burst_factor,
-                burst_period_ns=spec.burst_period_ns,
-                burst_duty=spec.burst_duty,
-                diurnal_period_ns=spec.diurnal_period_ns,
-                diurnal_amplitude=spec.diurnal_amplitude,
+                volume, capacity=spec.volume_bytes, seed=spec.resolved_seed(),
+                **{field: getattr(spec, field) for field in _STREAM_FIELDS},
             )
 
     def run(

@@ -6,6 +6,10 @@ whether or not earlier I/O finished.  :class:`TraceWorkload` replays a
 block trace with its original timing, which is how latency under burst
 (and GC interference, and degraded-state brownouts) is evaluated.
 
+Each record is issued at its own size through the open loop's path,
+:class:`~repro.workloads.issue.FireAndForget`: a typed reject is counted
+and the record dropped, never retried.
+
 Traces are lists of :class:`TraceRecord`; helpers build synthetic traces
 (Poisson-ish steady load, on/off bursts, sequential scans) and parse/emit
 a simple CSV format (``timestamp_ns,op,offset,nbytes``) compatible with
@@ -20,6 +24,7 @@ from typing import Iterable, List, TextIO
 
 from repro.metrics.latency import LatencyRecorder, LatencySummary
 from repro.sim.core import AllOf, Environment, Event
+from repro.workloads.issue import FireAndForget
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,7 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class TraceResult:
+    #: I/Os that succeeded
     completed: int
     latency: LatencySummary
     makespan_ns: int
@@ -47,7 +53,7 @@ class TraceResult:
     peak_inflight: int
 
 
-class TraceWorkload:
+class TraceWorkload(FireAndForget):
     """Open-loop trace replay against a block device/array."""
 
     def __init__(self, array, records: Iterable[TraceRecord]) -> None:
@@ -55,18 +61,17 @@ class TraceWorkload:
         self.env: Environment = array.env
         self.records = sorted(records, key=lambda r: r.timestamp_ns)
         self.latencies = LatencyRecorder()
-        self._inflight = 0
-        self._peak = 0
+        self._zero_rejects()
 
     def run(self) -> TraceResult:
-        """Replay the whole trace; returns once every I/O completed."""
+        """Replay the whole trace; returns once every I/O has ended."""
         done = self.env.process(self._replay(), name="trace")
         self.env.run(until=done)
         return TraceResult(
             completed=len(self.latencies),
             latency=self.latencies.summarize(),
             makespan_ns=self.env.now,
-            peak_inflight=self._peak,
+            peak_inflight=self.peak_inflight,
         )
 
     def _replay(self):
@@ -76,19 +81,13 @@ class TraceWorkload:
             submit_at = base + record.timestamp_ns
             if submit_at > self.env.now:
                 yield self.env.timeout(submit_at - self.env.now)
-            completions.append(self.env.process(self._one(record)))
+            completions.append(self.env.process(self._fire(
+                record.offset, record.nbytes, record.op == "read", True
+            )))
         yield AllOf(self.env, completions)
 
-    def _one(self, record: TraceRecord):
-        self._inflight += 1
-        self._peak = max(self._peak, self._inflight)
-        start = self.env.now
-        if record.op == "read":
-            yield self.array.read(record.offset, record.nbytes)
-        else:
-            yield self.array.write(record.offset, record.nbytes)
-        self.latencies.record(self.env.now - start)
-        self._inflight -= 1
+    def _completed(self, is_read: bool, nbytes: int, latency_ns: int) -> None:
+        self.latencies.record(latency_ns)
 
 
 # -- synthetic trace builders ---------------------------------------------------

@@ -15,6 +15,9 @@ D          95% read /  5% insert    latest        yes
 E          scan-heavy               —             no (needs scans)
 F          50% read / 50% RMW       zipfian       yes
 =========  =======================  ============  ==============
+
+Each client is a :class:`~repro.workloads.issue.ClosedLoop`, as each of
+FIO's workers is.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.metrics.latency import LatencyRecorder, LatencySummary
-from repro.sim.core import Event
 from repro.workloads.generators import LatestGenerator, UniformGenerator, ZipfianGenerator
-from repro.workloads.window import run_windows
+from repro.workloads.issue import ClosedLoop
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class YcsbResult:
     measured_ns: int
 
 
-class YcsbWorkload:
+class YcsbWorkload(ClosedLoop):
     """Closed-loop YCSB client pool against a KV store."""
 
     def __init__(
@@ -85,6 +87,7 @@ class YcsbWorkload:
         seed: int = 7,
         uniform: bool = False,
     ) -> None:
+        ClosedLoop.__init__(self, seed, clients, f"ycsb-{spec.name}")
         self.store = store
         self.env = store.env
         self.spec = spec
@@ -101,7 +104,6 @@ class YcsbWorkload:
         self.num_keys = num_keys
         self.latencies = LatencyRecorder()
         self._measuring = False
-        self._ops = 0
 
     def _pick_op(self) -> str:
         r = self._rng.random()
@@ -116,66 +118,42 @@ class YcsbWorkload:
             return "rmw"
         return "scan"
 
-    def _client(self, stop_event):
-        while not stop_event.triggered:
-            op = self._pick_op()
-            start = self.env.now
-            if op == "read":
-                key = self._keys.next() % self.num_keys
-                yield self.store.get(key)
-            elif op == "update":
-                key = self._keys.next() % self.num_keys
-                yield self.store.put(key)
-            elif op == "insert":
-                if isinstance(self._keys, LatestGenerator):
-                    key = self._keys.record_insert() % self.num_keys
-                else:
-                    key = self._keys.next() % self.num_keys
-                yield self.store.put(key)
-            elif op == "rmw":  # read-modify-write
-                key = self._keys.next() % self.num_keys
-                yield self.store.get(key)
-                yield self.store.put(key)
-            else:  # range scan (YCSB-E)
-                key = self._keys.next() % self.num_keys
-                length = self._rng.randint(1, self.spec.max_scan_length)
-                yield self.store.scan(key, length)
-            if self._measuring:
-                self.latencies.record(self.env.now - start)
-                self._ops += 1
+    def _op(self):
+        op = self._pick_op()
+        start = self.env.now
+        if op == "insert" and isinstance(self._keys, LatestGenerator):
+            key = self._keys.record_insert() % self.num_keys
+        else:
+            key = self._keys.next() % self.num_keys
+        if op == "read":
+            yield self.store.get(key)
+        elif op in ("update", "insert"):
+            yield self.store.put(key)
+        elif op == "rmw":  # read-modify-write
+            yield self.store.get(key)
+            yield self.store.put(key)
+        else:  # range scan (YCSB-E)
+            yield self.store.scan(key, self._rng.randint(1, self.spec.max_scan_length))
+        if self._measuring:
+            self.latencies.record(self.env.now - start)
 
     # -- measurement window (repro.workloads.window) ----------------------
-
-    def start(self) -> Event:
-        """Spawn ``clients`` client loops; returns the stop event ending them."""
-        stop = self.env.event()
-        for _ in range(self.clients):
-            self.env.process(self._client(stop), name=f"ycsb-{self.spec.name}")
-        return stop
 
     def open_window(self) -> None:
         """Zero the window's operations and start counting completions."""
         self._measuring = True
-        self._ops = 0
         self.latencies = LatencyRecorder()
 
     def close_window(self) -> None:
         """Stop counting completions."""
         self._measuring = False
 
-    def settle_ns(self, measure_ns: int) -> int:
-        """A closed loop's window is final at its close: no settle."""
-        return 0
-
     def snapshot(self, measure_ns: int) -> YcsbResult:
         """The window's throughput and latency over ``measure_ns``."""
+        ops = len(self.latencies)
         return YcsbResult(
-            kiops=self._ops * 1e9 / measure_ns / 1000,
+            kiops=ops * 1e9 / measure_ns / 1000,
             latency=self.latencies.summarize(),
-            ops_completed=self._ops,
+            ops_completed=ops,
             measured_ns=measure_ns,
         )
-
-    def run(self, warmup_ns: int = 2_000_000, measure_ns: int = 30_000_000) -> YcsbResult:
-        """Warm up, measure for ``measure_ns``, return windowed results."""
-        return run_windows([self], [measure_ns], warmup_ns)[0][0]

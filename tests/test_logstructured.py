@@ -205,3 +205,30 @@ class TestFastWrites:
         env.run(until=env.process(proc()))
         assert array.stats.rmw_writes == 0
         assert array.stats.full_stripe_writes >= 2
+
+
+def test_log_raid_enters_through_the_admission_gate():
+    """Log-RAID's staged writes take the frame's admission gate, as every
+    other controller's writes do: with a bound of one, three of four
+    concurrent 4 KiB writes are fast-rejected with ``Busy``."""
+    from repro import build_testbed
+    from repro.nvmeof.messages import IoError
+    from repro.qos import OverloadConfig
+
+    env, _cluster, array = build_testbed(
+        "Log-RAID", servers=5, chunk_bytes=CHUNK,
+        config=ClusterConfig(num_servers=5, overload=OverloadConfig(admission_depth=1)),
+    )
+    outcomes = []
+
+    def writer(offset):
+        try:
+            yield array.write(offset, 4 * KB)
+            outcomes.append("ok")
+        except IoError as exc:
+            outcomes.append(type(exc).__name__)
+
+    for i in range(4):
+        env.process(writer(i * CHUNK))
+    env.run()
+    assert sorted(outcomes) == ["Busy", "Busy", "Busy", "ok"]

@@ -235,3 +235,29 @@ class TestMemberTable:
             stats = controller.integrity_stats
             assert (stats.total_detected, stats.total_repaired) == (episode, episode)
 
+
+def test_host_sees_the_controllers_busy():
+    """The proxy is an NVMe-oF initiator: a ``Busy`` the offloaded
+    controller's admission gate raises crosses the wire as the completion's
+    status and reaches the host typed, so a closed loop backs off on it."""
+    from repro.nvmeof.messages import IoError
+    from repro.qos import OverloadConfig
+
+    env = Environment()
+    cluster = build_cluster(
+        env, ClusterConfig(num_servers=6, overload=OverloadConfig(admission_depth=1))
+    )
+    array = OffloadedDraidArray(cluster, RaidGeometry(RaidLevel.RAID5, 5, CHUNK))
+    outcomes = []
+
+    def writer(offset):
+        try:
+            yield array.write(offset, 4 * KB)
+            outcomes.append("ok")
+        except IoError as exc:
+            outcomes.append(type(exc).__name__)
+
+    for i in range(4):
+        env.process(writer(i * CHUNK))
+    env.run()
+    assert sorted(outcomes) == ["Busy", "Busy", "Busy", "ok"]

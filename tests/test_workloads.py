@@ -316,3 +316,38 @@ def test_closed_loop_survives_a_fast_reject(probe):
     assert now == 100_000 + 1_000_000 + 1  # warm-up, window, stop
     assert busy > 0
     assert io_errors == 0
+
+
+@pytest.mark.parametrize("kind", ["fio", "ycsb", "openloop", "trace"])
+def test_every_generator_survives_a_typed_reject(kind):
+    """One outcome rule: against an admission gate of 8 at a concurrency
+    of 16, every generator's ``run`` returns and counts the rejects; none
+    lets a ``Busy`` out of ``run``."""
+    from repro import build_testbed
+    from repro.apps.objectstore import HashObjectStore
+    from repro.qos import OverloadConfig
+    from repro.workloads.trace import TraceRecord, TraceWorkload
+
+    env, _cluster, array = build_testbed(
+        "dRAID", config=ClusterConfig(overload=OverloadConfig(admission_depth=8))
+    )
+    if kind == "trace":
+        replay = TraceWorkload(
+            array, [TraceRecord(0, "read", i * 4 * KB, 4 * KB) for i in range(16)]
+        )
+        result = replay.run()
+        assert replay.busy_rejections == 8
+        assert result.completed == 8 and result.peak_inflight == 16
+        return
+    if kind == "fio":
+        generator = FioWorkload(array, 4 * KB, read_fraction=0.5, queue_depth=16)
+    elif kind == "ycsb":
+        store = HashObjectStore(array, object_size=4 * KB, num_objects=1000)
+        generator = YcsbWorkload(store, YCSB_WORKLOADS["A"], num_keys=1000, clients=16)
+    else:
+        generator = OpenLoopWorkload(array, 4 * KB, rate_iops=400_000, read_fraction=0.5)
+    result = generator.run(warmup_ns=100_000, measure_ns=1_000_000)
+    assert generator.busy_rejections > 0
+    assert generator.io_errors == 0
+    assert result.ops_completed > 0
+    assert env.now >= 1_100_000
