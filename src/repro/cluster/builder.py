@@ -259,7 +259,7 @@ def build_cluster(env: Environment, config: Optional[ClusterConfig] = None) -> C
     if config.verify is not None:
         from repro.verify import Verifier
 
-        cluster.verify = Verifier(cluster, config.verify)
+        cluster.verify = Verifier(cluster)
     if config.overload is not None:
         from repro.qos.control import QosControl
 

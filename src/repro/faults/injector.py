@@ -43,6 +43,12 @@ from repro.faults.plan import FaultPlan
 from repro.nvmeof.messages import IoError
 from repro.raid.rebuild import RebuildJob
 from repro.sim.core import Environment, Event
+from repro.storage.drive import DriveFailedError
+from repro.storage.integrity import ChecksumError
+
+#: What a rebuild raises when a newer fault cuts it short; anything else —
+#: an invariant violation, a kernel error — propagates.
+REBUILD_ERRORS = (IoError, ChecksumError, DriveFailedError)
 
 
 class FaultInjector:
@@ -213,7 +219,7 @@ class FaultInjector:
                 try:
                     yield orchestrator.request_rebuild(member)
                     self.rebuilds += 1
-                except (IoError, RuntimeError):
+                except REBUILD_ERRORS:
                     self.rebuild_failures += 1
                 return
             num_stripes = self._num_stripes
@@ -226,7 +232,7 @@ class FaultInjector:
             try:
                 yield job.start()
                 self.rebuilds += 1
-            except (IoError, RuntimeError):
+            except REBUILD_ERRORS:
                 # rebuild interrupted by a newer fault; a later heal (or the
                 # harness's recovery pass) will retry
                 self.rebuild_failures += 1

@@ -35,15 +35,6 @@ class FaultStats:
     def record_injected(self, kind: str) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
 
-    def reset(self) -> None:
-        self.retries = 0
-        self.timeouts = 0
-        self.degraded_transitions = 0
-        self.fail_slow_ejections = 0
-        self.prolonged_failures = 0
-        self.io_errors = 0
-        self.injected.clear()
-
     def summary(self) -> str:
         """Deterministic one-line rendering (chaos golden files diff this)."""
         fields = [

@@ -74,17 +74,6 @@ class IntegrityStats:
             return 0
         return sum(self.detection_latencies_ns) // len(self.detection_latencies_ns)
 
-    def reset(self) -> None:
-        self.chunks_verified = 0
-        self.read_repairs = 0
-        self.write_repairs = 0
-        self.scrub_repairs = 0
-        self.parity_rewrites = 0
-        self.detected.clear()
-        self.repaired.clear()
-        self.unrecoverable_kinds.clear()
-        self.detection_latencies_ns.clear()
-
     def summary(self) -> str:
         """Deterministic one-line rendering (integrity goldens diff this)."""
         return " ".join(

@@ -17,7 +17,9 @@ on the *instance* (``timeout`` makes every timer, ``_hold`` every hold,
 ``_flush_held`` a hold's entry, ``_schedule`` every other entry) — so an
 unarmed environment runs the stock kernel, not one instruction more.  An
 armed run creates the same entries in the same order as an unarmed one;
-only slower (a stack walk per entry and per hold).
+only slower (a stack walk per entry and per hold).  Both instruments watch
+the same kernel, so a census counts a sanitized run as it counts a plain
+one.
 
 ``python -m repro.sim.census <system> [--io-size N --read-share X]`` prints
 the table for one :func:`repro.experiments.common.fio_point`.
@@ -43,7 +45,7 @@ FLUSH_REASONS = (
     "other tick",     # the run loop found an id handed out after it
     "not quiescent",  # the run loop found something else due at `now`
     "second hold",    # another zero-delay event was made first
-    "calendar read",  # _quiescent() (gather, a delivery), peek or arming read it first
+    "calendar read",  # _quiescent() (gather, a delivery) or peek read it first
 )
 
 
@@ -92,8 +94,6 @@ class Census:
     """Arms ``env`` (before it runs) and counts until read."""
 
     def __init__(self, env: Environment) -> None:
-        if not env._fast:
-            raise ValueError("a census measures the fast path; a sanitizer is armed")
         self.env = env
         #: (class, creating site) -> calendar entries
         self.entries: Counter = Counter()
@@ -142,10 +142,10 @@ class Census:
             self._weigh()
         return timer
 
-    def _counting_schedule(self, event: Event, delay: int = 0) -> None:
+    def _counting_schedule(self, event: Event) -> None:
         if not event._scheduled:  # (else no entry is made)
             self._note(event, sys._getframe(1))
-        self._schedule(event, delay)
+        self._schedule(event)
         self._weigh()
 
     def _counting_hold(self, event: Event) -> None:

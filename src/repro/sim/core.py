@@ -48,7 +48,7 @@ back: ``env._eid`` counts calendar entries, exactly.  Otherwise the held
 event is pushed into its own slot, ``(now, its id)``, and popped like any
 other entry.  Whatever reads the calendar before the loop does flushes the
 hold the same way: a second hold, :meth:`Environment._quiescent`,
-:meth:`Environment.peek`, arming a sanitizer.  Nobody promises anything,
+:meth:`Environment.peek`.  Nobody promises anything,
 sites that only hand out an id (failures, grants, timers) need not know a
 hold exists, and a chain of zero-time steps is driven by the loop, one
 step per iteration, not by recursion.  ``run(until=event)`` drains the
@@ -71,10 +71,11 @@ head is later than ``now``.
   cost ``fio_small_mixed`` 4.5 % of ``host_us_per_op`` (300 → 314 µs/op,
   5 of 5 interleaved pairs), for the same entries.
 
-Arming a :class:`repro.verify.kernel.KernelSanitizer` sets
-``env._fast = False`` and flushes the hold: the kernel degrades to the
-pure-heap path — every hold is flushed as it is made, nothing is handed
-off — and the sanitizer's rebound ``run`` sees every single event.
+``env._fast`` cleared before anything is scheduled is the pure-heap
+oracle the tests compare these paths against: every hold is flushed as it
+is made and nothing is handed off.  Nothing else clears it: an armed
+:class:`repro.verify.kernel.KernelSanitizer` wraps this ``run`` and checks
+after it, so a sanitized run takes every fast path an unarmed one takes.
 """
 
 from __future__ import annotations
@@ -419,8 +420,8 @@ class Environment:
         self._queue: List = []
         self._eid = 0
         self._active_process: Optional[Process] = None
-        #: False once a sanitizer arms this environment: every hold is
-        #: flushed as it is made and nothing is handed off.
+        #: False only in the tests' pure-heap oracle: every hold is flushed
+        #: as it is made and nothing is handed off.
         self._fast = True
         #: True while the callback now running is not its event's last (or
         #: a ``gather`` child is not the last): ``_quiescent()`` is False.
@@ -525,11 +526,6 @@ class Environment:
             held._scheduled = True
         heapq.heappush(self._queue, (self.now, self._held_eid, held))
 
-    def _flush(self) -> None:
-        """The held event, if any: ``peek``, arming a sanitizer."""
-        if self._held is not None:
-            self._flush_held()
-
     def _quiescent(self) -> bool:
         """Would pure-heap order dispatch a zero-delay event created right
         now *next*, with nothing in between, if the running callback made it
@@ -560,14 +556,15 @@ class Environment:
             self._more = False
         callbacks[-1](event)
 
-    def _schedule(self, event: Event, delay: int = 0) -> None:
-        """Give ``event`` its calendar entry: failures, interrupts and
-        resource grants — every entry that is neither a timer nor a hold."""
+    def _schedule(self, event: Event) -> None:
+        """Give ``event`` its calendar entry at ``now``: failures, interrupts
+        and resource grants — every entry that is neither a timer nor a
+        hold."""
         if event._scheduled:
             return
         event._scheduled = True
         self._eid += 1
-        heapq.heappush(self._queue, (self.now + delay, self._eid, event))
+        heapq.heappush(self._queue, (self.now, self._eid, event))
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -642,5 +639,6 @@ class Environment:
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the calendar is empty."""
-        self._flush()
+        if self._held is not None:
+            self._flush_held()
         return self._queue[0][0] if self._queue else None

@@ -11,8 +11,8 @@ Three cooperating pieces:
   kernel (:mod:`repro.sim.core`), the counted resources
   (:mod:`repro.sim.resources`) and the stripe-lock manager
   (:mod:`repro.raid.locks`): deadlock detection with a wait graph,
-  lock-order inversions, double releases, leaked holds, and events
-  dispatched in the past.
+  lock-order inversions, double releases and leaked holds, checked
+  around the stock run loop.
 * :class:`~repro.verify.protocol.ProtocolChecker` — validates the §4
   dRAID message exchange (and the plain NVMe-oF completion stream)
   against per-request state machines: no parity acknowledgment before
@@ -31,6 +31,8 @@ that cluster wires itself up.  A violated invariant raises
 :class:`InvariantViolation`, a structured exception carrying the invariant
 name, the simulated time, the command id and the trace span of the
 offending request (when observability is armed too).
+:meth:`Verifier.check_quiescent` raises again the first violation a caller
+caught and swallowed.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class InvariantViolation(RuntimeError):
 
     * ``invariant`` — stable kebab-case name (``"deadlock"``,
       ``"lock-order-inversion"``, ``"double-release"``, ``"leaked-hold"``,
-      ``"past-event"``, ``"time-travel"``, ``"cid-reuse"``,
+      ``"cid-reuse"``,
       ``"duplicate-completion"``, ``"premature-parity-completion"``,
       ``"premature-recon-completion"``, ``"fencing-beyond-parity"``).
     * ``detail`` — human-readable description of the offending state.
@@ -111,17 +113,10 @@ class Checker:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """What to arm when ``ClusterConfig.verify`` is set.
-
-    The defaults arm everything; both flags exist so a test can isolate
-    one layer (e.g. protocol checking without the kernel's rebound run
-    loop).
-    """
-
-    #: kernel sanitizer: deadlock / lock order / leaked holds / past events
-    kernel: bool = True
-    #: per-request §4 / NVMe-oF protocol state machines
-    protocol: bool = True
+    """Set ``ClusterConfig.verify`` to one to arm both checkers: the kernel
+    sanitizer and the per-request protocol state machines.  It has no
+    settings — the sanitizer watches the stock kernel, so there is no
+    layer to leave out."""
 
 
 class Verifier:
@@ -132,48 +127,35 @@ class Verifier:
     instrumentation site short-circuits on the attribute being None.
     """
 
-    def __init__(self, cluster, config: VerifyConfig) -> None:
+    def __init__(self, cluster) -> None:
         from repro.verify.kernel import KernelSanitizer
         from repro.verify.protocol import ProtocolChecker
 
         self.cluster = cluster
-        self.config = config
-        self.kernel: Optional[KernelSanitizer] = (
-            KernelSanitizer(cluster.env) if config.kernel else None
-        )
-        self.protocol: Optional[ProtocolChecker] = (
-            ProtocolChecker(cluster.env) if config.protocol else None
-        )
+        self.kernel = KernelSanitizer(cluster.env)
+        self.protocol = ProtocolChecker(cluster.env)
 
     @property
     def violations(self) -> List[InvariantViolation]:
         """Every violation either checker has recorded (raised or not)."""
-        out: List[InvariantViolation] = []
-        if self.kernel is not None:
-            out.extend(self.kernel.violations)
-        if self.protocol is not None:
-            out.extend(self.protocol.violations)
-        return out
+        return self.kernel.violations + self.protocol.violations
 
     def watch_array(self, array) -> None:
         """Wire a RAID controller's lock manager into the kernel sanitizer.
 
         Called from ``RaidArray.__init__`` on verify-armed clusters.
         """
-        if self.kernel is not None:
-            self.kernel.watch_locks(array.locks)
+        self.kernel.watch_locks(array.locks)
 
     def check_fence(self, array) -> None:
         """Invariant: fencing never exceeds the code's fault tolerance."""
-        if self.protocol is not None:
-            self.protocol.check_fence(array)
-
-    def check_leaks(self) -> None:
-        """Assert no lock/slot is still held by a terminated process."""
-        if self.kernel is not None:
-            self.kernel.check_leaks()
+        self.protocol.check_fence(array)
 
     def check_quiescent(self) -> None:
-        """Assert every watched lock and resource is fully released."""
-        if self.kernel is not None:
-            self.kernel.check_quiescent()
+        """Raise the first recorded violation — one a caller caught and
+        swallowed included — then assert every watched lock and resource
+        is fully released."""
+        violations = self.violations
+        if violations:
+            raise violations[0]
+        self.kernel.check_quiescent()

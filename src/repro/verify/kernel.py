@@ -1,17 +1,14 @@
-"""Kernel sanitizer: event-loop and locking invariants.
+"""Kernel sanitizer: locking and resource invariants around the stock loop.
 
 :class:`KernelSanitizer` attaches to one :class:`repro.sim.core.Environment`
-and rebinds ``env.run`` / ``env._schedule`` as *instance* attributes, so
-unarmed environments keep the exact inlined hot loops of PR 1 while armed
-environments pay for per-event checks.  The rebound loop dispatches events
-in precisely the same order as the stock loop — an armed run produces the
-same simulated outcome (``FioResult`` equality is acceptance-tested), it
-just watches the kernel while doing so.
+and wraps its ``run`` as an *instance* attribute: the stock loop runs —
+holds, handoffs and ``gather`` fast paths included — and the starvation and
+drain checks run after it returns.  An armed run dispatches exactly what an
+unarmed one does (``FioResult`` equality is acceptance-tested); the lock and
+resource hooks watch it as it goes.
 
 Checked invariants:
 
-* **time-travel / past-event** — no event is scheduled with a negative
-  delay or dispatched at a timestamp before ``env.now``.
 * **deadlock** — when the calendar drains (or ``run(until=event)`` starves)
   while some process still waits on a *held* stripe lock or a saturated
   capacity resource, the sanitizer raises with the full wait graph.
@@ -22,16 +19,15 @@ Checked invariants:
   already established raises before the schedule can actually deadlock.
 * **double-release** — releasing a stripe that is not held.
 * **leaked holds** — a stripe lock or resource slot still held by a
-  process that has terminated (the cancel-path bug class fixed in this
-  PR: waiters interrupted between grant and resume).
+  process that has terminated (waiters interrupted between grant and
+  resume).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Dict, List, Set, Tuple
 
-from repro.sim.core import Environment, Event, SimulationError, Timeout
+from repro.sim.core import Environment, Event, SimulationError
 from repro.verify import Checker
 
 
@@ -51,82 +47,23 @@ class KernelSanitizer(Checker):
         self._order: Dict[int, Dict[int, Set[int]]] = {}
         #: per resource id: list of holder Processes (None for non-process)
         self._res_holders: Dict[int, List[Any]] = {}
-        self.events_checked = 0
-        # Degrade the kernel to the pure-heap path: nothing is held or
-        # handed off, every event flows through the heap and our _dispatch
-        # sees it.  A held event goes in under the id it already took.
-        env._fast = False
-        env._flush()
-        # Rebind the hot entry points on the *instance* — unarmed
-        # environments never see these attributes and keep the class-level
-        # inlined loops.
-        self._orig_schedule = env._schedule
-        env._schedule = self._schedule
+        # on the instance: unarmed environments keep the class's loop
         env.run = self._run
-        env.sanitizer = self
-
-    # -- event-loop hooks ---------------------------------------------------
-
-    def _schedule(self, event: Event, delay: int = 0) -> None:
-        if delay < 0:
-            self._violate(
-                "past-event",
-                f"{event!r} scheduled {-delay} ns in the past (t={self.env.now})",
-            )
-        self._orig_schedule(event, delay)
-
-    def _dispatch(self, item) -> None:
-        env = self.env
-        time, _, event = item
-        if time < env.now:
-            self._violate(
-                "time-travel",
-                f"{event!r} stamped t={time} dispatched after the clock "
-                f"already reached t={env.now}",
-            )
-        self.events_checked += 1
-        env.now = time
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if event._ok is False and not event._defused:
-            raise event._value
 
     def _run(self, until: Any = None) -> Any:
-        """Sanitized replica of :meth:`Environment.run` (same semantics,
-        same dispatch order, plus per-event checks and starvation probes)."""
+        """:meth:`Environment.run`, then the starvation and drain checks."""
         env = self.env
-        queue = env._queue
-        pop = heapq.heappop
-        if until.__class__ is Timeout and until.callbacks is not None:
-            # an undispatched timer is the horizon it denotes, as in the kernel
-            until = until._time
-        if isinstance(until, Event):
-            stop_event = until
-            while queue and stop_event._ok is None:
-                self._dispatch(pop(queue))
-            if stop_event._ok is None:
-                self._deadlock_check(f"ran out of events before {stop_event!r}")
-                raise SimulationError(
-                    f"simulation ran out of events before {stop_event!r} triggered"
-                )
-            if not stop_event._ok:
-                stop_event._defused = True
-                raise stop_event._value
-            return stop_event._value
-        if until is not None:
-            horizon = int(until)
-            if horizon < env.now:
-                raise ValueError(f"until={horizon} is in the past (now={env.now})")
-            while queue and queue[0][0] <= horizon:
-                self._dispatch(pop(queue))
-            env.now = horizon
-            return None
-        while queue:
-            self._dispatch(pop(queue))
-        self._deadlock_check("event calendar drained")
-        self.check_leaks()
-        return None
+        try:
+            result = Environment.run(env, until)
+        except SimulationError:
+            # starved: ``until`` is pending and nothing is left to dispatch
+            if isinstance(until, Event) and until._ok is None and not env._queue:
+                self._deadlock_check(f"ran out of events before {until!r}")
+            raise
+        if until is None:
+            self._deadlock_check("event calendar drained")
+            self.check_leaks()
+        return result
 
     # -- lock hooks (called by StripeLockManager when armed) ---------------
 

@@ -6,8 +6,9 @@ when it is the next dispatch anyway; ``gather`` and a delivery to an idle
 consumer skip even the hold.  The claim is that nothing but the event-id
 counter can tell: every consumer call, handler step and completion happens
 at the same simulated time and in the same order as on the pure-heap
-kernel (``env._fast = False``, what ``KernelSanitizer`` arms), which never
-hands off.
+kernel (``env._fast = False``, the oracle only these tests set), which
+never hands off.  An armed ``KernelSanitizer`` wraps the stock loop, so it
+holds and hands off exactly as an unarmed run does.
 
 The networks here are built from the real pieces — ``Fabric`` loopback
 connections whose delivery delay is driven through ``jitter_ns_fn``,
@@ -1125,34 +1126,47 @@ def test_held_process_whose_creator_raises_still_starts(fast):
     assert net.trace[-1] == (1, "child:end")
 
 
-def test_armed_sanitizer_never_holds_an_event():
+def test_armed_sanitizer_holds_and_hands_off_as_unarmed():
     from repro.verify.kernel import KernelSanitizer
 
-    env = Environment()
-    KernelSanitizer(env)
-    seen = []
+    def program(armed):
+        env = Environment()
+        if armed:
+            KernelSanitizer(env)
+        seen = []
 
-    def child():
-        yield env.timeout(1)
+        def child():
+            seen.append(("first step", env.now, env._eid))
+            yield env.timeout(1)
 
-    def parent():
-        proc = env.process(child())
-        wake = env.event()
-        wake.succeed()
-        seen.append(env._held)
-        yield proc
-        yield wake
-        zero = env.timeout(0)
-        seen.append(env._held)
-        yield zero
-        tick = env.timeout(2)
-        env.process(child())  # a fork
-        seen.append(env._held)
-        yield tick
+        def parent():
+            proc = env.process(child())
+            wake = env.event()
+            wake.succeed()
+            seen.append(type(env._held).__name__)
+            yield proc
+            yield wake
+            zero = env.timeout(0)
+            seen.append(type(env._held).__name__)
+            yield zero
+            tick = env.timeout(2)
+            env.process(child())  # a fork
+            seen.append(type(env._held).__name__)
+            yield tick
+            yield env.gather([child(), child()])  # first steps run in place
 
-    env.process(parent())
-    env.run()
-    assert seen == [None] * 3 and env._eid == 11  # every one on the calendar
+        env.process(parent())
+        env.run()
+        return seen, env._eid
+
+    unarmed = program(armed=False)
+    assert program(armed=True) == unarmed
+    # held, not on the calendar; the gather children's first steps take no
+    # id in between (the pure-heap kernel ends at 18)
+    assert unarmed == ([
+        "Event", ("first step", 0, 2), "Timeout", "Process",
+        ("first step", 1, 4), ("first step", 3, 5), ("first step", 3, 6),
+    ], 9)
 
 
 # -- forks and zero-delay wakes ---------------------------------------------------

@@ -3,8 +3,7 @@
 Three groups:
 
 * kernel-sanitizer unit tests driving the invariants directly
-  (deadlock, lock-order inversion, double release, leaked holds,
-  past events);
+  (deadlock, lock-order inversion, double release, leaked holds);
 * seeded-bug integration tests: deliberately broken controllers
   (monkeypatched duplicate acks, lost parity folds, over-fencing) must
   each raise :class:`InvariantViolation` naming the right invariant;
@@ -29,12 +28,6 @@ def armed_env():
 
 
 class TestKernelSanitizer:
-    def test_past_event_scheduling(self):
-        env, sanitizer = armed_env()
-        with pytest.raises(InvariantViolation) as exc:
-            env._schedule(env.event(), delay=-5)
-        assert exc.value.invariant == "past-event"
-
     def test_timer_until_runs_to_its_horizon(self):
         """An undispatched ``Timeout`` passed as ``until`` is the horizon it
         denotes, armed or not (``Environment.run``'s rule)."""
@@ -300,6 +293,32 @@ class TestSeededBugs:
             checker.on_register(99, {"write": 2}, [0, 1])
         assert exc.value.invariant == "cid-reuse"
 
+    def test_violation_in_a_heal_driven_rebuild_is_not_swallowed(self, monkeypatch):
+        """A check that fires inside the rebuild a ``DriveHeal`` starts
+        reaches the caller by the time ``check_quiescent()`` returns."""
+        from repro.draid.host import DraidArray
+        from repro.faults.events import DriveHeal
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan
+
+        env, cluster, array = build_armed_draid()
+        array.fail_drive(1)
+        orig = DraidArray._register
+
+        def register_twice(self, cid, expected, participants=(), **kwargs):
+            waiter = orig(self, cid, expected, participants, **kwargs)
+            self._protocol_verifier.on_register(cid, expected, participants)  # the bug
+            return waiter
+
+        monkeypatch.setattr(DraidArray, "_register", register_twice)
+        injector = FaultInjector(
+            array, FaultPlan([DriveHeal(at_ns=1_000, server=1)]), num_stripes=8
+        )
+        with pytest.raises(InvariantViolation) as exc:
+            env.run(until=injector.drain())
+            cluster.verify.check_quiescent()
+        assert exc.value.invariant == "cid-reuse"
+
     def test_clean_workload_is_violation_free(self):
         env, cluster, array = build_armed_draid()
         payload = bytes(range(256)) * 16
@@ -433,34 +452,12 @@ class TestZeroInterference:
     def test_armed_fio_result_equals_unarmed(self, system):
         assert self.fio_result(system, VerifyConfig()) == self.fio_result(system, None)
 
-    @pytest.mark.parametrize("system", ["md", "spdk", "draid"])
-    @pytest.mark.parametrize(
-        "armed", [VerifyConfig(protocol=False), VerifyConfig(kernel=False)],
-        ids=["kernel-sanitizer", "protocol-checker"],
-    )
-    def test_each_checker_alone_equals_unarmed(self, system, armed):
-        """The kernel sanitizer runs the pure-heap kernel (nothing handed
-        off, nothing held); the protocol checker alone watches the fast
-        one.  Neither may move a simulated number."""
-        assert self.fio_result(system, armed) == self.fio_result(system, None)
-
     def test_verify_config_arms_hub(self):
         env = Environment()
         cluster = build_cluster(
             env, ClusterConfig(num_servers=4, verify=VerifyConfig())
         )
         assert isinstance(cluster.verify, Verifier)
-        assert cluster.verify.kernel is not None
-        assert cluster.verify.protocol is not None
+        assert isinstance(cluster.verify.kernel, KernelSanitizer)
         assert env.run.__self__ is cluster.verify.kernel
-
-    def test_partial_arming(self):
-        env = Environment()
-        cluster = build_cluster(
-            env,
-            ClusterConfig(
-                num_servers=4, verify=VerifyConfig(kernel=False, protocol=True)
-            ),
-        )
-        assert cluster.verify.kernel is None
-        assert cluster.verify.protocol is not None
+        assert env._fast  # the stock kernel, fast paths and all
