@@ -169,14 +169,26 @@ class BlobFs:
 
     def read(self, blob_id: int, offset: int, nbytes: int) -> Event:
         """Read a byte range of the blob."""
+        return self.env.process(self.read_body(blob_id, offset, nbytes), name="blobfs.read")
+
+    def read_body(self, blob_id: int, offset: int, nbytes: int):
+        """:meth:`read` as the generator its process runs, for a process
+        that awaits the read at once: ``yield from
+        env.call(fs.read_body(...))``."""
         blob = self._require(blob_id)
         if offset < 0 or nbytes <= 0 or offset + nbytes > blob.size:
             raise BlobFsError(
                 f"read [{offset}, {offset + nbytes}) out of range for blob of size {blob.size}"
             )
-        return self.env.process(self._read(blob, offset, nbytes), name="blobfs.read")
+        return self._read(blob, offset, nbytes)
 
     def _read(self, blob: Blob, offset: int, nbytes: int):
+        within = offset % self.cluster_bytes
+        if within + nbytes <= self.cluster_bytes:  # one cluster: in this process
+            cluster = blob.clusters[offset // self.cluster_bytes]
+            return (yield from self.env.call(
+                self.array.read_body(self._cluster_offset(cluster) + within, nbytes)
+            ))
         events: List[Event] = []
         position = offset
         remaining = nbytes

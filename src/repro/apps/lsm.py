@@ -291,7 +291,9 @@ class LsmKvStore:
                     return True
                 continue
             stats["sst_reads"] += 1
-            yield self.fs.read(sst.blob_id, block_index * cfg.block_bytes, cfg.block_bytes)
+            yield from self.env.call(
+                self.fs.read_body(sst.blob_id, block_index * cfg.block_bytes, cfg.block_bytes)
+            )
             if present:
                 return True
         return False

@@ -737,10 +737,22 @@ class RaidArray(ABC):
         ``priority`` selects the admission class (foreground vs
         background) when an admission bound is armed.
         """
-        body = self._read(
-            offset, nbytes, ctx=ctx, deadline_ns=self._qos_deadline(deadline_ns)
+        return self.env.process(
+            self.read_body(offset, nbytes, ctx, deadline_ns, priority),
+            name=self._read_name,
         )
-        return self._enter(body, priority, self._read_name)
+
+    def read_body(
+        self, offset: int, nbytes: int, ctx=None, deadline_ns=None,
+        priority: str = PRIORITY_FOREGROUND,
+    ):
+        """:meth:`read` as the generator its process runs, for a process
+        that awaits the read at once: ``yield from
+        env.call(array.read_body(...))``."""
+        return self._admit(
+            self._read(offset, nbytes, ctx=ctx, deadline_ns=self._qos_deadline(deadline_ns)),
+            priority,
+        )
 
     def read_unlocked(self, offset: int, nbytes: int) -> Event:
         """Read without taking stripe locks.
@@ -762,18 +774,31 @@ class RaidArray(ABC):
         this I/O are parented to (None = untraced).  ``deadline_ns`` and
         ``priority`` behave exactly as on :meth:`read`.
         """
-        body = self._write(
-            offset, nbytes, self._payload(data, nbytes), ctx=ctx,
-            deadline_ns=self._qos_deadline(deadline_ns),
+        return self.env.process(
+            self.write_body(offset, nbytes, data, ctx, deadline_ns, priority),
+            name=self._write_name,
         )
-        return self._enter(body, priority, self._write_name)
 
-    def _enter(self, body, priority: str, name: str) -> Event:
-        """Start a top-level I/O ``body`` through the admission gate, when
-        one is armed: the one entry every public read and write takes."""
+    def write_body(
+        self, offset: int, nbytes: int, data=None, ctx=None, deadline_ns=None,
+        priority: str = PRIORITY_FOREGROUND,
+    ):
+        """:meth:`write` as the generator its process runs (see
+        :meth:`read_body`)."""
+        return self._admit(
+            self._write(
+                offset, nbytes, self._payload(data, nbytes), ctx=ctx,
+                deadline_ns=self._qos_deadline(deadline_ns),
+            ),
+            priority,
+        )
+
+    def _admit(self, body, priority: str):
+        """A top-level I/O ``body`` through the admission gate, when one is
+        armed: the one entry every public read and write takes."""
         if self._admission is not None:
-            body = self._admitted(body, priority)
-        return self.env.process(body, name=name)
+            return self._admitted(body, priority)
+        return body
 
     def _payload(self, data, nbytes: int):
         """A write's ``data`` as a ``uint8`` array of ``nbytes`` (None in
@@ -812,12 +837,10 @@ class RaidArray(ABC):
         yield self._charge_submit(ctx)
         extents = self.geometry.map_extent(offset, nbytes)
         buffer = np.zeros(nbytes, dtype=np.uint8) if self.functional else None
-        yield self.env.gather(
-            self._read_extent(
-                ext, buffer, offset, take_locks, ctx, deadline_ns=deadline_ns
-            )
+        yield from self._fan_out([
+            self._read_extent(ext, buffer, offset, take_locks, ctx, deadline_ns=deadline_ns)
             for ext in extents
-        )
+        ])
         if self.integrity is not None:
             yield from self._verify_read(extents, buffer, offset, take_locks)
         self.stats.reads += 1
@@ -826,11 +849,18 @@ class RaidArray(ABC):
     def _write(self, offset: int, nbytes: int, data, ctx=None, deadline_ns=None):
         yield self._charge_submit(ctx)
         extents = self.geometry.map_extent(offset, nbytes)
-        yield self.env.gather(
-            self._write_extent(ext, data, ctx, deadline_ns=deadline_ns)
-            for ext in extents
-        )
+        yield from self._fan_out([
+            self._write_extent(ext, data, ctx, deadline_ns=deadline_ns) for ext in extents
+        ])
         self.stats.writes += 1
+
+    def _fan_out(self, bodies):
+        """Run one op's per-extent ``bodies`` at once: several through
+        ``gather``, a lone one in this process (``env.call``)."""
+        if len(bodies) == 1:
+            yield from self.env.call(bodies[0], fan_out=True)
+        else:
+            yield self.env.gather(bodies)
 
     def _write_extent(self, ext: StripeExtent, io_data, ctx=None, deadline_ns=None):
         """The write admission every datapath shares: mark the stripe in the

@@ -33,7 +33,7 @@ from repro.baselines.base import HostCentricRaid
 from repro.cluster.builder import Cluster
 from repro.qos.admission import PRIORITY_FOREGROUND
 from repro.raid.geometry import RaidGeometry
-from repro.sim.core import AllOf, Event
+from repro.sim.core import AllOf
 
 BLOCK = 4096
 
@@ -101,14 +101,16 @@ class LogStructuredRaid(HostCentricRaid):
 
     # -- public block interface ------------------------------------------------
 
-    def read(
+    def read_body(
         self, offset: int, nbytes: int, ctx=None, deadline_ns=None,
         priority: str = PRIORITY_FOREGROUND,
-    ) -> Event:
+    ):
         """Read through the remap table; like a write (whose body is
         :meth:`_write`), it enters through the frame's admission gate."""
-        body = self._remapped_read(offset, nbytes, self._qos_deadline(deadline_ns))
-        return self._enter(body, priority, self._read_name)
+        return self._admit(
+            self._remapped_read(offset, nbytes, self._qos_deadline(deadline_ns)),
+            priority,
+        )
 
     # -- write path: stage into NVRAM ------------------------------------------
 

@@ -37,6 +37,7 @@ from repro.draid.reconstruction import BandwidthAwareSelector, RandomReducerSele
 from repro.ec import LinearCode
 from repro.faults.backoff import attempt_timeout_ns
 from repro.nvmeof.messages import IoError, NvmeOfCommand, Opcode, next_cid
+from repro.qos.errors import Busy, DeadlineExceeded
 from repro.raid.geometry import RaidGeometry, StripeExtent
 from repro.raid.modes import WriteMode, WritePlan, split_segments
 from repro.sim.core import Event
@@ -253,6 +254,21 @@ class DraidArray(RaidArray):
                 # at tolerance: leave the member in (see :meth:`_fence`)
                 break
 
+    def _raise_typed_reject(self, *waiters: _OpWaiter) -> None:
+        """On an array that is not ``resilient``, fail the op at once with
+        the typed error a target answered one of ``waiters``' batches with —
+        a ``busy`` or ``deadline`` fast-reject (overload control) — as a
+        host-centric op fails; a resilient array retries it like any other
+        error."""
+        if self.resilient:
+            return
+        for waiter in waiters:
+            for comp in waiter.errors:
+                if comp.status == "busy":
+                    raise Busy(f"{self.name}: {comp.error}")
+                if comp.status == "deadline":
+                    raise DeadlineExceeded(f"{self.name}: {comp.error}")
+
     def _mark_prolonged_failures(self, waiter: _OpWaiter) -> None:
         """§5.4 prolonged failure: faulty drives detected via error status."""
         if not waiter.errors:
@@ -349,12 +365,13 @@ class DraidArray(RaidArray):
                 ))
                 for seg in pending
             ]
-            retry = []
+            retry, failed = [], []
             for seg, cid, waiter in submitted:
                 expired = yield from self._await_op(
                     cid, waiter, attempt=n, drain=False, deadline_ns=deadline_ns,
                 )
                 if waiter.errors or expired:
+                    failed.append(waiter)
                     # NVMe-oF reads are idempotent: resend expired ones
                     # (§5.4); errors mean a prolonged failure, handled by
                     # the degraded path on the retry round.
@@ -369,6 +386,8 @@ class DraidArray(RaidArray):
                 if buffer is not None:
                     comp = next(c for c in waiter.completions if c.kind == "read")
                     buffer[seg.io_offset : seg.io_offset + seg.length] = comp.data
+            if failed:
+                self._raise_typed_reject(*failed)
             pending[:] = retry
             return not retry
 
@@ -400,6 +419,7 @@ class DraidArray(RaidArray):
                 # already arrived and re-read the folded segments that were
                 # lost with the op.
                 self._mark_prolonged_failures(waiter)
+                self._raise_typed_reject(waiter)
                 received = set()
                 for comp in waiter.completions:
                     if comp.kind == "read":
@@ -586,7 +606,9 @@ class DraidArray(RaidArray):
         expired = yield from self._await_op(
             cid, waiter, attempt=attempt, deadline_ns=deadline_ns
         )
-        self._mark_prolonged_failures(waiter)
+        if waiter.errors:
+            self._mark_prolonged_failures(waiter)
+            self._raise_typed_reject(waiter)
         return not (waiter.errors or expired)
 
     def _plain_segment_writes(self, ext: StripeExtent, io_data, ctx=None,

@@ -100,15 +100,17 @@ class StatelessTargetDraid(DraidArray):
             for drive, shard in sources
         ]
         blocks = {}
-        errors = False
+        failed = []
         for shard, cid, waiter in submitted:
             expired = yield from self._await_op(
                 cid, waiter, attempt=attempt, drain=False, deadline_ns=deadline_ns
             )
             if waiter.errors or expired:
                 self._mark_prolonged_failures(waiter)
-                errors = True
+                failed.append(waiter)
                 continue
             comp = next(c for c in waiter.completions if c.kind == "read")
             blocks[shard] = comp.data
-        return blocks, errors
+        if failed:
+            self._raise_typed_reject(*failed)
+        return blocks, bool(failed)

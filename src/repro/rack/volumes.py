@@ -174,33 +174,35 @@ class Volume:
                 raise
             yield slot
         try:
-            result = yield self._forward(home, is_read, offset, nbytes, data, ctx, deadline_ns)
+            array = home.array
+            if is_read:
+                result = yield from self.env.call(
+                    array.read_body(self.base + offset, nbytes, ctx, deadline_ns)
+                )
+            elif self._migrating_to is not None and self.manager.functional:
+                # during a functional-mode migration, mirror writes to the
+                # copy target so no acknowledged byte is left behind by the
+                # cutover
+                dst, dst_base = self._migrating_to
+                from repro.sim.core import AllOf
+
+                result = yield AllOf(
+                    self.env,
+                    [
+                        array.write(self.base + offset, nbytes, data, ctx=ctx,
+                                    deadline_ns=deadline_ns),
+                        dst.array.write(dst_base + offset, nbytes, data, ctx=ctx,
+                                        deadline_ns=deadline_ns),
+                    ],
+                )
+            else:
+                result = yield from self.env.call(
+                    array.write_body(self.base + offset, nbytes, data, ctx, deadline_ns)
+                )
         finally:
             if home.wfq is not None:
                 home.wfq.release()
         return result
-
-    def _forward(self, home, is_read, offset, nbytes, data, ctx, deadline_ns):
-        if is_read:
-            return home.array.read(self.base + offset, nbytes, ctx=ctx, deadline_ns=deadline_ns)
-        # during a functional-mode migration, mirror writes to the copy
-        # target so no acknowledged byte is left behind by the cutover
-        if self._migrating_to is not None and self.manager.functional:
-            dst, dst_base = self._migrating_to
-            from repro.sim.core import AllOf
-
-            return AllOf(
-                self.env,
-                [
-                    home.array.write(self.base + offset, nbytes, data, ctx=ctx,
-                                     deadline_ns=deadline_ns),
-                    dst.array.write(dst_base + offset, nbytes, data, ctx=ctx,
-                                    deadline_ns=deadline_ns),
-                ],
-            )
-        return home.array.write(
-            self.base + offset, nbytes, data, ctx=ctx, deadline_ns=deadline_ns
-        )
 
     def _shaping_horizon(self, deadline_ns: Optional[int]) -> int:
         if deadline_ns is not None:

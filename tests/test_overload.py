@@ -753,3 +753,44 @@ class TestBackgroundDaemonShedding:
         assert orch.stats.pressure_sheds > 0
         assert array.qos.stats.shed_background >= orch.stats.pressure_sheds
         assert not array.failed
+
+
+@pytest.mark.parametrize("system", ["SPDK", "dRAID"])
+def test_target_busy_reaches_the_caller_typed(system):
+    """A bounded target's ``busy`` fails an op on an unarmed-resilience
+    array with :class:`Busy` at once, on dRAID as on the host-centric
+    datapath: no retry, and every reject the targets counted is one
+    ``Busy`` the callers saw (dRAID used to retry it without a pause and
+    then raise a plain ``IoError``)."""
+    from repro import build_testbed
+
+    env, cluster, array = build_testbed(
+        system, config=ClusterConfig(
+            num_servers=4, overload=OverloadConfig(target_queue_depth=1)
+        ),
+    )
+    geometry = array.geometry
+    # one 4 KiB read per stripe, each on member 0 (SPDK locks its reads)
+    offsets = [
+        offset for offset in range(0, 64 * geometry.stripe_data_bytes, geometry.chunk_bytes)
+        if geometry.map_extent(offset, 4 * KB)[0].segments[0].drive == 0
+    ][:6]
+    outcomes = []
+
+    def one(offset):
+        try:
+            yield array.read(offset, 4 * KB)
+        except Busy:
+            outcomes.append("busy")
+        except IoError as error:
+            outcomes.append(type(error).__name__)
+        else:
+            outcomes.append("ok")
+
+    for offset in offsets:
+        env.process(one(offset))
+    env.run()
+    rejected = sum(side.busy_rejections for side in array.server_sides)
+    assert rejected > 0 and outcomes.count("busy") == rejected
+    assert outcomes.count("ok") == len(outcomes) - rejected
+    assert array.stats.retries == 0

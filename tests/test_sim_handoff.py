@@ -1534,3 +1534,399 @@ def test_gather_and_delivery_skip_even_the_hold():
     assert env._eid == 5  # timers only: the delivery, the parent's, the kids'
     # the parent's start and end, the kids' ends and the release
     assert (census.holds, census.taken) == (6, 6)
+
+
+# -- a sub-operation run in the caller's process: ``env.call`` --------------------
+#
+# ``result = yield from env.call(g)`` stands for ``result = yield
+# env.process(g)``, and ``env.call(g, fan_out=True)`` for ``yield
+# env.gather([g])``.  Same claim, and one more: the fast kernel makes exactly
+# the calendar entries the spelled-out relay makes (equal ``env._eid``),
+# whether the call ran the generator in place or took the relay — on success,
+# on a raise caught or let through, with a child ending beside an unrelated
+# zero-delay event, in a caller woken as a non-last callback of a shared
+# timer, and in a caller stepped by plain callbacks instead of a process.
+
+call_leaf = st.one_of(
+    timer_step,
+    lock_step,
+    st.just(("raise",)),
+    st.tuples(st.just("shared"), st.integers(0, 2)),
+    st.tuples(st.just("poke"), st.sampled_from(("succeed", "zero", "timer"))),
+)
+
+
+def _calling(programs):
+    return st.lists(
+        st.one_of(
+            call_leaf,
+            # (fan_out, catch a raise here, the sub-operation)
+            st.tuples(st.just("call"), st.booleans(), st.booleans(), programs),
+            st.tuples(st.just("gather"), st.lists(programs, min_size=2, max_size=3)),
+            st.tuples(st.just("spawn"), programs),
+        ),
+        max_size=4,
+    )
+
+
+call_programs = st.recursive(st.lists(call_leaf, max_size=3), _calling, max_leaves=10)
+
+
+class CallWorld:
+    """Runs call programs, with ``env.call`` (``inline``) or the relay it
+    stands for spelled out; bystander ticks land where children end."""
+
+    def __init__(self, net, inline):
+        self.net = net
+        self.inline = inline
+        env = net.env
+        self.locks = StripeLockManager(env)
+        self.shared = [env.timeout(delay) for delay in (1, 3, 5)]
+        for delay in (1, 2, 5):
+            env.timeout(delay, then=lambda _ev, d=delay: net.log(f"tick{d}"))
+
+    def poke(self, how, label):
+        env, log = self.net.env, self.net.log
+        if how == "succeed":
+            made = env.event()
+            made.callbacks.append(lambda _ev: log(f"poked:{label}"))
+            made.succeed()
+        elif how == "zero":
+            env.timeout(0, then=lambda _ev: log(f"poked:{label}"))
+        else:
+            env.timeout(1, then=lambda _ev: log(f"poked:{label}"))
+
+    def run(self, label, program):
+        env, log = self.net.env, self.net.log
+        for i, step in enumerate(program):
+            kind = step[0]
+            log(f"{label}[{i}]{kind}")
+            if kind == "timer":
+                yield env.timeout(step[1])
+            elif kind == "lock":
+                yield self.locks.acquire(step[1])
+                try:
+                    for delay in step[2]:
+                        yield env.timeout(delay)
+                finally:
+                    self.locks.release(step[1])
+            elif kind == "raise":
+                raise Boom(label)
+            elif kind == "shared":
+                yield self.shared[step[1]]
+            elif kind == "poke":
+                self.poke(step[1], f"{label}[{i}]")
+            elif kind == "spawn":
+                env.process(self.run(f"{label}.{i}s", step[1]))
+            elif kind == "gather":
+                yield env.gather(
+                    self.run(f"{label}.{i}g{j}", body) for j, body in enumerate(step[1])
+                )
+            else:
+                _, fan_out, catch, body = step
+                sub = self.run(f"{label}.{i}", body)
+                try:
+                    if self.inline:
+                        got = yield from env.call(sub, fan_out=fan_out)
+                    elif fan_out:
+                        (got,) = (yield env.gather([sub])).values()
+                    else:
+                        got = yield env.process(sub)
+                except Boom as boom:
+                    if not catch:
+                        raise
+                    log(f"{label}[{i}]caught:{boom}")
+                    continue
+                log(f"{label}[{i}]got:{got}")
+        log(f"{label}:end")
+        return label
+
+    def drive(self, label, program):
+        """Step ``program`` from plain callbacks: no process is running when
+        it calls."""
+        generator = self.run(label, program)
+
+        def step(event):
+            while True:
+                try:
+                    if event is None or event._ok:
+                        target = generator.send(None if event is None else event._value)
+                    else:
+                        event._defused = True
+                        target = generator.throw(event._value)
+                except StopIteration:
+                    return
+                except Boom as boom:
+                    self.net.log(f"{label}:raised:{boom}")
+                    return
+                if target.callbacks is not None:
+                    target.callbacks.append(step)
+                    return
+                event = target
+
+        return step
+
+
+def run_calls(build, until=None):
+    """``build(world)`` with ``env.call`` and with the relays spelled out,
+    each on the fast and on the pure-heap kernel: one trace, each kernel's
+    ``env._eid`` the same either way, and on the fast kernel the same holds
+    flushed, by reason (:mod:`repro.sim.census`)."""
+    runs, flushed = {}, {}
+    for inline in (True, False):
+        for fast in (True, False):
+            net = Net(fast)
+            if fast:
+                census = Census(net.env)
+            build(CallWorld(net, inline))
+            while True:
+                try:
+                    net.env.run(until=until)
+                    break
+                except Boom as boom:  # nobody listened to the process that raised
+                    net.log(f"surfaced:{boom}")
+            runs[inline, fast] = net
+            if fast:
+                flushed[inline] = census.flushed
+    reference = runs[False, False]
+    for net in runs.values():
+        assert net.trace == reference.trace
+        assert net.env.now == reference.env.now
+    for fast in (True, False):
+        assert runs[True, fast].env._eid == runs[False, fast].env._eid
+    # and the holds that reach the calendar do so for the relays' reasons
+    assert flushed[True] == flushed[False]
+    return runs[True, True], runs[True, False]
+
+
+call_roots = st.lists(
+    st.tuples(
+        st.sampled_from(("process", "process", "callback")),
+        # how a root begins: at once, after a timer, or woken by a timer
+        # it shares with other roots (all but the last woken as non-last
+        # callbacks)
+        st.sampled_from((
+            [], [("timer", 1)], [("timer", 5)], [("shared", 0)], [("shared", 1)],
+            [("shared", 1)],
+        )),
+        call_programs,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(roots=call_roots)
+@settings(max_examples=max(250, settings.default.max_examples), deadline=None)
+def test_call_matches_pure_heap_order_and_the_relays_entries(roots):
+    def build(world):
+        env = world.net.env
+        for r, (how, start, program) in enumerate(roots):
+            if how == "callback":
+                step = world.drive(f"r{r}", start + program)
+                env.timeout(0, then=lambda _ev, step=step: step(None))
+            else:
+                env.process(world.run(f"r{r}", start + program))
+
+    run_calls(build)
+
+
+def test_idle_call_makes_no_relay():
+    """A lone call and a lone fan-out on an idle calendar (past the world's
+    ticks): the sub-operations run in the caller, and only timers reach
+    the calendar."""
+    def build(world):
+        world.net.env.process(world.run("p", [
+            ("timer", 10),
+            ("call", False, False, [("timer", 2)]),
+            ("call", True, False, [("lock", 0, (1,))]),
+        ]))
+
+    fast, pure = run_calls(build)
+    assert fast.trace[-3:] == [(13, "p.2:end"), (13, "p[2]got:p.2"), (13, "p:end")]
+    assert (fast.env._eid, pure.env._eid) == (9, 17)  # the world's 6, and 3
+
+
+@pytest.mark.parametrize("fan_out", [False, True], ids=["process", "fan-out"])
+def test_call_ending_beside_an_unrelated_event(fan_out):
+    """``q``'s timer, due when the sub-operation ends, holds a later id: it
+    runs before the caller resumes, through one wake per relay end, where
+    the relay's own end would have gone."""
+    def build(world):
+        env = world.net.env
+        env.process(world.run("p", [("timer", 10), ("call", fan_out, False, [("timer", 2)])]))
+        env.process(world.run("q", [("timer", 11), ("timer", 1)]))
+
+    fast, _ = run_calls(build)
+    assert labels(fast)[-4:] == ["p.1:end", "q:end", "p[1]got:p.1", "p:end"]
+
+
+def test_fan_out_end_behind_an_event_made_after_it():
+    """``q``'s timer was due beside the child's end (the first wake); what
+    ``q`` makes next is due before the ``AllOf`` release (the second)."""
+    def build(world):
+        env = world.net.env
+        env.process(world.run("p", [("timer", 10), ("call", True, False, [("timer", 2)])]))
+        env.process(world.run("q", [("timer", 11), ("timer", 1), ("poke", "zero")]))
+
+    fast, _ = run_calls(build)
+    assert labels(fast)[-6:] == [
+        "p.1:end", "q[2]poke", "q:end", "poked:q[2]", "p[1]got:p.1", "p:end",
+    ]
+
+
+@pytest.mark.parametrize("fan_out", [False, True], ids=["process", "fan-out"])
+def test_call_ending_beside_its_own_zero_delay_event(fan_out):
+    """The sub-operation's last step made a zero-delay event: it is held
+    when the sub-operation returns, so it goes first."""
+    def build(world):
+        world.net.env.process(world.run("p", [
+            ("timer", 10), ("call", fan_out, False, [("timer", 1), ("poke", "zero")]),
+        ]))
+
+    fast, _ = run_calls(build)
+    assert labels(fast)[-4:] == ["p.1:end", "poked:p.1[1]", "p[1]got:p.1", "p:end"]
+
+
+@pytest.mark.parametrize("fan_out", [False, True], ids=["process", "fan-out"])
+@pytest.mark.parametrize("catch", [True, False], ids=["caught", "let-through"])
+def test_call_that_raises(fan_out, catch):
+    """One failure entry per relay, in turn: the caller hears of the raise
+    where it would have, after the zero-delay event made before it."""
+    def build(world):
+        world.net.env.process(world.run("p", [
+            ("call", fan_out, catch, [("timer", 1), ("poke", "zero"), ("raise",)]),
+            ("timer", 1),
+        ]))
+
+    fast, _ = run_calls(build)
+    heard = "p[0]caught:p.0" if catch else "surfaced:p.0"
+    assert labels(fast)[3:7] == ["p.0[1]poke", "p.0[2]raise", "poked:p.0[1]", heard]
+
+
+def test_call_from_a_non_last_callback_takes_the_relay():
+    """Two callers wake on one timer: the first's call may not run ahead of
+    the second's wake-up."""
+    def build(world):
+        env = world.net.env
+        for name in "ab":
+            env.process(world.run(name, [
+                ("shared", 0), ("call", False, False, [("poke", "zero")]),
+            ]))
+
+    fast, pure = run_calls(build)
+    assert labels(fast)[:8] == [
+        "a[0]shared", "b[0]shared", "a[1]call", "b[1]call", "tick1",
+        "a.1[0]poke", "a.1:end", "b.1[0]poke",
+    ]
+    assert fast.env._eid == pure.env._eid  # every relay through the calendar
+
+
+def test_call_from_a_plain_callback_takes_the_relay():
+    def build(world):
+        step = world.drive("c", [("call", True, False, [("timer", 1)])])
+        world.net.env.timeout(1, then=lambda _ev: step(None))
+
+    fast, pure = run_calls(build)
+    assert labels(fast) == [
+        "tick1", "c[0]call", "c.0[0]timer", "tick2", "c.0:end", "c[0]got:c.0",
+        "c:end", "tick5",
+    ]
+    assert fast.env._eid < pure.env._eid  # the relay's own holds are taken
+
+
+def test_interrupt_aimed_at_the_caller_lands_inside_the_call():
+    """The caveat, pinned: in place, the caller's interrupt is thrown into
+    the sub-operation; through the relay (the pure-heap kernel) it is
+    thrown at the caller, and the child runs on.  Hence no process that
+    is ever interrupted may use ``env.call``."""
+    traces = []
+    for fast in (True, False):
+        net = Net(fast)
+        env = net.env
+
+        def sub():
+            try:
+                yield env.timeout(10)
+                net.log("sub:end")
+            except Interrupt as interrupt:
+                net.log(f"sub:interrupted:{interrupt.cause}")
+            return "sub"
+
+        def caller():
+            try:
+                got = yield from env.call(sub())
+                net.log(f"caller:got:{got}")
+            except Interrupt as interrupt:
+                net.log(f"caller:interrupted:{interrupt.cause}")
+
+        proc = env.process(caller())
+        env.timeout(5, then=lambda _ev, proc=proc: proc.interrupt("stop"))
+        env.run()
+        traces.append(net.trace)
+    assert traces == [
+        [(5, "sub:interrupted:stop"), (5, "caller:got:sub")],
+        [(5, "caller:interrupted:stop"), (10, "sub:end")],
+    ]
+
+
+class StopRun(Exception):
+    pass
+
+
+def _caller_parked_in_a_call(where, close):
+    """Run a caller until a bystander stops the run with the caller parked
+    inside ``env.call``: in the sub-operation (``sub``), on the failure
+    entry after it raised (``failure``) or on the wake after it returned
+    (``wake``) — ``close`` closes the caller's generator first."""
+    env = Environment()
+    log = []
+    caller_proc = []
+
+    def stop(_ev):
+        if close:
+            caller_proc[0]._generator.close()
+        raise StopRun
+
+    def sub():
+        try:
+            tick = env.timeout(5)
+            # due with the tick, after it: the end is not quiescent
+            env.timeout(3 if where == "sub" else 5, then=stop)
+            yield tick
+            if where == "failure":
+                raise Boom("sub")
+            return "sub"
+        finally:
+            log.append("sub:closed")
+
+    def caller():
+        try:
+            yield from env.call(sub(), fan_out=True)
+        finally:
+            log.append("caller:closed")
+
+    caller_proc.append(env.process(caller()))
+    with pytest.raises(StopRun):
+        env.run()
+    return env, log
+
+
+@pytest.mark.parametrize("where", ["sub", "failure", "wake"])
+def test_closing_a_caller_inside_a_call_is_clean(where, monkeypatch):
+    """GeneratorExit goes through ``env.call``: neither an explicit
+    ``close()`` nor a collected caller reports "generator ignored
+    GeneratorExit"."""
+    import gc
+    import sys
+
+    _env, log = _caller_parked_in_a_call(where, close=True)
+    assert log == ["sub:closed", "caller:closed"]
+
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    env, log = _caller_parked_in_a_call(where, close=False)
+    del env
+    gc.collect()
+    assert unraisable == []
+    assert log == ["sub:closed", "caller:closed"]
