@@ -533,7 +533,7 @@ class RaidArray(ABC):
     # T10-DIF verification runs in NIC/controller hardware on the wire
     # (DESIGN.md §10); only the parity math of an actual repair costs CPU.
 
-    def _verify_read(self, extents, buffer, io_base: int, take_locks: bool):
+    def _verify_read(self, extents, buffer, take_locks: bool):
         """Post-read verification: every chunk a read touched must match
         its expectation; a mismatch triggers parity read-repair and a
         re-read of the extent."""
@@ -563,7 +563,7 @@ class RaidArray(ABC):
                         f"{self.name}: stripe {ext.stripe} corruption on "
                         f"drives {bad} is beyond parity"
                     )
-                yield from self._read_extent(ext, buffer, io_base, take_locks)
+                yield from self._read_extent(ext, buffer, take_locks)
             else:
                 raise ChecksumError(
                     f"{self.name}: stripe {ext.stripe} still dirty after "
@@ -838,11 +838,11 @@ class RaidArray(ABC):
         extents = self.geometry.map_extent(offset, nbytes)
         buffer = np.zeros(nbytes, dtype=np.uint8) if self.functional else None
         yield from self._fan_out([
-            self._read_extent(ext, buffer, offset, take_locks, ctx, deadline_ns=deadline_ns)
+            self._read_extent(ext, buffer, take_locks, ctx, deadline_ns=deadline_ns)
             for ext in extents
         ])
         if self.integrity is not None:
-            yield from self._verify_read(extents, buffer, offset, take_locks)
+            yield from self._verify_read(extents, buffer, take_locks)
         self.stats.reads += 1
         return buffer
 
@@ -919,7 +919,7 @@ class RaidArray(ABC):
     def _read_gaps(self, ext: StripeExtent, read):
         """Read every region :meth:`_stripe_gaps` lists, one after another,
         each through the datapath's degraded-aware reader, a generator
-        ``read(gap_ext, buffer, user_offset)``.  Returns ``(gaps, blocks)``
+        ``read(gap_ext, buffer)``.  Returns ``(gaps, blocks)``
         (each block ``None`` in timing mode), what :meth:`_assemble_stripe`
         takes."""
         g = self.geometry
@@ -930,9 +930,26 @@ class RaidArray(ABC):
             user_offset = stripe_base + d * g.chunk_bytes + off
             gap_ext, = g.map_extent(user_offset, length)
             buffer = np.zeros(length, dtype=np.uint8) if self.functional else None
-            yield from read(gap_ext, buffer, user_offset)
+            yield from read(gap_ext, buffer)
             blocks.append(buffer)
         return gaps, blocks
+
+    def _stripe_writes(
+        self, ext: StripeExtent, io_data, plan: WritePlan, parity_blocks, span
+    ) -> List[Tuple[int, int, int, Optional[np.ndarray]]]:
+        """The member writes of one stripe write, a ``(member, drive offset,
+        length, block)`` each: the touched segments on the plan's surviving
+        members, then ``parity_blocks[row]`` to every surviving ``(row,
+        member)`` parity over ``span`` (``(chunk offset, length)``)."""
+        span_off, span_len = span
+        return [
+            (s.drive, s.drive_offset, s.length, self._seg_data(io_data, s))
+            for s in ext.segments
+            if s.drive not in plan.failed
+        ] + [
+            (p, ext.parity_offset + span_off, span_len, parity_blocks[row])
+            for row, p in plan.parities
+        ]
 
     def _assemble_stripe(
         self, ext: StripeExtent, io_data, gaps, gap_blocks
@@ -959,8 +976,8 @@ class RaidArray(ABC):
 
     @abstractmethod
     def _read_extent(
-        self, ext: StripeExtent, buffer, io_base: int, take_locks: bool = True,
-        ctx=None, deadline_ns=None,
+        self, ext: StripeExtent, buffer, take_locks: bool = True, ctx=None,
+        deadline_ns=None,
     ):
         """Read one stripe extent into ``buffer`` (degraded-aware, retried
         on the resilient path); a generator."""

@@ -144,6 +144,7 @@ class HostCentricRaid(RaidArray):
         request deadline).  ``prepare(n)``, when given, is a generator run
         before attempt ``n``'s body is made (the write path pins its stripe
         image there); its time is not taken off that attempt's timeout.
+        Returns the value of the body that succeeded.
 
         The body runs as its own process, raced against the timeout
         (:meth:`_race`).  A timed-out *write* (``drain``) gets the drain
@@ -151,7 +152,10 @@ class HostCentricRaid(RaidArray):
         unresponsive members are fenced as prolonged failures; a body still
         running is then abandoned.
         """
+        value = None
+
         def attempt(n: int):
+            nonlocal value
             self._check_tolerance(stripe)
             remaining = self._deadline_left(kind, stripe, deadline_ns)
             if prepare is not None:
@@ -163,6 +167,7 @@ class HostCentricRaid(RaidArray):
             except IoError:
                 return False
             if body.triggered:
+                value = body._value
                 return bool(body._ok)
             if drain:
                 self._fence_stragglers(timeout_ns)
@@ -175,6 +180,7 @@ class HostCentricRaid(RaidArray):
             return False
 
         yield from self._attempts(attempt, kind, stripe, deadline_ns, ctx)
+        return value
 
     # -- integrity member I/O (read-repair / scrub path) -----------------------
 
@@ -205,30 +211,62 @@ class HostCentricRaid(RaidArray):
         """Raw write of one member chunk region (integrity/scrub path)."""
         yield self.bdevs[drive].write(offset, nbytes, data)
 
-    # -- CPU cost hooks (overridden by MdRaid) ---------------------------------
+    # -- CPU cost hook (overridden by MdRaid) ----------------------------------
 
-    def _charge_write_staging(self, staged_bytes: int, ext: StripeExtent, ctx=None):
-        """Extra per-write CPU beyond parity math (MD stripe cache)."""
+    def _charge_staging(self, nbytes: int, ext: StripeExtent, ctx=None,
+                        reconstruct: bool = False):
+        """Extra CPU beyond parity math for ``nbytes`` paged through a
+        stripe cache: a write's staged bytes, a degraded array's normal
+        read, or (``reconstruct``) a reconstruction's sources.  Free for
+        user-space systems."""
         return self.env.timeout(0)
 
-    def _charge_reconstruct_staging(self, source_bytes: int, ext: StripeExtent,
-                                    ctx=None):
-        """Extra per-reconstruction CPU (MD stripe cache)."""
-        return self.env.timeout(0)
+    # -- member I/O: one reader, one write list -----------------------------------
 
-    def _charge_degraded_read_staging(self, nbytes: int, ext: StripeExtent, ctx=None):
-        """Extra CPU for *normal* reads while the array is degraded.
+    def _read_members(self, reads, ctx=None, deadline_ns=None):
+        """Read every ``(member, drive offset, length)`` of ``reads`` at
+        once; a generator returning their blocks in order (:meth:`_gather`)."""
+        return self._gather([
+            self.bdevs[member].read(offset, length, ctx=ctx, deadline_ns=deadline_ns)
+            for member, offset, length in reads
+        ])
 
-        Linux MD disables its read fast path on a degraded array: every
-        read goes through the stripe cache.  No-op for user-space systems.
-        """
-        return self.env.timeout(0)
+    def _send_writes(self, writes, ctx=None, deadline_ns=None):
+        """Send every ``(member, drive offset, length, block)`` of
+        ``writes`` (:meth:`_stripe_writes`); their completion events."""
+        return [
+            self.bdevs[member].write(offset, length, block, ctx=ctx,
+                                     deadline_ns=deadline_ns)
+            for member, offset, length, block in writes
+        ]
+
+    def _write_members(self, ext: StripeExtent, writes, staged: int, ctx=None,
+                       deadline_ns=None):
+        """The tail of every write mode: the staging charge for ``staged``
+        bytes, then ``writes``, awaited together."""
+        yield self._charge_staging(staged, ext, ctx)
+        events = self._send_writes(writes, ctx, deadline_ns)
+        if events:
+            yield AllOf(self.env, events)
+
+    def _write_image(self, ext: StripeExtent, io_data, plan: WritePlan, image,
+                     staged: int, ctx=None, deadline_ns=None):
+        """Encode the stripe's full data ``image`` on the host, then write
+        every surviving touched segment and whole parity chunk."""
+        parity_blocks = yield from self._encode_parities(image, ctx)
+        yield from self._write_members(
+            ext,
+            self._stripe_writes(
+                ext, io_data, plan, parity_blocks, (0, self.geometry.chunk_bytes)
+            ),
+            staged, ctx, deadline_ns,
+        )
 
     # -- read paths ---------------------------------------------------------------
 
     def _read_extent(
-        self, ext: StripeExtent, buffer, io_base: int, take_locks: bool = True,
-        ctx=None, deadline_ns=None,
+        self, ext: StripeExtent, buffer, take_locks: bool = True, ctx=None,
+        deadline_ns=None,
     ):
         lock = self.lock_reads and take_locks
         if lock:
@@ -275,9 +313,9 @@ class HostCentricRaid(RaidArray):
         # arriving mid-charge is handled, not an unhandled failed event
         gathered = self._subscribe_early(events)
         if self.degraded and healthy:
-            yield self._charge_degraded_read_staging(
-                sum(s.length for s in healthy), ext, ctx
-            )
+            # MD's read bypass is off on a degraded array: reads page
+            # through the stripe cache even when their chunk is intact
+            yield self._charge_staging(sum(s.length for s in healthy), ext, ctx)
         if gathered is not None:
             outcome = yield gathered
             results = [outcome[event] for event in events]
@@ -294,14 +332,13 @@ class HostCentricRaid(RaidArray):
         self.stats.degraded_reads += 1
         sources = self._repair_members(ext.stripe, seg.data_index)
         offset = ext.stripe * self.geometry.chunk_bytes + seg.chunk_offset
-        events = [
-            self.bdevs[drive].read(offset, seg.length, ctx=ctx,
-                                   deadline_ns=deadline_ns)
-            for drive, _ in sources
-        ]
-        blocks = yield from self._gather(events)
-        yield self._charge_reconstruct_staging(seg.length * len(events), ext, ctx)
-        yield self._charge_xor(len(events), seg.length, ctx)
+        blocks = yield from self._read_members(
+            [(drive, offset, seg.length) for drive, _ in sources], ctx, deadline_ns
+        )
+        yield self._charge_staging(
+            seg.length * len(sources), ext, ctx, reconstruct=True
+        )
+        yield self._charge_xor(len(sources), seg.length, ctx)
         if not self.functional:
             return None
         shards = {shard: block for (_, shard), block in zip(sources, blocks)}
@@ -384,54 +421,21 @@ class HostCentricRaid(RaidArray):
     def _pin_with_retries(self, ext: StripeExtent, ctx=None, deadline_ns=None):
         """Degraded-aware read of every stripe region the write will not
         cover, retried like any read; returns ``(gaps, blocks)``."""
-        out = {}
-        yield from self._retry_loop(
-            lambda: self._pin_stripe_image(ext, out, ctx, deadline_ns=deadline_ns),
+        return (yield from self._retry_loop(
+            lambda: self._read_gaps(
+                ext,
+                lambda gap_ext, buffer: self._read_extent_once(
+                    gap_ext, buffer, ctx, deadline_ns=deadline_ns
+                ),
+            ),
             ext.stripe,
             "stripe pre-read",
             drain=False,
             ctx=ctx,
             deadline_ns=deadline_ns,
-        )
-        return out["pinned"]
+        ))
 
-    def _pin_stripe_image(self, ext: StripeExtent, out: dict, ctx=None,
-                          deadline_ns=None):
-        """One attempt of :meth:`_pin_with_retries`; its ``(gaps, blocks)``
-        land in ``out``."""
-        out["pinned"] = yield from self._read_gaps(
-            ext,
-            lambda gap_ext, buffer, _user_offset: self._read_extent_once(
-                gap_ext, buffer, ctx, deadline_ns=deadline_ns
-            ),
-        )
-
-    # data helpers -----------------------------------------------------------
-
-    def _segment_writes(self, ext: StripeExtent, io_data, ctx, deadline_ns, skip=()):
-        """Writes of the user data to every touched segment whose member
-        is not in ``skip``."""
-        return [
-            self.bdevs[s.drive].write(
-                s.drive_offset, s.length, self._seg_data(io_data, s),
-                ctx=ctx, deadline_ns=deadline_ns,
-            )
-            for s in ext.segments
-            if s.drive not in skip
-        ]
-
-    def _parity_writes(self, ext: StripeExtent, plan: WritePlan, parity_blocks,
-                       ctx, deadline_ns):
-        """Whole-chunk writes of ``parity_blocks`` (one per code row) to the
-        plan's surviving parities."""
-        chunk = self.geometry.chunk_bytes
-        return [
-            self.bdevs[p].write(
-                ext.parity_offset, chunk, parity_blocks[row],
-                ctx=ctx, deadline_ns=deadline_ns,
-            )
-            for row, p in plan.parities
-        ]
+    # write modes: read members, compute on the host, write members ----------
 
     def _write_full(self, ext: StripeExtent, io_data, plan=None, ctx=None,
                     deadline_ns=None, pinned=None):
@@ -450,66 +454,46 @@ class HostCentricRaid(RaidArray):
             image = [self._seg_data(io_data, s) for s in ext.segments]
         else:
             image = self._assemble_stripe(ext, io_data, *pinned)
-        parity_blocks = yield from self._encode_parities(image, ctx)
         staged = ext.touched_bytes + len(ext.parity_drives) * self.geometry.chunk_bytes
-        yield self._charge_write_staging(staged, ext, ctx)
-        events = self._segment_writes(ext, io_data, ctx, deadline_ns, skip=plan.failed)
-        events += self._parity_writes(ext, plan, parity_blocks, ctx, deadline_ns)
-        if events:
-            yield AllOf(self.env, events)
+        yield from self._write_image(ext, io_data, plan, image, staged, ctx, deadline_ns)
 
     def _write_rmw(self, ext: StripeExtent, io_data, plan: WritePlan, ctx=None,
                    deadline_ns=None):
         """Read-modify-write: 2 reads + 2 writes of the touched extent
         through the host NIC (3 + 3 for RAID-6)."""
-        span_off, span_len = ext.span
+        span = span_off, span_len = ext.span
         parities = plan.parities
         segments = ext.segments
-        # phase 1: read old data segments and old parity spans
-        read_events = [
-            self.bdevs[s.drive].read(s.drive_offset, s.length, ctx=ctx,
-                                     deadline_ns=deadline_ns)
-            for s in segments
-        ]
-        for _, p in parities:
-            read_events.append(
-                self.bdevs[p].read(ext.parity_offset + span_off, span_len,
-                                   ctx=ctx, deadline_ns=deadline_ns)
-            )
-        old_blocks = yield from self._gather(read_events)
-        old_data = old_blocks[: len(segments)]
-        old_parity = old_blocks[len(segments):]
-        # phase 2: compute deltas and new parities
+        # read old data segments and old parity spans
+        old_blocks = yield from self._read_members(
+            [(s.drive, s.drive_offset, s.length) for s in segments]
+            + [(p, ext.parity_offset + span_off, span_len) for _, p in parities],
+            ctx, deadline_ns,
+        )
+        # compute deltas and new parities
         yield self._charge_xor(2 * len(segments), span_len, ctx)
-        new_parities: List[Optional[np.ndarray]] = [None] * len(parities)
+        new_parities: List[Optional[np.ndarray]] = [None] * self.code.m
         if self.functional:
             # each segment's delta, weighted for every parity row
             partials = [
                 self.code.partial_parity(
                     seg.data_index, old ^ self._seg_data(io_data, seg)
                 )
-                for seg, old in zip(segments, old_data)
+                for seg, old in zip(segments, old_blocks)
             ]
             for order, (row, _) in enumerate(parities):
-                block = old_parity[order].copy()
+                block = old_blocks[len(segments) + order].copy()
                 for seg, partial in zip(segments, partials):
                     rel = seg.chunk_offset - span_off
                     block[rel : rel + seg.length] ^= partial[row]
-                new_parities[order] = block
+                new_parities[row] = block
         if self.code.gf_pass and len(parities) > 1:
             yield self._charge_gf(len(segments), span_len, ctx)
         staged = 2 * ext.touched_bytes + 2 * len(parities) * span_len
-        yield self._charge_write_staging(staged, ext, ctx)
-        # phase 3: write new data and new parities
-        write_events = self._segment_writes(ext, io_data, ctx, deadline_ns)
-        for (_, p), block in zip(parities, new_parities):
-            write_events.append(
-                self.bdevs[p].write(
-                    ext.parity_offset + span_off, span_len, block,
-                    ctx=ctx, deadline_ns=deadline_ns,
-                )
-            )
-        yield AllOf(self.env, write_events)
+        yield from self._write_members(
+            ext, self._stripe_writes(ext, io_data, plan, new_parities, span),
+            staged, ctx, deadline_ns,
+        )
 
     def _write_rcw(self, ext: StripeExtent, io_data, plan: WritePlan, ctx=None,
                    deadline_ns=None):
@@ -519,23 +503,16 @@ class HostCentricRaid(RaidArray):
         # Build the full new stripe image: read whatever the write does not
         # cover (untouched chunks and partial-chunk complements).
         gaps = self._stripe_gaps(ext)
-        read_events = [
-            self.bdevs[data_drives[d]].read(
-                ext.stripe * chunk + off, length,
-                ctx=ctx, deadline_ns=deadline_ns,
-            )
-            for d, off, length in gaps
-        ]
-        gap_blocks = yield from self._gather(read_events)
-        parity_blocks = yield from self._encode_parities(
-            self._assemble_stripe(ext, io_data, gaps, gap_blocks), ctx
+        gap_blocks = yield from self._read_members(
+            [(data_drives[d], ext.stripe * chunk + off, length) for d, off, length in gaps],
+            ctx, deadline_ns,
         )
         gap_bytes = sum(length for _, _, length in gaps)
         staged = ext.touched_bytes + gap_bytes + len(plan.parities) * chunk
-        yield self._charge_write_staging(staged, ext, ctx)
-        write_events = self._segment_writes(ext, io_data, ctx, deadline_ns)
-        write_events += self._parity_writes(ext, plan, parity_blocks, ctx, deadline_ns)
-        yield AllOf(self.env, write_events)
+        yield from self._write_image(
+            ext, io_data, plan, self._assemble_stripe(ext, io_data, gaps, gap_blocks),
+            staged, ctx, deadline_ns,
+        )
 
     def _write_degraded_region(self, ext: StripeExtent, io_data, plan: WritePlan,
                                ctx=None, deadline_ns=None):
@@ -551,22 +528,20 @@ class HostCentricRaid(RaidArray):
         g = self.geometry
         seg = plan.lost[0]
         failed_index = seg.data_index
-        region_offset, region_len = seg.chunk_offset, seg.length
-        failed = plan.failed
+        span = region_offset, region_len = seg.chunk_offset, seg.length
         data_drives = plan.data_drives
         survivors = [
             d for d, drive in enumerate(data_drives)
-            if d != failed_index and drive not in failed
+            if d != failed_index and drive not in plan.failed
         ]
-        read_events = [
-            self.bdevs[data_drives[d]].read(
-                ext.stripe * g.chunk_bytes + region_offset, region_len,
-                ctx=ctx, deadline_ns=deadline_ns,
-            )
-            for d in survivors
-        ]
-        blocks = yield from self._gather(read_events)
-        yield self._charge_reconstruct_staging(region_len * len(blocks), ext, ctx)
+        blocks = yield from self._read_members(
+            [
+                (data_drives[d], ext.stripe * g.chunk_bytes + region_offset, region_len)
+                for d in survivors
+            ],
+            ctx, deadline_ns,
+        )
+        yield self._charge_staging(region_len * len(blocks), ext, ctx, reconstruct=True)
         yield self._charge_xor(len(blocks) + 1, region_len, ctx)
         parity_blocks = [None] * self.code.m
         if self.functional:
@@ -576,13 +551,11 @@ class HostCentricRaid(RaidArray):
             parity_blocks = self.code.encode(
                 [image[d] for d in range(g.data_per_stripe)]
             )
-        write_events = [
-            self.bdevs[p].write(
-                ext.parity_offset + region_offset, region_len, parity_blocks[row],
-                ctx=ctx, deadline_ns=deadline_ns,
-            )
-            for row, p in plan.parities
-        ]
+        # the one segment is lost: the writes are the surviving parities'
+        write_events = self._send_writes(
+            self._stripe_writes(ext, io_data, plan, parity_blocks, span),
+            ctx, deadline_ns,
+        )
         finish = self._subscribe_early(write_events)
         if self.code.gf_pass and len(write_events) > 1:
             yield self._charge_gf(len(survivors) + 1, region_len, ctx)
@@ -611,14 +584,10 @@ class HostCentricRaid(RaidArray):
         # the surviving data chunks lead; a decode adds one parity per
         # erased data chunk
         sources = survivors[: k if decoded else k - len(erased)]
-        read_events = [
-            self.bdevs[drives[i]].read(
-                ext.stripe * chunk, chunk, ctx=ctx, deadline_ns=deadline_ns,
-            )
-            for i in sources
-        ]
-        blocks = yield from self._gather(read_events)
-        yield self._charge_reconstruct_staging(chunk * len(blocks), ext, ctx)
+        blocks = yield from self._read_members(
+            [(drives[i], ext.stripe * chunk, chunk) for i in sources], ctx, deadline_ns
+        )
+        yield self._charge_staging(chunk * len(blocks), ext, ctx, reconstruct=True)
         yield self._charge_xor(len(blocks), chunk, ctx)
         gaps = self._stripe_gaps(ext)
         gap_blocks = [None] * len(gaps)
@@ -627,13 +596,8 @@ class HostCentricRaid(RaidArray):
             chunks = {i: self.code.decode_one(i, shards, chunk) for i in decoded}
             chunks.update(shards)
             gap_blocks = [chunks[i][off : off + length] for i, off, length in gaps]
-        new_parity = yield from self._encode_parities(
-            self._assemble_stripe(ext, io_data, gaps, gap_blocks), ctx
-        )
         staged = chunk * (k - len(erased) + len(plan.parities))
-        yield self._charge_write_staging(staged, ext, ctx)
-        write_events = self._segment_writes(
-            ext, io_data, ctx, deadline_ns, skip=failed
+        yield from self._write_image(
+            ext, io_data, plan, self._assemble_stripe(ext, io_data, gaps, gap_blocks),
+            staged, ctx, deadline_ns,
         )
-        write_events += self._parity_writes(ext, plan, new_parity, ctx, deadline_ns)
-        yield AllOf(self.env, write_events)

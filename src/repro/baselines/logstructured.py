@@ -280,5 +280,5 @@ class LogStructuredRaid(HostCentricRaid):
         user_offset = stripe * self.geometry.stripe_data_bytes + slot * BLOCK
         (ext,) = self.geometry.map_extent(user_offset, BLOCK)
         buffer = np.zeros(BLOCK, dtype=np.uint8) if self.functional else None
-        yield from self._read_extent(ext, buffer, user_offset, deadline_ns=deadline_ns)
+        yield from self._read_extent(ext, buffer, deadline_ns=deadline_ns)
         return buffer

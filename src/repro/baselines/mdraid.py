@@ -59,26 +59,14 @@ class MdRaid(HostCentricRaid):
         )
         self.md_thread.tracer = self._tracer
 
-    def _rows(self, ext: StripeExtent) -> int:
-        span_off, span_len = ext.parity_span()
-        return max(1, (span_len + PAGE - 1) // PAGE)
-
-    def _charge_write_staging(self, staged_bytes: int, ext: StripeExtent, ctx=None):
-        pages = (staged_bytes + PAGE - 1) // PAGE
-        head = self._rows(ext) * self.geometry.num_drives * self.head_ns_per_row_per_drive
-        return self.md_thread.execute(pages * self.page_ns + head, ctx=ctx, span="staging")
-
-    def _charge_reconstruct_staging(self, source_bytes: int, ext: StripeExtent,
-                                    ctx=None):
-        pages = (source_bytes + PAGE - 1) // PAGE
-        head = self._rows(ext) * self.geometry.num_drives * self.recon_head_ns
-        return self.md_thread.execute(
-            pages * self.recon_page_ns + head, ctx=ctx, span="staging"
-        )
-
-    def _charge_degraded_read_staging(self, nbytes: int, ext: StripeExtent, ctx=None):
-        # MD's read bypass is off on degraded arrays: reads page through
-        # the stripe cache even when their chunk is intact.
+    def _charge_staging(self, nbytes: int, ext: StripeExtent, ctx=None,
+                        reconstruct: bool = False):
+        if reconstruct:
+            page_ns, head_ns = self.recon_page_ns, self.recon_head_ns
+        else:
+            page_ns, head_ns = self.page_ns, self.head_ns_per_row_per_drive
         pages = (nbytes + PAGE - 1) // PAGE
-        head = self._rows(ext) * self.geometry.num_drives * self.head_ns_per_row_per_drive
-        return self.md_thread.execute(pages * self.page_ns + head, ctx=ctx, span="staging")
+        # one stripe head per 4 KiB row of the parity span, touching every member
+        rows = max(1, (ext.span[1] + PAGE - 1) // PAGE)
+        head = rows * self.geometry.num_drives * head_ns
+        return self.md_thread.execute(pages * page_ns + head, ctx=ctx, span="staging")

@@ -36,8 +36,8 @@ from repro.draid.protocol import (
 from repro.draid.reconstruction import BandwidthAwareSelector, RandomReducerSelector
 from repro.ec import LinearCode
 from repro.faults.backoff import attempt_timeout_ns
+from repro.nvmeof.initiator import completion_error
 from repro.nvmeof.messages import IoError, NvmeOfCommand, Opcode, next_cid
-from repro.qos.errors import Busy, DeadlineExceeded
 from repro.raid.geometry import RaidGeometry, StripeExtent
 from repro.raid.modes import WriteMode, WritePlan, split_segments
 from repro.sim.core import Event
@@ -257,17 +257,16 @@ class DraidArray(RaidArray):
     def _raise_typed_reject(self, *waiters: _OpWaiter) -> None:
         """On an array that is not ``resilient``, fail the op at once with
         the typed error a target answered one of ``waiters``' batches with —
-        a ``busy`` or ``deadline`` fast-reject (overload control) — as a
-        host-centric op fails; a resilient array retries it like any other
+        a ``busy`` or ``deadline`` fast-reject (overload control), mapped
+        by :func:`~repro.nvmeof.initiator.completion_error` as a
+        host-centric op's is; a resilient array retries it like any other
         error."""
         if self.resilient:
             return
         for waiter in waiters:
             for comp in waiter.errors:
-                if comp.status == "busy":
-                    raise Busy(f"{self.name}: {comp.error}")
-                if comp.status == "deadline":
-                    raise DeadlineExceeded(f"{self.name}: {comp.error}")
+                if comp.status is not None:
+                    raise completion_error(self.name, comp)
 
     def _mark_prolonged_failures(self, waiter: _OpWaiter) -> None:
         """§5.4 prolonged failure: faulty drives detected via error status."""
@@ -327,8 +326,8 @@ class DraidArray(RaidArray):
     # -- reads -----------------------------------------------------------------
 
     def _read_extent(
-        self, ext: StripeExtent, buffer, io_base: int, take_locks: bool = True,
-        ctx=None, deadline_ns=None,
+        self, ext: StripeExtent, buffer, take_locks: bool = True, ctx=None,
+        deadline_ns=None,
     ):
         # dRAID reads are lock-free (§8); take_locks is part of the shared
         # controller interface and has nothing to suppress here.
@@ -551,8 +550,8 @@ class DraidArray(RaidArray):
         """
         gaps, gap_blocks = yield from self._read_gaps(
             ext,
-            lambda gap_ext, buffer, user_offset: self._read_extent(
-                gap_ext, buffer, user_offset, ctx=ctx, deadline_ns=deadline_ns
+            lambda gap_ext, buffer: self._read_extent(
+                gap_ext, buffer, ctx=ctx, deadline_ns=deadline_ns
             ),
         )
         return (yield from self._write_stripe_image(
@@ -611,18 +610,6 @@ class DraidArray(RaidArray):
             self._raise_typed_reject(waiter)
         return not (waiter.errors or expired)
 
-    def _plain_segment_writes(self, ext: StripeExtent, io_data, ctx=None,
-                              deadline_ns=None):
-        """No parity left to maintain (e.g. RAID-5 with P failed)."""
-        return (yield from self._plain_writes(
-            ext,
-            [
-                (s.drive, s.drive_offset, s.length, self._seg_data(io_data, s))
-                for s in ext.segments
-            ],
-            ctx, "draid.write", deadline_ns=deadline_ns,
-        ))
-
     # .. the disaggregated partial-stripe write (§5) ...........................
 
     def _dests(self, alive_parities, data_index: int):
@@ -650,8 +637,9 @@ class DraidArray(RaidArray):
         alive_parities = plan.parities
         if not alive_parities:
             # no parity left to maintain (e.g. RAID-5 with P failed)
-            return (yield from self._plain_segment_writes(
-                ext, io_data, ctx, deadline_ns=deadline_ns
+            return (yield from self._plain_writes(
+                ext, self._stripe_writes(ext, io_data, plan, (), ext.span),
+                ctx, "draid.write", deadline_ns=deadline_ns,
             ))
         g = self.geometry
         chunk = g.chunk_bytes
