@@ -178,13 +178,28 @@ class Cluster:
             core.reset_accounting()
 
 
+#: ClusterConfig fields with a floor: (name, least value).  A count of
+#: zero, a non-positive timeout or a negative delay or capacity would build
+#: and then fail (or run with time flowing backwards) at the first I/O.
+_CONFIG_FLOORS = (
+    ("num_servers", 1),
+    ("nics_per_server", 1),
+    ("host_cores", 1),
+    ("server_cores", 1),
+    ("io_timeout_ns", 1),
+    ("propagation_ns", 0),
+    ("rdma_op_ns", 0),
+    ("functional_capacity", 0),
+)
+
+
 def build_cluster(env: Environment, config: Optional[ClusterConfig] = None) -> Cluster:
     """Build a cluster according to ``config`` (paper defaults if omitted)."""
     config = config or ClusterConfig()
-    if config.num_servers < 1:
-        raise ValueError("need at least one server")
-    if config.io_timeout_ns <= 0:
-        raise ValueError(f"io_timeout_ns must be positive, got {config.io_timeout_ns}")
+    for name, least in _CONFIG_FLOORS:
+        value = getattr(config, name)
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     rates = config.server_nic_rates
     if rates is not None and len(rates) != config.num_servers:
         raise ValueError(
@@ -202,8 +217,6 @@ def build_cluster(env: Environment, config: Optional[ClusterConfig] = None) -> C
         num_cores=config.host_cores,
         cpu_profile=config.cpu_profile,
     )
-    if config.nics_per_server < 1:
-        raise ValueError("need at least one NIC per server")
     servers: List[StorageServer] = []
     for i in range(config.num_servers):
         rate = rates[i] if rates is not None else config.server_nic_rate

@@ -1,9 +1,11 @@
-"""Application-level figure sweeps (§9.6: Figures 19, 20, 21).
+"""Application-level figures (§9.6: Figures 19, 20, 21).
 
-Like the FIO sweeps, every (workload, system) cell is an independent
-simulated testbed, declared as a :class:`SweepPoint` and executed through
-:func:`repro.experiments.runner.run_points` so the cells can run on worker
-processes without changing any result.
+Every (workload, system) cell of Figures 20 / 21 is an independent
+simulated testbed, one point of a row of
+:data:`repro.experiments.registry.SWEPT_FIGURES`.  Figure 19 preloads its
+store once per system, so each system is one :class:`SweepPoint` executed
+through :func:`repro.experiments.runner.run_points`; either way the cells
+can run on worker processes without changing any result.
 """
 
 from __future__ import annotations
@@ -36,37 +38,17 @@ def _row(workload, system, result) -> Row:
     )
 
 
-def objectstore_ycsb(
-    degraded: bool = False,
-    workloads: Sequence[str] = PAPER_WORKLOADS,
-    systems: Sequence[str] = APP_SYSTEMS,
-    fast: bool = True,
-    jobs: Optional[int] = None,
-) -> List[Row]:
+def _objectstore_row(
+    workload: str, system: str, degraded: bool, level: RaidLevel, fast: bool
+) -> Row:
     """Figures 20 / 21: the hash object store under YCSB.
 
     Matches the paper's setup: 200 K objects of 128 KiB, uniform request
     distribution ("we set the distribution to uniform so that the maximum
-    throughput of the object store can be observed"), on normal or
-    degraded RAID-5.
+    throughput of the object store can be observed"), on a normal or
+    degraded array.
     """
-    points = [
-        SweepPoint(
-            _objectstore_row,
-            dict(workload=workload, system=system, degraded=degraded, fast=fast),
-        )
-        for workload in workloads
-        for system in systems
-    ]
-    return run_points(points, jobs=jobs)
-
-
-def _objectstore_row(workload: str, system: str, degraded: bool, fast: bool) -> Row:
-    array = build_array(
-        system,
-        level=RaidLevel.RAID5,
-        failed_drives=(0,) if degraded else (),
-    )
+    array = build_array(system, level=level, failed_drives=(0,) if degraded else ())
     store = HashObjectStore(array, object_size=128 * KB, num_objects=200_000)
     ycsb = YcsbWorkload(
         store,

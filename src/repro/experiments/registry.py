@@ -1,9 +1,12 @@
 """Registry: paper table/figure id -> experiment runner.
 
 Each runner takes ``fast`` (short measurement windows, slightly sparser
-sweeps) and returns ``(title, rows)``.  The FIO figures (9-18 and their
-RAID-6 twins 22-30) are rows of one table, :data:`FIO_FIGURES`, run by
-:func:`run_fio_figure`; the rest are small functions.  :func:`run` runs
+sweeps) and returns ``(title, rows)``.  The swept figures (FIO figures 9-18,
+their RAID-6 twins 22-30 and the object-store figures 20-21) are rows of
+one table, :data:`SWEPT_FIGURES`: a level, a title and one or two
+:class:`Sweep` rows of data, each run by :func:`run_sweep`.  Table 1,
+Figure 19 and the figures this repository adds (:data:`ADDED_FIGURES`)
+have runners of their own.  :func:`run` runs
 one experiment at most once per caller-owned memo, :func:`render` is the
 one renderer, and ``fidelity`` scores every figure against the claims
 table in :mod:`repro.experiments.paper_values`.
@@ -11,13 +14,13 @@ table in :mod:`repro.experiments.paper_values`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from importlib import import_module
 from itertools import count, islice
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import build_testbed
+from repro import SYSTEMS, build_testbed
 from repro.analysis.table1 import (
     architecture_table,
     degraded_read_overhead_distributed,
@@ -26,6 +29,7 @@ from repro.analysis.table1 import (
     write_overhead_draid,
 )
 from repro.experiments import app_figures, fio_figures
+from repro.experiments.runner import SweepPoint, run_points
 from repro.metrics.report import Row, format_table
 from repro.raid.geometry import RaidLevel
 
@@ -116,62 +120,91 @@ def _render_table1(title: str, rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
+#: x -> the row's label and the row function's other arguments.
+Point = Callable[[Any], Dict[str, Any]]
+
+
 @dataclass(frozen=True)
 class Sweep:
-    """One sweep of a FIO figure: ``fn(level, <axis>=values, **kwargs)``."""
+    """One sweep of a figure: a ``row(system=..., **point(x), level=...,
+    fast=...)`` per (x, system), x varying slowest."""
 
-    fn: Callable[..., List[Row]]
-    axis: str  #: the keyword of ``fn`` the x values go to
     values: Sequence  #: the full-mode x axis
-    kwargs: Dict[str, Any] = field(default_factory=dict)
+    point: Point
+    systems: Sequence[str] = tuple(SYSTEMS)
+    row: Callable[..., Row] = fio_figures._fio_row
     prefix: str = ""  #: prepended to every row's x (figures made of two sweeps)
     thin: bool = True  #: fast mode drops every other interior x value
 
 
-def _bandwidth_aware(level, **kwargs):
-    # Figure 17b is a RAID-5 experiment in the paper; the sweep takes no level
-    return fio_figures.bandwidth_aware_comparison(**kwargs)
+def run_sweep(
+    sweep: Sweep, level: RaidLevel, fast: bool = True, jobs: Optional[int] = None
+) -> List[Row]:
+    """Run every point of ``sweep`` through :func:`run_points`."""
+    values = _thin(sweep.values, fast) if sweep.thin else sweep.values
+    points = [
+        SweepPoint(sweep.row, dict(system=system, **sweep.point(x), level=level, fast=fast))
+        for x in values
+        for system in sweep.systems
+    ]
+    rows = run_points(points, jobs=jobs)
+    if sweep.prefix:
+        for row in rows:
+            row.x = f"{sweep.prefix}{row.x}"
+    return rows
 
 
-NORMAL_READ = Sweep(
-    fio_figures.sweep_io_size, "sizes_kb", IO_SIZES_READ,
-    dict(read_fraction=1.0, servers=6),
+def _io_size(read_fraction: float, **kwargs) -> Point:
+    return lambda size_kb: dict(
+        x=f"{size_kb}KB", io_size=size_kb * KB, read_fraction=read_fraction, **kwargs
+    )
+
+
+def _width(read_fraction: float, failed_drives: Tuple[int, ...]) -> Point:
+    return lambda width: dict(
+        x=width, read_fraction=read_fraction, servers=width, failed_drives=failed_drives
+    )
+
+
+def _latency(read_fraction: float) -> Point:
+    return lambda qd: dict(x=qd, read_fraction=read_fraction, servers=18, queue_depth=qd)
+
+
+def _objectstore(degraded: bool) -> Sweep:
+    return Sweep(
+        app_figures.PAPER_WORKLOADS, lambda workload: dict(workload=workload, degraded=degraded),
+        app_figures.APP_SYSTEMS, app_figures._objectstore_row, thin=False,
+    )
+
+
+NORMAL_READ = Sweep(IO_SIZES_READ, _io_size(1.0, servers=6))
+WRITE_R5 = Sweep(IO_SIZES_WRITE_R5, _io_size(0.0))
+WRITE_R6 = Sweep(IO_SIZES_WRITE_R6, _io_size(0.0))
+# 128 KiB writes: fio_point's default I/O size and read fraction
+CHUNK_SIZE = Sweep(CHUNK_SIZES, lambda chunk_kb: dict(x=f"{chunk_kb}KB", chunk=chunk_kb * KB))
+WIDTH = Sweep(WIDTHS, _width(0.0, ()))
+READ_RATIO = Sweep(
+    RATIOS, lambda ratio: dict(x=f"{int(ratio * 100)}%", read_fraction=ratio), thin=False
 )
-WRITE_R5 = Sweep(
-    fio_figures.sweep_io_size, "sizes_kb", IO_SIZES_WRITE_R5, dict(read_fraction=0.0)
-)
-WRITE_R6 = Sweep(
-    fio_figures.sweep_io_size, "sizes_kb", IO_SIZES_WRITE_R6, dict(read_fraction=0.0)
-)
-CHUNK_SIZE = Sweep(fio_figures.sweep_chunk_size, "chunks_kb", CHUNK_SIZES)
-WIDTH = Sweep(fio_figures.sweep_stripe_width, "widths", WIDTHS)
-READ_RATIO = Sweep(fio_figures.sweep_read_ratio, "ratios", RATIOS, thin=False)
 LATENCY = (
-    Sweep(fio_figures.latency_curve, "queue_depths", QUEUE_DEPTHS,
-          dict(read_fraction=0.0), prefix="wo-qd"),
-    Sweep(fio_figures.latency_curve, "queue_depths", QUEUE_DEPTHS,
-          dict(read_fraction=0.5), prefix="rw-qd"),
+    Sweep(QUEUE_DEPTHS, _latency(0.0), ("SPDK", "dRAID", "Linux"), prefix="wo-qd"),
+    Sweep(QUEUE_DEPTHS, _latency(0.5), ("SPDK", "dRAID", "Linux"), prefix="rw-qd"),
 )
-DEGRADED_READ = Sweep(
-    fio_figures.sweep_io_size, "sizes_kb", IO_SIZES_READ,
-    dict(read_fraction=1.0, failed_drives=(0,)),
-)
-DEGRADED_WIDTH = Sweep(
-    fio_figures.sweep_stripe_width, "widths", WIDTHS,
-    dict(read_fraction=1.0, failed=True),
-)
+DEGRADED_READ = Sweep(IO_SIZES_READ, _io_size(1.0, failed_drives=(0,)))
+DEGRADED_WIDTH = Sweep(WIDTHS, _width(1.0, (0,)))
+#: Figure 17a reads only the failed member's chunks; 17b ramps queue depth
+#: on half-25 Gbps servers under a random or a bandwidth-aware reducer.
 RECONSTRUCTION = (
-    Sweep(fio_figures.reconstruction_scalability, "widths", WIDTHS, prefix="width-"),
-    Sweep(_bandwidth_aware, "load_points", [4, 8, 16, 32, 64], prefix="qd-"),
+    Sweep(WIDTHS, lambda width: dict(x=width, width=width), ("SPDK", "dRAID"),
+          fio_figures._rebuild_row, prefix="width-"),
+    Sweep([4, 8, 16, 32, 64], lambda qd: dict(x=qd, qd=qd, width=8),
+          ("Random", "BW-Aware"), fio_figures._bw_aware_row, prefix="qd-"),
 )
-DEGRADED_WRITE = Sweep(
-    fio_figures.sweep_io_size, "sizes_kb", IO_SIZES_READ,
-    dict(read_fraction=0.0, failed_drives=(0,)),
-)
+DEGRADED_WRITE = Sweep(IO_SIZES_READ, _io_size(0.0, failed_drives=(0,)))
 
-#: The FIO figures, one row each: id -> (level, sweeps, title).  Figures
+#: The swept figures, one row each: id -> (level, sweeps, title).  Figures
 #: 22-30 (Appendix A) are the RAID-6 twins of 9-18; Figure 17 has none.
-FIO_FIGURES: Dict[str, Tuple[RaidLevel, Tuple[Sweep, ...], str]] = {
+SWEPT_FIGURES: Dict[str, Tuple[RaidLevel, Tuple[Sweep, ...], str]] = {
     "fig09": (R5, (NORMAL_READ,), "Figure 9: RAID-5 normal-state read vs I/O size (6 targets)"),
     "fig10": (R5, (WRITE_R5,), "Figure 10: RAID-5 write vs I/O size"),
     "fig11": (R5, (CHUNK_SIZE,), "Figure 11: RAID-5 write vs chunk size"),
@@ -182,6 +215,8 @@ FIO_FIGURES: Dict[str, Tuple[RaidLevel, Tuple[Sweep, ...], str]] = {
     "fig16": (R5, (DEGRADED_WIDTH,), "Figure 16: RAID-5 degraded read vs stripe width"),
     "fig17": (R5, RECONSTRUCTION, "Figure 17: reconstruction scalability and BW-aware reducer"),
     "fig18": (R5, (DEGRADED_WRITE,), "Figure 18: RAID-5 degraded write vs I/O size"),
+    "fig20": (R5, (_objectstore(False),), "Figure 20: object store on normal-state RAID-5"),
+    "fig21": (R5, (_objectstore(True),), "Figure 21: object store on degraded-state RAID-5"),
     "fig22": (R6, (NORMAL_READ,), "Figure 22: RAID-6 normal-state read vs I/O size"),
     "fig23": (R6, (WRITE_R6,), "Figure 23: RAID-6 write vs I/O size"),
     "fig24": (R6, (CHUNK_SIZE,), "Figure 24: RAID-6 write vs chunk size"),
@@ -194,18 +229,10 @@ FIO_FIGURES: Dict[str, Tuple[RaidLevel, Tuple[Sweep, ...], str]] = {
 }
 
 
-def run_fio_figure(exp_id: str, fast: bool = True) -> Tuple[str, List[Row]]:
-    """Run one row of :data:`FIO_FIGURES`."""
-    level, sweeps, title = FIO_FIGURES[exp_id]
-    rows: List[Row] = []
-    for sweep in sweeps:
-        values = _thin(sweep.values, fast) if sweep.thin else sweep.values
-        part = sweep.fn(level, **{sweep.axis: values}, **sweep.kwargs, fast=fast)
-        if sweep.prefix:
-            for row in part:
-                row.x = f"{sweep.prefix}{row.x}"
-        rows += part
-    return title, rows
+def run_swept_figure(exp_id: str, fast: bool = True) -> Tuple[str, List[Row]]:
+    """Run one row of :data:`SWEPT_FIGURES`."""
+    level, sweeps, title = SWEPT_FIGURES[exp_id]
+    return title, [row for sweep in sweeps for row in run_sweep(sweep, level, fast)]
 
 
 def run_fig19(fast: bool = True):
@@ -216,16 +243,6 @@ def run_fig19(fast: bool = True):
     for row in degraded:
         row.x = f"{row.x}-degraded"
     return "Figure 19: LSM KV store (RocksDB stand-in) YCSB throughput", rows + degraded
-
-
-def run_fig20(fast: bool = True):
-    rows = app_figures.objectstore_ycsb(degraded=False, fast=fast)
-    return "Figure 20: object store on normal-state RAID-5", rows
-
-
-def run_fig21(fast: bool = True):
-    rows = app_figures.objectstore_ycsb(degraded=True, fast=fast)
-    return "Figure 21: object store on degraded-state RAID-5", rows
 
 
 #: The figures this repository adds to the paper's: id -> (module holding
@@ -291,11 +308,6 @@ def run_added_figure(exp_id: str, fast: bool = True) -> Tuple[str, List[Row]]:
     return title, rows_fn(fast=fast)
 
 
-def _fio_figures(first: int, last: int) -> Dict[str, Callable]:
-    ids = [f"fig{n:02d}" for n in range(first, last + 1)]
-    return {exp_id: partial(run_fio_figure, exp_id) for exp_id in ids}
-
-
 def run_fidelity(fast: bool = True, runs: Optional[Runs] = None) -> Tuple[str, List[Row]]:
     """Score every figure of the claims table (:mod:`repro.experiments.paper_values`).
 
@@ -312,11 +324,10 @@ def run_fidelity(fast: bool = True, runs: Optional[Runs] = None) -> Tuple[str, L
 
 EXPERIMENTS: Dict[str, Callable[[bool], Tuple[str, List[Row]]]] = {
     "table1": run_table1,
-    **_fio_figures(9, 18),
-    "fig19": run_fig19,
-    "fig20": run_fig20,
-    "fig21": run_fig21,
-    **_fio_figures(22, 30),
+    **dict(sorted({
+        "fig19": run_fig19,
+        **{exp_id: partial(run_swept_figure, exp_id) for exp_id in SWEPT_FIGURES},
+    }.items())),
     **{exp_id: partial(run_added_figure, exp_id) for exp_id in ADDED_FIGURES},
     "fidelity": run_fidelity,
 }

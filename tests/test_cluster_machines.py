@@ -187,3 +187,19 @@ class TestMultiNic:
 
         with _pytest.raises(ValueError):
             build_cluster(env, ClusterConfig(num_servers=2, nics_per_server=0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_servers", 0),
+    ("nics_per_server", 0),
+    ("host_cores", 0),
+    ("server_cores", 0),
+    ("io_timeout_ns", 0),
+    ("propagation_ns", -1),
+    ("rdma_op_ns", -2_000),
+    ("functional_capacity", -16384),
+])
+def test_build_cluster_rejects_out_of_range_field(field, value):
+    # each would build and then fail (or run a negative delay) at the first I/O
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        build_cluster(Environment(), ClusterConfig(**{"num_servers": 4, field: value}))

@@ -11,8 +11,9 @@ from unittest import mock
 
 import pytest
 
-from repro.experiments import app_figures, fio_figures
+from repro.experiments import app_figures
 from repro.experiments.common import fio_point
+from repro.experiments.registry import Sweep, run_sweep
 from repro.experiments.runner import (
     JOBS_ENV_VAR,
     ChildTraceback,
@@ -190,39 +191,30 @@ class TestSweepDeterminism:
                 assert a.metrics[key] == b.metrics[key], (a.x, a.system, key)
 
     def test_io_size_sweep_parallel_identical(self):
-        kwargs = dict(
-            level=RaidLevel.RAID5,
-            read_fraction=0.0,
-            sizes_kb=[4, 128],
-            servers=4,
-            systems=("SPDK", "dRAID"),
-            fast=True,
-        )
-        serial = fio_figures.sweep_io_size(jobs=1, **kwargs)
-        parallel = fio_figures.sweep_io_size(jobs=4, **kwargs)
+        sweep = Sweep([4, 128], lambda size_kb: dict(
+            x=f"{size_kb}KB", io_size=size_kb * 1024, read_fraction=0.0, servers=4
+        ), ("SPDK", "dRAID"))
+        serial = run_sweep(sweep, RaidLevel.RAID5, fast=True, jobs=1)
+        parallel = run_sweep(sweep, RaidLevel.RAID5, fast=True, jobs=4)
         self._assert_rows_identical(serial, parallel)
 
+    @staticmethod
+    def _read_ratio_sweep(ratios):
+        return Sweep(ratios, lambda ratio: dict(
+            x=f"{int(ratio * 100)}%", read_fraction=ratio
+        ), ("dRAID",), thin=False)
+
     def test_read_ratio_sweep_parallel_identical(self):
-        kwargs = dict(
-            level=RaidLevel.RAID5,
-            ratios=[0.0, 1.0],
-            systems=("dRAID",),
-            fast=True,
-        )
-        serial = fio_figures.sweep_read_ratio(jobs=1, **kwargs)
-        parallel = fio_figures.sweep_read_ratio(jobs=4, **kwargs)
+        sweep = self._read_ratio_sweep([0.0, 1.0])
+        serial = run_sweep(sweep, RaidLevel.RAID5, fast=True, jobs=1)
+        parallel = run_sweep(sweep, RaidLevel.RAID5, fast=True, jobs=4)
         self._assert_rows_identical(serial, parallel)
 
     def test_jobs_env_var_drives_sweeps(self):
-        kwargs = dict(
-            level=RaidLevel.RAID5,
-            ratios=[1.0],
-            systems=("dRAID",),
-            fast=True,
-        )
+        sweep = self._read_ratio_sweep([1.0])
         with mock.patch.dict(os.environ, {JOBS_ENV_VAR: "2"}):
-            via_env = fio_figures.sweep_read_ratio(**kwargs)
-        explicit = fio_figures.sweep_read_ratio(jobs=1, **kwargs)
+            via_env = run_sweep(sweep, RaidLevel.RAID5, fast=True)
+        explicit = run_sweep(sweep, RaidLevel.RAID5, fast=True, jobs=1)
         self._assert_rows_identical(explicit, via_env)
 
 

@@ -24,6 +24,7 @@ from repro.raid.geometry import RaidGeometry, RaidLevel
 from repro.raid.rebuild import RebuildJob
 from repro.raid.recovery import RecoveryOrchestrator, SparePool
 from repro.sim import Environment
+from repro.storage.drive import DriveFailedError
 from repro.verify import InvariantViolation, VerifyConfig
 from tests.raid_harness import ArrayHarness, TEST_CHUNK
 
@@ -277,6 +278,35 @@ class TestRecoveryOrchestrator:
         assert orch.risk_index() == {1: 16}
         orch._sample_exposure()
         assert worst == [0]
+
+    def test_replacement_dying_mid_rebuild_aborts_and_frees_its_spare(self):
+        """The replacement for member 2 dies 200 us into its rebuild: the
+        request fails with the drive's error, the spare goes back to the
+        pool, no stale progress is kept, and a second request rebuilds
+        the member from scratch."""
+        h = ArrayHarness(SpdkRaid, stripes=32)
+        rng = np.random.default_rng(21)
+        h.write(0, rng.integers(0, 256, h.capacity, dtype=np.uint8))
+        spares = SparePool(h.env, 1)
+        orch = RecoveryOrchestrator(h.array, num_stripes=32, spares=spares, pace_ns=20_000)
+        h.array.fail_drive(2)
+        first = orch.request_rebuild(2)
+
+        def kill_replacement():
+            yield h.env.timeout(200_000)
+            h.array.drives[2].fail()
+
+        h.env.process(kill_replacement(), name="kill-replacement")
+        with pytest.raises(DriveFailedError):
+            h.env.run(until=first)
+        assert orch.stats.rebuilds_aborted == 1
+        assert 2 not in h.array.rebuilt_stripes
+        assert spares.in_use == 0
+        h.env.run(until=orch.request_rebuild(2))
+        assert orch.stats.rebuilds_completed == 1
+        assert 2 not in h.array.failed
+        h.check_read(0, h.capacity)
+        h.scrub()
 
     def test_spare_pool_serializes_rebuilds(self):
         env, cluster, geometry, array = _sanitized_harness(stripes=6)
