@@ -7,7 +7,9 @@ config arms it.  Each probe runs in a fresh interpreter, because the test
 process has long since imported everything.
 """
 
+import ast
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -132,3 +134,27 @@ def test_every_exported_name_resolves(package):
     missing = [name for name in names if not hasattr(package, name)]
     assert not missing, f"{package.__name__} exports undefined names: {missing}"
     assert set(names) <= set(dir(package))
+
+
+def _lazy_tables():
+    """``package -> table`` for every package whose ``__init__`` hands a
+    literal table to :func:`repro._lazy.lazy_exports`."""
+    for package in _packages():
+        tree = ast.parse(inspect.getsource(package))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "lazy_exports"):
+                yield package, ast.literal_eval(node.args[2])
+
+
+_LAZY_TABLES = list(_lazy_tables())
+
+
+@pytest.mark.parametrize(
+    "package, table", _LAZY_TABLES, ids=[p.__name__ for p, _ in _LAZY_TABLES]
+)
+def test_all_lists_each_lazy_export_once(package, table):
+    names = package.__all__
+    assert len(names) == len(set(names)), f"{package.__name__}.__all__ repeats a name"
+    lazy = [name for module in table.values() for name in module]
+    assert not set(lazy) - set(names), f"{package.__name__}.__all__ misses lazy names"
