@@ -15,13 +15,15 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 def lazy_exports(
     package: str, namespace: Dict[str, Any], exports: Dict[str, Sequence[str]]
-) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
-    """Return the ``(__getattr__, __dir__)`` pair of package ``package``.
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]], List[str]]:
+    """Return the ``(__getattr__, __dir__, names)`` of package ``package``.
 
     ``exports`` maps a submodule, relative to the package (``".injector"``),
     to the names the package re-exports from it.  The first read of a name
     imports its submodule and binds the value in ``namespace`` (the
     package's ``globals()``), so every later read is a plain lookup.
+    ``names`` lists the table's names in table order: the package's
+    ``__all__``, or its tail after the eager names.
     """
     home = {name: module for module, names in exports.items() for name in names}
 
@@ -36,4 +38,4 @@ def lazy_exports(
     def __dir__() -> List[str]:
         return sorted({*namespace, *home})
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(home)

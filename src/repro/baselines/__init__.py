@@ -19,19 +19,10 @@ datapath sits on as well — siblings on one substrate.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".array": ("RaidArray", "RaidIoStats"),
     ".base": ("HostCentricRaid",),
     ".logstructured": ("LogStructuredRaid",),
     ".mdraid": ("MdRaid",),
     ".spdkraid": ("SpdkRaid",),
 })
-
-__all__ = [
-    "HostCentricRaid",
-    "LogStructuredRaid",
-    "MdRaid",
-    "RaidArray",
-    "RaidIoStats",
-    "SpdkRaid",
-]

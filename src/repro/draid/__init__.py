@@ -17,7 +17,7 @@ host (vs ``width - 1`` chunks).
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".bdev": ("DraidBdevServer",),
     ".ec_array": ("EcDraidArray", "EcGeometry"),
     ".host": ("DraidArray",),
@@ -26,15 +26,3 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "BandwidthAwareSelector", "RandomReducerSelector", "solve_reducer_probabilities",
     ),
 })
-
-__all__ = [
-    "BandwidthAwareSelector",
-    "DraidArray",
-    "DraidBdevServer",
-    "EcDraidArray",
-    "EcGeometry",
-    "OffloadedController",
-    "OffloadedDraidArray",
-    "RandomReducerSelector",
-    "solve_reducer_probabilities",
-]

@@ -30,7 +30,7 @@ from repro.ec.parity import (
 from repro.ec.rs import LinearCode, PQCode, ReedSolomon, UnrecoverableErasureError
 
 # LRC loads on first use: an array without local groups never reads it.
-__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, globals(), {
     ".lrc": ("DecodePlan", "DecodeStep", "LocalReconstructionCode"),
 })
 
@@ -55,10 +55,7 @@ def code_for(spec: Tuple) -> LinearCode:
 
 __all__ = [
     "GF256",
-    "DecodePlan",
-    "DecodeStep",
     "LinearCode",
-    "LocalReconstructionCode",
     "PQCode",
     "ReedSolomon",
     "UnrecoverableErasureError",
@@ -68,4 +65,5 @@ __all__ = [
     "raid6_pq",
     "raid6_reconstruct",
     "xor_blocks",
+    *_lazy_names,
 ]

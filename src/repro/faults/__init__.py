@@ -16,7 +16,7 @@ from repro._lazy import lazy_exports
 # Nothing is imported until read: an unarmed run never loads the injector,
 # the event catalogue or the domain map (the datapath imports ``backoff``
 # itself).
-__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".detect": ("FailSlowDetector",),
     ".domains": ("DOMAIN_KINDS", "DomainTopology", "FailureDomain", "default_topology"),
     ".events": (
@@ -28,31 +28,3 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".injector": ("FaultInjector",),
     ".plan": ("FaultPlan", "chaos_plan"),
 })
-
-__all__ = [
-    "BatchFailureStorm",
-    "BitRot",
-    "DOMAIN_KINDS",
-    "DomainOutage",
-    "DomainTopology",
-    "DriveErrorBurst",
-    "DriveFail",
-    "DriveFailSlow",
-    "DriveHeal",
-    "FailSlowDetector",
-    "FailureDomain",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "GrayDriveStutter",
-    "GrayNicFlap",
-    "LinkStall",
-    "LostWrite",
-    "MisdirectedWrite",
-    "NetJitter",
-    "NicDegrade",
-    "ServerCrash",
-    "TornWrite",
-    "chaos_plan",
-    "default_topology",
-]

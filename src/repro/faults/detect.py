@@ -91,15 +91,8 @@ class FailSlowDetector:
         own = self.ewma_ns[member]
         if own < self.floor_ns:
             return False
-        peers = sorted(
-            value
-            for index, value in self.ewma_ns.items()
-            if index != member and index not in exclude
-        )
-        if len(peers) < 2:
-            return False
-        median = peers[len(peers) // 2]
-        return own > self.ratio * max(median, 1.0)
+        median = self._peer_median(member, exclude)
+        return median is not None and own > self.ratio * median
 
     def recovered(self, member: int, now_ns: int, exclude=()) -> bool:
         """Whether an ejected ``member`` may re-enter rotation.
@@ -119,15 +112,20 @@ class FailSlowDetector:
         own = self.ewma_ns[member]
         if own < self.floor_ns:
             return True
+        median = self._peer_median(member, exclude)
+        return median is not None and own <= self.exit_ratio * median
+
+    def _peer_median(self, member: int, exclude) -> Optional[float]:
+        """The (upper) median of the other members' EWMAs, floored at 1 ns;
+        None with fewer than two peers to compare against."""
         peers = sorted(
             value
             for index, value in self.ewma_ns.items()
             if index != member and index not in exclude
         )
         if len(peers) < 2:
-            return False
-        median = peers[len(peers) // 2]
-        return own <= self.exit_ratio * max(median, 1.0)
+            return None
+        return max(peers[len(peers) // 2], 1.0)
 
     def note_eject(self, member: int, now_ns: int) -> None:
         """Record an ejection: starts the re-admit dwell, bumps the

@@ -169,20 +169,24 @@ class FaultInjector:
             self.array.server_sides[member].crash(down_ns)
 
     def _fail_member(self, server: int) -> None:
-        """Hard-fail the member on ``server`` (idempotent; tolerance
-        overruns are kept as marked failures and surface as datapath
-        ``IoError``; a server hosting no member is left alone)."""
+        """Hard-fail the drive of the member on ``server`` (idempotent per
+        drive: a member still failed while its replacement is rebuilt
+        loses the replacement and its rebuild progress; tolerance overruns
+        are kept as marked failures and surface as datapath ``IoError``; a
+        server hosting no member is left alone)."""
         array = self.array
         member = self._member(server)
-        if member is None or member in array.failed:
+        if member is None or array.drives[member].failed:
             return
         from repro.baselines.array import ArrayFailureError
 
+        degraded = member not in array.failed
         try:
             array.fail_drive(member)
         except ArrayFailureError:
             pass  # still marked failed; the datapath surfaces IoError
-        array.fault_stats.degraded_transitions += 1
+        if degraded:
+            array.fault_stats.degraded_transitions += 1
 
     @property
     def topology(self) -> DomainTopology:

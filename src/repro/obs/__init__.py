@@ -22,7 +22,7 @@ from typing import Any
 from repro._lazy import lazy_exports
 
 # The tracer and the sampler load when a cluster is armed (or a name is read).
-__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, globals(), {
     ".sampler": ("RESOURCE_CLASSES", "BottleneckReport", "UtilizationSampler"),
     ".trace": (
         "CATEGORY_PRIORITY", "Span", "TraceContext", "Tracer", "breakdown_table",
@@ -34,18 +34,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
 __all__ = [
     "ObservabilityConfig",
     "Observability",
-    "Tracer",
-    "TraceContext",
-    "Span",
-    "CATEGORY_PRIORITY",
-    "chrome_trace_events",
-    "chrome_trace_json",
-    "validate_chrome_trace",
-    "request_breakdowns",
-    "breakdown_table",
-    "UtilizationSampler",
-    "BottleneckReport",
-    "RESOURCE_CLASSES",
+    *_lazy_names,
 ]
 
 

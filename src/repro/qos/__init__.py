@@ -17,7 +17,7 @@ from repro._lazy import lazy_exports
 # The datapath imports ``admission`` and ``errors`` itself; the control hub,
 # fair queueing and token buckets load when an overload config or a rack
 # reads them.
-__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".admission": ("AdmissionQueue", "PRIORITY_BACKGROUND", "PRIORITY_FOREGROUND"),
     ".breaker": ("CircuitBreaker",),
     ".budget": ("RetryBudget",),
@@ -26,21 +26,3 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".fair": ("FairFlow", "WeightedFairQueue"),
     ".tokens": ("NS_PER_S", "RateLimitedDevice", "TokenBucket"),
 })
-
-__all__ = [
-    "AdmissionQueue",
-    "Busy",
-    "CircuitBreaker",
-    "DeadlineExceeded",
-    "FairFlow",
-    "NS_PER_S",
-    "OverloadConfig",
-    "PRIORITY_BACKGROUND",
-    "PRIORITY_FOREGROUND",
-    "QosControl",
-    "QosStats",
-    "RateLimitedDevice",
-    "RetryBudget",
-    "TokenBucket",
-    "WeightedFairQueue",
-]

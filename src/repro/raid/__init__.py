@@ -14,7 +14,7 @@ from repro._lazy import lazy_exports
 # orchestrator, crash resync and the scrub daemon load when read.
 from repro.raid import rebuild, scrub  # noqa: F401  (imported for loading)
 
-__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     ".bitmap": ("WriteIntentBitmap",),
     ".geometry": ("ChunkSegment", "RaidGeometry", "RaidLevel", "StripeExtent"),
     ".locks": ("StripeLockManager",),
@@ -25,27 +25,3 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".scrub": ("ScrubReport", "scrub_array", "scrub_stripe"),
     ".scrubber": ("ScrubDaemon", "ScrubPassReport"),
 })
-
-__all__ = [
-    "ChunkSegment",
-    "RaidGeometry",
-    "RaidLevel",
-    "RebuildJob",
-    "RebuildStats",
-    "RecoveryOrchestrator",
-    "RecoveryStats",
-    "SparePool",
-    "ScrubDaemon",
-    "ScrubPassReport",
-    "ScrubReport",
-    "StripeExtent",
-    "StripeLockManager",
-    "WriteIntentBitmap",
-    "WriteMode",
-    "classify_write",
-    "rebuild_member_stripe",
-    "resync_after_crash",
-    "resync_stripes",
-    "scrub_array",
-    "scrub_stripe",
-]

@@ -6,22 +6,22 @@ workload, every stripe's parity must equal the parity of its data chunks —
 and usable as a library facility (e.g. after crash-recovery resync).
 
 :func:`scrub_array` streams stripes in batches and verifies each batch
-with vectorized numpy parity math (one XOR reduction across the member
-rows instead of a Python loop per chunk), reporting progress through an
-optional callback and returning a structured :class:`ScrubReport`.  For
-the *online* scrubber that runs on the sim clock against a live array,
-see :mod:`repro.raid.scrubber`.
+through the array's own code, one ``encode`` per group of stripes that
+share a placement, whatever the code (P+Q, Reed-Solomon, LRC) or layout
+(rotating, declustered); :func:`scrub_stripe` is the per-stripe
+reference.  Progress goes to an optional callback and the verdict comes
+back as a structured :class:`ScrubReport`.  For the *online* scrubber
+that runs on the sim clock against a live array, see
+:mod:`repro.raid.scrubber`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.ec import PQCode
-from repro.ec.gf import GF
 from repro.raid.geometry import RaidGeometry
 from repro.storage.drive import NvmeDrive
 
@@ -73,67 +73,33 @@ def scrub_array(
     """Scrub ``num_stripes`` stripes; returns a :class:`ScrubReport`.
 
     Stripes are streamed in batches of ``batch_stripes``: each batch peeks
-    one contiguous region per member and verifies all its stripes with
-    vectorized parity math.  ``progress(stripes_done, num_stripes)`` is
-    invoked after every batch.  The batched math applies to what it is
-    written for — a P+Q ``code`` on a layout where every drive holds a chunk
-    of every stripe; any other code or a declustered layout is verified
-    stripe by stripe through ``code.encode``.
-
-    * RAID-5: the XOR across *all* members (data + P) of a consistent
-      stripe is zero, independent of where P rotates to.
-    * RAID-6: that same total XOR equals Q when P is consistent, which
-      checks P; Q is then recomputed from the data chunks per rotation
-      phase (stripes sharing ``stripe % num_drives`` have identical
-      placement, so one :meth:`~repro.ec.gf.GF256.dot` per phase covers
-      the whole batch).
+    one contiguous region per member, groups its stripes by placement (the
+    layout's data and parity drives, distributed-spare remaps included) and
+    re-encodes each group's data chunks laid end to end in one
+    ``code.encode`` — every code here is linear byte by byte, so the parity
+    of a concatenation is the concatenation of the parities.  A stripe is
+    bad where any of its parity chunks differs.  ``progress(stripes_done,
+    num_stripes)`` is invoked after every batch.
     """
-    g = geometry
-    code = code or g.default_code()
+    code = code or geometry.default_code()
     if batch_stripes <= 0:
         raise ValueError(f"batch_stripes must be positive, got {batch_stripes}")
-    if not (isinstance(code, PQCode) and g.full_width):
-        # generic code or declustered members: the whole-row XOR trick
-        # below assumes P+Q rows and that every drive holds a chunk of
-        # every stripe, so fall back to per-stripe verification
-        bad_list: List[int] = []
-        done = 0
-        for stripe in range(num_stripes):
-            if not scrub_stripe(drives, g, stripe, code=code):
-                bad_list.append(stripe)
-            done += 1
-            if progress is not None and (done % batch_stripes == 0 or done == num_stripes):
-                progress(done, num_stripes)
-        return ScrubReport(stripes_checked=done, bad_stripes=bad_list)
-    chunk = g.chunk_bytes
-    n = g.num_drives
+    layout = geometry.layout
+    chunk = geometry.chunk_bytes
     bad: List[int] = []
     checked = 0
     for start in range(0, num_stripes, batch_stripes):
         nb = min(batch_stripes, num_stripes - start)
-        rows = np.stack(
-            [drv.peek(start * chunk, nb * chunk).reshape(nb, chunk) for drv in drives]
-        )
-        total = rows[0].copy()
-        for i in range(1, n):
-            np.bitwise_xor(total, rows[i], out=total)
-        if code.m == 1:
-            bad_mask = total.any(axis=1)
-        else:
-            bad_mask = np.zeros(nb, dtype=bool)
-            # batch stripes phase, phase + n, ... share one placement
-            for phase in range(min(n, nb)):
-                sel = slice(phase, nb, n)
-                s0 = start + phase
-                q_drive = g.parity_drives(s0)[1]
-                # P-check: total XOR == Q iff P is consistent
-                bad_mask[sel] |= (total[sel] ^ rows[q_drive][sel]).any(axis=1)
-                # Q-check: recompute Q from the data chunks
-                q_calc = GF.dot(
-                    code.parity_matrix[1].tolist(),
-                    [rows[g.data_drive(s0, d)][sel] for d in range(g.data_per_stripe)],
-                )
-                bad_mask[sel] |= (q_calc ^ rows[q_drive][sel]).any(axis=1)
+        rows = [drv.peek(start * chunk, nb * chunk).reshape(nb, chunk) for drv in drives]
+        groups: Dict[tuple, List[int]] = {}
+        for i in range(nb):
+            placement = (layout.data_drives(start + i), layout.parity_drives(start + i))
+            groups.setdefault(placement, []).append(i)
+        bad_mask = np.zeros(nb, dtype=bool)
+        for (data, parity), members in groups.items():
+            expected = code.encode([rows[d][members].reshape(-1) for d in data])
+            for computed, p in zip(expected, parity):
+                bad_mask[members] |= (computed.reshape(-1, chunk) != rows[p][members]).any(axis=1)
         bad.extend(start + int(i) for i in np.nonzero(bad_mask)[0])
         checked += nb
         if progress is not None:

@@ -43,17 +43,16 @@ from typing import Any, List, Optional
 from repro._lazy import lazy_exports
 
 # The sanitizer and the protocol checker load when a cluster is armed.
-__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, globals(), {
     ".kernel": ("KernelSanitizer",),
     ".protocol": ("ProtocolChecker",),
 })
 
 __all__ = [
     "InvariantViolation",
-    "KernelSanitizer",
-    "ProtocolChecker",
     "Verifier",
     "VerifyConfig",
+    *_lazy_names,
 ]
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import build_testbed
 from repro.baselines import MdRaid, SpdkRaid
 from repro.cluster import ClusterConfig, build_cluster
 from repro.draid import DraidArray
@@ -293,6 +294,36 @@ class TestFaultInjector:
         assert cluster.servers[3].drive._slow_factor() == 4.0
         env.run(until=injector.drain())
         assert injector.rebuilds == 1 and not array.failed
+
+    @pytest.mark.parametrize("system", ["SPDK", "dRAID"])
+    def test_drive_fail_reaches_a_member_under_rebuild(self, system):
+        """A member stays failed until its rebuild ends, but its replacement
+        drive is alive: a DriveFail landing mid-rebuild kills the
+        replacement, drops the rebuilt stripes and fails the rebuild,
+        without a second degraded transition."""
+        stripes, chunk = 64, 16 * 1024
+        env, _, array = build_testbed(system, chunk_bytes=chunk, config=ClusterConfig(
+            num_servers=5, functional_capacity=stripes * chunk, io_timeout_ns=2 * MS,
+        ))
+        blob = np.random.default_rng(1).integers(
+            0, 256, stripes * array.geometry.stripe_data_bytes, dtype=np.uint8
+        )
+        env.run(until=array.write(0, len(blob), blob))
+        t = env.now
+        plan = FaultPlan([
+            DriveFail(t + MS, server=2),
+            DriveHeal(t + 2 * MS, server=2),
+            DriveFail(t + 2 * MS + 200_000, server=2),
+        ])
+        injector = FaultInjector(array, plan, num_stripes=stripes)
+        env.run(until=t + 2 * MS + 300_000)
+        assert array.drives[2].failed
+        assert 2 not in array.rebuilt_stripes
+        env.run(until=injector.drain())
+        assert (injector.rebuilds, injector.rebuild_failures) == (0, 1)
+        assert array.failed == {2}
+        assert array.fault_stats.injected["DriveFail"] == 2
+        assert array.fault_stats.degraded_transitions == 1
 
 
 # -- the fence rule: one table over the six decision paths -------------------
