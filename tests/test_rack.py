@@ -256,6 +256,32 @@ class TestVolumeIo:
             _drain(env, volume.read(0, 64 * KB))
         assert volume.qos_rejections == 1
 
+    def test_front_door_serves_64_and_queues_32_per_tenant(self):
+        """A QoS-armed array's front door holds 64 I/Os in service and a
+        tenant lane 32 deep: of 97 concurrent writes only the 97th is
+        ``Busy``."""
+        from repro.sim.core import AllOf
+
+        rack = build_rack(
+            None,
+            RackConfig(
+                arrays=[ArraySpec(system="dRAID", servers=4)], qos=RackQosConfig()
+            ),
+        )
+        volume = rack.volumes.create(VolumeSpec("v", 1 * MB))
+        env = rack.env
+        busy = []
+
+        def write(i):
+            try:
+                yield volume.write(i * 4 * KB, 4 * KB)
+            except Busy:
+                busy.append(i)
+
+        env.run(until=AllOf(env, [env.process(write(i)) for i in range(97)]))
+        assert busy == [96]
+        assert volume.qos_rejections == 1
+
 
 class TestMigration:
     def _functional_rack(self):
