@@ -24,26 +24,27 @@ from typing import List, Optional, Set
 from repro.apps.blobfs import BlobFs
 from repro.sim.core import AllOf, Environment, Event
 
+#: SSTable block, the unit of the block cache and of a point read
+BLOCK_BYTES = 4096
+#: WAL group-commit batch (records per fsync-sized append)
+WAL_BATCH = 8
+#: host CPU per point lookup (memtable/cache path) — RocksDB-scale
+GET_CPU_NS = 1_500
+#: host CPU per insert/update (memtable + WAL bookkeeping)
+PUT_CPU_NS = 2_000
+#: host CPU per key returned by a range scan (iterator step)
+SCAN_CPU_NS_PER_KEY = 200
+
 
 @dataclass(frozen=True)
 class LsmConfig:
     """Tuning knobs of the LSM tree."""
 
     value_bytes: int = 1024
-    block_bytes: int = 4096
     memtable_bytes: int = 4 * 1024 * 1024
     level0_compaction_trigger: int = 4
-    level_fanout: int = 8
     block_cache_bytes: int = 64 * 1024 * 1024
     bloom_false_positive: float = 0.01
-    #: WAL group-commit batch (records per fsync-sized append)
-    wal_batch: int = 8
-    #: host CPU per point lookup (memtable/cache path) — RocksDB-scale
-    get_cpu_ns: int = 1_500
-    #: host CPU per insert/update (memtable + WAL bookkeeping)
-    put_cpu_ns: int = 2_000
-    #: host CPU per key returned by a range scan (iterator step)
-    scan_cpu_ns_per_key: int = 200
 
 
 @dataclass
@@ -62,8 +63,8 @@ class SsTable:
 class _BlockCache:
     """LRU cache of (sst, block) ids."""
 
-    def __init__(self, capacity_bytes: int, block_bytes: int) -> None:
-        self.capacity_blocks = max(1, capacity_bytes // block_bytes)
+    def __init__(self, capacity_bytes: int) -> None:
+        self.capacity_blocks = max(1, capacity_bytes // BLOCK_BYTES)
         self._lru: "OrderedDict[tuple, None]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -102,7 +103,7 @@ class LsmKvStore:
         self._seq = 0
         self._wal_pending = 0
         self._wal_blob: Optional[int] = None
-        self.cache = _BlockCache(self.config.block_cache_bytes, self.config.block_bytes)
+        self.cache = _BlockCache(self.config.block_cache_bytes)
         self._flush_lock = False
         self._compaction_lock = False
         import random
@@ -130,13 +131,13 @@ class LsmKvStore:
         if self._wal_blob is None:
             yield self._init_done
         cfg = self.config
-        yield self._cpu.execute(cfg.put_cpu_ns)
+        yield self._cpu.execute(PUT_CPU_NS)
         self._wal_pending += 1
-        if self._wal_pending >= cfg.wal_batch:
+        if self._wal_pending >= WAL_BATCH:
             # group commit: one WAL append covers the batch
             self._wal_pending = 0
             payload = None
-            nbytes = cfg.wal_batch * (cfg.value_bytes + 32)
+            nbytes = WAL_BATCH * (cfg.value_bytes + 32)
             if self.fs.array.functional:
                 payload = b"\0" * nbytes
             yield self.fs.append(self._wal_blob, nbytes, data=payload)
@@ -157,11 +158,11 @@ class LsmKvStore:
             self.stats["flushes"] += 1
             self._seq += 1
             blob_id = yield self.fs.create_blob(f"sst-{self._seq}")
-            size = max(cfg.block_bytes, len(frozen) * cfg.value_bytes)
+            size = max(BLOCK_BYTES, len(frozen) * cfg.value_bytes)
             payload = b"\0" * size if self.fs.array.functional else None
             yield self.fs.append(blob_id, size, data=payload)
             self._levels[0].append(
-                SsTable(blob_id, frozen, size, 0, self._seq, size // cfg.block_bytes)
+                SsTable(blob_id, frozen, size, 0, self._seq, size // BLOCK_BYTES)
             )
             if len(self._levels[0]) >= cfg.level0_compaction_trigger and not self._compaction_lock:
                 self.env.process(self._compact(), name="lsm.compact")
@@ -184,13 +185,13 @@ class LsmKvStore:
                 merged |= sst.keys
             self._seq += 1
             blob_id = yield self.fs.create_blob(f"sst-{self._seq}")
-            size = max(cfg.block_bytes, len(merged) * cfg.value_bytes)
+            size = max(BLOCK_BYTES, len(merged) * cfg.value_bytes)
             payload = b"\0" * size if self.fs.array.functional else None
             yield self.fs.append(blob_id, size, data=payload)
             # a new list, not an append to the empty one: a lookup in flight
             # keeps the level 1 it started with (see _get)
             self._levels[1] = [
-                SsTable(blob_id, merged, size, 1, self._seq, size // cfg.block_bytes)
+                SsTable(blob_id, merged, size, 1, self._seq, size // BLOCK_BYTES)
             ]
             for sst in inputs:
                 self.cache.invalidate_sst(sst.blob_id)
@@ -233,7 +234,7 @@ class LsmKvStore:
 
     def _scan(self, start_key: int, count: int):
         cfg = self.config
-        yield self._cpu.execute(cfg.get_cpu_ns + cfg.scan_cpu_ns_per_key * count)
+        yield self._cpu.execute(GET_CPU_NS + SCAN_CPU_NS_PER_KEY * count)
         wanted = set(range(start_key, start_key + count))
         found = len(wanted & self._memtable)
         for immutable in self._immutable:
@@ -247,7 +248,7 @@ class LsmKvStore:
                 # sequential read of the overlapping block range
                 max_block = sst.blocks
                 start_block = (start_key * 2654435761) % max_block
-                span_blocks = max(1, (len(overlap) * cfg.value_bytes) // cfg.block_bytes + 1)
+                span_blocks = max(1, (len(overlap) * cfg.value_bytes) // BLOCK_BYTES + 1)
                 misses = 0
                 for b in range(span_blocks):
                     block = (start_block + b) % max_block
@@ -257,13 +258,13 @@ class LsmKvStore:
                         misses += 1
                 if misses:
                     self.stats["sst_reads"] += misses
-                    offset = start_block * cfg.block_bytes
-                    length = min(misses * cfg.block_bytes, sst.size_bytes - offset)
-                    yield self.fs.read(sst.blob_id, offset, max(cfg.block_bytes, length))
+                    offset = start_block * BLOCK_BYTES
+                    length = min(misses * BLOCK_BYTES, sst.size_bytes - offset)
+                    yield self.fs.read(sst.blob_id, offset, max(BLOCK_BYTES, length))
         return min(found, count)
 
     def _get(self, key: int):
-        yield self._cpu.execute(self.config.get_cpu_ns)
+        yield self._cpu.execute(GET_CPU_NS)
         stats = self.stats
         if key in self._memtable:
             stats["memtable_hits"] += 1
@@ -292,7 +293,7 @@ class LsmKvStore:
                 continue
             stats["sst_reads"] += 1
             yield from self.env.call(
-                self.fs.read_body(sst.blob_id, block_index * cfg.block_bytes, cfg.block_bytes)
+                self.fs.read_body(sst.blob_id, block_index * BLOCK_BYTES, BLOCK_BYTES)
             )
             if present:
                 return True

@@ -22,6 +22,9 @@ from typing import List, Optional, Sequence
 
 from repro.cluster.builder import Cluster
 
+#: NIC backlog horizon over which :class:`BandwidthAwareSelector` samples ``B_i``
+BANDWIDTH_WINDOW_NS = 1_000_000
+
 
 def solve_reducer_probabilities(
     bandwidths: Sequence[float], load: float, num_bdevs: Optional[int] = None
@@ -95,16 +98,11 @@ class BandwidthAwareSelector:
     ``B_i`` is sampled from each candidate server's NIC backlog (standing in
     for the telemetry a deployment would report); ``L`` is an exponentially
     weighted moving average of observed reconstruction traffic, updated on
-    every selection so the probabilities react to load changes.
+    every selection so the probabilities react to load changes.  ``B_i`` is
+    the NIC's free bandwidth over the next :data:`BANDWIDTH_WINDOW_NS`.
     """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        seed: int = 0,
-        alpha: float = 0.2,
-        window_ns: int = 1_000_000,
-    ) -> None:
+    def __init__(self, cluster: Cluster, seed: int = 0, alpha: float = 0.2) -> None:
         if not 0 < alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.cluster = cluster
@@ -112,7 +110,6 @@ class BandwidthAwareSelector:
         #: the selector is given to an array, which assigns its member table
         self.servers = cluster.servers
         self.alpha = alpha
-        self.window_ns = window_ns
         self._rng = random.Random(seed)
         self._load_ewma = 0.0  # bytes/s
         self._last_pick_ns: Optional[int] = None
@@ -133,7 +130,7 @@ class BandwidthAwareSelector:
 
     def probabilities(self, candidates: Sequence[int]) -> List[float]:
         bandwidths = [
-            self.servers[i].nic.available_bandwidth(self.window_ns)
+            self.servers[i].nic.available_bandwidth(BANDWIDTH_WINDOW_NS)
             for i in candidates
         ]
         return solve_reducer_probabilities(

@@ -64,7 +64,6 @@ def _objectstore_row(
 def lsm_ycsb(
     degraded: bool = False,
     workloads: Sequence[str] = PAPER_WORKLOADS,
-    systems: Sequence[str] = APP_SYSTEMS,
     fast: bool = True,
     jobs: Optional[int] = None,
 ) -> List[Row]:
@@ -85,7 +84,7 @@ def lsm_ycsb(
             _lsm_rows,
             dict(system=system, degraded=degraded, workloads=tuple(workloads), fast=fast),
         )
-        for system in systems
+        for system in APP_SYSTEMS
     ]
     by_system = run_points(points, jobs=jobs)
     return [rows[i] for i in range(len(workloads)) for rows in by_system]

@@ -108,25 +108,21 @@ def traced_fio_point(
     system: str,
     io_size: int = DEFAULT_IO,
     read_fraction: float = 0.0,
-    queue_depth: int = DEFAULT_QD,
     fast: bool = True,
     seed: int = 1234,
-    observability: Optional[ObservabilityConfig] = None,
     **build_kwargs,
 ):
     """Run one observability-armed FIO point; returns ``(FioResult, Observability)``.
 
-    Identical methodology to :func:`fio_point` (``build_kwargs`` are
-    :func:`build_array`'s: ``servers``, ``level``, ``chunk``, ...) but the
-    cluster is built with tracing armed: every measured I/O records a root
-    span plus its host/NIC/fabric/target/drive child spans, and the
-    utilization sampler covers exactly the measurement window.  Inspect
-    ``obs.tracer`` with :func:`repro.obs.request_breakdowns` /
-    :func:`repro.obs.chrome_trace_json` and ``obs.sampler.report()`` for the
-    bottleneck attribution.
+    Identical methodology to :func:`fio_point` at its default queue depth
+    (``build_kwargs`` are :func:`build_array`'s: ``servers``, ``level``,
+    ``chunk``, ...) but the cluster is built with tracing armed: every
+    measured I/O records a root span plus its host/NIC/fabric/target/drive
+    child spans, and the utilization sampler covers exactly the measurement
+    window.  Inspect ``obs.tracer`` with :func:`repro.obs.request_breakdowns`
+    / :func:`repro.obs.chrome_trace_json` and ``obs.sampler.report()`` for
+    the bottleneck attribution.
     """
-    array = build_array(
-        system, observability=observability or ObservabilityConfig(), **build_kwargs
-    )
-    result = _measure(array, io_size, read_fraction, queue_depth, fast, seed)
+    array = build_array(system, observability=ObservabilityConfig(), **build_kwargs)
+    result = _measure(array, io_size, read_fraction, DEFAULT_QD, fast, seed)
     return result, array.cluster.obs

@@ -49,11 +49,11 @@ RATIOS = [0.0, 0.25, 0.5, 0.75, 1.0]
 QUEUE_DEPTHS = [1, 2, 4, 8, 16, 32, 64, 128]
 
 
-def _thin(points: Sequence, fast: bool, keep_every: int = 2) -> List:
+def _thin(points: Sequence, fast: bool) -> List:
     """Drop every other interior point in fast mode (keep both endpoints)."""
     if not fast or len(points) <= 4:
         return list(points)
-    kept = [p for i, p in enumerate(points) if i % keep_every == 0]
+    kept = list(points[::2])
     if kept[-1] != points[-1]:
         kept.append(points[-1])
     return kept

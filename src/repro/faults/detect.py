@@ -25,21 +25,21 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+#: EWMA weight of each new completion latency
+ALPHA = 0.2
+
 
 class FailSlowDetector:
     """Per-array EWMA latency comparator with eject/re-admit hysteresis."""
 
     def __init__(
         self,
-        alpha: float = 0.2,
         ratio: float = 3.0,
         floor_ns: int = 1_000_000,
         min_samples: int = 8,
         exit_ratio: float = 1.5,
         cooldown_ns: int = 10_000_000,
     ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if ratio <= 1.0:
             raise ValueError(f"ratio must exceed 1, got {ratio}")
         if not 1.0 <= exit_ratio <= ratio:
@@ -48,7 +48,6 @@ class FailSlowDetector:
             )
         if cooldown_ns < 0:
             raise ValueError(f"cooldown must be >= 0, got {cooldown_ns}")
-        self.alpha = alpha
         self.ratio = ratio
         self.floor_ns = int(floor_ns)
         self.min_samples = int(min_samples)
@@ -69,9 +68,7 @@ class FailSlowDetector:
         if previous is None:
             self.ewma_ns[member] = float(latency_ns)
         else:
-            self.ewma_ns[member] = (
-                self.alpha * latency_ns + (1.0 - self.alpha) * previous
-            )
+            self.ewma_ns[member] = ALPHA * latency_ns + (1.0 - ALPHA) * previous
         self.samples[member] = self.samples.get(member, 0) + 1
 
     def suspect(self, member: int, exclude=(), now_ns: Optional[int] = None) -> bool:

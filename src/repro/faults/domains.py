@@ -148,8 +148,8 @@ def batch_storm_victims(topology: DomainTopology, event) -> List[Tuple[int, int]
     return [(victim, event.at_ns + delay) for victim, delay in zip(victims, delays)]
 
 
-def default_topology(num_servers: int, batch_seed: int = 0) -> DomainTopology:
+def default_topology(num_servers: int) -> DomainTopology:
     """The default blast-radius shape for an ``num_servers``-member array:
     2 drives per enclosure, 2 enclosures per rack, 2 racks per power feed,
     2 manufacturing batches."""
-    return DomainTopology(num_servers, batch_seed=batch_seed)
+    return DomainTopology(num_servers)

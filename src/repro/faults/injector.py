@@ -17,7 +17,7 @@ server hosts none, like an offloaded controller's own.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.faults.events import (
     BatchFailureStorm,
@@ -69,6 +69,8 @@ class FaultInjector:
         self.rebuilds = 0
         self.rebuild_failures = 0
         self._helpers: List[Event] = []
+        #: member -> completion event of its running plain rebuild
+        self._rebuilding: Dict[int, Event] = {}
         self._nic_degrades = {i: 0 for i in range(self.cluster.num_servers)}
         self._default_topology = None
         array.resilient = True
@@ -226,6 +228,15 @@ class FaultInjector:
                 except REBUILD_ERRORS:
                     self.rebuild_failures += 1
                 return
+            running = self._rebuilding.get(member)
+            if running is not None:
+                # join the member's running rebuild: its outcome is counted
+                # by the heal that started it
+                try:
+                    yield running
+                except REBUILD_ERRORS:
+                    pass
+                return
             num_stripes = self._num_stripes
             if num_stripes is None:
                 num_stripes = (
@@ -233,13 +244,16 @@ class FaultInjector:
                     // array.geometry.chunk_bytes
                 )
             job = RebuildJob(array, member, num_stripes)
+            done = self._rebuilding[member] = job.start()
             try:
-                yield job.start()
+                yield done
                 self.rebuilds += 1
             except REBUILD_ERRORS:
                 # rebuild interrupted by a newer fault; a later heal (or the
                 # harness's recovery pass) will retry
                 self.rebuild_failures += 1
+            finally:
+                del self._rebuilding[member]
         else:
             self._drive(server).heal()
 

@@ -34,6 +34,8 @@ from repro.faults.events import (
 )
 
 MS = 1_000_000  # nanoseconds per millisecond
+#: a chaos plan draws between 4 and 9 independent loud faults
+EVENTS_MIN, EVENTS_MAX = 4, 9
 
 
 class FaultPlan:
@@ -67,9 +69,6 @@ def chaos_plan(
     horizon_ns: int,
     servers: int,
     num_parity: int = 1,
-    events_min: int = 4,
-    events_max: int = 9,
-    allow_crashes: bool = True,
     corruption_events: int = 0,
     chunk_bytes: int = 0,
     num_stripes: int = 0,
@@ -133,8 +132,8 @@ def chaos_plan(
         "stall",
         "jitter",
     )
-    weights = (2, 3 if allow_crashes else 0, 3, 3, 2, 2, 1)
-    count = rng.randint(events_min, events_max)
+    weights = (2, 3, 3, 3, 2, 2, 1)
+    count = rng.randint(EVENTS_MIN, EVENTS_MAX)
     for _ in range(count):
         at_ns = rng.randrange(0, horizon_ns)
         kind = rng.choices(kinds, weights=weights)[0]
@@ -147,7 +146,7 @@ def chaos_plan(
             events.append(DriveHeal(heal_at, server=server))
             unavailable_until[server] = heal_at
         elif kind == "crash":
-            if not allow_crashes or not hard_fault_budget_ok(at_ns):
+            if not hard_fault_budget_ok(at_ns):
                 continue
             down_ns = rng.randint(5 * MS, 20 * MS)
             events.append(ServerCrash(at_ns, server=server, down_ns=down_ns))
@@ -259,7 +258,7 @@ def chaos_plan(
         while made < correlated_events and attempts < correlated_events * 20:
             attempts += 1
             at_ns = drng.randrange(0, horizon_ns)
-            if drng.random() < 0.5 and allow_crashes:
+            if drng.random() < 0.5:
                 # whole-enclosure outage: every member crashes at once, so
                 # the *domain size* counts against the hard-fault budget
                 domain_id = drng.choice(topo.domains("enclosure"))

@@ -18,7 +18,6 @@ class Row:
 def format_table(
     title: str,
     rows: Sequence[Row],
-    x_label: str = "x",
     metric_order: Sequence[str] = (),
 ) -> str:
     """Render rows as a fixed-width table grouped by x-value."""
@@ -34,7 +33,7 @@ def format_table(
     cell_rows = [
         [f"{row.metrics.get(m, float('nan')):.1f}" for m in metrics] for row in rows
     ]
-    x_width = max([12, len(x_label), *(len(c) for c in x_cells)] if x_cells else [12, len(x_label)])
+    x_width = max([12, *(len(c) for c in x_cells)])
     system_width = max([10, *(len(row.system) for row in rows)] if rows else [10])
     # the +1 guarantees at least one space between adjacent metric columns
     # (they have no explicit separator) once content reaches the 16 minimum
@@ -43,7 +42,7 @@ def format_table(
         for i, m in enumerate(metrics)
     ]
     lines = [title, "=" * len(title)]
-    header = f"{x_label:>{x_width}} {'system':>{system_width}}" + "".join(
+    header = f"{'x':>{x_width}} {'system':>{system_width}}" + "".join(
         f"{m:>{w}}" for m, w in zip(metrics, widths)
     )
     lines.append(header)

@@ -1,7 +1,7 @@
 """Periodic utilization sampling and bottleneck attribution.
 
 :class:`UtilizationSampler` is a simulation process that wakes every
-``interval_ns`` and snapshots the busy counters of every shared resource
+:data:`INTERVAL_NS` and snapshots the busy counters of every shared resource
 in a cluster — NIC duplex occupancy (tx/rx separately), per-drive busy
 fraction and queue depth, per-core CPU busy, and stripe-lock contention.
 Each sample stores *deltas* over the interval, so warmup traffic before
@@ -21,10 +21,13 @@ host-NIC-bound; dRAID at 4 KB is drive-bound).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 __all__ = ["UtilizationSampler", "BottleneckReport", "RESOURCE_CLASSES"]
+
+#: Sampling period in simulated nanoseconds (200 µs).
+INTERVAL_NS = 200_000
 
 #: Resource classes a :class:`BottleneckReport` can name as the bottleneck,
 #: each a mean busy fraction in ``[0, 1]`` (values slightly above 1 are
@@ -97,22 +100,13 @@ class _Counter:
 
 
 class UtilizationSampler:
-    """Samples cluster resource occupancy every ``interval_ns`` of sim time.
+    """Samples the resource occupancy of ``cluster`` (a
+    :class:`repro.cluster.builder.Cluster`) every :data:`INTERVAL_NS` of
+    sim time."""
 
-    Parameters
-    ----------
-    cluster:
-        The :class:`repro.cluster.builder.Cluster` to observe.
-    interval_ns:
-        Sampling period in simulated nanoseconds (default 200 µs).
-    """
-
-    def __init__(self, cluster: Any, interval_ns: int = 200_000) -> None:
-        if interval_ns <= 0:
-            raise ValueError(f"interval_ns must be positive, got {interval_ns}")
+    def __init__(self, cluster: Any) -> None:
         self.cluster = cluster
         self.env = cluster.env
-        self.interval_ns = int(interval_ns)
         self.samples: List[Dict[str, float]] = []
         self._running = False
         self._arrays: List[Any] = []
@@ -177,23 +171,22 @@ class UtilizationSampler:
         self._running = False
 
     def _run(self):
-        interval = self.interval_ns
         while self._running:
-            yield self.env.timeout(interval)
+            yield self.env.timeout(INTERVAL_NS)
             if not self._running:
                 break
-            self.samples.append(self._snapshot(interval))
+            self.samples.append(self._snapshot())
 
     # -- measurement --------------------------------------------------------
 
-    def _snapshot(self, interval: int) -> Dict[str, float]:
+    def _snapshot(self) -> Dict[str, float]:
         cluster = self.cluster
         sample: Dict[str, float] = {"t_ns": float(self.env.now)}
         nic_busy: Dict[str, float] = {}
         cpu_busy: Dict[str, float] = {}
         thread_busy = 0.0
         for key, counter in self._counters.items():
-            frac = counter.delta() / interval
+            frac = counter.delta() / INTERVAL_NS
             if key.startswith("host-nic"):
                 sample[key] = frac
             elif "-nic" in key:
@@ -227,7 +220,7 @@ class UtilizationSampler:
                 group["reads"].delta() * profile.read_latency_ns
                 + group["writes"].delta() * profile.write_latency_ns
             )
-            drive_utils.append(occupancy / (interval * profile.parallelism))
+            drive_utils.append(occupancy / (INTERVAL_NS * profile.parallelism))
             queue_depths.append(drive.backlog_ns() / 1000.0)
         sample["drive"] = sum(drive_utils) / max(1, len(drive_utils))
         sample["drive-queue"] = sum(queue_depths) / max(1, len(queue_depths))
@@ -239,15 +232,13 @@ class UtilizationSampler:
         sample["lock-waiters"] = float(waiters)
         return sample
 
-    def report(self, window_start_ns: Optional[int] = None) -> BottleneckReport:
-        """Aggregate samples (optionally only those at/after ``window_start_ns``).
+    def report(self) -> BottleneckReport:
+        """Aggregate the samples into one report.
 
         Means every sampled key over the window and names the resource
         class with the highest mean busy fraction as the bottleneck.
         """
         samples = self.samples
-        if window_start_ns is not None:
-            samples = [s for s in samples if s["t_ns"] >= window_start_ns]
         if not samples:
             return BottleneckReport("idle", {}, 0, 0)
         keys = [k for k in samples[0] if k != "t_ns"]
@@ -261,5 +252,5 @@ class UtilizationSampler:
             value = min(1.0, means.get(key, 0.0))
             if value > best:
                 bottleneck, best = key, value
-        window = int(samples[-1]["t_ns"] - samples[0]["t_ns"]) + self.interval_ns
+        window = int(samples[-1]["t_ns"] - samples[0]["t_ns"]) + INTERVAL_NS
         return BottleneckReport(bottleneck, means, len(samples), window)

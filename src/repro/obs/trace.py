@@ -21,7 +21,7 @@ request's end-to-end latency.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = [
     "TraceContext",
@@ -202,7 +202,6 @@ class Tracer:
         track: str,
         start_ns: int,
         end_ns: int,
-        args: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Record the span for a *reserved* context (from :meth:`derive`).
 
@@ -213,7 +212,7 @@ class Tracer:
         if end_ns <= start_ns:
             return
         self.spans.append(
-            Span(ctx.trace_id, ctx.span_id, ctx.parent_id, name, cat, track, start_ns, end_ns, args)
+            Span(ctx.trace_id, ctx.span_id, ctx.parent_id, name, cat, track, start_ns, end_ns)
         )
 
     def record_root(

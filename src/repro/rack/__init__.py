@@ -4,10 +4,10 @@ The paper evaluates one dRAID array at a time; its pitch is
 datacenter-scale disaggregation.  This package is the missing composition
 layer: a :class:`Rack` hosts several independent RAID arrays (any mix of
 the three controllers) inside one :class:`~repro.sim.core.Environment`, a
-:class:`VolumeManager` places tenant volumes onto those arrays under
-capacity- and load-aware policies and migrates them between arrays when
-one runs hot, and an optional :class:`RackQosConfig` arms per-tenant QoS
-at every array's front door — token-bucket rate limits
+:class:`VolumeManager` places tenant volumes onto those arrays by
+capacity and load and migrates them between arrays when one runs hot,
+and an optional :class:`RackQosConfig` arms per-tenant QoS at every
+array's front door — token-bucket rate limits
 (:class:`~repro.qos.tokens.TokenBucket`) plus weighted fair sharing of
 the shared submission-queue slots
 (:class:`~repro.qos.fair.WeightedFairQueue`) — so one open-loop
@@ -31,7 +31,6 @@ from repro.rack.topology import (
 )
 from repro.rack.volumes import (
     MigrationRecord,
-    PLACEMENT_POLICIES,
     Volume,
     VolumeManager,
     VolumeSpec,
@@ -41,7 +40,6 @@ __all__ = [
     "ArraySpec",
     "HotSpotBalancer",
     "MigrationRecord",
-    "PLACEMENT_POLICIES",
     "Rack",
     "RackArray",
     "RackConfig",

@@ -29,6 +29,8 @@ if TYPE_CHECKING:  # annotation only
     from repro.rack.volumes import Volume
 
 MS = 1_000_000
+#: sleep after each migration before the next scan
+COOLDOWN_NS = 2 * MS
 
 
 class HotSpotBalancer:
@@ -37,7 +39,7 @@ class HotSpotBalancer:
     ``interval_ns`` is the scan period; an array is *hot* when its
     front-door backlog is at least ``high_backlog`` and a migration target
     must be at or below ``low_backlog``.  After each migration the
-    balancer sleeps ``cooldown_ns`` before scanning again;
+    balancer sleeps :data:`COOLDOWN_NS` before scanning again;
     ``max_migrations`` (``None`` = unlimited) caps the total number of
     moves.  Construction arms the loop immediately (it lives at
     ``.process``); :meth:`stop` disarms it at the next scan.
@@ -49,7 +51,6 @@ class HotSpotBalancer:
         interval_ns: int = 1 * MS,
         high_backlog: int = 24,
         low_backlog: int = 8,
-        cooldown_ns: int = 2 * MS,
         max_migrations: Optional[int] = None,
         extent_bytes: int = 1 << 20,
     ) -> None:
@@ -69,7 +70,6 @@ class HotSpotBalancer:
         self.interval_ns = interval_ns
         self.high_backlog = high_backlog
         self.low_backlog = low_backlog
-        self.cooldown_ns = cooldown_ns
         self.max_migrations = max_migrations
         self.extent_bytes = extent_bytes
         self.scans = 0
@@ -105,8 +105,7 @@ class HotSpotBalancer:
                 self.migrations_started >= self.max_migrations
             ):
                 return
-            if self.cooldown_ns:
-                yield env.timeout(self.cooldown_ns)
+            yield env.timeout(COOLDOWN_NS)
 
     def _pick_move(self):
         """The (volume, destination) to migrate now, or None."""

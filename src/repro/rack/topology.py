@@ -25,16 +25,19 @@ from typing import List, Optional, Sequence
 from repro import build_testbed
 from repro.cluster import Cluster, ClusterConfig
 from repro.qos.fair import WeightedFairQueue
-from repro.raid.geometry import RaidLevel
 from repro.sim.core import Environment
 
 KB = 1024
 MB = 1_000_000
+#: I/Os a QoS-armed array serves at once (the shared submission-queue
+#: depth its weighted-fair front door arbitrates)
+QOS_SLOTS = 64
 
 
 @dataclass
 class ArraySpec:
-    """One array of a rack: controller kind, geometry and exported capacity.
+    """One RAID-5 array of a rack: controller kind, geometry and exported
+    capacity.
 
     ``name`` prefixes every machine of the array's cluster (``None`` means
     ``a<i>`` in a multi-array rack, or the historic unprefixed names when
@@ -48,42 +51,35 @@ class ArraySpec:
 
     system: str = "dRAID"
     servers: int = 8
-    level: RaidLevel = RaidLevel.RAID5
     chunk_bytes: int = 512 * KB
     export_bytes: int = 1 << 30
     name: Optional[str] = None
     cluster: Optional[ClusterConfig] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RackQosConfig:
-    """Per-tenant QoS knobs applied at every array's front door.
+    """Marker that arms per-tenant QoS at every array's front door.
 
-    ``slots`` bounds concurrently in-service I/Os per array (the shared
-    submission-queue depth the fair queue arbitrates);
-    ``default_queue_limit`` bounds each tenant's private backlog before
-    typed ``Busy`` fast-rejects; ``shaping_horizon_ns`` (ns) caps how long
-    a token-bucket rate limit may delay an I/O that carries no explicit
-    deadline before policing it instead.
+    It has no settings: each array serves :data:`QOS_SLOTS` I/Os at once,
+    each tenant's private lane holds
+    :data:`~repro.rack.volumes.TENANT_QUEUE_LIMIT` more before typed
+    ``Busy`` fast-rejects, and a token-bucket rate limit delays an I/O that
+    carries no deadline by at most
+    :data:`~repro.rack.volumes.SHAPING_HORIZON_NS` before policing it.
     """
-
-    slots: int = 64
-    default_queue_limit: int = 32
-    shaping_horizon_ns: int = 2_000_000
 
 
 @dataclass
 class RackConfig:
-    """Declarative rack: the array list, placement policy and tenant QoS.
+    """Declarative rack: the array list and tenant QoS.
 
-    ``placement`` names a :data:`repro.rack.volumes.PLACEMENT_POLICIES`
-    entry; ``qos=None`` (the default) leaves tenant QoS entirely unarmed —
+    ``qos=None`` (the default) leaves tenant QoS entirely unarmed —
     volumes become transparent pass-throughs and the datapath is
     byte-identical to driving the arrays directly.
     """
 
     arrays: Sequence[ArraySpec] = field(default_factory=lambda: [ArraySpec()])
-    placement: str = "least-loaded"
     qos: Optional[RackQosConfig] = None
 
 
@@ -141,7 +137,7 @@ class Rack:
         self.env = env
         self.config = config
         self.arrays = arrays
-        self.volumes = VolumeManager(self, policy=config.placement)
+        self.volumes = VolumeManager(self)
 
     def array(self, name: str) -> RackArray:
         """Look up an array by its resolved name."""
@@ -174,7 +170,6 @@ def build_rack(env: Optional[Environment], config: Optional[RackConfig] = None) 
         # the first array creates the environment the rest are built into
         env, cluster, array = build_testbed(
             spec.system,
-            level=spec.level,
             chunk_bytes=spec.chunk_bytes,
             config=replace(base, num_servers=spec.servers, name=name),
             env=env,
@@ -182,6 +177,6 @@ def build_rack(env: Optional[Environment], config: Optional[RackConfig] = None) 
         )
         wfq = None
         if config.qos is not None:
-            wfq = WeightedFairQueue(env, slots=config.qos.slots)
+            wfq = WeightedFairQueue(env, slots=QOS_SLOTS)
         arrays.append(RackArray(name or f"a{i}", spec, cluster, array, wfq))
     return Rack(env, config, arrays)

@@ -22,19 +22,19 @@ With rack QoS unarmed every step above short-circuits to a plain
 pass-through call, and a tenant's deadline stays the workload's goodput
 yardstick: the volume drops it before the array sees it.
 
-Placement is capacity- and load-aware (:data:`PLACEMENT_POLICIES`), and
-:meth:`VolumeManager.migrate` re-homes a volume while the tenant keeps
-issuing I/O: a background copy stream drains the volume extent-by-extent
-to the destination (dual-writing foreground writes in functional mode so
-no acknowledged byte is lost), then a cutover atomically switches the
-routing.  Every decision tie-breaks on stable (index, name) order, so two
+A new volume goes to the array with room for it and the least placed
+demand, and :meth:`VolumeManager.migrate` re-homes a volume while the
+tenant keeps issuing I/O: a background copy stream drains the volume
+extent-by-extent to the destination (dual-writing foreground writes in
+functional mode so no acknowledged byte is lost), then a cutover
+atomically switches the routing.  Every decision tie-breaks on stable (index, name) order, so two
 runs with the same seeds place and migrate identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.nvmeof.messages import IoError
 from repro.qos.admission import PRIORITY_BACKGROUND
@@ -47,6 +47,10 @@ if TYPE_CHECKING:  # annotation only
     from repro.rack.topology import Rack, RackArray
 
 MB = 1_000_000
+#: each tenant's private backlog bound at a QoS-armed array's front door
+TENANT_QUEUE_LIMIT = 32
+#: longest a rate limit may delay an I/O without a deadline before policing it
+SHAPING_HORIZON_NS = 2_000_000
 
 
 @dataclass
@@ -54,11 +58,10 @@ class VolumeSpec:
     """Declarative tenant volume: size, expected demand and QoS knobs.
 
     ``size_bytes`` is the allocated capacity; ``demand_mb_s`` the expected
-    offered load (MB/s) the load-aware placement policies balance on.
+    offered load (MB/s) the load-aware placement balances on.
     ``rate_limit_mb_s`` arms a token-bucket byte budget (MB/s; ``None`` =
     uncapped) with burst depth ``burst_bytes``; ``weight`` is the tenant's
-    fair-share weight and ``queue_limit`` its private backlog bound at the
-    array front door (``None`` = the rack default).  QoS knobs take effect
+    fair-share weight at the array front door.  QoS knobs take effect
     only when the rack itself is built with a
     :class:`~repro.rack.topology.RackQosConfig`.
     """
@@ -69,7 +72,6 @@ class VolumeSpec:
     weight: float = 1.0
     rate_limit_mb_s: Optional[float] = None
     burst_bytes: int = 1 << 20
-    queue_limit: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,10 @@ class Volume:
             # unarmed rack: the deadline only judges goodput, never the wire
             deadline_ns = None
         if self.bucket is not None:
-            horizon = self._shaping_horizon(deadline_ns)
+            if deadline_ns is None:
+                horizon = SHAPING_HORIZON_NS
+            else:
+                horizon = max(0, deadline_ns - self.env.now)
             grant = self.bucket.acquire_within(nbytes, horizon)
             if grant is None:
                 self.qos_rejections += 1
@@ -204,76 +209,30 @@ class Volume:
                 home.wfq.release()
         return result
 
-    def _shaping_horizon(self, deadline_ns: Optional[int]) -> int:
-        if deadline_ns is not None:
-            return max(0, deadline_ns - self.env.now)
-        return self.manager.rack.config.qos.shaping_horizon_ns
-
     def reset_window(self) -> None:
         """Zero the hotness counters (called by the balancer each scan)."""
         self.window_ops = 0
         self.window_bytes = 0
 
 
-# -- placement policies -----------------------------------------------------
-
-
 def _fits(array: "RackArray", spec: VolumeSpec) -> bool:
     return array.free_bytes >= spec.size_bytes
-
-
-def _first_fit(arrays: Sequence["RackArray"], spec: VolumeSpec):
-    """First array (in rack order) with enough free capacity."""
-    for array in arrays:
-        if _fits(array, spec):
-            return array
-    return None
-
-
-def _best_fit(arrays: Sequence["RackArray"], spec: VolumeSpec):
-    """Tightest capacity fit: the feasible array with least free space."""
-    feasible = [a for a in arrays if _fits(a, spec)]
-    if not feasible:
-        return None
-    return min(feasible, key=lambda a: (a.free_bytes, a.name))
-
-
-def _least_loaded(arrays: Sequence["RackArray"], spec: VolumeSpec):
-    """Load-aware: the feasible array with least placed demand (MB/s)."""
-    feasible = [a for a in arrays if _fits(a, spec)]
-    if not feasible:
-        return None
-    return min(feasible, key=lambda a: (a.placed_demand_mb_s, a.name))
-
-
-#: Placement policy registry: name -> ``policy(arrays, spec) -> array|None``.
-PLACEMENT_POLICIES: Dict[str, Callable] = {
-    "first-fit": _first_fit,
-    "best-fit": _best_fit,
-    "least-loaded": _least_loaded,
-}
 
 
 class VolumeManager:
     """Places tenant volumes onto a rack's arrays and migrates them live.
 
-    The control plane of the rack: :meth:`create` runs the configured
-    placement policy and wires up the volume's QoS state (token bucket,
-    fair-queue lane); :meth:`migrate` re-homes a volume with a paced
+    The control plane of the rack: :meth:`create` places the volume on the
+    least-loaded array that fits it and wires up its QoS state (token
+    bucket, fair-queue lane); :meth:`migrate` re-homes a volume with a
     background copy stream and an atomic cutover, appending a
     :class:`MigrationRecord` per completed move.  All state transitions
     happen on the simulation clock — two identical runs place and migrate
     at identical instants.
     """
 
-    def __init__(self, rack: "Rack", policy: str = "least-loaded") -> None:
-        if policy not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown placement policy {policy!r}; pick from "
-                f"{sorted(PLACEMENT_POLICIES)}"
-            )
+    def __init__(self, rack: "Rack") -> None:
         self.rack = rack
-        self.policy = policy
         self.volumes: Dict[str, Volume] = {}
         self.migrations: List[MigrationRecord] = []
 
@@ -283,7 +242,7 @@ class VolumeManager:
         return all(a.array.functional for a in self.rack.arrays)
 
     def create(self, spec: VolumeSpec, on: Optional[str] = None) -> Volume:
-        """Place a new volume (policy-chosen array, or ``on`` to pin it)."""
+        """Place a new volume (least-loaded array, or ``on`` to pin it)."""
         if spec.name in self.volumes:
             raise ValueError(f"volume {spec.name!r} already exists")
         if spec.size_bytes <= 0:
@@ -295,12 +254,13 @@ class VolumeManager:
                     f"array {on!r} lacks capacity for volume {spec.name!r}"
                 )
         else:
-            home = PLACEMENT_POLICIES[self.policy](self.rack.arrays, spec)
-            if home is None:
+            feasible = [a for a in self.rack.arrays if _fits(a, spec)]
+            if not feasible:
                 raise ValueError(
                     f"no array can host volume {spec.name!r} "
                     f"({spec.size_bytes} bytes)"
                 )
+            home = min(feasible, key=lambda a: (a.placed_demand_mb_s, a.name))
         base = home.allocate(spec.size_bytes)
         bucket = None
         qos = self.rack.config.qos
@@ -320,12 +280,9 @@ class VolumeManager:
     def _register_lane(self, array: "RackArray", spec: VolumeSpec) -> None:
         """Give ``spec``'s tenant its private lane in ``array``'s fair queue
         (rack QoS armed only)."""
-        qos = self.rack.config.qos
-        if qos is not None:
+        if self.rack.config.qos is not None:
             array.wfq.register(
-                spec.name,
-                weight=spec.weight,
-                queue_limit=spec.queue_limit or qos.default_queue_limit,
+                spec.name, weight=spec.weight, queue_limit=TENANT_QUEUE_LIMIT
             )
 
     def migrate(
@@ -333,15 +290,13 @@ class VolumeManager:
         volume: Volume,
         destination: "RackArray",
         extent_bytes: int = 1 << 20,
-        pace_ns: int = 0,
     ) -> Event:
         """Re-home ``volume`` onto ``destination``; returns the completion
         event of the copy-and-cutover process.
 
         The copy stream reads the volume extent-by-extent from the source
-        and writes it to the destination at background priority, pausing
-        ``pace_ns`` between extents; tenant I/O keeps flowing to the
-        source until the cutover at the end.
+        and writes it to the destination at background priority; tenant
+        I/O keeps flowing to the source until the cutover at the end.
         """
         if destination is volume.home:
             raise ValueError(f"volume {volume.name!r} already lives on "
@@ -351,11 +306,11 @@ class VolumeManager:
         if extent_bytes <= 0:
             raise ValueError(f"extent_bytes must be positive, got {extent_bytes}")
         return self.rack.env.process(
-            self._migrate(volume, destination, extent_bytes, pace_ns),
+            self._migrate(volume, destination, extent_bytes),
             name=f"rack.migrate.{volume.name}",
         )
 
-    def _migrate(self, volume: Volume, dst: "RackArray", extent_bytes: int, pace_ns: int):
+    def _migrate(self, volume: Volume, dst: "RackArray", extent_bytes: int):
         env = self.rack.env
         src = volume.home
         started = env.now
@@ -376,11 +331,9 @@ class VolumeManager:
                 except Busy:
                     # shed at a pressed array's admission gate: give the
                     # tenants room, then copy the same extent again
-                    yield env.timeout(max(pace_ns, PRESSURE_PAUSE_NS))
+                    yield env.timeout(PRESSURE_PAUSE_NS)
                     continue
                 copied += nbytes
-                if pace_ns:
-                    yield env.timeout(pace_ns)
         except IoError:
             # terminal: the volume stays on its source, nothing is leaked
             volume._migrating_to = None

@@ -39,6 +39,8 @@ _RUN_CODE = Environment.run.__code__
 _HOLD_CODE = Environment._hold.__code__
 
 CLASSES = ("timer", "start", "wake", "process-end", "condition", "other")
+#: busiest creating sites :meth:`Census.table` lists per kind
+TOP_SITES = 8
 
 #: Why a held event got its calendar entry after all.
 FLUSH_REASONS = (
@@ -209,7 +211,7 @@ class Census:
         total = self.total
         return 0.0 if not total else 1.0 - self.by_class()["timer"] / total
 
-    def table(self, top: int = 8) -> str:
+    def table(self) -> str:
         """The census as text: classes, holds, then the busiest sites."""
         total = self.total
         by_class = self.by_class()
@@ -236,11 +238,11 @@ class Census:
             rows = [(n, cls, site) for (cls, site), n in self.entries.items() if keep(cls)]
             rows.sort(key=lambda row: (-row[0], row[1], row[2]))
             lines.append(f"{title} entries by creating site:")
-            for n, cls, site in rows[:top]:
+            for n, cls, site in rows[:TOP_SITES]:
                 lines.append(f"  {n:>9}  {cls:<12} {site}")
-            if len(rows) > top:
-                rest = sum(n for n, _cls, _site_name in rows[top:])
-                lines.append(f"  {rest:>9}  ({len(rows) - top} more sites)")
+            if len(rows) > TOP_SITES:
+                rest = sum(n for n, _cls, _site_name in rows[TOP_SITES:])
+                lines.append(f"  {rest:>9}  ({len(rows) - TOP_SITES} more sites)")
         return "\n".join(lines)
 
 

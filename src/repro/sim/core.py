@@ -431,11 +431,11 @@ class AnyOf(Condition):
 class Environment:
     """The simulation event loop.
 
-    ``now`` is the current simulated time in integer nanoseconds.
+    ``now`` is the current simulated time in integer nanoseconds, from 0.
     """
 
-    def __init__(self, initial_time: int = 0) -> None:
-        self.now: int = int(initial_time)
+    def __init__(self) -> None:
+        self.now: int = 0
         self._queue: List = []
         self._eid = 0
         self._active_process: Optional[Process] = None

@@ -449,13 +449,9 @@ class BandwidthChannel(FifoServers):
         self.busy_ns += service
         return self.occupy(service)
 
-    def transfer(self, nbytes: int, extra_ns: int = 0) -> Event:
-        """Submit a transfer; returns its completion event.
-
-        ``extra_ns`` is appended to the service time (e.g. a fixed access
-        latency that occupies the channel).
-        """
-        done = self.reserve(nbytes, extra_ns)
+    def transfer(self, nbytes: int) -> Event:
+        """Submit a transfer; returns its completion event."""
+        done = self.reserve(nbytes)
         return self.env.timeout(done - self.env.now, value=nbytes)
 
     def utilization(self, elapsed_ns: int) -> float:

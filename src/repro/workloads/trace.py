@@ -143,17 +143,12 @@ def bursty_trace(
     return records
 
 
-def scan_trace(
-    capacity: int,
-    io_bytes: int,
-    interarrival_ns: int,
-    op: str = "read",
-) -> List[TraceRecord]:
-    """A sequential full-device scan (e.g. a backup or scrub pass)."""
+def scan_trace(capacity: int, io_bytes: int, interarrival_ns: int) -> List[TraceRecord]:
+    """A sequential full-device read scan (e.g. a backup or scrub pass)."""
     records = []
     t = 0
     for offset in range(0, capacity - io_bytes + 1, io_bytes):
-        records.append(TraceRecord(t, op, offset, io_bytes))
+        records.append(TraceRecord(t, "read", offset, io_bytes))
         t += interarrival_ns
     return records
 

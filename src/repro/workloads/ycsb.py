@@ -30,6 +30,9 @@ from repro.metrics.latency import LatencyRecorder, LatencySummary
 from repro.workloads.generators import LatestGenerator, UniformGenerator, ZipfianGenerator
 from repro.workloads.issue import ClosedLoop
 
+#: maximum scan length (YCSB default 100); a scan's length is uniform in [1, max]
+MAX_SCAN_LENGTH = 100
+
 
 @dataclass(frozen=True)
 class YcsbSpec:
@@ -41,8 +44,6 @@ class YcsbSpec:
     insert: float = 0.0
     rmw: float = 0.0
     scan: float = 0.0
-    #: maximum scan length (YCSB default 100), uniform in [1, max]
-    max_scan_length: int = 100
     distribution: str = "zipfian"  #: zipfian | latest | uniform
 
     def __post_init__(self) -> None:
@@ -133,7 +134,7 @@ class YcsbWorkload(ClosedLoop):
             yield self.store.get(key)
             yield self.store.put(key)
         else:  # range scan (YCSB-E)
-            yield self.store.scan(key, self._rng.randint(1, self.spec.max_scan_length))
+            yield self.store.scan(key, self._rng.randint(1, MAX_SCAN_LENGTH))
         if self._measuring:
             self.latencies.record(self.env.now - start)
 

@@ -325,6 +325,34 @@ class TestFaultInjector:
         assert array.fault_stats.injected["DriveFail"] == 2
         assert array.fault_stats.degraded_transitions == 1
 
+    @pytest.mark.parametrize("system", ["SPDK", "dRAID"])
+    def test_second_heal_joins_the_running_rebuild(self, system):
+        """A DriveHeal for a member whose rebuild is still running joins
+        that rebuild: the replacement is not healed again, its rebuilt
+        stripes are kept, and one rebuild is counted."""
+        stripes, chunk = 64, 16 * 1024
+        env, _, array = build_testbed(system, chunk_bytes=chunk, config=ClusterConfig(
+            num_servers=5, functional_capacity=stripes * chunk, io_timeout_ns=2 * MS,
+        ))
+        blob = np.random.default_rng(2).integers(
+            0, 256, stripes * array.geometry.stripe_data_bytes, dtype=np.uint8
+        )
+        env.run(until=array.write(0, len(blob), blob))
+        t = env.now
+        plan = FaultPlan([
+            DriveFail(t + MS, server=2),
+            DriveHeal(t + 2 * MS, server=2),
+            DriveHeal(t + 2 * MS + 200_000, server=2),
+        ])
+        injector = FaultInjector(array, plan, num_stripes=stripes)
+        env.run(until=injector.drain())
+        assert (injector.rebuilds, injector.rebuild_failures) == (1, 0)
+        assert not array.failed
+        # the initial full-stripe writes plus one rebuild pass
+        assert array.drives[2].stats.write_ops == 2 * stripes
+        readback = env.run(until=array.read(0, len(blob)))
+        assert np.array_equal(np.asarray(readback, dtype=np.uint8), blob)
+
 
 # -- the fence rule: one table over the six decision paths -------------------
 

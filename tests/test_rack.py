@@ -140,7 +140,7 @@ class TestAcquireWithin:
         assert bucket.acquire_within(64 * KB, max_delay_ns=10 * MS) is not None
 
 
-def _two_array_rack(qos=False, placement="least-loaded", export=4 * MB):
+def _two_array_rack(qos=False, export=4 * MB):
     return build_rack(
         None,
         RackConfig(
@@ -148,27 +148,12 @@ def _two_array_rack(qos=False, placement="least-loaded", export=4 * MB):
                 ArraySpec(system="dRAID", servers=4, name="a0", export_bytes=export),
                 ArraySpec(system="dRAID", servers=4, name="a1", export_bytes=export),
             ],
-            placement=placement,
             qos=RackQosConfig() if qos else None,
         ),
     )
 
 
 class TestPlacement:
-    def test_first_fit_packs_in_rack_order(self):
-        rack = _two_array_rack(placement="first-fit")
-        v0 = rack.volumes.create(VolumeSpec("v0", 1 * MB))
-        v1 = rack.volumes.create(VolumeSpec("v1", 1 * MB))
-        assert v0.home.name == "a0" and v1.home.name == "a0"
-
-    def test_best_fit_picks_tightest_array(self):
-        rack = _two_array_rack(placement="best-fit")
-        rack.volumes.create(VolumeSpec("filler", 3 * MB), on="a0")
-        v = rack.volumes.create(VolumeSpec("v", 1 * MB))
-        assert v.home.name == "a0"  # 1 MB free beats 4 MB free
-        v2 = rack.volumes.create(VolumeSpec("v2", 2 * MB))
-        assert v2.home.name == "a1"  # a0 can no longer fit it
-
     def test_least_loaded_balances_demand(self):
         rack = _two_array_rack()
         rack.volumes.create(VolumeSpec("hot", 1 * MB, demand_mb_s=500.0))
@@ -208,10 +193,6 @@ class TestPlacement:
             return {v.name: v.home.name for v in rack.volumes.volumes.values()}
 
         assert placements() == placements()
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            build_rack(None, RackConfig(placement="round-robin"))
 
 
 class TestSingleArrayByteIdentity:
