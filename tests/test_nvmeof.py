@@ -456,3 +456,54 @@ class TestPlainCommandChain:
             else:
                 rows.append((at, action))
         chain_matches_handler_processes(kind, rows, queue_depth=queue_depth, traced=True)
+
+
+# -- the contract both server sides share ----------------------------------------
+
+
+def _contract_stack(kind, queue_depth=None):
+    env = Environment()
+    cluster = build_cluster(env, ClusterConfig(num_servers=2, functional_capacity=CAPACITY))
+    if kind == "target":
+        server = NvmeOfTarget(cluster.servers[0], cluster.server_end(0), queue_depth=queue_depth)
+    else:
+        server = DraidBdevServer(cluster, 0, queue_depth=queue_depth)
+    completions = []
+    cluster.host_end(0).inbox.consume(completions.append)
+    return env, cluster, server, completions
+
+
+@pytest.mark.parametrize("kind", ["target", "bdev"])
+def test_server_sides_share_the_intake_and_crash_contract(kind):
+    with pytest.raises(ValueError):
+        _contract_stack(kind, queue_depth=0)
+    env, cluster, server, completions = _contract_stack(kind)
+    with pytest.raises(ValueError):
+        server.crash(0)
+    assert server.crashes == 0
+    # two capsules reach the host end at one instant: the first rides the
+    # consumer's wake, the second waits in the inbox; a crash drops both
+    inbox = server.host_end.inbox
+    inbox.put(NvmeOfCommand(1, Opcode.READ, 0, 4096))
+    inbox.put(NvmeOfCommand(2, Opcode.READ, 4096, 4096))
+    assert len(inbox) == 1
+    server.crash(100_000)
+    assert server.crashes == 1 and len(inbox) == 0
+
+    def late():
+        yield env.timeout(50_000)  # inside the down window: lost too
+        cluster.host_end(0).send(NvmeOfCommand(3, Opcode.READ, 0, 4096))
+
+    env.process(late())
+    env.run()
+    assert completions == [] and server.crashes == 1
+
+    # a bounded server fast-rejects the command past its depth, typed
+    env, cluster, server, completions = _contract_stack(kind, queue_depth=1)
+    for cid in (4, 5):
+        cluster.host_end(0).send(NvmeOfCommand(cid, Opcode.READ, 4096 * cid, 4096))
+    env.run()
+    assert sorted((c.cid, c.ok, c.status) for c in completions) == [
+        (4, True, None), (5, False, "busy"),
+    ]
+    assert server.busy_rejections == 1 and server.inflight == 0
