@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # annotation only: a hub loads when a config arms it
-    from repro.faults.domains import DomainTopology
     from repro.obs import ObservabilityConfig
     from repro.qos import OverloadConfig
     from repro.verify import VerifyConfig
@@ -66,13 +65,6 @@ class ClusterConfig:
     #: a :class:`repro.verify.VerifyConfig` to attach a
     #: :class:`repro.verify.Verifier` hub at ``cluster.verify``.
     verify: Optional["VerifyConfig"] = None
-    #: None (the default) gives faults no shape — every fault event is
-    #: independent, exactly as before.  Set a
-    #: :class:`repro.faults.domains.DomainTopology` to give correlated
-    #: events (``DomainOutage``, ``BatchFailureStorm``) and the
-    #: domain-aware chaos budget a blast-radius map.  Pure bookkeeping:
-    #: attaching a topology changes nothing until an event references it.
-    domains: Optional["DomainTopology"] = None
     #: None (the default) leaves overload control entirely unarmed — queues
     #: stay unbounded and runs are byte-identical to the historic datapath.
     #: Set a :class:`repro.qos.OverloadConfig` to attach a

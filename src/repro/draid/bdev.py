@@ -13,14 +13,10 @@ reductions — the parity reduce and the reconstruction reducer — are one
 :class:`_Reduction` record in one table keyed by command id, finished by
 one gate: the command is in and ``wait_num`` peer partials have arrived.
 
-Overload control (armed via ``queue_depth``): intake on the *host*
-connection is bounded — a host command arriving while ``queue_depth``
-host commands are in service is fast-rejected with a typed ``"busy"``
-completion, and a host command dequeued past its ``deadline_ns`` is
-fast-failed with ``"deadline"``.  Peer messages are never bounded or
-expired: a partial parity in flight must always be allowed to land, or an
-admitted write could never reach a final state.  With the knob unset the
-historic unbounded behavior is preserved exactly.
+Overload control is the NVMe-oF target's (armed via ``queue_depth``,
+:mod:`repro.nvmeof.target`) on the *host* connection only: peer messages
+are never bounded or expired, since a partial parity in flight must always
+be allowed to land, or an admitted write could never reach a final state.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ import numpy as np
 
 from repro.cluster.builder import Cluster
 from repro.draid.protocol import (
-    DraidCompletion,
     ParityCmd,
     PartialWriteCmd,
     PeerMsg,
@@ -42,9 +37,8 @@ from repro.draid.protocol import (
 )
 from repro.ec import code_for
 from repro.ec.gf import GF
-from repro.nvmeof.messages import RESPONSE_BYTES, NvmeOfCommand, Opcode
-from repro.nvmeof.target import serve_plain
-from repro.sim.core import Environment
+from repro.nvmeof.messages import RESPONSE_BYTES, NvmeOfCommand, NvmeOfCompletion, Opcode
+from repro.nvmeof.target import NvmeOfTarget
 from repro.storage.drive import DriveFailedError
 
 def _fold(span_offset: int, span_length: int, pieces) -> np.ndarray:
@@ -101,16 +95,20 @@ class _Reduction:
         return {shard: block for shard, _, block in self.partials}
 
 
-class DraidBdevServer:
-    """Server-side dRAID controller for one storage server.
+class DraidBdevServer(NvmeOfTarget):
+    """Server-side dRAID controller for one storage server: an NVMe-oF
+    target that serves four more opcodes.
 
     :meth:`_serve` is the consumer callback of the host end's inbox and of
     each of the n-1 peer ends'; it starts one :meth:`_run` process per
     admitted message of the extended opcodes (the :data:`_OPCODES` table),
-    and the callback chain it shares with
-    :class:`~repro.nvmeof.target.NvmeOfTarget`
-    (:func:`~repro.nvmeof.target.serve_plain`) per plain READ/WRITE.
+    and the inherited :meth:`serve_plain` chain per plain READ/WRITE.  Its
+    intake order is its own: a host command's deadline is checked before
+    its queue slot, both at arrival, and every message counts as served at
+    intake.
     """
+
+    _spans = ("draid.parse", "draid.complete")
 
     def __init__(
         self,
@@ -120,12 +118,8 @@ class DraidBdevServer:
         blocking_reduce: bool = False,
         queue_depth: Optional[int] = None,
     ) -> None:
-        if queue_depth is not None and queue_depth <= 0:
-            raise ValueError(f"queue_depth must be positive, got {queue_depth}")
-        self.env: Environment = cluster.env
         self.cluster = cluster
         self.index = index
-        self.server = cluster.servers[index]
         #: §5.3 pipeline on/off (ablation knob)
         self.pipeline = pipeline
         #: §5.2 ablation: process peer partials only after their
@@ -133,27 +127,20 @@ class DraidBdevServer:
         #: rejects)
         self.blocking_reduce = blocking_reduce
         self.functional = cluster.config.functional_capacity > 0
-        self.host_end = cluster.server_end(index)
-        self.peer_ends = {}
-        for j in range(cluster.num_servers):
-            if j == index:
-                continue
-            self.peer_ends[j] = cluster.peer_end(index, j)
+        self.peer_ends = {
+            j: cluster.peer_end(index, j)
+            for j in range(cluster.num_servers) if j != index
+        }
         #: in-flight reductions by command id
         self._reductions: Dict[int, _Reduction] = {}
-        self.commands_served = 0
-        self.down_until = 0
-        self.crashes = 0
-        #: Overload control: max in-service host commands (None = unbounded).
-        self.queue_depth = queue_depth
-        self.inflight = 0
-        self.busy_rejections = 0
-        self.deadline_rejections = 0
         #: Verification: armed by the host controller when ``cluster.verify``
         #: is set; a :class:`repro.verify.protocol.ProtocolChecker` that
         #: audits every completion/fold this bdev produces.
         self.verifier = None
-        self._op_name = f"{self.server.name}.op"
+        self._op_name = f"{cluster.servers[index].name}.op"
+        super().__init__(cluster.servers[index], cluster.server_end(index), queue_depth)
+
+    def _listen(self) -> None:
         for end in (self.host_end, *self.peer_ends.values()):
             end.inbox.consume(partial(self._serve, end))
 
@@ -162,19 +149,15 @@ class DraidBdevServer:
     def crash(self, down_ns: int) -> None:
         """Crash/restart this storage server.
 
-        Everything volatile is lost: queued command capsules and — crucially
-        for §5.4 — the in-flight partial-parity and reconstruction reduce
-        state.  Commands arriving while down are dropped without completion;
-        the host recovers via timeout + idempotent full-stripe retry.
+        Everything volatile is lost: besides the target's host-end capsules,
+        the peer inboxes and — crucially for §5.4 — the in-flight
+        partial-parity and reconstruction reduce state.  The host recovers
+        via timeout + idempotent full-stripe retry.
         """
-        if down_ns <= 0:
-            raise ValueError(f"crash duration must be positive, got {down_ns}")
-        self.down_until = max(self.down_until, self.env.now + down_ns)
-        self.crashes += 1
+        super().crash(down_ns)
         if self.verifier is not None:
             self.verifier.on_server_crash(self.index)
         self._reductions.clear()
-        self.host_end.inbox.clear()
         for end in self.peer_ends.values():
             end.inbox.clear()
 
@@ -201,10 +184,7 @@ class DraidBdevServer:
         if handler is None:
             # one held zero-delay start, as in NvmeOfTarget._serve
             begin = self.env.event()
-            begin.callbacks.append(lambda _event: serve_plain(
-                self, message, end, ("draid.parse", "draid.complete"),
-                self._reply_plain,
-            ))
+            begin.callbacks.append(lambda _event: self.serve_plain(message, end))
             begin.succeed()
             return
         self.env.process(self._run(handler, message, end, slot), name=self._op_name)
@@ -254,16 +234,17 @@ class DraidBdevServer:
                 self.index, cid, kind, ok, io_offset=io_offset, trace=ctx
             )
         origin.send(
-            DraidCompletion(cid, kind, ok=ok, data=data, io_offset=io_offset,
-                            error=error, trace=ctx, status=status),
+            NvmeOfCompletion(cid, ok=ok, data=data, error=error, trace=ctx,
+                             status=status, kind=kind, io_offset=io_offset),
             payload_bytes=payload,
             header_bytes=RESPONSE_BYTES,
         )
 
     # -- plain NVMe-oF ------------------------------------------------------
 
-    def _reply_plain(self, origin, cmd: NvmeOfCommand, ctx, data, error) -> None:
-        """The :func:`~repro.nvmeof.target.serve_plain` chain's last call."""
+    def _reply(self, origin, cmd: NvmeOfCommand, ctx, data, error) -> None:
+        """The :meth:`~repro.nvmeof.target.NvmeOfTarget.serve_plain` chain's
+        last call."""
         read = cmd.opcode is Opcode.READ
         self._complete(origin, cmd.cid, "read" if read else "write",
                        ok=error is None, data=data, error=error,

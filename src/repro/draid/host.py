@@ -26,7 +26,6 @@ from repro.baselines.array import RaidArray
 from repro.cluster.builder import Cluster
 from repro.draid.bdev import DraidBdevServer
 from repro.draid.protocol import (
-    DraidCompletion,
     ParityCmd,
     PartialWriteCmd,
     PeerMsg,
@@ -37,7 +36,7 @@ from repro.draid.reconstruction import BandwidthAwareSelector, RandomReducerSele
 from repro.ec import LinearCode
 from repro.faults.backoff import attempt_timeout_ns
 from repro.nvmeof.initiator import completion_error
-from repro.nvmeof.messages import IoError, NvmeOfCommand, Opcode, next_cid
+from repro.nvmeof.messages import IoError, NvmeOfCommand, NvmeOfCompletion, Opcode, next_cid
 from repro.raid.geometry import RaidGeometry, StripeExtent
 from repro.raid.modes import WriteMode, WritePlan, split_segments
 from repro.sim.core import Event
@@ -62,8 +61,8 @@ class _OpWaiter:
                  trace=None, span: str = "") -> None:
         self.event: Event = env.event()
         self.remaining = {k: v for k, v in expected.items() if v > 0}
-        self.completions: List[DraidCompletion] = []
-        self.errors: List[DraidCompletion] = []
+        self.completions: List[NvmeOfCompletion] = []
+        self.errors: List[NvmeOfCompletion] = []
         #: members expected to answer directly / seen answering (§5.4
         #: prolonged-failure fencing keys off the difference)
         self.participants = set(participants)
@@ -74,7 +73,7 @@ class _OpWaiter:
         if not self.remaining:
             self.event.succeed(self)
 
-    def on_completion(self, comp: DraidCompletion) -> None:
+    def on_completion(self, comp: NvmeOfCompletion) -> None:
         """Count ``comp`` in; the last one releases the waiter."""
         if self.event.triggered:
             return
@@ -158,7 +157,7 @@ class DraidArray(RaidArray):
         """The controller's end of its queue pair to ``member``'s server."""
         return self.cluster.host_end(self._server_of(member))
 
-    def _receive(self, member: int, comp: DraidCompletion) -> None:
+    def _receive(self, member: int, comp: NvmeOfCompletion) -> None:
         if self._protocol_verifier is not None:
             self._protocol_verifier.on_host_completion(member, comp)
         waiter = self._waiters.get(comp.cid)

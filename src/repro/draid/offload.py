@@ -19,7 +19,8 @@ This module implements exactly that trade:
   (host -> controller -> bdevs), which the simulation charges faithfully.
   A typed reject the controller raises (``Busy``, ``DeadlineExceeded``)
   travels back as its completion ``status`` and is raised again, typed,
-  at the host.
+  at the host; a read corrupted beyond parity (``ChecksumError``) comes
+  back as an untyped error completion, an ``IoError`` at the host.
 
 The controller occupies one dedicated server; the array spans the
 remaining ``n - 1``.
@@ -33,6 +34,7 @@ from repro.nvmeof.initiator import RemoteBdev
 from repro.nvmeof.messages import IoError, NvmeOfCommand, Opcode
 from repro.nvmeof.target import complete
 from repro.raid.geometry import RaidGeometry
+from repro.storage.integrity import ChecksumError
 
 
 class OffloadedController(DraidArray):
@@ -122,6 +124,10 @@ class OffloadedDraidArray(RemoteBdev):
                 )
         except IoError as exc:
             error, status = str(exc), exc.status
+        except ChecksumError as exc:
+            # corruption beyond parity: an untyped error completion, which
+            # the host raises as IoError
+            error = str(exc)
         complete(self._controller_end, cmd, data, error, status)
 
     def fail_drive(self, index: int) -> None:

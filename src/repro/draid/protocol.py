@@ -151,27 +151,3 @@ class ReconstructionCmd:
     trace: Optional[Any] = None
     #: overload control: absolute sim-time deadline in ns (None = none)
     deadline_ns: Optional[int] = None
-
-
-@dataclass
-class DraidCompletion:
-    """Server -> host completion/callback.
-
-    ``kind`` distinguishes the multiple callbacks one dRAID operation can
-    produce: per-data-bdev write callbacks (§5.3), the parity bdev's reduce
-    completion, reconstruction results and plain read/write completions.
-    """
-
-    cid: int
-    kind: str  #: 'read' | 'write' | 'data' | 'parity' | 'recon'
-    ok: bool = True
-    data: Optional[Any] = None
-    #: destination offset within the user I/O buffer (read payloads)
-    io_offset: int = 0
-    error: Optional[str] = None
-    #: observability: trace context of the host request (None untraced)
-    trace: Optional[Any] = None
-    #: overload control: typed failure class — "busy" (queue-full
-    #: fast-reject) or "deadline" (command expired at the bdev); None for
-    #: success and ordinary errors.
-    status: Optional[str] = None

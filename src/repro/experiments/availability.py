@@ -78,17 +78,12 @@ def _fault_plan(process: str, seed: int, horizon_ns: int):
 
 def availability_point(system: str, process: str, seed: int, fast: bool = True) -> Dict:
     """One seeded durability run; returns plain (picklable) metrics."""
-    from repro.faults.domains import default_topology
     from repro.faults.injector import FaultInjector
     from repro.raid.recovery import RecoveryOrchestrator, SparePool
     from repro.workloads import FioWorkload
 
     horizon_ns = 60 * MS if fast else 90 * MS
-    config = ClusterConfig(
-        num_servers=AVAIL_DRIVES,
-        io_timeout_ns=2 * MS,
-        domains=default_topology(AVAIL_DRIVES),
-    )
+    config = ClusterConfig(num_servers=AVAIL_DRIVES, io_timeout_ns=2 * MS)
     env, _, array = build_testbed(
         system, level=RaidLevel.RAID6, chunk_bytes=AVAIL_CHUNK, config=config
     )

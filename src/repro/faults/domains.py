@@ -9,11 +9,11 @@ radii so that correlated fault events (:class:`~repro.faults.events.DomainOutage
 :func:`~repro.faults.plan.chaos_plan` budget can reason about *sets* of
 members failing together instead of one drive at a time.
 
-The topology is pure bookkeeping: attaching one to a
-:class:`~repro.cluster.ClusterConfig` changes nothing about the
-simulated datapath until a fault event actually references a domain, so
-configs without correlated events stay byte-identical to the committed
-goldens.
+The topology is pure bookkeeping, carried by the
+:class:`~repro.faults.plan.FaultPlan` whose events name its domains: it
+changes nothing about the simulated datapath until a fault event
+actually references a domain, so plans without correlated events stay
+byte-identical to the committed goldens.
 """
 
 from __future__ import annotations

@@ -106,7 +106,7 @@ class ServerCrash(FaultEvent):
 class DomainOutage(FaultEvent):
     """Take a whole failure domain down at once (shared enclosure, rack or
     power feed): every member server of ``(kind, domain_id)`` in the
-    cluster's :class:`~repro.faults.domains.DomainTopology` crashes for
+    plan's :class:`~repro.faults.domains.DomainTopology` crashes for
     ``down_ns``, losing queued commands and in-flight parity state exactly
     like per-server :class:`ServerCrash` events."""
 

@@ -38,7 +38,7 @@ from repro.faults.events import (
     ServerCrash,
     TornWrite,
 )
-from repro.faults.domains import DomainTopology, default_topology
+from repro.faults.domains import default_topology
 from repro.faults.plan import FaultPlan
 from repro.nvmeof.messages import IoError
 from repro.raid.rebuild import RebuildJob
@@ -72,7 +72,8 @@ class FaultInjector:
         #: member -> completion event of its running plain rebuild
         self._rebuilding: Dict[int, Event] = {}
         self._nic_degrades = {i: 0 for i in range(self.cluster.num_servers)}
-        self._default_topology = None
+        #: the failure-domain map the plan's correlated events resolve on
+        self.topology = plan.topology or default_topology(self.cluster.num_servers)
         array.resilient = True
         self.process = self.env.process(self._run(), name=f"{array.name}.faults")
 
@@ -189,18 +190,6 @@ class FaultInjector:
             pass  # still marked failed; the datapath surfaces IoError
         if degraded:
             array.fault_stats.degraded_transitions += 1
-
-    @property
-    def topology(self) -> DomainTopology:
-        """The cluster's failure-domain map (``ClusterConfig.domains``),
-        or the default blast-radius shape when none was configured."""
-        topology = self.cluster.config.domains
-        if topology is None:
-            topology = self._default_topology
-            if topology is None:
-                topology = default_topology(self.cluster.num_servers)
-                self._default_topology = topology
-        return topology
 
     def _drive(self, server: int):
         return self.cluster.servers[server].drive

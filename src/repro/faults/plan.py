@@ -39,15 +39,22 @@ EVENTS_MIN, EVENTS_MAX = 4, 9
 
 
 class FaultPlan:
-    """An immutable, time-sorted fault schedule."""
+    """An immutable, time-sorted fault schedule, with the failure-domain map
+    its correlated events name domains of (``topology``; None: the
+    injector's :func:`~repro.faults.domains.default_topology`)."""
 
-    def __init__(self, events: Iterable[FaultEvent] = ()) -> None:
+    def __init__(
+        self,
+        events: Iterable[FaultEvent] = (),
+        topology: Optional[DomainTopology] = None,
+    ) -> None:
         staged = list(events)
         for event in staged:
             if event.at_ns < 0:
                 raise ValueError(f"event before t=0: {event!r}")
         # stable sort: ties keep authoring order
         self.events: List[FaultEvent] = sorted(staged, key=lambda e: e.at_ns)
+        self.topology = topology
 
     def __len__(self) -> int:
         return len(self.events)
@@ -103,9 +110,9 @@ def chaos_plan(
     likewise adds sub-ejection-threshold :class:`GrayNicFlap` /
     :class:`GrayDriveStutter` degradation (soft — exempt from the hard
     budget).  ``topology`` supplies the blast-radius map (defaults to
-    :func:`~repro.faults.domains.default_topology`); pass the same one
-    to ``ClusterConfig.domains`` so the injector resolves domains the
-    way the plan budgeted them.  All three knobs default off, leaving
+    :func:`~repro.faults.domains.default_topology`); a plan that drew a
+    domain event carries the map it budgeted against, so the injector
+    resolves domains the same way.  All three knobs default off, leaving
     existing plans for a given seed byte-identical.
     """
     if servers < 3:
@@ -248,6 +255,7 @@ def chaos_plan(
                     MisdirectedWrite(at_ns, server=server, shift_bytes=chunk_bytes)
                 )
             made += 1
+    topo = None  # the map the domain events are budgeted against
     if correlated_events > 0:
         # independent child RNG: adding correlated faults must not perturb
         # the loud-fault or corruption streams above for the same seed
@@ -300,6 +308,8 @@ def chaos_plan(
                     events.append(DriveHeal(heal_at, server=victim))
                     unavailable_until[victim] = heal_at
             made += 1
+        if not made:
+            topo = None  # no domain event drawn: the plan carries no map
     if gray_events > 0:
         grng = random.Random(f"repro.chaos.gray:{seed}")
         for _ in range(gray_events):
@@ -331,4 +341,4 @@ def chaos_plan(
                         repeats=grng.randint(3, 8),
                     )
                 )
-    return FaultPlan(events)
+    return FaultPlan(events, topo)

@@ -66,10 +66,11 @@ class NvmeOfCommand:
 
 @dataclass
 class NvmeOfCompletion:
-    """Response to a command."""
+    """Response to a command (a dRAID bdev's callbacks too, told apart by
+    ``kind``: one dRAID operation may produce several under one ``cid``)."""
 
     cid: int
-    ok: bool
+    ok: bool = True
     #: Read payload in functional mode.
     data: Optional[Any] = None
     error: Optional[str] = None
@@ -80,3 +81,8 @@ class NvmeOfCompletion:
     #: fast-reject) or "deadline" (command expired at the target); None for
     #: success and ordinary errors.
     status: Optional[str] = None
+    #: dRAID only: 'read' | 'write' | 'data' (§5.3 per-data-bdev write
+    #: callback) | 'parity' (reduce completion) | 'recon' (rebuilt region)
+    kind: str = ""
+    #: dRAID only: where a read payload lands in the user I/O buffer
+    io_offset: int = 0

@@ -2,8 +2,8 @@
 
 One target runs per storage server.  It consumes command capsules from
 the host-facing connection end and services each as its own callback chain
-(:func:`serve_plain`, which the dRAID bdev shares for its plain
-READ/WRITE) so that drive-internal parallelism is exploitable.  Per the
+(:meth:`NvmeOfTarget.serve_plain`, which the dRAID bdev inherits for its
+plain READ/WRITE) so that drive-internal parallelism is exploitable.  Per the
 paper's constraint (§7), all command parsing and completion work
 serializes on the server's single poll-mode core.
 
@@ -23,7 +23,7 @@ knob unset the historic unbounded behavior is preserved exactly.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Optional
 
 from repro.cluster.machines import StorageServer
 from repro.net.fabric import ConnectionEnd
@@ -51,57 +51,18 @@ def complete(end: ConnectionEnd, command: NvmeOfCommand, data=None,
     )
 
 
-def serve_plain(
-    owner: Any, command: NvmeOfCommand, end: ConnectionEnd,
-    spans: Tuple[str, str], reply: Callable[..., None],
-) -> None:
-    """Serve one plain READ/WRITE on ``owner.server`` as a callback chain:
-    CPU parse → [one-sided pull of a write's payload] → drive I/O → CPU
-    complete → reply.  A drive error is answered with an error completion.
-
-    ``owner`` is the server-side controller (its ``server``), ``spans``
-    names its parse and completion charges, ``reply(end, command, ctx,
-    data, error)`` sends its kind of completion, always last.  Each step is
-    made with its timer, as the timer's only callback (``then=``): nothing
-    here is a process, so no ``Initialize`` and no process end.  The
-    command's ``trace`` goes to the core, link and drive, which record
-    their own spans when traced.
-    """
-    server = owner.server
-    cpu = server.cpu
-    ctx = command.trace
-
-    def parsed(_event) -> None:
-        try:
-            if command.opcode is Opcode.READ:
-                server.drive.read(command.offset, command.length, ctx, io_done)
-            else:
-                # target pulls the payload from host memory (one-sided READ)
-                end.rdma_read(command.length, ctx, pulled)
-        except (DriveFailedError, ValueError) as exc:
-            reply(end, command, ctx, None, str(exc))
-
-    def pulled(_event) -> None:
-        try:
-            server.drive.write(command.offset, command.length, command.data, ctx, io_done)
-        except (DriveFailedError, ValueError) as exc:
-            reply(end, command, ctx, None, str(exc))
-
-    def io_done(io) -> None:
-        data = io._value  # a read's payload (functional mode), else None
-        cpu.execute(server.cpu_profile.completion_ns,
-                    lambda _event: reply(end, command, ctx, data, None),
-                    ctx, spans[1])
-
-    cpu.execute(server.cpu_profile.cmd_handle_ns, parsed, ctx, spans[0])
-
-
 class NvmeOfTarget:
     """Serves standard NVMe-oF reads/writes for one storage server.
 
     :meth:`_serve` is the consumer callback of ``host_end.inbox``; it starts
-    one :func:`serve_plain` chain per admitted command.
+    one :func:`serve_plain` chain per admitted command.  The dRAID bdev
+    (:class:`~repro.draid.bdev.DraidBdevServer`) is a target that serves
+    four more opcodes: it shares this crash and intake state and keeps its
+    own intake order.
     """
+
+    #: the CPU spans of a plain command's parse and completion charges
+    _spans = ("nvmf.parse", "nvmf.complete")
 
     def __init__(
         self,
@@ -122,14 +83,18 @@ class NvmeOfTarget:
         self.inflight = 0
         self.busy_rejections = 0
         self.deadline_rejections = 0
-        host_end.inbox.consume(self._serve)
+        self._listen()
+
+    def _listen(self) -> None:
+        """Register the intake callback: a plain target reads its host end."""
+        self.host_end.inbox.consume(self._serve)
 
     def crash(self, down_ns: int) -> None:
         """Fault injection: crash the server process for ``down_ns``.
 
-        Every queued command capsule is lost, and capsules arriving while
-        the target is down are dropped without a completion — the host only
-        finds out via its own timeout (§5.4).
+        Every command capsule queued at the host end is lost, and capsules
+        arriving while the target is down are dropped without a completion
+        — the host only finds out via its own timeout (§5.4).
         """
         if down_ns <= 0:
             raise ValueError(f"crash duration must be positive, got {down_ns}")
@@ -160,10 +125,7 @@ class NvmeOfTarget:
 
     def _begin(self, command: NvmeOfCommand) -> None:
         if command.deadline_ns is None or self.env.now < command.deadline_ns:
-            serve_plain(
-                self, command, self.host_end, ("nvmf.parse", "nvmf.complete"),
-                self._reply,
-            )
+            self.serve_plain(command, self.host_end)
             return
         # stale command: the initiator's budget is already spent, so
         # answer immediately instead of burning drive/CPU time on it
@@ -172,7 +134,50 @@ class NvmeOfTarget:
         if self.queue_depth is not None:
             self.inflight -= 1
 
+    def serve_plain(self, command: NvmeOfCommand, end: ConnectionEnd) -> None:
+        """Serve one plain READ/WRITE as a callback chain: CPU parse →
+        [one-sided pull of a write's payload] → drive I/O → CPU complete →
+        :meth:`_reply`, always last.  A drive error is answered with an
+        error completion.
+
+        ``_spans`` names the parse and completion charges.  Each step is
+        made with its timer, as the timer's only callback (``then=``):
+        nothing here is a process, so no ``Initialize`` and no process end.
+        The command's ``trace`` goes to the core, link and drive, which
+        record their own spans when traced.
+        """
+        server = self.server
+        cpu = server.cpu
+        ctx = command.trace
+        reply = self._reply
+
+        def parsed(_event) -> None:
+            try:
+                if command.opcode is Opcode.READ:
+                    server.drive.read(command.offset, command.length, ctx, io_done)
+                else:
+                    # target pulls the payload from host memory (one-sided READ)
+                    end.rdma_read(command.length, ctx, pulled)
+            except (DriveFailedError, ValueError) as exc:
+                reply(end, command, ctx, None, str(exc))
+
+        def pulled(_event) -> None:
+            try:
+                server.drive.write(command.offset, command.length, command.data, ctx,
+                                   io_done)
+            except (DriveFailedError, ValueError) as exc:
+                reply(end, command, ctx, None, str(exc))
+
+        def io_done(io) -> None:
+            data = io._value  # a read's payload (functional mode), else None
+            cpu.execute(server.cpu_profile.completion_ns,
+                        lambda _event: reply(end, command, ctx, data, None),
+                        ctx, self._spans[1])
+
+        cpu.execute(server.cpu_profile.cmd_handle_ns, parsed, ctx, self._spans[0])
+
     def _reply(self, end, command: NvmeOfCommand, ctx, data, error) -> None:
+        """The :meth:`serve_plain` chain's last call."""
         complete(end, command, data, error, trace=ctx)
         self.commands_served += 1
         if self.queue_depth is not None:

@@ -150,7 +150,7 @@ class Tracer:
     def new_request(self) -> TraceContext:
         """Open a fresh trace for one host I/O; returns its root context.
 
-        The root *span* is recorded later via :meth:`record_root` once the
+        The root *span* is recorded later via :meth:`record_at` once the
         request completes and its end time is known.
         """
         trace_id = self._next_trace_id
@@ -202,41 +202,21 @@ class Tracer:
         track: str,
         start_ns: int,
         end_ns: int,
+        args: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Record the span for a *reserved* context (from :meth:`derive`).
+        """Record ``ctx``'s own span: a *reserved* context's (from
+        :meth:`derive`) or a request's root (from :meth:`new_request`, cat
+        ``request``).
 
-        Used for remote-op envelopes whose end time is only known at
-        completion, after children have already recorded under the
-        reserved id.
+        Used for spans whose end time is only known at completion, after
+        children have already recorded under the reserved id.  Zero-length
+        spans are dropped, as in :meth:`record`.
         """
         if end_ns <= start_ns:
             return
         self.spans.append(
-            Span(ctx.trace_id, ctx.span_id, ctx.parent_id, name, cat, track, start_ns, end_ns)
-        )
-
-    def record_root(
-        self,
-        ctx: TraceContext,
-        name: str,
-        track: str,
-        start_ns: int,
-        end_ns: int,
-        args: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Record the whole-request root span for ``ctx`` (cat ``request``)."""
-        self.spans.append(
-            Span(
-                ctx.trace_id,
-                ctx.span_id,
-                None,
-                name,
-                REQUEST_CATEGORY,
-                track,
-                start_ns,
-                end_ns,
-                args,
-            )
+            Span(ctx.trace_id, ctx.span_id, ctx.parent_id, name, cat, track, start_ns,
+                 end_ns, args)
         )
 
 

@@ -153,7 +153,7 @@ class ProtocolChecker(Checker):
         io_offset: int = 0,
         trace: Optional[Any] = None,
     ) -> None:
-        """``server`` sent a DraidCompletion upstream."""
+        """``server`` sent a completion upstream."""
         self.checked_messages += 1
         invariant = _GATES.get(kind)
         if invariant is not None:

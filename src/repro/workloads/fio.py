@@ -75,8 +75,8 @@ class FioWorkload(BlockStream, ClosedLoop):
         start = self.env.now
         yield submit(self.array, is_read, offset, self.io_size, ctx)
         if ctx is not None:
-            tracer.record_root(ctx, "read" if is_read else "write", "host.io", start,
-                               self.env.now, args={"offset": offset, "nbytes": self.io_size})
+            tracer.record_at(ctx, "read" if is_read else "write", "request", "host.io",
+                             start, self.env.now, {"offset": offset, "nbytes": self.io_size})
         if self._measuring:
             (self.reads if is_read else self.writes).record(self.env.now - start)
             self._bytes_done += self.io_size

@@ -230,3 +230,29 @@ class TestCorrelatedSchedulesEndClean:
         a = chaos_point("draid", 3, code="raid6", correlated_events=2, gray_events=2)
         b = chaos_point("draid", 3, code="raid6", correlated_events=2, gray_events=2)
         assert a == b
+
+
+class TestInjectorResolvesThePlansMap:
+    """A plan carries the failure-domain map its correlated events name
+    domains of; the injector resolves them on it, and on the default map
+    of the cluster only when the plan carries none."""
+
+    @staticmethod
+    def crashes(topology):
+        from repro import build_testbed
+        from repro.cluster import ClusterConfig
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan
+
+        env, _, array = build_testbed("dRAID", config=ClusterConfig(num_servers=8))
+        outage = DomainOutage(1 * MS, kind_name="enclosure", domain_id=3, down_ns=5 * MS)
+        injector = FaultInjector(array, FaultPlan([outage], topology=topology))
+        env.run(until=injector.drain())
+        return [side.crashes for side in array.server_sides]
+
+    def test_the_plans_own_map(self):
+        topology = DomainTopology(8, servers_per_enclosure=1)
+        assert self.crashes(topology) == [0, 0, 0, 1, 0, 0, 0, 0]
+
+    def test_the_default_map_without_one(self):
+        assert self.crashes(None) == [0, 0, 0, 0, 0, 0, 1, 1]

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterConfig, build_cluster
 from repro.draid import DraidArray
 from repro.draid.host import _OpWaiter
-from repro.draid.protocol import DraidCompletion
-from repro.nvmeof.messages import next_cid
+from repro.nvmeof.messages import NvmeOfCompletion, next_cid
 from repro.raid.geometry import RaidGeometry, RaidLevel
 from repro.sim import AnyOf, Environment
 from tests.raid_harness import ArrayHarness, TEST_CHUNK
@@ -335,7 +334,7 @@ def await_in_turn(cls, arrivals, deadline_ns):
         cid = next_cid()
         waiter = array._register(cid, {"read": 1}, {member})
 
-        def deliver(_event, member=member, comp=DraidCompletion(cid, "read")):
+        def deliver(_event, member=member, comp=NvmeOfCompletion(cid, kind="read")):
             array._receive(member, comp)
 
         if at == 0:

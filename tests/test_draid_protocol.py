@@ -8,7 +8,6 @@ import pytest
 from repro.cluster import ClusterConfig, build_cluster
 from repro.draid.bdev import DraidBdevServer
 from repro.draid.protocol import (
-    DraidCompletion,
     ParityCmd,
     PartialWriteCmd,
     PeerMsg,

@@ -91,10 +91,6 @@ ARMS = {
         "OverloadConfig(admission_depth=8)",
         "repro.qos.control",
     ),
-    "domains": (
-        "from repro.faults import default_topology", "default_topology(8)",
-        "repro.faults.domains",
-    ),
 }
 
 _ARMED_PROBE = """
@@ -115,9 +111,9 @@ def test_an_armed_config_builds_and_loads_its_package(keyword):
     out = _probe(_ARMED_PROBE.format(
         imports=imports, keyword=keyword, value=value, module=module
     ))
-    # a topology and an overload config live in the module they arm; the
-    # verify and observability hubs load only when the builder arms them
-    before = keyword in ("domains", "overload")
+    # an overload config lives in the module it arms; the verify and
+    # observability hubs load only when the builder arms them
+    before = keyword == "overload"
     assert out == f"{before} True", out
 
 

@@ -6,8 +6,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, build_cluster
 from repro.draid.host import _OpWaiter
-from repro.draid.protocol import DraidCompletion
-from repro.nvmeof.messages import IoError
+from repro.nvmeof.messages import IoError, NvmeOfCompletion
 from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, SimulationError
 from repro.sim.core import Condition
 
@@ -104,17 +103,17 @@ class TestOpWaiter:
     def test_completes_when_buckets_drain(self):
         env = Environment()
         waiter = _OpWaiter(env, {"data": 2, "parity": 1})
-        waiter.on_completion(DraidCompletion(1, "data"))
+        waiter.on_completion(NvmeOfCompletion(1, kind="data"))
         assert not waiter.event.triggered
-        waiter.on_completion(DraidCompletion(1, "parity"))
-        waiter.on_completion(DraidCompletion(1, "data"))
+        waiter.on_completion(NvmeOfCompletion(1, kind="parity"))
+        waiter.on_completion(NvmeOfCompletion(1, kind="data"))
         assert waiter.event.triggered
         assert not waiter.errors
 
     def test_error_releases_immediately(self):
         env = Environment()
         waiter = _OpWaiter(env, {"data": 5})
-        waiter.on_completion(DraidCompletion(1, "data", ok=False, error="boom"))
+        waiter.on_completion(NvmeOfCompletion(1, kind="data", ok=False, error="boom"))
         assert waiter.event.triggered
         assert len(waiter.errors) == 1
 
@@ -126,9 +125,9 @@ class TestOpWaiter:
     def test_unexpected_kinds_collected_not_counted(self):
         env = Environment()
         waiter = _OpWaiter(env, {"parity": 1})
-        waiter.on_completion(DraidCompletion(1, "data"))  # stray callback
+        waiter.on_completion(NvmeOfCompletion(1, kind="data"))  # stray callback
         assert not waiter.event.triggered
-        waiter.on_completion(DraidCompletion(1, "parity"))
+        waiter.on_completion(NvmeOfCompletion(1, kind="parity"))
         assert waiter.event.triggered
         kinds = sorted(c.kind for c in waiter.completions)
         assert kinds == ["data", "parity"]
@@ -136,8 +135,8 @@ class TestOpWaiter:
     def test_completions_after_release_dropped(self):
         env = Environment()
         waiter = _OpWaiter(env, {"parity": 1})
-        waiter.on_completion(DraidCompletion(1, "parity"))
-        waiter.on_completion(DraidCompletion(1, "parity"))
+        waiter.on_completion(NvmeOfCompletion(1, kind="parity"))
+        waiter.on_completion(NvmeOfCompletion(1, kind="parity"))
         assert len(waiter.completions) == 1
 
 

@@ -297,7 +297,7 @@ class TestTracerUnit:
         envelope = tracer.derive(root)
         tracer.record(envelope, "child", "disk", "s0.drive", 10, 20)
         tracer.record_at(envelope, "rpc", "rpc", "host", 5, 30)
-        tracer.record_root(root, "write", "host.io", 0, 40)
+        tracer.record_at(root, "write", "request", "host.io", 0, 40)
         spans = {s.name: s for s in tracer.spans}
         assert spans["child"].parent_id == envelope.span_id
         assert spans["rpc"].span_id == envelope.span_id

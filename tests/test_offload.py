@@ -261,3 +261,26 @@ def test_host_sees_the_controllers_busy():
         env.process(writer(i * CHUNK))
     env.run()
     assert sorted(outcomes) == ["Busy", "Busy", "Busy", "ok"]
+
+
+def test_host_gets_an_error_for_corruption_beyond_parity():
+    """A read the offloaded controller cannot repair (bit rot on two
+    members of one RAID-5 stripe) comes back as an error completion: the
+    host raises ``IoError`` and a closed loop counts it, as it does on a
+    host-attached array, instead of the controller's ``ChecksumError``
+    ending the whole run."""
+    from repro.nvmeof.messages import IoError
+    from repro.storage.integrity import IntegrityStore
+
+    env, cluster, array, geometry = make_offloaded(servers=5, stripes=8)
+    IntegrityStore(CHUNK).attach(cluster)
+    size = 8 * geometry.stripe_data_bytes
+    blob = np.random.default_rng(0).integers(0, 256, size, dtype=np.uint8)
+    env.run(until=array.write(0, size, blob))
+    for member in (0, 1):
+        array.controller.drives[member].corrupt("bitrot", offset=0, length=512, seed=member)
+    fio = FioWorkload(array, 16 * KB, read_fraction=1.0, queue_depth=2, capacity=size, seed=3)
+    fio.run(measure_ns=2_000_000)
+    assert fio.io_errors > 0
+    with pytest.raises(IoError):
+        env.run(until=array.read(0, geometry.stripe_data_bytes))
