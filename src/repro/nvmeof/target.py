@@ -55,7 +55,7 @@ class NvmeOfTarget:
     """Serves standard NVMe-oF reads/writes for one storage server.
 
     :meth:`_serve` is the consumer callback of ``host_end.inbox``; it starts
-    one :func:`serve_plain` chain per admitted command.  The dRAID bdev
+    one :meth:`serve_plain` chain per admitted command.  The dRAID bdev
     (:class:`~repro.draid.bdev.DraidBdevServer`) is a target that serves
     four more opcodes: it shares this crash and intake state and keeps its
     own intake order.
